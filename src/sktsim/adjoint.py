@@ -35,6 +35,7 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
+    NumericalFailure,
     component_h1,
     laplacian,
     laplacian_matrix,
@@ -223,6 +224,7 @@ def _weighted_lap(f: FieldPair, weight_state: FieldPair, bc: BoundaryCondition) 
     return f.grid.cell_volume * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 u_pair: tuple[Trajectory, Trajectory], eps: float,
                 rhs: AdjointRHSKind, chi: FieldPair,
@@ -234,7 +236,9 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     The coefficient state is the average of the two forward trajectories
     (piecewise constant between stored levels), truncated at threshold
     ``eps``.  Records the three estimate functionals, their ratios against
-    ||chi||_H1, and the energy-inequality tracker.
+    ||chi||_H1, and the energy-inequality tracker.  A blow-up raises
+    :class:`NumericalFailure` carrying the step index and time of the level
+    being computed.
     """
     traj1, traj2 = u_pair
     if traj1.grid != traj2.grid:
@@ -271,12 +275,14 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     for m in range(steps, 0, -1):
         t_target = (m - 1) * dt
         state = coeff_state(t_target)
-        if mode is AdjointMode.CONTINUOUS:
-            new_phi = step_adjoint_backward(c, phi, state, bc, dt, rhs)
-        else:
-            new_phi = step_adjoint_transpose(c, phi, state, bc, dt, rhs)
-        if not (np.all(np.isfinite(new_phi.u)) and np.all(np.isfinite(new_phi.v))):
-            raise RuntimeError(f"adjoint blow-up at backward step {m}")
+        try:
+            if mode is AdjointMode.CONTINUOUS:
+                new_phi = step_adjoint_backward(c, phi, state, bc, dt, rhs)
+            else:
+                new_phi = step_adjoint_transpose(c, phi, state, bc, dt, rhs)
+        except NumericalFailure as exc:
+            exc.step, exc.t = m - 1, t_target
+            raise
 
         e_new = _pair_h1_sq(new_phi, bc)
         w_new = _weighted_lap(new_phi, state, bc)
@@ -370,22 +376,26 @@ class EpsCauchyRow:
 def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
                      u_pair: tuple[Trajectory, Trajectory],
                      eps_list: list[float], rhs: AdjointRHSKind, chi: FieldPair,
-                     horizon: float | None = None) -> list[EpsCauchyRow]:
+                     horizon: float | None = None
+                     ) -> tuple[list[EpsCauchyRow], list[AdjointBoundsReport]]:
     """Differences between adjoint solves at consecutive truncation thresholds.
 
     Reports sup-in-time H1 and space-time L2-of-Laplacian distances; once
     both thresholds clear the coefficient data the clamp is the identity
-    and the difference vanishes exactly.
+    and the difference vanishes exactly.  Also returns the bounds report of
+    each solve, in ``eps_list`` order, so callers need not march again.
     """
     runs = []
+    reports = []
     u_max = 0.0
     for s1, s2 in zip(u_pair[0].snapshots, u_pair[1].snapshots):
         avg = 0.5 * (s1 + s2)
         u_max = max(u_max, float(np.max(avg.u)), float(np.max(avg.v)))
 
     for eps in eps_list:
-        traj, _ = run_adjoint(c, bc, u_pair, eps, rhs, chi, horizon=horizon, stride=1)
+        traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, horizon=horizon, stride=1)
         runs.append((eps, traj))
+        reports.append(report)
 
     rows = []
     for (eps_a, run_a), (eps_b, run_b) in zip(runs, runs[1:]):
@@ -405,4 +415,4 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
                                  diff_sup_h1=sup_h1,
                                  diff_lap_l2=math.sqrt(lap_sq),
                                  truncation_inactive=inactive))
-    return rows
+    return rows, reports

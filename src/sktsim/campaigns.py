@@ -265,20 +265,23 @@ def campaign_uniqueness(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
         "scalar-reduction", all(r >= 1.8 for r in red),
         f"deviations {[f'{lv.reduction_deviation:.2e}' for lv in report.levels]}, "
         f"ratios {[f'{r:.2f}' for r in red]} (want >= 1.8 per level)"))
+    results.append(_exact_transpose_duality(cfg.coefficients))
+    return results
 
+
+def _exact_transpose_duality(c: Coefficients) -> CheckResult:
     t0 = time.perf_counter()
     grid = Grid(1, 1.0, 16)
     x = grid.centers()
     u_tilde = FieldPair(grid, 1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x))
     u_bar0 = FieldPair(grid, 0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x))
     chi = FieldPair(grid, np.cos(np.pi * x), np.ones(grid.shape))
-    residual = frozen_duality_check(cfg.coefficients, grid, NEU, T=0.02, dt=2e-4,
+    residual = frozen_duality_check(c, grid, NEU, T=0.02, dt=2e-4,
                                     u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
-    results.append(CheckResult(
+    return CheckResult(
         "exact-transpose-duality", residual <= 1e-10,
         f"max frozen-coefficient residual {residual:.2e} (want <= 1e-10)",
-        elapsed=time.perf_counter() - t0))
-    return results
+        elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------- dependence
@@ -369,14 +372,12 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     chi = (1.0 / norms(chi, NEU).h1) * chi
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
-    kappa_cols = {"sup": [], "wlap": [], "dt": []}
-    slacks = []
-    for eps in eps_list:
-        _, rep = run_adjoint(c, NEU, (traj, traj), eps, AdjointRHSKind.IDENTITY, chi)
-        kappa_cols["sup"].append(rep.kappa_sup)
-        kappa_cols["wlap"].append(rep.kappa_weighted_lap)
-        kappa_cols["dt"].append(rep.kappa_dt)
-        slacks.append(rep.gronwall_slack)
+    rows, reports = eps_cauchy_study(c, NEU, (traj, traj), eps_list,
+                                     AdjointRHSKind.IDENTITY, chi)
+    kappa_cols = {"sup": [r.kappa_sup for r in reports],
+                  "wlap": [r.kappa_weighted_lap for r in reports],
+                  "dt": [r.kappa_dt for r in reports]}
+    slacks = [r.gronwall_slack for r in reports]
     write_csv(out_dir / "eps_sweep_kappas.csv",
               {"eps": np.array(eps_list), "kappa_sup": np.array(kappa_cols["sup"]),
                "kappa_weighted_lap": np.array(kappa_cols["wlap"]),
@@ -392,7 +393,6 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
         f"max telescoped-inequality slack {max(slacks):.2e} (want <= 1e-8)"))
 
     t0 = time.perf_counter()
-    rows = eps_cauchy_study(c, NEU, (traj, traj), eps_list, AdjointRHSKind.IDENTITY, chi)
     write_csv(out_dir / "eps_cauchy.csv",
               {"eps_coarse": np.array([r.eps_coarse for r in rows]),
                "eps_fine": np.array([r.eps_fine for r in rows]),

@@ -2,8 +2,8 @@
 
 The format is deliberately trivial: one assignment per line, full-line
 comments starting with '#', blank lines ignored.  Unknown keys, duplicate
-keys, type mismatches, and invariant violations are all hard errors that
-name the key and line; nothing is silently ignored.
+keys, type mismatches, non-finite numbers, and invariant violations are all
+hard errors that name the key and line; nothing is silently ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from sktsim.adjoint import AdjointRHSKind
 from sktsim.algebra import Coefficients
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid
-from sktsim.grid import BoundaryCondition, FieldPair, Grid
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure
 from sktsim.mms import bump_profile
 
 __all__ = ["ConfigError", "PresetSpec", "RunConfig", "parse_config", "parse_config_text"]
@@ -54,10 +54,13 @@ class PresetSpec:
             params = tuple(float(tok) for tok in tokens[1:])
         except ValueError as exc:
             raise ConfigError(f"non-numeric preset parameter for key '{key}' on line {line}: {exc}")
+        if not all(math.isfinite(p) for p in params):
+            raise ConfigError(f"non-finite preset parameter for key '{key}' on line {line}")
         if kind == "cosine" and params[0] != int(params[0]):
             raise ConfigError(f"cosine mode number must be an integer for key '{key}' on line {line}")
         return cls(kind, params)
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is reported by parse
     def evaluate(self, grid: Grid) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros(grid.shape)
@@ -146,9 +149,12 @@ def _parse_scalar(raw: str, want, key: str, line: int):
         except ValueError:
             raise ConfigError(f"key '{key}' on line {line} expects an integer, got '{raw}'")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}' on line {line} expects a number, got '{raw}'")
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' on line {line} expects a finite number, got '{raw}'")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -188,8 +194,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: dim must be 1 or 2, got {dim} "
                           f"(line {entries['dim'][1]})")
     length = values["domain.length"]
-    if not (isinstance(length, float) and length > 0 and math.isfinite(length)):
-        raise ConfigError(f"{source}: domain.length must be positive and finite "
+    if length <= 0:
+        raise ConfigError(f"{source}: domain.length must be positive "
                           f"(line {entries['domain.length'][1]})")
     n = values["grid.n"]
     if n < 3:
@@ -245,7 +251,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         stride=stride, out_dir=values.get("output.dir", "out"),
         seed=values.get("seed", 0))
 
-    initial = cfg.initial_field()
+    try:
+        initial = cfg.initial_field()
+    except NumericalFailure:
+        raise ConfigError(f"{source}: initial presets evaluate to non-finite values "
+                          f"(lines {entries['init.u'][1]} and {entries['init.v'][1]})")
     if float(np.min(initial.u)) < 0.0 or float(np.min(initial.v)) < 0.0:
         offender = "init.u" if float(np.min(initial.u)) < 0.0 else "init.v"
         raise ConfigError(f"{source}: initial preset '{offender}' evaluates to negative "

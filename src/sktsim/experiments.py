@@ -21,7 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import AdjointBoundsReport, AdjointMode, AdjointRHSKind, run_adjoint
+from sktsim.adjoint import (
+    AdjointBoundsReport,
+    AdjointMode,
+    AdjointRHSKind,
+    run_adjoint,
+    step_adjoint_transpose,
+)
 from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, eval_p, eval_q, jac_P, jac_Q
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, run_forward
 from sktsim.grid import (
@@ -35,7 +41,6 @@ from sktsim.grid import (
     norms,
     weak_norm,
 )
-from sktsim.util import parallel_map
 
 __all__ = [
     "DependenceConfig",
@@ -155,19 +160,10 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     for _ in range(steps):
         u_bars.append(_linearized_difference_step(c, u_tilde, u_bars[-1], bc, dt))
 
-    P = jac_P(c, SpeciesPair(u_tilde.u, u_tilde.v))
-    Q = jac_Q(c, SpeciesPair(u_tilde.u, u_tilde.v))
     phis = [chi.copy()]
     for _ in range(steps):
-        phi = phis[0]
-        lap = laplacian(phi, bc)
-        pt_u = P.m11 * lap.u + P.m21 * lap.v
-        pt_v = P.m12 * lap.u + P.m22 * lap.v
-        qt_u = Q.m11 * phi.u + Q.m21 * phi.v
-        qt_v = Q.m12 * phi.u + Q.m22 * phi.v
-        phis.insert(0, FieldPair(grid,
-                                 phi.u + dt * (pt_u - qt_u + phi.u),
-                                 phi.v + dt * (pt_v - qt_v + phi.v)))
+        phis.insert(0, step_adjoint_transpose(c, phis[0], u_tilde, bc, dt,
+                                              AdjointRHSKind.IDENTITY))
     res = _duality_residual_series(c, u_bars, phis, dt)
     return float(np.max(np.abs(res)))
 
@@ -268,7 +264,7 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
             max_residual=float(np.max(residual_series)), sbp_gap=sbp_gap,
             reduction_deviation=reduction_dev)
 
-    return DualityReport(levels=parallel_map(run_level, range(cfg.levels)))
+    return DualityReport(levels=[run_level(k) for k in range(cfg.levels)])
 
 
 @dataclass
@@ -347,11 +343,9 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     p47 = 4.0 * cfg.dim / (cfg.dim + 2.0)
     p48 = 2.0 * cfg.dim / (6.0 - cfg.dim)
 
-    perturbed_trajs = parallel_map(
-        lambda delta: run(FieldPair(grid, base.u + delta * w.u, base.v + delta * w.v)),
-        deltas)
-    for delta, traj in zip(deltas, perturbed_trajs):
+    for delta in deltas:
         pert = FieldPair(grid, base.u + delta * w.u, base.v + delta * w.v)
+        traj = run(pert)
         bar0 = pert - base
         input_l2.append(math.sqrt(component_l2(bar0.u, grid) ** 2
                                   + component_l2(bar0.v, grid) ** 2))
@@ -365,9 +359,9 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
             basis_sup[tau].append(max(abs(inner(diff, chi)) for _, chi in basis))
 
     chi_ref = basis[1][1] if len(basis) > 1 else basis[0][1]
-    for tau in taus:
+    for tau in taus:  # paired with the run of the largest delta, the last one above
         _, report = run_adjoint(cfg.coefficients, cfg.bc,
-                                (base_traj, perturbed_trajs[-1]), TINY_EPS,
+                                (base_traj, traj), TINY_EPS,
                                 AdjointRHSKind.GROWTH, chi_ref, horizon=tau)
         adjoint_reports[tau] = report
 

@@ -31,6 +31,7 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
+    NumericalFailure,
     _extend,
     _grad_sq_array,
     component_h1,
@@ -55,10 +56,6 @@ __all__ = [
     "step_explicit",
     "step_imex",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """Blow-up, non-finite values, or a violated stability precondition."""
 
 
 class StabilityError(NumericalFailure):
@@ -332,12 +329,14 @@ def _diagnostics_row(c: Coefficients, state: FieldPair, bc: BoundaryCondition,
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_forward(problem: ForwardProblem) -> Trajectory:
     """Integrate 0 -> T recording per-step diagnostics and strided snapshots.
 
     Negative values are never clipped silently; the opt-in clamp is recorded
-    in the trajectory metadata.  Aborts with the step index when non-finite
-    values appear.
+    in the trajectory metadata.  A step that fails (non-finite values or the
+    explicit stability bound) raises :class:`NumericalFailure` carrying the
+    step index and time, without numpy overflow warnings.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
@@ -357,14 +356,16 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
         t_next = (n + 1) * dt
         forcing = problem.forcing(n * dt) if problem.forcing is not None else None
         prev = state
-        if problem.scheme is SchemeKind.EXPLICIT:
-            state = step_explicit(c, state, bc, dt, forcing)
-        else:
-            state = step_imex(c, state, bc, dt, forcing)
+        try:
+            if problem.scheme is SchemeKind.EXPLICIT:
+                state = step_explicit(c, state, bc, dt, forcing)
+            else:
+                state = step_imex(c, state, bc, dt, forcing)
+        except NumericalFailure as exc:
+            exc.step, exc.t = n + 1, t_next
+            raise
         if problem.clamp_negative:
             state = FieldPair(grid, np.maximum(state.u, 0.0), np.maximum(state.v, 0.0))
-        if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
-            raise NumericalFailure(f"non-finite values at step {n + 1} (t={t_next:g})")
         weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
         rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
         wtd = math.sqrt(grid.cell_volume * float(np.sum(weight * rate ** 2)))

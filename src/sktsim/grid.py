@@ -29,6 +29,7 @@ __all__ = [
     "FieldPair",
     "Grid",
     "NormReport",
+    "NumericalFailure",
     "gradient_sq",
     "inner",
     "laplacian",
@@ -89,6 +90,23 @@ class Grid:
         return np.meshgrid(*axes, indexing="ij")
 
 
+class NumericalFailure(RuntimeError):
+    """Blow-up, non-finite values, or a violated stability precondition.
+
+    A time march that sees one sets ``step`` and ``t`` to the level it was
+    computing; the message then leads with them.
+    """
+
+    step: int | None = None
+    t: float | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.step is None:
+            return message
+        return f"step {self.step} (t={self.t:g}): {message}"
+
+
 @dataclass
 class FieldPair:
     """Two species fields sampled at the cell centers of a shared grid."""
@@ -104,7 +122,7 @@ class FieldPair:
             raise ValueError(f"field shape {self.u.shape}/{self.v.shape} does not "
                              f"match grid shape {self.grid.shape}")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("field values must be finite")
+            raise NumericalFailure("non-finite field values")
 
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sktsim.adjoint
+import sktsim.campaigns
 from sktsim.adjoint import (
     AdjointMode,
     AdjointRHSKind,
@@ -15,9 +18,11 @@ from sktsim.adjoint import (
     theta_eps_derivative,
     truncation_bound_check,
 )
-from sktsim.algebra import CFG_A, SpeciesPair
+from sktsim.algebra import CFG_A, Coefficients, SpeciesPair
+from sktsim.campaigns import run_campaign
+from sktsim.config import parse_config
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
 NEU = BoundaryCondition.NEUMANN
@@ -189,8 +194,8 @@ def test_truncation_bound_check_cases():
 def test_eps_cauchy_zero_differences_once_threshold_clears_data():
     u_pair = forward_desk_pair(amplitude=2.0)
     chi = unit_h1_cosine(u_pair[0].grid)
-    rows = eps_cauchy_study(CFG_A, NEU, u_pair, [1.0, 0.5, 0.25, 0.125],
-                            AdjointRHSKind.IDENTITY, chi)
+    rows, _ = eps_cauchy_study(CFG_A, NEU, u_pair, [1.0, 0.5, 0.25, 0.125],
+                               AdjointRHSKind.IDENTITY, chi)
     assert len(rows) == 3
     saw_inactive = False
     for row in rows:
@@ -201,6 +206,41 @@ def test_eps_cauchy_zero_differences_once_threshold_clears_data():
     assert saw_inactive
     # active rows actually differ
     assert rows[0].diff_sup_h1 > 0.0
+
+
+def test_eps_cauchy_campaign_marches_each_adjoint_once(tmp_path, monkeypatch):
+    # One march for the exponential oracle, one per eps for the sweep; the
+    # kappa sweep reuses the eps-cauchy study's reports instead of re-marching.
+    calls = []
+    original = sktsim.adjoint.run_adjoint
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])  # eps
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sktsim.adjoint, "run_adjoint", counting)
+    monkeypatch.setattr(sktsim.campaigns, "run_adjoint", counting)
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
+    results = run_campaign("eps-cauchy", cfg, tmp_path)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    assert calls == [1.0, 1.0, 0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("mode", [AdjointMode.CONTINUOUS, AdjointMode.TRANSPOSE])
+def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
+    # Growth rate 1e200 takes phi from 1e-60 to 1e138 on the first backward
+    # step and past the float range on the second.
+    grid = Grid(1, 1.0, 8)
+    problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(0.1, 0.01),
+                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+    traj = run_forward(problem)
+    growth = Coefficients(0, 0, 0, 0, a1=1e200, a2=1e200, d1=1.0, d2=1.0)
+    with pytest.raises(NumericalFailure) as err:
+        run_adjoint(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
+                    FieldPair.constant(grid, 1e-60, 1e-60), mode=mode)
+    assert err.value.step == 8
+    assert err.value.t == pytest.approx(0.08)
+    assert str(err.value).startswith("step 8 (t=0.08): ")
 
 
 def test_run_adjoint_horizon_shorter_than_final_time():

@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,9 @@ coeff.d2 = 1.0
 init.u = bump 0.5 0.3 1.0
 init.v = constant 0.5
 """
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -172,6 +178,33 @@ def test_cli_simulate_stability_violation_exits_three(tmp_path, capsys):
     assert "stability bound" in err
 
 
+def test_cli_simulate_blowup_exits_three_naming_the_step(tmp_path, capsys):
+    # Strong linear growth overflows the heat-limit run before t_final.
+    text = (CONFIGS / "heat_1d.cfg").read_text().replace("coeff.a1 = 0.0", "coeff.a1 = 10000")
+    path = write_cfg(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:3:")
+    assert "step" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("preset, message", [
+    ("constant nan", "'init.u' on line 20"),
+    ("cosine 1 1e308 1e308", "non-finite values (lines 20 and 21)"),
+])
+def test_cli_nonfinite_preset_is_config_error(tmp_path, capsys, preset, message):
+    path = write_cfg(tmp_path, MINIMAL.replace("init.u = bump 0.5 0.3 1.0",
+                                               f"init.u = {preset}"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:")
+    assert message in err
+
+
 def test_cli_adjoint_uses_stored_trajectory(tmp_path, capsys):
     text = MINIMAL + "terminal.u = cosine 1 1.0 0.5\nterminal.v = zero\n"
     path = write_cfg(tmp_path, text)
@@ -227,16 +260,3 @@ def test_cli_report_missing_dir_is_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL)
     assert main(["report", "--config", str(path), "--out", str(tmp_path / "void")]) == 2
     assert "SKT-ERR:2:" in capsys.readouterr().err
-
-
-def test_skt_threads_caps_parallelism(monkeypatch):
-    from sktsim.util import parallel_map, worker_count
-
-    monkeypatch.setenv("SKT_THREADS", "1")
-    assert worker_count() == 1
-    assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-    monkeypatch.setenv("SKT_THREADS", "4")
-    assert worker_count() == 4
-    assert parallel_map(lambda x: x + 1, [1, 2, 3, 4, 5]) == [2, 3, 4, 5, 6]
-    monkeypatch.setenv("SKT_THREADS", "junk")
-    assert worker_count() >= 1

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sktsim.algebra import CFG_A, Coefficients
+import sktsim.experiments
+from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, jac_P, jac_Q
+from sktsim.campaigns import _exact_transpose_duality
 from sktsim.experiments import (
     DependenceConfig,
     UniquenessConfig,
@@ -15,7 +17,7 @@ from sktsim.experiments import (
     weak_form_residual,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, norms
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, laplacian, norms
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 
 NEU = BoundaryCondition.NEUMANN
@@ -65,6 +67,25 @@ def test_frozen_duality_residual_is_machine_zero():
     res = frozen_duality_check(CFG_A, grid, NEU, T=0.02, dt=2e-4,
                                u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
     assert res <= 1e-10
+
+
+def test_exact_transpose_duality_gate_fails_without_cross_diffusion(monkeypatch):
+    # Seeded defect: a transpose step that drops the off-diagonal diffusion
+    # coupling P12, P21.  The gate must see it (passes on the real step).
+    assert _exact_transpose_duality(CFG_A).passed
+
+    def no_cross_diffusion(c, phi, u_tilde, bc, dt, rhs):
+        lap = laplacian(phi, bc)
+        s = SpeciesPair(u_tilde.u, u_tilde.v)
+        P, Q = jac_P(c, s), jac_Q(c, s)
+        return FieldPair(phi.grid,
+                         phi.u + dt * (P.m11 * lap.u - Q.m11 * phi.u - Q.m21 * phi.v + phi.u),
+                         phi.v + dt * (P.m22 * lap.v - Q.m12 * phi.u - Q.m22 * phi.v + phi.v))
+
+    monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
+    result = _exact_transpose_duality(CFG_A)
+    assert not result.passed
+    assert result.line().startswith("FAIL  exact-transpose-duality")
 
 
 def uniq_config(levels=2, base_n=16, T=0.05):
