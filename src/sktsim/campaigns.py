@@ -57,7 +57,8 @@ class CheckResult:
     elapsed: float = 0.0
 
     def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail} "
+                f"({self.elapsed:.2f} s)")
 
 
 def _desk_initial(grid: Grid, amplitude: float = 1.0) -> FieldPair:

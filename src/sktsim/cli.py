@@ -19,7 +19,6 @@ from sktsim.algebra import check_conditions, max_alpha
 from sktsim.campaigns import CAMPAIGNS, run_campaign
 from sktsim.config import ConfigError, RunConfig, parse_config
 from sktsim.forward import NumericalFailure, run_forward
-from sktsim.linalg import LinearSolveError
 from sktsim.output import (
     load_forward_trajectory,
     render_report,
@@ -143,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_report(out_dir)
     except ConfigError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-    except (NumericalFailure, LinearSolveError) as exc:
+    except NumericalFailure as exc:
         return _fail(ExitStatus.NUMERICAL_FAILURE, str(exc))
     except FileNotFoundError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))

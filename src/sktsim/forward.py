@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from sktsim import linalg
 from sktsim.algebra import Coefficients, SpeciesPair, eval_l, eval_p, eval_q, jac_P
 from sktsim.grid import (
     BoundaryCondition,
@@ -34,10 +35,11 @@ from sktsim.grid import (
     NumericalFailure,
     _extend,
     _grad_sq_array,
+    block_pattern,
     component_h1,
     component_l2,
 )
-from sktsim.linalg import bicgstab_solve
+from sktsim.linalg import krylov_solve
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -185,94 +187,80 @@ def step_explicit(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: 
     return FieldPair(state.grid, new_u, new_v)
 
 
-def _face_entries(grid: Grid, p_entries: tuple[np.ndarray, ...]):
-    """Interior-face index pairs and arithmetically averaged coefficients per axis."""
-    n = grid.n
-    idx = np.arange(grid.node_count).reshape(grid.shape)
-    pairs = []
-    if grid.dim == 1:
-        a, b = idx[:-1], idx[1:]
-        coeffs = [0.5 * (e.ravel()[a] + e.ravel()[b]) for e in p_entries]
-        pairs.append((a, b, coeffs))
-    else:
-        for axis in range(2):
-            if axis == 0:
-                a, b = idx[:-1, :].ravel(), idx[1:, :].ravel()
-            else:
-                a, b = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-            coeffs = [0.5 * (e.ravel()[a] + e.ravel()[b]) for e in p_entries]
-            pairs.append((a, b, coeffs))
-    return pairs
-
-
-def _boundary_cells(grid: Grid) -> np.ndarray:
-    idx = np.arange(grid.node_count).reshape(grid.shape)
-    if grid.dim == 1:
-        return np.concatenate([[idx[0]], [idx[-1]]])
-    return np.concatenate([idx[0, :], idx[-1, :], idx[:, 0], idx[:, -1]])
+def _nodal_jacobian(c: Coefficients, state: FieldPair) -> np.ndarray:
+    """Flux Jacobian P(state) as a (2, 2, N) array over the raveled nodes."""
+    P = jac_P(c, SpeciesPair(state.u, state.v))
+    return np.reshape(P, (2, 2, -1))
 
 
 def divergence_form_matrix(c: Coefficients, state: FieldPair,
                            bc: BoundaryCondition) -> sp.csr_matrix:
     """Sparse 2N x 2N matrix of w -> div(P(state) grad w) with face-averaged P.
 
-    Unknowns are stacked [w_u; w_v].  Because the Jacobian entries are
-    affine in the state, the arithmetic face average equals the midpoint
-    evaluation and flux differences of the quadratic map are reproduced
-    exactly.
+    Unknowns are stacked [w_u; w_v]; the sparsity is the cached
+    :func:`block_pattern` of (grid, bc), so only the values are computed.
+    Because the Jacobian entries are affine in the state, the arithmetic face
+    average equals the midpoint evaluation and flux differences of the
+    quadratic map are reproduced exactly.
     """
     grid = state.grid
-    ncell = grid.node_count
-    P = jac_P(c, SpeciesPair(state.u, state.v))
+    pattern = block_pattern(grid, bc)
+    nodal = _nodal_jacobian(c, state).ravel()
     inv_h2 = 1.0 / grid.h ** 2
+    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
+    # Each diagonal entry balances its row of the block (zero row sums) ...
+    data[pattern.node_diag] = 0.0
+    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
+    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
+    # ... except at a Dirichlet wall: the ghost state is the negated interior
+    # state, so the face coefficient averages to diag(d1, d2) and the
+    # across-face jump is 2 w_wall.
+    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
+    return pattern.matrix(data)
 
-    rows, cols, data = [], [], []
 
-    def add_block(r, col, vals, row_comp, col_comp):
-        rows.append(r + row_comp * ncell)
-        cols.append(col + col_comp * ncell)
-        data.append(vals)
-
-    for a, b, (c11, c12, c21, c22) in _face_entries(grid, (P.m11, P.m12, P.m21, P.m22)):
-        for (row_comp, col_comp, cf) in ((0, 0, c11), (0, 1, c12), (1, 0, c21), (1, 1, c22)):
-            vals = cf * inv_h2
-            add_block(a, b, vals, row_comp, col_comp)
-            add_block(a, a, -vals, row_comp, col_comp)
-            add_block(b, a, vals, row_comp, col_comp)
-            add_block(b, b, -vals, row_comp, col_comp)
-
+def _imex_blocks(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float):
+    """(lower, diag, upper) blocks of I - dt div(P grad .) in 1D; see
+    :func:`~sktsim.linalg.solve_block_tridiagonal`."""
+    nodal = _nodal_jacobian(c, state)
+    inv_h2 = 1.0 / state.grid.h ** 2
+    face = 0.5 * inv_h2 * (nodal[..., :-1] + nodal[..., 1:])
+    diag = np.zeros_like(nodal)
+    diag[..., :-1] -= face
+    diag[..., 1:] -= face
     if bc is BoundaryCondition.DIRICHLET:
-        # Ghost state is the negated interior state, so the face coefficient
-        # averages to diag(d1, d2) and the across-face jump is 2 w_wall.
-        wall = _boundary_cells(grid)
-        for comp, d in ((0, c.d1), (1, c.d2)):
-            add_block(wall, wall, np.full(wall.shape, -2.0 * d * inv_h2), comp, comp)
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return sp.coo_matrix((data, (rows, cols)), shape=(2 * ncell, 2 * ncell)).tocsr()
+        for r, d in enumerate((c.d1, c.d2)):
+            diag[r, r, [0, -1]] -= 2.0 * d * inv_h2
+    diag *= -dt
+    diag[[0, 1], [0, 1]] += 1.0
+    return -dt * face, diag, -dt * face
 
 
 def step_imex(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float,
               forcing: FieldPair | None = None) -> FieldPair:
     """One semi-implicit step: implicit lagged-coefficient diffusion, explicit reactions.
 
-    Solves (I - dt L_n) w = state + dt (l - q + forcing) by BiCGStab to
-    relative residual 1e-10; unconditionally solvable, accuracy O(dt).
+    Solves (I - dt L_n) w = state + dt (l - q + forcing): a banded direct
+    solve in 1D, scipy BiCGStab in 2D, accepted in both only at true relative
+    residual <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`);
+    accuracy O(dt).
     """
     grid = state.grid
-    L = divergence_form_matrix(c, state, bc)
-    A = (sp.identity(2 * grid.node_count, format="csr") - dt * L).tocsr()
     rhs = _reaction_rhs(c, state)
     bu = state.u + dt * rhs.u
     bv = state.v + dt * rhs.v
     if forcing is not None:
         bu = bu + dt * forcing.u
         bv = bv + dt * forcing.v
+    if grid.dim == 1:
+        u, v = linalg.solve_block_tridiagonal(*_imex_blocks(c, state, bc, dt), np.array([bu, bv]))
+        return FieldPair(grid, u, v)
+    A = divergence_form_matrix(c, state, bc)
+    A.data *= -dt
+    A.data[block_pattern(grid, bc).ident] += 1.0
     b = np.concatenate([bu.ravel(), bv.ravel()])
     x0 = np.concatenate([state.u.ravel(), state.v.ravel()])
-    x = bicgstab_solve(A, b, x0=x0, rtol=1e-10)
+    x = krylov_solve(A, b, x0)
     ncell = grid.node_count
     return FieldPair(grid, x[:ncell].reshape(grid.shape), x[ncell:].reshape(grid.shape))
 

@@ -1,95 +1,92 @@
-"""Sparse linear-solve helpers shared by the implicit steppers."""
+"""Linear solves of the implicit steppers: banded direct in 1D, scipy BiCGStab
+in 2D.  A solution is accepted only at true residual ||b - A x|| <= RTOL ||b||,
+with norms that do not overflow.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg
+import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgbmv
 
-__all__ = ["LinearSolveError", "bicgstab_solve"]
+from sktsim.grid import NumericalFailure
+
+__all__ = ["RTOL", "LinearSolveError", "krylov_solve", "solve_block_tridiagonal"]
+
+RTOL = 1e-10
+
+_norm = functools.partial(scipy.linalg.norm, check_finite=False)  # BLAS nrm2 scales: no overflow
 
 
-class LinearSolveError(RuntimeError):
-    """Iterative solve failed; carries the recorded residual history."""
-
-    def __init__(self, message: str, residual_history: list[float]):
-        tail = ", ".join(f"{r:.3e}" for r in residual_history[-6:])
-        super().__init__(f"{message} (last residuals: {tail})")
-        self.residual_history = residual_history
+class LinearSolveError(NumericalFailure):
+    """A solve missed the residual bound or met non-finite values."""
 
 
-def bicgstab_solve(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray | None = None,
-                   rtol: float = 1e-10) -> np.ndarray:
-    """BiCGStab to relative true residual ``rtol``, iteration cap 10*sqrt(n).
+def _rhs_norm(b: np.ndarray, method: str) -> float:
+    b_norm = _norm(b)
+    if not math.isfinite(b_norm):
+        raise LinearSolveError(f"{method}: non-finite right-hand side")
+    return b_norm
 
-    Restarts the shadow vector on rho/omega breakdown instead of giving up,
-    and only accepts convergence on the recomputed true residual.  Raises
-    :class:`LinearSolveError` with the residual history when the iteration
-    budget runs out.
+
+def _check_residual(residual: np.ndarray, b_norm: float, method: str) -> None:
+    r_norm = _norm(residual)
+    if not r_norm <= RTOL * b_norm:  # also rejects nan
+        raise LinearSolveError(f"{method}: residual {r_norm:.3e} exceeds "
+                               f"{RTOL:g} * ||b|| = {RTOL * b_norm:.3e}")
+
+
+def _interleaved_band(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """LAPACK (3, 3) band storage, shape (7, 2n), of the operator of
+    :func:`solve_block_tridiagonal`: A[2i + r, 2j + c] sits at
+    ``ab[3 + 2 (i - j) + r - c, 2j + c]``."""
+    ab = np.zeros((7, 2 * diag.shape[-1]))
+    for r in range(2):
+        for c in range(2):
+            ab[3 + r - c, c::2] = diag[r, c]
+            ab[1 + r - c, 2 + c::2] = upper[r, c]
+            ab[5 + r - c, c:-2:2] = lower[r, c]
+    return ab
+
+
+def solve_block_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                            b: np.ndarray) -> np.ndarray:
+    """Direct solve of a two-species operator with nearest-neighbour coupling.
+
+    ``diag[r, c]`` (length n) couples species r to species c at one node;
+    ``upper[r, c]`` / ``lower[r, c]`` (length n - 1) couple node i to node
+    i + 1 / node i + 1 to node i.  ``b`` and the result have shape (2, n).
+    Interleaving the unknowns as [u0, v0, u1, v1, ...] makes the operator
+    banded with bandwidth 3.
     """
-    b_norm = float(np.linalg.norm(b))
+    ab = _interleaved_band(lower, diag, upper)
+    rhs = b.T.ravel()
+    b_norm = _rhs_norm(rhs, "banded solve")
+    try:
+        x = scipy.linalg.solve_banded((3, 3), ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"banded solve: {exc}") from None
+    _check_residual(rhs - dgbmv(rhs.size, rhs.size, 3, 3, 1.0, ab, x), b_norm, "banded solve")
+    return x.reshape(-1, 2).T.copy()
+
+
+def krylov_solve(A, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """scipy BiCGStab to RTOL, at most max(20, 10 sqrt(n)) iterations; uses only ``A @ x``.
+
+    The system is scaled to ||b|| = 1 so that scipy's absolute breakdown
+    thresholds and its own norm of b cannot misfire on tiny or huge data.
+    """
+    b_norm = _rhs_norm(b, "BiCGStab")
     if b_norm == 0.0:
         return np.zeros_like(b)
-    target = rtol * b_norm
-    maxiter = max(20, int(math.ceil(10.0 * math.sqrt(b.size))))
-
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
-    r_hat = r.copy()
-    rho_prev = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    history: list[float] = []
-
-    def restart() -> None:
-        nonlocal r, r_hat, rho_prev, alpha, omega, v, p
-        r = b - A @ x
-        r_hat = r.copy()
-        rho_prev = alpha = omega = 1.0
-        v = np.zeros_like(b)
-        p = np.zeros_like(b)
-
-    for _ in range(maxiter):
-        r_norm = float(np.linalg.norm(r))
-        history.append(r_norm / b_norm)
-        if r_norm <= target:
-            true_res = b - A @ x
-            if float(np.linalg.norm(true_res)) <= target:
-                return x
-            restart()
-            continue
-        rho = float(np.dot(r_hat, r))
-        if abs(rho) < 1e-30 * max(r_norm * r_norm, 1e-300):
-            restart()
-            continue
-        beta = (rho / rho_prev) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        v = A @ p
-        denom = float(np.dot(r_hat, v))
-        if denom == 0.0:
-            restart()
-            continue
-        alpha = rho / denom
-        s = r - alpha * v
-        t = A @ s
-        tt = float(np.dot(t, t))
-        if tt == 0.0:
-            x = x + alpha * p
-            restart()
-            continue
-        omega = float(np.dot(t, s)) / tt
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-        rho_prev = rho
-        if omega == 0.0:
-            restart()
-
-    final = float(np.linalg.norm(b - A @ x)) / b_norm
-    if final <= rtol:
-        return x
-    raise LinearSolveError(
-        f"BiCGStab failed to reach rtol={rtol:g} in {maxiter} iterations",
-        history + [final])
+    n = b.size
+    op = spla.LinearOperator((n, n), matvec=lambda y: A @ y, dtype=float)
+    y, _ = spla.bicgstab(op, b / b_norm, x0=x0 / b_norm, rtol=RTOL, atol=0.0,
+                         maxiter=max(20, math.ceil(10.0 * math.sqrt(n))))
+    x = y * b_norm
+    _check_residual(b - A @ x, b_norm, "BiCGStab")
+    return x

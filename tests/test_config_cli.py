@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sktsim.adjoint import AdjointRHSKind
+from sktsim.adjoint import AdjointRHSKind, run_adjoint
 from sktsim.cli import main
 from sktsim.config import ConfigError, PresetSpec, parse_config, parse_config_text
-from sktsim.forward import SchemeKind
-from sktsim.grid import BoundaryCondition, Grid, read_field
+from sktsim.forward import SchemeKind, run_forward
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, read_field
 
 MINIMAL = """\
 dim = 1
@@ -190,6 +191,31 @@ def test_cli_simulate_blowup_exits_three_naming_the_step(tmp_path, capsys):
     assert err.startswith("SKT-ERR:3:")
     assert "step" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_failed_linear_solve_exits_three_naming_the_step(tmp_path, capsys):
+    # Growth 1e4 on the 1D IMEX run drives the implicit system past the
+    # solver's residual bound before the fields overflow.
+    path = write_cfg(tmp_path, MINIMAL.replace("coeff.a1 = 1.0", "coeff.a1 = 10000"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:3: step ")
+    assert "residual" in err
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_continuous_adjoint_with_overflowing_rhs_fails_with_step(dim):
+    # With a1 = 1e200 the right-hand side of the first backward solve is
+    # ~1e197 per entry, so its plain 2-norm overflows; such a solve must not
+    # be accepted on an infinite tolerance, and the march must fail.
+    cfg = parse_config_text(MINIMAL.replace("dim = 1", f"dim = {dim}"))
+    traj = run_forward(cfg.forward_problem())
+    growth = dataclasses.replace(cfg.coefficients, a1=1e200)
+    with pytest.raises(NumericalFailure) as err:
+        run_adjoint(growth, cfg.bc, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
+                    FieldPair.constant(traj.grid, 1.0, 1.0))
+    assert err.value.step is not None and err.value.step < traj.time_grid.steps
+    assert err.value.t == pytest.approx(err.value.step * cfg.dt)
 
 
 @pytest.mark.parametrize("preset, message", [

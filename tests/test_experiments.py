@@ -5,7 +5,7 @@ import pytest
 
 import sktsim.experiments
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, jac_P, jac_Q
-from sktsim.campaigns import _exact_transpose_duality
+from sktsim.campaigns import CheckResult, _exact_transpose_duality
 from sktsim.experiments import (
     DependenceConfig,
     UniquenessConfig,
@@ -86,6 +86,11 @@ def test_exact_transpose_duality_gate_fails_without_cross_diffusion(monkeypatch)
     result = _exact_transpose_duality(CFG_A)
     assert not result.passed
     assert result.line().startswith("FAIL  exact-transpose-duality")
+
+
+def test_check_result_line_shows_elapsed_time():
+    result = CheckResult("mass-conservation", True, "drift 1e-15", elapsed=0.1234)
+    assert result.line() == "PASS  mass-conservation: drift 1e-15 (0.12 s)"
 
 
 def uniq_config(levels=2, base_n=16, T=0.05):

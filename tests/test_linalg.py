@@ -1,0 +1,192 @@
+"""Structure-aware implicit operators and their residual-checked solves.
+
+Each implicit step is compared against reference matrices built here the
+slow, obvious way: the IMEX operator from per-face COO triplets, the
+continuous adjoint operator from ``sp.diags @ lap`` blocks and ``sp.bmat``.
+The operator a step hands to its solver is captured by wrapping the solver.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import sktsim.adjoint
+import sktsim.forward
+import sktsim.linalg
+from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
+from sktsim.algebra import CFG_A, SpeciesPair, jac_P
+from sktsim.forward import divergence_form_matrix, step_imex
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, laplacian_matrix
+from sktsim.linalg import (
+    LinearSolveError,
+    _interleaved_band,
+    krylov_solve,
+    solve_block_tridiagonal,
+)
+from sktsim.mms import bump_profile
+
+NEU = BoundaryCondition.NEUMANN
+DIR = BoundaryCondition.DIRICHLET
+DT = 1e-3
+
+
+def bump_state(grid):
+    b = bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0)
+    return FieldPair(grid, b + 0.2, 0.5 * b + 0.1)
+
+
+def reference_divergence_form(c, state, bc):
+    """div(P grad .) on stacked [u; v] from per-face COO triplets."""
+    grid = state.grid
+    ncell = grid.node_count
+    P = jac_P(c, SpeciesPair(state.u, state.v))
+    entries = ((P.m11.ravel(), P.m12.ravel()), (P.m21.ravel(), P.m22.ravel()))
+    inv_h2 = 1.0 / grid.h ** 2
+    idx = np.arange(ncell).reshape(grid.shape)
+    if grid.dim == 1:
+        faces = [(idx[:-1], idx[1:])]
+        wall = np.array([idx[0], idx[-1]])
+    else:
+        faces = [(idx[:-1, :].ravel(), idx[1:, :].ravel()),
+                 (idx[:, :-1].ravel(), idx[:, 1:].ravel())]
+        wall = np.concatenate([idx[0, :], idx[-1, :], idx[:, 0], idx[:, -1]])
+    rows, cols, data = [], [], []
+    for a, b in faces:
+        for r in range(2):
+            for c_ in range(2):
+                coeff = 0.5 * (entries[r][c_][a] + entries[r][c_][b]) * inv_h2
+                for i, j, sign in ((a, b, 1.0), (a, a, -1.0), (b, a, 1.0), (b, b, -1.0)):
+                    rows.append(i + r * ncell)
+                    cols.append(j + c_ * ncell)
+                    data.append(sign * coeff)
+    if bc is DIR:  # a corner cell sits on two walls and gets the term twice
+        for r, d in enumerate((c.d1, c.d2)):
+            rows.append(wall + r * ncell)
+            cols.append(wall + r * ncell)
+            data.append(np.full(wall.shape, -2.0 * d * inv_h2))
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * ncell, 2 * ncell)).toarray()
+
+
+def reference_adjoint(c, state, bc, dt):
+    """I - dt P^T Lap on stacked [u; v] from ``sp.diags @ lap`` blocks."""
+    lap = laplacian_matrix(state.grid, bc)
+    P = jac_P(c, SpeciesPair(state.u, state.v))
+    blocks = [[sp.diags(P.m11.ravel()) @ lap, sp.diags(P.m21.ravel()) @ lap],
+              [sp.diags(P.m12.ravel()) @ lap, sp.diags(P.m22.ravel()) @ lap]]
+    return np.eye(2 * state.grid.node_count) - dt * sp.bmat(blocks).toarray()
+
+
+def band_to_stacked(ab):
+    """Dense matrix of LAPACK (3, 3) band storage on interleaved unknowns,
+    permuted to stacked [u; v] order."""
+    m = ab.shape[1]
+    dense = np.zeros((m, m))
+    for k in range(7):
+        j = np.arange(max(0, 3 - k), min(m, m + 3 - k))
+        dense[j + k - 3, j] = ab[k, j]
+    order = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
+    return dense[np.ix_(order, order)]
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Record (operator in stacked order, b in stacked order, x) of every solve."""
+    calls = []
+
+    def banded(lower, diag, upper, b):
+        x = solve_block_tridiagonal(lower, diag, upper, b)
+        calls.append((band_to_stacked(_interleaved_band(lower, diag, upper)), b.ravel(), x.ravel()))
+        return x
+
+    def krylov(A, b, x0):
+        x = krylov_solve(A, b, x0)
+        calls.append((A.toarray(), b, x))
+        return x
+
+    monkeypatch.setattr(sktsim.linalg, "solve_block_tridiagonal", banded)
+    monkeypatch.setattr(sktsim.forward, "krylov_solve", krylov)
+    monkeypatch.setattr(sktsim.adjoint, "krylov_solve", krylov)
+    return calls
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_divergence_form_matrix_matches_reference(dim, n, bc):
+    state = bump_state(Grid(dim, 1.0, n))
+    L = divergence_form_matrix(CFG_A, state, bc)
+    assert rel_diff(L.toarray(), reference_divergence_form(CFG_A, state, bc)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_imex_operator_matches_reference(captured, dim, n, bc):
+    # 1D: the band, expanded and permuted; 2D: the fixed-pattern CSR matrix.
+    state = bump_state(Grid(dim, 1.0, n))
+    step_imex(CFG_A, state, bc, DT)
+    (A, _, _), = captured
+    expected = np.eye(A.shape[0]) - DT * reference_divergence_form(CFG_A, state, bc)
+    assert rel_diff(A, expected) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_adjoint_operator_matches_reference(captured, dim, n, bc):
+    grid = Grid(dim, 1.0, n)
+    state = bump_state(grid)
+    phi = FieldPair(grid, np.cos(state.u), state.v ** 2)
+    step_adjoint_backward(CFG_A, phi, state, bc, DT, AdjointRHSKind.GROWTH)
+    (A, _, _), = captured
+    assert rel_diff(A, reference_adjoint(CFG_A, state, bc, DT)) <= 1e-13
+
+
+def test_fine_1d_steps_solve_to_residual(captured):
+    # n = 1024 with dt = 1e-3 (dt/h^2 ~ 1e3) defeated the unpreconditioned
+    # Krylov solver; the banded direct solve must meet the residual bound.
+    grid = Grid(1, 1.0, 1024)
+    state = bump_state(grid)
+    step_imex(CFG_A, state, NEU, DT)
+    step_adjoint_backward(CFG_A, state, state, NEU, DT, AdjointRHSKind.GROWTH)
+    references = (np.eye(2048) - DT * reference_divergence_form(CFG_A, state, NEU),
+                  reference_adjoint(CFG_A, state, NEU, DT))
+    assert len(captured) == 2
+    for (_, b, x), A in zip(captured, references):
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
+    n = 6
+    diag = np.zeros((2, 2, n))
+    diag[0, 0] = diag[1, 1] = 1.0
+    off = np.zeros((2, 2, n - 1))
+    b = np.arange(1.0, 2 * n + 1).reshape(2, n)
+    assert np.array_equal(solve_block_tridiagonal(off, diag, off, b), b)
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        solve_block_tridiagonal(off, diag, off, np.full((2, n), np.inf))
+    singular = diag.copy()
+    singular[1, 1, 2] = 0.0
+    with pytest.raises(LinearSolveError, match="singular"):
+        solve_block_tridiagonal(off, singular, off, b)
+    # A subnormal pivot is not singular, but the solution overflows.
+    diag[0, 0, 0] = 1e-310
+    with pytest.raises(LinearSolveError, match="residual nan"):
+        solve_block_tridiagonal(off, diag, off, b)
+
+
+def test_krylov_solve_is_scale_invariant_and_rejects_overflow():
+    A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(50, 50), format="csr")
+    b = np.linspace(1.0, 2.0, 50)
+    x = krylov_solve(A, b, np.zeros(50))
+    for scale in (1e-200, 1e200):  # the norm of b alone overflows or underflows
+        assert np.allclose(krylov_solve(A, scale * b, np.zeros(50)) / scale, x, rtol=1e-9)
+    assert np.array_equal(krylov_solve(A, np.zeros(50), np.ones(50)), np.zeros(50))
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        krylov_solve(A, np.full(50, np.inf), np.zeros(50))
+
+
+def test_linear_solve_error_is_a_numerical_failure():
+    assert issubclass(LinearSolveError, NumericalFailure)
