@@ -34,9 +34,8 @@ from sktsim.grid import (
     Grid,
     NumericalFailure,
     _extend,
-    _grad_sq_array,
+    _stencil,
     block_pattern,
-    component_h1,
     component_l2,
 )
 from sktsim.linalg import krylov_solve
@@ -147,17 +146,8 @@ def laplacian_of_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) 
     identical to the divergence-form one under both boundary rules.
     """
     grid = state.grid
-    ext = eval_p(c, SpeciesPair(_extend(state.u, bc), _extend(state.v, bc)))
-    inv_h2 = 1.0 / grid.h ** 2
-    out = []
-    for comp in ext:
-        if grid.dim == 1:
-            out.append((comp[:-2] - 2.0 * comp[1:-1] + comp[2:]) * inv_h2)
-        else:
-            core = comp[1:-1, 1:-1]
-            out.append((comp[:-2, 1:-1] + comp[2:, 1:-1] + comp[1:-1, :-2]
-                        + comp[1:-1, 2:] - 4.0 * core) * inv_h2)
-    return FieldPair(grid, out[0], out[1])
+    p = eval_p(c, SpeciesPair(_extend(state.u, bc), _extend(state.v, bc)))
+    return FieldPair(grid, _stencil(p.u, grid.h)[0], _stencil(p.v, grid.h)[0])
 
 
 def _reaction_rhs(c: Coefficients, state: FieldPair) -> FieldPair:
@@ -285,20 +275,16 @@ def _diagnostics_row(c: Coefficients, state: FieldPair, bc: BoundaryCondition,
                      step: int, t: float, wtd_dtu: float) -> dict[str, float]:
     grid = state.grid
     vol = grid.cell_volume
-    p = eval_p(c, SpeciesPair(_extend(state.u, bc), _extend(state.v, bc)))
-    inv_h2 = 1.0 / grid.h ** 2
-    if grid.dim == 1:
-        lap_p_sq = sum(np.sum(((e[:-2] - 2.0 * e[1:-1] + e[2:]) * inv_h2) ** 2)
-                       for e in (p.u, p.v))
-        grad_p_sq = sum(np.sum(((e[2:] - e[:-2]) * 0.5 / grid.h) ** 2)
-                        for e in (p.u, p.v))
-    else:
-        lap_p_sq = sum(np.sum(((e[:-2, 1:-1] + e[2:, 1:-1] + e[1:-1, :-2] + e[1:-1, 2:]
-                                - 4.0 * e[1:-1, 1:-1]) * inv_h2) ** 2)
-                       for e in (p.u, p.v))
-        grad_p_sq = sum(np.sum(((e[2:, 1:-1] - e[:-2, 1:-1]) * 0.5 / grid.h) ** 2)
-                        + np.sum(((e[1:-1, 2:] - e[1:-1, :-2]) * 0.5 / grid.h) ** 2)
-                        for e in (p.u, p.v))
+    # One ghost extension per component serves both H1 norms and p(ext).
+    ext = SpeciesPair(_extend(state.u, bc), _extend(state.v, bc))
+    h1 = [math.sqrt(vol * float(np.sum(arr ** 2))
+                    + vol * float(np.sum(sum(g * g for g in _stencil(e, grid.h)[1]))))
+          for arr, e in zip((state.u, state.v), ext)]
+    lap_p_sq = grad_p_sq = 0.0
+    for e in eval_p(c, ext):
+        lap, grads = _stencil(e, grid.h)
+        lap_p_sq += np.sum(lap ** 2)
+        grad_p_sq += sum(np.sum(g ** 2) for g in grads)
     return {
         "step": float(step),
         "t": t,
@@ -308,8 +294,8 @@ def _diagnostics_row(c: Coefficients, state: FieldPair, bc: BoundaryCondition,
         "min_v": float(np.min(state.v)),
         "l2_u": component_l2(state.u, grid),
         "l2_v": component_l2(state.v, grid),
-        "h1_u": component_h1(state.u, grid, bc),
-        "h1_v": component_h1(state.v, grid, bc),
+        "h1_u": h1[0],
+        "h1_v": h1[1],
         "l4_pair": (vol * (float(np.sum(state.u ** 4)) + float(np.sum(state.v ** 4)))) ** 0.25,
         "gradp_l2": math.sqrt(vol * float(grad_p_sq)),
         "lapp_l2": math.sqrt(vol * float(lap_p_sq)),

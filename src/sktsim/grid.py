@@ -6,6 +6,13 @@ boundary trace halfway between ghost and interior).  This makes the standard
 2d+1-point Laplacian second-order accurate for both boundary conditions
 without one-sided stencils.
 
+Every array-form stencil in the package goes through two steps: ``_extend``
+writes the ghost layer into a new array, and ``_stencil`` returns the
+Laplacian and the centered-gradient components of an extended array.  The
+split matters: the explicit step and the diagnostics apply the stencil to
+p(ext(u)), which under Dirichlet is not ext(p(u)).  ``laplacian_matrix`` is
+the same Laplacian in sparse form for the implicit solves.
+
 The weak (dual) norm |w|_w = sup <w,v>/||v||_H1 is evaluated exactly in the
 discrete setting as sqrt(<w, (I - Lap)^-1 w>) per component: the supremum
 over discrete fields is attained at v = (I - Lap)^-1 w because the discrete
@@ -161,52 +168,43 @@ class NormReport:
 
 
 def _extend(arr: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Pad with one ghost layer per side following the boundary rule."""
-    ext = np.pad(arr, 1, mode="edge")
-    if bc is BoundaryCondition.DIRICHLET:
-        if arr.ndim == 1:
-            ext[0] = -arr[0]
-            ext[-1] = -arr[-1]
-        else:
-            ext[0, 1:-1] = -arr[0, :]
-            ext[-1, 1:-1] = -arr[-1, :]
-            ext[1:-1, 0] = -arr[:, 0]
-            ext[1:-1, -1] = -arr[:, -1]
+    """Copy into a new array with one ghost layer per side following the
+    boundary rule.  The 2D corner ghosts are zero; no stencil reads them."""
+    sign = -1.0 if bc is BoundaryCondition.DIRICHLET else 1.0
+    if arr.ndim == 1:
+        ext = np.empty(arr.size + 2)
+        ext[1:-1] = arr
+        ext[0], ext[-1] = sign * arr[0], sign * arr[-1]
+        return ext
+    ext = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2))
+    ext[1:-1, 1:-1] = arr
+    ext[0, 1:-1], ext[-1, 1:-1] = sign * arr[0], sign * arr[-1]
+    ext[1:-1, 0], ext[1:-1, -1] = sign * arr[:, 0], sign * arr[:, -1]
     return ext
 
 
-def _laplacian_array(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndarray:
-    ext = _extend(arr, bc)
-    inv_h2 = 1.0 / grid.h ** 2
-    if grid.dim == 1:
-        return (ext[:-2] - 2.0 * arr + ext[2:]) * inv_h2
-    core = ext[1:-1, 1:-1]
-    return ((ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
-             - 2.0 * grid.dim * core) * inv_h2)
+def _stencil(ext: np.ndarray, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """2d+1-point Laplacian and centered-gradient components (one per axis)
+    at the interior nodes of an array already extended by :func:`_extend`."""
+    inv_h2 = 1.0 / h ** 2
+    inv_2h = 0.5 / h
+    if ext.ndim == 1:
+        lap = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) * inv_h2
+        return lap, [(ext[2:] - ext[:-2]) * inv_2h]
+    lap = (ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
+           - 4.0 * ext[1:-1, 1:-1]) * inv_h2
+    return lap, [(ext[2:, 1:-1] - ext[:-2, 1:-1]) * inv_2h,
+                 (ext[1:-1, 2:] - ext[1:-1, :-2]) * inv_2h]
 
 
 def laplacian(f: FieldPair, bc: BoundaryCondition) -> FieldPair:
     """Second-order 2d+1-point Laplacian of both components."""
-    return FieldPair(f.grid,
-                     _laplacian_array(f.u, f.grid, bc),
-                     _laplacian_array(f.v, f.grid, bc))
-
-
-def _gradient_components(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> list[np.ndarray]:
-    """Centered differences per axis, ghost-based at the boundary cells."""
-    ext = _extend(arr, bc)
-    inv_2h = 0.5 / grid.h
-    if grid.dim == 1:
-        return [(ext[2:] - ext[:-2]) * inv_2h]
-    return [(ext[2:, 1:-1] - ext[:-2, 1:-1]) * inv_2h,
-            (ext[1:-1, 2:] - ext[1:-1, :-2]) * inv_2h]
+    h = f.grid.h
+    return FieldPair(f.grid, _stencil(_extend(f.u, bc), h)[0], _stencil(_extend(f.v, bc), h)[0])
 
 
 def _grad_sq_array(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for g in _gradient_components(arr, grid, bc):
-        out += g * g
-    return out
+    return sum(g * g for g in _stencil(_extend(arr, bc), grid.h)[1])
 
 
 def gradient_sq(f: FieldPair, bc: BoundaryCondition) -> np.ndarray:
@@ -285,19 +283,13 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
 
 def shifted_solve(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndarray:
     """Solve (I - Lap) z = arr: banded direct in 1d, CG (rtol 1e-10) in 2d."""
+    lap = laplacian_matrix(grid, bc)
     if grid.dim == 1:
-        n = grid.n
-        inv_h2 = 1.0 / grid.h ** 2
-        diag = np.full(n, 1.0 + 2.0 * inv_h2)
-        if bc is BoundaryCondition.NEUMANN:
-            diag[0] = diag[-1] = 1.0 + inv_h2
-        else:
-            diag[0] = diag[-1] = 1.0 + 3.0 * inv_h2
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -inv_h2
-        ab[1] = diag
+        ab = np.zeros((2, grid.n))
+        ab[0, 1:] = -lap.diagonal(1)
+        ab[1] = 1.0 - lap.diagonal()
         return scipy.linalg.solveh_banded(ab, arr)
-    A = (sp.identity(grid.node_count, format="csr") - laplacian_matrix(grid, bc)).tocsr()
+    A = (sp.identity(grid.node_count, format="csr") - lap).tocsr()
     z, info = spla.cg(A, arr.ravel(), rtol=1e-10, atol=0.0)
     if info != 0:
         raise RuntimeError(f"CG for the shifted solve did not converge (info={info})")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sktsim.experiments
+import sktsim.grid
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, jac_P, jac_Q
 from sktsim.campaigns import CheckResult, _exact_transpose_duality
 from sktsim.experiments import (
@@ -69,11 +70,8 @@ def test_frozen_duality_residual_is_machine_zero():
     assert res <= 1e-10
 
 
-def test_exact_transpose_duality_gate_fails_without_cross_diffusion(monkeypatch):
-    # Seeded defect: a transpose step that drops the off-diagonal diffusion
-    # coupling P12, P21.  The gate must see it (passes on the real step).
-    assert _exact_transpose_duality(CFG_A).passed
-
+def _drop_cross_diffusion(monkeypatch):
+    # A transpose step that drops the off-diagonal diffusion coupling P12, P21.
     def no_cross_diffusion(c, phi, u_tilde, bc, dt, rhs):
         lap = laplacian(phi, bc)
         s = SpeciesPair(u_tilde.u, u_tilde.v)
@@ -83,6 +81,28 @@ def test_exact_transpose_duality_gate_fails_without_cross_diffusion(monkeypatch)
                          phi.v + dt * (P.m22 * lap.v - Q.m12 * phi.u - Q.m22 * phi.v + phi.v))
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
+
+
+def _perturb_stencil_weight(monkeypatch):
+    # The shared 1D stencil with its right-neighbour weight scaled by (1 + 1e-3).
+    # The difference step and the transpose step both use it, but the
+    # Laplacian is no longer symmetric, so the one is no longer the
+    # transpose of the other.
+    stencil = sktsim.grid._stencil
+
+    def lopsided(ext, h):
+        lap, grads = stencil(ext, h)
+        return lap + 1e-3 * ext[2:] / h ** 2, grads
+
+    monkeypatch.setattr(sktsim.grid, "_stencil", lopsided)
+
+
+@pytest.mark.parametrize("seed_defect", [_drop_cross_diffusion, _perturb_stencil_weight],
+                         ids=["drop-cross-diffusion", "perturb-stencil-weight"])
+def test_exact_transpose_duality_gate_fails_on_seeded_defect(monkeypatch, seed_defect):
+    # The gate passes on the real steps and must see each seeded defect.
+    assert _exact_transpose_duality(CFG_A).passed
+    seed_defect(monkeypatch)
     result = _exact_transpose_duality(CFG_A)
     assert not result.passed
     assert result.line().startswith("FAIL  exact-transpose-duality")
