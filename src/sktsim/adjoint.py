@@ -51,6 +51,7 @@ __all__ = [
     "AdjointRHSKind",
     "AdjointTrajectory",
     "EpsCauchyRow",
+    "coefficient_state",
     "eps_cauchy_study",
     "run_adjoint",
     "step_adjoint_backward",
@@ -105,6 +106,13 @@ def theta_eps_derivative(eps: float, s):
     blend = (1.0 - t) * (1.0 - 3.0 * t)
     out = np.where(arr <= a, 1.0, np.where(arr >= 2.0 * a, 0.0, blend))
     return float(out) if np.ndim(s) == 0 else out
+
+
+def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, t: float) -> FieldPair:
+    """Frozen adjoint coefficient state at time t: the average of the two forward
+    trajectories (piecewise constant between stored levels), truncated at ``eps``."""
+    avg = 0.5 * (u_pair[0].snapshot_at(t) + u_pair[1].snapshot_at(t))
+    return theta_eps(eps, avg)
 
 
 def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> FieldPair:
@@ -171,7 +179,8 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
                            rhs: AdjointRHSKind) -> FieldPair:
     """One explicit backward step, the exact transpose of the linearized
     explicit forward difference update (diffusion, reaction, and source all
-    taken at the known level)."""
+    taken at the known level).  ``phi`` may carry batch axes; the
+    coefficient state is a single field and broadcasts over them."""
     lap_phi = laplacian(phi, bc)
     P = jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
     pt_lap = FieldPair(phi.grid, P.m11 * lap_phi.u + P.m21 * lap_phi.v,
@@ -253,9 +262,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 stride: int = 1) -> tuple[AdjointTrajectory, AdjointBoundsReport]:
     """March the adjoint backward from phi(horizon) = chi.
 
-    The coefficient state is the average of the two forward trajectories
-    (piecewise constant between stored levels), truncated at threshold
-    ``eps``.  Records the three estimate functionals, their ratios against
+    The coefficient state of each step is :func:`coefficient_state` at the
+    target level.  Records the three estimate functionals, their ratios against
     ||chi||_H1, and the energy-inequality tracker.  A blow-up raises
     :class:`NumericalFailure` carrying the step index and time of the level
     being computed.
@@ -275,10 +283,6 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     steps = max(1, int(round(tau / dt)))
     stride = max(int(stride), 1)
 
-    def coeff_state(t: float) -> FieldPair:
-        avg = 0.5 * (traj1.snapshot_at(t) + traj2.snapshot_at(t))
-        return theta_eps(eps, avg)
-
     phi = chi.copy()
     chi_h1 = math.sqrt(_pair_h1_sq(chi, bc))
     energy = [_pair_h1_sq(phi, bc)]          # E_n indexed from tau downward
@@ -294,7 +298,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
 
     for m in range(steps, 0, -1):
         t_target = (m - 1) * dt
-        state = coeff_state(t_target)
+        state = coefficient_state(u_pair, eps, t_target)
         try:
             if mode is AdjointMode.CONTINUOUS:
                 new_phi = step_adjoint_backward(c, phi, state, bc, dt, rhs)

@@ -23,8 +23,8 @@ import numpy as np
 
 from sktsim.adjoint import (
     AdjointBoundsReport,
-    AdjointMode,
     AdjointRHSKind,
+    coefficient_state,
     run_adjoint,
     step_adjoint_transpose,
 )
@@ -34,6 +34,7 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
+    NumericalFailure,
     component_l2,
     inner,
     laplacian,
@@ -125,25 +126,61 @@ def _linearized_difference_step(c: Coefficients, u_tilde: FieldPair, u_bar: Fiel
                      u_bar.v + dt * (lap.v - qv + c.a2 * u_bar.v))
 
 
-def _duality_residual_series(c: Coefficients, u_bars: list[FieldPair],
-                             phis: list[FieldPair], dt: float) -> np.ndarray:
-    """Discrete residual of the collapsed pairing identity, one value per step.
+def _stacked_levels(fields: list[FieldPair]) -> np.ndarray:
+    """Unbatched field pairs as one array of shape (len(fields), 2, *grid.shape)."""
+    return np.array([(f.u, f.v) for f in fields])
 
+
+def _stacked_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`~sktsim.grid.inner` over stacked pairs (..., 2, *grid.shape),
+    broadcast over the leading axes; one value per leading index."""
+    prod = f * g
+    sums = prod.reshape(prod.shape[:prod.ndim - grid.dim] + (-1,)).sum(axis=-1)
+    return grid.cell_volume * (sums[..., 0] + sums[..., 1])
+
+
+def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
+                             phi: np.ndarray, dt: float) -> np.ndarray:
+    """Discrete residual of the collapsed pairing identity, one row per batch
+    member and one value per step.
+
+    ``u_bar`` holds the difference levels, shape (S+1, 2, *grid.shape);
+    ``phi`` the adjoint levels of B terminal data, shape (B, S+1, 2, *grid.shape).
     r_n = (p_{n+1} - p_n)/dt + <u_bar^n, phi^{n+1}> - <l(u_bar^n), phi^{n+1}>
     with p_n the pairing at level n; identically zero (to roundoff) when the
     difference follows the linearized dynamics and the adjoint is its exact
     transpose with the identity right-hand side.
     """
-    res = np.empty(len(u_bars) - 1)
-    p_curr = inner(u_bars[0], phis[0])
-    for n in range(len(u_bars) - 1):
-        p_next = inner(u_bars[n + 1], phis[n + 1])
-        lbar = eval_l(c, SpeciesPair(u_bars[n].u, u_bars[n].v))
-        l_field = FieldPair(u_bars[n].grid, lbar.u, lbar.v)
-        res[n] = ((p_next - p_curr) / dt + inner(u_bars[n], phis[n + 1])
-                  - inner(l_field, phis[n + 1]))
-        p_curr = p_next
-    return res
+    p = _stacked_inner(grid, u_bar, phi)
+    lbar = eval_l(c, SpeciesPair(u_bar[:-1, 0], u_bar[:-1, 1]))
+    l_field = np.stack([lbar.u, lbar.v], axis=1)
+    return ((p[:, 1:] - p[:, :-1]) / dt + _stacked_inner(grid, u_bar[:-1], phi[:, 1:])
+            - _stacked_inner(grid, l_field, phi[:, 1:]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _transpose_march(c: Coefficients, bc: BoundaryCondition, chi: FieldPair, dt: float,
+                     steps: int, state_at: Callable[[int], FieldPair]) -> np.ndarray:
+    """March batched terminal data ``chi`` (shape (B, *grid.shape)) backward
+    through the exact-transpose step with the identity right-hand side.
+
+    ``state_at(k)`` is the coefficient state of the step that computes level
+    k.  Returns every level in ascending time, shape (B, steps+1, 2,
+    *grid.shape).  A blow-up raises :class:`NumericalFailure` carrying the
+    step index and time of the level being computed.
+    """
+    levels = np.empty((chi.u.shape[0], steps + 1, 2) + chi.grid.shape)
+    phi = chi
+    levels[:, steps, 0], levels[:, steps, 1] = phi.u, phi.v
+    for m in range(steps, 0, -1):
+        try:
+            phi = step_adjoint_transpose(c, phi, state_at(m - 1), bc, dt,
+                                         AdjointRHSKind.IDENTITY)
+        except NumericalFailure as exc:
+            exc.step, exc.t = m - 1, (m - 1) * dt
+            raise
+        levels[:, m - 1, 0], levels[:, m - 1, 1] = phi.u, phi.v
+    return levels
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
@@ -160,11 +197,9 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     for _ in range(steps):
         u_bars.append(_linearized_difference_step(c, u_tilde, u_bars[-1], bc, dt))
 
-    phis = [chi.copy()]
-    for _ in range(steps):
-        phis.insert(0, step_adjoint_transpose(c, phis[0], u_tilde, bc, dt,
-                                              AdjointRHSKind.IDENTITY))
-    res = _duality_residual_series(c, u_bars, phis, dt)
+    phi = _transpose_march(c, bc, FieldPair(grid, chi.u[None], chi.v[None]), dt, steps,
+                           lambda _: u_tilde)
+    res = _duality_residual_series(c, grid, _stacked_levels(u_bars), phi, dt)
     return float(np.max(np.abs(res)))
 
 
@@ -214,11 +249,13 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
     """Difference of two discretizations paired against terminal data.
 
     Per refinement level (N, dt) -> (2N, dt/2): run both schemes from the
-    same initial data, solve the transpose-mode adjoint for every terminal
-    basis element, and record the endpoint pairings |<u_bar(T), chi>|, the
-    per-step duality residuals, the summation-by-parts telescoping gap,
+    same initial data, march the transpose-mode adjoint of the whole terminal
+    basis as one batch, and record the endpoint pairings |<u_bar(T), chi>|,
+    the per-step duality residuals, the summation-by-parts telescoping gap,
     and the scalar-reduction deviation of the summed pairing.
     """
+    c = cfg.coefficients
+
     def run_level(k: int) -> DualityLevel:
         grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
         dt = cfg.base_dt / 2 ** k
@@ -226,36 +263,28 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         initial = cfg.initial(grid)
         trajs = []
         for scheme in cfg.schemes:
-            problem = ForwardProblem(cfg.coefficients, grid, cfg.bc, tg, scheme,
-                                     initial, stride=1)
+            problem = ForwardProblem(c, grid, cfg.bc, tg, scheme, initial, stride=1)
             trajs.append(run_forward(problem))
         t1, t2 = trajs
-        u_bars = [s1 - s2 for s1, s2 in zip(t1.snapshots, t2.snapshots)]
+        u_bar = _stacked_levels(t1.snapshots) - _stacked_levels(t2.snapshots)
 
-        pairings: dict[str, float] = {}
-        residual_series = np.zeros(len(u_bars) - 1)
-        sbp_gap = 0.0
-        reduction_dev = 0.0
-        for label, chi in chi_basis(grid, cfg.bc, cfg.modes):
-            phi_traj, _ = run_adjoint(cfg.coefficients, cfg.bc, (t1, t2), TINY_EPS,
-                                      AdjointRHSKind.IDENTITY, chi,
-                                      mode=AdjointMode.TRANSPOSE, stride=1)
-            phis = phi_traj.snapshots
-            pairings[label] = inner(u_bars[-1], chi)
+        basis = chi_basis(grid, cfg.bc, cfg.modes)
+        chi = FieldPair(grid, np.array([f.u for _, f in basis]), np.array([f.v for _, f in basis]))
+        phi = _transpose_march(c, cfg.bc, chi, dt, tg.steps,
+                               lambda step: coefficient_state((t1, t2), TINY_EPS, step * dt))
 
-            res = _duality_residual_series(cfg.coefficients, u_bars, phis, dt)
-            residual_series = np.maximum(residual_series, np.abs(res))
-
-            series = np.array([inner(ub, ph) for ub, ph in zip(u_bars, phis)])
-            telescoped = sum(
-                inner(u_bars[n + 1] - u_bars[n], phis[n + 1])
-                + inner(u_bars[n], phis[n + 1] - phis[n])
-                for n in range(len(u_bars) - 1))
-            sbp_gap = max(sbp_gap, abs(telescoped - (series[-1] - series[0])))
-
-            times = np.asarray(t1.stored_steps, dtype=float) * dt
-            reduction_dev = max(reduction_dev,
-                                scalar_reduction_check(times, series, cfg.coefficients.a1))
+        series = _stacked_inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
+        residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),
+                                 axis=0)
+        # Summation by parts, term by term and summed in step order (cumsum):
+        # its roundoff is what the gate reads.
+        terms = (_stacked_inner(grid, u_bar[1:] - u_bar[:-1], phi[:, 1:])
+                 + _stacked_inner(grid, u_bar[:-1], phi[:, 1:] - phi[:, :-1]))
+        telescoped = np.cumsum(terms, axis=1)[:, -1]
+        sbp_gap = float(np.max(np.abs(telescoped - (series[:, -1] - series[:, 0]))))
+        times = np.asarray(t1.stored_steps, dtype=float) * dt
+        reduction_dev = max(scalar_reduction_check(times, row, c.a1) for row in series)
+        pairings = {label: float(p) for (label, _), p in zip(basis, series[:, -1])}
 
         return DualityLevel(
             n=grid.n, dt=dt, pairings=pairings,

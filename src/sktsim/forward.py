@@ -34,7 +34,8 @@ from sktsim.grid import (
     Grid,
     NumericalFailure,
     _extend,
-    _stencil,
+    _grad_stencil,
+    _lap_stencil,
     block_pattern,
     component_l2,
 )
@@ -146,8 +147,9 @@ def laplacian_of_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) 
     identical to the divergence-form one under both boundary rules.
     """
     grid = state.grid
-    p = eval_p(c, SpeciesPair(_extend(state.u, bc), _extend(state.v, bc)))
-    return FieldPair(grid, _stencil(p.u, grid.h)[0], _stencil(p.v, grid.h)[0])
+    h, dim = grid.h, grid.dim
+    p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+    return FieldPair(grid, _lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
 
 
 def _reaction_rhs(c: Coefficients, state: FieldPair) -> FieldPair:
@@ -276,15 +278,15 @@ def _diagnostics_row(c: Coefficients, state: FieldPair, bc: BoundaryCondition,
     grid = state.grid
     vol = grid.cell_volume
     # One ghost extension per component serves both H1 norms and p(ext).
-    ext = SpeciesPair(_extend(state.u, bc), _extend(state.v, bc))
+    h, dim = grid.h, grid.dim
+    ext = SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim))
     h1 = [math.sqrt(vol * float(np.sum(arr ** 2))
-                    + vol * float(np.sum(sum(g * g for g in _stencil(e, grid.h)[1]))))
+                    + vol * float(np.sum(sum(g * g for g in _grad_stencil(e, h, dim)))))
           for arr, e in zip((state.u, state.v), ext)]
     lap_p_sq = grad_p_sq = 0.0
     for e in eval_p(c, ext):
-        lap, grads = _stencil(e, grid.h)
-        lap_p_sq += np.sum(lap ** 2)
-        grad_p_sq += sum(np.sum(g ** 2) for g in grads)
+        lap_p_sq += np.sum(_lap_stencil(e, h, dim) ** 2)
+        grad_p_sq += sum(np.sum(g ** 2) for g in _grad_stencil(e, h, dim))
     return {
         "step": float(step),
         "t": t,

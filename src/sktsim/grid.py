@@ -7,11 +7,18 @@ boundary trace halfway between ghost and interior).  This makes the standard
 without one-sided stencils.
 
 Every array-form stencil in the package goes through two steps: ``_extend``
-writes the ghost layer into a new array, and ``_stencil`` returns the
-Laplacian and the centered-gradient components of an extended array.  The
-split matters: the explicit step and the diagnostics apply the stencil to
-p(ext(u)), which under Dirichlet is not ext(p(u)).  ``laplacian_matrix`` is
-the same Laplacian in sparse form for the implicit solves.
+writes the ghost layer into a new array, and ``_lap_stencil`` /
+``_grad_stencil`` return the Laplacian / the centered-gradient components of
+an extended array.  The split matters: the explicit step and the diagnostics
+apply the stencil to p(ext(u)), which under Dirichlet is not ext(p(u)).
+``laplacian_matrix`` is the same Laplacian in sparse form for the implicit
+solves.
+
+Fields may carry leading batch axes: a :class:`FieldPair` holds arrays of
+shape (*batch, *grid.shape), and ``_extend``, the stencils, ``laplacian`` and
+``gradient_sq`` act on the trailing ``grid.dim`` axes only, so B independent
+problems cost one call.  The reductions (``inner``, the norms, the weak norm,
+``spacetime_norm``) and the snapshot I/O take unbatched fields.
 
 The weak (dual) norm |w|_w = sup <w,v>/||v||_H1 is evaluated exactly in the
 discrete setting as sqrt(<w, (I - Lap)^-1 w>) per component: the supremum
@@ -118,7 +125,11 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class FieldPair:
-    """Two species fields sampled at the cell centers of a shared grid."""
+    """Two species fields sampled at the cell centers of a shared grid.
+
+    ``u`` and ``v`` have one shape, (*batch, *grid.shape): any leading axes
+    index independent problems on the same grid (none for a single field).
+    """
 
     grid: Grid
     u: np.ndarray
@@ -127,7 +138,7 @@ class FieldPair:
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.grid.shape or self.v.shape != self.grid.shape:
+        if self.u.shape != self.v.shape or self.u.shape[-self.grid.dim:] != self.grid.shape:
             raise ValueError(f"field shape {self.u.shape}/{self.v.shape} does not "
                              f"match grid shape {self.grid.shape}")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
@@ -167,48 +178,57 @@ class NormReport:
     weak: float
 
 
-def _extend(arr: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Copy into a new array with one ghost layer per side following the
-    boundary rule.  The 2D corner ghosts are zero; no stencil reads them."""
+def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
+    """Copy into a new array with one ghost layer per side of each of the
+    trailing ``dim`` axes, following the boundary rule; leading axes are a
+    batch.  The 2D corner ghosts are zero; no stencil reads them."""
     sign = -1.0 if bc is BoundaryCondition.DIRICHLET else 1.0
-    if arr.ndim == 1:
-        ext = np.empty(arr.size + 2)
-        ext[1:-1] = arr
-        ext[0], ext[-1] = sign * arr[0], sign * arr[-1]
+    if dim == 1:
+        ext = np.empty(arr.shape[:-1] + (arr.shape[-1] + 2,))
+        ext[..., 1:-1] = arr
+        ext[..., 0] = sign * arr[..., 0]
+        ext[..., -1] = sign * arr[..., -1]
         return ext
-    ext = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2))
-    ext[1:-1, 1:-1] = arr
-    ext[0, 1:-1], ext[-1, 1:-1] = sign * arr[0], sign * arr[-1]
-    ext[1:-1, 0], ext[1:-1, -1] = sign * arr[:, 0], sign * arr[:, -1]
+    ext = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1] + 2))
+    ext[..., 1:-1, 1:-1] = arr
+    ext[..., 0, 1:-1], ext[..., -1, 1:-1] = sign * arr[..., 0, :], sign * arr[..., -1, :]
+    ext[..., 1:-1, 0], ext[..., 1:-1, -1] = sign * arr[..., 0], sign * arr[..., -1]
     return ext
 
 
-def _stencil(ext: np.ndarray, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """2d+1-point Laplacian and centered-gradient components (one per axis)
-    at the interior nodes of an array already extended by :func:`_extend`."""
+def _lap_stencil(ext: np.ndarray, h: float, dim: int) -> np.ndarray:
+    """2d+1-point Laplacian at the interior nodes of an array already
+    extended by :func:`_extend` over its trailing ``dim`` axes."""
     inv_h2 = 1.0 / h ** 2
+    if dim == 1:
+        return (ext[..., :-2] - 2.0 * ext[..., 1:-1] + ext[..., 2:]) * inv_h2
+    return (ext[..., :-2, 1:-1] + ext[..., 2:, 1:-1] + ext[..., 1:-1, :-2] + ext[..., 1:-1, 2:]
+            - 4.0 * ext[..., 1:-1, 1:-1]) * inv_h2
+
+
+def _grad_stencil(ext: np.ndarray, h: float, dim: int) -> list[np.ndarray]:
+    """Centered-gradient components (one per axis) at the interior nodes of
+    an array already extended by :func:`_extend` over its trailing ``dim`` axes."""
     inv_2h = 0.5 / h
-    if ext.ndim == 1:
-        lap = (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) * inv_h2
-        return lap, [(ext[2:] - ext[:-2]) * inv_2h]
-    lap = (ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
-           - 4.0 * ext[1:-1, 1:-1]) * inv_h2
-    return lap, [(ext[2:, 1:-1] - ext[:-2, 1:-1]) * inv_2h,
-                 (ext[1:-1, 2:] - ext[1:-1, :-2]) * inv_2h]
+    if dim == 1:
+        return [(ext[..., 2:] - ext[..., :-2]) * inv_2h]
+    return [(ext[..., 2:, 1:-1] - ext[..., :-2, 1:-1]) * inv_2h,
+            (ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]) * inv_2h]
 
 
 def laplacian(f: FieldPair, bc: BoundaryCondition) -> FieldPair:
-    """Second-order 2d+1-point Laplacian of both components."""
-    h = f.grid.h
-    return FieldPair(f.grid, _stencil(_extend(f.u, bc), h)[0], _stencil(_extend(f.v, bc), h)[0])
+    """Second-order 2d+1-point Laplacian of both components (batched like ``f``)."""
+    h, dim = f.grid.h, f.grid.dim
+    return FieldPair(f.grid, _lap_stencil(_extend(f.u, bc, dim), h, dim),
+                     _lap_stencil(_extend(f.v, bc, dim), h, dim))
 
 
 def _grad_sq_array(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndarray:
-    return sum(g * g for g in _stencil(_extend(arr, bc), grid.h)[1])
+    return sum(g * g for g in _grad_stencil(_extend(arr, bc, grid.dim), grid.h, grid.dim))
 
 
 def gradient_sq(f: FieldPair, bc: BoundaryCondition) -> np.ndarray:
-    """Per-node |grad u|^2 + |grad v|^2 from centered differences."""
+    """Per-node |grad u|^2 + |grad v|^2 from centered differences (batched like ``f``)."""
     return (_grad_sq_array(f.u, f.grid, bc) + _grad_sq_array(f.v, f.grid, bc))
 
 
@@ -297,20 +317,24 @@ def shifted_solve(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndar
 
 
 def inner(f: FieldPair, g: FieldPair) -> float:
-    """Discrete L2 pairing of two field pairs: h^d (sum u_f u_g + sum v_f v_g)."""
+    """Discrete L2 pairing of two field pairs: h^d (sum u_f u_g + sum v_f v_g).
+
+    Unbatched: a scalar for two single fields.
+    """
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     return f.grid.cell_volume * (float(np.sum(f.u * g.u)) + float(np.sum(f.v * g.v)))
 
 
 def lp_norm(f: FieldPair, p: float) -> float:
-    """(h^d sum(|u|^p + |v|^p))^(1/p); a quasi-norm when p < 1."""
+    """(h^d sum(|u|^p + |v|^p))^(1/p); a quasi-norm when p < 1.  Unbatched."""
     vol = f.grid.cell_volume
     total = vol * (float(np.sum(np.abs(f.u) ** p)) + float(np.sum(np.abs(f.v) ** p)))
     return total ** (1.0 / p)
 
 
 def weak_norm(f: FieldPair, bc: BoundaryCondition) -> float:
+    """Dual norm sqrt(<f, (I - Lap)^-1 f>) of a single (unbatched) field pair."""
     zu = shifted_solve(f.u, f.grid, bc)
     zv = shifted_solve(f.v, f.grid, bc)
     val = f.grid.cell_volume * (float(np.sum(f.u * zu)) + float(np.sum(f.v * zv)))
@@ -318,7 +342,7 @@ def weak_norm(f: FieldPair, bc: BoundaryCondition) -> float:
 
 
 def norms(f: FieldPair, bc: BoundaryCondition) -> NormReport:
-    """L2, H1, L4, Linf and the dual weak norm of a field pair."""
+    """L2, H1, L4, Linf and the dual weak norm of a single (unbatched) field pair."""
     vol = f.grid.cell_volume
     l2_sq = vol * (float(np.sum(f.u ** 2)) + float(np.sum(f.v ** 2)))
     grad_sq = vol * float(np.sum(gradient_sq(f, bc)))
@@ -336,6 +360,7 @@ def component_l2(arr: np.ndarray, grid: Grid) -> float:
 
 
 def component_h1(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> float:
+    """Discrete H1 norm of one unbatched component."""
     vol = grid.cell_volume
     return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(_grad_sq_array(arr, grid, bc))))
 

@@ -61,11 +61,13 @@ def solve_block_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarr
     ``upper[r, c]`` / ``lower[r, c]`` (length n - 1) couple node i to node
     i + 1 / node i + 1 to node i.  ``b`` and the result have shape (2, n).
     Interleaving the unknowns as [u0, v0, u1, v1, ...] makes the operator
-    banded with bandwidth 3.
+    banded with bandwidth 3.  A zero ``b`` returns zeros without a solve.
     """
-    ab = _interleaved_band(lower, diag, upper)
     rhs = b.T.ravel()
     b_norm = _rhs_norm(rhs, "banded solve")
+    if b_norm == 0.0:
+        return np.zeros_like(b)
+    ab = _interleaved_band(lower, diag, upper)
     try:
         x = scipy.linalg.solve_banded((3, 3), ab, rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:

@@ -1,13 +1,18 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sktsim.experiments
 import sktsim.grid
-from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, jac_P, jac_Q
-from sktsim.campaigns import CheckResult, _exact_transpose_duality
+from sktsim.adjoint import AdjointMode, AdjointRHSKind, run_adjoint
+from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_l, jac_P, jac_Q
+from sktsim.campaigns import CheckResult, _exact_transpose_duality, run_campaign
+from sktsim.config import parse_config
 from sktsim.experiments import (
+    TINY_EPS,
     DependenceConfig,
     UniquenessConfig,
     chi_basis,
@@ -18,7 +23,7 @@ from sktsim.experiments import (
     weak_form_residual,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, laplacian, norms
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, inner, laplacian, norms
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 
 NEU = BoundaryCondition.NEUMANN
@@ -84,17 +89,16 @@ def _drop_cross_diffusion(monkeypatch):
 
 
 def _perturb_stencil_weight(monkeypatch):
-    # The shared 1D stencil with its right-neighbour weight scaled by (1 + 1e-3).
+    # The shared 1D Laplacian stencil with its right-neighbour weight scaled by (1 + 1e-3).
     # The difference step and the transpose step both use it, but the
     # Laplacian is no longer symmetric, so the one is no longer the
     # transpose of the other.
-    stencil = sktsim.grid._stencil
+    stencil = sktsim.grid._lap_stencil
 
-    def lopsided(ext, h):
-        lap, grads = stencil(ext, h)
-        return lap + 1e-3 * ext[2:] / h ** 2, grads
+    def lopsided(ext, h, dim):
+        return stencil(ext, h, dim) + 1e-3 * ext[..., 2:] / h ** 2
 
-    monkeypatch.setattr(sktsim.grid, "_stencil", lopsided)
+    monkeypatch.setattr(sktsim.grid, "_lap_stencil", lopsided)
 
 
 @pytest.mark.parametrize("seed_defect", [_drop_cross_diffusion, _perturb_stencil_weight],
@@ -265,3 +269,124 @@ def test_weak_form_residual_equals_forcing_quadrature_on_mms_run():
     res_with_f = weak_form_residual(CFG_A, traj, phi,
                                     forcing=lambda g, t: exact.forcing(g, t))
     assert res_with_f <= 1e-10
+
+
+def _reference_uniqueness_level(cfg, k):
+    # The per-element computation: one transpose-mode run_adjoint per basis
+    # element, every pairing through inner().
+    c = cfg.coefficients
+    grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
+    dt = cfg.base_dt / 2 ** k
+    tg = TimeGrid(cfg.t_final, dt)
+    t1, t2 = (run_forward(ForwardProblem(c, grid, cfg.bc, tg, scheme, cfg.initial(grid), stride=1))
+              for scheme in cfg.schemes)
+    u_bars = [s1 - s2 for s1, s2 in zip(t1.snapshots, t2.snapshots)]
+    times = np.asarray(t1.stored_steps, dtype=float) * dt
+    ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
+    for label, chi in chi_basis(grid, cfg.bc, cfg.modes):
+        phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY, chi,
+                                  mode=AdjointMode.TRANSPOSE, stride=1)
+        phis = phi_traj.snapshots
+        series = np.array([inner(ub, ph) for ub, ph in zip(u_bars, phis)])
+        residual = []
+        for n in range(len(u_bars) - 1):
+            lbar = eval_l(c, SpeciesPair(u_bars[n].u, u_bars[n].v))
+            residual.append((series[n + 1] - series[n]) / dt + inner(u_bars[n], phis[n + 1])
+                            - inner(FieldPair(grid, lbar.u, lbar.v), phis[n + 1]))
+        ref["snapshots"].append(np.array([(f.u, f.v) for f in phis]))
+        ref["pairings"][label] = inner(u_bars[-1], chi)
+        ref["series"].append(series)
+        ref["residuals"].append(np.abs(residual))
+        ref["deviations"].append(scalar_reduction_check(times, series, c.a1))
+    return ref
+
+
+def _close(batched, reference, scale):
+    return np.max(np.abs(np.asarray(batched) - np.asarray(reference))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case", ["1d-neumann", "2d-dirichlet"])
+def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
+    # The terminal basis marches as one batch. Batched results must match
+    # the per-problem results to <= 1e-14 relative: adjoint snapshots,
+    # pairings and reduction deviations relative to their largest value; the
+    # residual, a difference quotient over dt, relative to max|p_n| / dt.
+    if case == "1d-neumann":
+        cfg = uniq_config(levels=2, base_n=8, T=0.01)
+        cfg.base_dt, cfg.modes = 0.01 / 64, 2
+    else:
+        cfg = UniquenessConfig(
+            coefficients=CFG_A, bc=DIR, dim=2, length=1.0, base_n=8, t_final=0.004,
+            base_dt=0.004 / 32, initial=smooth_initial, levels=1, modes=2)
+    marches = []
+    march = sktsim.experiments._transpose_march
+
+    def recording(*args, **kwargs):
+        marches.append(march(*args, **kwargs))
+        return marches[-1]
+
+    monkeypatch.setattr(sktsim.experiments, "_transpose_march", recording)
+    report = uniqueness_experiment(cfg)
+    assert len(marches) == len(report.levels) == cfg.levels
+    for k, (level, levels) in enumerate(zip(report.levels, marches)):
+        ref = _reference_uniqueness_level(cfg, k)
+        assert levels.shape[0] == len(ref["pairings"]) == 6
+        snapshots = np.array(ref["snapshots"])
+        assert _close(levels, snapshots, np.max(np.abs(snapshots)))
+        assert list(level.pairings) == list(ref["pairings"])
+        pairings = np.array(list(ref["pairings"].values()))
+        assert np.max(np.abs(pairings)) > 0.0
+        assert _close(list(level.pairings.values()), pairings, np.max(np.abs(pairings)))
+        assert _close(level.reduction_deviation, max(ref["deviations"]), max(ref["deviations"]))
+        p_max = np.max(np.abs(ref["series"]))
+        assert _close(level.residual_series, np.max(ref["residuals"], axis=0), p_max / level.dt)
+        assert level.sbp_gap <= 1e-10
+
+
+def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatch):
+    # Three levels, one batched march of the 6-element basis each, and one
+    # march of a single terminal field for the exact-transpose-duality gate;
+    # no per-element run_adjoint.
+    adjoint_calls = []
+    batch_sizes = []
+    march = sktsim.experiments._transpose_march
+
+    def counting_adjoint(*args, **kwargs):
+        adjoint_calls.append(args)
+        return run_adjoint(*args, **kwargs)
+
+    def counting_march(c, bc, chi, *args):
+        batch_sizes.append(chi.u.shape[0])
+        return march(c, bc, chi, *args)
+
+    monkeypatch.setattr(sktsim.experiments, "run_adjoint", counting_adjoint)
+    monkeypatch.setattr(sktsim.experiments, "_transpose_march", counting_march)
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
+    results = run_campaign("uniqueness", cfg, tmp_path)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    assert adjoint_calls == []
+    assert batch_sizes == [6, 6, 6, 1]
+
+
+def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
+    # The third backward step (level S - 3) overflows to a non-finite field.
+    cfg = uniq_config(levels=1)
+    steps = round(cfg.t_final / cfg.base_dt)
+    calls = []
+    step = sktsim.experiments.step_adjoint_transpose
+
+    def overflowing(c, phi, state, bc, dt, rhs):
+        calls.append(dt)
+        out = step(c, phi, state, bc, dt, rhs)
+        if len(calls) == 3:
+            return FieldPair(out.grid, out.u * 1e308 * 1e308, out.v)
+        return out
+
+    monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as err:
+            uniqueness_experiment(cfg)
+    assert err.value.step == steps - 3
+    assert err.value.t == pytest.approx((steps - 3) * cfg.base_dt)
+    assert str(err.value).startswith(f"step {steps - 3} (t=")

@@ -9,6 +9,7 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
+    NumericalFailure,
     gradient_sq,
     inner,
     laplacian,
@@ -240,3 +241,39 @@ def test_lp_norm_matches_manual():
     f = random_pair(grid, 9)
     manual = (grid.h * (np.sum(np.abs(f.u) ** 3) + np.sum(np.abs(f.v) ** 3))) ** (1 / 3)
     assert lp_norm(f, 3.0) == pytest.approx(manual, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_batched_stencils_equal_per_member_results(dim, n, bc):
+    # A FieldPair of shape (B, *grid.shape) holds B independent problems.
+    # Batched results must match per-problem results to <= 1e-14 relative;
+    # the stencils act on the trailing grid axes only, so they match exactly.
+    # A stencil that reads along the batch axis mixes members and fails here.
+    grid = Grid(dim, 1.0, n)
+    members = [random_pair(grid, 30 + b) for b in range(6)]
+    batch = FieldPair(grid, np.array([f.u for f in members]), np.array([f.v for f in members]))
+    lap, gsq = laplacian(batch, bc), gradient_sq(batch, bc)
+    assert lap.u.shape == lap.v.shape == gsq.shape == (6,) + grid.shape
+    for b, f in enumerate(members):
+        single = laplacian(f, bc)
+        assert np.array_equal(lap.u[b], single.u) and np.array_equal(lap.v[b], single.v)
+        assert np.array_equal(gsq[b], gradient_sq(f, bc))
+
+
+def test_field_pair_batch_shapes():
+    grid = Grid(2, 1.0, 4)
+    pair = FieldPair(grid, np.zeros((3, 4, 4)), np.ones((3, 4, 4)))
+    assert pair.u.shape == (3, 4, 4)
+    bad = [((3, 4, 4), (2, 4, 4)),   # u/v mismatch
+           ((4, 4), (3, 4, 4)),      # u/v mismatch
+           ((3, 4, 5), (3, 4, 5)),   # wrong trailing shape
+           ((3, 4), (3, 4)),         # too few grid axes
+           ((16,), (16,))]
+    for u_shape, v_shape in bad:
+        with pytest.raises(ValueError):
+            FieldPair(grid, np.zeros(u_shape), np.zeros(v_shape))
+    u = np.zeros((3, 4, 4))
+    u[2, 1, 1] = np.nan
+    with pytest.raises(NumericalFailure):
+        FieldPair(grid, u, np.zeros((3, 4, 4)))

@@ -165,6 +165,7 @@ def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
     off = np.zeros((2, 2, n - 1))
     b = np.arange(1.0, 2 * n + 1).reshape(2, n)
     assert np.array_equal(solve_block_tridiagonal(off, diag, off, b), b)
+    assert np.array_equal(solve_block_tridiagonal(off, diag, off, np.zeros((2, n))), np.zeros((2, n)))
     with pytest.raises(LinearSolveError, match="non-finite"):
         solve_block_tridiagonal(off, diag, off, np.full((2, n), np.inf))
     singular = diag.copy()
