@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sktsim import linalg
-from sktsim.algebra import Coefficients, SpeciesPair, jac_P, jac_Q
+from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
 from sktsim.forward import Trajectory
 from sktsim.grid import (
     BoundaryCondition,
@@ -115,16 +115,15 @@ def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, t: floa
     return theta_eps(eps, avg)
 
 
-def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> FieldPair:
-    Q = jac_Q(c, SpeciesPair(state.u, state.v))
-    return FieldPair(phi.grid, Q.m11 * phi.u + Q.m21 * phi.v,
-                     Q.m12 * phi.u + Q.m22 * phi.v)
+def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> SpeciesPair:
+    Q = _jac_Q(c, SpeciesPair(state.u, state.v))
+    return SpeciesPair(Q.m11 * phi.u + Q.m21 * phi.v, Q.m12 * phi.u + Q.m22 * phi.v)
 
 
-def _rhs_apply(c: Coefficients, kind: AdjointRHSKind, phi: FieldPair) -> FieldPair:
+def _rhs_apply(c: Coefficients, kind: AdjointRHSKind, phi: FieldPair) -> SpeciesPair:
     if kind is AdjointRHSKind.IDENTITY:
-        return phi
-    return FieldPair(phi.grid, c.a1 * phi.u, c.a2 * phi.v)
+        return SpeciesPair(phi.u, phi.v)
+    return SpeciesPair(c.a1 * phi.u, c.a2 * phi.v)
 
 
 def _adjoint_blocks(P: np.ndarray, lap: sp.csr_matrix, dt: float):
@@ -155,7 +154,7 @@ def step_adjoint_backward(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPai
     if np.any(u_tilde_eps.u < 0.0) or np.any(u_tilde_eps.v < 0.0):
         raise ValueError("truncated coefficient state must be nonnegative")
     grid = phi.grid
-    P = np.reshape(jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v)), (2, 2, -1))
+    P = np.reshape(_jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v)), (2, 2, -1))
     qt = _q_transpose_apply(c, u_tilde_eps, phi)
     src = _rhs_apply(c, rhs, phi)
     bu = phi.u + dt * (src.u - qt.u)
@@ -181,15 +180,13 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
     explicit forward difference update (diffusion, reaction, and source all
     taken at the known level).  ``phi`` may carry batch axes; the
     coefficient state is a single field and broadcasts over them."""
-    lap_phi = laplacian(phi, bc)
-    P = jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
-    pt_lap = FieldPair(phi.grid, P.m11 * lap_phi.u + P.m21 * lap_phi.v,
-                       P.m12 * lap_phi.u + P.m22 * lap_phi.v)
+    lap = laplacian(phi, bc)
+    P = _jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
     qt = _q_transpose_apply(c, u_tilde_eps, phi)
     src = _rhs_apply(c, rhs, phi)
     return FieldPair(phi.grid,
-                     phi.u + dt * (pt_lap.u - qt.u + src.u),
-                     phi.v + dt * (pt_lap.v - qt.v + src.v))
+                     phi.u + dt * (P.m11 * lap.u + P.m21 * lap.v - qt.u + src.u),
+                     phi.v + dt * (P.m12 * lap.u + P.m22 * lap.v - qt.v + src.v))
 
 
 ADJOINT_DIAGNOSTIC_COLUMNS = ("step", "t", "h1_phi", "weighted_lap_partial",

@@ -138,41 +138,65 @@ def _require_finite(*values) -> None:
             raise ValueError("non-finite input")
 
 
-def eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)."""
-    _require_finite(s.u, s.v)
+# Each public map below checks its input and calls an unchecked core that
+# holds the formula.  Callers whose input is already known to be finite (the
+# arrays of a FieldPair, which checks itself) call the core directly.
+
+def _eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
     u, v = s
     return SpeciesPair((c.d1 + c.a11 * u + c.a12 * v) * u,
                        (c.d2 + c.a21 * u + c.a22 * v) * v)
 
 
-def eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v)."""
-    _require_finite(s.u, s.v)
+def _eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
     u, v = s
     return SpeciesPair((c.b1 * u + c.c1 * v) * u, (c.b2 * u + c.c2 * v) * v)
 
 
-def eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Linear growth map (a1*u, a2*v)."""
-    _require_finite(s.u, s.v)
+def _eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
     return SpeciesPair(c.a1 * s.u, c.a2 * s.v)
 
 
-def jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    """Jacobian of the diffusion flux map; entries are affine in the state."""
-    _require_finite(s.u, s.v)
+def _jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
     u, v = s
     return Matrix2(c.d1 + 2.0 * c.a11 * u + c.a12 * v, c.a12 * u,
                    c.a21 * v, c.d2 + c.a21 * u + 2.0 * c.a22 * v)
 
 
-def jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    """Jacobian of the competition map."""
-    _require_finite(s.u, s.v)
+def _jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
     u, v = s
     return Matrix2(2.0 * c.b1 * u + c.c1 * v, c.c1 * u,
                    c.b2 * v, c.b2 * u + 2.0 * c.c2 * v)
+
+
+def eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
+    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)."""
+    _require_finite(s.u, s.v)
+    return _eval_p(c, s)
+
+
+def eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
+    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v)."""
+    _require_finite(s.u, s.v)
+    return _eval_q(c, s)
+
+
+def eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
+    """Linear growth map (a1*u, a2*v)."""
+    _require_finite(s.u, s.v)
+    return _eval_l(c, s)
+
+
+def jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
+    """Jacobian of the diffusion flux map; entries are affine in the state."""
+    _require_finite(s.u, s.v)
+    return _jac_P(c, s)
+
+
+def jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
+    """Jacobian of the competition map."""
+    _require_finite(s.u, s.v)
+    return _jac_Q(c, s)
 
 
 def check_conditions(c: Coefficients) -> ConditionReport:
@@ -203,7 +227,7 @@ def quad_form_margin(c: Coefficients, s: SpeciesPair, xi) -> float | np.ndarray:
     if np.any(np.asarray(s.u) < 0.0) or np.any(np.asarray(s.v) < 0.0):
         raise ValueError("quad_form_margin requires nonnegative densities")
     x1, x2 = xi
-    P = jac_P(c, s)
+    P = _jac_P(c, s)
     quad = (P.m11 * x1 + P.m12 * x2) * x1 + (P.m21 * x1 + P.m22 * x2) * x2
     nsq = x1 * x1 + x2 * x2
     return quad - c.d0 * nsq - c.alpha * (s.u + s.v) * nsq

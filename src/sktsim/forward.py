@@ -13,7 +13,14 @@ the uniqueness experiments lean on.
 Per-step diagnostics track the quantities whose boundedness characterizes
 solution regularity: masses, extrema, L2/H1/L4 norms, the L2 norms of
 grad p(u) and of the discrete Laplacian of p(u), and the density-weighted
-time-derivative norm.
+time-derivative norm.  ``run_forward`` copies the levels into a block and
+computes the diagnostics of a whole block with axis reductions, in the
+arithmetic of one level at a time.
+
+Each level is checked for finiteness once, when its :class:`FieldPair` is
+built; the steps therefore call the unchecked algebra cores (``_eval_p``,
+``_jac_P``, ...) on the arrays of a FieldPair, while the public maps check
+their inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sktsim import linalg
-from sktsim.algebra import Coefficients, SpeciesPair, eval_l, eval_p, eval_q, jac_P
+from sktsim.algebra import Coefficients, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -37,7 +44,6 @@ from sktsim.grid import (
     _grad_stencil,
     _lap_stencil,
     block_pattern,
-    component_l2,
 )
 from sktsim.linalg import krylov_solve
 
@@ -130,7 +136,7 @@ class Trajectory:
 
 def stability_bound(c: Coefficients, state: FieldPair) -> float:
     """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux Jacobian."""
-    P = jac_P(c, SpeciesPair(state.u, state.v))
+    P = _jac_P(c, SpeciesPair(state.u, state.v))
     row1 = np.abs(P.m11) + np.abs(P.m12)
     row2 = np.abs(P.m21) + np.abs(P.m22)
     p_max = max(float(np.max(row1)), float(np.max(row2)))
@@ -140,23 +146,27 @@ def stability_bound(c: Coefficients, state: FieldPair) -> float:
     return grid.h ** 2 / (2.0 * grid.dim * p_max)
 
 
+def _lap_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) -> SpeciesPair:
+    grid = state.grid
+    h, dim = grid.h, grid.dim
+    p = _eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+    return SpeciesPair(_lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
+
+
 def laplacian_of_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) -> FieldPair:
     """Discrete Laplacian of p(state), with p evaluated on the ghost-extended state.
 
     Extending the state (rather than the flux values) keeps this operator
     identical to the divergence-form one under both boundary rules.
     """
-    grid = state.grid
-    h, dim = grid.h, grid.dim
-    p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
-    return FieldPair(grid, _lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
+    return FieldPair(state.grid, *_lap_flux(c, state, bc))
 
 
-def _reaction_rhs(c: Coefficients, state: FieldPair) -> FieldPair:
+def _reaction_rhs(c: Coefficients, state: FieldPair) -> SpeciesPair:
     s = SpeciesPair(state.u, state.v)
-    q = eval_q(c, s)
-    l = eval_l(c, s)
-    return FieldPair(state.grid, l.u - q.u, l.v - q.v)
+    q = _eval_q(c, s)
+    l = _eval_l(c, s)
+    return SpeciesPair(l.u - q.u, l.v - q.v)
 
 
 def step_explicit(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float,
@@ -169,7 +179,7 @@ def step_explicit(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: 
     bound = stability_bound(c, state)
     if dt > bound:
         raise StabilityError(dt, bound)
-    lap = laplacian_of_flux(c, state, bc)
+    lap = _lap_flux(c, state, bc)
     rhs = _reaction_rhs(c, state)
     new_u = state.u + dt * (lap.u + rhs.u)
     new_v = state.v + dt * (lap.v + rhs.v)
@@ -181,7 +191,7 @@ def step_explicit(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: 
 
 def _nodal_jacobian(c: Coefficients, state: FieldPair) -> np.ndarray:
     """Flux Jacobian P(state) as a (2, 2, N) array over the raveled nodes."""
-    P = jac_P(c, SpeciesPair(state.u, state.v))
+    P = _jac_P(c, SpeciesPair(state.u, state.v))
     return np.reshape(P, (2, 2, -1))
 
 
@@ -273,36 +283,55 @@ class ForwardProblem:
     require_nonnegative_initial: bool = True
 
 
-def _diagnostics_row(c: Coefficients, state: FieldPair, bc: BoundaryCondition,
-                     step: int, t: float, wtd_dtu: float) -> dict[str, float]:
-    grid = state.grid
-    vol = grid.cell_volume
-    # One ghost extension per component serves both H1 norms and p(ext).
-    h, dim = grid.h, grid.dim
-    ext = SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim))
-    h1 = [math.sqrt(vol * float(np.sum(arr ** 2))
-                    + vol * float(np.sum(sum(g * g for g in _grad_stencil(e, h, dim)))))
-          for arr, e in zip((state.u, state.v), ext)]
-    lap_p_sq = grad_p_sq = 0.0
-    for e in eval_p(c, ext):
-        lap_p_sq += np.sum(_lap_stencil(e, h, dim) ** 2)
-        grad_p_sq += sum(np.sum(g ** 2) for g in _grad_stencil(e, h, dim))
-    return {
-        "step": float(step),
-        "t": t,
-        "mass_u": vol * float(np.sum(state.u)),
-        "mass_v": vol * float(np.sum(state.v)),
-        "min_u": float(np.min(state.u)),
-        "min_v": float(np.min(state.v)),
-        "l2_u": component_l2(state.u, grid),
-        "l2_v": component_l2(state.v, grid),
-        "h1_u": h1[0],
-        "h1_v": h1[1],
-        "l4_pair": (vol * (float(np.sum(state.u ** 4)) + float(np.sum(state.v ** 4)))) ** 0.25,
-        "gradp_l2": math.sqrt(vol * float(grad_p_sq)),
-        "lapp_l2": math.sqrt(vol * float(lap_p_sq)),
-        "wtd_dtu_l2": wtd_dtu,
-    }
+#: Cells per species held by the block of levels whose diagnostics are
+#: computed together: 256 levels at 1D n = 64, one level at 2D n = 128.
+_BLOCK_CELLS = 2 ** 14
+
+
+def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
+                       levels: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
+    """Diagnostics of ``levels[1:]`` as a (len(DIAGNOSTIC_COLUMNS), k) array,
+    row i holding column ``DIAGNOSTIC_COLUMNS[i]`` of the k levels.
+
+    ``levels`` is (k + 1, 2, *grid.shape); ``levels[0]`` is the predecessor of
+    the first level, for ``wtd_dtu_l2``, and ``steps`` holds the k step
+    indices.  Every sum runs along the contiguous trailing grid axes in the
+    order of a single-level sum, so the numbers do not depend on k.
+    """
+    h, dim, vol = grid.h, grid.dim, grid.cell_volume
+    prev, cur = levels[:-1], levels[1:]
+    k = len(cur)
+
+    def total(arr: np.ndarray) -> np.ndarray:
+        return np.sum(arr.reshape(k, 2, -1), axis=-1)
+
+    # One ghost extension of both species serves the H1 norms and p(ext).
+    # Both extended arrays are freed as soon as they are used, which keeps
+    # the peak memory near three times that of ``levels``.
+    ext = _extend(cur, bc, dim)
+    sq = total(cur ** 2)
+    h1 = np.sqrt(vol * sq + vol * total(sum(g * g for g in _grad_stencil(ext, h, dim))))
+    p_ext = np.stack(_eval_p(c, SpeciesPair(ext[:, 0], ext[:, 1])), axis=1)
+    del ext
+    lap_p = total(_lap_stencil(p_ext, h, dim) ** 2)
+    grad_p = sum(total(g ** 2) for g in _grad_stencil(p_ext, h, dim))
+    del p_ext
+    fourth = total(cur ** 4)
+    weight = 1.0 + np.abs(prev[:, 0]) + np.abs(prev[:, 1])
+    jump = np.abs(cur - prev)
+    rate = (jump[:, 0] + jump[:, 1]) / dt
+    wtd = np.sqrt(vol * np.sum((weight * rate ** 2).reshape(k, -1), axis=-1))
+    mass = vol * total(cur)
+    low = np.min(cur.reshape(k, 2, -1), axis=-1)
+    l2 = np.sqrt(vol * sq)
+    return np.array([
+        steps, steps * dt, mass[:, 0], mass[:, 1], low[:, 0], low[:, 1],
+        l2[:, 0], l2[:, 1], h1[:, 0], h1[:, 1],
+        # Python floats: numpy's vectorised power can differ from libm pow by an ulp.
+        [s ** 0.25 for s in (vol * (fourth[:, 0] + fourth[:, 1])).tolist()],
+        np.sqrt(vol * (grad_p[:, 0] + grad_p[:, 1])),
+        np.sqrt(vol * (lap_p[:, 0] + lap_p[:, 1])),
+        wtd])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -312,7 +341,9 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     Negative values are never clipped silently; the opt-in clamp is recorded
     in the trajectory metadata.  A step that fails (non-finite values or the
     explicit stability bound) raises :class:`NumericalFailure` carrying the
-    step index and time, without numpy overflow warnings.
+    step index and time, without numpy overflow warnings.  Each new level is
+    copied into a block of levels whose diagnostics are computed together
+    when the block is full or the march ends.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
@@ -322,37 +353,43 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     if problem.require_nonnegative_initial and (np.any(state.u < 0) or np.any(state.v < 0)):
         raise ValueError("initial data must be nonnegative")
     stride = max(int(problem.stride), 1)
-
-    rows = [_diagnostics_row(c, state, bc, 0, 0.0, 0.0)]
-    stored_steps = [0]
-    snapshots = [state.copy()]
     dt = tg.dt
 
+    columns = np.empty((len(DIAGNOSTIC_COLUMNS), tg.steps + 1))
+    levels = np.empty((max(1, _BLOCK_CELLS // grid.node_count) + 1, 2, *grid.shape))
+    levels[0, 0], levels[0, 1] = state.u, state.v
+    # Level 0 paired with itself: its time-derivative norm is exactly zero.
+    columns[:, :1] = _diagnostics_block(c, grid, bc, levels[[0, 0]], np.zeros(1), dt)
+    filled = 0
+    stored_steps = [0]
+    snapshots = [state.copy()]
+
     for n in range(tg.steps):
-        t_next = (n + 1) * dt
         forcing = problem.forcing(n * dt) if problem.forcing is not None else None
-        prev = state
         try:
             if problem.scheme is SchemeKind.EXPLICIT:
                 state = step_explicit(c, state, bc, dt, forcing)
             else:
                 state = step_imex(c, state, bc, dt, forcing)
         except NumericalFailure as exc:
-            exc.step, exc.t = n + 1, t_next
+            exc.step, exc.t = n + 1, (n + 1) * dt
             raise
         if problem.clamp_negative:
             state = FieldPair(grid, np.maximum(state.u, 0.0), np.maximum(state.v, 0.0))
-        weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
-        rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
-        wtd = math.sqrt(grid.cell_volume * float(np.sum(weight * rate ** 2)))
-        rows.append(_diagnostics_row(c, state, bc, n + 1, t_next, wtd))
+        filled += 1
+        levels[filled, 0], levels[filled, 1] = state.u, state.v
+        if filled == len(levels) - 1 or n + 1 == tg.steps:
+            first = n + 2 - filled
+            columns[:, first:n + 2] = _diagnostics_block(
+                c, grid, bc, levels[:filled + 1], np.arange(first, n + 2, dtype=float), dt)
+            levels[0] = levels[filled]
+            filled = 0
         if (n + 1) % stride == 0 or n + 1 == tg.steps:
             stored_steps.append(n + 1)
             snapshots.append(state.copy())
 
-    diagnostics = {key: np.array([row[key] for row in rows]) for key in DIAGNOSTIC_COLUMNS}
     return Trajectory(time_grid=tg, stride=stride, stored_steps=stored_steps,
-                      snapshots=snapshots, diagnostics=diagnostics,
+                      snapshots=snapshots, diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)),
                       metadata={"scheme": problem.scheme.value, "bc": bc.value,
                                 "clamp_negative": problem.clamp_negative})
 

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import sktsim.algebra
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_p
 from sktsim.forward import (
+    _BLOCK_CELLS,
+    DIAGNOSTIC_COLUMNS,
     ForwardProblem,
     NumericalFailure,
     SchemeKind,
@@ -19,7 +23,15 @@ from sktsim.forward import (
     step_explicit,
     step_imex,
 )
-from sktsim.grid import BoundaryCondition, FieldPair, Grid
+from sktsim.grid import (
+    BoundaryCondition,
+    FieldPair,
+    Grid,
+    _extend,
+    _grad_stencil,
+    component_h1,
+    component_l2,
+)
 from sktsim.mms import (
     bump_profile,
     constant_solution,
@@ -188,8 +200,26 @@ def test_run_forward_aborts_on_blowup():
     initial = FieldPair.constant(grid, 5.0, 5.0)
     problem = ForwardProblem(c, grid, NEU, TimeGrid(1.0, 1e-4),
                              SchemeKind.EXPLICIT, initial)
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(StabilityError) as err:
         run_forward(problem)
+    assert err.value.step == 1 and err.value.t == 1e-4
+    assert str(err.value).startswith("step 1 (t=0.0001): ")
+
+
+def test_run_forward_reports_non_finite_level_with_step():
+    # The competition term overflows to -inf in the first step; the one
+    # finiteness check on the new level must report it, with no warning.
+    grid = Grid(1, 1.0, 16)
+    c = Coefficients(1, 1, 1, 1, b1=1e308, d1=1, d2=1)
+    problem = ForwardProblem(c, grid, NEU, TimeGrid(1e-3, 1e-5), SchemeKind.EXPLICIT,
+                             FieldPair.constant(grid, 10.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure) as err:
+            run_forward(problem)
+    assert not isinstance(err.value, StabilityError)
+    assert err.value.step == 1 and err.value.t == 1e-5
+    assert str(err.value) == "step 1 (t=1e-05): non-finite field values"
 
 
 def test_positivity_monitoring_bump_run():
@@ -313,3 +343,85 @@ def test_positivity_undershoot_shrinks_under_refinement():
                                          float(np.min(d["min_v"])))))
     assert undershoots[0] <= 1e-6  # monitored, not clipped
     assert undershoots[1] <= undershoots[0] + 1e-14
+
+
+def reference_diagnostics(c, traj, bc):
+    """Diagnostics recomputed one level at a time from every stored level."""
+    grid = traj.grid
+    vol, h, dim = grid.cell_volume, grid.h, grid.dim
+    dt = traj.time_grid.dt
+    rows = []
+    for j, state in enumerate(traj.snapshots):
+        prev = traj.snapshots[max(j - 1, 0)]
+        p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+        grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
+        lap_p = laplacian_of_flux(c, state, bc)
+        weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
+        rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
+        rows.append([
+            j, j * dt, vol * np.sum(state.u), vol * np.sum(state.v),
+            np.min(state.u), np.min(state.v),
+            component_l2(state.u, grid), component_l2(state.v, grid),
+            component_h1(state.u, grid, bc), component_h1(state.v, grid, bc),
+            (vol * (np.sum(state.u ** 4) + np.sum(state.v ** 4))) ** 0.25,
+            math.sqrt(vol * grad_p_sq),
+            math.sqrt(vol * (np.sum(lap_p.u ** 2) + np.sum(lap_p.v ** 2))),
+            math.sqrt(vol * np.sum(weight * rate ** 2))])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim,n,steps,dt,scheme,c,bc", [
+    (1, 64, 600, 1e-5, SchemeKind.EXPLICIT, CFG_A, NEU),
+    (2, 24, 60, 1e-4, SchemeKind.IMEX_LAGGED, CFG_A, DIR),
+], ids=["1d-explicit", "2d-imex"])
+def test_diagnostics_across_block_boundaries(dim, n, steps, dt, scheme, c, bc):
+    # Diagnostics are computed per block of levels; each block's first row
+    # takes its time-derivative predecessor from the previous block.
+    grid = Grid(dim, 1.0, n)
+    block = max(1, _BLOCK_CELLS // grid.node_count)
+    assert 2 * block < steps < 3 * block  # three blocks, the last one partial
+    if dim == 1:
+        initial = bump_pair(grid, amplitude=0.8)
+    else:
+        X, Y = grid.meshgrid()
+        initial = FieldPair(grid, 0.5 + 0.25 * np.cos(np.pi * X) * np.cos(np.pi * Y),
+                            0.4 + 0.2 * np.sin(np.pi * X))
+    traj = run_forward(ForwardProblem(c, grid, bc, TimeGrid(steps * dt, dt), scheme, initial))
+    assert traj.stored_steps == list(range(steps + 1))
+    ref = reference_diagnostics(c, traj, bc)
+    got = np.column_stack([traj.diagnostics[key] for key in DIAGNOSTIC_COLUMNS])
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    wtd = traj.diagnostics["wtd_dtu_l2"]
+    assert wtd[0] == 0.0
+    for first in (1, block + 1, 2 * block + 1):
+        assert wtd[first] > 0.0
+        assert abs(wtd[first] - ref[first, -1]) <= 1e-13 * scale[-1]
+
+
+def test_explicit_march_checks_each_level_once(monkeypatch):
+    # One FieldPair scan per new level (plus the stored copies and the
+    # initial copy), and no per-step finiteness check inside the algebra.
+    grid = Grid(1, 1.0, 64)
+    steps = 50
+    problem = ForwardProblem(REACTION_FREE, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
+                             SchemeKind.EXPLICIT, bump_pair(grid), stride=10)
+    counts = {"scan": 0, "finite": 0}
+    post_init, require_finite = FieldPair.__post_init__, sktsim.algebra._require_finite
+
+    def counted_post_init(pair):
+        counts["scan"] += 1
+        post_init(pair)
+
+    def counted_require_finite(*values):
+        counts["finite"] += 1
+        require_finite(*values)
+
+    monkeypatch.setattr(FieldPair, "__post_init__", counted_post_init)
+    monkeypatch.setattr(sktsim.algebra, "_require_finite", counted_require_finite)
+    traj = run_forward(problem)
+    blocks = 1 + math.ceil(steps / max(1, _BLOCK_CELLS // grid.node_count))
+    assert counts["scan"] <= steps + len(traj.snapshots) + 2
+    assert counts["finite"] <= blocks
