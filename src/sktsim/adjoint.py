@@ -292,10 +292,14 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
              "weighted_lap_partial": 0.0, "dt_l43_partial": 0.0}]
     stored = [(steps, phi.copy())]
     wlap_sum = 0.0
+    levels = (None, None)
 
     for m in range(steps, 0, -1):
         t_target = (m - 1) * dt
-        state = coefficient_state(u_pair, eps, t_target)
+        # snapshot_at is piecewise constant: rebuild the state only when a level changes.
+        now = (traj1.snapshot_at(t_target), traj2.snapshot_at(t_target))
+        if now[0] is not levels[0] or now[1] is not levels[1]:
+            levels, state = now, coefficient_state(u_pair, eps, t_target)
         try:
             if mode is AdjointMode.CONTINUOUS:
                 new_phi = step_adjoint_backward(c, phi, state, bc, dt, rhs)

@@ -16,18 +16,12 @@ bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import (
-    AdjointBoundsReport,
-    AdjointRHSKind,
-    coefficient_state,
-    run_adjoint,
-    step_adjoint_transpose,
-)
+from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
 from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, eval_p, eval_q, jac_P, jac_Q
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, run_forward
 from sktsim.grid import (
@@ -327,7 +321,6 @@ class DependenceReport:
     ingredient_49: list[float]
     slopes: dict[float, float]
     kappa_fit: dict[float, float]
-    adjoint_reports: dict[float, AdjointBoundsReport] = field(default_factory=dict)
 
 
 def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
@@ -336,8 +329,7 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     For each delta the perturbed run starts from base + delta * w; the weak
     norm of the difference at each tau is recorded next to the basis sup,
     the initial-data norms with exponent q = dual_exponent(d), the three
-    ingredient terms of the initial-data bound, the fitted log-log slope,
-    and one growth-rhs adjoint bounds report per tau.
+    ingredient terms of the initial-data bound, and the fitted log-log slope.
     """
     deltas = list(cfg.deltas)
     if any(d <= 0 for d in deltas):
@@ -367,7 +359,6 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     basis_sup: dict[float, list[float]] = {tau: [] for tau in taus}
     input_l2, input_lq = [], []
     ing47, ing48, ing49 = [], [], []
-    adjoint_reports: dict[float, AdjointBoundsReport] = {}
     sqrt_t = math.sqrt(cfg.t_final)
     p47 = 4.0 * cfg.dim / (cfg.dim + 2.0)
     p48 = 2.0 * cfg.dim / (6.0 - cfg.dim)
@@ -387,13 +378,6 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
             weak_norms[tau].append(weak_norm(diff, cfg.bc))
             basis_sup[tau].append(max(abs(inner(diff, chi)) for _, chi in basis))
 
-    chi_ref = basis[1][1] if len(basis) > 1 else basis[0][1]
-    for tau in taus:  # paired with the run of the largest delta, the last one above
-        _, report = run_adjoint(cfg.coefficients, cfg.bc,
-                                (base_traj, traj), TINY_EPS,
-                                AdjointRHSKind.GROWTH, chi_ref, horizon=tau)
-        adjoint_reports[tau] = report
-
     log_d = np.log(np.asarray(deltas))
     slopes = {}
     kappa_fit = {}
@@ -406,7 +390,7 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
         deltas=deltas, taus=taus, q_exponent=q, weak_norms=weak_norms,
         basis_sup=basis_sup, input_l2=input_l2, input_lq=input_lq,
         ingredient_47=ing47, ingredient_48=ing48, ingredient_49=ing49,
-        slopes=slopes, kappa_fit=kappa_fit, adjoint_reports=adjoint_reports)
+        slopes=slopes, kappa_fit=kappa_fit)
 
 
 def _bc_compatibility_gap(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> float:

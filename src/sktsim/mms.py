@@ -1,22 +1,28 @@
-"""Manufactured solutions: symbolic residual forcing for scheme verification.
+"""Manufactured solutions: closed-form residual forcing for scheme verification.
 
-Given closed-form target fields (u*, v*), the continuum residual
+Given target fields (u*, v*), the continuum residual
 
     F = dt(u*) - Lap p(u*) + q(u*) - l(u*)
 
-is derived symbolically and injected as a source term, so the discrete
-error against the target is measurable directly.  Target fields should be
+is injected as a source term, so the discrete error against the target is
+measurable directly.  Because p is quadratic, Lap p needs only each target's
+value, gradient and Laplacian:
+
+    Lap p1 = (d1 + 2 a11 u + a12 v) Lap u + a12 u Lap v
+             + 2 a11 |grad u|^2 + 2 a12 grad u . grad v,
+
+and Lap p2 is the same with the species swapped.  Target fields should be
 compatible with the boundary condition of the run (zero normal derivative
 for Neumann, zero trace for Dirichlet).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from sktsim.algebra import Coefficients
 from sktsim.grid import FieldPair, Grid
@@ -25,82 +31,73 @@ __all__ = ["ManufacturedSolution", "bump_profile", "constant_solution",
            "heat_limit_coefficients", "polynomial_neumann_solution"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedSolution:
-    """Lambdified exact fields and residual forcing on cell centers."""
+    """Exact fields and residual forcing on cell centers.
 
+    ``jets(coords, t)`` returns, for u and then v, the tuple (value, gradient
+    components, Laplacian, time derivative) at the cell-center coordinates
+    ``coords`` (one array per axis); :meth:`forcing` applies the Lap p
+    identity of the module docstring to them.
+    """
+
+    coefficients: Coefficients
     dim: int
-    u_fn: Callable
-    v_fn: Callable
-    fu_fn: Callable
-    fv_fn: Callable
+    jets: Callable[[tuple[np.ndarray, ...], float], tuple]
+
+    def _jets_on(self, grid: Grid, t: float) -> tuple:
+        if grid.dim != self.dim:
+            raise ValueError(f"manufactured solution is {self.dim}D, grid is {grid.dim}D")
+        return self.jets(grid.meshgrid(), t)
 
     def field(self, grid: Grid, t: float) -> FieldPair:
-        coords = grid.meshgrid()
-        return FieldPair(grid,
-                         np.broadcast_to(self.u_fn(*coords, t), grid.shape).astype(float),
-                         np.broadcast_to(self.v_fn(*coords, t), grid.shape).astype(float))
+        (u, *_), (v, *_) = self._jets_on(grid, t)
+        return FieldPair(grid, u, v)
 
     def forcing(self, grid: Grid, t: float) -> FieldPair:
-        coords = grid.meshgrid()
-        return FieldPair(grid,
-                         np.broadcast_to(self.fu_fn(*coords, t), grid.shape).astype(float),
-                         np.broadcast_to(self.fv_fn(*coords, t), grid.shape).astype(float))
-
-
-def build_manufactured(c: Coefficients, dim: int, u_expr, v_expr,
-                       space: tuple[sym.Symbol, ...], t: sym.Symbol) -> ManufacturedSolution:
-    """Derive the residual forcing of (u_expr, v_expr) symbolically."""
-    p1 = (c.d1 + c.a11 * u_expr + c.a12 * v_expr) * u_expr
-    p2 = (c.d2 + c.a21 * u_expr + c.a22 * v_expr) * v_expr
-    q1 = (c.b1 * u_expr + c.c1 * v_expr) * u_expr
-    q2 = (c.b2 * u_expr + c.c2 * v_expr) * v_expr
-    lap1 = sum(sym.diff(p1, x, 2) for x in space)
-    lap2 = sum(sym.diff(p2, x, 2) for x in space)
-    fu = sym.diff(u_expr, t) - lap1 + q1 - c.a1 * u_expr
-    fv = sym.diff(v_expr, t) - lap2 + q2 - c.a2 * v_expr
-    args = (*space, t)
-    return ManufacturedSolution(
-        dim=dim,
-        u_fn=sym.lambdify(args, u_expr, "numpy"),
-        v_fn=sym.lambdify(args, v_expr, "numpy"),
-        fu_fn=sym.lambdify(args, fu, "numpy"),
-        fv_fn=sym.lambdify(args, fv, "numpy"),
-    )
+        c = self.coefficients
+        (u, gu, lu, tu), (v, gv, lv, tv) = self._jets_on(grid, t)
+        cross = sum(a * b for a, b in zip(gu, gv))
+        lap_p1 = ((c.d1 + 2.0 * c.a11 * u + c.a12 * v) * lu + c.a12 * u * lv
+                  + 2.0 * c.a11 * sum(g * g for g in gu) + 2.0 * c.a12 * cross)
+        lap_p2 = ((c.d2 + c.a21 * u + 2.0 * c.a22 * v) * lv + c.a21 * v * lu
+                  + 2.0 * c.a22 * sum(g * g for g in gv) + 2.0 * c.a21 * cross)
+        return FieldPair(grid, tu - lap_p1 + (c.b1 * u + c.c1 * v - c.a1) * u,
+                         tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v)
 
 
 def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) -> ManufacturedSolution:
     """Positive cubic-profile targets with zero normal derivative on the walls.
 
-    The spatial profile x^2 (3 - 2x) (scaled to the domain) has vanishing
-    derivative at both walls; the two species decay at different rates so
-    the cross terms are exercised.
+    The spatial profile W is the product over axes of w(s) = s^2 (3 - 2s),
+    s = x / length, which has vanishing derivative at both walls;
+    u = 1 + exp(-t) W / 2 and v = 1 + exp(-2t) (1 - W) / 2 decay at
+    different rates so the cross terms are exercised.
     """
-    t = sym.Symbol("t")
-    if dim == 1:
-        x = sym.Symbol("x")
-        s = x / length
-        w = s ** 2 * (3 - 2 * s)
-        u = 1 + sym.Rational(1, 2) * sym.exp(-t) * w
-        v = 1 + sym.Rational(1, 2) * sym.exp(-2 * t) * (1 - w)
-        return build_manufactured(c, 1, u, v, (x,), t)
-    x, y = sym.symbols("x y")
-    sx, sy = x / length, y / length
-    wx = sx ** 2 * (3 - 2 * sx)
-    wy = sy ** 2 * (3 - 2 * sy)
-    u = 1 + sym.Rational(1, 2) * sym.exp(-t) * wx * wy
-    v = 1 + sym.Rational(1, 2) * sym.exp(-2 * t) * (1 - wx * wy)
-    return build_manufactured(c, 2, u, v, (x, y), t)
+
+    def jets(coords: tuple[np.ndarray, ...], t: float) -> tuple:
+        s = [x / length for x in coords]
+        w = [si * si * (3.0 - 2.0 * si) for si in s]
+        W = math.prod(w)
+        rest = [math.prod(w[:i] + w[i + 1:]) for i in range(len(w))]  # W without axis i
+        grad = [6.0 * si * (1.0 - si) / length * r for si, r in zip(s, rest)]
+        lap = sum((6.0 - 12.0 * si) / length ** 2 * r for si, r in zip(s, rest))
+        a, b = 0.5 * math.exp(-t), 0.5 * math.exp(-2.0 * t)
+        return ((1.0 + a * W, [a * g for g in grad], a * lap, -a * W),
+                (1.0 + b * (1.0 - W), [-b * g for g in grad], -b * lap, -2.0 * b * (1.0 - W)))
+
+    return ManufacturedSolution(c, dim, jets)
 
 
 def constant_solution(c: Coefficients, dim: int, cu: float = 1.0, cv: float = 0.5) -> ManufacturedSolution:
     """Constant targets; the discrete solution must reproduce them exactly."""
-    t = sym.Symbol("t")
-    space = sym.symbols("x") if dim == 1 else sym.symbols("x y")
-    space = (space,) if dim == 1 else space
-    u = sym.Float(cu) + 0 * space[0]
-    v = sym.Float(cv) + 0 * space[0]
-    return build_manufactured(c, dim, u, v, space, t)
+
+    def jets(coords: tuple[np.ndarray, ...], t: float) -> tuple:
+        zero = np.zeros(coords[0].shape)
+        return ((zero + cu, [zero] * len(coords), zero, zero),
+                (zero + cv, [zero] * len(coords), zero, zero))
+
+    return ManufacturedSolution(c, dim, jets)
 
 
 def heat_limit_coefficients(d1: float = 1.0, d2: float = 1.0) -> Coefficients:

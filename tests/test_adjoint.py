@@ -251,6 +251,8 @@ def test_run_adjoint_horizon_shorter_than_final_time():
     assert traj.horizon == 0.125
     assert traj.stored_steps[0] == 0 and traj.stored_steps[-1] == 125
     assert report.kappa_sup > 0.0 and math.isfinite(report.kappa_weighted_lap)
+    assert report.rhs == "l"
+    assert report.gronwall_slack <= 1e-8
 
 
 def test_run_adjoint_rejects_mismatched_grids():

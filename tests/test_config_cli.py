@@ -244,6 +244,27 @@ def test_cli_adjoint_uses_stored_trajectory(tmp_path, capsys):
     assert "kappa_sup = " in adj
 
 
+def test_cli_adjoint_on_stored_trajectory_whose_h_does_not_round_trip(tmp_path, capsys):
+    # 49 * fl(1/49) != 1.0, so a snapshot's printed h times n misses the length.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text()
+    text = text.replace("grid.n = 64", "grid.n = 49").replace("time.t_final = 0.5",
+                                                              "time.t_final = 0.01")
+    path = write_cfg(tmp_path, text)
+    stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+    assert main(["simulate", "--config", str(path), "--out", str(stored)]) == 0
+    assert main(["adjoint", "--config", str(path), "--out", str(stored)]) == 0
+    assert main(["adjoint", "--config", str(path), "--out", str(fresh)]) == 0
+    assert ((stored / "adjoint_diagnostics.csv").read_bytes()
+            == (fresh / "adjoint_diagnostics.csv").read_bytes())
+    capsys.readouterr()
+
+    longer = write_cfg(tmp_path, text.replace("domain.length = 1.0", "domain.length = 1.5"),
+                       name="longer.cfg")
+    assert main(["adjoint", "--config", str(longer), "--out", str(stored)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:") and "do not match the configured grid (h " in err
+
+
 def test_cli_adjoint_runs_forward_when_missing(tmp_path, capsys):
     text = MINIMAL + "terminal.u = constant 1.0\n"
     path = write_cfg(tmp_path, text)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -43,6 +46,8 @@ NEU = BoundaryCondition.NEUMANN
 DIR = BoundaryCondition.DIRICHLET
 
 REACTION_FREE = Coefficients(1, 1, 1, 1, d1=1.0, d2=1.0)  # b = c = growth = 0
+ASYMMETRIC = Coefficients(0.3, 0.7, 1.9, 0.45, b1=0.4, b2=1.3, c1=0.25, c2=0.6,
+                          a1=1.1, a2=0.35, d1=1.7, d2=0.55)
 
 
 def bump_pair(grid, amplitude=1.0):
@@ -288,6 +293,45 @@ def test_manufactured_full_coupling_spatial_order():
                              SchemeKind.IMEX_LAGGED, FieldPair.zeros(base_grid))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
     assert all(order >= 1.6 for order in table.orders)
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = os.path.dirname(os.path.dirname(sktsim.algebra.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, sktsim.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _sympy_manufactured(c, dim, length):
+    """Targets and forcing of polynomial_neumann_solution, derived symbolically."""
+    import sympy as sym  # from the test extra; the package itself never imports it
+    t = sym.Symbol("t")
+    xs = sym.symbols(f"x0:{dim}")
+    w = sym.Mul(*[(x / length) ** 2 * (3 - 2 * x / length) for x in xs])
+    u = 1 + sym.exp(-t) * w / 2
+    v = 1 + sym.exp(-2 * t) * (1 - w) / 2
+    p1 = (c.d1 + c.a11 * u + c.a12 * v) * u
+    p2 = (c.d2 + c.a21 * u + c.a22 * v) * v
+    fu = sym.diff(u, t) - sum(sym.diff(p1, x, 2) for x in xs) + (c.b1 * u + c.c1 * v) * u - c.a1 * u
+    fv = sym.diff(v, t) - sum(sym.diff(p2, x, 2) for x in xs) + (c.b2 * u + c.c2 * v) * v - c.a2 * v
+    return [sym.lambdify((*xs, t), e, "numpy") for e in (u, v, fu, fv)]
+
+
+@pytest.mark.parametrize("c, dim, length", [(CFG_A, 1, 1.0), (CFG_A, 2, 2.5),
+                                            (ASYMMETRIC, 1, 2.5), (ASYMMETRIC, 2, 1.0)])
+def test_closed_form_forcing_matches_symbolic_derivation(c, dim, length):
+    exact = polynomial_neumann_solution(c, dim, length)
+    reference = _sympy_manufactured(c, dim, length)
+    grid = Grid(dim, length, 13)
+    for t in (0.0, 0.05, 0.7):
+        field, forcing = exact.field(grid, t), exact.forcing(grid, t)
+        for got, fn in zip((field.u, field.v, forcing.u, forcing.v), reference):
+            want = np.broadcast_to(fn(*grid.meshgrid(), t), grid.shape)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        exact.forcing(Grid(3 - dim, length, 13), 0.0)
 
 
 def test_energy_diagnostics_stabilize_under_dt_refinement():
