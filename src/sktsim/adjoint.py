@@ -14,6 +14,11 @@ explicit linearized forward difference operator, which makes the discrete
 duality pairing hold to machine precision and isolates discretization
 error from the duality bookkeeping.
 
+Every backward march, batched or not, runs through one stepping loop that
+returns the stacked levels.  ``run_adjoint`` marches blocks of levels and
+computes a block's diagnostics with axis reductions, in the arithmetic of
+one level at a time.
+
 A per-run tracker measures the differential-inequality constant of the
 backward energy (H1) balance and asserts its exponentially weighted
 telescoped consequences, which is the discrete shape of the a-priori
@@ -22,23 +27,28 @@ bounds on the adjoint.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from sktsim import linalg
 from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
-from sktsim.forward import Trajectory
+from sktsim.forward import _BLOCK_CELLS, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
     NumericalFailure,
+    _extend,
+    _grad_stencil,
+    _grid_sums,
+    _lap_stencil,
     block_pattern,
-    component_h1,
     laplacian,
     laplacian_matrix,
 )
@@ -108,11 +118,12 @@ def theta_eps_derivative(eps: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, t: float) -> FieldPair:
-    """Frozen adjoint coefficient state at time t: the average of the two forward
-    trajectories (piecewise constant between stored levels), truncated at ``eps``."""
-    avg = 0.5 * (u_pair[0].snapshot_at(t) + u_pair[1].snapshot_at(t))
-    return theta_eps(eps, avg)
+def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: int) -> FieldPair:
+    """Frozen adjoint coefficient state at time level ``step``: the average of
+    the two forward trajectories at their last stored levels at or before it
+    (piecewise constant between stored levels), truncated at ``eps``."""
+    s1, s2 = (traj.snapshots[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
+    return theta_eps(eps, 0.5 * (s1 + s2))
 
 
 def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> SpeciesPair:
@@ -189,6 +200,34 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
                      phi.v + dt * (P.m12 * lap.u + P.m22 * lap.v - qt.v + src.v))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _march(step: Callable[..., FieldPair], c: Coefficients, bc: BoundaryCondition, phi: FieldPair,
+           dt: float, top: int, bottom: int, state_at: Callable[[int], FieldPair],
+           rhs: AdjointRHSKind) -> np.ndarray:
+    """March ``phi``, the level ``top``, backward to level ``bottom`` with the
+    adjoint step function ``step``; every backward march runs this loop.
+
+    ``state_at(k)`` is the coefficient state of the step that computes level
+    k; ``phi`` may carry batch axes if ``step`` accepts them.  Returns levels
+    ``bottom..top`` in ascending time, shape (*batch, top - bottom + 1, 2,
+    *grid.shape).  A blow-up raises :class:`NumericalFailure` carrying the
+    step index and time of the level being computed.
+    """
+    grid = phi.grid
+    batch = phi.u.shape[:phi.u.ndim - grid.dim]
+    levels = np.empty(batch + (top - bottom + 1, 2) + grid.shape)
+    by_level = np.moveaxis(levels, (len(batch), len(batch) + 1), (0, 1))
+    by_level[-1, 0], by_level[-1, 1] = phi.u, phi.v
+    for m in range(top, bottom, -1):
+        try:
+            phi = step(c, phi, state_at(m - 1), bc, dt, rhs)
+        except NumericalFailure as exc:
+            exc.step, exc.t = m - 1, (m - 1) * dt
+            raise
+        by_level[m - 1 - bottom, 0], by_level[m - 1 - bottom, 1] = phi.u, phi.v
+    return levels
+
+
 ADJOINT_DIAGNOSTIC_COLUMNS = ("step", "t", "h1_phi", "weighted_lap_partial",
                               "dt_l43_partial")
 
@@ -236,21 +275,23 @@ class AdjointTrajectory:
         """phi at t = 0, the end of the backward march."""
         return self.snapshots[0]
 
-    def snapshot_at_step(self, step: int) -> FieldPair:
-        return self.snapshots[self.stored_steps.index(step)]
+
+def _stacked_levels(fields: list[FieldPair]) -> np.ndarray:
+    """Unbatched field pairs as one array of shape (len(fields), 2, *grid.shape)."""
+    return np.array([(f.u, f.v) for f in fields])
 
 
-def _pair_h1_sq(f: FieldPair, bc: BoundaryCondition) -> float:
-    return component_h1(f.u, f.grid, bc) ** 2 + component_h1(f.v, f.grid, bc) ** 2
+def _stacked_h1_sq(levels: np.ndarray, grid: Grid, bc: BoundaryCondition) -> list[float]:
+    """Squared discrete H1 norm of each pair in ``levels`` (k, 2, *grid.shape) in
+    the arithmetic of :func:`~sktsim.grid.component_h1`; the squares are Python
+    floats, as libm ``pow`` can differ from numpy's square by an ulp."""
+    h, dim, vol = grid.h, grid.dim, grid.cell_volume
+    grad_sq = sum(g * g for g in _grad_stencil(_extend(levels, bc, dim), h, dim))
+    h1 = np.sqrt(vol * _grid_sums(levels ** 2, dim) + vol * _grid_sums(grad_sq, dim))
+    return [hu ** 2 + hv ** 2 for hu, hv in h1.tolist()]
 
 
-def _weighted_lap(f: FieldPair, weight_state: FieldPair, bc: BoundaryCondition) -> float:
-    lap = laplacian(f, bc)
-    w = 1.0 + weight_state.u + weight_state.v
-    return f.grid.cell_volume * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 u_pair: tuple[Trajectory, Trajectory], eps: float,
                 rhs: AdjointRHSKind, chi: FieldPair,
@@ -260,10 +301,11 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     """March the adjoint backward from phi(horizon) = chi.
 
     The coefficient state of each step is :func:`coefficient_state` at the
-    target level.  Records the three estimate functionals, their ratios against
-    ||chi||_H1, and the energy-inequality tracker.  A blow-up raises
-    :class:`NumericalFailure` carrying the step index and time of the level
-    being computed.
+    target level, built once per distinct pair of stored forward levels.
+    Records the three estimate functionals (block by block, partial sums in
+    march order), their ratios against ||chi||_H1, and the energy-inequality
+    tracker.  A blow-up raises :class:`NumericalFailure` carrying the step
+    index and time of the level being computed.
     """
     traj1, traj2 = u_pair
     if traj1.grid != traj2.grid:
@@ -279,65 +321,59 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         raise ValueError(f"horizon {tau} outside (0, {T}]")
     steps = max(1, int(round(tau / dt)))
     stride = max(int(stride), 1)
+    grid = chi.grid
+    h, dim, vol = grid.h, grid.dim, grid.cell_volume
+    step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
+    block = max(1, _BLOCK_CELLS // grid.node_count)
 
-    phi = chi.copy()
-    chi_h1 = math.sqrt(_pair_h1_sq(chi, bc))
-    energy = [_pair_h1_sq(phi, bc)]          # E_n indexed from tau downward
-    weighted = []                            # alpha-weighted Laplacian budget per step
-    kappas = []
-    dt43_sum = 0.0
+    # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
+    # Laplacian term and the L^{4/3} rate term of the step that computed level n.
+    energy, weighted, rate = np.empty(steps + 1), np.empty(steps), np.empty(steps)
+    energy[steps] = _stacked_h1_sq(_stacked_levels([chi]), grid, bc)[0]
+    stored_steps, snapshots = [steps], [chi.copy()]
+    phi, top, key = chi, steps, None
+    while top > 0:
+        bottom = max(top - block, 0)
+        states = []
+        for s in range(top - 1, bottom - 1, -1):
+            now = tuple(bisect.bisect_right(traj.stored_steps, s) for traj in u_pair)
+            if now != key:
+                key, state = now, coefficient_state(u_pair, eps, s)
+            states.append(state)
+        levels = _march(step, c, bc, phi, dt, top, bottom,
+                        lambda s, top=top, states=states: states[top - 1 - s], rhs)
+        new, coef = levels[:-1], _stacked_levels(states[::-1])
+        energy[bottom:top] = _stacked_h1_sq(new, grid, bc)
+        lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
+        w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
+        weighted[bottom:top] = vol * _grid_sums(w, dim)
+        r = _grid_sums(np.abs((levels[1:] - new) / dt) ** (4.0 / 3.0), dim)
+        rate[bottom:top] = dt * vol * (r[:, 0] + r[:, 1])
+        kept = range(bottom + (-bottom) % stride, top, stride)
+        stored_steps[:0] = kept
+        snapshots[:0] = [FieldPair(grid, new[s - bottom, 0].copy(), new[s - bottom, 1].copy())
+                         for s in kept]
+        phi, top = FieldPair(grid, new[0, 0], new[0, 1]), bottom
+
+    # Running sums accumulate in march order, from tau down to 0.
+    wlap_partial = np.cumsum(dt * weighted[::-1])[::-1]
+    dt43_partial = np.cumsum(rate[::-1])[::-1].tolist()
     alpha_eff = min(c.alpha, 0.5 * c.d0)
+    e_new, e_old = energy[:-1], energy[1:]
+    kappa = (-(e_old - e_new) / dt + alpha_eff * weighted) / e_old
+    kappa_run = float(np.max(np.where((e_old > 0.0) & (kappa > 0.0), kappa, 0.0)))
+    level = np.arange(steps + 1.0)
+    diagnostics = dict(zip(ADJOINT_DIAGNOSTIC_COLUMNS, (
+        level, level * dt, np.sqrt(energy), np.append(wlap_partial, 0.0),
+        # Python floats: numpy's vectorised power can differ from libm pow by an ulp.
+        np.array([p ** 0.75 for p in dt43_partial] + [0.0]))))
 
-    rows = [{"step": float(steps), "t": steps * dt, "h1_phi": math.sqrt(energy[0]),
-             "weighted_lap_partial": 0.0, "dt_l43_partial": 0.0}]
-    stored = [(steps, phi.copy())]
-    wlap_sum = 0.0
-    levels = (None, None)
-
-    for m in range(steps, 0, -1):
-        t_target = (m - 1) * dt
-        # snapshot_at is piecewise constant: rebuild the state only when a level changes.
-        now = (traj1.snapshot_at(t_target), traj2.snapshot_at(t_target))
-        if now[0] is not levels[0] or now[1] is not levels[1]:
-            levels, state = now, coefficient_state(u_pair, eps, t_target)
-        try:
-            if mode is AdjointMode.CONTINUOUS:
-                new_phi = step_adjoint_backward(c, phi, state, bc, dt, rhs)
-            else:
-                new_phi = step_adjoint_transpose(c, phi, state, bc, dt, rhs)
-        except NumericalFailure as exc:
-            exc.step, exc.t = m - 1, t_target
-            raise
-
-        e_new = _pair_h1_sq(new_phi, bc)
-        w_new = _weighted_lap(new_phi, state, bc)
-        e_old = energy[-1]
-        if e_old > 0.0:
-            kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old))
-        else:
-            kappas.append(0.0)
-        energy.append(e_new)
-        weighted.append(w_new)
-        wlap_sum += dt * w_new
-
-        diff_u = (phi.u - new_phi.u) / dt
-        diff_v = (phi.v - new_phi.v) / dt
-        dt43_sum += dt * new_phi.grid.cell_volume * float(
-            np.sum(np.abs(diff_u) ** (4.0 / 3.0)) + np.sum(np.abs(diff_v) ** (4.0 / 3.0)))
-
-        phi = new_phi
-        rows.append({"step": float(m - 1), "t": t_target,
-                     "h1_phi": math.sqrt(e_new),
-                     "weighted_lap_partial": wlap_sum,
-                     "dt_l43_partial": dt43_sum ** 0.75})
-        if (m - 1) % stride == 0 or m - 1 == 0:
-            stored.append((m - 1, phi.copy()))
-
+    chi_h1 = math.sqrt(energy[steps])
+    energy, weighted = energy[::-1].tolist(), weighted[::-1].tolist()  # march order
     sup_h1 = math.sqrt(max(energy))
     weighted_lap = dt * float(np.sum(weighted))
-    dt_l43 = dt43_sum ** 0.75
+    dt_l43 = dt43_partial[0] ** 0.75
 
-    kappa_run = max(kappas) if kappas else 0.0
     slack = -math.inf
     e_terminal = energy[0]
     for idx, e_val in enumerate(energy):
@@ -365,15 +401,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         kappa_sup=ratio(sup_h1), kappa_weighted_lap=ratio(weighted_lap),
         kappa_dt=ratio(dt_l43), gronwall_kappa=kappa_run, gronwall_slack=slack,
         eps=eps, rhs=rhs.value, mode=mode.value)
-
-    stored.reverse()
-    rows.reverse()
-    diagnostics = {key: np.array([row[key] for row in rows])
-                   for key in ADJOINT_DIAGNOSTIC_COLUMNS}
-    trajectory = AdjointTrajectory(dt=dt, horizon=tau,
-                                   stored_steps=[s for s, _ in stored],
-                                   snapshots=[f for _, f in stored],
-                                   diagnostics=diagnostics)
+    trajectory = AdjointTrajectory(dt=dt, horizon=tau, stored_steps=stored_steps,
+                                   snapshots=snapshots, diagnostics=diagnostics)
     return trajectory, report
 
 
@@ -385,8 +414,8 @@ def truncation_bound_check(u_tilde: FieldPair, eps: float,
     the first entry stays within a unit factor of the second; callers
     assert first <= 1.05 * second to absorb discrete corner effects.
     """
-    truncated = theta_eps(eps, u_tilde)
-    return (math.sqrt(_pair_h1_sq(truncated, bc)), math.sqrt(_pair_h1_sq(u_tilde, bc)))
+    pairs = _stacked_h1_sq(_stacked_levels([theta_eps(eps, u_tilde), u_tilde]), u_tilde.grid, bc)
+    return math.sqrt(pairs[0]), math.sqrt(pairs[1])
 
 
 @dataclass(frozen=True)
@@ -419,25 +448,18 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
 
     for eps in eps_list:
         traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, horizon=horizon, stride=1)
-        runs.append((eps, traj))
+        runs.append((eps, _stacked_levels(traj.snapshots)))
         reports.append(report)
 
+    grid, dim, dt = chi.grid, chi.grid.dim, u_pair[0].time_grid.dt
     rows = []
-    for (eps_a, run_a), (eps_b, run_b) in zip(runs, runs[1:]):
-        sup_h1 = 0.0
-        lap_sq = 0.0
-        dt = run_a.dt
-        for step, fa in zip(run_a.stored_steps, run_a.snapshots):
-            fb = run_b.snapshot_at_step(step)
-            diff = fa - fb
-            sup_h1 = max(sup_h1, math.sqrt(_pair_h1_sq(diff, bc)))
-            if step != run_a.stored_steps[-1]:
-                lap = laplacian(diff, bc)
-                lap_sq += dt * diff.grid.cell_volume * float(
-                    np.sum(lap.u ** 2) + np.sum(lap.v ** 2))
+    for (eps_a, levels_a), (eps_b, levels_b) in zip(runs, runs[1:]):
+        diff = levels_a - levels_b
+        sup_h1 = max([0.0] + [math.sqrt(e) for e in _stacked_h1_sq(diff, grid, bc)])
+        # Every level but the top one carries a Laplacian term, summed in step order.
+        lap_sq = _grid_sums(_lap_stencil(_extend(diff[:-1], bc, dim), grid.h, dim) ** 2, dim)
+        lap_l2 = math.sqrt(np.cumsum(dt * grid.cell_volume * (lap_sq[:, 0] + lap_sq[:, 1]))[-1])
         inactive = (1.0 / max(eps_a, eps_b)) >= u_max
-        rows.append(EpsCauchyRow(eps_coarse=eps_a, eps_fine=eps_b,
-                                 diff_sup_h1=sup_h1,
-                                 diff_lap_l2=math.sqrt(lap_sq),
-                                 truncation_inactive=inactive))
+        rows.append(EpsCauchyRow(eps_coarse=eps_a, eps_fine=eps_b, diff_sup_h1=sup_h1,
+                                 diff_lap_l2=lap_l2, truncation_inactive=inactive))
     return rows, reports

@@ -21,14 +21,15 @@ from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
+from sktsim.adjoint import (AdjointRHSKind, _march, _stacked_levels, coefficient_state,
+                            step_adjoint_transpose)
 from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, eval_p, eval_q, jac_P, jac_Q
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, run_forward
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
-    NumericalFailure,
+    _grid_sums,
     component_l2,
     inner,
     laplacian,
@@ -120,16 +121,10 @@ def _linearized_difference_step(c: Coefficients, u_tilde: FieldPair, u_bar: Fiel
                      u_bar.v + dt * (lap.v - qv + c.a2 * u_bar.v))
 
 
-def _stacked_levels(fields: list[FieldPair]) -> np.ndarray:
-    """Unbatched field pairs as one array of shape (len(fields), 2, *grid.shape)."""
-    return np.array([(f.u, f.v) for f in fields])
-
-
 def _stacked_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """:func:`~sktsim.grid.inner` over stacked pairs (..., 2, *grid.shape),
     broadcast over the leading axes; one value per leading index."""
-    prod = f * g
-    sums = prod.reshape(prod.shape[:prod.ndim - grid.dim] + (-1,)).sum(axis=-1)
+    sums = _grid_sums(f * g, grid.dim)
     return grid.cell_volume * (sums[..., 0] + sums[..., 1])
 
 
@@ -152,31 +147,6 @@ def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
             - _stacked_inner(grid, l_field, phi[:, 1:]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _transpose_march(c: Coefficients, bc: BoundaryCondition, chi: FieldPair, dt: float,
-                     steps: int, state_at: Callable[[int], FieldPair]) -> np.ndarray:
-    """March batched terminal data ``chi`` (shape (B, *grid.shape)) backward
-    through the exact-transpose step with the identity right-hand side.
-
-    ``state_at(k)`` is the coefficient state of the step that computes level
-    k.  Returns every level in ascending time, shape (B, steps+1, 2,
-    *grid.shape).  A blow-up raises :class:`NumericalFailure` carrying the
-    step index and time of the level being computed.
-    """
-    levels = np.empty((chi.u.shape[0], steps + 1, 2) + chi.grid.shape)
-    phi = chi
-    levels[:, steps, 0], levels[:, steps, 1] = phi.u, phi.v
-    for m in range(steps, 0, -1):
-        try:
-            phi = step_adjoint_transpose(c, phi, state_at(m - 1), bc, dt,
-                                         AdjointRHSKind.IDENTITY)
-        except NumericalFailure as exc:
-            exc.step, exc.t = m - 1, (m - 1) * dt
-            raise
-        levels[:, m - 1, 0], levels[:, m - 1, 1] = phi.u, phi.v
-    return levels
-
-
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
                          T: float, dt: float, u_tilde: FieldPair, u_bar0: FieldPair,
                          chi: FieldPair) -> float:
@@ -191,8 +161,8 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     for _ in range(steps):
         u_bars.append(_linearized_difference_step(c, u_tilde, u_bars[-1], bc, dt))
 
-    phi = _transpose_march(c, bc, FieldPair(grid, chi.u[None], chi.v[None]), dt, steps,
-                           lambda _: u_tilde)
+    phi = _march(step_adjoint_transpose, c, bc, FieldPair(grid, chi.u[None], chi.v[None]), dt,
+                 steps, 0, lambda _: u_tilde, AdjointRHSKind.IDENTITY)
     res = _duality_residual_series(c, grid, _stacked_levels(u_bars), phi, dt)
     return float(np.max(np.abs(res)))
 
@@ -264,8 +234,9 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
 
         basis = chi_basis(grid, cfg.bc, cfg.modes)
         chi = FieldPair(grid, np.array([f.u for _, f in basis]), np.array([f.v for _, f in basis]))
-        phi = _transpose_march(c, cfg.bc, chi, dt, tg.steps,
-                               lambda step: coefficient_state((t1, t2), TINY_EPS, step * dt))
+        phi = _march(step_adjoint_transpose, c, cfg.bc, chi, dt, tg.steps, 0,
+                     lambda step: coefficient_state((t1, t2), TINY_EPS, step),
+                     AdjointRHSKind.IDENTITY)
 
         series = _stacked_inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
         residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),

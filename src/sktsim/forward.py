@@ -25,6 +25,7 @@ their inputs.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from sktsim.grid import (
     NumericalFailure,
     _extend,
     _grad_stencil,
+    _grid_sums,
     _lap_stencil,
     block_pattern,
 )
@@ -129,8 +131,9 @@ class Trajectory:
         """Snapshot at the last stored level with time <= t (piecewise constant)."""
         if t < -1e-12 or t > self.time_grid.t_final * (1 + 1e-12):
             raise ValueError(f"time {t} outside [0, {self.time_grid.t_final}]")
-        times = self.stored_times()
-        idx = int(np.searchsorted(times, t + 1e-12 * max(1.0, abs(t)), side="right")) - 1
+        dt = self.time_grid.dt
+        idx = bisect.bisect_right(self.stored_steps, t + 1e-12 * max(1.0, abs(t)),
+                                  key=lambda s: s * dt) - 1
         return self.snapshots[max(idx, 0)]
 
 
@@ -302,26 +305,23 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     prev, cur = levels[:-1], levels[1:]
     k = len(cur)
 
-    def total(arr: np.ndarray) -> np.ndarray:
-        return np.sum(arr.reshape(k, 2, -1), axis=-1)
-
     # One ghost extension of both species serves the H1 norms and p(ext).
     # Both extended arrays are freed as soon as they are used, which keeps
     # the peak memory near three times that of ``levels``.
     ext = _extend(cur, bc, dim)
-    sq = total(cur ** 2)
-    h1 = np.sqrt(vol * sq + vol * total(sum(g * g for g in _grad_stencil(ext, h, dim))))
+    sq = _grid_sums(cur ** 2, dim)
+    h1 = np.sqrt(vol * sq + vol * _grid_sums(sum(g * g for g in _grad_stencil(ext, h, dim)), dim))
     p_ext = np.stack(_eval_p(c, SpeciesPair(ext[:, 0], ext[:, 1])), axis=1)
     del ext
-    lap_p = total(_lap_stencil(p_ext, h, dim) ** 2)
-    grad_p = sum(total(g ** 2) for g in _grad_stencil(p_ext, h, dim))
+    lap_p = _grid_sums(_lap_stencil(p_ext, h, dim) ** 2, dim)
+    grad_p = sum(_grid_sums(g ** 2, dim) for g in _grad_stencil(p_ext, h, dim))
     del p_ext
-    fourth = total(cur ** 4)
+    fourth = _grid_sums(cur ** 4, dim)
     weight = 1.0 + np.abs(prev[:, 0]) + np.abs(prev[:, 1])
     jump = np.abs(cur - prev)
     rate = (jump[:, 0] + jump[:, 1]) / dt
-    wtd = np.sqrt(vol * np.sum((weight * rate ** 2).reshape(k, -1), axis=-1))
-    mass = vol * total(cur)
+    wtd = np.sqrt(vol * _grid_sums(weight * rate ** 2, dim))
+    mass = vol * _grid_sums(cur, dim)
     low = np.min(cur.reshape(k, 2, -1), axis=-1)
     l2 = np.sqrt(vol * sq)
     return np.array([

@@ -216,6 +216,12 @@ def _grad_stencil(ext: np.ndarray, h: float, dim: int) -> list[np.ndarray]:
             (ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]) * inv_2h]
 
 
+def _grid_sums(arr: np.ndarray, dim: int) -> np.ndarray:
+    """Sums over the trailing ``dim`` grid axes, one per leading index, each
+    along the flattened grid in the order of a single-field ``np.sum``."""
+    return np.sum(arr.reshape(arr.shape[:arr.ndim - dim] + (-1,)), axis=-1)
+
+
 def laplacian(f: FieldPair, bc: BoundaryCondition) -> FieldPair:
     """Second-order 2d+1-point Laplacian of both components (batched like ``f``)."""
     h, dim = f.grid.h, f.grid.dim

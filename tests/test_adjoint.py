@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,16 @@ from hypothesis import strategies as st
 
 import sktsim.adjoint
 import sktsim.campaigns
+import sktsim.experiments
 from sktsim.adjoint import (
+    ADJOINT_DIAGNOSTIC_COLUMNS,
+    AdjointBoundsReport,
     AdjointMode,
     AdjointRHSKind,
     eps_cauchy_study,
     run_adjoint,
     step_adjoint_backward,
+    step_adjoint_transpose,
     theta_eps,
     theta_eps_derivative,
     truncation_bound_check,
@@ -21,8 +27,9 @@ from sktsim.adjoint import (
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair
 from sktsim.campaigns import run_campaign
 from sktsim.config import parse_config
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure
+from sktsim.experiments import UniquenessConfig, uniqueness_experiment
+from sktsim.forward import _BLOCK_CELLS, ForwardProblem, SchemeKind, TimeGrid, run_forward
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, component_h1, laplacian
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
 NEU = BoundaryCondition.NEUMANN
@@ -261,3 +268,163 @@ def test_run_adjoint_rejects_mismatched_grids():
     chi = FieldPair.zeros(traj.grid)
     with pytest.raises(ValueError):
         run_adjoint(CFG_A, NEU, (traj, other), 0.5, AdjointRHSKind.IDENTITY, chi)
+
+
+def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
+    """The adjoint march with its diagnostics computed one backward step at a
+    time, in the arithmetic of the per-step implementation it replaced."""
+    traj1, traj2 = u_pair
+    grid, vol = chi.grid, chi.grid.cell_volume
+    dt = traj1.time_grid.dt
+    steps = round(horizon / dt)
+    step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
+
+    def pair_h1_sq(f):
+        return component_h1(f.u, grid, bc) ** 2 + component_h1(f.v, grid, bc) ** 2
+
+    def weighted_lap(f, state):
+        lap = laplacian(f, bc)
+        w = 1.0 + state.u + state.v
+        return vol * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
+
+    phi = chi.copy()
+    energy = [pair_h1_sq(phi)]
+    weighted, kappas = [], []
+    alpha_eff = min(c.alpha, 0.5 * c.d0)
+    wlap_sum = dt43_sum = 0.0
+    rows = {steps: [steps, steps * dt, math.sqrt(energy[0]), 0.0, 0.0]}
+    stored = {steps: phi.copy()}
+    for m in range(steps, 0, -1):
+        t = (m - 1) * dt
+        state = theta_eps(eps, 0.5 * (traj1.snapshot_at(t) + traj2.snapshot_at(t)))
+        new = step(c, phi, state, bc, dt, rhs)
+        e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
+        kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
+                      if e_old > 0.0 else 0.0)
+        energy.append(e_new)
+        weighted.append(w_new)
+        wlap_sum += dt * w_new
+        dt43_sum += dt * vol * float(np.sum(np.abs((phi.u - new.u) / dt) ** (4.0 / 3.0))
+                                     + np.sum(np.abs((phi.v - new.v) / dt) ** (4.0 / 3.0)))
+        phi = new
+        rows[m - 1] = [m - 1, t, math.sqrt(e_new), wlap_sum, dt43_sum ** 0.75]
+        if (m - 1) % stride == 0:
+            stored[m - 1] = phi.copy()
+
+    kappa = max(kappas)
+    slack = max(e / (math.exp(kappa * i * dt) * energy[0]) - 1.0 for i, e in enumerate(energy))
+    weighted_e2t = dt * alpha_eff * sum(
+        w * math.exp(2.0 * (steps - 1 - i) * dt) for i, w in enumerate(weighted))
+    budget = (1.0 + kappa * (horizon + dt)) * math.exp((kappa + 2.0) * horizon) * energy[0]
+    slack = max(slack, weighted_e2t / budget - 1.0)
+    chi_h1, sup_h1 = math.sqrt(energy[0]), math.sqrt(max(energy))
+    wlap, dt_l43 = dt * float(np.sum(weighted)), dt43_sum ** 0.75
+    report = AdjointBoundsReport(
+        sup_h1=sup_h1, weighted_lap=wlap, dt_l43=dt_l43, chi_h1=chi_h1,
+        kappa_sup=sup_h1 / chi_h1, kappa_weighted_lap=wlap / chi_h1, kappa_dt=dt_l43 / chi_h1,
+        gronwall_kappa=kappa, gronwall_slack=slack, eps=eps, rhs=rhs.value, mode=mode.value)
+    return np.array([rows[n] for n in range(steps + 1)]), dict(sorted(stored.items())), report
+
+
+@pytest.mark.parametrize("mode", [AdjointMode.CONTINUOUS, AdjointMode.TRANSPOSE])
+@pytest.mark.parametrize("dim,n,steps,dt,bc", [
+    (1, 64, 600, 1e-5, NEU),
+    (2, 24, 70, 2e-5, BoundaryCondition.DIRICHLET),
+], ids=["1d-neumann", "2d-dirichlet"])
+def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode):
+    # run_adjoint computes its diagnostics per block of levels and carries the
+    # partial sums across blocks; the per-step computation is the reference.
+    # Strong growth rates make the energy rise, so the kappas are not all zero.
+    c, rhs = dataclasses.replace(CFG_A, a1=200.0, a2=200.0), AdjointRHSKind.GROWTH
+    grid = Grid(dim, 1.0, n)
+    block = max(1, _BLOCK_CELLS // grid.node_count)
+    assert 2 * block < steps < 3 * block  # three blocks, the last one partial
+    coords = grid.meshgrid() if dim == 2 else (grid.centers(),)
+    bump = np.prod([np.sin(np.pi * x) for x in coords], axis=0)
+    wave = np.prod([np.cos(np.pi * x) for x in coords], axis=0)
+    u_pair = tuple(
+        run_forward(ForwardProblem(c, grid, bc, TimeGrid((steps + 20) * dt, dt),
+                                   SchemeKind.IMEX_LAGGED,
+                                   FieldPair(grid, 0.5 + amp * bump, 0.4 + 0.2 * bump),
+                                   stride=stride))
+        for amp, stride in ((1.5, 7), (1.2, 11)))
+    chi = FieldPair(grid, bump + 0.3 * wave, 0.5 * bump - 0.2 * wave)
+    horizon = steps * dt  # shorter than the forward final time
+    traj, report = run_adjoint(c, bc, u_pair, 0.5, rhs, chi, horizon=horizon, mode=mode,
+                               stride=3)
+    ref_rows, ref_stored, ref_report = reference_adjoint(c, bc, u_pair, 0.5, rhs, chi, horizon,
+                                                         mode, stride=3)
+
+    got = np.column_stack([traj.diagnostics[key] for key in ADJOINT_DIAGNOSTIC_COLUMNS])
+    assert got.shape == ref_rows.shape == (steps + 1, len(ADJOINT_DIAGNOSTIC_COLUMNS))
+    scale = np.max(np.abs(ref_rows), axis=0)
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(got - ref_rows) <= 1e-13 * scale)
+    for key, ref in vars(ref_report).items():
+        value = getattr(report, key)
+        if isinstance(ref, str):
+            assert value == ref
+        else:
+            assert abs(value - ref) <= 1e-13 * abs(ref), key
+    assert ref_report.gronwall_kappa > 0.0 and ref_report.weighted_lap > 0.0
+    assert traj.stored_steps == list(ref_stored)
+    for snap, ref in zip(traj.snapshots, ref_stored.values()):
+        assert np.array_equal(snap.u, ref.u) and np.array_equal(snap.v, ref.v)
+
+
+def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
+    calls = []
+    original = sktsim.adjoint.coefficient_state
+
+    def counting(u_pair, eps, step):
+        calls.append(step)
+        return original(u_pair, eps, step)
+
+    # As in `skt adjoint` on heat_1d: 2000 steps over a stride-100 trajectory.
+    monkeypatch.setattr(sktsim.adjoint, "coefficient_state", counting)
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "heat_1d.cfg")
+    traj = run_forward(cfg.forward_problem())
+    assert traj.time_grid.steps == 2000 and traj.stride == 100
+    run_adjoint(cfg.coefficients, cfg.bc, (traj, traj), cfg.eps, cfg.rhs,
+                unit_h1_cosine(traj.grid), stride=cfg.stride)
+    assert len(calls) == 20
+    assert sorted(calls) == [100 * k + 99 for k in range(20)]  # the top step of each level
+
+    # Stride-1 trajectories: one state per step at each refinement level.
+    calls.clear()
+    monkeypatch.setattr(sktsim.experiments, "coefficient_state", counting)
+
+    def initial(g):
+        x = g.centers()
+        return FieldPair(g, 0.5 + 0.3 * np.cos(np.pi * x), 0.4 + 0.2 * np.cos(2 * np.pi * x))
+
+    cfg = UniquenessConfig(coefficients=CFG_A, bc=NEU, dim=1, length=1.0, base_n=8,
+                           t_final=0.01, base_dt=0.01 / 16, initial=initial, levels=2)
+    uniqueness_experiment(cfg)
+    assert sorted(calls) == sorted(list(range(16)) + list(range(32)))
+
+
+def test_run_adjoint_memory_does_not_grow_with_steps():
+    # With no stored levels but the endpoints, the march holds one block of
+    # levels at a time: its peak memory must not grow with the step count.
+    grid = Grid(1, 1.0, 64)
+    dt = 5e-5
+    traj = run_forward(ForwardProblem(heat_limit_coefficients(), grid, NEU,
+                                      TimeGrid(4000 * dt, dt), SchemeKind.EXPLICIT,
+                                      FieldPair(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()),
+                                                np.ones(grid.shape)), stride=10**9))
+    chi = unit_h1_cosine(grid)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_adjoint(heat_limit_coefficients(), NEU, (traj, traj), 0.5,
+                        AdjointRHSKind.IDENTITY, chi, horizon=steps * dt,
+                        mode=AdjointMode.TRANSPOSE, stride=10**9)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(400), peak(4000)
+    assert long - short < 2 ** 20, (short, long)

@@ -317,13 +317,13 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
             coefficients=CFG_A, bc=DIR, dim=2, length=1.0, base_n=8, t_final=0.004,
             base_dt=0.004 / 32, initial=smooth_initial, levels=1, modes=2)
     marches = []
-    march = sktsim.experiments._transpose_march
+    march = sktsim.experiments._march
 
     def recording(*args, **kwargs):
         marches.append(march(*args, **kwargs))
         return marches[-1]
 
-    monkeypatch.setattr(sktsim.experiments, "_transpose_march", recording)
+    monkeypatch.setattr(sktsim.experiments, "_march", recording)
     report = uniqueness_experiment(cfg)
     assert len(marches) == len(report.levels) == cfg.levels
     for k, (level, levels) in enumerate(zip(report.levels, marches)):
@@ -347,19 +347,19 @@ def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatc
     # no per-element run_adjoint.
     adjoint_calls = []
     batch_sizes = []
-    march = sktsim.experiments._transpose_march
+    march = sktsim.experiments._march
 
     def counting_adjoint(*args, **kwargs):
         adjoint_calls.append(args)
         return run_adjoint(*args, **kwargs)
 
-    def counting_march(c, bc, chi, *args):
+    def counting_march(step, c, bc, chi, *args):
         batch_sizes.append(chi.u.shape[0])
-        return march(c, bc, chi, *args)
+        return march(step, c, bc, chi, *args)
 
     monkeypatch.setattr(sktsim.adjoint, "run_adjoint", counting_adjoint)
     monkeypatch.setattr(sktsim.campaigns, "run_adjoint", counting_adjoint)
-    monkeypatch.setattr(sktsim.experiments, "_transpose_march", counting_march)
+    monkeypatch.setattr(sktsim.experiments, "_march", counting_march)
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
     results = run_campaign("uniqueness", cfg, tmp_path)
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]

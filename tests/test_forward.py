@@ -276,6 +276,18 @@ def test_snapshot_stride_and_lookup():
     assert np.array_equal(mid.u, traj.snapshots[1].u)  # floor to step 4
     assert np.array_equal(traj.snapshot_at(0.01).u, traj.final_state().u)
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
+    # The lookup agrees with a search of the stored-times array at every
+    # stored time, half a step to either side of each, and both ends.
+    times = traj.stored_times()
+    dt = traj.time_grid.dt
+    probes = [0.0, traj.time_grid.t_final] + [t + d for t in times for d in (-dt / 2, 0.0, dt / 2)]
+    for t in probes:
+        if not 0.0 <= t <= traj.time_grid.t_final:
+            with pytest.raises(ValueError):
+                traj.snapshot_at(t)
+            continue
+        idx = int(np.searchsorted(times, t + 1e-12 * max(1.0, abs(t)), side="right")) - 1
+        assert traj.snapshot_at(t) is traj.snapshots[max(idx, 0)]
 
 
 def test_manufactured_constant_is_exact():
