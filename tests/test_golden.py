@@ -1,12 +1,14 @@
 """Golden regression of the shipped configurations' diagnostics.
 
-For each config in ``configs/`` the forward march runs as ``skt simulate``
-does and the adjoint march as ``skt adjoint`` does (both forward slots hold
-the same trajectory), in process.  Every 20th row plus the last row of
-``forward_diagnostics`` and ``adjoint_diagnostics`` is compared with a
-frozen copy in ``tests/golden/``, written at commit 25ca1dc.  Each column
-may move by at most 1e-13 of its largest golden |value|; a column that is
-all zero in the golden copy must stay exactly zero.
+For each config in ``configs/``, and for ``cfg_a_1d`` and ``cfg_a_2d`` with
+``bc = dirichlet`` (the shipped configs are all Neumann), the forward march
+runs as ``skt simulate`` does and the adjoint march as ``skt adjoint`` does
+(both forward slots hold the same trajectory), in process.  Every 20th row
+plus the last row of ``forward_diagnostics`` and ``adjoint_diagnostics`` is
+compared with a frozen copy in ``tests/golden/``, written at commit 25ca1dc
+(the Dirichlet rows at 71535cd).  Each column may move by at most 1e-13 of
+its largest golden |value|; a column that is all zero in the golden copy
+must stay exactly zero.
 
 A refactor that keeps the numbers passes unchanged.  To re-freeze after a
 deliberate change of the numerics, run ``python tests/test_golden.py``
@@ -19,18 +21,24 @@ import numpy as np
 import pytest
 
 from sktsim.adjoint import ADJOINT_DIAGNOSTIC_COLUMNS, run_adjoint
-from sktsim.config import parse_config
+from sktsim.config import parse_config_text
 from sktsim.forward import DIAGNOSTIC_COLUMNS, run_forward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NAMES = ("cfg_a_1d", "cfg_a_2d", "heat_1d")
+NAMES = ("cfg_a_1d", "cfg_a_2d", "heat_1d", "cfg_a_1d_dirichlet", "cfg_a_2d_dirichlet")
+_DIRICHLET = "_dirichlet"
 EVERY = 20
 RTOL = 1e-13
 
 
 def _diagnostics(name: str) -> dict[str, dict[str, np.ndarray]]:
-    cfg = parse_config(CONFIGS / f"{name}.cfg")
+    base = name.removesuffix(_DIRICHLET)
+    text = (CONFIGS / f"{base}.cfg").read_text()
+    if name != base:
+        assert text.count("bc = neumann") == 1
+        text = text.replace("bc = neumann", "bc = dirichlet")
+    cfg = parse_config_text(text, source=name)
     traj = run_forward(cfg.forward_problem())
     phi_traj, _ = run_adjoint(cfg.coefficients, cfg.bc, (traj, traj), cfg.eps, cfg.rhs,
                               cfg.terminal_field(), stride=cfg.stride)
