@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from sktsim import linalg
+from sktsim import forward
 from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
 from sktsim.forward import _BLOCK_CELLS, Trajectory
 from sktsim.grid import (
@@ -50,9 +49,7 @@ from sktsim.grid import (
     _lap_stencil,
     block_pattern,
     laplacian,
-    laplacian_matrix,
 )
-from sktsim.linalg import krylov_solve
 
 __all__ = [
     "ADJOINT_DIAGNOSTIC_COLUMNS",
@@ -137,18 +134,6 @@ def _rhs_apply(c: Coefficients, kind: AdjointRHSKind, phi: FieldPair) -> Species
     return SpeciesPair(c.a1 * phi.u, c.a2 * phi.v)
 
 
-def _adjoint_blocks(P: np.ndarray, lap: sp.csr_matrix, dt: float):
-    """(lower, diag, upper) blocks of I - dt P^T Lap in 1D; see
-    :func:`~sktsim.linalg.solve_block_tridiagonal`.
-
-    Block (r, c) of P^T Lap is diag(P[c, r]) Lap; ``P`` is (2, 2, n).
-    """
-    Pt = P.transpose(1, 0, 2)
-    diag = -dt * Pt * lap.diagonal()
-    diag[[0, 1], [0, 1]] += 1.0
-    return -dt * Pt[..., 1:] * lap.diagonal(-1), diag, -dt * Pt[..., :-1] * lap.diagonal(1)
-
-
 def step_adjoint_backward(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPair,
                           bc: BoundaryCondition, dt: float,
                           rhs: AdjointRHSKind) -> FieldPair:
@@ -156,32 +141,22 @@ def step_adjoint_backward(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPai
 
     Solves (I - dt P(u~)^T Lap) phi_new = phi + dt (-Q(u~)^T phi + rhs(phi))
     with the nodewise transposed Jacobian frozen at the supplied truncated
-    state: a banded direct solve in 1D, scipy BiCGStab in 2D, accepted in
-    both only at true relative residual <= 1e-10 (else
-    :class:`~sktsim.linalg.LinearSolveError`).
+    state, on the cached :func:`~sktsim.grid.block_pattern` (see
+    :func:`~sktsim.forward._solve_on_pattern`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if np.any(u_tilde_eps.u < 0.0) or np.any(u_tilde_eps.v < 0.0):
         raise ValueError("truncated coefficient state must be nonnegative")
-    grid = phi.grid
     P = np.reshape(_jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v)), (2, 2, -1))
     qt = _q_transpose_apply(c, u_tilde_eps, phi)
     src = _rhs_apply(c, rhs, phi)
     bu = phi.u + dt * (src.u - qt.u)
     bv = phi.v + dt * (src.v - qt.v)
-    if grid.dim == 1:
-        blocks = _adjoint_blocks(P, laplacian_matrix(grid, bc), dt)
-        u, v = linalg.solve_block_tridiagonal(*blocks, np.array([bu, bv]))
-        return FieldPair(grid, u, v)
-    pattern = block_pattern(grid, bc)
+    pattern = block_pattern(phi.grid, bc)
     data = -dt * P.transpose(1, 0, 2).ravel()[pattern.row] * pattern.lap
     data[pattern.ident] += 1.0
-    b = np.concatenate([bu.ravel(), bv.ravel()])
-    x0 = np.concatenate([phi.u.ravel(), phi.v.ravel()])
-    x = krylov_solve(pattern.matrix(data), b, x0)
-    ncell = grid.node_count
-    return FieldPair(grid, x[:ncell].reshape(grid.shape), x[ncell:].reshape(grid.shape))
+    return forward._solve_on_pattern(pattern, data, bu, bv, phi)
 
 
 def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPair,

@@ -10,6 +10,12 @@ the two spatial operators coincide on any state to machine precision; the
 schemes differ only in their time discretization.  That identity is what
 the uniqueness experiments lean on.
 
+Both implicit operators, the IMEX one here and the continuous-adjoint one
+of :mod:`sktsim.adjoint`, are computed as CSR values on the cached
+:func:`~sktsim.grid.block_pattern` of (grid, bc), in 1D and 2D alike, and
+solved through :func:`_solve_on_pattern`: a banded direct solve in 1D,
+BiCGStab in 2D.
+
 Per-step diagnostics track the quantities whose boundedness characterizes
 solution regularity: masses, extrema, L2/H1/L4 norms, the L2 norms of
 grad p(u) and of the discrete Laplacian of p(u), and the density-weighted
@@ -37,6 +43,7 @@ import scipy.sparse as sp
 from sktsim import linalg
 from sktsim.algebra import Coefficients, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
 from sktsim.grid import (
+    BlockPattern,
     BoundaryCondition,
     FieldPair,
     Grid,
@@ -198,6 +205,22 @@ def _nodal_jacobian(c: Coefficients, state: FieldPair) -> np.ndarray:
     return np.reshape(P, (2, 2, -1))
 
 
+def _divergence_form_data(c: Coefficients, state: FieldPair, pattern: BlockPattern) -> np.ndarray:
+    """Values on ``pattern`` of :func:`divergence_form_matrix`."""
+    nodal = _nodal_jacobian(c, state).ravel()
+    inv_h2 = 1.0 / state.grid.h ** 2
+    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
+    # Each diagonal entry balances its row of the block (zero row sums) ...
+    data[pattern.node_diag] = 0.0
+    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
+    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
+    # ... except at a Dirichlet wall: the ghost state is the negated interior
+    # state, so the face coefficient averages to diag(d1, d2) and the
+    # across-face jump is 2 w_wall.
+    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
+    return data
+
+
 def divergence_form_matrix(c: Coefficients, state: FieldPair,
                            bc: BoundaryCondition) -> sp.csr_matrix:
     """Sparse 2N x 2N matrix of w -> div(P(state) grad w) with face-averaged P.
@@ -208,66 +231,44 @@ def divergence_form_matrix(c: Coefficients, state: FieldPair,
     average equals the midpoint evaluation and flux differences of the
     quadratic map are reproduced exactly.
     """
-    grid = state.grid
-    pattern = block_pattern(grid, bc)
-    nodal = _nodal_jacobian(c, state).ravel()
-    inv_h2 = 1.0 / grid.h ** 2
-    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
-    # Each diagonal entry balances its row of the block (zero row sums) ...
-    data[pattern.node_diag] = 0.0
-    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
-    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
-    # ... except at a Dirichlet wall: the ghost state is the negated interior
-    # state, so the face coefficient averages to diag(d1, d2) and the
-    # across-face jump is 2 w_wall.
-    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
-    return pattern.matrix(data)
+    pattern = block_pattern(state.grid, bc)
+    return pattern.matrix(_divergence_form_data(c, state, pattern))
 
 
-def _imex_blocks(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float):
-    """(lower, diag, upper) blocks of I - dt div(P grad .) in 1D; see
-    :func:`~sktsim.linalg.solve_block_tridiagonal`."""
-    nodal = _nodal_jacobian(c, state)
-    inv_h2 = 1.0 / state.grid.h ** 2
-    face = 0.5 * inv_h2 * (nodal[..., :-1] + nodal[..., 1:])
-    diag = np.zeros_like(nodal)
-    diag[..., :-1] -= face
-    diag[..., 1:] -= face
-    if bc is BoundaryCondition.DIRICHLET:
-        for r, d in enumerate((c.d1, c.d2)):
-            diag[r, r, [0, -1]] -= 2.0 * d * inv_h2
-    diag *= -dt
-    diag[[0, 1], [0, 1]] += 1.0
-    return -dt * face, diag, -dt * face
+def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, bu: np.ndarray, bv: np.ndarray,
+                      guess: FieldPair) -> FieldPair:
+    """Solve the implicit system with values ``data`` on ``pattern`` for the
+    right-hand side (bu, bv): a banded direct solve in 1D, BiCGStab from
+    ``guess`` in 2D, accepted in both only at true relative residual
+    <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`)."""
+    grid = guess.grid
+    b = np.concatenate([bu.ravel(), bv.ravel()])
+    if grid.dim == 1:
+        x = linalg.solve_band(pattern, data, b)
+    else:
+        x = krylov_solve(pattern.matrix(data), b, np.concatenate([guess.u.ravel(), guess.v.ravel()]))
+    ncell = grid.node_count
+    return FieldPair(grid, x[:ncell].reshape(grid.shape), x[ncell:].reshape(grid.shape))
 
 
 def step_imex(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float,
               forcing: FieldPair | None = None) -> FieldPair:
     """One semi-implicit step: implicit lagged-coefficient diffusion, explicit reactions.
 
-    Solves (I - dt L_n) w = state + dt (l - q + forcing): a banded direct
-    solve in 1D, scipy BiCGStab in 2D, accepted in both only at true relative
-    residual <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`);
-    accuracy O(dt).
+    Solves (I - dt L_n) w = state + dt (l - q + forcing) on the cached
+    :func:`block_pattern` (see :func:`_solve_on_pattern`); accuracy O(dt).
     """
-    grid = state.grid
     rhs = _reaction_rhs(c, state)
     bu = state.u + dt * rhs.u
     bv = state.v + dt * rhs.v
     if forcing is not None:
         bu = bu + dt * forcing.u
         bv = bv + dt * forcing.v
-    if grid.dim == 1:
-        u, v = linalg.solve_block_tridiagonal(*_imex_blocks(c, state, bc, dt), np.array([bu, bv]))
-        return FieldPair(grid, u, v)
-    A = divergence_form_matrix(c, state, bc)
-    A.data *= -dt
-    A.data[block_pattern(grid, bc).ident] += 1.0
-    b = np.concatenate([bu.ravel(), bv.ravel()])
-    x0 = np.concatenate([state.u.ravel(), state.v.ravel()])
-    x = krylov_solve(A, b, x0)
-    ncell = grid.node_count
-    return FieldPair(grid, x[:ncell].reshape(grid.shape), x[ncell:].reshape(grid.shape))
+    pattern = block_pattern(state.grid, bc)
+    data = _divergence_form_data(c, state, pattern)
+    data *= -dt
+    data[pattern.ident] += 1.0
+    return _solve_on_pattern(pattern, data, bu, bv, state)
 
 
 @dataclass

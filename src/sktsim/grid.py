@@ -265,7 +265,11 @@ class BlockPattern:
     (2r + c) N + i and (2r + c) N + j, and ``lap`` is Lap[i, j].  ``ident``
     indexes the main-diagonal entries in row order, ``node_diag`` the entries
     with i == j.  ``walls`` counts each node's Dirichlet wall faces (zero under
-    Neumann).  The arrays are read-only and shared by every matrix built.
+    Neumann).  In 1D, ``band`` is the entry's flat position
+    (3 + 2 (i - j) + r - c) 2N + 2j + c in LAPACK (3, 3) band storage, shape
+    (7, 2N), of the interleaved unknowns [u0, v0, u1, v1, ...]; it is empty
+    in 2D, where the operator has no such band.  The arrays are read-only and
+    shared by every matrix built.
     """
 
     indices: np.ndarray
@@ -276,6 +280,7 @@ class BlockPattern:
     ident: np.ndarray
     node_diag: np.ndarray
     walls: np.ndarray
+    band: np.ndarray
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         size = self.indptr.size - 1
@@ -297,11 +302,13 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
     i = np.repeat(np.arange(ncell), degree + 1)[slot]
     j = lap.indices[slot]
     walls = 2 * grid.dim - degree if bc is BoundaryCondition.DIRICHLET else np.zeros_like(degree)
+    band = ((3 + 2 * (i - j) + block // 2 - block % 2) * 2 * ncell + 2 * j + block % 2
+            if grid.dim == 1 else np.empty(0, int))
     arrays = dict(indices=stacked.indices.astype(np.int32), indptr=stacked.indptr.astype(np.int32),
                   row=(block * ncell + i).astype(np.int32), col=(block * ncell + j).astype(np.int32),
                   lap=lap.data[slot],
                   ident=np.flatnonzero((i == j) & (block % 3 == 0)),
-                  node_diag=np.flatnonzero(i == j), walls=walls.astype(float))
+                  node_diag=np.flatnonzero(i == j), walls=walls.astype(float), band=band)
     for arr in arrays.values():
         arr.flags.writeable = False
     return BlockPattern(**arrays)

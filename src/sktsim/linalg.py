@@ -1,6 +1,11 @@
-"""Linear solves of the implicit steppers: banded direct in 1D, scipy BiCGStab
-in 2D.  A solution is accepted only at true residual ||b - A x|| <= RTOL ||b||,
-with norms that do not overflow.
+"""Linear solves of the implicit steppers.
+
+Every implicit operator is given by its CSR values on the fixed
+:func:`~sktsim.grid.block_pattern` of its grid and boundary rule.  In 1D
+those values are scattered into LAPACK band storage for a banded direct
+solve; in 2D the CSR matrix goes to scipy's BiCGStab.  A solution is
+accepted only at true residual ||b - A x|| <= RTOL ||b||, with norms that
+do not overflow.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgbmv
 
-from sktsim.grid import NumericalFailure
+from sktsim.grid import BlockPattern, NumericalFailure
 
-__all__ = ["RTOL", "LinearSolveError", "krylov_solve", "solve_block_tridiagonal"]
+__all__ = ["RTOL", "LinearSolveError", "krylov_solve", "solve_band"]
 
 RTOL = 1e-10
 
@@ -40,40 +45,27 @@ def _check_residual(residual: np.ndarray, b_norm: float, method: str) -> None:
                                f"{RTOL:g} * ||b|| = {RTOL * b_norm:.3e}")
 
 
-def _interleaved_band(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """LAPACK (3, 3) band storage, shape (7, 2n), of the operator of
-    :func:`solve_block_tridiagonal`: A[2i + r, 2j + c] sits at
-    ``ab[3 + 2 (i - j) + r - c, 2j + c]``."""
-    ab = np.zeros((7, 2 * diag.shape[-1]))
-    for r in range(2):
-        for c in range(2):
-            ab[3 + r - c, c::2] = diag[r, c]
-            ab[1 + r - c, 2 + c::2] = upper[r, c]
-            ab[5 + r - c, c:-2:2] = lower[r, c]
-    return ab
+def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Direct solve of a 1D two-species operator given by its values ``data``
+    on ``pattern`` (a 1D :func:`~sktsim.grid.block_pattern`).
 
-
-def solve_block_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                            b: np.ndarray) -> np.ndarray:
-    """Direct solve of a two-species operator with nearest-neighbour coupling.
-
-    ``diag[r, c]`` (length n) couples species r to species c at one node;
-    ``upper[r, c]`` / ``lower[r, c]`` (length n - 1) couple node i to node
-    i + 1 / node i + 1 to node i.  ``b`` and the result have shape (2, n).
-    Interleaving the unknowns as [u0, v0, u1, v1, ...] makes the operator
-    banded with bandwidth 3.  A zero ``b`` returns zeros without a solve.
+    ``b`` and the result are stacked [u; v].  Interleaving the unknowns as
+    [u0, v0, u1, v1, ...] makes the operator banded with bandwidth 3;
+    ``pattern.band`` scatters ``data`` into that band.  A zero ``b`` returns
+    zeros without a solve.
     """
-    rhs = b.T.ravel()
+    rhs = b.reshape(2, -1).T.ravel()
     b_norm = _rhs_norm(rhs, "banded solve")
     if b_norm == 0.0:
         return np.zeros_like(b)
-    ab = _interleaved_band(lower, diag, upper)
+    ab = np.zeros((7, rhs.size))
+    ab.flat[pattern.band] = data
     try:
         x = scipy.linalg.solve_banded((3, 3), ab, rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"banded solve: {exc}") from None
     _check_residual(rhs - dgbmv(rhs.size, rhs.size, 3, 3, 1.0, ab, x), b_norm, "banded solve")
-    return x.reshape(-1, 2).T.copy()
+    return x.reshape(-1, 2).T.ravel()
 
 
 def krylov_solve(A, b: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each implicit step is compared against reference matrices built here the
 slow, obvious way: the IMEX operator from per-face COO triplets, the
 continuous adjoint operator from ``sp.diags @ lap`` blocks and ``sp.bmat``.
-The operator a step hands to its solver is captured by wrapping the solver.
+The operator a step hands to its solver is captured by wrapping the one
+solve path both steps share, ``forward._solve_on_pattern``.
 """
 
 import numpy as np
@@ -16,13 +17,15 @@ import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
 from sktsim.algebra import CFG_A, SpeciesPair, jac_P
 from sktsim.forward import divergence_form_matrix, step_imex
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, laplacian_matrix
-from sktsim.linalg import (
-    LinearSolveError,
-    _interleaved_band,
-    krylov_solve,
-    solve_block_tridiagonal,
+from sktsim.grid import (
+    BoundaryCondition,
+    FieldPair,
+    Grid,
+    NumericalFailure,
+    block_pattern,
+    laplacian_matrix,
 )
+from sktsim.linalg import LinearSolveError, krylov_solve, solve_band
 from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
@@ -77,36 +80,19 @@ def reference_adjoint(c, state, bc, dt):
     return np.eye(2 * state.grid.node_count) - dt * sp.bmat(blocks).toarray()
 
 
-def band_to_stacked(ab):
-    """Dense matrix of LAPACK (3, 3) band storage on interleaved unknowns,
-    permuted to stacked [u; v] order."""
-    m = ab.shape[1]
-    dense = np.zeros((m, m))
-    for k in range(7):
-        j = np.arange(max(0, 3 - k), min(m, m + 3 - k))
-        dense[j + k - 3, j] = ab[k, j]
-    order = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
-    return dense[np.ix_(order, order)]
-
-
 @pytest.fixture
 def captured(monkeypatch):
-    """Record (operator in stacked order, b in stacked order, x) of every solve."""
+    """Record (operator, b, x), all in stacked [u; v] order, of every implicit solve."""
     calls = []
+    solve = sktsim.forward._solve_on_pattern
 
-    def banded(lower, diag, upper, b):
-        x = solve_block_tridiagonal(lower, diag, upper, b)
-        calls.append((band_to_stacked(_interleaved_band(lower, diag, upper)), b.ravel(), x.ravel()))
+    def recording(pattern, data, bu, bv, guess):
+        x = solve(pattern, data, bu, bv, guess)
+        calls.append((pattern.matrix(data).toarray(), np.concatenate([bu.ravel(), bv.ravel()]),
+                      np.concatenate([x.u.ravel(), x.v.ravel()])))
         return x
 
-    def krylov(A, b, x0):
-        x = krylov_solve(A, b, x0)
-        calls.append((A.toarray(), b, x))
-        return x
-
-    monkeypatch.setattr(sktsim.linalg, "solve_block_tridiagonal", banded)
-    monkeypatch.setattr(sktsim.forward, "krylov_solve", krylov)
-    monkeypatch.setattr(sktsim.adjoint, "krylov_solve", krylov)
+    monkeypatch.setattr(sktsim.forward, "_solve_on_pattern", recording)
     return calls
 
 
@@ -125,7 +111,6 @@ def test_divergence_form_matrix_matches_reference(dim, n, bc):
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_imex_operator_matches_reference(captured, dim, n, bc):
-    # 1D: the band, expanded and permuted; 2D: the fixed-pattern CSR matrix.
     state = bump_state(Grid(dim, 1.0, n))
     step_imex(CFG_A, state, bc, DT)
     (A, _, _), = captured
@@ -144,38 +129,51 @@ def test_adjoint_operator_matches_reference(captured, dim, n, bc):
     assert rel_diff(A, reference_adjoint(CFG_A, state, bc, DT)) <= 1e-13
 
 
+def steps_solve_reference_operators(calls, state, bc):
+    """Both 1D steps' solutions meet the residual bound on the reference operators."""
+    step_imex(CFG_A, state, bc, DT)
+    step_adjoint_backward(CFG_A, state, state, bc, DT, AdjointRHSKind.GROWTH)
+    size = 2 * state.grid.node_count
+    references = (np.eye(size) - DT * reference_divergence_form(CFG_A, state, bc),
+                  reference_adjoint(CFG_A, state, bc, DT))
+    assert len(calls) == 2
+    for (_, b, x), A in zip(calls, references):
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_1d_steps_solve_reference_operators(captured, bc):
+    # The captured operator is the CSR matrix of the values; only the solution
+    # shows whether the band scatter put every value in its place.
+    steps_solve_reference_operators(captured, bump_state(Grid(1, 1.0, 32)), bc)
+
+
 def test_fine_1d_steps_solve_to_residual(captured):
     # n = 1024 with dt = 1e-3 (dt/h^2 ~ 1e3) defeated the unpreconditioned
     # Krylov solver; the banded direct solve must meet the residual bound.
-    grid = Grid(1, 1.0, 1024)
-    state = bump_state(grid)
-    step_imex(CFG_A, state, NEU, DT)
-    step_adjoint_backward(CFG_A, state, state, NEU, DT, AdjointRHSKind.GROWTH)
-    references = (np.eye(2048) - DT * reference_divergence_form(CFG_A, state, NEU),
-                  reference_adjoint(CFG_A, state, NEU, DT))
-    assert len(captured) == 2
-    for (_, b, x), A in zip(captured, references):
-        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    steps_solve_reference_operators(captured, bump_state(Grid(1, 1.0, 1024)), NEU)
 
 
 def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
     n = 6
-    diag = np.zeros((2, 2, n))
-    diag[0, 0] = diag[1, 1] = 1.0
-    off = np.zeros((2, 2, n - 1))
-    b = np.arange(1.0, 2 * n + 1).reshape(2, n)
-    assert np.array_equal(solve_block_tridiagonal(off, diag, off, b), b)
-    assert np.array_equal(solve_block_tridiagonal(off, diag, off, np.zeros((2, n))), np.zeros((2, n)))
+    pattern = block_pattern(Grid(1, 1.0, n), NEU)
+    identity = np.zeros(pattern.row.size)
+    identity[pattern.ident] = 1.0
+    b = np.arange(1.0, 2 * n + 1)
+    assert np.array_equal(solve_band(pattern, identity, b), b)
+    # A zero b returns before any solve: the all-zero operator is not factored.
+    assert np.array_equal(solve_band(pattern, np.zeros(pattern.row.size), np.zeros(2 * n)),
+                          np.zeros(2 * n))
     with pytest.raises(LinearSolveError, match="non-finite"):
-        solve_block_tridiagonal(off, diag, off, np.full((2, n), np.inf))
-    singular = diag.copy()
-    singular[1, 1, 2] = 0.0
+        solve_band(pattern, identity, np.full(2 * n, np.inf))
+    singular = identity.copy()
+    singular[pattern.ident[n + 2]] = 0.0
     with pytest.raises(LinearSolveError, match="singular"):
-        solve_block_tridiagonal(off, singular, off, b)
+        solve_band(pattern, singular, b)
     # A subnormal pivot is not singular, but the solution overflows.
-    diag[0, 0, 0] = 1e-310
+    identity[pattern.ident[0]] = 1e-310
     with pytest.raises(LinearSolveError, match="residual nan"):
-        solve_block_tridiagonal(off, diag, off, b)
+        solve_band(pattern, identity, b)
 
 
 def test_krylov_solve_is_scale_invariant_and_rejects_overflow():
