@@ -37,7 +37,7 @@ import numpy as np
 
 from sktsim import forward
 from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
-from sktsim.forward import _BLOCK_CELLS, Trajectory
+from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory, stability_bound
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -165,7 +165,14 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
     """One explicit backward step, the exact transpose of the linearized
     explicit forward difference update (diffusion, reaction, and source all
     taken at the known level).  ``phi`` may carry batch axes; the
-    coefficient state is a single field and broadcasts over them."""
+    coefficient state is a single field and broadcasts over them.
+
+    Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
+    the stability bound of the coefficient state.
+    """
+    bound = stability_bound(c, u_tilde_eps)
+    if dt > bound:
+        raise StabilityError(dt, bound)
     lap = laplacian(phi, bc)
     P = _jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
     qt = _q_transpose_apply(c, u_tilde_eps, phi)
@@ -349,24 +356,18 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     weighted_lap = dt * float(np.sum(weighted))
     dt_l43 = dt43_partial[0] ** 0.75
 
-    slack = -math.inf
-    e_terminal = energy[0]
-    for idx, e_val in enumerate(energy):
-        bound = math.exp(kappa_run * idx * dt) * e_terminal
-        if bound > 0.0:
-            slack = max(slack, e_val / bound - 1.0)
-        elif e_val > 0.0:
-            slack = max(slack, math.inf)
-    # exp(2t)-weighted telescoped budget for the weighted-Laplacian term
+    # The telescoped consequences E_n <= e^{kappa t_n} E_T and the e^{2t}-weighted
+    # budget for the weighted-Laplacian term, compared in logarithms so that a
+    # large kappa t cannot overflow: each slack term is
+    # expm1(log lhs - log E_T - log factor), and the budget's e^{2t} weights
+    # are scaled by e^{-2 tau}.  With E_T = 0 a zero lhs gives nan, which fmax
+    # skips, and a positive one gives inf; 0 is the E_T term's own value.
     weighted_e2t = dt * alpha_eff * sum(
-        w * math.exp(2.0 * (steps - 1 - i) * dt) for i, w in enumerate(weighted))
-    budget = (1.0 + kappa_run * (tau + dt)) * math.exp((kappa_run + 2.0) * tau) * e_terminal
-    if budget > 0.0:
-        slack = max(slack, weighted_e2t / budget - 1.0)
-    elif weighted_e2t > 0.0:
-        slack = max(slack, math.inf)
-    if slack == -math.inf:
-        slack = 0.0
+        w * math.exp(2.0 * ((steps - 1 - i) * dt - tau)) for i, w in enumerate(weighted))
+    log_lhs = np.log(np.append(energy, weighted_e2t))
+    log_factor = np.append(kappa_run * np.arange(steps + 1.0) * dt,
+                           math.log1p(kappa_run * (tau + dt)) + kappa_run * tau)
+    slack = float(np.fmax.reduce(np.expm1(log_lhs - log_lhs[0] - log_factor), initial=0.0))
 
     def ratio(x: float) -> float:
         return x / chi_h1 if chi_h1 > 0.0 else 0.0

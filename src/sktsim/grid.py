@@ -414,15 +414,23 @@ def write_field(path: str | Path, f: FieldPair) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_field(path: str | Path) -> FieldPair:
-    """Read a snapshot written by :func:`write_field` (bit-exact round trip)."""
+def read_field(path: str | Path, grid: Grid) -> FieldPair:
+    """Read a snapshot written by :func:`write_field` as a field on ``grid``
+    (bit-exact round trip).
+
+    The header must describe ``grid``: d and N exactly, h to 4 ulps, since a
+    snapshot stores h rather than the length and h * N need not round back
+    to it.  A mismatch or a malformed file raises ValueError.
+    """
     text = Path(path).read_text().strip().split("\n")
     header = text[0]
     if not header.startswith(_FIELD_HEADER):
         raise ValueError(f"not a field snapshot: header {header!r}")
     fields = dict(item.strip().split("=") for item in header.split(",")[1:])
     dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
-    grid = Grid(dim=dim, length=h * n, n=n)
+    if dim != grid.dim or n != grid.n or not abs(h - grid.h) <= 4.0 * np.spacing(grid.h):
+        raise ValueError(f"{path}: stored d={dim}, N={n}, h={h:.17g} do not match the configured "
+                         f"grid (h {grid.h:.17g}, d {grid.dim}, N {grid.n})")
     values = np.array(" ".join(text[1:]).split(), dtype=float)
     count = grid.node_count
     if values.size != 2 * count:

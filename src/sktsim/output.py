@@ -14,7 +14,7 @@ import numpy as np
 from sktsim.adjoint import ADJOINT_DIAGNOSTIC_COLUMNS, AdjointBoundsReport, AdjointTrajectory
 from sktsim.config import RunConfig
 from sktsim.forward import DIAGNOSTIC_COLUMNS, Trajectory
-from sktsim.grid import FieldPair, read_field, write_field
+from sktsim.grid import read_field, write_field
 
 __all__ = [
     "load_forward_trajectory",
@@ -55,9 +55,9 @@ def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
 def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     """Rebuild a trajectory from stored snapshots, or None when absent.
 
-    The snapshots must match the configuration's grid (dim, n, and h to a
-    few ulps) and cover the full time range; mismatches raise rather than
-    silently recompute.  The returned snapshots live on ``cfg.grid()``.
+    The snapshots must match the configuration's grid (see
+    :func:`~sktsim.grid.read_field`) and cover the full time range;
+    mismatches raise rather than silently recompute.
     """
     snap_dir = out_dir / "forward"
     if not snap_dir.is_dir():
@@ -66,17 +66,8 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     if not files:
         return None
     steps = [int(f.stem.split("_")[1]) for f in files]
-    snapshots = [read_field(f) for f in files]
     grid = cfg.grid()
-    for snap in snapshots:
-        if snap.grid.dim != grid.dim or snap.grid.n != grid.n:
-            raise ValueError(f"stored snapshots in {snap_dir} do not match the "
-                             f"configured grid (dim {grid.dim}, n {grid.n})")
-        # A snapshot stores h, not the length; h * n need not round back to it.
-        if abs(snap.grid.h - grid.h) > 4.0 * np.spacing(grid.h):
-            raise ValueError(f"stored snapshots in {snap_dir} do not match the "
-                             f"configured grid (h {snap.grid.h:.17g}, want {grid.h:.17g})")
-    snapshots = [FieldPair(grid, snap.u, snap.v) for snap in snapshots]
+    snapshots = [read_field(f, grid) for f in files]
     tg = cfg.time_grid()
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")

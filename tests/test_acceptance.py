@@ -148,7 +148,7 @@ def test_criterion_8_infrastructure(tmp_path):
                       rng.standard_normal(grid.shape) * 1e-7)
         path = tmp_path / f"snap{dim}.field"
         write_field(path, f)
-        g = read_field(path)
+        g = read_field(path, grid)
         roundtrip_ok &= np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
 
     elapsed = time.perf_counter() - t0

@@ -28,7 +28,14 @@ from sktsim.algebra import CFG_A, Coefficients, SpeciesPair
 from sktsim.campaigns import run_campaign
 from sktsim.config import parse_config
 from sktsim.experiments import UniquenessConfig, uniqueness_experiment
-from sktsim.forward import _BLOCK_CELLS, ForwardProblem, SchemeKind, TimeGrid, run_forward
+from sktsim.forward import (
+    _BLOCK_CELLS,
+    ForwardProblem,
+    SchemeKind,
+    StabilityError,
+    TimeGrid,
+    run_forward,
+)
 from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, component_h1, laplacian
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
@@ -93,11 +100,20 @@ def zero_trajectory(n=16, T=0.5, dt=0.0125):
 def test_frozen_exponential_oracle(mode):
     # With zero coefficient data the system is a pure ODE: phi(0) = c e^T.
     T, dt, c_val = 0.5, 0.0125, 2.0
-    traj = zero_trajectory(T=T, dt=dt)
-    chi = FieldPair.constant(traj.grid, c_val, c_val)
-    phi_traj, report = run_adjoint(heat_limit_coefficients(), NEU, (traj, traj),
-                                   eps=1.0, rhs=AdjointRHSKind.IDENTITY, chi=chi,
-                                   mode=mode)
+
+    def run(dt):
+        traj = zero_trajectory(T=T, dt=dt)
+        chi = FieldPair.constant(traj.grid, c_val, c_val)
+        return run_adjoint(heat_limit_coefficients(), NEU, (traj, traj),
+                           eps=1.0, rhs=AdjointRHSKind.IDENTITY, chi=chi, mode=mode)
+
+    if mode is AdjointMode.TRANSPOSE:
+        # The explicit transpose step's bound is h^2 / 2 = 1/512 at n = 16:
+        # dt = 0.0125 exceeds it 6.4-fold, whatever the terminal data.
+        with pytest.raises(StabilityError):
+            run(dt)
+        dt = 0.00125
+    phi_traj, report = run(dt)
     target = c_val * math.exp(T)
     err = np.max(np.abs(phi_traj.initial_state().u - target))
     assert err <= 3.0 * dt * math.exp(T)
@@ -123,6 +139,7 @@ def test_zero_terminal_data_gives_zero_adjoint():
     assert all(np.all(s.u == 0.0) and np.all(s.v == 0.0) for s in phi_traj.snapshots)
     assert report.sup_h1 == report.weighted_lap == report.dt_l43 == 0.0
     assert report.kappa_sup == 0.0
+    assert report.gronwall_slack == 0.0
 
 
 def test_step_adjoint_backward_validates_inputs():
@@ -238,16 +255,75 @@ def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
     # Growth rate 1e200 takes phi from 1e-60 to 1e138 on the first backward
     # step and past the float range on the second.
     grid = Grid(1, 1.0, 8)
-    problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(0.1, 0.01),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
-    traj = run_forward(problem)
     growth = Coefficients(0, 0, 0, 0, a1=1e200, a2=1e200, d1=1.0, d2=1.0)
-    with pytest.raises(NumericalFailure) as err:
-        run_adjoint(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
-                    FieldPair.constant(grid, 1e-60, 1e-60), mode=mode)
-    assert err.value.step == 8
-    assert err.value.t == pytest.approx(0.08)
-    assert str(err.value).startswith("step 8 (t=0.08): ")
+
+    def failure(T, dt):
+        problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
+                                 SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+        traj = run_forward(problem)
+        with pytest.raises(NumericalFailure) as err:
+            run_adjoint(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
+                        FieldPair.constant(grid, 1e-60, 1e-60), mode=mode)
+        return err.value
+
+    T, dt, prefix = 0.1, 0.01, "step 8 (t=0.08): "
+    if mode is AdjointMode.TRANSPOSE:
+        # dt = 0.01 exceeds the explicit transpose step's bound h^2 / 2 = 1/128,
+        # so the first backward step refuses.
+        exc = failure(T, dt)
+        assert isinstance(exc, StabilityError)
+        assert exc.step == 9
+        T, dt, prefix = 0.05, 0.005, "step 8 (t=0.04): "
+    exc = failure(T, dt)
+    assert exc.step == 8
+    assert exc.t == pytest.approx(8 * dt)
+    assert str(exc).startswith(prefix)
+
+
+def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
+    # Strong growth drives the IMEX forward data up until the averaged
+    # coefficient state's explicit bound is 2.35 times below dt.  The
+    # continuous adjoint is implicit and marches; the transpose step must
+    # refuse with the bound and the step instead of overflowing.
+    bc = BoundaryCondition.DIRICHLET
+    c = dataclasses.replace(CFG_A, a1=40.0, a2=40.0)
+    grid = Grid(2, 1.0, 24)
+    x, y = grid.meshgrid()
+    bump = np.sin(np.pi * x) * np.sin(np.pi * y)
+    u_pair = tuple(run_forward(ForwardProblem(c, grid, bc, TimeGrid(70e-4, 1e-4),
+                                              SchemeKind.IMEX_LAGGED,
+                                              FieldPair(grid, 5.0 * bump + 0.5, 5.0 * bump + 0.5),
+                                              stride=stride))
+                   for stride in (7, 11))
+    chi = FieldPair(grid, bump, bump)
+    _, report = run_adjoint(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi)
+    assert report.gronwall_kappa == 0.0
+    with pytest.raises(StabilityError) as err:
+        run_adjoint(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi, mode=AdjointMode.TRANSPOSE)
+    assert 1e-4 / err.value.bound == pytest.approx(2.35, abs=0.01)
+    assert str(err.value).startswith("step 69 (t=0.0069): ")
+
+
+def test_gronwall_slack_does_not_overflow_on_a_stable_march():
+    # Growth rate 1000 over T = 0.5 gives kappa T > 709, past exp's range,
+    # while phi itself grows from 1e-100 to about 1e117 and stays finite.
+    c = dataclasses.replace(heat_limit_coefficients(), a1=1000.0, a2=1000.0)
+    grid = Grid(1, 1.0, 16)
+    traj = run_forward(ForwardProblem(c, grid, NEU, TimeGrid(0.5, 1e-3),
+                                      SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid)))
+    _, report = run_adjoint(c, NEU, (traj, traj), 0.5, AdjointRHSKind.GROWTH,
+                            FieldPair.constant(grid, 1e-100, 1e-100))
+    assert report.gronwall_kappa * 0.5 > 709.8
+    assert 0.0 <= report.gronwall_slack <= 1e-8
+    # A horizon past 355 overflows the budget's e^{2t} weights alone.
+    grid = Grid(1, 1.0, 8)
+    traj = run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(400.0, 1.0),
+                                      SchemeKind.IMEX_LAGGED, FieldPair.constant(grid, 0.5, 0.5),
+                                      stride=50))
+    chi = FieldPair(grid, np.cos(np.pi * grid.centers()), np.zeros(grid.shape))
+    _, report = run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi)
+    assert report.weighted_lap > 0.0
+    assert 0.0 <= report.gronwall_slack <= 1e-8
 
 
 def test_run_adjoint_horizon_shorter_than_final_time():

@@ -165,8 +165,9 @@ def test_cli_simulate_writes_outputs_and_is_deterministic(tmp_path):
     for pa, pb in zip(snaps_a, snaps_b):
         assert pa.read_bytes() == pb.read_bytes()
     # snapshots re-parse to bit-identical values
-    snap = read_field(snaps_a[0])
-    again = read_field(snaps_a[0])
+    grid = parse_config(path).grid()
+    snap = read_field(snaps_a[0], grid)
+    again = read_field(snaps_a[0], grid)
     assert np.array_equal(snap.u, again.u)
 
 

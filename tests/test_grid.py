@@ -224,7 +224,7 @@ def test_field_snapshot_roundtrip_bit_exact(tmp_path):
         f = random_pair(grid, 100 + dim)
         path = tmp_path / f"snap{dim}.field"
         write_field(path, f)
-        g = read_field(path)
+        g = read_field(path, grid)
         assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
         assert g.grid.dim == dim and g.grid.n == n and g.grid.h == grid.h
 
@@ -233,7 +233,22 @@ def test_read_field_rejects_malformed(tmp_path):
     path = tmp_path / "bad.field"
     path.write_text("not a snapshot\n1 2 3\n")
     with pytest.raises(ValueError):
-        read_field(path)
+        read_field(path, Grid(1, 1.0, 3))
+
+
+def test_read_field_round_trips_a_grid_whose_h_times_n_misses_the_length(tmp_path):
+    # 49 * fl(1/49) != 1.0: a grid rebuilt from the stored h would differ.
+    grid = Grid(1, 1.0, 49)
+    assert grid.h * grid.n != grid.length
+    f = random_pair(grid, 49)
+    path = tmp_path / "snap49.field"
+    write_field(path, f)
+    g = read_field(path, grid)
+    assert g.grid == grid
+    assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
+    for other in (Grid(1, 1.5, 49), Grid(1, 1.0, 48), Grid(2, 1.0, 49)):
+        with pytest.raises(ValueError, match="do not match the configured grid"):
+            read_field(path, other)
 
 
 def test_lp_norm_matches_manual():
