@@ -37,7 +37,7 @@ import numpy as np
 
 from sktsim import forward
 from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
-from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory, stability_bound
+from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -170,11 +170,11 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
     """
-    bound = stability_bound(c, u_tilde_eps)
+    P = _jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
+    bound = forward._jacobian_stability_bound(P, u_tilde_eps.grid)
     if dt > bound:
         raise StabilityError(dt, bound)
     lap = laplacian(phi, bc)
-    P = _jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
     qt = _q_transpose_apply(c, u_tilde_eps, phi)
     src = _rhs_apply(c, rhs, phi)
     return FieldPair(phi.grid,

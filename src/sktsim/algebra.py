@@ -61,9 +61,6 @@ class Matrix2(NamedTuple):
         return SpeciesPair(self.m11 * s.u + self.m12 * s.v,
                            self.m21 * s.u + self.m22 * s.v)
 
-    def transpose(self) -> "Matrix2":
-        return Matrix2(self.m11, self.m21, self.m12, self.m22)
-
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -269,30 +266,17 @@ def _ray_infimum(c: Coefficients, n_scan: int = 65537) -> float:
     return float(lam.min()) - 0.5 * lip * gap
 
 
-def _certification_samples(c: Coefficients, sample_budget: int, s_max: float):
-    """Deterministic low-discrepancy (state, direction) samples.
+def max_alpha(c: Coefficients) -> float:
+    """Largest positivity margin alpha that the ray infimum certifies.
 
-    States follow a Kronecker lattice over [0, s_max]^2; directions sweep
-    the unit circle at the golden angle.
-    """
-    k = np.arange(1, sample_budget + 1, dtype=float)
-    phi2_x, phi2_y = 0.7548776662466927, 0.5698402909980532  # plastic-number lattice
-    su = s_max * ((k * phi2_x) % 1.0)
-    sv = s_max * ((k * phi2_y) % 1.0)
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    theta = golden * k
-    return su, sv, np.cos(theta), np.sin(theta)
-
-
-def max_alpha(c: Coefficients, sample_budget: int = 4096, s_max: float = 100.0) -> float:
-    """Largest margin alpha certified over a deterministic sample sweep.
-
-    Bisects alpha to relative width 1e-6 against the sampled minimum of
-    ``quad_form_margin`` on ``sample_budget`` state/direction pairs, then
-    clamps by the scanned infimum over density rays (the binding regime as
-    u + v grows).  The result is a certified-by-sampling lower estimate:
-    margins evaluated at fresh samples stay nonnegative.  Deterministic for
-    fixed budget.  Requires the strict coefficient condition.
+    P = diag(d1, d2) + A(s) with A linear in s, so (P(s) xi) . xi >=
+    d0 |xi|^2 + alpha (u + v) |xi|^2 holds for every physical state and
+    direction exactly when alpha <= lambda_min(sym A(sigma)) for every
+    density direction sigma on the simplex.  Returns the Lipschitz-shaved
+    scan of that infimum (:func:`_ray_infimum`), which never exceeds it,
+    capped just below min(a11, a12, a21, a22) because :class:`Coefficients`
+    requires alpha < min a_ij.  Deterministic; requires the strict
+    coefficient condition.
     """
     report = check_conditions(c)
     if not report.holds_coef_cond:
@@ -300,28 +284,7 @@ def max_alpha(c: Coefficients, sample_budget: int = 4096, s_max: float = 100.0) 
             "max_alpha requires the strict coefficient condition "
             "0 < a12^2 < 8 a11 a21 and 0 < a21^2 < 8 a22 a12; "
             f"margins were {report.margins_coef_cond}")
-    su, sv, x1, x2 = _certification_samples(c, sample_budget, s_max)
-    P = jac_P(c, SpeciesPair(su, sv))
-    quad = (P.m11 * x1 + P.m12 * x2) * x1 + (P.m21 * x1 + P.m22 * x2) * x2
-    base = quad - c.d0  # |xi| = 1
-    weight = su + sv
-
-    def feasible(alpha: float) -> bool:
-        return bool(np.min(base - alpha * weight) >= 0.0)
-
-    lo, hi = 0.0, min(c.a11, c.a12, c.a21, c.a22)
-    if not feasible(lo):
-        step = max(hi, 1.0)
-        while not feasible(lo) and lo > -1e6:
-            lo -= step
-        hi = lo + step
-    while hi - lo > 1e-6 * max(abs(hi), abs(lo), 1e-30):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return min(lo, _ray_infimum(c))
+    return min(_ray_infimum(c), math.nextafter(min(c.a11, c.a12, c.a21, c.a22), 0.0))
 
 
 def inverse_norm_check(c: Coefficients, s: SpeciesPair) -> tuple[float, float]:

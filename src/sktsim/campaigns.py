@@ -151,8 +151,7 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
 
     write_csv(out_dir / "algebra_checks.csv",
               {"check": np.arange(len(results), dtype=float),
-               "passed": np.array([float(r.passed) for r in results])},
-              ("check", "passed"))
+               "passed": np.array([float(r.passed) for r in results])})
     return results
 
 
@@ -209,8 +208,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
         f"{[f'{o:.2f}' for o in table.orders]} (want >= 1.8)",
         elapsed=time.perf_counter() - t0))
     write_csv(out_dir / "mms_convergence.csv",
-              {"n": np.array(table.ns, dtype=float), "max_error": np.array(table.errors)},
-              ("n", "max_error"))
+              {"n": np.array(table.ns, dtype=float), "max_error": np.array(table.errors)})
 
     t0 = time.perf_counter()
     grid = Grid(1, 1.0, 64)
@@ -246,8 +244,7 @@ def campaign_uniqueness(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
                "max_pairing": np.array([lv.max_pairing for lv in report.levels]),
                "max_residual": np.array([lv.max_residual for lv in report.levels]),
                "sbp_gap": np.array([lv.sbp_gap for lv in report.levels]),
-               "reduction_deviation": np.array([lv.reduction_deviation for lv in report.levels])},
-              ("n", "dt", "max_pairing", "max_residual", "sbp_gap", "reduction_deviation"))
+               "reduction_deviation": np.array([lv.reduction_deviation for lv in report.levels])})
 
     ratios = report.pairing_ratios
     results.append(CheckResult(
@@ -310,9 +307,7 @@ def campaign_dependence(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
             rows["ing48"].append(report.ingredient_48[j])
             rows["ing49"].append(report.ingredient_49[j])
     write_csv(out_dir / "dependence.csv",
-              {k: np.array(v) for k, v in rows.items()},
-              ("tau", "delta", "weak_norm", "basis_sup", "input_l2", "input_lq",
-               "ing47", "ing48", "ing49"))
+              {k: np.array(v) for k, v in rows.items()})
 
     slopes = [report.slopes[tau] for tau in report.taus]
     results.append(CheckResult(
@@ -382,8 +377,7 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     write_csv(out_dir / "eps_sweep_kappas.csv",
               {"eps": np.array(eps_list), "kappa_sup": np.array(kappa_cols["sup"]),
                "kappa_weighted_lap": np.array(kappa_cols["wlap"]),
-               "kappa_dt": np.array(kappa_cols["dt"])},
-              ("eps", "kappa_sup", "kappa_weighted_lap", "kappa_dt"))
+               "kappa_dt": np.array(kappa_cols["dt"])})
     variations = [max(col) / min(col) for col in kappa_cols.values()]
     results.append(CheckResult(
         "kappa-eps-independence", all(v < 1.10 for v in variations),
@@ -399,8 +393,7 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
                "eps_fine": np.array([r.eps_fine for r in rows]),
                "diff_sup_h1": np.array([r.diff_sup_h1 for r in rows]),
                "diff_lap_l2": np.array([r.diff_lap_l2 for r in rows]),
-               "truncation_inactive": np.array([float(r.truncation_inactive) for r in rows])},
-              ("eps_coarse", "eps_fine", "diff_sup_h1", "diff_lap_l2", "truncation_inactive"))
+               "truncation_inactive": np.array([float(r.truncation_inactive) for r in rows])})
     inactive_zero = all(r.diff_sup_h1 == 0.0 and r.diff_lap_l2 == 0.0
                         for r in rows if r.truncation_inactive)
     saw_inactive = any(r.truncation_inactive for r in rows)

@@ -76,11 +76,6 @@ class PresetSpec:
             out = out * np.cos(k * np.pi * axis / grid.length)
         return offset + amplitude * out
 
-    def render(self) -> str:
-        if not self.params:
-            return self.kind
-        return self.kind + " " + " ".join(f"{p:g}" for p in self.params)
-
 
 _COEFF_NAMES = ("a11", "a12", "a21", "a22", "b1", "b2", "c1", "c2", "a1", "a2", "d1", "d2")
 
@@ -201,9 +196,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if n < 3:
         raise ConfigError(f"{source}: grid.n must be at least 3 (line {entries['grid.n'][1]})")
 
+    for key in ("time.t_final", "time.dt"):
+        if values[key] <= 0:
+            raise ConfigError(f"{source}: {key} must be positive (line {entries[key][1]})")
     t_final, dt = values["time.t_final"], values["time.dt"]
-    if t_final <= 0 or dt <= 0:
-        raise ConfigError(f"{source}: time.t_final and time.dt must be positive")
     if abs(round(t_final / dt) * dt - t_final) > 1e-12 * max(1.0, t_final):
         raise ConfigError(f"{source}: time.dt = {dt} does not divide time.t_final = {t_final} "
                           f"(line {entries['time.dt'][1]})")
@@ -225,7 +221,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     try:
         coefficients = Coefficients(**coeff_kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{source}: invalid coefficients: {exc}")
+        # The values are finite here, so a negative constant is at fault or,
+        # when there is none, the given alpha.
+        key = next((f"coeff.{name}" for name in _COEFF_NAMES if coeff_kwargs[name] < 0),
+                   "coeff.alpha")
+        raise ConfigError(f"{source}: invalid {key}: {exc} (line {entries[key][1]})")
 
     eps = values.get("adjoint.eps", 1.0)
     if eps <= 0:

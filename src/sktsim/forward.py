@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sktsim import linalg
-from sktsim.algebra import Coefficients, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
+from sktsim.algebra import Coefficients, Matrix2, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
 from sktsim.grid import (
     BlockPattern,
     BoundaryCondition,
@@ -146,13 +146,16 @@ class Trajectory:
 
 def stability_bound(c: Coefficients, state: FieldPair) -> float:
     """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux Jacobian."""
-    P = _jac_P(c, SpeciesPair(state.u, state.v))
+    return _jacobian_stability_bound(_jac_P(c, SpeciesPair(state.u, state.v)), state.grid)
+
+
+def _jacobian_stability_bound(P: Matrix2, grid: Grid) -> float:
+    """:func:`stability_bound` of a state whose flux Jacobian ``P`` is already built."""
     row1 = np.abs(P.m11) + np.abs(P.m12)
     row2 = np.abs(P.m21) + np.abs(P.m22)
     p_max = max(float(np.max(row1)), float(np.max(row2)))
     if p_max == 0.0:
         return math.inf
-    grid = state.grid
     return grid.h ** 2 / (2.0 * grid.dim * p_max)
 
 

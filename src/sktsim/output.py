@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sktsim.adjoint import ADJOINT_DIAGNOSTIC_COLUMNS, AdjointBoundsReport, AdjointTrajectory
+from sktsim.adjoint import AdjointBoundsReport, AdjointTrajectory
 from sktsim.config import RunConfig
-from sktsim.forward import DIAGNOSTIC_COLUMNS, Trajectory
+from sktsim.forward import Trajectory
 from sktsim.grid import read_field, write_field
 
 __all__ = [
@@ -29,12 +29,13 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(path: Path, columns: dict[str, np.ndarray], order: tuple[str, ...],
+def write_csv(path: Path, columns: dict[str, np.ndarray],
               trailer: list[str] | None = None) -> None:
-    lines = [",".join(order)]
-    length = len(columns[order[0]])
+    """Columns in dict order, one row per entry of the first column."""
+    lines = [",".join(columns)]
+    length = len(next(iter(columns.values())))
     for i in range(length):
-        lines.append(",".join(_fmt(float(columns[key][i])) for key in order))
+        lines.append(",".join(_fmt(float(col[i])) for col in columns.values()))
     if trailer:
         lines.append("")
         lines.extend(trailer)
@@ -44,8 +45,7 @@ def write_csv(path: Path, columns: dict[str, np.ndarray], order: tuple[str, ...]
 
 def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
     """Diagnostics CSV plus one snapshot file per stored level."""
-    write_csv(out_dir / "forward_diagnostics.csv", trajectory.diagnostics,
-              DIAGNOSTIC_COLUMNS)
+    write_csv(out_dir / "forward_diagnostics.csv", trajectory.diagnostics)
     snap_dir = out_dir / "forward"
     snap_dir.mkdir(parents=True, exist_ok=True)
     for step, snap in zip(trajectory.stored_steps, trajectory.snapshots):
@@ -82,8 +82,7 @@ def write_adjoint_outputs(out_dir: Path, trajectory: AdjointTrajectory,
     """Adjoint diagnostics CSV with the bounds report appended as key = value lines."""
     trailer = [f"{key} = {_fmt(val) if isinstance(val, float) else val}"
                for key, val in vars(report).items()]
-    write_csv(out_dir / "adjoint_diagnostics.csv", trajectory.diagnostics,
-              ADJOINT_DIAGNOSTIC_COLUMNS, trailer=trailer)
+    write_csv(out_dir / "adjoint_diagnostics.csv", trajectory.diagnostics, trailer=trailer)
 
 
 def _read_csv_columns(path: Path) -> tuple[list[str], list[list[float]]]:

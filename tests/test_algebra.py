@@ -165,6 +165,33 @@ def test_max_alpha_decreases_toward_condition_boundary():
     assert values[-1] < 0.15
 
 
+def _simplex_min_eig(c, points):
+    """lambda_min of sym A on a uniform scan of the density simplex, where
+    P(s) = diag(d1, d2) + A(s)."""
+    x = np.linspace(0.0, 1.0, points)
+    P = jac_P(c, SpeciesPair(x, 1.0 - x))
+    off = 0.5 * (P.m12 + P.m21)
+    sym = np.stack([np.stack([P.m11 - c.d1, off], -1), np.stack([off, P.m22 - c.d2], -1)], -2)
+    return float(np.linalg.eigvalsh(sym)[:, 0].min())
+
+
+@pytest.mark.parametrize("c", [CFG_A, Coefficients(1.0, 7.5, 7.5, 1.0),
+                               Coefficients(2.0, 0.5, 1.5, 0.7, d1=0.3, d2=2.0),
+                               Coefficients(0.4, 1.5, 5.0, 3.0)])
+def test_max_alpha_below_state_part_eigenvalue_on_simplex(c):
+    assert max_alpha(c) <= _simplex_min_eig(c, 1_000_000)
+
+
+def test_max_alpha_capped_below_min_diffusion_coefficient():
+    # sym A(sigma) = [[2, 1], [1, 2]] on every ray, so the ray infimum is
+    # exactly 1 = min a_ij, which Coefficients does not accept as alpha.
+    c = Coefficients(1.0, 2.0, 2.0, 1.0)
+    assert _simplex_min_eig(c, 1001) == pytest.approx(1.0, rel=1e-15)
+    alpha = max_alpha(c)
+    assert 1.0 - 1e-15 < alpha < 1.0
+    assert c.with_alpha(alpha).alpha == alpha
+
+
 def test_max_alpha_requires_condition():
     with pytest.raises(ValueError):
         max_alpha(Coefficients(1, 0, 1, 1))

@@ -146,6 +146,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("SKT-ERR:2:")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dim", "3"), ("domain.length", "0"), ("grid.n", "2"), ("time.dt", "-0.001"),
+    ("scheme", "rk4"), ("bc", "periodic"), ("adjoint.eps", "0"), ("adjoint.rhs", "q"),
+    ("storage.stride", "0"), ("coeff.alpha", "5"), ("coeff.a12", "-1"),
+])
+def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
+    lines = MINIMAL.splitlines()
+    keys = [line.partition(" = ")[0] for line in lines]
+    if key in keys:
+        lineno = keys.index(key) + 1
+        lines[lineno - 1] = f"{key} = {value}"
+    else:
+        lines.append(f"{key} = {value}")
+        lineno = len(lines)
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:")
+    assert key in err and f"line {lineno})" in err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "SKT-ERR:2:" in capsys.readouterr().err

@@ -151,6 +151,17 @@ def test_weak_norm_bounded_by_l2():
                 assert weak_norm(f, bc) <= norms(f, bc).l2 * (1 + 1e-8)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 20)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_weak_norm_matches_dense_solve(dim, n, bc):
+    grid = Grid(dim, 1.0, n)
+    f = random_pair(grid, 7)
+    shifted = np.eye(grid.node_count) - laplacian_matrix(grid, bc).toarray()
+    z = np.linalg.solve(shifted, np.stack((f.u.ravel(), f.v.ravel()), axis=1))
+    ref = math.sqrt(grid.cell_volume * (f.u.ravel() @ z[:, 0] + f.v.ravel() @ z[:, 1]))
+    assert weak_norm(f, bc) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_laplacian_self_adjoint(dim, n, bc):
