@@ -1,66 +1,1 @@
 """Simulator and verification harness for two-species SKT cross-diffusion systems."""
-
-from sktsim.algebra import (
-    CFG_A,
-    Coefficients,
-    ConditionReport,
-    Matrix2,
-    SpeciesPair,
-    check_conditions,
-    dual_exponent,
-    eval_l,
-    eval_p,
-    eval_q,
-    inverse_norm_check,
-    jac_P,
-    jac_Q,
-    max_alpha,
-    mean_value_P,
-    mean_value_Q,
-    quad_form_margin,
-)
-from sktsim.grid import (
-    BoundaryCondition,
-    FieldPair,
-    Grid,
-    NormReport,
-    gradient_sq,
-    inner,
-    laplacian,
-    lp_norm,
-    norms,
-    read_field,
-    spacetime_norm,
-    weak_norm,
-    write_field,
-)
-from sktsim.forward import (
-    ForwardProblem,
-    SchemeKind,
-    TimeGrid,
-    Trajectory,
-    manufactured_convergence,
-    run_forward,
-    step_explicit,
-    step_imex,
-)
-from sktsim.adjoint import (
-    AdjointBoundsReport,
-    AdjointMode,
-    AdjointRHSKind,
-    eps_cauchy_study,
-    run_adjoint,
-    step_adjoint_backward,
-    theta_eps,
-    truncation_bound_check,
-)
-from sktsim.experiments import (
-    DependenceConfig,
-    UniquenessConfig,
-    continuous_dependence_experiment,
-    uniqueness_experiment,
-    weak_form_residual,
-)
-from sktsim.config import RunConfig, parse_config
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -64,8 +64,6 @@ __all__ = [
     "step_adjoint_backward",
     "step_adjoint_transpose",
     "theta_eps",
-    "theta_eps_derivative",
-    "truncation_bound_check",
 ]
 
 
@@ -100,18 +98,6 @@ def theta_eps(eps: float, s):
     t = np.clip(arr * eps - 1.0, 0.0, 1.0)
     blend = a * (1.0 + t * (1.0 - t) ** 2)
     out = np.where(arr <= a, arr, np.where(arr >= 2.0 * a, a, blend))
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def theta_eps_derivative(eps: float, s):
-    """Derivative of the clamp: 1 below, 0 above, (1-t)(1-3t) on the blend."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    arr = np.asarray(s, dtype=float)
-    a = 1.0 / eps
-    t = np.clip(arr * eps - 1.0, 0.0, 1.0)
-    blend = (1.0 - t) * (1.0 - 3.0 * t)
-    out = np.where(arr <= a, 1.0, np.where(arr >= 2.0 * a, 0.0, blend))
     return float(out) if np.ndim(s) == 0 else out
 
 
@@ -264,9 +250,11 @@ def _stacked_levels(fields: list[FieldPair]) -> np.ndarray:
 
 
 def _stacked_h1_sq(levels: np.ndarray, grid: Grid, bc: BoundaryCondition) -> list[float]:
-    """Squared discrete H1 norm of each pair in ``levels`` (k, 2, *grid.shape) in
-    the arithmetic of :func:`~sktsim.grid.component_h1`; the squares are Python
-    floats, as libm ``pow`` can differ from numpy's square by an ulp."""
+    """Squared discrete H1 norm of each pair in ``levels`` (k, 2, *grid.shape):
+    per component, sqrt(h^d sum w^2 + h^d sum |grad w|^2) with the centered
+    gradient on the ghost-extended field, each sum a single-field ``np.sum``;
+    then hu^2 + hv^2.  The squares are Python floats, as libm ``pow`` can
+    differ from numpy's square by an ulp."""
     h, dim, vol = grid.h, grid.dim, grid.cell_volume
     grad_sq = sum(g * g for g in _grad_stencil(_extend(levels, bc, dim), h, dim))
     h1 = np.sqrt(vol * _grid_sums(levels ** 2, dim) + vol * _grid_sums(grad_sq, dim))
@@ -280,7 +268,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 horizon: float | None = None,
                 mode: AdjointMode = AdjointMode.CONTINUOUS,
                 stride: int = 1) -> tuple[AdjointTrajectory, AdjointBoundsReport]:
-    """March the adjoint backward from phi(horizon) = chi.
+    """March the adjoint backward from phi(horizon) = chi.  The horizon
+    (default: the final time) must be a whole number of forward steps.
 
     The coefficient state of each step is :func:`coefficient_state` at the
     target level, built once per distinct pair of stored forward levels.
@@ -302,6 +291,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     if not 0.0 < tau <= T * (1 + 1e-12):
         raise ValueError(f"horizon {tau} outside (0, {T}]")
     steps = max(1, int(round(tau / dt)))
+    if abs(steps * dt - tau) > 1e-12 * max(1.0, tau):
+        raise ValueError(f"horizon {tau} is not a whole number of steps dt={dt}")
     stride = max(int(stride), 1)
     grid = chi.grid
     h, dim, vol = grid.h, grid.dim, grid.cell_volume
@@ -382,18 +373,6 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     return trajectory, report
 
 
-def truncation_bound_check(u_tilde: FieldPair, eps: float,
-                           bc: BoundaryCondition = BoundaryCondition.NEUMANN) -> tuple[float, float]:
-    """(H1 norm of the truncated field, H1 norm of the field itself).
-
-    The clamp contracts both values and differences on nonnegative data, so
-    the first entry stays within a unit factor of the second; callers
-    assert first <= 1.05 * second to absorb discrete corner effects.
-    """
-    pairs = _stacked_h1_sq(_stacked_levels([theta_eps(eps, u_tilde), u_tilde]), u_tilde.grid, bc)
-    return math.sqrt(pairs[0]), math.sqrt(pairs[1])
-
-
 @dataclass(frozen=True)
 class EpsCauchyRow:
     eps_coarse: float
@@ -405,10 +384,10 @@ class EpsCauchyRow:
 
 def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
                      u_pair: tuple[Trajectory, Trajectory],
-                     eps_list: list[float], rhs: AdjointRHSKind, chi: FieldPair,
-                     horizon: float | None = None
+                     eps_list: list[float], rhs: AdjointRHSKind, chi: FieldPair
                      ) -> tuple[list[EpsCauchyRow], list[AdjointBoundsReport]]:
-    """Differences between adjoint solves at consecutive truncation thresholds.
+    """Differences between adjoint solves, from the final time, at consecutive
+    truncation thresholds.
 
     Reports sup-in-time H1 and space-time L2-of-Laplacian distances; once
     both thresholds clear the coefficient data the clamp is the identity
@@ -423,7 +402,7 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
         u_max = max(u_max, float(np.max(avg.u)), float(np.max(avg.v)))
 
     for eps in eps_list:
-        traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, horizon=horizon, stride=1)
+        traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, stride=1)
         runs.append((eps, _stacked_levels(traj.snapshots)))
         reports.append(report)
 

@@ -290,7 +290,7 @@ def campaign_dependence(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     dcfg = DependenceConfig(
         coefficients=cfg.coefficients, bc=NEU, dim=1, length=1.0, n=48,
         t_final=0.2, dt=0.2 / 400, base_initial=_desk_initial,
-        perturbation=_norm_bump, deltas=(1e-3, 1e-2, 1e-1))
+        perturbation=_norm_bump)
     report = continuous_dependence_experiment(dcfg)
 
     rows = {"tau": [], "delta": [], "weak_norm": [], "basis_sup": [],

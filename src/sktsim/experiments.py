@@ -23,7 +23,7 @@ import numpy as np
 
 from sktsim.adjoint import (AdjointRHSKind, _march, _stacked_levels, coefficient_state,
                             step_adjoint_transpose)
-from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, eval_p, eval_q, jac_P, jac_Q
+from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, jac_P, jac_Q
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, run_forward
 from sktsim.grid import (
     BoundaryCondition,
@@ -49,10 +49,12 @@ __all__ = [
     "frozen_duality_check",
     "scalar_reduction_check",
     "uniqueness_experiment",
-    "weak_form_residual",
 ]
 
 TINY_EPS = 1e-9  # truncation threshold far above any desk-scale data
+
+# The two discretizations whose difference the uniqueness experiment pairs.
+_SCHEMES = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 
 
 def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> list[tuple[str, FieldPair]]:
@@ -206,17 +208,17 @@ class UniquenessConfig:
     initial: Callable[[Grid], FieldPair]
     levels: int = 3
     modes: int = 2
-    schemes: tuple[SchemeKind, SchemeKind] = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 
 
 def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
     """Difference of two discretizations paired against terminal data.
 
-    Per refinement level (N, dt) -> (2N, dt/2): run both schemes from the
-    same initial data, march the transpose-mode adjoint of the whole terminal
-    basis as one batch, and record the endpoint pairings |<u_bar(T), chi>|,
-    the per-step duality residuals, the summation-by-parts telescoping gap,
-    and the scalar-reduction deviation of the summed pairing.
+    Per refinement level (N, dt) -> (2N, dt/2): run the explicit and the
+    IMEX scheme from the same initial data, march the transpose-mode adjoint
+    of the whole terminal basis as one batch, and record the endpoint
+    pairings |<u_bar(T), chi>|, the per-step duality residuals, the
+    summation-by-parts telescoping gap, and the scalar-reduction deviation of
+    the summed pairing.
     """
     c = cfg.coefficients
 
@@ -226,7 +228,7 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         tg = TimeGrid(cfg.t_final, dt)
         initial = cfg.initial(grid)
         trajs = []
-        for scheme in cfg.schemes:
+        for scheme in _SCHEMES:
             problem = ForwardProblem(c, grid, cfg.bc, tg, scheme, initial, stride=1)
             trajs.append(run_forward(problem))
         t1, t2 = trajs
@@ -272,10 +274,6 @@ class DependenceConfig:
     dt: float
     base_initial: Callable[[Grid], FieldPair]
     perturbation: Callable[[Grid], FieldPair]
-    deltas: tuple[float, ...] = (1e-3, 1e-2, 1e-1)
-    tau_fractions: tuple[float, ...] = (0.25, 0.5, 1.0)
-    scheme: SchemeKind = SchemeKind.IMEX_LAGGED
-    modes: int = 2
 
 
 @dataclass
@@ -297,34 +295,31 @@ class DependenceReport:
 def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     """Scaling of the weak norm of the solution difference with the data offset.
 
-    For each delta the perturbed run starts from base + delta * w; the weak
-    norm of the difference at each tau is recorded next to the basis sup,
-    the initial-data norms with exponent q = dual_exponent(d), the three
-    ingredient terms of the initial-data bound, and the fitted log-log slope.
+    For each delta in (1e-3, 1e-2, 1e-1) the IMEX run starts from
+    base + delta * w; the weak norm of the difference at tau = T/4, T/2, T
+    is recorded next to the basis sup (two modes), the initial-data norms
+    with exponent q = dual_exponent(d), the three ingredient terms of the
+    initial-data bound, and the fitted log-log slope.
     """
-    deltas = list(cfg.deltas)
-    if any(d <= 0 for d in deltas):
-        raise ValueError("perturbation sizes must be positive")
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("perturbation sizes must be strictly increasing")
+    deltas = [1e-3, 1e-2, 1e-1]
     grid = Grid(cfg.dim, cfg.length, cfg.n)
     tg = TimeGrid(cfg.t_final, cfg.dt)
     if tg.steps % 4 != 0:
         raise ValueError("step count must be divisible by 4 so tau levels are stored")
     stride = tg.steps // 4
     q = dual_exponent(cfg.dim)
-    taus = [frac * cfg.t_final for frac in cfg.tau_fractions]
+    taus = [frac * cfg.t_final for frac in (0.25, 0.5, 1.0)]
 
     base = cfg.base_initial(grid)
     w = cfg.perturbation(grid)
 
     def run(initial: FieldPair) -> Trajectory:
-        problem = ForwardProblem(cfg.coefficients, grid, cfg.bc, tg, cfg.scheme,
+        problem = ForwardProblem(cfg.coefficients, grid, cfg.bc, tg, SchemeKind.IMEX_LAGGED,
                                  initial, stride=stride)
         return run_forward(problem)
 
     base_traj = run(base)
-    basis = chi_basis(grid, cfg.bc, cfg.modes)
+    basis = chi_basis(grid, cfg.bc, modes=2)
 
     weak_norms: dict[float, list[float]] = {tau: [] for tau in taus}
     basis_sup: dict[float, list[float]] = {tau: [] for tau in taus}
@@ -362,66 +357,3 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
         basis_sup=basis_sup, input_l2=input_l2, input_lq=input_lq,
         ingredient_47=ing47, ingredient_48=ing48, ingredient_49=ing49,
         slopes=slopes, kappa_fit=kappa_fit)
-
-
-def _bc_compatibility_gap(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> float:
-    """Extrapolated wall normal derivative (Neumann) or wall trace (Dirichlet)."""
-
-    def side_gap(block: np.ndarray) -> float:
-        # block[0] is the wall-adjacent layer; extrapolate to the wall itself.
-        b = block.reshape(block.shape[0], -1)
-        if bc is BoundaryCondition.NEUMANN:
-            g_half = (b[1] - b[0]) / grid.h
-            g_three_half = (b[2] - b[1]) / grid.h
-            return float(np.max(np.abs(2.0 * g_half - g_three_half)))
-        return float(np.max(np.abs(1.5 * b[0] - 0.5 * b[1])))
-
-    if grid.dim == 1:
-        blocks = (arr, arr[::-1])
-    else:
-        blocks = (arr, arr[::-1, :], arr.T, arr.T[::-1, :])
-    return max(side_gap(b) for b in blocks)
-
-
-def weak_form_residual(c: Coefficients, trajectory: Trajectory,
-                       test_fn: Callable[[Grid, float], FieldPair],
-                       forcing: Callable[[Grid, float], FieldPair] | None = None) -> float:
-    """Space-time norm of the weak-form residual against a smooth test function.
-
-    The test function is sampled per stored level and must satisfy the
-    trajectory's boundary condition (checked numerically at t = 0; violations
-    raise).  The flux term is paired through the discrete Laplacian of the
-    test function, so for an explicit Neumann run with known forcing the
-    residual reduces to the forcing quadrature exactly.
-    """
-    bc = BoundaryCondition(trajectory.metadata["bc"])
-    grid = trajectory.grid
-    phi0 = test_fn(grid, 0.0)
-    tol = 10.0 * grid.h / grid.length * max(
-        float(np.max(np.abs(phi0.u))), float(np.max(np.abs(phi0.v))), 1e-12)
-    for comp in (phi0.u, phi0.v):
-        if _bc_compatibility_gap(comp, grid, bc) > tol:
-            raise ValueError("test function violates the boundary-condition compatibility")
-
-    times = trajectory.stored_times()
-    snaps = trajectory.snapshots
-    total = 0.0
-    for k in range(len(snaps) - 1):
-        dt_k = times[k + 1] - times[k]
-        u_k, u_next = snaps[k], snaps[k + 1]
-        phi = test_fn(grid, float(times[k]))
-        lap_phi = laplacian(phi, bc)
-        s = SpeciesPair(u_k.u, u_k.v)
-        p = eval_p(c, s)
-        qv = eval_q(c, s)
-        lv = eval_l(c, s)
-        rate = (1.0 / dt_k) * (u_next - u_k)
-        r = (inner(rate, phi)
-             - inner(FieldPair(grid, p.u, p.v), lap_phi)
-             + inner(FieldPair(grid, qv.u, qv.v), phi)
-             - inner(FieldPair(grid, lv.u, lv.v), phi))
-        if forcing is not None:
-            f = forcing(grid, float(times[k]))
-            r -= inner(f, phi)
-        total += dt_k * r * r
-    return math.sqrt(total)

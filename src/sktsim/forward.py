@@ -34,11 +34,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from sktsim import linalg
 from sktsim.algebra import Coefficients, Matrix2, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
@@ -65,8 +64,6 @@ __all__ = [
     "StabilityError",
     "TimeGrid",
     "Trajectory",
-    "divergence_form_matrix",
-    "laplacian_of_flux",
     "manufactured_convergence",
     "run_forward",
     "stability_bound",
@@ -122,14 +119,10 @@ class Trajectory:
     stored_steps: list[int]
     snapshots: list[FieldPair]
     diagnostics: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
         return self.snapshots[0].grid
-
-    def stored_times(self) -> np.ndarray:
-        return np.asarray(self.stored_steps, dtype=float) * self.time_grid.dt
 
     def final_state(self) -> FieldPair:
         return self.snapshots[-1]
@@ -160,19 +153,15 @@ def _jacobian_stability_bound(P: Matrix2, grid: Grid) -> float:
 
 
 def _lap_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) -> SpeciesPair:
-    grid = state.grid
-    h, dim = grid.h, grid.dim
-    p = _eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
-    return SpeciesPair(_lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
-
-
-def laplacian_of_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) -> FieldPair:
     """Discrete Laplacian of p(state), with p evaluated on the ghost-extended state.
 
     Extending the state (rather than the flux values) keeps this operator
     identical to the divergence-form one under both boundary rules.
     """
-    return FieldPair(state.grid, *_lap_flux(c, state, bc))
+    grid = state.grid
+    h, dim = grid.h, grid.dim
+    p = _eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+    return SpeciesPair(_lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
 
 
 def _reaction_rhs(c: Coefficients, state: FieldPair) -> SpeciesPair:
@@ -209,7 +198,14 @@ def _nodal_jacobian(c: Coefficients, state: FieldPair) -> np.ndarray:
 
 
 def _divergence_form_data(c: Coefficients, state: FieldPair, pattern: BlockPattern) -> np.ndarray:
-    """Values on ``pattern`` of :func:`divergence_form_matrix`."""
+    """Values on ``pattern`` (the :func:`block_pattern` of the state's grid and
+    bc) of the 2N x 2N operator w -> div(P(state) grad w) with face-averaged
+    P, on stacked unknowns [w_u; w_v].
+
+    Because the Jacobian entries are affine in the state, the arithmetic face
+    average equals the midpoint evaluation and flux differences of the
+    quadratic map are reproduced exactly.
+    """
     nodal = _nodal_jacobian(c, state).ravel()
     inv_h2 = 1.0 / state.grid.h ** 2
     data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
@@ -222,20 +218,6 @@ def _divergence_form_data(c: Coefficients, state: FieldPair, pattern: BlockPatte
     # across-face jump is 2 w_wall.
     data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
     return data
-
-
-def divergence_form_matrix(c: Coefficients, state: FieldPair,
-                           bc: BoundaryCondition) -> sp.csr_matrix:
-    """Sparse 2N x 2N matrix of w -> div(P(state) grad w) with face-averaged P.
-
-    Unknowns are stacked [w_u; w_v]; the sparsity is the cached
-    :func:`block_pattern` of (grid, bc), so only the values are computed.
-    Because the Jacobian entries are affine in the state, the arithmetic face
-    average equals the midpoint evaluation and flux differences of the
-    quadratic map are reproduced exactly.
-    """
-    pattern = block_pattern(state.grid, bc)
-    return pattern.matrix(_divergence_form_data(c, state, pattern))
 
 
 def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, bu: np.ndarray, bv: np.ndarray,
@@ -286,7 +268,6 @@ class ForwardProblem:
     initial: FieldPair
     stride: int = 1
     forcing: Callable[[float], FieldPair] | None = None
-    clamp_negative: bool = False
     require_nonnegative_initial: bool = True
 
 
@@ -342,8 +323,8 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
 def run_forward(problem: ForwardProblem) -> Trajectory:
     """Integrate 0 -> T recording per-step diagnostics and strided snapshots.
 
-    Negative values are never clipped silently; the opt-in clamp is recorded
-    in the trajectory metadata.  A step that fails (non-finite values or the
+    Negative values are never clipped; the ``min_u``/``min_v`` columns
+    record any undershoot.  A step that fails (non-finite values or the
     explicit stability bound) raises :class:`NumericalFailure` carrying the
     step index and time, without numpy overflow warnings.  Each new level is
     copied into a block of levels whose diagnostics are computed together
@@ -378,8 +359,6 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
         except NumericalFailure as exc:
             exc.step, exc.t = n + 1, (n + 1) * dt
             raise
-        if problem.clamp_negative:
-            state = FieldPair(grid, np.maximum(state.u, 0.0), np.maximum(state.v, 0.0))
         filled += 1
         levels[filled, 0], levels[filled, 1] = state.u, state.v
         if filled == len(levels) - 1 or n + 1 == tg.steps:
@@ -393,9 +372,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
             snapshots.append(state.copy())
 
     return Trajectory(time_grid=tg, stride=stride, stored_steps=stored_steps,
-                      snapshots=snapshots, diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)),
-                      metadata={"scheme": problem.scheme.value, "bc": bc.value,
-                                "clamp_negative": problem.clamp_negative})
+                      snapshots=snapshots, diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)))
 
 
 @dataclass
@@ -409,24 +386,21 @@ class ConvergenceTable:
 
 
 def manufactured_convergence(problem: ForwardProblem, exact,
-                             ns: tuple[int, ...] = (16, 32, 64, 128),
-                             dt_for_h: Callable[[float], float] | None = None) -> ConvergenceTable:
+                             ns: tuple[int, ...] = (16, 32, 64, 128)) -> ConvergenceTable:
     """Refinement study against a manufactured solution.
 
     ``exact`` supplies exact fields and the residual forcing (see
     :mod:`sktsim.mms`).  For each resolution the forcing is injected on the
     right-hand side, the problem is integrated to T, and the max-norm error
-    against the exact final state is recorded.  ``dt_for_h`` maps the grid
-    spacing to the step (default dt proportional to h^2, which balances the
-    first-order-in-time schemes to a clean second-order total).
+    against the exact final state is recorded.  The step is
+    dt = T / round(T / (0.5 h^2)): dt proportional to h^2 balances the
+    first-order-in-time schemes to a clean second-order total.
     """
     T = problem.time_grid.t_final
     errors = []
     for n in ns:
         grid = Grid(problem.grid.dim, problem.grid.length, n)
-        h = grid.h
-        dt = dt_for_h(h) if dt_for_h is not None else T / max(1, int(round(T / (0.5 * h * h))))
-        steps = max(1, int(round(T / dt)))
+        steps = max(1, int(round(T / (0.5 * grid.h * grid.h))))
         dt = T / steps
         sub = ForwardProblem(
             coefficients=problem.coefficients, grid=grid, bc=problem.bc,

@@ -17,8 +17,8 @@ solves.
 Fields may carry leading batch axes: a :class:`FieldPair` holds arrays of
 shape (*batch, *grid.shape), and ``_extend``, the stencils, ``laplacian`` and
 ``gradient_sq`` act on the trailing ``grid.dim`` axes only, so B independent
-problems cost one call.  The reductions (``inner``, the norms, the weak norm,
-``spacetime_norm``) and the snapshot I/O take unbatched fields.
+problems cost one call.  The reductions (``inner``, the norms, the weak norm)
+and the snapshot I/O take unbatched fields.
 
 The weak (dual) norm |w|_w = sup <w,v>/||v||_H1 is evaluated exactly in the
 discrete setting as sqrt(<w, (I - Lap)^-1 w>) per component: the supremum
@@ -52,7 +52,6 @@ __all__ = [
     "lp_norm",
     "norms",
     "read_field",
-    "spacetime_norm",
     "write_field",
 ]
 
@@ -168,13 +167,10 @@ class FieldPair:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Discrete norms of a field pair (components summed in quadrature)."""
+    """Discrete L2 and H1 norms of a field pair (components summed in quadrature)."""
 
     l2: float
     h1: float
-    l4: float
-    linf: float
-    weak: float
 
 
 def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
@@ -351,45 +347,15 @@ def weak_norm(f: FieldPair, bc: BoundaryCondition) -> float:
 
 
 def norms(f: FieldPair, bc: BoundaryCondition) -> NormReport:
-    """L2, H1, L4, Linf and the dual weak norm of a single (unbatched) field pair."""
+    """L2 and H1 norms of a single (unbatched) field pair."""
     vol = f.grid.cell_volume
     l2_sq = vol * (float(np.sum(f.u ** 2)) + float(np.sum(f.v ** 2)))
     grad_sq = vol * float(np.sum(gradient_sq(f, bc)))
-    l4 = lp_norm(f, 4.0)
-    linf = max(float(np.max(np.abs(f.u))), float(np.max(np.abs(f.v))))
-    return NormReport(l2=float(np.sqrt(l2_sq)),
-                      h1=float(np.sqrt(l2_sq + grad_sq)),
-                      l4=l4,
-                      linf=linf,
-                      weak=weak_norm(f, bc))
+    return NormReport(l2=float(np.sqrt(l2_sq)), h1=float(np.sqrt(l2_sq + grad_sq)))
 
 
 def component_l2(arr: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(grid.cell_volume * np.sum(arr ** 2)))
-
-
-def component_h1(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> float:
-    """Discrete H1 norm of one unbatched component."""
-    vol = grid.cell_volume
-    return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(_grad_sq_array(arr, grid, bc))))
-
-
-def spacetime_norm(times: np.ndarray, fields: list[FieldPair], p: float) -> float:
-    """Space-time L^p norm over stored levels via the left-endpoint rule in time.
-
-    Each interval [t_k, t_{k+1}) contributes its width times the spatial
-    quadrature of the level at t_k; the final level carries no weight.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(fields):
-        raise ValueError("times and fields must have matching length")
-    total = 0.0
-    for k in range(len(fields) - 1):
-        w = times[k + 1] - times[k]
-        f = fields[k]
-        total += w * f.grid.cell_volume * (float(np.sum(np.abs(f.u) ** p))
-                                           + float(np.sum(np.abs(f.v) ** p)))
-    return total ** (1.0 / p)
 
 
 _FIELD_HEADER = "skt-field v1"
@@ -422,7 +388,10 @@ def read_field(path: str | Path, grid: Grid) -> FieldPair:
     header = text[0]
     if not header.startswith(_FIELD_HEADER):
         raise ValueError(f"not a field snapshot: header {header!r}")
-    fields = dict(item.strip().split("=") for item in header.split(",")[1:])
+    fields = dict(item.strip().partition("=")[::2] for item in header.split(",")[1:])
+    for key in ("d", "N", "h"):
+        if key not in fields:
+            raise ValueError(f"{path}: snapshot header has no {key}=: {header!r}")
     dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
     if dim != grid.dim or n != grid.n or not abs(h - grid.h) <= 4.0 * np.spacing(grid.h):
         raise ValueError(f"{path}: stored d={dim}, N={n}, h={h:.17g} do not match the configured "

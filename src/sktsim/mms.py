@@ -27,8 +27,8 @@ import numpy as np
 from sktsim.algebra import Coefficients
 from sktsim.grid import FieldPair, Grid
 
-__all__ = ["ManufacturedSolution", "bump_profile", "constant_solution",
-           "heat_limit_coefficients", "polynomial_neumann_solution"]
+__all__ = ["ManufacturedSolution", "bump_profile", "heat_limit_coefficients",
+           "polynomial_neumann_solution"]
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,6 @@ def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) 
         a, b = 0.5 * math.exp(-t), 0.5 * math.exp(-2.0 * t)
         return ((1.0 + a * W, [a * g for g in grad], a * lap, -a * W),
                 (1.0 + b * (1.0 - W), [-b * g for g in grad], -b * lap, -2.0 * b * (1.0 - W)))
-
-    return ManufacturedSolution(c, dim, jets)
-
-
-def constant_solution(c: Coefficients, dim: int, cu: float = 1.0, cv: float = 0.5) -> ManufacturedSolution:
-    """Constant targets; the discrete solution must reproduce them exactly."""
-
-    def jets(coords: tuple[np.ndarray, ...], t: float) -> tuple:
-        zero = np.zeros(coords[0].shape)
-        return ((zero + cu, [zero] * len(coords), zero, zero),
-                (zero + cv, [zero] * len(coords), zero, zero))
 
     return ManufacturedSolution(c, dim, jets)
 

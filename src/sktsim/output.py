@@ -72,9 +72,7 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")
     return Trajectory(time_grid=tg, stride=cfg.stride, stored_steps=steps,
-                      snapshots=snapshots, diagnostics={},
-                      metadata={"scheme": cfg.scheme.value, "bc": cfg.bc.value,
-                                "clamp_negative": False, "loaded": True})
+                      snapshots=snapshots, diagnostics={})
 
 
 def write_adjoint_outputs(out_dir: Path, trajectory: AdjointTrajectory,

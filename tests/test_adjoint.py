@@ -21,8 +21,6 @@ from sktsim.adjoint import (
     step_adjoint_backward,
     step_adjoint_transpose,
     theta_eps,
-    theta_eps_derivative,
-    truncation_bound_check,
 )
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair
 from sktsim.campaigns import run_campaign
@@ -36,10 +34,33 @@ from sktsim.forward import (
     TimeGrid,
     run_forward,
 )
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, component_h1, laplacian
+from sktsim.grid import (
+    BoundaryCondition,
+    FieldPair,
+    Grid,
+    NumericalFailure,
+    _extend,
+    _grad_stencil,
+    laplacian,
+    norms,
+)
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
 NEU = BoundaryCondition.NEUMANN
+
+
+def component_h1(arr, grid, bc):
+    """Discrete H1 norm of one unbatched component, summed over the whole grid."""
+    vol, h, dim = grid.cell_volume, grid.h, grid.dim
+    grad_sq = sum(g * g for g in _grad_stencil(_extend(arr, bc, dim), h, dim))
+    return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
+
+
+def theta_slope(eps, s, delta):
+    """Difference quotient of theta_eps over [s, s + delta]: by the mean value
+    theorem, its slope at some point of that interval, up to rounding."""
+    s1 = s + delta
+    return (theta_eps(eps, s1) - theta_eps(eps, s)) / (s1 - s)
 
 
 def test_theta_eps_worked_values():
@@ -60,10 +81,15 @@ def test_theta_eps_c1_at_knots():
         left = theta_eps(eps, knot - delta)
         right = theta_eps(eps, knot + delta)
         assert abs(left - right) <= 1e-7  # value continuity
-    assert abs(theta_eps_derivative(eps, a - 1e-12) - 1.0) <= 1e-12
-    assert abs(theta_eps_derivative(eps, a) - 1.0) <= 1e-12
-    assert abs(theta_eps_derivative(eps, b)) <= 1e-12
-    assert abs(theta_eps_derivative(eps, b + 1e-12)) <= 1e-12
+    # Slope continuity: the quotients on either side of a knot approach its
+    # slope (1 at 1/eps, 0 at 2/eps).  On the blend |theta''| <= 4 eps, so a
+    # quotient over a step h misses the knot's slope by at most 4 eps h, plus
+    # the rounding of two evaluations of size <= b over h.
+    h = 2.0 ** -20
+    tol = 4.0 * eps * h + 4.0 * np.spacing(b) / h
+    for knot, slope in ((a, 1.0), (b, 0.0)):
+        assert abs(theta_slope(eps, knot - h, h) - slope) <= tol
+        assert abs(theta_slope(eps, knot, h) - slope) <= tol
 
 
 @settings(max_examples=300)
@@ -71,8 +97,9 @@ def test_theta_eps_c1_at_knots():
        st.floats(min_value=-5.0, max_value=1e4))
 def test_theta_eps_properties(eps, value):
     out = theta_eps(eps, value)
-    deriv = theta_eps_derivative(eps, value)
-    assert -1.0 / 3.0 - 1e-12 <= deriv <= 1.0 + 1e-12
+    # The documented slope range [-1/3, 1]; the step keeps rounding < 1e-12.
+    slope = theta_slope(eps, value, max(1.0, abs(value)) / 64.0)
+    assert -1.0 / 3.0 - 1e-12 <= slope <= 1.0 + 1e-12
     if value <= 1.0 / eps:
         assert out == value  # fixed point below the threshold
     else:
@@ -165,7 +192,6 @@ def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
 
 
 def unit_h1_cosine(grid):
-    from sktsim.grid import norms
     x = grid.centers()
     chi = FieldPair(grid, np.cos(np.pi * x / grid.length),
                     np.cos(2 * np.pi * x / grid.length))
@@ -194,14 +220,20 @@ def test_gronwall_telescoped_consequences_hold():
 
 
 def test_truncation_bound_check_cases():
+    # The clamp contracts values and differences on nonnegative data, so the
+    # H1 norm of the truncated field stays within a unit factor of the
+    # field's own; 1.05 absorbs discrete corner effects.
+    def truncation_h1(f, eps):
+        return norms(theta_eps(eps, f), NEU).h1, norms(f, NEU).h1
+
     grid = Grid(1, 1.0, 64)
     eps = 0.5
     below = FieldPair.constant(grid, 1.0, 0.5)  # entirely under 1/eps = 2
-    t_norm, f_norm = truncation_bound_check(below, eps)
+    t_norm, f_norm = truncation_h1(below, eps)
     assert t_norm == pytest.approx(f_norm, rel=1e-14)
 
     above = FieldPair.constant(grid, 3.0 / eps, 3.0 / eps)
-    t_norm, f_norm = truncation_bound_check(above, eps)
+    t_norm, f_norm = truncation_h1(above, eps)
     assert t_norm == pytest.approx(math.sqrt(2.0) / eps, rel=1e-12)
     assert t_norm < f_norm
 
@@ -211,7 +243,7 @@ def test_truncation_bound_check_cases():
                        2.0 + 1.5 * np.sin(2 * np.pi * x) + rng.uniform(0, 0.1, grid.shape),
                        1.0 + np.cos(np.pi * x) ** 2)
     for eps in (2.0, 1.0, 0.5, 0.25):
-        t_norm, f_norm = truncation_bound_check(smooth, eps)
+        t_norm, f_norm = truncation_h1(smooth, eps)
         assert t_norm <= 1.05 * f_norm
 
 
@@ -336,6 +368,18 @@ def test_run_adjoint_horizon_shorter_than_final_time():
     assert report.kappa_sup > 0.0 and math.isfinite(report.kappa_weighted_lap)
     assert report.rhs == "l"
     assert report.gronwall_slack <= 1e-8
+
+
+def test_run_adjoint_rejects_horizon_off_the_time_grid():
+    # 0.1234 / 1e-3 is not a whole number of steps; rounding it would march
+    # to t = 0.123 while reporting the horizon as 0.1234.
+    u_pair = forward_desk_pair(n=16, T=0.25, dt=1e-3)
+    chi = unit_h1_cosine(u_pair[0].grid)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi, horizon=0.1234)
+    traj, _ = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi,
+                          horizon=123 * 1e-3)
+    assert traj.stored_steps[-1] == 123
 
 
 def test_run_adjoint_rejects_mismatched_grids():

@@ -287,6 +287,24 @@ def test_cli_adjoint_on_stored_trajectory_whose_h_does_not_round_trip(tmp_path, 
     assert err.startswith("SKT-ERR:2:") and "do not match the configured grid (h " in err
 
 
+@pytest.mark.parametrize("key", ["d", "N", "h"])
+def test_cli_adjoint_on_snapshot_header_missing_a_key_is_config_error(tmp_path, capsys, key):
+    config = str(CONFIGS / "heat_1d.cfg")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    first = out / "forward" / "step_000000.field"
+    lines = first.read_text().split("\n")
+    items = lines[0].split(", ")
+    lines[0] = ", ".join(item for item in items if not item.startswith(f"{key}="))
+    assert len(lines[0].split(", ")) == len(items) - 1
+    first.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:")
+    assert str(first) in err and f"no {key}=" in err
+
+
 def test_cli_adjoint_runs_forward_when_missing(tmp_path, capsys):
     text = MINIMAL + "terminal.u = constant 1.0\n"
     path = write_cfg(tmp_path, text)

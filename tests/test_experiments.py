@@ -22,11 +22,10 @@ from sktsim.experiments import (
     frozen_duality_check,
     scalar_reduction_check,
     uniqueness_experiment,
-    weak_form_residual,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
 from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, inner, laplacian, norms
-from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
+from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
 DIR = BoundaryCondition.DIRICHLET
@@ -126,9 +125,10 @@ def uniq_config(levels=2, base_n=16, T=0.05):
         t_final=T, base_dt=T / steps, initial=smooth_initial, levels=levels, modes=1)
 
 
-def test_uniqueness_identical_schemes_give_exact_zero():
+def test_uniqueness_identical_schemes_give_exact_zero(monkeypatch):
     cfg = uniq_config(levels=1)
-    cfg.schemes = (SchemeKind.IMEX_LAGGED, SchemeKind.IMEX_LAGGED)
+    monkeypatch.setattr(sktsim.experiments, "_SCHEMES",
+                        (SchemeKind.IMEX_LAGGED, SchemeKind.IMEX_LAGGED))
     report = uniqueness_experiment(cfg)
     level = report.levels[0]
     assert level.max_pairing == 0.0
@@ -148,8 +148,7 @@ def test_dependence_slope_and_kappa_stability():
     cfg = DependenceConfig(
         coefficients=CFG_A, bc=NEU, dim=1, length=1.0, n=48,
         t_final=0.2, dt=0.2 / 400,
-        base_initial=smooth_initial, perturbation=normalized_bump,
-        deltas=(1e-3, 1e-2, 1e-1))
+        base_initial=smooth_initial, perturbation=normalized_bump)
     report = continuous_dependence_experiment(cfg)
     assert report.q_exponent == pytest.approx(4.0 / 3.0)
     for tau in report.taus:
@@ -167,108 +166,6 @@ def test_dependence_slope_and_kappa_stability():
             math.sqrt(cfg.t_final) * report.input_l2[j], rel=1e-12)
 
 
-def test_dependence_rejects_bad_deltas():
-    cfg = DependenceConfig(
-        coefficients=CFG_A, bc=NEU, dim=1, length=1.0, n=16,
-        t_final=0.04, dt=0.01, base_initial=smooth_initial,
-        perturbation=normalized_bump, deltas=(1e-2, 1e-3))
-    with pytest.raises(ValueError):
-        continuous_dependence_experiment(cfg)
-    cfg2 = DependenceConfig(
-        coefficients=CFG_A, bc=NEU, dim=1, length=1.0, n=16,
-        t_final=0.04, dt=0.01, base_initial=smooth_initial,
-        perturbation=normalized_bump, deltas=(-1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        continuous_dependence_experiment(cfg2)
-
-
-def test_weak_form_residual_zero_trajectory():
-    grid = Grid(1, 1.0, 32)
-    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.01, 1e-3),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
-    traj = run_forward(problem)
-
-    def phi(g, t):
-        return FieldPair(g, np.cos(np.pi * g.centers()) * (0.01 - t), np.zeros(g.shape))
-
-    assert weak_form_residual(CFG_A, traj, phi) == 0.0
-
-
-def heat_phi(g, t):
-    return FieldPair(g, np.cos(np.pi * g.centers()) * (0.02 - t), np.zeros(g.shape))
-
-
-def test_weak_form_residual_exact_for_explicit_neumann_run():
-    # The explicit scheme advances by the same symmetric operator the
-    # residual pairs against, so the residual sits at roundoff.
-    grid = Grid(1, 1.0, 32)
-    x = grid.centers()
-    initial = FieldPair(grid, 1.0 + np.cos(np.pi * x), np.zeros(grid.shape))
-    problem = ForwardProblem(heat_limit_coefficients(), grid, NEU,
-                             TimeGrid(0.02, 4e-4), SchemeKind.EXPLICIT, initial)
-    traj = run_forward(problem)
-    assert weak_form_residual(heat_limit_coefficients(), traj, heat_phi) <= 1e-12
-
-
-def test_weak_form_residual_first_order_for_imex_run():
-    # The IMEX operator acts on the new level, so the residual against the
-    # old-level pairing shrinks at O(dt).
-    vals = []
-    grid = Grid(1, 1.0, 32)
-    x = grid.centers()
-    initial = FieldPair(grid, 1.0 + np.cos(np.pi * x), 0.5 * np.ones(grid.shape))
-    for dt in (4e-4, 2e-4, 1e-4):
-        problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.02, dt),
-                                 SchemeKind.IMEX_LAGGED, initial)
-        traj = run_forward(problem)
-        vals.append(weak_form_residual(CFG_A, traj, heat_phi))
-    for a, b in zip(vals, vals[1:]):
-        assert 1.5 < a / b < 3.0
-
-
-def test_weak_form_residual_rejects_incompatible_test_function():
-    grid = Grid(1, 1.0, 64)
-    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.01, 1e-3),
-                             SchemeKind.IMEX_LAGGED, smooth_initial(grid))
-    traj = run_forward(problem)
-
-    def bad_phi(g, t):
-        return FieldPair(g, np.sin(np.pi * g.centers()), np.zeros(g.shape))
-
-    with pytest.raises(ValueError):
-        weak_form_residual(CFG_A, traj, bad_phi)
-
-
-def test_weak_form_residual_equals_forcing_quadrature_on_mms_run():
-    exact = polynomial_neumann_solution(CFG_A, 1)
-    grid = Grid(1, 1.0, 24)
-    T, steps = 0.01, 200
-    tg = TimeGrid(T, T / steps)
-    problem = ForwardProblem(CFG_A, grid, NEU, tg, SchemeKind.EXPLICIT,
-                             exact.field(grid, 0.0), stride=1,
-                             forcing=lambda t: exact.forcing(grid, t),
-                             require_nonnegative_initial=False)
-    traj = run_forward(problem)
-
-    def phi(g, t):
-        return FieldPair(g, np.cos(np.pi * g.centers()), 0.5 * np.ones(g.shape))
-
-    # residual without acknowledging the forcing == forcing quadrature
-    res = weak_form_residual(CFG_A, traj, phi)
-    from sktsim.grid import inner
-    times = traj.stored_times()
-    total = 0.0
-    for k in range(len(times) - 1):
-        f = exact.forcing(grid, float(times[k]))
-        val = inner(f, phi(grid, float(times[k])))
-        total += (times[k + 1] - times[k]) * val * val
-    assert res == pytest.approx(math.sqrt(total), abs=1e-10)
-    # acknowledging the forcing removes the residual entirely
-    res_with_f = weak_form_residual(CFG_A, traj, phi,
-                                    forcing=lambda g, t: exact.forcing(g, t))
-    assert res_with_f <= 1e-10
-
-
 def _reference_uniqueness_level(cfg, k):
     # The per-element computation: one transpose-mode run_adjoint per basis
     # element, every pairing through inner().
@@ -277,7 +174,7 @@ def _reference_uniqueness_level(cfg, k):
     dt = cfg.base_dt / 2 ** k
     tg = TimeGrid(cfg.t_final, dt)
     t1, t2 = (run_forward(ForwardProblem(c, grid, cfg.bc, tg, scheme, cfg.initial(grid), stride=1))
-              for scheme in cfg.schemes)
+              for scheme in sktsim.experiments._SCHEMES)
     u_bars = [s1 - s2 for s1, s2 in zip(t1.snapshots, t2.snapshots)]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sktsim.algebra
+import sktsim.forward
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_p
 from sktsim.forward import (
     _BLOCK_CELLS,
@@ -18,8 +19,6 @@ from sktsim.forward import (
     StabilityError,
     TimeGrid,
     Trajectory,
-    divergence_form_matrix,
-    laplacian_of_flux,
     manufactured_convergence,
     run_forward,
     stability_bound,
@@ -32,12 +31,12 @@ from sktsim.grid import (
     Grid,
     _extend,
     _grad_stencil,
-    component_h1,
+    block_pattern,
     component_l2,
 )
 from sktsim.mms import (
+    ManufacturedSolution,
     bump_profile,
-    constant_solution,
     heat_limit_coefficients,
     polynomial_neumann_solution,
 )
@@ -48,6 +47,13 @@ DIR = BoundaryCondition.DIRICHLET
 REACTION_FREE = Coefficients(1, 1, 1, 1, d1=1.0, d2=1.0)  # b = c = growth = 0
 ASYMMETRIC = Coefficients(0.3, 0.7, 1.9, 0.45, b1=0.4, b2=1.3, c1=0.25, c2=0.6,
                           a1=1.1, a2=0.35, d1=1.7, d2=0.55)
+
+
+def component_h1(arr, grid, bc):
+    """Discrete H1 norm of one unbatched component, summed over the whole grid."""
+    vol, h, dim = grid.cell_volume, grid.h, grid.dim
+    grad_sq = sum(g * g for g in _grad_stencil(_extend(arr, bc, dim), h, dim))
+    return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
 
 
 def bump_pair(grid, amplitude=1.0):
@@ -92,10 +98,11 @@ def test_divergence_form_matches_laplacian_of_flux(dim, n, bc):
     grid = Grid(dim, 1.0, n)
     rng = np.random.default_rng(42 + dim)
     state = FieldPair(grid, rng.uniform(0.0, 3.0, grid.shape), rng.uniform(0.0, 3.0, grid.shape))
-    L = divergence_form_matrix(CFG_A, state, bc)
+    pattern = block_pattern(grid, bc)
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state, pattern))
     stacked = np.concatenate([state.u.ravel(), state.v.ravel()])
     via_div = L @ stacked
-    direct = laplacian_of_flux(CFG_A, state, bc)
+    direct = sktsim.forward._lap_flux(CFG_A, state, bc)
     expected = np.concatenate([direct.u.ravel(), direct.v.ravel()])
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(via_div - expected)) <= 1e-11 * scale
@@ -240,15 +247,6 @@ def test_positivity_monitoring_bump_run():
     assert float(np.min(traj.diagnostics["min_v"])) >= -1e-6 * amp
 
 
-def test_clamp_negative_is_optional_and_recorded():
-    grid = Grid(1, 1.0, 16)
-    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.01, 1e-3),
-                             SchemeKind.IMEX_LAGGED, bump_pair(grid), clamp_negative=True)
-    traj = run_forward(problem)
-    assert traj.metadata["clamp_negative"] is True
-    assert float(np.min(traj.final_state().u)) >= 0.0
-
-
 def test_scheme_agreement_first_order_in_dt():
     grid = Grid(1, 1.0, 32)
     initial = bump_pair(grid, amplitude=0.5)
@@ -278,8 +276,8 @@ def test_snapshot_stride_and_lookup():
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
     # The lookup agrees with a search of the stored-times array at every
     # stored time, half a step to either side of each, and both ends.
-    times = traj.stored_times()
     dt = traj.time_grid.dt
+    times = np.asarray(traj.stored_steps, dtype=float) * dt
     probes = [0.0, traj.time_grid.t_final] + [t + d for t in times for d in (-dt / 2, 0.0, dt / 2)]
     for t in probes:
         if not 0.0 <= t <= traj.time_grid.t_final:
@@ -291,7 +289,12 @@ def test_snapshot_stride_and_lookup():
 
 
 def test_manufactured_constant_is_exact():
-    exact = constant_solution(CFG_A, 1)
+    def constant_jets(coords, t):
+        zero = np.zeros(coords[0].shape)
+        return ((zero + 1.0, [zero] * len(coords), zero, zero),
+                (zero + 0.5, [zero] * len(coords), zero, zero))
+
+    exact = ManufacturedSolution(CFG_A, 1, constant_jets)
     problem = ForwardProblem(CFG_A, Grid(1, 1.0, 16), NEU, TimeGrid(0.01, 1e-3),
                              SchemeKind.IMEX_LAGGED, FieldPair.zeros(Grid(1, 1.0, 16)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
@@ -411,7 +414,7 @@ def reference_diagnostics(c, traj, bc):
         prev = traj.snapshots[max(j - 1, 0)]
         p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
         grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
-        lap_p = laplacian_of_flux(c, state, bc)
+        lap_p = sktsim.forward._lap_flux(c, state, bc)
         weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
         rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
         rows.append([

@@ -17,7 +17,6 @@ from sktsim.grid import (
     lp_norm,
     norms,
     read_field,
-    spacetime_norm,
     weak_norm,
     write_field,
 )
@@ -101,18 +100,19 @@ def test_gradient_sq_convergence_dirichlet():
 
 def test_norms_constant_field():
     grid = Grid(1, 1.0, 32)
-    rep = norms(u_field(grid, np.ones(grid.shape)), NEU)
+    f = u_field(grid, np.ones(grid.shape))
+    rep = norms(f, NEU)
     assert rep.l2 == pytest.approx(1.0, abs=1e-13)
     assert rep.h1 == pytest.approx(1.0, abs=1e-13)
-    assert rep.weak == pytest.approx(1.0, rel=1e-10)
-    assert rep.l4 == pytest.approx(1.0, abs=1e-13)
-    assert rep.linf == 1.0
+    assert weak_norm(f, NEU) == pytest.approx(1.0, rel=1e-10)
+    assert lp_norm(f, 4.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_norms_zero_field():
     grid = Grid(2, 1.0, 8)
-    rep = norms(FieldPair.zeros(grid), NEU)
-    assert rep.l2 == rep.h1 == rep.l4 == rep.linf == rep.weak == 0.0
+    f = FieldPair.zeros(grid)
+    rep = norms(f, NEU)
+    assert rep.l2 == rep.h1 == lp_norm(f, 4.0) == weak_norm(f, NEU) == 0.0
 
 
 def test_norms_sine_l2_analytic():
@@ -213,20 +213,6 @@ def test_inner_linear_in_first_argument(a, b):
     combo = a * f + b * g
     expected = a * inner(f, w) + b * inner(g, w)
     assert inner(combo, w) == pytest.approx(expected, abs=1e-12)
-
-
-def test_spacetime_norm_examples():
-    grid = Grid(1, 1.0, 16)
-    times = np.linspace(0.0, 1.0, 11)
-    zeros = [FieldPair.zeros(grid) for _ in times]
-    assert spacetime_norm(times, zeros, 2.0) == 0.0
-
-    ones = [u_field(grid, np.ones(grid.shape)) for _ in times]
-    assert spacetime_norm(times, ones, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-    c = 3.0
-    consts = [u_field(grid, np.full(grid.shape, c)) for _ in times]
-    assert spacetime_norm(times, consts, 4.0 / 3.0) == pytest.approx(c, rel=1e-12)
 
 
 def test_field_snapshot_roundtrip_bit_exact(tmp_path):

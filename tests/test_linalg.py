@@ -16,7 +16,7 @@ import sktsim.forward
 import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
 from sktsim.algebra import CFG_A, SpeciesPair, jac_P
-from sktsim.forward import divergence_form_matrix, step_imex
+from sktsim.forward import step_imex
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -104,7 +104,8 @@ def rel_diff(a, b):
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_divergence_form_matrix_matches_reference(dim, n, bc):
     state = bump_state(Grid(dim, 1.0, n))
-    L = divergence_form_matrix(CFG_A, state, bc)
+    pattern = block_pattern(state.grid, bc)
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state, pattern))
     assert rel_diff(L.toarray(), reference_divergence_form(CFG_A, state, bc)) <= 1e-13
 
 
