@@ -14,10 +14,10 @@ explicit linearized forward difference operator, which makes the discrete
 duality pairing hold to machine precision and isolates discretization
 error from the duality bookkeeping.
 
-Every backward march, batched or not, runs through one stepping loop that
-returns the stacked levels.  ``run_adjoint`` marches blocks of levels and
-computes a block's diagnostics with axis reductions, in the arithmetic of
-one level at a time.
+Every backward march, batched or not, runs through the stepping loop of
+the forward marches, ``forward._march``.  ``run_adjoint`` marches blocks
+of levels, computes a block's diagnostics with axis reductions, in the
+arithmetic of one level at a time, and returns a forward ``Trajectory``.
 
 A per-run tracker measures the differential-inequality constant of the
 backward energy (H1) balance and asserts its exponentially weighted
@@ -31,18 +31,16 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from sktsim import forward
 from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
-from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory
+from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
-    NumericalFailure,
     _extend,
     _grad_stencil,
     _grid_sums,
@@ -56,7 +54,6 @@ __all__ = [
     "AdjointBoundsReport",
     "AdjointMode",
     "AdjointRHSKind",
-    "AdjointTrajectory",
     "EpsCauchyRow",
     "coefficient_state",
     "eps_cauchy_study",
@@ -105,8 +102,9 @@ def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: i
     """Frozen adjoint coefficient state at time level ``step``: the average of
     the two forward trajectories at their last stored levels at or before it
     (piecewise constant between stored levels), truncated at ``eps``."""
-    s1, s2 = (traj.snapshots[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
-    return theta_eps(eps, 0.5 * (s1 + s2))
+    s1, s2 = (traj.levels[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
+    u, v = theta_eps(eps, 0.5 * (s1 + s2))
+    return FieldPair(u_pair[0].grid, u, v)
 
 
 def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> SpeciesPair:
@@ -168,34 +166,6 @@ def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPa
                      phi.v + dt * (P.m12 * lap.u + P.m22 * lap.v - qt.v + src.v))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _march(step: Callable[..., FieldPair], c: Coefficients, bc: BoundaryCondition, phi: FieldPair,
-           dt: float, top: int, bottom: int, state_at: Callable[[int], FieldPair],
-           rhs: AdjointRHSKind) -> np.ndarray:
-    """March ``phi``, the level ``top``, backward to level ``bottom`` with the
-    adjoint step function ``step``; every backward march runs this loop.
-
-    ``state_at(k)`` is the coefficient state of the step that computes level
-    k; ``phi`` may carry batch axes if ``step`` accepts them.  Returns levels
-    ``bottom..top`` in ascending time, shape (*batch, top - bottom + 1, 2,
-    *grid.shape).  A blow-up raises :class:`NumericalFailure` carrying the
-    step index and time of the level being computed.
-    """
-    grid = phi.grid
-    batch = phi.u.shape[:phi.u.ndim - grid.dim]
-    levels = np.empty(batch + (top - bottom + 1, 2) + grid.shape)
-    by_level = np.moveaxis(levels, (len(batch), len(batch) + 1), (0, 1))
-    by_level[-1, 0], by_level[-1, 1] = phi.u, phi.v
-    for m in range(top, bottom, -1):
-        try:
-            phi = step(c, phi, state_at(m - 1), bc, dt, rhs)
-        except NumericalFailure as exc:
-            exc.step, exc.t = m - 1, (m - 1) * dt
-            raise
-        by_level[m - 1 - bottom, 0], by_level[m - 1 - bottom, 1] = phi.u, phi.v
-    return levels
-
-
 ADJOINT_DIAGNOSTIC_COLUMNS = ("step", "t", "h1_phi", "weighted_lap_partial",
                               "dt_l43_partial")
 
@@ -225,30 +195,6 @@ class AdjointBoundsReport:
     mode: str
 
 
-@dataclass
-class AdjointTrajectory:
-    """Backward solution levels (ascending time order) and per-level diagnostics."""
-
-    dt: float
-    horizon: float
-    stored_steps: list[int]
-    snapshots: list[FieldPair]
-    diagnostics: dict[str, np.ndarray]
-
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0].grid
-
-    def initial_state(self) -> FieldPair:
-        """phi at t = 0, the end of the backward march."""
-        return self.snapshots[0]
-
-
-def _stacked_levels(fields: list[FieldPair]) -> np.ndarray:
-    """Unbatched field pairs as one array of shape (len(fields), 2, *grid.shape)."""
-    return np.array([(f.u, f.v) for f in fields])
-
-
 def _stacked_h1_sq(levels: np.ndarray, grid: Grid, bc: BoundaryCondition) -> list[float]:
     """Squared discrete H1 norm of each pair in ``levels`` (k, 2, *grid.shape):
     per component, sqrt(h^d sum w^2 + h^d sum |grad w|^2) with the centered
@@ -267,16 +213,17 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 rhs: AdjointRHSKind, chi: FieldPair,
                 horizon: float | None = None,
                 mode: AdjointMode = AdjointMode.CONTINUOUS,
-                stride: int = 1) -> tuple[AdjointTrajectory, AdjointBoundsReport]:
+                stride: int = 1) -> tuple[Trajectory, AdjointBoundsReport]:
     """March the adjoint backward from phi(horizon) = chi.  The horizon
     (default: the final time) must be a whole number of forward steps.
 
     The coefficient state of each step is :func:`coefficient_state` at the
     target level, built once per distinct pair of stored forward levels.
-    Records the three estimate functionals (block by block, partial sums in
-    march order), their ratios against ||chi||_H1, and the energy-inequality
-    tracker.  A blow-up raises :class:`NumericalFailure` carrying the step
-    index and time of the level being computed.
+    Records the three estimate functionals (block by block through
+    ``forward._march``, partial sums in march order), their ratios against
+    ||chi||_H1, and the energy-inequality tracker; the trajectory lives on
+    ``TimeGrid(horizon, dt)``.  A blow-up raises :class:`NumericalFailure`
+    carrying the step index and time of the level being computed.
     """
     traj1, traj2 = u_pair
     if traj1.grid != traj2.grid:
@@ -290,10 +237,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     tau = T if horizon is None else horizon
     if not 0.0 < tau <= T * (1 + 1e-12):
         raise ValueError(f"horizon {tau} outside (0, {T}]")
-    steps = max(1, int(round(tau / dt)))
-    if abs(steps * dt - tau) > 1e-12 * max(1.0, tau):
-        raise ValueError(f"horizon {tau} is not a whole number of steps dt={dt}")
-    stride = max(int(stride), 1)
+    time_grid = TimeGrid(tau, dt)
+    steps = time_grid.steps
     grid = chi.grid
     h, dim, vol = grid.h, grid.dim, grid.cell_volume
     step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
@@ -302,10 +247,12 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
     # Laplacian term and the L^{4/3} rate term of the step that computed level n.
     energy, weighted, rate = np.empty(steps + 1), np.empty(steps), np.empty(steps)
-    energy[steps] = _stacked_h1_sq(_stacked_levels([chi]), grid, bc)[0]
-    stored_steps, snapshots = [steps], [chi.copy()]
-    phi, top, key = chi, steps, None
-    while top > 0:
+    kept = forward._stored_steps(steps, stride)
+    stored = np.empty((len(kept), 2, *grid.shape))
+    stored[-1] = chi.u, chi.v
+    energy[steps] = _stacked_h1_sq(stored[-1:], grid, bc)[0]
+    phi, key = chi, None
+    for top in range(steps, 0, -block):
         bottom = max(top - block, 0)
         states = []
         for s in range(top - 1, bottom - 1, -1):
@@ -313,20 +260,17 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
             if now != key:
                 key, state = now, coefficient_state(u_pair, eps, s)
             states.append(state)
-        levels = _march(step, c, bc, phi, dt, top, bottom,
-                        lambda s, top=top, states=states: states[top - 1 - s], rhs)
-        new, coef = levels[:-1], _stacked_levels(states[::-1])
+        levels = forward._march(lambda phi, k: step(c, phi, states[top - 1 - k], bc, dt, rhs),
+                                phi, top, bottom, dt)
+        new, coef = levels[:-1], np.array([(s.u, s.v) for s in states[::-1]])
         energy[bottom:top] = _stacked_h1_sq(new, grid, bc)
         lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
         w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
         weighted[bottom:top] = vol * _grid_sums(w, dim)
         r = _grid_sums(np.abs((levels[1:] - new) / dt) ** (4.0 / 3.0), dim)
         rate[bottom:top] = dt * vol * (r[:, 0] + r[:, 1])
-        kept = range(bottom + (-bottom) % stride, top, stride)
-        stored_steps[:0] = kept
-        snapshots[:0] = [FieldPair(grid, new[s - bottom, 0].copy(), new[s - bottom, 1].copy())
-                         for s in kept]
-        phi, top = FieldPair(grid, new[0, 0], new[0, 1]), bottom
+        forward._keep(stored, kept, levels, bottom)
+        phi = FieldPair(grid, new[0, 0], new[0, 1])
 
     # Running sums accumulate in march order, from tau down to 0.
     wlap_partial = np.cumsum(dt * weighted[::-1])[::-1]
@@ -368,8 +312,8 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         kappa_sup=ratio(sup_h1), kappa_weighted_lap=ratio(weighted_lap),
         kappa_dt=ratio(dt_l43), gronwall_kappa=kappa_run, gronwall_slack=slack,
         eps=eps, rhs=rhs.value, mode=mode.value)
-    trajectory = AdjointTrajectory(dt=dt, horizon=tau, stored_steps=stored_steps,
-                                   snapshots=snapshots, diagnostics=diagnostics)
+    trajectory = Trajectory(grid=grid, time_grid=time_grid, stored_steps=kept, levels=stored,
+                            diagnostics=diagnostics)
     return trajectory, report
 
 
@@ -394,16 +338,15 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
     and the difference vanishes exactly.  Also returns the bounds report of
     each solve, in ``eps_list`` order, so callers need not march again.
     """
+    if u_pair[0].stored_steps != u_pair[1].stored_steps:
+        raise ValueError("forward trajectories store different levels")
     runs = []
     reports = []
-    u_max = 0.0
-    for s1, s2 in zip(u_pair[0].snapshots, u_pair[1].snapshots):
-        avg = 0.5 * (s1 + s2)
-        u_max = max(u_max, float(np.max(avg.u)), float(np.max(avg.v)))
+    u_max = max(0.0, float(np.max(0.5 * (u_pair[0].levels + u_pair[1].levels))))
 
     for eps in eps_list:
         traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, stride=1)
-        runs.append((eps, _stacked_levels(traj.snapshots)))
+        runs.append((eps, traj.levels))
         reports.append(report)
 
     grid, dim, dt = chi.grid, chi.grid.dim, u_pair[0].time_grid.dt

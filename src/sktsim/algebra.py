@@ -247,13 +247,14 @@ def _state_part_min_eig(c: Coefficients, sigma_u: np.ndarray) -> np.ndarray:
     return half_tr - disc
 
 
-def _ray_infimum(c: Coefficients, n_scan: int = 65537) -> float:
+def _ray_infimum(c: Coefficients) -> float:
     """Infimum over density rays and directions of the normalized form of A.
 
     Dense scan of the closed-form eigenvalue over the density simplex,
     shaved by the exact Lipschitz bound of the eigenvalue in the scan
     variable so the returned value never exceeds the true infimum.
     """
+    n_scan = 65537
     x = np.linspace(0.0, 1.0, n_scan)
     lam = _state_part_min_eig(c, x)
     # lambda_min is 1-Lipschitz in the matrix (Frobenius), and sym A is

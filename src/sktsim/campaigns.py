@@ -61,10 +61,10 @@ class CheckResult:
                 f"({self.elapsed:.2f} s)")
 
 
-def _desk_initial(grid: Grid, amplitude: float = 1.0) -> FieldPair:
+def _desk_initial(grid: Grid) -> FieldPair:
     return FieldPair(grid,
-                     bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, amplitude) + 0.2,
-                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6 * amplitude) + 0.2)
+                     bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
+                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2)
 
 
 def _norm_bump(grid: Grid) -> FieldPair:
@@ -161,7 +161,8 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     results = []
     heat = heat_limit_coefficients()
 
-    def heat_run(n: int, dt_factor: float, scheme: SchemeKind, T: float = 0.1):
+    def heat_run(n: int, dt_factor: float, scheme: SchemeKind):
+        T = 0.1
         grid = Grid(1, 1.0, n)
         x = grid.centers()
         initial = FieldPair(grid, 1.0 + np.cos(np.pi * x), np.zeros(grid.shape))

@@ -64,7 +64,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     trajectory = run_forward(cfg.forward_problem())
     write_forward_outputs(out_dir, trajectory)
     print(f"simulated {trajectory.time_grid.steps} steps "
-          f"({len(trajectory.snapshots)} snapshots) into {out_dir}")
+          f"({len(trajectory.stored_steps)} snapshots) into {out_dir}")
     return int(ExitStatus.OK)
 
 
@@ -140,13 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, args.campaign)
         return cmd_report(out_dir)
-    except ConfigError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
     except NumericalFailure as exc:
         return _fail(ExitStatus.NUMERICAL_FAILURE, str(exc))
-    except FileNotFoundError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 
 

@@ -120,12 +120,12 @@ class RunConfig:
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.t_final, self.dt)
 
-    def initial_field(self, grid: Grid | None = None) -> FieldPair:
-        g = grid if grid is not None else self.grid()
+    def initial_field(self) -> FieldPair:
+        g = self.grid()
         return FieldPair(g, self.init_u.evaluate(g), self.init_v.evaluate(g))
 
-    def terminal_field(self, grid: Grid | None = None) -> FieldPair:
-        g = grid if grid is not None else self.grid()
+    def terminal_field(self) -> FieldPair:
+        g = self.grid()
         return FieldPair(g, self.terminal_u.evaluate(g), self.terminal_v.evaluate(g))
 
     def forward_problem(self) -> ForwardProblem:

@@ -5,7 +5,11 @@ discretizations of one problem must agree in the limit, so the terminal
 pairings of their difference against a basis of terminal data shrink under
 joint refinement.  The duality bookkeeping itself is validated to machine
 precision on a synthetic run where the difference follows the linearized
-explicit dynamics exactly and the adjoint is its exact transpose.
+explicit dynamics exactly and the adjoint is its exact transpose.  Every
+march here, the forward runs, the linearized difference and the batched
+transpose adjoint of the terminal basis, goes through the one stepping loop
+:func:`sktsim.forward._march`, and the stored levels of a forward
+:class:`~sktsim.forward.Trajectory` are read as one stacked array.
 
 Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
@@ -21,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import (AdjointRHSKind, _march, _stacked_levels, coefficient_state,
-                            step_adjoint_transpose)
+from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
 from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, jac_P, jac_Q
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, run_forward
+from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -159,13 +162,12 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     pure linear algebra and sits at roundoff level.
     """
     steps = max(1, int(round(T / dt)))
-    u_bars = [u_bar0.copy()]
-    for _ in range(steps):
-        u_bars.append(_linearized_difference_step(c, u_tilde, u_bars[-1], bc, dt))
-
-    phi = _march(step_adjoint_transpose, c, bc, FieldPair(grid, chi.u[None], chi.v[None]), dt,
-                 steps, 0, lambda _: u_tilde, AdjointRHSKind.IDENTITY)
-    res = _duality_residual_series(c, grid, _stacked_levels(u_bars), phi, dt)
+    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, u_tilde, u_bar, bc, dt),
+                   u_bar0, 0, steps, dt)
+    phi = _march(lambda phi, _: step_adjoint_transpose(c, phi, u_tilde, bc, dt,
+                                                       AdjointRHSKind.IDENTITY),
+                 FieldPair(grid, chi.u[None], chi.v[None]), steps, 0, dt)
+    res = _duality_residual_series(c, grid, u_bar, phi, dt)
     return float(np.max(np.abs(res)))
 
 
@@ -232,13 +234,16 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
             problem = ForwardProblem(c, grid, cfg.bc, tg, scheme, initial, stride=1)
             trajs.append(run_forward(problem))
         t1, t2 = trajs
-        u_bar = _stacked_levels(t1.snapshots) - _stacked_levels(t2.snapshots)
+        u_bar = t1.levels - t2.levels
 
         basis = chi_basis(grid, cfg.bc, cfg.modes)
         chi = FieldPair(grid, np.array([f.u for _, f in basis]), np.array([f.v for _, f in basis]))
-        phi = _march(step_adjoint_transpose, c, cfg.bc, chi, dt, tg.steps, 0,
-                     lambda step: coefficient_state((t1, t2), TINY_EPS, step),
-                     AdjointRHSKind.IDENTITY)
+
+        def adjoint_step(phi: FieldPair, k: int) -> FieldPair:
+            state = coefficient_state((t1, t2), TINY_EPS, k)
+            return step_adjoint_transpose(c, phi, state, cfg.bc, dt, AdjointRHSKind.IDENTITY)
+
+        phi = _march(adjoint_step, chi, tg.steps, 0, dt)
 
         series = _stacked_inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
         residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),

@@ -19,9 +19,14 @@ BiCGStab in 2D.
 Per-step diagnostics track the quantities whose boundedness characterizes
 solution regularity: masses, extrema, L2/H1/L4 norms, the L2 norms of
 grad p(u) and of the discrete Laplacian of p(u), and the density-weighted
-time-derivative norm.  ``run_forward`` copies the levels into a block and
-computes the diagnostics of a whole block with axis reductions, in the
+time-derivative norm.  ``run_forward`` marches a block of levels at a time
+and computes the diagnostics of a whole block with axis reductions, in the
 arithmetic of one level at a time.
+
+Every march, forward or backward, batched or not, runs through one stepping
+loop, :func:`_march`, and both directions return a :class:`Trajectory`
+whose stored levels are one stacked array: every ``stride``-th level and
+the last (:func:`_stored_steps`).
 
 Each level is checked for finiteness once, when its :class:`FieldPair` is
 built; the steps therefore call the unchecked algebra cores (``_eval_p``,
@@ -86,7 +91,7 @@ class SchemeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on (0, t_final] with M = round(t_final/dt) steps."""
+    """Uniform time grid on (0, t_final] with M = round(t_final/dt) >= 1 steps."""
 
     t_final: float
     dt: float
@@ -94,7 +99,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.t_final > 0.0 and self.dt > 0.0):
             raise ValueError("t_final and dt must be positive")
-        if abs(self.steps * self.dt - self.t_final) > 1e-12 * max(1.0, self.t_final):
+        steps = self.steps
+        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-12 * max(1.0, self.t_final):
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")
 
     @property
@@ -112,20 +118,27 @@ DIAGNOSTIC_COLUMNS = ("step", "t", "mass_u", "mass_v", "min_u", "min_v",
 
 @dataclass
 class Trajectory:
-    """Stored snapshots (every ``stride``-th level plus endpoints) and diagnostics."""
+    """Stored levels and per-level diagnostics of a forward or backward march.
 
+    ``levels`` has shape (len(stored_steps), 2, *grid.shape): level
+    ``stored_steps[i]`` is ``levels[i]``, in ascending time.
+    """
+
+    grid: Grid
     time_grid: TimeGrid
-    stride: int
     stored_steps: list[int]
-    snapshots: list[FieldPair]
+    levels: np.ndarray
     diagnostics: dict[str, np.ndarray]
 
-    @property
-    def grid(self) -> Grid:
-        return self.snapshots[0].grid
+    def state(self, i: int) -> FieldPair:
+        """The ``i``-th stored level, a view of ``levels``."""
+        return FieldPair(self.grid, self.levels[i, 0], self.levels[i, 1])
+
+    def initial_state(self) -> FieldPair:
+        return self.state(0)
 
     def final_state(self) -> FieldPair:
-        return self.snapshots[-1]
+        return self.state(-1)
 
     def snapshot_at(self, t: float) -> FieldPair:
         """Snapshot at the last stored level with time <= t (piecewise constant)."""
@@ -134,7 +147,48 @@ class Trajectory:
         dt = self.time_grid.dt
         idx = bisect.bisect_right(self.stored_steps, t + 1e-12 * max(1.0, abs(t)),
                                   key=lambda s: s * dt) - 1
-        return self.snapshots[max(idx, 0)]
+        return self.state(max(idx, 0))
+
+
+def _stored_steps(steps: int, stride: int) -> list[int]:
+    """Levels a march of ``steps`` steps stores: {0, stride, 2 stride, ...} and ``steps``."""
+    return [*range(0, steps, max(int(stride), 1)), steps]
+
+
+def _keep(stored: np.ndarray, kept: list[int], levels: np.ndarray, first: int) -> None:
+    """Copy those of ``levels``, the levels ``first``, ``first`` + 1, ..., whose
+    steps are in ``kept`` into their rows of ``stored`` (one row per kept step)."""
+    i, j = bisect.bisect_left(kept, first), bisect.bisect_right(kept, first + len(levels) - 1)
+    stored[i:j] = levels[[s - first for s in kept[i:j]]]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _march(advance: Callable[[FieldPair, int], FieldPair], phi: FieldPair, start: int, stop: int,
+           dt: float) -> np.ndarray:
+    """March ``phi``, the level ``start``, to level ``stop`` in either time
+    direction; every march runs this loop.
+
+    ``advance(phi, k)`` returns level k from its neighbour ``phi``; ``phi``
+    may carry batch axes if ``advance`` accepts them.  Returns the levels
+    between ``start`` and ``stop`` in ascending time, shape (*batch,
+    |stop - start| + 1, 2, *grid.shape).  A blow-up raises
+    :class:`NumericalFailure` carrying the step index and time of the level
+    being computed.
+    """
+    grid = phi.grid
+    batch = phi.u.shape[:phi.u.ndim - grid.dim]
+    sign, bottom = (1, start) if stop >= start else (-1, stop)
+    levels = np.empty(batch + (abs(stop - start) + 1, 2) + grid.shape)
+    by_level = np.moveaxis(levels, (len(batch), len(batch) + 1), (0, 1))
+    by_level[start - bottom, 0], by_level[start - bottom, 1] = phi.u, phi.v
+    for k in range(start + sign, stop + sign, sign):
+        try:
+            phi = advance(phi, k)
+        except NumericalFailure as exc:
+            exc.step, exc.t = k, k * dt
+            raise
+        by_level[k - bottom, 0], by_level[k - bottom, 1] = phi.u, phi.v
+    return levels
 
 
 def stability_bound(c: Coefficients, state: FieldPair) -> float:
@@ -326,53 +380,41 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     Negative values are never clipped; the ``min_u``/``min_v`` columns
     record any undershoot.  A step that fails (non-finite values or the
     explicit stability bound) raises :class:`NumericalFailure` carrying the
-    step index and time, without numpy overflow warnings.  Each new level is
-    copied into a block of levels whose diagnostics are computed together
-    when the block is full or the march ends.
+    step index and time, without numpy overflow warnings.  The march runs
+    through :func:`_march` a block of levels at a time; each block's
+    diagnostics are computed together and its stored levels kept.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
-    state = problem.initial.copy()
+    state = problem.initial
     if state.grid != grid:
         raise ValueError("initial data grid does not match the problem grid")
     if problem.require_nonnegative_initial and (np.any(state.u < 0) or np.any(state.v < 0)):
         raise ValueError("initial data must be nonnegative")
-    stride = max(int(problem.stride), 1)
     dt = tg.dt
+    step = step_explicit if problem.scheme is SchemeKind.EXPLICIT else step_imex
 
+    def advance(state: FieldPair, k: int) -> FieldPair:
+        forcing = problem.forcing((k - 1) * dt) if problem.forcing is not None else None
+        return step(c, state, bc, dt, forcing)
+
+    kept = _stored_steps(tg.steps, problem.stride)
+    stored = np.empty((len(kept), 2, *grid.shape))
+    stored[0] = state.u, state.v
     columns = np.empty((len(DIAGNOSTIC_COLUMNS), tg.steps + 1))
-    levels = np.empty((max(1, _BLOCK_CELLS // grid.node_count) + 1, 2, *grid.shape))
-    levels[0, 0], levels[0, 1] = state.u, state.v
     # Level 0 paired with itself: its time-derivative norm is exactly zero.
-    columns[:, :1] = _diagnostics_block(c, grid, bc, levels[[0, 0]], np.zeros(1), dt)
-    filled = 0
-    stored_steps = [0]
-    snapshots = [state.copy()]
+    columns[:, :1] = _diagnostics_block(c, grid, bc, stored[[0, 0]], np.zeros(1), dt)
+    block = max(1, _BLOCK_CELLS // grid.node_count)
+    for lo in range(0, tg.steps, block):
+        hi = min(lo + block, tg.steps)
+        levels = _march(advance, state, lo, hi, dt)
+        columns[:, lo + 1:hi + 1] = _diagnostics_block(
+            c, grid, bc, levels, np.arange(lo + 1, hi + 1, dtype=float), dt)
+        _keep(stored, kept, levels, lo)
+        state = FieldPair(grid, levels[-1, 0], levels[-1, 1])
 
-    for n in range(tg.steps):
-        forcing = problem.forcing(n * dt) if problem.forcing is not None else None
-        try:
-            if problem.scheme is SchemeKind.EXPLICIT:
-                state = step_explicit(c, state, bc, dt, forcing)
-            else:
-                state = step_imex(c, state, bc, dt, forcing)
-        except NumericalFailure as exc:
-            exc.step, exc.t = n + 1, (n + 1) * dt
-            raise
-        filled += 1
-        levels[filled, 0], levels[filled, 1] = state.u, state.v
-        if filled == len(levels) - 1 or n + 1 == tg.steps:
-            first = n + 2 - filled
-            columns[:, first:n + 2] = _diagnostics_block(
-                c, grid, bc, levels[:filled + 1], np.arange(first, n + 2, dtype=float), dt)
-            levels[0] = levels[filled]
-            filled = 0
-        if (n + 1) % stride == 0 or n + 1 == tg.steps:
-            stored_steps.append(n + 1)
-            snapshots.append(state.copy())
-
-    return Trajectory(time_grid=tg, stride=stride, stored_steps=stored_steps,
-                      snapshots=snapshots, diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)))
+    return Trajectory(grid=grid, time_grid=tg, stored_steps=kept, levels=stored,
+                      diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)))
 
 
 @dataclass

@@ -89,9 +89,9 @@ def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) 
     return ManufacturedSolution(c, dim, jets)
 
 
-def heat_limit_coefficients(d1: float = 1.0, d2: float = 1.0) -> Coefficients:
-    """Decoupled linear-diffusion limit (all a_ij, b, c, growth zero)."""
-    return Coefficients(0, 0, 0, 0, d1=d1, d2=d2)
+def heat_limit_coefficients() -> Coefficients:
+    """Decoupled linear-diffusion limit: unit diffusion, all a_ij, b, c, growth zero."""
+    return Coefficients(0, 0, 0, 0, d1=1.0, d2=1.0)
 
 
 def bump_profile(grid: Grid, center: float, width: float, amplitude: float) -> np.ndarray:

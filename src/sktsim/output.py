@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sktsim.adjoint import AdjointBoundsReport, AdjointTrajectory
+from sktsim.adjoint import AdjointBoundsReport
 from sktsim.config import RunConfig
 from sktsim.forward import Trajectory
 from sktsim.grid import read_field, write_field
@@ -44,12 +44,15 @@ def write_csv(path: Path, columns: dict[str, np.ndarray],
 
 
 def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
-    """Diagnostics CSV plus one snapshot file per stored level."""
+    """Diagnostics CSV plus one snapshot file per stored level, replacing the
+    snapshots of any earlier run in ``out_dir``."""
     write_csv(out_dir / "forward_diagnostics.csv", trajectory.diagnostics)
     snap_dir = out_dir / "forward"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    for step, snap in zip(trajectory.stored_steps, trajectory.snapshots):
-        write_field(snap_dir / f"step_{step:06d}.field", snap)
+    for old in snap_dir.glob("step_*.field"):
+        old.unlink()
+    for i, step in enumerate(trajectory.stored_steps):
+        write_field(snap_dir / f"step_{step:06d}.field", trajectory.state(i))
 
 
 def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
@@ -67,15 +70,15 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
         return None
     steps = [int(f.stem.split("_")[1]) for f in files]
     grid = cfg.grid()
-    snapshots = [read_field(f, grid) for f in files]
+    levels = np.array([(f.u, f.v) for f in (read_field(path, grid) for path in files)])
     tg = cfg.time_grid()
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")
-    return Trajectory(time_grid=tg, stride=cfg.stride, stored_steps=steps,
-                      snapshots=snapshots, diagnostics={})
+    return Trajectory(grid=grid, time_grid=tg, stored_steps=steps, levels=levels,
+                      diagnostics={})
 
 
-def write_adjoint_outputs(out_dir: Path, trajectory: AdjointTrajectory,
+def write_adjoint_outputs(out_dir: Path, trajectory: Trajectory,
                           report: AdjointBoundsReport) -> None:
     """Adjoint diagnostics CSV with the bounds report appended as key = value lines."""
     trailer = [f"{key} = {_fmt(val) if isinstance(val, float) else val}"

@@ -163,7 +163,7 @@ def test_zero_terminal_data_gives_zero_adjoint():
     phi_traj, report = run_adjoint(CFG_A, NEU, (traj, traj), eps=0.5,
                                    rhs=AdjointRHSKind.IDENTITY,
                                    chi=FieldPair.zeros(traj.grid))
-    assert all(np.all(s.u == 0.0) and np.all(s.v == 0.0) for s in phi_traj.snapshots)
+    assert np.all(phi_traj.levels == 0.0)
     assert report.sup_h1 == report.weighted_lap == report.dt_l43 == 0.0
     assert report.kappa_sup == 0.0
     assert report.gronwall_slack == 0.0
@@ -262,6 +262,17 @@ def test_eps_cauchy_zero_differences_once_threshold_clears_data():
     assert saw_inactive
     # active rows actually differ
     assert rows[0].diff_sup_h1 > 0.0
+
+
+def test_eps_cauchy_rejects_trajectories_storing_different_levels():
+    # The truncation test averages the pair level by level, so both must
+    # store the same steps.
+    traj, _ = forward_desk_pair(n=16, T=0.01)
+    other = dataclasses.replace(traj, stored_steps=traj.stored_steps[::2],
+                                levels=traj.levels[::2])
+    with pytest.raises(ValueError, match="store different levels"):
+        eps_cauchy_study(CFG_A, NEU, (traj, other), [1.0, 0.5], AdjointRHSKind.IDENTITY,
+                         unit_h1_cosine(traj.grid))
 
 
 def test_eps_cauchy_campaign_marches_each_adjoint_once(tmp_path, monkeypatch):
@@ -363,7 +374,7 @@ def test_run_adjoint_horizon_shorter_than_final_time():
     chi = unit_h1_cosine(u_pair[0].grid)
     traj, report = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.GROWTH, chi,
                                horizon=0.125)
-    assert traj.horizon == 0.125
+    assert traj.time_grid.t_final == 0.125
     assert traj.stored_steps[0] == 0 and traj.stored_steps[-1] == 125
     assert report.kappa_sup > 0.0 and math.isfinite(report.kappa_weighted_lap)
     assert report.rhs == "l"
@@ -375,7 +386,7 @@ def test_run_adjoint_rejects_horizon_off_the_time_grid():
     # to t = 0.123 while reporting the horizon as 0.1234.
     u_pair = forward_desk_pair(n=16, T=0.25, dt=1e-3)
     chi = unit_h1_cosine(u_pair[0].grid)
-    with pytest.raises(ValueError, match="whole number of steps"):
+    with pytest.raises(ValueError, match="0.1234"):
         run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi, horizon=0.1234)
     traj, _ = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi,
                           horizon=123 * 1e-3)
@@ -488,7 +499,9 @@ def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode
             assert abs(value - ref) <= 1e-13 * abs(ref), key
     assert ref_report.gronwall_kappa > 0.0 and ref_report.weighted_lap > 0.0
     assert traj.stored_steps == list(ref_stored)
-    for snap, ref in zip(traj.snapshots, ref_stored.values()):
+    assert traj.levels.shape == (len(ref_stored), 2, *grid.shape)
+    for i, ref in enumerate(ref_stored.values()):
+        snap = traj.state(i)
         assert np.array_equal(snap.u, ref.u) and np.array_equal(snap.v, ref.v)
 
 
@@ -504,7 +517,7 @@ def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
     monkeypatch.setattr(sktsim.adjoint, "coefficient_state", counting)
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "heat_1d.cfg")
     traj = run_forward(cfg.forward_problem())
-    assert traj.time_grid.steps == 2000 and traj.stride == 100
+    assert traj.time_grid.steps == 2000 and traj.stored_steps == list(range(0, 2001, 100))
     run_adjoint(cfg.coefficients, cfg.bc, (traj, traj), cfg.eps, cfg.rhs,
                 unit_h1_cosine(traj.grid), stride=cfg.stride)
     assert len(calls) == 20

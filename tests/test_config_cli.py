@@ -192,6 +192,36 @@ def test_cli_simulate_writes_outputs_and_is_deterministic(tmp_path):
     assert np.array_equal(snap.u, again.u)
 
 
+def test_cli_simulate_again_replaces_the_stored_snapshots(tmp_path, capsys):
+    # A second run into the same --out with another stride and other data
+    # must leave only its own snapshots, so that `adjoint` marches on one run.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text()
+    assert text.count("storage.stride = 10") == text.count("init.u = bump 0.5 0.3 2.0") == 1
+    second = write_cfg(tmp_path, text.replace("storage.stride = 10", "storage.stride = 25")
+                       .replace("init.u = bump 0.5 0.3 2.0", "init.u = constant 3.0"))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["simulate", "--config", str(CONFIGS / "cfg_a_1d.cfg"), "--out", str(reused)]) == 0
+    for out in (reused, fresh):
+        assert main(["simulate", "--config", str(second), "--out", str(out)]) == 0
+        assert main(["adjoint", "--config", str(second), "--out", str(out)]) == 0
+    names = sorted(p.name for p in (reused / "forward").glob("*.field"))
+    assert names == [f"step_{k:06d}.field" for k in range(0, 501, 25)]
+    assert ((reused / "adjoint_diagnostics.csv").read_bytes()
+            == (fresh / "adjoint_diagnostics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_unusable_out_is_config_error(tmp_path, capsys, command):
+    # --out names a file (simulate) or a path under a file (verify).
+    path = write_cfg(tmp_path, MINIMAL)
+    afile = tmp_path / "afile"
+    afile.touch()
+    argv = {"simulate": ["simulate", "--out", str(afile)],
+            "verify": ["verify", "--campaign", "algebra", "--out", str(afile / "x")]}[command]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("SKT-ERR:2:")
+
+
 def test_cli_simulate_stability_violation_exits_three(tmp_path, capsys):
     text = MINIMAL.replace("scheme = imex", "scheme = explicit")
     path = write_cfg(tmp_path, text)
@@ -210,8 +240,8 @@ def test_cli_simulate_blowup_exits_three_naming_the_step(tmp_path, capsys):
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("SKT-ERR:3:")
-    assert "step" in err
+    # Step 1728 lies in the seventh block of 256 levels, past the first one.
+    assert err.startswith("SKT-ERR:3: step 1728 (t=0.0864): ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -175,13 +175,13 @@ def _reference_uniqueness_level(cfg, k):
     tg = TimeGrid(cfg.t_final, dt)
     t1, t2 = (run_forward(ForwardProblem(c, grid, cfg.bc, tg, scheme, cfg.initial(grid), stride=1))
               for scheme in sktsim.experiments._SCHEMES)
-    u_bars = [s1 - s2 for s1, s2 in zip(t1.snapshots, t2.snapshots)]
+    u_bars = [t1.state(i) - t2.state(i) for i in range(len(t1.stored_steps))]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
     for label, chi in chi_basis(grid, cfg.bc, cfg.modes):
         phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY, chi,
                                   mode=AdjointMode.TRANSPOSE, stride=1)
-        phis = phi_traj.snapshots
+        phis = [phi_traj.state(i) for i in range(len(phi_traj.stored_steps))]
         series = np.array([inner(ub, ph) for ub, ph in zip(u_bars, phis)])
         residual = []
         for n in range(len(u_bars) - 1):
@@ -239,20 +239,20 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
 
 
 def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatch):
-    # Three levels, one batched march of the 6-element basis each, and one
-    # march of a single terminal field for the exact-transpose-duality gate;
-    # no per-element run_adjoint.
+    # Three levels, one batched march of the 6-element basis each, and for
+    # the exact-transpose-duality gate one unbatched march of the difference
+    # and one march of a single terminal field; no per-element run_adjoint.
     adjoint_calls = []
-    batch_sizes = []
+    batch_shapes = []
     march = sktsim.experiments._march
 
     def counting_adjoint(*args, **kwargs):
         adjoint_calls.append(args)
         return run_adjoint(*args, **kwargs)
 
-    def counting_march(step, c, bc, chi, *args):
-        batch_sizes.append(chi.u.shape[0])
-        return march(step, c, bc, chi, *args)
+    def counting_march(advance, phi, *args):
+        batch_shapes.append(phi.u.shape[:phi.u.ndim - phi.grid.dim])
+        return march(advance, phi, *args)
 
     monkeypatch.setattr(sktsim.adjoint, "run_adjoint", counting_adjoint)
     monkeypatch.setattr(sktsim.campaigns, "run_adjoint", counting_adjoint)
@@ -261,7 +261,7 @@ def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatc
     results = run_campaign("uniqueness", cfg, tmp_path)
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
     assert adjoint_calls == []
-    assert batch_sizes == [6, 6, 6, 1]
+    assert batch_shapes == [(6,), (6,), (6,), (), (1,)]
 
 
 def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):

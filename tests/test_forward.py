@@ -68,6 +68,9 @@ def test_time_grid_validation():
         TimeGrid(1.0, 0.3)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 0.1)
+    # A horizon within the 1e-12 slack of zero would round to zero steps.
+    with pytest.raises(ValueError):
+        TimeGrid(1e-13, 1.0)
 
 
 def test_explicit_step_zero_and_constant_states():
@@ -269,9 +272,9 @@ def test_snapshot_stride_and_lookup():
                              SchemeKind.IMEX_LAGGED, bump_pair(grid), stride=4)
     traj = run_forward(problem)
     assert traj.stored_steps == [0, 4, 8, 10]
-    assert len(traj.snapshots) == 4
+    assert traj.levels.shape == (4, 2, *grid.shape)
     mid = traj.snapshot_at(0.0052)
-    assert np.array_equal(mid.u, traj.snapshots[1].u)  # floor to step 4
+    assert np.array_equal(mid.u, traj.levels[1, 0])  # floor to step 4
     assert np.array_equal(traj.snapshot_at(0.01).u, traj.final_state().u)
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
     # The lookup agrees with a search of the stored-times array at every
@@ -285,7 +288,9 @@ def test_snapshot_stride_and_lookup():
                 traj.snapshot_at(t)
             continue
         idx = int(np.searchsorted(times, t + 1e-12 * max(1.0, abs(t)), side="right")) - 1
-        assert traj.snapshot_at(t) is traj.snapshots[max(idx, 0)]
+        snap = traj.snapshot_at(t)
+        assert np.array_equal(snap.u, traj.levels[max(idx, 0), 0])
+        assert np.array_equal(snap.v, traj.levels[max(idx, 0), 1])
 
 
 def test_manufactured_constant_is_exact():
@@ -410,8 +415,8 @@ def reference_diagnostics(c, traj, bc):
     vol, h, dim = grid.cell_volume, grid.h, grid.dim
     dt = traj.time_grid.dt
     rows = []
-    for j, state in enumerate(traj.snapshots):
-        prev = traj.snapshots[max(j - 1, 0)]
+    for j in range(len(traj.stored_steps)):
+        state, prev = traj.state(j), traj.state(max(j - 1, 0))
         p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
         grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
         lap_p = sktsim.forward._lap_flux(c, state, bc)
@@ -482,5 +487,5 @@ def test_explicit_march_checks_each_level_once(monkeypatch):
     monkeypatch.setattr(sktsim.algebra, "_require_finite", counted_require_finite)
     traj = run_forward(problem)
     blocks = 1 + math.ceil(steps / max(1, _BLOCK_CELLS // grid.node_count))
-    assert counts["scan"] <= steps + len(traj.snapshots) + 2
+    assert counts["scan"] <= steps + len(traj.stored_steps) + 2
     assert counts["finite"] <= blocks
