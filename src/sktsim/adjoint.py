@@ -40,12 +40,11 @@ from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
-    Grid,
     _extend,
-    _grad_stencil,
     _grid_sums,
     _lap_stencil,
     block_pattern,
+    h1_norms,
     laplacian,
 )
 
@@ -81,15 +80,11 @@ def theta_eps(eps: float, s):
 
     The blend on [1/eps, 2/eps] is the C1 cubic Hermite interpolant with
     endpoint values (1/eps, 1/eps) and endpoint slopes (1, 0); its
-    derivative stays in [-1/3, 1].  Componentwise over SpeciesPair or
-    FieldPair inputs, elementwise over arrays.
+    derivative stays in [-1/3, 1].  Elementwise over arrays; a scalar gives
+    a float.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if isinstance(s, FieldPair):
-        return FieldPair(s.grid, theta_eps(eps, s.u), theta_eps(eps, s.v))
-    if isinstance(s, SpeciesPair):
-        return SpeciesPair(theta_eps(eps, s.u), theta_eps(eps, s.v))
     arr = np.asarray(s, dtype=float)
     a = 1.0 / eps
     t = np.clip(arr * eps - 1.0, 0.0, 1.0)
@@ -195,18 +190,6 @@ class AdjointBoundsReport:
     mode: str
 
 
-def _stacked_h1_sq(levels: np.ndarray, grid: Grid, bc: BoundaryCondition) -> list[float]:
-    """Squared discrete H1 norm of each pair in ``levels`` (k, 2, *grid.shape):
-    per component, sqrt(h^d sum w^2 + h^d sum |grad w|^2) with the centered
-    gradient on the ghost-extended field, each sum a single-field ``np.sum``;
-    then hu^2 + hv^2.  The squares are Python floats, as libm ``pow`` can
-    differ from numpy's square by an ulp."""
-    h, dim, vol = grid.h, grid.dim, grid.cell_volume
-    grad_sq = sum(g * g for g in _grad_stencil(_extend(levels, bc, dim), h, dim))
-    h1 = np.sqrt(vol * _grid_sums(levels ** 2, dim) + vol * _grid_sums(grad_sq, dim))
-    return [hu ** 2 + hv ** 2 for hu, hv in h1.tolist()]
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 u_pair: tuple[Trajectory, Trajectory], eps: float,
@@ -246,11 +229,14 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
 
     # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
     # Laplacian term and the L^{4/3} rate term of the step that computed level n.
+    # E_n = hu^2 + hv^2 is squared in Python floats: libm pow can differ from
+    # numpy's square by an ulp.
     energy, weighted, rate = np.empty(steps + 1), np.empty(steps), np.empty(steps)
     kept = forward._stored_steps(steps, stride)
     stored = np.empty((len(kept), 2, *grid.shape))
     stored[-1] = chi.u, chi.v
-    energy[steps] = _stacked_h1_sq(stored[-1:], grid, bc)[0]
+    hu, hv = h1_norms(grid, stored[-1], bc).tolist()
+    energy[steps] = hu ** 2 + hv ** 2
     phi, key = chi, None
     for top in range(steps, 0, -block):
         bottom = max(top - block, 0)
@@ -263,7 +249,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         levels = forward._march(lambda phi, k: step(c, phi, states[top - 1 - k], bc, dt, rhs),
                                 phi, top, bottom, dt)
         new, coef = levels[:-1], np.array([(s.u, s.v) for s in states[::-1]])
-        energy[bottom:top] = _stacked_h1_sq(new, grid, bc)
+        energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
         lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
         w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
         weighted[bottom:top] = vol * _grid_sums(w, dim)
@@ -353,7 +339,8 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
     rows = []
     for (eps_a, levels_a), (eps_b, levels_b) in zip(runs, runs[1:]):
         diff = levels_a - levels_b
-        sup_h1 = max([0.0] + [math.sqrt(e) for e in _stacked_h1_sq(diff, grid, bc)])
+        sup_h1 = max([0.0] + [math.sqrt(hu ** 2 + hv ** 2)
+                              for hu, hv in h1_norms(grid, diff, bc).tolist()])
         # Every level but the top one carries a Laplacian term, summed in step order.
         lap_sq = _grid_sums(_lap_stencil(_extend(diff[:-1], bc, dim), grid.h, dim) ** 2, dim)
         lap_l2 = math.sqrt(np.cumsum(dt * grid.cell_volume * (lap_sq[:, 0] + lap_sq[:, 1]))[-1])

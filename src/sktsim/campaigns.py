@@ -40,7 +40,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, manufactured_convergence, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, norms
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, h1_norms, inner
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 from sktsim.output import write_csv
 
@@ -69,8 +69,9 @@ def _desk_initial(grid: Grid) -> FieldPair:
 
 def _norm_bump(grid: Grid) -> FieldPair:
     w = bump_profile(grid, 0.55 * grid.length, 0.2 * grid.length, 1.0)
-    f = FieldPair(grid, w, 0.5 * w)
-    return (1.0 / norms(f, NEU).l2) * f
+    f = np.stack((w, 0.5 * w))
+    u, v = (1.0 / math.sqrt(inner(grid, f, f))) * f
+    return FieldPair(grid, u, v)
 
 
 # ---------------------------------------------------------------- algebra
@@ -365,8 +366,10 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
                              SchemeKind.IMEX_LAGGED, initial)
     traj = run_forward(problem)
     x = grid.centers()
-    chi = FieldPair(grid, 0.5 + np.cos(np.pi * x), np.cos(2 * np.pi * x))
-    chi = (1.0 / norms(chi, NEU).h1) * chi
+    profile = np.stack((0.5 + np.cos(np.pi * x), np.cos(2 * np.pi * x)))
+    hu, hv = h1_norms(grid, profile, NEU).tolist()
+    u, v = (1.0 / math.sqrt(hu ** 2 + hv ** 2)) * profile
+    chi = FieldPair(grid, u, v)
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
     rows, reports = eps_cauchy_study(c, NEU, (traj, traj), eps_list,

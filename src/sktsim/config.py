@@ -17,7 +17,7 @@ import numpy as np
 from sktsim.adjoint import AdjointRHSKind
 from sktsim.algebra import Coefficients
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure
+from sktsim.grid import BoundaryCondition, FieldPair, Grid
 from sktsim.mms import bump_profile
 
 __all__ = ["ConfigError", "PresetSpec", "RunConfig", "parse_config", "parse_config_text"]
@@ -58,6 +58,9 @@ class PresetSpec:
             raise ConfigError(f"non-finite preset parameter for key '{key}' on line {line}")
         if kind == "cosine" and params[0] != int(params[0]):
             raise ConfigError(f"cosine mode number must be an integer for key '{key}' on line {line}")
+        if kind == "bump" and not params[1] > 0.0:
+            raise ConfigError(f"bump width must be positive for key '{key}', got {params[1]:g} "
+                              f"(line {line})")
         return cls(kind, params)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported by parse
@@ -242,26 +245,29 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: storage.stride must be >= 1 "
                           f"(line {entries['storage.stride'][1]})")
 
-    cfg = RunConfig(
+    seed = values.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"{source}: seed must be nonnegative (line {entries['seed'][1]})")
+
+    grid = Grid(dim, length, n)
+    for key in ("init.u", "init.v", "terminal.u", "terminal.v"):
+        if key not in values:
+            continue
+        field = values[key].evaluate(grid)
+        if not np.all(np.isfinite(field)):
+            raise ConfigError(f"{source}: non-finite values from preset '{key}' "
+                              f"(line {entries[key][1]})")
+        if key.startswith("init.") and float(np.min(field)) < 0.0:
+            raise ConfigError(f"{source}: negative values from initial preset '{key}' "
+                              f"(line {entries[key][1]}); initial data must be nonnegative")
+
+    return RunConfig(
         dim=dim, length=length, n=n, t_final=t_final, dt=dt, scheme=scheme, bc=bc,
         coefficients=coefficients, eps=eps, rhs=rhs,
         init_u=values["init.u"], init_v=values["init.v"],
         terminal_u=values.get("terminal.u", PresetSpec("zero", ())),
         terminal_v=values.get("terminal.v", PresetSpec("zero", ())),
-        stride=stride, out_dir=values.get("output.dir", "out"),
-        seed=values.get("seed", 0))
-
-    try:
-        initial = cfg.initial_field()
-    except NumericalFailure:
-        raise ConfigError(f"{source}: initial presets evaluate to non-finite values "
-                          f"(lines {entries['init.u'][1]} and {entries['init.v'][1]})")
-    if float(np.min(initial.u)) < 0.0 or float(np.min(initial.v)) < 0.0:
-        offender = "init.u" if float(np.min(initial.u)) < 0.0 else "init.v"
-        raise ConfigError(f"{source}: initial preset '{offender}' evaluates to negative "
-                          f"values (line {entries[offender][1]}); initial data must be "
-                          f"nonnegative")
-    return cfg
+        stride=stride, out_dir=values.get("output.dir", "out"), seed=seed)
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -9,7 +9,10 @@ explicit dynamics exactly and the adjoint is its exact transpose.  Every
 march here, the forward runs, the linearized difference and the batched
 transpose adjoint of the terminal basis, goes through the one stepping loop
 :func:`sktsim.forward._march`, and the stored levels of a forward
-:class:`~sktsim.forward.Trajectory` are read as one stacked array.
+:class:`~sktsim.forward.Trajectory` are read as one stacked array.  The
+terminal basis, the solution differences and the adjoint levels are stacked
+pairs, and every pairing and norm of them is one call to the reductions of
+:mod:`sktsim.grid`.
 
 Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
@@ -32,12 +35,10 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
-    _grid_sums,
-    component_l2,
+    h1_norms,
     inner,
     laplacian,
     lp_norm,
-    norms,
     weak_norm,
 )
 
@@ -60,11 +61,13 @@ TINY_EPS = 1e-9  # truncation threshold far above any desk-scale data
 _SCHEMES = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 
 
-def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> list[tuple[str, FieldPair]]:
+def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> tuple[list[str], np.ndarray]:
     """Low-frequency terminal-data basis, one component at a time, H1-normalized.
 
-    Neumann uses {1, cos(k pi x / L)}, Dirichlet uses {sin(k pi x / L)}, so
-    every element satisfies the homogeneous boundary condition exactly.
+    Returns the labels and the basis as stacked pairs, shape
+    (B, 2, *grid.shape).  Neumann uses {1, cos(k pi x / L)}, Dirichlet uses
+    {sin(k pi x / L)}, so every element satisfies the homogeneous boundary
+    condition exactly.
     """
     profiles: list[tuple[str, np.ndarray]] = []
     L = grid.length
@@ -89,14 +92,12 @@ def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> list[tuple[s
             for i, j in pairs:
                 profiles.append((f"sin{i}{j}",
                                  np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L)))
-    basis = []
     zero = np.zeros(grid.shape)
-    for label, prof in profiles:
-        for comp in ("u", "v"):
-            f = FieldPair(grid, prof, zero) if comp == "u" else FieldPair(grid, zero, prof)
-            scale = norms(f, bc).h1
-            basis.append((f"{comp}:{label}", (1.0 / scale) * f))
-    return basis
+    labels = [f"{comp}:{label}" for label, _ in profiles for comp in ("u", "v")]
+    basis = np.array([pair for _, prof in profiles for pair in ((prof, zero), (zero, prof))])
+    h1 = h1_norms(grid, basis, bc)
+    scale = np.sqrt(h1[:, 0] ** 2 + h1[:, 1] ** 2)
+    return labels, (1.0 / scale).reshape((-1,) + (1,) * (grid.dim + 1)) * basis
 
 
 def scalar_reduction_check(times: np.ndarray, pairing: np.ndarray, a1: float) -> float:
@@ -126,13 +127,6 @@ def _linearized_difference_step(c: Coefficients, u_tilde: FieldPair, u_bar: Fiel
                      u_bar.v + dt * (lap.v - qv + c.a2 * u_bar.v))
 
 
-def _stacked_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """:func:`~sktsim.grid.inner` over stacked pairs (..., 2, *grid.shape),
-    broadcast over the leading axes; one value per leading index."""
-    sums = _grid_sums(f * g, grid.dim)
-    return grid.cell_volume * (sums[..., 0] + sums[..., 1])
-
-
 def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
                              phi: np.ndarray, dt: float) -> np.ndarray:
     """Discrete residual of the collapsed pairing identity, one row per batch
@@ -145,11 +139,11 @@ def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
     difference follows the linearized dynamics and the adjoint is its exact
     transpose with the identity right-hand side.
     """
-    p = _stacked_inner(grid, u_bar, phi)
+    p = inner(grid, u_bar, phi)
     lbar = eval_l(c, SpeciesPair(u_bar[:-1, 0], u_bar[:-1, 1]))
     l_field = np.stack([lbar.u, lbar.v], axis=1)
-    return ((p[:, 1:] - p[:, :-1]) / dt + _stacked_inner(grid, u_bar[:-1], phi[:, 1:])
-            - _stacked_inner(grid, l_field, phi[:, 1:]))
+    return ((p[:, 1:] - p[:, :-1]) / dt + inner(grid, u_bar[:-1], phi[:, 1:])
+            - inner(grid, l_field, phi[:, 1:]))
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
@@ -236,8 +230,8 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         t1, t2 = trajs
         u_bar = t1.levels - t2.levels
 
-        basis = chi_basis(grid, cfg.bc, cfg.modes)
-        chi = FieldPair(grid, np.array([f.u for _, f in basis]), np.array([f.v for _, f in basis]))
+        labels, basis = chi_basis(grid, cfg.bc, cfg.modes)
+        chi = FieldPair(grid, basis[:, 0], basis[:, 1])
 
         def adjoint_step(phi: FieldPair, k: int) -> FieldPair:
             state = coefficient_state((t1, t2), TINY_EPS, k)
@@ -245,18 +239,18 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
 
         phi = _march(adjoint_step, chi, tg.steps, 0, dt)
 
-        series = _stacked_inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
+        series = inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
         residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),
                                  axis=0)
         # Summation by parts, term by term and summed in step order (cumsum):
         # its roundoff is what the gate reads.
-        terms = (_stacked_inner(grid, u_bar[1:] - u_bar[:-1], phi[:, 1:])
-                 + _stacked_inner(grid, u_bar[:-1], phi[:, 1:] - phi[:, :-1]))
+        terms = (inner(grid, u_bar[1:] - u_bar[:-1], phi[:, 1:])
+                 + inner(grid, u_bar[:-1], phi[:, 1:] - phi[:, :-1]))
         telescoped = np.cumsum(terms, axis=1)[:, -1]
         sbp_gap = float(np.max(np.abs(telescoped - (series[:, -1] - series[:, 0]))))
         times = np.asarray(t1.stored_steps, dtype=float) * dt
         reduction_dev = max(scalar_reduction_check(times, row, c.a1) for row in series)
-        pairings = {label: float(p) for (label, _), p in zip(basis, series[:, -1])}
+        pairings = {label: float(p) for label, p in zip(labels, series[:, -1])}
 
         return DualityLevel(
             n=grid.n, dt=dt, pairings=pairings,
@@ -313,7 +307,9 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
         raise ValueError("step count must be divisible by 4 so tau levels are stored")
     stride = tg.steps // 4
     q = dual_exponent(cfg.dim)
-    taus = [frac * cfg.t_final for frac in (0.25, 0.5, 1.0)]
+    # tau = T/4, T/2 and T are the stored levels 1, 2 and 4.
+    quarters = (1, 2, 4)
+    taus = [k / 4 * cfg.t_final for k in quarters]
 
     base = cfg.base_initial(grid)
     w = cfg.perturbation(grid)
@@ -324,7 +320,7 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
         return run_forward(problem)
 
     base_traj = run(base)
-    basis = chi_basis(grid, cfg.bc, modes=2)
+    _, basis = chi_basis(grid, cfg.bc, modes=2)
 
     weak_norms: dict[float, list[float]] = {tau: [] for tau in taus}
     basis_sup: dict[float, list[float]] = {tau: [] for tau in taus}
@@ -336,18 +332,16 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
 
     for delta in deltas:
         pert = FieldPair(grid, base.u + delta * w.u, base.v + delta * w.v)
-        traj = run(pert)
-        bar0 = pert - base
-        input_l2.append(math.sqrt(component_l2(bar0.u, grid) ** 2
-                                  + component_l2(bar0.v, grid) ** 2))
-        input_lq.append(lp_norm(bar0, q))
-        ing47.append(sqrt_t * lp_norm(bar0, p47))
-        ing48.append(cfg.t_final * lp_norm(bar0, p48))
+        diff = run(pert).levels - base_traj.levels
+        bar0 = diff[0]
+        input_l2.append(math.sqrt(inner(grid, bar0, bar0)))
+        input_lq.append(lp_norm(grid, bar0, q))
+        ing47.append(sqrt_t * lp_norm(grid, bar0, p47))
+        ing48.append(cfg.t_final * lp_norm(grid, bar0, p48))
         ing49.append(sqrt_t * input_l2[-1])
-        for tau in taus:
-            diff = traj.snapshot_at(tau) - base_traj.snapshot_at(tau)
-            weak_norms[tau].append(weak_norm(diff, cfg.bc))
-            basis_sup[tau].append(max(abs(inner(diff, chi)) for _, chi in basis))
+        for tau, k in zip(taus, quarters):
+            weak_norms[tau].append(weak_norm(grid, diff[k], cfg.bc))
+            basis_sup[tau].append(float(np.max(np.abs(inner(grid, diff[k], basis)))))
 
     log_d = np.log(np.asarray(deltas))
     slopes = {}

@@ -57,6 +57,7 @@ from sktsim.grid import (
     _grid_sums,
     _lap_stencil,
     block_pattern,
+    h1_norms,
 )
 from sktsim.linalg import krylov_solve
 
@@ -139,15 +140,6 @@ class Trajectory:
 
     def final_state(self) -> FieldPair:
         return self.state(-1)
-
-    def snapshot_at(self, t: float) -> FieldPair:
-        """Snapshot at the last stored level with time <= t (piecewise constant)."""
-        if t < -1e-12 or t > self.time_grid.t_final * (1 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {self.time_grid.t_final}]")
-        dt = self.time_grid.dt
-        idx = bisect.bisect_right(self.stored_steps, t + 1e-12 * max(1.0, abs(t)),
-                                  key=lambda s: s * dt) - 1
-        return self.state(max(idx, 0))
 
 
 def _stored_steps(steps: int, stride: int) -> list[int]:
@@ -344,12 +336,12 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     prev, cur = levels[:-1], levels[1:]
     k = len(cur)
 
-    # One ghost extension of both species serves the H1 norms and p(ext).
-    # Both extended arrays are freed as soon as they are used, which keeps
-    # the peak memory near three times that of ``levels``.
+    h1 = h1_norms(grid, cur, bc)
+    # The flux is evaluated on the extended state, p(ext u), which under
+    # Dirichlet walls is not ext p(u).  Both extended arrays are freed as
+    # soon as they are used, which keeps the peak memory near three times
+    # that of ``levels``.
     ext = _extend(cur, bc, dim)
-    sq = _grid_sums(cur ** 2, dim)
-    h1 = np.sqrt(vol * sq + vol * _grid_sums(sum(g * g for g in _grad_stencil(ext, h, dim)), dim))
     p_ext = np.stack(_eval_p(c, SpeciesPair(ext[:, 0], ext[:, 1])), axis=1)
     del ext
     lap_p = _grid_sums(_lap_stencil(p_ext, h, dim) ** 2, dim)
@@ -362,7 +354,7 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     wtd = np.sqrt(vol * _grid_sums(weight * rate ** 2, dim))
     mass = vol * _grid_sums(cur, dim)
     low = np.min(cur.reshape(k, 2, -1), axis=-1)
-    l2 = np.sqrt(vol * sq)
+    l2 = np.sqrt(vol * _grid_sums(cur ** 2, dim))
     return np.array([
         steps, steps * dt, mass[:, 0], mass[:, 1], low[:, 0], low[:, 1],
         l2[:, 0], l2[:, 1], h1[:, 0], h1[:, 1],

@@ -15,10 +15,18 @@ apply the stencil to p(ext(u)), which under Dirichlet is not ext(p(u)).
 solves.
 
 Fields may carry leading batch axes: a :class:`FieldPair` holds arrays of
-shape (*batch, *grid.shape), and ``_extend``, the stencils, ``laplacian`` and
-``gradient_sq`` act on the trailing ``grid.dim`` axes only, so B independent
-problems cost one call.  The reductions (``inner``, the norms, the weak norm)
-and the snapshot I/O take unbatched fields.
+shape (*batch, *grid.shape), and ``_extend``, the stencils and ``laplacian``
+act on the trailing ``grid.dim`` axes only, so B independent problems cost
+one call.  A :class:`FieldPair` is what a time step takes and returns.
+
+Every reduction over levels is written once, here: the L2 pairing
+``inner``, the per-species H1 norms ``h1_norms``, ``lp_norm`` and
+``weak_norm``.  They take stacked pairs, arrays of shape
+(*batch, 2, *grid.shape) with u and v along the pair axis, the layout of
+``Trajectory.levels``.  ``inner`` and ``h1_norms`` broadcast over the
+leading axes; ``lp_norm`` and ``weak_norm`` take one pair.  Each grid sum
+runs in the order of a single-field ``np.sum``, so a batched result equals
+the unbatched one bit for bit.  The H1 norm of a pair is sqrt(hu^2 + hv^2).
 
 The weak (dual) norm |w|_w = sup <w,v>/||v||_H1 is evaluated exactly in the
 discrete setting as sqrt(<w, (I - Lap)^-1 w>) per component: the supremum
@@ -43,15 +51,14 @@ __all__ = [
     "BoundaryCondition",
     "FieldPair",
     "Grid",
-    "NormReport",
     "NumericalFailure",
     "block_pattern",
-    "gradient_sq",
+    "h1_norms",
     "inner",
     "laplacian",
     "lp_norm",
-    "norms",
     "read_field",
+    "weak_norm",
     "write_field",
 ]
 
@@ -150,28 +157,6 @@ class FieldPair:
     def constant(cls, grid: Grid, cu: float, cv: float) -> "FieldPair":
         return cls(grid, np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv)))
 
-    def copy(self) -> "FieldPair":
-        return FieldPair(self.grid, self.u.copy(), self.v.copy())
-
-    def __add__(self, other: "FieldPair") -> "FieldPair":
-        return FieldPair(self.grid, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "FieldPair") -> "FieldPair":
-        return FieldPair(self.grid, self.u - other.u, self.v - other.v)
-
-    def __mul__(self, scalar: float) -> "FieldPair":
-        return FieldPair(self.grid, scalar * self.u, scalar * self.v)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Discrete L2 and H1 norms of a field pair (components summed in quadrature)."""
-
-    l2: float
-    h1: float
-
 
 def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
     """Copy into a new array with one ghost layer per side of each of the
@@ -222,15 +207,6 @@ def laplacian(f: FieldPair, bc: BoundaryCondition) -> FieldPair:
     h, dim = f.grid.h, f.grid.dim
     return FieldPair(f.grid, _lap_stencil(_extend(f.u, bc, dim), h, dim),
                      _lap_stencil(_extend(f.v, bc, dim), h, dim))
-
-
-def _grad_sq_array(arr: np.ndarray, grid: Grid, bc: BoundaryCondition) -> np.ndarray:
-    return sum(g * g for g in _grad_stencil(_extend(arr, bc, grid.dim), grid.h, grid.dim))
-
-
-def gradient_sq(f: FieldPair, bc: BoundaryCondition) -> np.ndarray:
-    """Per-node |grad u|^2 + |grad v|^2 from centered differences (batched like ``f``)."""
-    return (_grad_sq_array(f.u, f.grid, bc) + _grad_sq_array(f.v, f.grid, bc))
 
 
 @functools.lru_cache(maxsize=32)
@@ -309,53 +285,47 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
     return BlockPattern(**arrays)
 
 
-def inner(f: FieldPair, g: FieldPair) -> float:
-    """Discrete L2 pairing of two field pairs: h^d (sum u_f u_g + sum v_f v_g).
-
-    Unbatched: a scalar for two single fields.
-    """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return f.grid.cell_volume * (float(np.sum(f.u * g.u)) + float(np.sum(f.v * g.v)))
+def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Discrete L2 pairing h^d (sum u_f u_g + sum v_f v_g) of stacked pairs
+    (..., 2, *grid.shape), broadcast over the leading axes; one value per
+    leading index (a 0-d array for two single pairs)."""
+    sums = _grid_sums(f * g, grid.dim)
+    return grid.cell_volume * (sums[..., 0] + sums[..., 1])
 
 
-def lp_norm(f: FieldPair, p: float) -> float:
-    """(h^d sum(|u|^p + |v|^p))^(1/p); a quasi-norm when p < 1.  Unbatched."""
-    vol = f.grid.cell_volume
-    total = vol * (float(np.sum(np.abs(f.u) ** p)) + float(np.sum(np.abs(f.v) ** p)))
-    return total ** (1.0 / p)
+def h1_norms(grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Discrete H1 norm of each species of the stacked pairs ``w``
+    (..., 2, *grid.shape), shape (..., 2): sqrt(h^d sum w^2 + h^d sum |grad w|^2)
+    with the centered gradient of the ghost-extended field."""
+    h, dim, vol = grid.h, grid.dim, grid.cell_volume
+    grad_sq = sum(g * g for g in _grad_stencil(_extend(w, bc, dim), h, dim))
+    return np.sqrt(vol * _grid_sums(w ** 2, dim) + vol * _grid_sums(grad_sq, dim))
 
 
-def weak_norm(f: FieldPair, bc: BoundaryCondition) -> float:
-    """Dual norm sqrt(<f, (I - Lap)^-1 f>) of a single (unbatched) field pair.
+def lp_norm(grid: Grid, w: np.ndarray, p: float) -> float:
+    """(h^d sum(|u|^p + |v|^p))^(1/p) of one stacked pair, the pairing of
+    |w|^p with 1; a quasi-norm when p < 1."""
+    return float(inner(grid, np.abs(w) ** p, 1.0)) ** (1.0 / p)
+
+
+def weak_norm(grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> float:
+    """Dual norm sqrt(<w, (I - Lap)^-1 w>) of one stacked pair (2, *grid.shape).
 
     I - Lap is symmetric positive definite, and in row-major node order a
     node's neighbours sit at offsets 1 and n^(d-1), so one banded Cholesky
     solve (bandwidth n^(d-1)) takes u and v as two right-hand sides.
     """
-    grid = f.grid
     lap = laplacian_matrix(grid, bc)
     width = grid.n ** (grid.dim - 1)
     ab = np.zeros((width + 1, grid.node_count))
     ab[-1] = 1.0 - lap.diagonal()
     for k in {1, width}:
         ab[-1 - k, k:] = -lap.diagonal(k)
-    z = scipy.linalg.solveh_banded(ab, np.stack((f.u.ravel(), f.v.ravel()), axis=1))
-    zu, zv = z.T.reshape((2,) + grid.shape)
-    val = grid.cell_volume * (float(np.sum(f.u * zu)) + float(np.sum(f.v * zv)))
+    z = scipy.linalg.solveh_banded(ab, w.reshape(2, -1).T)
+    # solveh_banded promises no memory order; a C-ordered z keeps the
+    # pairing's sums in single-field order.
+    val = float(inner(grid, w, np.ascontiguousarray(z.T).reshape(w.shape)))
     return float(np.sqrt(max(val, 0.0)))
-
-
-def norms(f: FieldPair, bc: BoundaryCondition) -> NormReport:
-    """L2 and H1 norms of a single (unbatched) field pair."""
-    vol = f.grid.cell_volume
-    l2_sq = vol * (float(np.sum(f.u ** 2)) + float(np.sum(f.v ** 2)))
-    grad_sq = vol * float(np.sum(gradient_sq(f, bc)))
-    return NormReport(l2=float(np.sqrt(l2_sq)), h1=float(np.sqrt(l2_sq + grad_sq)))
-
-
-def component_l2(arr: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(arr ** 2)))
 
 
 _FIELD_HEADER = "skt-field v1"

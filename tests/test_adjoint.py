@@ -22,7 +22,7 @@ from sktsim.adjoint import (
     step_adjoint_transpose,
     theta_eps,
 )
-from sktsim.algebra import CFG_A, Coefficients, SpeciesPair
+from sktsim.algebra import CFG_A, Coefficients
 from sktsim.campaigns import run_campaign
 from sktsim.config import parse_config
 from sktsim.experiments import UniquenessConfig, uniqueness_experiment
@@ -41,8 +41,8 @@ from sktsim.grid import (
     NumericalFailure,
     _extend,
     _grad_stencil,
+    h1_norms,
     laplacian,
-    norms,
 )
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
@@ -54,6 +54,12 @@ def component_h1(arr, grid, bc):
     vol, h, dim = grid.cell_volume, grid.h, grid.dim
     grad_sq = sum(g * g for g in _grad_stencil(_extend(arr, bc, dim), h, dim))
     return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
+
+
+def pair_h1(grid, w, bc):
+    """H1 norm sqrt(hu^2 + hv^2) of a stacked pair (2, *grid.shape)."""
+    hu, hv = h1_norms(grid, w, bc).tolist()
+    return math.sqrt(hu ** 2 + hv ** 2)
 
 
 def theta_slope(eps, s, delta):
@@ -105,15 +111,6 @@ def test_theta_eps_properties(eps, value):
     else:
         assert out <= value
     assert out <= (1.0 + 4.0 / 27.0) / eps + 1e-12
-
-
-def test_theta_eps_on_pairs_and_fields():
-    s = theta_eps(0.1, SpeciesPair(5.0, 25.0))
-    assert s == (5.0, 10.0)
-    grid = Grid(1, 1.0, 8)
-    f = FieldPair(grid, np.full(grid.shape, 25.0), np.full(grid.shape, 5.0))
-    out = theta_eps(0.1, f)
-    assert np.all(out.u == 10.0) and np.all(out.v == 5.0)
 
 
 def zero_trajectory(n=16, T=0.5, dt=0.0125):
@@ -193,9 +190,9 @@ def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
 
 def unit_h1_cosine(grid):
     x = grid.centers()
-    chi = FieldPair(grid, np.cos(np.pi * x / grid.length),
-                    np.cos(2 * np.pi * x / grid.length))
-    return (1.0 / norms(chi, NEU).h1) * chi
+    chi = np.stack((np.cos(np.pi * x / grid.length), np.cos(2 * np.pi * x / grid.length)))
+    u, v = (1.0 / pair_h1(grid, chi, NEU)) * chi
+    return FieldPair(grid, u, v)
 
 
 def test_kappa_ratios_stable_across_eps():
@@ -223,25 +220,25 @@ def test_truncation_bound_check_cases():
     # The clamp contracts values and differences on nonnegative data, so the
     # H1 norm of the truncated field stays within a unit factor of the
     # field's own; 1.05 absorbs discrete corner effects.
-    def truncation_h1(f, eps):
-        return norms(theta_eps(eps, f), NEU).h1, norms(f, NEU).h1
-
     grid = Grid(1, 1.0, 64)
+
+    def truncation_h1(f, eps):
+        return pair_h1(grid, theta_eps(eps, f), NEU), pair_h1(grid, f, NEU)
+
     eps = 0.5
-    below = FieldPair.constant(grid, 1.0, 0.5)  # entirely under 1/eps = 2
+    below = np.stack((np.full(grid.shape, 1.0), np.full(grid.shape, 0.5)))  # under 1/eps = 2
     t_norm, f_norm = truncation_h1(below, eps)
     assert t_norm == pytest.approx(f_norm, rel=1e-14)
 
-    above = FieldPair.constant(grid, 3.0 / eps, 3.0 / eps)
+    above = np.full((2, *grid.shape), 3.0 / eps)
     t_norm, f_norm = truncation_h1(above, eps)
     assert t_norm == pytest.approx(math.sqrt(2.0) / eps, rel=1e-12)
     assert t_norm < f_norm
 
     rng = np.random.default_rng(3)
     x = grid.centers()
-    smooth = FieldPair(grid,
-                       2.0 + 1.5 * np.sin(2 * np.pi * x) + rng.uniform(0, 0.1, grid.shape),
-                       1.0 + np.cos(np.pi * x) ** 2)
+    smooth = np.stack((2.0 + 1.5 * np.sin(2 * np.pi * x) + rng.uniform(0, 0.1, grid.shape),
+                       1.0 + np.cos(np.pi * x) ** 2))
     for eps in (2.0, 1.0, 0.5, 0.25):
         t_norm, f_norm = truncation_h1(smooth, eps)
         assert t_norm <= 1.05 * f_norm
@@ -413,21 +410,26 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     def pair_h1_sq(f):
         return component_h1(f.u, grid, bc) ** 2 + component_h1(f.v, grid, bc) ** 2
 
+    def snapshot(traj, t):
+        """The last stored level with time <= t (piecewise constant in time)."""
+        times = np.asarray(traj.stored_steps) * dt
+        return traj.levels[np.searchsorted(times, t + 1e-12 * max(1.0, t), side="right") - 1]
+
     def weighted_lap(f, state):
         lap = laplacian(f, bc)
         w = 1.0 + state.u + state.v
         return vol * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
 
-    phi = chi.copy()
+    phi = chi
     energy = [pair_h1_sq(phi)]
     weighted, kappas = [], []
     alpha_eff = min(c.alpha, 0.5 * c.d0)
     wlap_sum = dt43_sum = 0.0
     rows = {steps: [steps, steps * dt, math.sqrt(energy[0]), 0.0, 0.0]}
-    stored = {steps: phi.copy()}
+    stored = {steps: phi}
     for m in range(steps, 0, -1):
         t = (m - 1) * dt
-        state = theta_eps(eps, 0.5 * (traj1.snapshot_at(t) + traj2.snapshot_at(t)))
+        state = FieldPair(grid, *theta_eps(eps, 0.5 * (snapshot(traj1, t) + snapshot(traj2, t))))
         new = step(c, phi, state, bc, dt, rhs)
         e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
         kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
@@ -440,7 +442,7 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
         phi = new
         rows[m - 1] = [m - 1, t, math.sqrt(e_new), wlap_sum, dt43_sum ** 0.75]
         if (m - 1) % stride == 0:
-            stored[m - 1] = phi.copy()
+            stored[m - 1] = phi
 
     kappa = max(kappas)
     slack = max(e / (math.exp(kappa * i * dt) * energy[0]) - 1.0 for i, e in enumerate(energy))

@@ -150,6 +150,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("dim", "3"), ("domain.length", "0"), ("grid.n", "2"), ("time.dt", "-0.001"),
     ("scheme", "rk4"), ("bc", "periodic"), ("adjoint.eps", "0"), ("adjoint.rhs", "q"),
     ("storage.stride", "0"), ("coeff.alpha", "5"), ("coeff.a12", "-1"),
+    ("terminal.u", "cosine 1 1e308 1e308"), ("init.v", "cosine 1 1e308 1e308"),
+    ("seed", "-5"), ("init.u", "bump 0.5 0 1.0"),
 ])
 def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
     lines = MINIMAL.splitlines()
@@ -272,7 +274,7 @@ def test_continuous_adjoint_with_overflowing_rhs_fails_with_step(dim):
 
 @pytest.mark.parametrize("preset, message", [
     ("constant nan", "'init.u' on line 20"),
-    ("cosine 1 1e308 1e308", "non-finite values (lines 20 and 21)"),
+    ("cosine 1 1e308 1e308", "non-finite values from preset 'init.u' (line 20)"),
 ])
 def test_cli_nonfinite_preset_is_config_error(tmp_path, capsys, preset, message):
     path = write_cfg(tmp_path, MINIMAL.replace("init.u = bump 0.5 0.3 1.0",

@@ -24,7 +24,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, inner, laplacian, norms
+from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, h1_norms, inner, laplacian
 from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
@@ -39,17 +39,18 @@ def smooth_initial(grid):
 
 def normalized_bump(grid):
     w = bump_profile(grid, 0.55 * grid.length, 0.2 * grid.length, 1.0)
-    f = FieldPair(grid, w, 0.5 * w)
-    return (1.0 / norms(f, NEU).l2) * f
+    f = np.stack((w, 0.5 * w))
+    u, v = (1.0 / math.sqrt(inner(grid, f, f))) * f
+    return FieldPair(grid, u, v)
 
 
 def test_chi_basis_normalized_and_bc_exact():
     grid = Grid(1, 1.0, 32)
     for bc in (NEU, DIR):
-        basis = chi_basis(grid, bc, modes=2)
-        assert len(basis) == 6
-        for label, chi in basis:
-            assert norms(chi, bc).h1 == pytest.approx(1.0, rel=1e-12)
+        labels, basis = chi_basis(grid, bc, modes=2)
+        assert len(labels) == 6 and basis.shape == (6, 2, *grid.shape)
+        for hu, hv in h1_norms(grid, basis, bc).tolist():
+            assert math.sqrt(hu ** 2 + hv ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_scalar_reduction_check_on_manufactured_series():
@@ -168,28 +169,29 @@ def test_dependence_slope_and_kappa_stability():
 
 def _reference_uniqueness_level(cfg, k):
     # The per-element computation: one transpose-mode run_adjoint per basis
-    # element, every pairing through inner().
+    # element, every pairing one inner() of two single pairs.
     c = cfg.coefficients
     grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
     dt = cfg.base_dt / 2 ** k
     tg = TimeGrid(cfg.t_final, dt)
     t1, t2 = (run_forward(ForwardProblem(c, grid, cfg.bc, tg, scheme, cfg.initial(grid), stride=1))
               for scheme in sktsim.experiments._SCHEMES)
-    u_bars = [t1.state(i) - t2.state(i) for i in range(len(t1.stored_steps))]
+    u_bars = [t1.levels[i] - t2.levels[i] for i in range(len(t1.stored_steps))]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
-    for label, chi in chi_basis(grid, cfg.bc, cfg.modes):
-        phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY, chi,
-                                  mode=AdjointMode.TRANSPOSE, stride=1)
-        phis = [phi_traj.state(i) for i in range(len(phi_traj.stored_steps))]
-        series = np.array([inner(ub, ph) for ub, ph in zip(u_bars, phis)])
+    for label, chi in zip(*chi_basis(grid, cfg.bc, cfg.modes)):
+        phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY,
+                                  FieldPair(grid, chi[0], chi[1]), mode=AdjointMode.TRANSPOSE,
+                                  stride=1)
+        phis = [phi_traj.levels[i] for i in range(len(phi_traj.stored_steps))]
+        series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []
         for n in range(len(u_bars) - 1):
-            lbar = eval_l(c, SpeciesPair(u_bars[n].u, u_bars[n].v))
-            residual.append((series[n + 1] - series[n]) / dt + inner(u_bars[n], phis[n + 1])
-                            - inner(FieldPair(grid, lbar.u, lbar.v), phis[n + 1]))
-        ref["snapshots"].append(np.array([(f.u, f.v) for f in phis]))
-        ref["pairings"][label] = inner(u_bars[-1], chi)
+            lbar = eval_l(c, SpeciesPair(u_bars[n][0], u_bars[n][1]))
+            residual.append((series[n + 1] - series[n]) / dt + inner(grid, u_bars[n], phis[n + 1])
+                            - inner(grid, np.stack((lbar.u, lbar.v)), phis[n + 1]))
+        ref["snapshots"].append(np.array(phis))
+        ref["pairings"][label] = float(inner(grid, u_bars[-1], chi))
         ref["series"].append(series)
         ref["residuals"].append(np.abs(residual))
         ref["deviations"].append(scalar_reduction_check(times, series, c.a1))

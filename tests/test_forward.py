@@ -9,6 +9,7 @@ import pytest
 
 import sktsim.algebra
 import sktsim.forward
+from sktsim.adjoint import coefficient_state
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_p
 from sktsim.forward import (
     _BLOCK_CELLS,
@@ -32,7 +33,6 @@ from sktsim.grid import (
     _extend,
     _grad_stencil,
     block_pattern,
-    component_l2,
 )
 from sktsim.mms import (
     ManufacturedSolution,
@@ -47,6 +47,10 @@ DIR = BoundaryCondition.DIRICHLET
 REACTION_FREE = Coefficients(1, 1, 1, 1, d1=1.0, d2=1.0)  # b = c = growth = 0
 ASYMMETRIC = Coefficients(0.3, 0.7, 1.9, 0.45, b1=0.4, b2=1.3, c1=0.25, c2=0.6,
                           a1=1.1, a2=0.35, d1=1.7, d2=0.55)
+
+
+def component_l2(arr, grid):
+    return float(np.sqrt(grid.cell_volume * np.sum(arr ** 2)))
 
 
 def component_h1(arr, grid, bc):
@@ -261,8 +265,8 @@ def test_scheme_agreement_first_order_in_dt():
             problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(T, dt), scheme,
                                      initial, stride=10**9)
             finals.append(run_forward(problem).final_state())
-        diff = finals[0] - finals[1]
-        gaps.append(math.sqrt(grid.h * (np.sum(diff.u**2) + np.sum(diff.v**2))))
+        du, dv = finals[0].u - finals[1].u, finals[0].v - finals[1].v
+        gaps.append(math.sqrt(grid.h * (np.sum(du**2) + np.sum(dv**2))))
     assert 1.6 < gaps[0] / gaps[1] < 2.6
 
 
@@ -273,24 +277,17 @@ def test_snapshot_stride_and_lookup():
     traj = run_forward(problem)
     assert traj.stored_steps == [0, 4, 8, 10]
     assert traj.levels.shape == (4, 2, *grid.shape)
-    mid = traj.snapshot_at(0.0052)
-    assert np.array_equal(mid.u, traj.levels[1, 0])  # floor to step 4
-    assert np.array_equal(traj.snapshot_at(0.01).u, traj.final_state().u)
+    assert np.array_equal(traj.state(1).u, traj.levels[1, 0])
+    assert np.array_equal(traj.final_state().v, traj.levels[-1, 1])
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
-    # The lookup agrees with a search of the stored-times array at every
-    # stored time, half a step to either side of each, and both ends.
-    dt = traj.time_grid.dt
-    times = np.asarray(traj.stored_steps, dtype=float) * dt
-    probes = [0.0, traj.time_grid.t_final] + [t + d for t in times for d in (-dt / 2, 0.0, dt / 2)]
-    for t in probes:
-        if not 0.0 <= t <= traj.time_grid.t_final:
-            with pytest.raises(ValueError):
-                traj.snapshot_at(t)
-            continue
-        idx = int(np.searchsorted(times, t + 1e-12 * max(1.0, abs(t)), side="right")) - 1
-        snap = traj.snapshot_at(t)
-        assert np.array_equal(snap.u, traj.levels[max(idx, 0), 0])
-        assert np.array_equal(snap.v, traj.levels[max(idx, 0), 1])
+    # The adjoint's coefficient lookup agrees with a search of the stored
+    # steps at every step: the last stored level at or before it.  With the
+    # clamp inactive, the average of a trajectory with itself is its level.
+    for k in range(traj.time_grid.steps + 1):
+        idx = int(np.searchsorted(traj.stored_steps, k, side="right")) - 1
+        state = coefficient_state((traj, traj), 1e-9, k)
+        assert np.array_equal(state.u, traj.levels[idx, 0])
+        assert np.array_equal(state.v, traj.levels[idx, 1])
 
 
 def test_manufactured_constant_is_exact():

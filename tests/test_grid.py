@@ -10,12 +10,13 @@ from sktsim.grid import (
     FieldPair,
     Grid,
     NumericalFailure,
-    gradient_sq,
+    _extend,
+    _grad_stencil,
+    h1_norms,
     inner,
     laplacian,
     laplacian_matrix,
     lp_norm,
-    norms,
     read_field,
     weak_norm,
     write_field,
@@ -32,6 +33,25 @@ def u_field(grid, values):
 def random_pair(grid, seed):
     rng = np.random.default_rng(seed)
     return FieldPair(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
+
+
+def stacked(f):
+    """A FieldPair as the stacked pair (2, *grid.shape) the reductions take."""
+    return np.stack((f.u, f.v))
+
+
+def l2(grid, w):
+    return math.sqrt(inner(grid, w, w))
+
+
+def pair_h1(grid, w, bc):
+    hu, hv = h1_norms(grid, w, bc).tolist()
+    return math.sqrt(hu ** 2 + hv ** 2)
+
+
+def grad_sq(grid, arr, bc):
+    """Per-node |grad arr|^2 from the centered stencil on the ghost-extended field."""
+    return sum(g * g for g in _grad_stencil(_extend(arr, bc, grid.dim), grid.h, grid.dim))
 
 
 def test_grid_validation():
@@ -79,9 +99,9 @@ def test_laplacian_second_order_convergence(dim):
 
 def test_gradient_sq_constant_and_linear():
     grid = Grid(1, 1.0, 32)
-    assert np.all(gradient_sq(FieldPair.constant(grid, 4.0, 4.0), NEU) == 0.0)
+    assert np.all(grad_sq(grid, np.full(grid.shape, 4.0), NEU) == 0.0)
     a = 2.5
-    gsq = gradient_sq(u_field(grid, a * grid.centers()), NEU)
+    gsq = grad_sq(grid, a * grid.centers(), NEU)
     assert np.allclose(gsq[1:-1], a**2, atol=1e-12)
 
 
@@ -91,7 +111,7 @@ def test_gradient_sq_convergence_dirichlet():
     for n in (32, 64, 128):
         grid = Grid(1, 1.0, n)
         x = grid.centers()
-        gsq = gradient_sq(u_field(grid, np.sin(np.pi * x)), DIR)
+        gsq = grad_sq(grid, np.sin(np.pi * x), DIR)
         exact = (np.pi * np.cos(np.pi * x)) ** 2
         errors.append(np.max(np.abs(gsq - exact)))
     for e_coarse, e_fine in zip(errors, errors[1:]):
@@ -100,19 +120,18 @@ def test_gradient_sq_convergence_dirichlet():
 
 def test_norms_constant_field():
     grid = Grid(1, 1.0, 32)
-    f = u_field(grid, np.ones(grid.shape))
-    rep = norms(f, NEU)
-    assert rep.l2 == pytest.approx(1.0, abs=1e-13)
-    assert rep.h1 == pytest.approx(1.0, abs=1e-13)
-    assert weak_norm(f, NEU) == pytest.approx(1.0, rel=1e-10)
-    assert lp_norm(f, 4.0) == pytest.approx(1.0, abs=1e-13)
+    w = np.stack((np.ones(grid.shape), np.zeros(grid.shape)))
+    assert l2(grid, w) == pytest.approx(1.0, abs=1e-13)
+    assert pair_h1(grid, w, NEU) == pytest.approx(1.0, abs=1e-13)
+    assert weak_norm(grid, w, NEU) == pytest.approx(1.0, rel=1e-10)
+    assert lp_norm(grid, w, 4.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_norms_zero_field():
     grid = Grid(2, 1.0, 8)
-    f = FieldPair.zeros(grid)
-    rep = norms(f, NEU)
-    assert rep.l2 == rep.h1 == lp_norm(f, 4.0) == weak_norm(f, NEU) == 0.0
+    w = np.zeros((2, *grid.shape))
+    assert l2(grid, w) == pair_h1(grid, w, NEU) == lp_norm(grid, w, 4.0) == 0.0
+    assert weak_norm(grid, w, NEU) == 0.0
 
 
 def test_norms_sine_l2_analytic():
@@ -120,8 +139,8 @@ def test_norms_sine_l2_analytic():
     # value 1/2 is hit at every resolution.
     for n in (32, 64, 128):
         grid = Grid(1, 1.0, n)
-        rep = norms(u_field(grid, np.sin(np.pi * grid.centers())), DIR)
-        assert rep.l2**2 == pytest.approx(0.5, abs=1e-13)
+        w = np.stack((np.sin(np.pi * grid.centers()), np.zeros(grid.shape)))
+        assert l2(grid, w)**2 == pytest.approx(0.5, abs=1e-13)
 
 
 def test_quadrature_second_order_on_smooth_data():
@@ -129,8 +148,8 @@ def test_quadrature_second_order_on_smooth_data():
     errs = []
     for n in (32, 64, 128):
         grid = Grid(1, 1.0, n)
-        rep = norms(u_field(grid, np.exp(grid.centers())), NEU)
-        errs.append(abs(rep.l2**2 - exact))
+        w = np.stack((np.exp(grid.centers()), np.zeros(grid.shape)))
+        errs.append(abs(l2(grid, w)**2 - exact))
     for e_coarse, e_fine in zip(errs, errs[1:]):
         assert 3.0 < e_coarse / e_fine < 5.0
 
@@ -138,17 +157,18 @@ def test_quadrature_second_order_on_smooth_data():
 def test_norms_h1_dominates_l2():
     grid = Grid(1, 1.0, 24)
     for seed in range(5):
-        rep = norms(random_pair(grid, seed), NEU)
-        assert rep.h1 >= rep.l2
+        w = stacked(random_pair(grid, seed))
+        assert np.all(h1_norms(grid, w, NEU) >= np.sqrt(grid.cell_volume * np.sum(w**2, axis=-1)))
+        assert pair_h1(grid, w, NEU) >= l2(grid, w)
 
 
 def test_weak_norm_bounded_by_l2():
     for dim, n in ((1, 64), (2, 16)):
         grid = Grid(dim, 1.0, n)
         for seed in range(8):
-            f = random_pair(grid, seed)
+            w = stacked(random_pair(grid, seed))
             for bc in (NEU, DIR):
-                assert weak_norm(f, bc) <= norms(f, bc).l2 * (1 + 1e-8)
+                assert weak_norm(grid, w, bc) <= l2(grid, w) * (1 + 1e-8)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 20)])
@@ -159,7 +179,7 @@ def test_weak_norm_matches_dense_solve(dim, n, bc):
     shifted = np.eye(grid.node_count) - laplacian_matrix(grid, bc).toarray()
     z = np.linalg.solve(shifted, np.stack((f.u.ravel(), f.v.ravel()), axis=1))
     ref = math.sqrt(grid.cell_volume * (f.u.ravel() @ z[:, 0] + f.v.ravel() @ z[:, 1]))
-    assert weak_norm(f, bc) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert weak_norm(grid, stacked(f), bc) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 12)])
@@ -167,9 +187,10 @@ def test_weak_norm_matches_dense_solve(dim, n, bc):
 def test_laplacian_self_adjoint(dim, n, bc):
     grid = Grid(dim, 1.0, n)
     f, g = random_pair(grid, 1), random_pair(grid, 2)
-    lf, lg = laplacian(f, bc), laplacian(g, bc)
-    lhs, rhs = inner(lf, g), inner(f, lg)
-    scale = norms(lf, bc).l2 * norms(g, bc).l2 + norms(f, bc).l2 * norms(lg, bc).l2
+    lf, lg = stacked(laplacian(f, bc)), stacked(laplacian(g, bc))
+    f, g = stacked(f), stacked(g)
+    lhs, rhs = inner(grid, lf, g), inner(grid, f, lg)
+    scale = l2(grid, lf) * l2(grid, g) + l2(grid, f) * l2(grid, lg)
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
 
@@ -184,35 +205,34 @@ def test_laplacian_matrix_matches_stencil():
 
 def test_divergence_theorem_neumann():
     grid = Grid(1, 1.0, 64)
-    ones = FieldPair.constant(grid, 1.0, 1.0)
+    ones = np.ones((2, *grid.shape))
     for seed in range(5):
-        f = random_pair(grid, seed + 20)
-        lap = laplacian(f, NEU)
-        scale = max(norms(lap, NEU).l2, 1.0)
-        assert abs(inner(lap, ones)) <= 1e-12 * scale
+        lap = stacked(laplacian(random_pair(grid, seed + 20), NEU))
+        scale = max(l2(grid, lap), 1.0)
+        assert abs(inner(grid, lap, ones)) <= 1e-12 * scale
 
 
 def test_inner_examples_and_bilinearity():
     grid = Grid(1, 1.0, 17)
-    ones = FieldPair.constant(grid, 1.0, 1.0)
-    assert inner(ones, ones) == pytest.approx(2.0, abs=1e-13)
+    ones = np.ones((2, *grid.shape))
+    assert inner(grid, ones, ones) == pytest.approx(2.0, abs=1e-13)
 
-    f = random_pair(grid, 3)
-    rotated = FieldPair(grid, -f.v, f.u)
-    assert inner(f, rotated) == pytest.approx(0.0, abs=1e-13)
+    f = stacked(random_pair(grid, 3))
+    rotated = np.stack((-f[1], f[0]))
+    assert inner(grid, f, rotated) == pytest.approx(0.0, abs=1e-13)
 
-    g = random_pair(grid, 4)
-    assert abs(inner(2.0 * f, g) - 2.0 * inner(f, g)) <= 1e-14 * max(abs(inner(f, g)), 1.0)
+    g = stacked(random_pair(grid, 4))
+    fg = inner(grid, f, g)
+    assert abs(inner(grid, 2.0 * f, g) - 2.0 * fg) <= 1e-14 * max(abs(fg), 1.0)
 
 
 @settings(max_examples=50)
 @given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4))
 def test_inner_linear_in_first_argument(a, b):
     grid = Grid(1, 1.0, 8)
-    f, g, w = random_pair(grid, 5), random_pair(grid, 6), random_pair(grid, 7)
-    combo = a * f + b * g
-    expected = a * inner(f, w) + b * inner(g, w)
-    assert inner(combo, w) == pytest.approx(expected, abs=1e-12)
+    f, g, w = (stacked(random_pair(grid, seed)) for seed in (5, 6, 7))
+    expected = a * inner(grid, f, w) + b * inner(grid, g, w)
+    assert inner(grid, a * f + b * g, w) == pytest.approx(expected, abs=1e-12)
 
 
 def test_field_snapshot_roundtrip_bit_exact(tmp_path):
@@ -252,25 +272,32 @@ def test_lp_norm_matches_manual():
     grid = Grid(1, 1.0, 16)
     f = random_pair(grid, 9)
     manual = (grid.h * (np.sum(np.abs(f.u) ** 3) + np.sum(np.abs(f.v) ** 3))) ** (1 / 3)
-    assert lp_norm(f, 3.0) == pytest.approx(manual, rel=1e-13)
+    assert lp_norm(grid, stacked(f), 3.0) == pytest.approx(manual, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_batched_stencils_equal_per_member_results(dim, n, bc):
-    # A FieldPair of shape (B, *grid.shape) holds B independent problems.
-    # Batched results must match per-problem results to <= 1e-14 relative;
-    # the stencils act on the trailing grid axes only, so they match exactly.
-    # A stencil that reads along the batch axis mixes members and fails here.
+    # A FieldPair of shape (B, *grid.shape) holds B independent problems, and
+    # stacked pairs of shape (B, 2, *grid.shape) hold B pairs.  Batched
+    # results must match per-problem results to <= 1e-14 relative; the
+    # stencils and the grid sums act on the trailing grid axes only, so they
+    # match exactly.  A stencil or a sum that reads along a batch axis mixes
+    # members and fails here.
     grid = Grid(dim, 1.0, n)
     members = [random_pair(grid, 30 + b) for b in range(6)]
     batch = FieldPair(grid, np.array([f.u for f in members]), np.array([f.v for f in members]))
-    lap, gsq = laplacian(batch, bc), gradient_sq(batch, bc)
+    lap, gsq = laplacian(batch, bc), grad_sq(grid, batch.u, bc)
     assert lap.u.shape == lap.v.shape == gsq.shape == (6,) + grid.shape
+    pairs = np.stack((batch.u, batch.v), axis=1)
+    h1, pairing = h1_norms(grid, pairs, bc), inner(grid, pairs, pairs[::-1])
+    assert h1.shape == (6, 2) and pairing.shape == (6,)
     for b, f in enumerate(members):
         single = laplacian(f, bc)
         assert np.array_equal(lap.u[b], single.u) and np.array_equal(lap.v[b], single.v)
-        assert np.array_equal(gsq[b], gradient_sq(f, bc))
+        assert np.array_equal(gsq[b], grad_sq(grid, f.u, bc))
+        assert np.array_equal(h1[b], h1_norms(grid, stacked(f), bc))
+        assert pairing[b] == inner(grid, stacked(f), stacked(members[5 - b]))
 
 
 def test_field_pair_batch_shapes():
