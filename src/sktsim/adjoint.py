@@ -15,9 +15,13 @@ duality pairing hold to machine precision and isolates discretization
 error from the duality bookkeeping.
 
 Every backward march, batched or not, runs through the stepping loop of
-the forward marches, ``forward._march``.  ``run_adjoint`` marches blocks
-of levels, computes a block's diagnostics with axis reductions, in the
-arithmetic of one level at a time, and returns a forward ``Trajectory``.
+the forward marches, ``forward._march``, and carries stacked pairs only:
+both steps take the adjoint level phi and the coefficient state as arrays
+of shape (..., 2, *grid.shape) and return the next level stacked like phi,
+and the march checks each new level for finiteness once.  ``run_adjoint``
+marches blocks of levels, computes a block's diagnostics with axis
+reductions, in the arithmetic of one level at a time, and returns a forward
+``Trajectory``.
 
 A per-run tracker measures the differential-inequality constant of the
 backward energy (H1) balance and asserts its exponentially weighted
@@ -35,12 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from sktsim import forward
-from sktsim.algebra import Coefficients, SpeciesPair, _jac_P, _jac_Q
+from sktsim.algebra import Coefficients, _stacked_P, _stacked_Q
 from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
+    Grid,
     _extend,
+    _flat,
     _grid_sums,
     _lap_stencil,
     block_pattern,
@@ -93,72 +99,76 @@ def theta_eps(eps: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: int) -> FieldPair:
-    """Frozen adjoint coefficient state at time level ``step``: the average of
-    the two forward trajectories at their last stored levels at or before it
-    (piecewise constant between stored levels), truncated at ``eps``."""
+def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: int) -> np.ndarray:
+    """Frozen adjoint coefficient state at time level ``step``, stacked
+    (2, *grid.shape): the average of the two forward trajectories at their
+    last stored levels at or before it (piecewise constant between stored
+    levels), truncated at ``eps``."""
     s1, s2 = (traj.levels[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
-    u, v = theta_eps(eps, 0.5 * (s1 + s2))
-    return FieldPair(u_pair[0].grid, u, v)
+    return theta_eps(eps, 0.5 * (s1 + s2))
 
 
-def _q_transpose_apply(c: Coefficients, state: FieldPair, phi: FieldPair) -> SpeciesPair:
-    Q = _jac_Q(c, SpeciesPair(state.u, state.v))
-    return SpeciesPair(Q.m11 * phi.u + Q.m21 * phi.v, Q.m12 * phi.u + Q.m22 * phi.v)
+def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
+                  rhs: AdjointRHSKind) -> tuple[np.ndarray, np.ndarray]:
+    """Q(s)^T x and rhs(x) for the flattened coefficient state ``s`` (2, N)
+    and adjoint levels ``x`` (..., 2, N).  Reversing the pair axis pairs
+    each species with the off-diagonal entry of its column: (Q^T x)_u is
+    Q11 x_u + Q21 x_v."""
+    q_diag, q_off = _stacked_Q(c, s)
+    qt = q_diag * x + q_off[..., ::-1, :] * x[..., ::-1, :]
+    return qt, (x if rhs is AdjointRHSKind.IDENTITY else c.columns.growth * x)
 
 
-def _rhs_apply(c: Coefficients, kind: AdjointRHSKind, phi: FieldPair) -> SpeciesPair:
-    if kind is AdjointRHSKind.IDENTITY:
-        return SpeciesPair(phi.u, phi.v)
-    return SpeciesPair(c.a1 * phi.u, c.a2 * phi.v)
-
-
-def step_adjoint_backward(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPair,
+def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
                           bc: BoundaryCondition, dt: float,
-                          rhs: AdjointRHSKind) -> FieldPair:
-    """One semi-implicit backward step (reversed time marches forward).
+                          rhs: AdjointRHSKind) -> np.ndarray:
+    """One semi-implicit backward step (reversed time marches forward) of the
+    stacked level ``phi`` (batch axes in 1D only, as for
+    :func:`~sktsim.forward.step_imex`).
 
     Solves (I - dt P(u~)^T Lap) phi_new = phi + dt (-Q(u~)^T phi + rhs(phi))
     with the nodewise transposed Jacobian frozen at the supplied truncated
-    state, on the cached :func:`~sktsim.grid.block_pattern` (see
+    state ``u_tilde_eps`` (stacked), on the cached
+    :func:`~sktsim.grid.block_pattern` (see
     :func:`~sktsim.forward._solve_on_pattern`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if np.any(u_tilde_eps.u < 0.0) or np.any(u_tilde_eps.v < 0.0):
+    if np.any(u_tilde_eps < 0.0):
         raise ValueError("truncated coefficient state must be nonnegative")
-    P = np.reshape(_jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v)), (2, 2, -1))
-    qt = _q_transpose_apply(c, u_tilde_eps, phi)
-    src = _rhs_apply(c, rhs, phi)
-    bu = phi.u + dt * (src.u - qt.u)
-    bv = phi.v + dt * (src.v - qt.v)
-    pattern = block_pattern(phi.grid, bc)
-    data = -dt * P.transpose(1, 0, 2).ravel()[pattern.row] * pattern.lap
+    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
+    qt, src = _zeroth_order(c, s, x, rhs)
+    b = (x + dt * (src - qt)).reshape(phi.shape)
+    diag, off = _stacked_P(c, s)
+    # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
+    nodal_t = np.concatenate((diag[:1], off[::-1], diag[1:])).ravel()
+    pattern = block_pattern(grid, bc)
+    data = -dt * nodal_t[pattern.row] * pattern.lap
     data[pattern.ident] += 1.0
-    return forward._solve_on_pattern(pattern, data, bu, bv, phi)
+    return forward._solve_on_pattern(pattern, data, b, phi)
 
 
-def step_adjoint_transpose(c: Coefficients, phi: FieldPair, u_tilde_eps: FieldPair,
+def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
                            bc: BoundaryCondition, dt: float,
-                           rhs: AdjointRHSKind) -> FieldPair:
+                           rhs: AdjointRHSKind) -> np.ndarray:
     """One explicit backward step, the exact transpose of the linearized
     explicit forward difference update (diffusion, reaction, and source all
-    taken at the known level).  ``phi`` may carry batch axes; the
-    coefficient state is a single field and broadcasts over them.
+    taken at the known level).  ``phi`` is stacked and may carry batch axes;
+    the coefficient state is one stacked pair and broadcasts over them.
 
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
     """
-    P = _jac_P(c, SpeciesPair(u_tilde_eps.u, u_tilde_eps.v))
-    bound = forward._jacobian_stability_bound(P, u_tilde_eps.grid)
+    bound = forward.stability_bound(c, grid, u_tilde_eps)
     if dt > bound:
         raise StabilityError(dt, bound)
-    lap = laplacian(phi, bc)
-    qt = _q_transpose_apply(c, u_tilde_eps, phi)
-    src = _rhs_apply(c, rhs, phi)
-    return FieldPair(phi.grid,
-                     phi.u + dt * (P.m11 * lap.u + P.m21 * lap.v - qt.u + src.u),
-                     phi.v + dt * (P.m12 * lap.u + P.m22 * lap.v - qt.v + src.v))
+    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
+    lap = _flat(laplacian(grid, phi, bc), grid.dim)
+    diag, off = _stacked_P(c, s)
+    # (P^T lap)_u is P11 lap_u + P21 lap_v, as in _zeroth_order.
+    pt_lap = diag * lap + off[..., ::-1, :] * lap[..., ::-1, :]
+    qt, src = _zeroth_order(c, s, x, rhs)
+    return (x + dt * (pt_lap - qt + src)).reshape(phi.shape)
 
 
 ADJOINT_DIAGNOSTIC_COLUMNS = ("step", "t", "h1_phi", "weighted_lap_partial",
@@ -234,10 +244,10 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     energy, weighted, rate = np.empty(steps + 1), np.empty(steps), np.empty(steps)
     kept = forward._stored_steps(steps, stride)
     stored = np.empty((len(kept), 2, *grid.shape))
-    stored[-1] = chi.u, chi.v
-    hu, hv = h1_norms(grid, stored[-1], bc).tolist()
+    stored[-1] = phi = chi.stacked()
+    hu, hv = h1_norms(grid, phi, bc).tolist()
     energy[steps] = hu ** 2 + hv ** 2
-    phi, key = chi, None
+    key = None
     for top in range(steps, 0, -block):
         bottom = max(top - block, 0)
         states = []
@@ -246,9 +256,10 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
             if now != key:
                 key, state = now, coefficient_state(u_pair, eps, s)
             states.append(state)
-        levels = forward._march(lambda phi, k: step(c, phi, states[top - 1 - k], bc, dt, rhs),
-                                phi, top, bottom, dt)
-        new, coef = levels[:-1], np.array([(s.u, s.v) for s in states[::-1]])
+        levels = forward._march(
+            lambda phi, k: step(c, grid, phi, states[top - 1 - k], bc, dt, rhs),
+            grid, phi, top, bottom, dt)
+        new, coef = levels[:-1], np.array(states[::-1])
         energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
         lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
         w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
@@ -256,7 +267,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         r = _grid_sums(np.abs((levels[1:] - new) / dt) ** (4.0 / 3.0), dim)
         rate[bottom:top] = dt * vol * (r[:, 0] + r[:, 1])
         forward._keep(stored, kept, levels, bottom)
-        phi = FieldPair(grid, new[0, 0], new[0, 1])
+        phi = new[0]
 
     # Running sums accumulate in march order, from tau down to 0.
     wlap_partial = np.cumsum(dt * weighted[::-1])[::-1]

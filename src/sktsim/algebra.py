@@ -6,6 +6,13 @@ and the exact midpoint factorizations of differences of the quadratic
 maps.  Everything here is a pure function of its inputs; all operations
 broadcast over numpy arrays so the same code serves scalars and whole
 grids.
+
+The time steps evaluate the maps on stacked pairs instead: arrays of shape
+(..., 2, N) with u and v along the species axis, through the unchecked
+cores ``_stacked_p``, ``_stacked_P``, ``_stacked_reaction`` and
+``_stacked_Q``.  They read per-species coefficient columns that each
+:class:`Coefficients` builds once, and every element is computed in the
+order of its scalar formula, so they agree with the pair maps bit for bit.
 """
 
 from __future__ import annotations
@@ -62,11 +69,51 @@ class Matrix2(NamedTuple):
                            self.m21 * s.u + self.m22 * s.v)
 
 
+class _SpeciesColumns(NamedTuple):
+    """Coefficient columns (u row, v row) of the maps on stacked pairs.
+
+    Each has shape (2, 1) and broadcasts along the species axis of a stacked
+    pair w (..., 2, N), with u = w[..., :1, :] and v = w[..., 1:, :]:
+    p(w) = (d + a_u u + a_v v) w; P(w) has diagonal (P11, P22) =
+    d + pd_u u + pd_v v and off-diagonal (P12, P21) = p_off w;
+    l(w) - q(w) = growth w - (b_u u + b_v v) w; Q(w) has diagonal
+    qd_u u + qd_v v and off-diagonal (Q12, Q21) = q_off w.
+    """
+
+    d: np.ndarray
+    a_u: np.ndarray
+    a_v: np.ndarray
+    pd_u: np.ndarray
+    pd_v: np.ndarray
+    p_off: np.ndarray
+    growth: np.ndarray
+    b_u: np.ndarray
+    b_v: np.ndarray
+    qd_u: np.ndarray
+    qd_v: np.ndarray
+    q_off: np.ndarray
+
+    @classmethod
+    def of(cls, c: Coefficients) -> _SpeciesColumns:
+        # The products 2 a_ii and 2 b_1, 2 c_2 are the first factors of the
+        # scalar formulas (2.0 * c.a11 * u is (2.0 * c.a11) * u).
+        pairs = ((c.d1, c.d2), (c.a11, c.a21), (c.a12, c.a22),
+                 (2.0 * c.a11, c.a21), (c.a12, 2.0 * c.a22), (c.a12, c.a21),
+                 (c.a1, c.a2), (c.b1, c.b2), (c.c1, c.c2),
+                 (2.0 * c.b1, c.b2), (c.c1, 2.0 * c.c2), (c.c1, c.b2))
+        columns = []
+        for pair in pairs:
+            col = np.array(pair, dtype=float).reshape(2, 1)
+            col.flags.writeable = False
+            columns.append(col)
+        return cls(*columns)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Model constants: diffusion a_ij/d_i, competition b_i/c_i, growth a_i.
 
-    ``d0 = min(d1, d2)`` is derived.  ``alpha`` is the positivity margin used
+    ``d0 = min(d1, d2)`` and the species columns ``columns`` are derived.  ``alpha`` is the positivity margin used
     in the quadratic-form lower bound; if not given it defaults to half the
     smallest cross/self-diffusion entry.  When any a_ij vanishes no positive
     margin can certify the bound, and the stored placeholder value is only
@@ -87,6 +134,7 @@ class Coefficients:
     d2: float = 0.0
     alpha: float | None = None
     d0: float = field(init=False)
+    columns: _SpeciesColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stored = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2,
@@ -96,6 +144,7 @@ class Coefficients:
             if not math.isfinite(val) or val < 0.0:
                 raise ValueError(f"coefficient {name} must be finite and >= 0, got {val}")
         object.__setattr__(self, "d0", min(self.d1, self.d2))
+        object.__setattr__(self, "columns", _SpeciesColumns.of(self))
         m = min(self.a11, self.a12, self.a21, self.a22)
         if self.alpha is None:
             object.__setattr__(self, "alpha", 0.5 * m if m > 0.0 else 0.5)
@@ -135,65 +184,70 @@ def _require_finite(*values) -> None:
             raise ValueError("non-finite input")
 
 
-# Each public map below checks its input and calls an unchecked core that
-# holds the formula.  Callers whose input is already known to be finite (the
-# arrays of a FieldPair, which checks itself) call the core directly.
+# The pair maps below check their input.  The time steps, whose levels the
+# march checks for finiteness, call the unchecked stacked cores instead.
 
-def _eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
+def eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
+    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)."""
+    _require_finite(s.u, s.v)
     u, v = s
     return SpeciesPair((c.d1 + c.a11 * u + c.a12 * v) * u,
                        (c.d2 + c.a21 * u + c.a22 * v) * v)
 
 
-def _eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    u, v = s
-    return SpeciesPair((c.b1 * u + c.c1 * v) * u, (c.b2 * u + c.c2 * v) * v)
-
-
-def _eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    return SpeciesPair(c.a1 * s.u, c.a2 * s.v)
-
-
-def _jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    u, v = s
-    return Matrix2(c.d1 + 2.0 * c.a11 * u + c.a12 * v, c.a12 * u,
-                   c.a21 * v, c.d2 + c.a21 * u + 2.0 * c.a22 * v)
-
-
-def _jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    u, v = s
-    return Matrix2(2.0 * c.b1 * u + c.c1 * v, c.c1 * u,
-                   c.b2 * v, c.b2 * u + 2.0 * c.c2 * v)
-
-
-def eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)."""
-    _require_finite(s.u, s.v)
-    return _eval_p(c, s)
-
-
 def eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
     """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v)."""
     _require_finite(s.u, s.v)
-    return _eval_q(c, s)
+    u, v = s
+    return SpeciesPair((c.b1 * u + c.c1 * v) * u, (c.b2 * u + c.c2 * v) * v)
 
 
 def eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
     """Linear growth map (a1*u, a2*v)."""
     _require_finite(s.u, s.v)
-    return _eval_l(c, s)
+    return SpeciesPair(c.a1 * s.u, c.a2 * s.v)
 
 
 def jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
     """Jacobian of the diffusion flux map; entries are affine in the state."""
     _require_finite(s.u, s.v)
-    return _jac_P(c, s)
+    u, v = s
+    return Matrix2(c.d1 + 2.0 * c.a11 * u + c.a12 * v, c.a12 * u,
+                   c.a21 * v, c.d2 + c.a21 * u + 2.0 * c.a22 * v)
 
 
 def jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
     """Jacobian of the competition map."""
     _require_finite(s.u, s.v)
-    return _jac_Q(c, s)
+    u, v = s
+    return Matrix2(2.0 * c.b1 * u + c.c1 * v, c.c1 * u,
+                   c.b2 * v, c.b2 * u + 2.0 * c.c2 * v)
+
+
+def _stacked_p(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """p of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
+    k = c.columns
+    return (k.d + k.a_u * w[..., :1, :] + k.a_v * w[..., 1:, :]) * w
+
+
+def _stacked_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flux Jacobian P at the stacked pairs ``w`` (..., 2, N) as its
+    diagonal (P11, P22) and its off-diagonal (P12, P21), each stacked like ``w``."""
+    k = c.columns
+    return k.d + k.pd_u * w[..., :1, :] + k.pd_v * w[..., 1:, :], k.p_off * w
+
+
+def _stacked_reaction(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """l - q of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
+    k = c.columns
+    return k.growth * w - (k.b_u * w[..., :1, :] + k.b_v * w[..., 1:, :]) * w
+
+
+def _stacked_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The competition Jacobian Q at the stacked pairs ``w`` as its diagonal
+    (Q11, Q22) and its off-diagonal (Q12, Q21), like :func:`_stacked_P`."""
+    k = c.columns
+    return k.qd_u * w[..., :1, :] + k.qd_v * w[..., 1:, :], k.q_off * w
 
 
 def check_conditions(c: Coefficients) -> ConditionReport:
@@ -224,7 +278,7 @@ def quad_form_margin(c: Coefficients, s: SpeciesPair, xi) -> float | np.ndarray:
     if np.any(np.asarray(s.u) < 0.0) or np.any(np.asarray(s.v) < 0.0):
         raise ValueError("quad_form_margin requires nonnegative densities")
     x1, x2 = xi
-    P = _jac_P(c, s)
+    P = jac_P(c, s)
     quad = (P.m11 * x1 + P.m12 * x2) * x1 + (P.m21 * x1 + P.m22 * x2) * x2
     nsq = x1 * x1 + x2 * x2
     return quad - c.d0 * nsq - c.alpha * (s.u + s.v) * nsq

@@ -8,11 +8,11 @@ precision on a synthetic run where the difference follows the linearized
 explicit dynamics exactly and the adjoint is its exact transpose.  Every
 march here, the forward runs, the linearized difference and the batched
 transpose adjoint of the terminal basis, goes through the one stepping loop
-:func:`sktsim.forward._march`, and the stored levels of a forward
-:class:`~sktsim.forward.Trajectory` are read as one stacked array.  The
-terminal basis, the solution differences and the adjoint levels are stacked
-pairs, and every pairing and norm of them is one call to the reductions of
-:mod:`sktsim.grid`.
+:func:`sktsim.forward._march` on stacked pairs, and the stored levels of a
+forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
+The terminal basis, the solution differences and the adjoint levels are
+stacked pairs, and every pairing and norm of them is one call to the
+reductions of :mod:`sktsim.grid`.
 
 Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
@@ -29,12 +29,13 @@ from typing import Callable
 import numpy as np
 
 from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
-from sktsim.algebra import Coefficients, SpeciesPair, dual_exponent, eval_l, jac_P, jac_Q
+from sktsim.algebra import Coefficients, SpeciesPair, _stacked_P, _stacked_Q, dual_exponent, eval_l
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
+    _flat,
     h1_norms,
     inner,
     laplacian,
@@ -110,21 +111,22 @@ def scalar_reduction_check(times: np.ndarray, pairing: np.ndarray, a1: float) ->
     return float(np.max(np.abs(weighted - weighted[0])))
 
 
-def _linearized_difference_step(c: Coefficients, u_tilde: FieldPair, u_bar: FieldPair,
-                                bc: BoundaryCondition, dt: float) -> FieldPair:
-    """Explicit step of the exact linear dynamics of a solution difference:
-    d/dt u_bar = Lap(P(u~) u_bar) - Q(u~) u_bar + l(u_bar)."""
-    P = jac_P(c, SpeciesPair(u_tilde.u, u_tilde.v))
-    Q = jac_Q(c, SpeciesPair(u_tilde.u, u_tilde.v))
-    prod = FieldPair(u_bar.grid,
-                     P.m11 * u_bar.u + P.m12 * u_bar.v,
-                     P.m21 * u_bar.u + P.m22 * u_bar.v)
-    lap = laplacian(prod, bc)
-    qu = Q.m11 * u_bar.u + Q.m12 * u_bar.v
-    qv = Q.m21 * u_bar.u + Q.m22 * u_bar.v
-    return FieldPair(u_bar.grid,
-                     u_bar.u + dt * (lap.u - qu + c.a1 * u_bar.u),
-                     u_bar.v + dt * (lap.v - qv + c.a2 * u_bar.v))
+def _linearized_difference_step(c: Coefficients, grid: Grid, u_tilde: np.ndarray,
+                                u_bar: np.ndarray, bc: BoundaryCondition, dt: float) -> np.ndarray:
+    """Explicit step of the exact linear dynamics of a solution difference,
+    on the stacked difference ``u_bar`` with the stacked state ``u_tilde``:
+    d/dt u_bar = Lap(P(u~) u_bar) - Q(u~) u_bar + l(u_bar).
+
+    Reversing the pair axis pairs each species with the off-diagonal entry
+    of its row: (P x)_u is P11 x_u + P12 x_v.
+    """
+    s, x = _flat(u_tilde, grid.dim), _flat(u_bar, grid.dim)
+    diag, off = _stacked_P(c, s)
+    prod = (diag * x + off * x[..., ::-1, :]).reshape(u_bar.shape)
+    lap = _flat(laplacian(grid, prod, bc), grid.dim)
+    q_diag, q_off = _stacked_Q(c, s)
+    qx = q_diag * x + q_off * x[..., ::-1, :]
+    return (x + dt * (lap - qx + c.columns.growth * x)).reshape(u_bar.shape)
 
 
 def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
@@ -156,11 +158,12 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     pure linear algebra and sits at roundoff level.
     """
     steps = max(1, int(round(T / dt)))
-    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, u_tilde, u_bar, bc, dt),
-                   u_bar0, 0, steps, dt)
-    phi = _march(lambda phi, _: step_adjoint_transpose(c, phi, u_tilde, bc, dt,
+    state = u_tilde.stacked()
+    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, state, u_bar, bc, dt),
+                   grid, u_bar0.stacked(), 0, steps, dt)
+    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, state, bc, dt,
                                                        AdjointRHSKind.IDENTITY),
-                 FieldPair(grid, chi.u[None], chi.v[None]), steps, 0, dt)
+                 grid, chi.stacked()[None], steps, 0, dt)
     res = _duality_residual_series(c, grid, u_bar, phi, dt)
     return float(np.max(np.abs(res)))
 
@@ -231,13 +234,12 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         u_bar = t1.levels - t2.levels
 
         labels, basis = chi_basis(grid, cfg.bc, cfg.modes)
-        chi = FieldPair(grid, basis[:, 0], basis[:, 1])
 
-        def adjoint_step(phi: FieldPair, k: int) -> FieldPair:
+        def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
             state = coefficient_state((t1, t2), TINY_EPS, k)
-            return step_adjoint_transpose(c, phi, state, cfg.bc, dt, AdjointRHSKind.IDENTITY)
+            return step_adjoint_transpose(c, grid, phi, state, cfg.bc, dt, AdjointRHSKind.IDENTITY)
 
-        phi = _march(adjoint_step, chi, tg.steps, 0, dt)
+        phi = _march(adjoint_step, grid, basis, tg.steps, 0, dt)
 
         series = inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
         residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),

@@ -28,10 +28,15 @@ loop, :func:`_march`, and both directions return a :class:`Trajectory`
 whose stored levels are one stacked array: every ``stride``-th level and
 the last (:func:`_stored_steps`).
 
-Each level is checked for finiteness once, when its :class:`FieldPair` is
-built; the steps therefore call the unchecked algebra cores (``_eval_p``,
-``_jac_P``, ...) on the arrays of a FieldPair, while the public maps check
-their inputs.
+A march carries stacked pairs only, arrays of shape (*batch, 2,
+*grid.shape) (see :mod:`sktsim.grid`): every step takes its level as one
+array and returns the next one, and :func:`_march` checks each new level
+for finiteness once and stores it with one assignment.  No
+:class:`FieldPair` is built per step.  The steps therefore call the
+unchecked stacked algebra cores (``_stacked_p``, ``_stacked_P``, ...),
+while the public maps check their inputs.  The explicit step evaluates the
+flux, its Laplacian, the reactions and the stability bound once each, on
+the whole stacked array.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim import linalg
-from sktsim.algebra import Coefficients, Matrix2, SpeciesPair, _eval_l, _eval_p, _eval_q, _jac_P
+from sktsim.algebra import Coefficients, _stacked_p, _stacked_P, _stacked_reaction
 from sktsim.grid import (
     BlockPattern,
     BoundaryCondition,
@@ -53,6 +58,7 @@ from sktsim.grid import (
     Grid,
     NumericalFailure,
     _extend,
+    _flat,
     _grad_stencil,
     _grid_sums,
     _lap_stencil,
@@ -155,151 +161,144 @@ def _keep(stored: np.ndarray, kept: list[int], levels: np.ndarray, first: int) -
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(advance: Callable[[FieldPair, int], FieldPair], phi: FieldPair, start: int, stop: int,
-           dt: float) -> np.ndarray:
-    """March ``phi``, the level ``start``, to level ``stop`` in either time
-    direction; every march runs this loop.
+def _march(advance: Callable[[np.ndarray, int], np.ndarray], grid: Grid, w: np.ndarray,
+           start: int, stop: int, dt: float) -> np.ndarray:
+    """March ``w``, the stacked level ``start`` (*batch, 2, *grid.shape), to
+    level ``stop`` in either time direction; every march runs this loop.
 
-    ``advance(phi, k)`` returns level k from its neighbour ``phi``; ``phi``
-    may carry batch axes if ``advance`` accepts them.  Returns the levels
-    between ``start`` and ``stop`` in ascending time, shape (*batch,
-    |stop - start| + 1, 2, *grid.shape).  A blow-up raises
-    :class:`NumericalFailure` carrying the step index and time of the level
-    being computed.
+    ``advance(w, k)`` returns level k, stacked like its neighbour ``w``.
+    Returns the levels between ``start`` and ``stop`` in ascending time,
+    shape (*batch, |stop - start| + 1, 2, *grid.shape).  Each new level is
+    checked for finiteness once; a blow-up raises :class:`NumericalFailure`
+    carrying the step index and time of the level being computed.
     """
-    grid = phi.grid
-    batch = phi.u.shape[:phi.u.ndim - grid.dim]
+    batch = w.shape[:w.ndim - 1 - grid.dim]
     sign, bottom = (1, start) if stop >= start else (-1, stop)
-    levels = np.empty(batch + (abs(stop - start) + 1, 2) + grid.shape)
-    by_level = np.moveaxis(levels, (len(batch), len(batch) + 1), (0, 1))
-    by_level[start - bottom, 0], by_level[start - bottom, 1] = phi.u, phi.v
+    levels = np.empty(batch + (abs(stop - start) + 1,) + w.shape[len(batch):])
+    by_level = np.moveaxis(levels, len(batch), 0)
+    by_level[start - bottom] = w
     for k in range(start + sign, stop + sign, sign):
         try:
-            phi = advance(phi, k)
+            w = advance(w, k)
+            if not np.isfinite(w).all():
+                raise NumericalFailure("non-finite field values")
         except NumericalFailure as exc:
             exc.step, exc.t = k, k * dt
             raise
-        by_level[k - bottom, 0], by_level[k - bottom, 1] = phi.u, phi.v
+        by_level[k - bottom] = w
     return levels
 
 
-def stability_bound(c: Coefficients, state: FieldPair) -> float:
-    """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux Jacobian."""
-    return _jacobian_stability_bound(_jac_P(c, SpeciesPair(state.u, state.v)), state.grid)
-
-
-def _jacobian_stability_bound(P: Matrix2, grid: Grid) -> float:
-    """:func:`stability_bound` of a state whose flux Jacobian ``P`` is already built."""
-    row1 = np.abs(P.m11) + np.abs(P.m12)
-    row2 = np.abs(P.m21) + np.abs(P.m22)
-    p_max = max(float(np.max(row1)), float(np.max(row2)))
+def stability_bound(c: Coefficients, grid: Grid, w: np.ndarray) -> float:
+    """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux
+    Jacobian P at the stacked pairs ``w``: the rows |P11| + |P12| and
+    |P21| + |P22|, read off the diagonal and the off-diagonal of P."""
+    diag, off = _stacked_P(c, _flat(w, grid.dim))
+    p_max = float((np.abs(diag) + np.abs(off)).max())
     if p_max == 0.0:
         return math.inf
     return grid.h ** 2 / (2.0 * grid.dim * p_max)
 
 
-def _lap_flux(c: Coefficients, state: FieldPair, bc: BoundaryCondition) -> SpeciesPair:
-    """Discrete Laplacian of p(state), with p evaluated on the ghost-extended state.
+def _extended_flux(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """p(ext w) of the stacked pairs ``w``, on the ghost-extended grid.
 
-    Extending the state (rather than the flux values) keeps this operator
-    identical to the divergence-form one under both boundary rules.
+    Evaluating p on the extended state (rather than extending the flux
+    values, which under Dirichlet walls differ) keeps the Laplacian of the
+    flux identical to the divergence-form operator under both boundary rules.
     """
-    grid = state.grid
-    h, dim = grid.h, grid.dim
-    p = _eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
-    return SpeciesPair(_lap_stencil(p.u, h, dim), _lap_stencil(p.v, h, dim))
+    ext = _extend(w, bc, grid.dim)
+    return _stacked_p(c, _flat(ext, grid.dim)).reshape(ext.shape)
 
 
-def _reaction_rhs(c: Coefficients, state: FieldPair) -> SpeciesPair:
-    s = SpeciesPair(state.u, state.v)
-    q = _eval_q(c, s)
-    l = _eval_l(c, s)
-    return SpeciesPair(l.u - q.u, l.v - q.v)
-
-
-def step_explicit(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float,
-                  forcing: FieldPair | None = None) -> FieldPair:
-    """One forward-Euler step of the Laplacian-of-flux form.
+def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition, dt: float,
+                  forcing: np.ndarray | None = None) -> np.ndarray:
+    """One forward-Euler step of the Laplacian-of-flux form on the stacked
+    pairs ``w`` (*batch, 2, *grid.shape); ``forcing`` is stacked like ``w``.
 
     Refuses with the computed bound when dt exceeds h^2/(2 d P_max) for the
     current state.
     """
-    bound = stability_bound(c, state)
+    bound = stability_bound(c, grid, w)
     if dt > bound:
         raise StabilityError(dt, bound)
-    lap = _lap_flux(c, state, bc)
-    rhs = _reaction_rhs(c, state)
-    new_u = state.u + dt * (lap.u + rhs.u)
-    new_v = state.v + dt * (lap.v + rhs.v)
+    lap = _lap_stencil(_extended_flux(c, grid, w, bc), grid.h, grid.dim)
+    new = w + dt * (lap + _stacked_reaction(c, _flat(w, grid.dim)).reshape(w.shape))
     if forcing is not None:
-        new_u = new_u + dt * forcing.u
-        new_v = new_v + dt * forcing.v
-    return FieldPair(state.grid, new_u, new_v)
+        new = new + dt * forcing
+    return new
 
 
-def _nodal_jacobian(c: Coefficients, state: FieldPair) -> np.ndarray:
-    """Flux Jacobian P(state) as a (2, 2, N) array over the raveled nodes."""
-    P = _jac_P(c, SpeciesPair(state.u, state.v))
-    return np.reshape(P, (2, 2, -1))
-
-
-def _divergence_form_data(c: Coefficients, state: FieldPair, pattern: BlockPattern) -> np.ndarray:
-    """Values on ``pattern`` (the :func:`block_pattern` of the state's grid and
-    bc) of the 2N x 2N operator w -> div(P(state) grad w) with face-averaged
-    P, on stacked unknowns [w_u; w_v].
+def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
+                          pattern: BlockPattern) -> np.ndarray:
+    """Values on ``pattern`` (the :func:`block_pattern` of ``grid`` and the
+    bc) of the 2N x 2N operator x -> div(P(w) grad x) with face-averaged P,
+    on stacked unknowns [x_u; x_v]; one row of values per pair of the
+    stacked pairs ``w``.
 
     Because the Jacobian entries are affine in the state, the arithmetic face
     average equals the midpoint evaluation and flux differences of the
     quadratic map are reproduced exactly.
     """
-    nodal = _nodal_jacobian(c, state).ravel()
-    inv_h2 = 1.0 / state.grid.h ** 2
-    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
-    # Each diagonal entry balances its row of the block (zero row sums) ...
-    data[pattern.node_diag] = 0.0
-    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
-    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
+    diag, off = _stacked_P(c, _flat(w, grid.dim))
+    # P11, P12, P21, P22 over the nodes: the 4N values pattern.row indexes.
+    nodal = _flat(np.concatenate((diag[..., :1, :], off, diag[..., 1:, :]), axis=-2), 2)
+    inv_h2 = 1.0 / grid.h ** 2
+    data = 0.5 * inv_h2 * (nodal[..., pattern.row] + nodal[..., pattern.col])
+    # Each diagonal entry balances its row of the block (zero row sums; the
+    # rows of each pair of a batch offset by the pair's position) ...
+    data[..., pattern.node_diag] = 0.0
+    rows = pattern.row + nodal.shape[-1] * np.arange(nodal.size // nodal.shape[-1])[:, None]
+    row_sums = np.bincount(rows.ravel(), weights=data.ravel(),
+                           minlength=nodal.size).reshape(nodal.shape)
+    data[..., pattern.node_diag] = -row_sums[..., pattern.row[pattern.node_diag]]
     # ... except at a Dirichlet wall: the ghost state is the negated interior
     # state, so the face coefficient averages to diag(d1, d2) and the
-    # across-face jump is 2 w_wall.
-    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
+    # across-face jump is 2 x_wall.
+    data[..., pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
     return data
 
 
-def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, bu: np.ndarray, bv: np.ndarray,
-                      guess: FieldPair) -> FieldPair:
+def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, b: np.ndarray,
+                      guess: np.ndarray) -> np.ndarray:
     """Solve the implicit system with values ``data`` on ``pattern`` for the
-    right-hand side (bu, bv): a banded direct solve in 1D, BiCGStab from
-    ``guess`` in 2D, accepted in both only at true relative residual
-    <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`)."""
-    grid = guess.grid
-    b = np.concatenate([bu.ravel(), bv.ravel()])
-    if grid.dim == 1:
-        x = linalg.solve_band(pattern, data, b)
+    stacked right-hand side ``b``: a banded direct solve in 1D, where ``b``
+    may hold a batch of pairs with one row of ``data`` each or one for all,
+    and BiCGStab from the stacked ``guess`` in 2D, for one pair.  Both accept a pair's solution only
+    at true relative residual <= 1e-10 (else
+    :class:`~sktsim.linalg.LinearSolveError`).  Returns x stacked like ``b``."""
+    if pattern.band.size:
+        x = linalg.solve_band(pattern, data, b.reshape(-1))
     else:
-        x = krylov_solve(pattern.matrix(data), b, np.concatenate([guess.u.ravel(), guess.v.ravel()]))
-    ncell = grid.node_count
-    return FieldPair(grid, x[:ncell].reshape(grid.shape), x[ncell:].reshape(grid.shape))
+        x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1))
+    return x.reshape(b.shape)
 
 
-def step_imex(c: Coefficients, state: FieldPair, bc: BoundaryCondition, dt: float,
-              forcing: FieldPair | None = None) -> FieldPair:
-    """One semi-implicit step: implicit lagged-coefficient diffusion, explicit reactions.
+def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition, dt: float,
+              forcing: np.ndarray | None = None) -> np.ndarray:
+    """One semi-implicit step on the stacked pairs ``w``: implicit
+    lagged-coefficient diffusion, explicit reactions.
 
-    Solves (I - dt L_n) w = state + dt (l - q + forcing) on the cached
-    :func:`block_pattern` (see :func:`_solve_on_pattern`); accuracy O(dt).
+    Solves (I - dt L_n) x = w + dt (l - q + forcing) on the cached
+    :func:`block_pattern` (see :func:`_solve_on_pattern`; batch axes in 1D
+    only); accuracy O(dt).
     """
-    rhs = _reaction_rhs(c, state)
-    bu = state.u + dt * rhs.u
-    bv = state.v + dt * rhs.v
+    b = w + dt * _stacked_reaction(c, _flat(w, grid.dim)).reshape(w.shape)
     if forcing is not None:
-        bu = bu + dt * forcing.u
-        bv = bv + dt * forcing.v
-    pattern = block_pattern(state.grid, bc)
-    data = _divergence_form_data(c, state, pattern)
+        b = b + dt * forcing
+    pattern = block_pattern(grid, bc)
+    data = _divergence_form_data(c, grid, w, pattern)
     data *= -dt
-    data[pattern.ident] += 1.0
-    return _solve_on_pattern(pattern, data, bu, bv, state)
+    data[..., pattern.ident] += 1.0
+    return _solve_on_pattern(pattern, data, b, w)
+
+
+#: The step of each scheme.  ``run_forward`` calls the steps through this
+#: table, bound at import, not through the module attributes that the layer
+#: tracer of ``perfbench/spans.py`` replaces: its ``forward.step`` wrapper
+#: reads ``.grid`` off the second argument, which a stacked array lacks
+#: (ROADMAP item 1).
+_STEPS = {SchemeKind.EXPLICIT: step_explicit, SchemeKind.IMEX_LAGGED: step_imex}
 
 
 @dataclass
@@ -337,13 +336,9 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     k = len(cur)
 
     h1 = h1_norms(grid, cur, bc)
-    # The flux is evaluated on the extended state, p(ext u), which under
-    # Dirichlet walls is not ext p(u).  Both extended arrays are freed as
-    # soon as they are used, which keeps the peak memory near three times
-    # that of ``levels``.
-    ext = _extend(cur, bc, dim)
-    p_ext = np.stack(_eval_p(c, SpeciesPair(ext[:, 0], ext[:, 1])), axis=1)
-    del ext
+    # p(ext u) is freed as soon as it is used, which keeps the peak memory
+    # near three times that of ``levels``.
+    p_ext = _extended_flux(c, grid, cur, bc)
     lap_p = _grid_sums(_lap_stencil(p_ext, h, dim) ** 2, dim)
     grad_p = sum(_grid_sums(g ** 2, dim) for g in _grad_stencil(p_ext, h, dim))
     del p_ext
@@ -384,26 +379,26 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     if problem.require_nonnegative_initial and (np.any(state.u < 0) or np.any(state.v < 0)):
         raise ValueError("initial data must be nonnegative")
     dt = tg.dt
-    step = step_explicit if problem.scheme is SchemeKind.EXPLICIT else step_imex
+    step = _STEPS[problem.scheme]
 
-    def advance(state: FieldPair, k: int) -> FieldPair:
-        forcing = problem.forcing((k - 1) * dt) if problem.forcing is not None else None
-        return step(c, state, bc, dt, forcing)
+    def advance(w: np.ndarray, k: int) -> np.ndarray:
+        forcing = problem.forcing((k - 1) * dt).stacked() if problem.forcing is not None else None
+        return step(c, grid, w, bc, dt, forcing)
 
     kept = _stored_steps(tg.steps, problem.stride)
     stored = np.empty((len(kept), 2, *grid.shape))
-    stored[0] = state.u, state.v
+    stored[0] = w = state.stacked()
     columns = np.empty((len(DIAGNOSTIC_COLUMNS), tg.steps + 1))
     # Level 0 paired with itself: its time-derivative norm is exactly zero.
     columns[:, :1] = _diagnostics_block(c, grid, bc, stored[[0, 0]], np.zeros(1), dt)
     block = max(1, _BLOCK_CELLS // grid.node_count)
     for lo in range(0, tg.steps, block):
         hi = min(lo + block, tg.steps)
-        levels = _march(advance, state, lo, hi, dt)
+        levels = _march(advance, grid, w, lo, hi, dt)
         columns[:, lo + 1:hi + 1] = _diagnostics_block(
             c, grid, bc, levels, np.arange(lo + 1, hi + 1, dtype=float), dt)
         _keep(stored, kept, levels, lo)
-        state = FieldPair(grid, levels[-1, 0], levels[-1, 1])
+        w = levels[-1]
 
     return Trajectory(grid=grid, time_grid=tg, stored_steps=kept, levels=stored,
                       diagnostics=dict(zip(DIAGNOSTIC_COLUMNS, columns)))

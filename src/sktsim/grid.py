@@ -14,19 +14,24 @@ apply the stencil to p(ext(u)), which under Dirichlet is not ext(p(u)).
 ``laplacian_matrix`` is the same Laplacian in sparse form for the implicit
 solves.
 
-Fields may carry leading batch axes: a :class:`FieldPair` holds arrays of
-shape (*batch, *grid.shape), and ``_extend``, the stencils and ``laplacian``
+Fields and states come in two layouts.  A :class:`FieldPair` holds the
+arrays u and v of shape (*batch, *grid.shape); it is what configs, snapshot
+files and manufactured solutions produce, and what ``Trajectory.state``
+returns.  A stacked pair is one array of shape (*batch, 2, *grid.shape) with
+u and v along the pair axis, the layout of ``Trajectory.levels``.  A time
+step takes and returns stacked pairs, and a march carries nothing else, so
+no object is built per step.  ``_extend``, the stencils and ``laplacian``
 act on the trailing ``grid.dim`` axes only, so B independent problems cost
-one call.  A :class:`FieldPair` is what a time step takes and returns.
+one call; ``_flat`` views the grid axes as one, the (..., 2, N) layout of
+the stacked algebra maps.
 
 Every reduction over levels is written once, here: the L2 pairing
 ``inner``, the per-species H1 norms ``h1_norms``, ``lp_norm`` and
-``weak_norm``.  They take stacked pairs, arrays of shape
-(*batch, 2, *grid.shape) with u and v along the pair axis, the layout of
-``Trajectory.levels``.  ``inner`` and ``h1_norms`` broadcast over the
-leading axes; ``lp_norm`` and ``weak_norm`` take one pair.  Each grid sum
-runs in the order of a single-field ``np.sum``, so a batched result equals
-the unbatched one bit for bit.  The H1 norm of a pair is sqrt(hu^2 + hv^2).
+``weak_norm``.  They take stacked pairs.  ``inner`` and ``h1_norms``
+broadcast over the leading axes; ``lp_norm`` and ``weak_norm`` take one
+pair.  Each grid sum runs in the order of a single-field ``np.sum``, so a
+batched result equals the unbatched one bit for bit.  The H1 norm of a pair
+is sqrt(hu^2 + hv^2).
 
 The weak (dual) norm |w|_w = sup <w,v>/||v||_H1 is evaluated exactly in the
 discrete setting as sqrt(<w, (I - Lap)^-1 w>) per component: the supremum
@@ -149,6 +154,10 @@ class FieldPair:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise NumericalFailure("non-finite field values")
 
+    def stacked(self) -> np.ndarray:
+        """u and v as stacked pairs (*batch, 2, *grid.shape), a new array."""
+        return np.stack((self.u, self.v), axis=-self.grid.dim - 1)
+
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
         return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
@@ -196,17 +205,22 @@ def _grad_stencil(ext: np.ndarray, h: float, dim: int) -> list[np.ndarray]:
             (ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]) * inv_2h]
 
 
+def _flat(arr: np.ndarray, dim: int) -> np.ndarray:
+    """``arr`` with its trailing ``dim`` grid axes as one axis of length
+    N = n^dim, in row-major node order (a view of a contiguous grid)."""
+    return arr.reshape(arr.shape[:arr.ndim - dim] + (-1,))
+
+
 def _grid_sums(arr: np.ndarray, dim: int) -> np.ndarray:
     """Sums over the trailing ``dim`` grid axes, one per leading index, each
     along the flattened grid in the order of a single-field ``np.sum``."""
-    return np.sum(arr.reshape(arr.shape[:arr.ndim - dim] + (-1,)), axis=-1)
+    return np.sum(_flat(arr, dim), axis=-1)
 
 
-def laplacian(f: FieldPair, bc: BoundaryCondition) -> FieldPair:
-    """Second-order 2d+1-point Laplacian of both components (batched like ``f``)."""
-    h, dim = f.grid.h, f.grid.dim
-    return FieldPair(f.grid, _lap_stencil(_extend(f.u, bc, dim), h, dim),
-                     _lap_stencil(_extend(f.v, bc, dim), h, dim))
+def laplacian(grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Second-order 2d+1-point Laplacian of both species of the stacked pairs
+    ``w`` (..., 2, *grid.shape), stacked like ``w``."""
+    return _lap_stencil(_extend(w, bc, grid.dim), grid.h, grid.dim)
 
 
 @functools.lru_cache(maxsize=32)

@@ -46,26 +46,34 @@ def _check_residual(residual: np.ndarray, b_norm: float, method: str) -> None:
 
 
 def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a 1D two-species operator given by its values ``data``
-    on ``pattern`` (a 1D :func:`~sktsim.grid.block_pattern`).
+    """Direct solve of 1D two-species operators given by their values
+    ``data`` on ``pattern`` (a 1D :func:`~sktsim.grid.block_pattern`).
 
-    ``b`` and the result are stacked [u; v].  Interleaving the unknowns as
-    [u0, v0, u1, v1, ...] makes the operator banded with bandwidth 3;
-    ``pattern.band`` scatters ``data`` into that band.  A zero ``b`` returns
-    zeros without a solve.
+    ``b`` and the result are stacked [u; v], or B such pairs one after the
+    other, with one row of ``data`` per pair or one row for all.
+    Interleaving the unknowns as [u0, v0, u1, v1, ...] makes an operator
+    banded with bandwidth 3; ``pattern.band`` scatters ``data`` into that
+    band, and B operators side by side in band storage are one
+    block-diagonal banded operator.  Each pair's residual is checked against
+    its own ||b||.  A zero ``b`` returns zeros without a solve.
     """
-    rhs = b.reshape(2, -1).T.ravel()
-    b_norm = _rhs_norm(rhs, "banded solve")
-    if b_norm == 0.0:
+    size = pattern.indptr.size - 1
+    rhs = b.reshape(-1, 2, size // 2).transpose(0, 2, 1)
+    b_norms = [_rhs_norm(r, "banded solve") for r in rhs.reshape(-1, size)]
+    if not any(b_norms):
         return np.zeros_like(b)
-    ab = np.zeros((7, rhs.size))
-    ab.flat[pattern.band] = data
+    rhs = rhs.ravel()
+    ab = np.zeros((len(b_norms), 7, size))
+    ab.reshape(len(b_norms), -1)[:, pattern.band] = data.reshape(-1, pattern.band.size)
+    ab = ab.transpose(1, 0, 2).reshape(7, -1)
     try:
         x = scipy.linalg.solve_banded((3, 3), ab, rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveError(f"banded solve: {exc}") from None
-    _check_residual(rhs - dgbmv(rhs.size, rhs.size, 3, 3, 1.0, ab, x), b_norm, "banded solve")
-    return x.reshape(-1, 2).T.ravel()
+    residual = rhs - dgbmv(rhs.size, rhs.size, 3, 3, 1.0, ab, x)
+    for r, b_norm in zip(residual.reshape(-1, size), b_norms):
+        _check_residual(r, b_norm, "banded solve")
+    return x.reshape(-1, size // 2, 2).transpose(0, 2, 1).ravel()
 
 
 def krylov_solve(A, b: np.ndarray, x0: np.ndarray) -> np.ndarray:

@@ -171,10 +171,11 @@ def test_step_adjoint_backward_validates_inputs():
     phi = FieldPair.constant(grid, 1.0, 1.0)
     bad_state = FieldPair(grid, -np.ones(grid.shape), np.zeros(grid.shape))
     with pytest.raises(ValueError):
-        step_adjoint_backward(CFG_A, phi, bad_state, NEU, 0.01, AdjointRHSKind.IDENTITY)
-    with pytest.raises(ValueError):
-        step_adjoint_backward(CFG_A, phi, FieldPair.zeros(grid), NEU, -0.01,
+        step_adjoint_backward(CFG_A, grid, phi.stacked(), bad_state.stacked(), NEU, 0.01,
                               AdjointRHSKind.IDENTITY)
+    with pytest.raises(ValueError):
+        step_adjoint_backward(CFG_A, grid, phi.stacked(), FieldPair.zeros(grid).stacked(), NEU,
+                              -0.01, AdjointRHSKind.IDENTITY)
 
 
 def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
@@ -416,7 +417,7 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
         return traj.levels[np.searchsorted(times, t + 1e-12 * max(1.0, t), side="right") - 1]
 
     def weighted_lap(f, state):
-        lap = laplacian(f, bc)
+        lap = FieldPair(grid, *laplacian(grid, f.stacked(), bc))
         w = 1.0 + state.u + state.v
         return vol * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
 
@@ -430,7 +431,7 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     for m in range(steps, 0, -1):
         t = (m - 1) * dt
         state = FieldPair(grid, *theta_eps(eps, 0.5 * (snapshot(traj1, t) + snapshot(traj2, t))))
-        new = step(c, phi, state, bc, dt, rhs)
+        new = FieldPair(grid, *step(c, grid, phi.stacked(), state.stacked(), bc, dt, rhs))
         e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
         kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
                       if e_old > 0.0 else 0.0)
@@ -563,3 +564,38 @@ def test_run_adjoint_memory_does_not_grow_with_steps():
 
     short, long = peak(400), peak(4000)
     assert long - short < 2 ** 20, (short, long)
+
+
+def test_marches_build_no_field_pair_per_step(monkeypatch):
+    # A march carries stacked arrays: the FieldPairs that run_forward and
+    # run_adjoint build do not grow with the step count.
+    grid = Grid(1, 1.0, 64)
+    initial = FieldPair(grid, bump_profile(grid, 0.5, 0.3, 1.0) + 0.2,
+                        bump_profile(grid, 0.4, 0.25, 0.6) + 0.2)
+    chi = FieldPair(grid, np.cos(np.pi * grid.centers()), np.ones(grid.shape))
+    built = []
+    post_init = FieldPair.__post_init__
+
+    def counted(pair):
+        built.append(pair)
+        post_init(pair)
+
+    monkeypatch.setattr(FieldPair, "__post_init__", counted)
+
+    def forward_pairs(steps):
+        built.clear()
+        traj = run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
+                                          SchemeKind.EXPLICIT, initial, stride=10))
+        return len(built), traj
+
+    (short, _), (long, traj) = forward_pairs(100), forward_pairs(1000)
+    assert long == short
+
+    def adjoint_pairs(steps, mode):
+        built.clear()
+        run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi,
+                    horizon=steps * 1e-5, mode=mode, stride=10)
+        return len(built)
+
+    for mode in AdjointMode:
+        assert adjoint_pairs(200, mode) == adjoint_pairs(20, mode)

@@ -79,13 +79,13 @@ def test_frozen_duality_residual_is_machine_zero():
 
 def _drop_cross_diffusion(monkeypatch):
     # A transpose step that drops the off-diagonal diffusion coupling P12, P21.
-    def no_cross_diffusion(c, phi, u_tilde, bc, dt, rhs):
-        lap = laplacian(phi, bc)
-        s = SpeciesPair(u_tilde.u, u_tilde.v)
+    def no_cross_diffusion(c, grid, phi, u_tilde, bc, dt, rhs):
+        lap = laplacian(grid, phi, bc)
+        s = SpeciesPair(u_tilde[0], u_tilde[1])
         P, Q = jac_P(c, s), jac_Q(c, s)
-        return FieldPair(phi.grid,
-                         phi.u + dt * (P.m11 * lap.u - Q.m11 * phi.u - Q.m21 * phi.v + phi.u),
-                         phi.v + dt * (P.m22 * lap.v - Q.m12 * phi.u - Q.m22 * phi.v + phi.v))
+        u, v, lap_u, lap_v = phi[..., 0, :], phi[..., 1, :], lap[..., 0, :], lap[..., 1, :]
+        return np.stack((u + dt * (P.m11 * lap_u - Q.m11 * u - Q.m21 * v + u),
+                         v + dt * (P.m22 * lap_v - Q.m12 * u - Q.m22 * v + v)), axis=-2)
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
 
@@ -252,9 +252,9 @@ def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatc
         adjoint_calls.append(args)
         return run_adjoint(*args, **kwargs)
 
-    def counting_march(advance, phi, *args):
-        batch_shapes.append(phi.u.shape[:phi.u.ndim - phi.grid.dim])
-        return march(advance, phi, *args)
+    def counting_march(advance, grid, phi, *args):
+        batch_shapes.append(phi.shape[:phi.ndim - 1 - grid.dim])
+        return march(advance, grid, phi, *args)
 
     monkeypatch.setattr(sktsim.adjoint, "run_adjoint", counting_adjoint)
     monkeypatch.setattr(sktsim.campaigns, "run_adjoint", counting_adjoint)
@@ -273,11 +273,11 @@ def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
     calls = []
     step = sktsim.experiments.step_adjoint_transpose
 
-    def overflowing(c, phi, state, bc, dt, rhs):
+    def overflowing(c, grid, phi, state, bc, dt, rhs):
         calls.append(dt)
-        out = step(c, phi, state, bc, dt, rhs)
+        out = step(c, grid, phi, state, bc, dt, rhs)
         if len(calls) == 3:
-            return FieldPair(out.grid, out.u * 1e308 * 1e308, out.v)
+            return np.stack((out[..., 0, :] * 1e308 * 1e308, out[..., 1, :]), axis=-2)
         return out
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", overflowing)

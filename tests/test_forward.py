@@ -9,7 +9,12 @@ import pytest
 
 import sktsim.algebra
 import sktsim.forward
-from sktsim.adjoint import coefficient_state
+from sktsim.adjoint import (
+    AdjointRHSKind,
+    coefficient_state,
+    step_adjoint_backward,
+    step_adjoint_transpose,
+)
 from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_p
 from sktsim.forward import (
     _BLOCK_CELLS,
@@ -32,6 +37,7 @@ from sktsim.grid import (
     Grid,
     _extend,
     _grad_stencil,
+    _lap_stencil,
     block_pattern,
 )
 from sktsim.mms import (
@@ -60,6 +66,18 @@ def component_h1(arr, grid, bc):
     return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
 
 
+def as_pair(grid, w):
+    """A stacked pair (2, *grid.shape) as a FieldPair."""
+    return FieldPair(grid, w[0], w[1])
+
+
+def lap_flux(c, state, bc):
+    """Discrete Laplacian of p(ext state), the flux term of the explicit step."""
+    grid = state.grid
+    return as_pair(grid, _lap_stencil(sktsim.forward._extended_flux(c, grid, state.stacked(), bc),
+                                      grid.h, grid.dim))
+
+
 def bump_pair(grid, amplitude=1.0):
     b = bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, amplitude)
     return FieldPair(grid, b + 0.2, 0.5 * b + 0.1)
@@ -80,20 +98,20 @@ def test_time_grid_validation():
 def test_explicit_step_zero_and_constant_states():
     grid = Grid(1, 1.0, 32)
     zero = FieldPair.zeros(grid)
-    out = step_explicit(REACTION_FREE, zero, NEU, 1e-5)
+    out = as_pair(grid, step_explicit(REACTION_FREE, grid, zero.stacked(), NEU, 1e-5))
     assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
 
     const = FieldPair.constant(grid, 2.0, 1.0)
-    out = step_explicit(REACTION_FREE, const, NEU, 1e-5)
+    out = as_pair(grid, step_explicit(REACTION_FREE, grid, const.stacked(), NEU, 1e-5))
     assert np.allclose(out.u, 2.0, atol=1e-14) and np.allclose(out.v, 1.0, atol=1e-14)
 
 
 def test_explicit_step_guards_stability():
     grid = Grid(1, 1.0, 32)
     state = FieldPair.constant(grid, 1.0, 1.0)
-    bound = stability_bound(CFG_A, state)
+    bound = stability_bound(CFG_A, grid, state.stacked())
     with pytest.raises(StabilityError) as err:
-        step_explicit(CFG_A, state, NEU, 2.0 * bound)
+        step_explicit(CFG_A, grid, state.stacked(), NEU, 2.0 * bound)
     assert err.value.bound == bound
 
 
@@ -106,10 +124,10 @@ def test_divergence_form_matches_laplacian_of_flux(dim, n, bc):
     rng = np.random.default_rng(42 + dim)
     state = FieldPair(grid, rng.uniform(0.0, 3.0, grid.shape), rng.uniform(0.0, 3.0, grid.shape))
     pattern = block_pattern(grid, bc)
-    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state, pattern))
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, grid, state.stacked(), pattern))
     stacked = np.concatenate([state.u.ravel(), state.v.ravel()])
     via_div = L @ stacked
-    direct = sktsim.forward._lap_flux(CFG_A, state, bc)
+    direct = lap_flux(CFG_A, state, bc)
     expected = np.concatenate([direct.u.ravel(), direct.v.ravel()])
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(via_div - expected)) <= 1e-11 * scale
@@ -163,11 +181,11 @@ def test_imex_temporal_order_via_richardson():
 def test_one_step_scheme_difference_second_order_in_dt():
     grid = Grid(1, 1.0, 32)
     state = bump_pair(grid)
-    dt0 = 0.5 * stability_bound(CFG_A, state)
+    dt0 = 0.5 * stability_bound(CFG_A, grid, state.stacked())
     diffs = []
     for dt in (dt0, dt0 / 2):
-        a = step_explicit(CFG_A, state, NEU, dt)
-        b = step_imex(CFG_A, state, NEU, dt)
+        a = as_pair(grid, step_explicit(CFG_A, grid, state.stacked(), NEU, dt))
+        b = as_pair(grid, step_imex(CFG_A, grid, state.stacked(), NEU, dt))
         diffs.append(np.max(np.abs(a.u - b.u)) + np.max(np.abs(a.v - b.v)))
     ratio = diffs[0] / diffs[1]
     assert 3.0 < ratio < 5.0
@@ -285,7 +303,7 @@ def test_snapshot_stride_and_lookup():
     # clamp inactive, the average of a trajectory with itself is its level.
     for k in range(traj.time_grid.steps + 1):
         idx = int(np.searchsorted(traj.stored_steps, k, side="right")) - 1
-        state = coefficient_state((traj, traj), 1e-9, k)
+        state = as_pair(grid, coefficient_state((traj, traj), 1e-9, k))
         assert np.array_equal(state.u, traj.levels[idx, 0])
         assert np.array_equal(state.v, traj.levels[idx, 1])
 
@@ -416,7 +434,7 @@ def reference_diagnostics(c, traj, bc):
         state, prev = traj.state(j), traj.state(max(j - 1, 0))
         p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
         grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
-        lap_p = sktsim.forward._lap_flux(c, state, bc)
+        lap_p = lap_flux(c, state, bc)
         weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
         rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
         rows.append([
@@ -463,7 +481,7 @@ def test_diagnostics_across_block_boundaries(dim, n, steps, dt, scheme, c, bc):
 
 
 def test_explicit_march_checks_each_level_once(monkeypatch):
-    # One FieldPair scan per new level (plus the stored copies and the
+    # No more FieldPair scans than new levels (plus the stored copies and the
     # initial copy), and no per-step finiteness check inside the algebra.
     grid = Grid(1, 1.0, 64)
     steps = 50
@@ -486,3 +504,32 @@ def test_explicit_march_checks_each_level_once(monkeypatch):
     blocks = 1 + math.ceil(steps / max(1, _BLOCK_CELLS // grid.node_count))
     assert counts["scan"] <= steps + len(traj.stored_steps) + 2
     assert counts["finite"] <= blocks
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
+    # A stack (B, 2, *grid.shape) holds B independent problems.  Each step's
+    # batched result equals its B unbatched calls bit for bit: the explicit
+    # and transpose steps in 1D and 2D, the implicit ones in 1D, where the
+    # banded solve takes the members as one block-diagonal band.  The
+    # reactions and cross-diffusion are all nonzero and asymmetric.
+    grid = Grid(dim, 1.0, n)
+    rng = np.random.default_rng(7 + dim)
+    batch = rng.uniform(0.1, 1.5, (4, 2, *grid.shape))
+    forcing = rng.standard_normal(batch.shape)
+    state = rng.uniform(0.1, 1.5, (2, *grid.shape))
+    dt = 0.5 * min(stability_bound(ASYMMETRIC, grid, w) for w in (*batch, state))
+    steps = [lambda w, f: step_explicit(ASYMMETRIC, grid, w, bc, dt, f)]
+    steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, state, bc, dt, rhs)
+              for rhs in AdjointRHSKind]
+    if dim == 1:
+        steps += [lambda w, f: step_imex(ASYMMETRIC, grid, w, bc, dt, f)]
+        steps += [lambda w, f, rhs=rhs: step_adjoint_backward(ASYMMETRIC, grid, w, state, bc, dt,
+                                                              rhs)
+                  for rhs in AdjointRHSKind]
+    for step in steps:
+        out = step(batch, forcing)
+        assert out.shape == batch.shape
+        for member, f, got in zip(batch, forcing, out):
+            assert np.array_equal(got, step(member, f))

@@ -86,10 +86,9 @@ def captured(monkeypatch):
     calls = []
     solve = sktsim.forward._solve_on_pattern
 
-    def recording(pattern, data, bu, bv, guess):
-        x = solve(pattern, data, bu, bv, guess)
-        calls.append((pattern.matrix(data).toarray(), np.concatenate([bu.ravel(), bv.ravel()]),
-                      np.concatenate([x.u.ravel(), x.v.ravel()])))
+    def recording(pattern, data, b, guess):
+        x = solve(pattern, data, b, guess)
+        calls.append((pattern.matrix(data).toarray(), b.ravel(), x.ravel()))
         return x
 
     monkeypatch.setattr(sktsim.forward, "_solve_on_pattern", recording)
@@ -105,7 +104,8 @@ def rel_diff(a, b):
 def test_divergence_form_matrix_matches_reference(dim, n, bc):
     state = bump_state(Grid(dim, 1.0, n))
     pattern = block_pattern(state.grid, bc)
-    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state, pattern))
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state.grid, state.stacked(),
+                                                            pattern))
     assert rel_diff(L.toarray(), reference_divergence_form(CFG_A, state, bc)) <= 1e-13
 
 
@@ -113,7 +113,7 @@ def test_divergence_form_matrix_matches_reference(dim, n, bc):
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_imex_operator_matches_reference(captured, dim, n, bc):
     state = bump_state(Grid(dim, 1.0, n))
-    step_imex(CFG_A, state, bc, DT)
+    step_imex(CFG_A, state.grid, state.stacked(), bc, DT)
     (A, _, _), = captured
     expected = np.eye(A.shape[0]) - DT * reference_divergence_form(CFG_A, state, bc)
     assert rel_diff(A, expected) <= 1e-13
@@ -125,15 +125,17 @@ def test_adjoint_operator_matches_reference(captured, dim, n, bc):
     grid = Grid(dim, 1.0, n)
     state = bump_state(grid)
     phi = FieldPair(grid, np.cos(state.u), state.v ** 2)
-    step_adjoint_backward(CFG_A, phi, state, bc, DT, AdjointRHSKind.GROWTH)
+    step_adjoint_backward(CFG_A, grid, phi.stacked(), state.stacked(), bc, DT,
+                          AdjointRHSKind.GROWTH)
     (A, _, _), = captured
     assert rel_diff(A, reference_adjoint(CFG_A, state, bc, DT)) <= 1e-13
 
 
 def steps_solve_reference_operators(calls, state, bc):
     """Both 1D steps' solutions meet the residual bound on the reference operators."""
-    step_imex(CFG_A, state, bc, DT)
-    step_adjoint_backward(CFG_A, state, state, bc, DT, AdjointRHSKind.GROWTH)
+    step_imex(CFG_A, state.grid, state.stacked(), bc, DT)
+    step_adjoint_backward(CFG_A, state.grid, state.stacked(), state.stacked(), bc, DT,
+                          AdjointRHSKind.GROWTH)
     size = 2 * state.grid.node_count
     references = (np.eye(size) - DT * reference_divergence_form(CFG_A, state, bc),
                   reference_adjoint(CFG_A, state, bc, DT))
