@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sktsim import forward
-from sktsim.algebra import Coefficients, _stacked_P, _stacked_Q
+from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q
 from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
@@ -111,12 +111,10 @@ def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: i
 def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
                   rhs: AdjointRHSKind) -> tuple[np.ndarray, np.ndarray]:
     """Q(s)^T x and rhs(x) for the flattened coefficient state ``s`` (2, N)
-    and adjoint levels ``x`` (..., 2, N).  Reversing the pair axis pairs
-    each species with the off-diagonal entry of its column: (Q^T x)_u is
-    Q11 x_u + Q21 x_v."""
+    and adjoint levels ``x`` (..., 2, N)."""
     q_diag, q_off = _stacked_Q(c, s)
-    qt = q_diag * x + q_off[..., ::-1, :] * x[..., ::-1, :]
-    return qt, (x if rhs is AdjointRHSKind.IDENTITY else c.columns.growth * x)
+    src = x if rhs is AdjointRHSKind.IDENTITY else c.columns.growth * x
+    return _apply(q_diag, q_off[..., ::-1, :], x), src
 
 
 def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
@@ -159,14 +157,13 @@ def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
     """
-    bound = forward.stability_bound(c, grid, u_tilde_eps)
+    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
+    diag, off = _stacked_P(c, s)
+    bound = forward._row_sum_bound(grid, diag, off)
     if dt > bound:
         raise StabilityError(dt, bound)
-    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
     lap = _flat(laplacian(grid, phi, bc), grid.dim)
-    diag, off = _stacked_P(c, s)
-    # (P^T lap)_u is P11 lap_u + P21 lap_v, as in _zeroth_order.
-    pt_lap = diag * lap + off[..., ::-1, :] * lap[..., ::-1, :]
+    pt_lap = _apply(diag, off[..., ::-1, :], lap)
     qt, src = _zeroth_order(c, s, x, rhs)
     return (x + dt * (pt_lap - qt + src)).reshape(phi.shape)
 

@@ -3,16 +3,20 @@
 Nonlinear maps, their Jacobians, admissibility conditions on the
 coefficients, positivity-margin certificates for the diffusion matrix,
 and the exact midpoint factorizations of differences of the quadratic
-maps.  Everything here is a pure function of its inputs; all operations
-broadcast over numpy arrays so the same code serves scalars and whole
-grids.
+maps.  Everything here is a pure function of its inputs.
 
-The time steps evaluate the maps on stacked pairs instead: arrays of shape
-(..., 2, N) with u and v along the species axis, through the unchecked
-cores ``_stacked_p``, ``_stacked_P``, ``_stacked_reaction`` and
-``_stacked_Q``.  They read per-species coefficient columns that each
-:class:`Coefficients` builds once, and every element is computed in the
-order of its scalar formula, so they agree with the pair maps bit for bit.
+Each map is written once, on stacked pairs: arrays of shape (..., 2, N)
+with u and v along the species axis (one pair is an array of shape
+(2, 1)).  The unchecked cores ``_stacked_p``, ``_stacked_P``,
+``_stacked_q``, ``_stacked_reaction`` and ``_stacked_Q`` read
+per-species coefficient columns that each :class:`Coefficients` builds
+once, and compute every element in the order of its scalar formula.  The
+time steps, whose levels the march checks for finiteness, call the cores;
+the public maps (``eval_p``, ``jac_P``, ...) check their input and call
+the same cores, so the gates on them check the formulas the marches run.
+A Jacobian is its diagonal (J11, J22) and its off-diagonal (J12, J21),
+each stacked like the state, and :func:`_apply` multiplies it into
+stacked pairs.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ __all__ = [
     "CFG_A",
     "Coefficients",
     "ConditionReport",
-    "Matrix2",
-    "SpeciesPair",
     "check_conditions",
     "dual_exponent",
     "eval_l",
@@ -44,31 +46,6 @@ __all__ = [
 ]
 
 
-class SpeciesPair(NamedTuple):
-    """Pair of species values (densities, differences, or adjoint components).
-
-    Entries may be scalars or numpy arrays of matching shape.  Negative
-    entries are allowed so the same type represents differences of states;
-    operations that require physical (nonnegative) states say so.
-    """
-
-    u: float | np.ndarray
-    v: float | np.ndarray
-
-
-class Matrix2(NamedTuple):
-    """2x2 matrix with scalar or array entries."""
-
-    m11: float | np.ndarray
-    m12: float | np.ndarray
-    m21: float | np.ndarray
-    m22: float | np.ndarray
-
-    def apply(self, s: SpeciesPair) -> SpeciesPair:
-        return SpeciesPair(self.m11 * s.u + self.m12 * s.v,
-                           self.m21 * s.u + self.m22 * s.v)
-
-
 class _SpeciesColumns(NamedTuple):
     """Coefficient columns (u row, v row) of the maps on stacked pairs.
 
@@ -76,7 +53,7 @@ class _SpeciesColumns(NamedTuple):
     pair w (..., 2, N), with u = w[..., :1, :] and v = w[..., 1:, :]:
     p(w) = (d + a_u u + a_v v) w; P(w) has diagonal (P11, P22) =
     d + pd_u u + pd_v v and off-diagonal (P12, P21) = p_off w;
-    l(w) - q(w) = growth w - (b_u u + b_v v) w; Q(w) has diagonal
+    l(w) = growth w; q(w) = (b_u u + b_v v) w; Q(w) has diagonal
     qd_u u + qd_v v and off-diagonal (Q12, Q21) = q_off w.
     """
 
@@ -95,8 +72,8 @@ class _SpeciesColumns(NamedTuple):
 
     @classmethod
     def of(cls, c: Coefficients) -> _SpeciesColumns:
-        # The products 2 a_ii and 2 b_1, 2 c_2 are the first factors of the
-        # scalar formulas (2.0 * c.a11 * u is (2.0 * c.a11) * u).
+        # The products 2 a_ii, 2 b_1 and 2 c_2 are leading factors: P11 is
+        # d1 + (2 a11) u + a12 v, the order of d1 + 2 a11 u + a12 v.
         pairs = ((c.d1, c.d2), (c.a11, c.a21), (c.a12, c.a22),
                  (2.0 * c.a11, c.a21), (c.a12, 2.0 * c.a22), (c.a12, c.a21),
                  (c.a1, c.a2), (c.b1, c.b2), (c.c1, c.c2),
@@ -184,44 +161,36 @@ def _require_finite(*values) -> None:
             raise ValueError("non-finite input")
 
 
-# The pair maps below check their input.  The time steps, whose levels the
-# march checks for finiteness, call the unchecked stacked cores instead.
-
-def eval_p(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)."""
-    _require_finite(s.u, s.v)
-    u, v = s
-    return SpeciesPair((c.d1 + c.a11 * u + c.a12 * v) * u,
-                       (c.d2 + c.a21 * u + c.a22 * v) * v)
+def eval_p(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)
+    of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
+    _require_finite(w)
+    return _stacked_p(c, w)
 
 
-def eval_q(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v)."""
-    _require_finite(s.u, s.v)
-    u, v = s
-    return SpeciesPair((c.b1 * u + c.c1 * v) * u, (c.b2 * u + c.c2 * v) * v)
+def eval_q(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v) of the stacked pairs ``w``."""
+    _require_finite(w)
+    return _stacked_q(c, w)
 
 
-def eval_l(c: Coefficients, s: SpeciesPair) -> SpeciesPair:
-    """Linear growth map (a1*u, a2*v)."""
-    _require_finite(s.u, s.v)
-    return SpeciesPair(c.a1 * s.u, c.a2 * s.v)
+def eval_l(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """Linear growth map (a1*u, a2*v) of the stacked pairs ``w``."""
+    _require_finite(w)
+    return c.columns.growth * w
 
 
-def jac_P(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    """Jacobian of the diffusion flux map; entries are affine in the state."""
-    _require_finite(s.u, s.v)
-    u, v = s
-    return Matrix2(c.d1 + 2.0 * c.a11 * u + c.a12 * v, c.a12 * u,
-                   c.a21 * v, c.d2 + c.a21 * u + 2.0 * c.a22 * v)
+def jac_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian of the diffusion flux map at the stacked pairs ``w``, as its
+    diagonal and off-diagonal (see :func:`_stacked_P`); entries are affine in the state."""
+    _require_finite(w)
+    return _stacked_P(c, w)
 
 
-def jac_Q(c: Coefficients, s: SpeciesPair) -> Matrix2:
-    """Jacobian of the competition map."""
-    _require_finite(s.u, s.v)
-    u, v = s
-    return Matrix2(2.0 * c.b1 * u + c.c1 * v, c.c1 * u,
-                   c.b2 * v, c.b2 * u + 2.0 * c.c2 * v)
+def jac_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian of the competition map at the stacked pairs ``w``, like :func:`jac_P`."""
+    _require_finite(w)
+    return _stacked_Q(c, w)
 
 
 def _stacked_p(c: Coefficients, w: np.ndarray) -> np.ndarray:
@@ -237,10 +206,15 @@ def _stacked_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k.d + k.pd_u * w[..., :1, :] + k.pd_v * w[..., 1:, :], k.p_off * w
 
 
+def _stacked_q(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """q of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
+    k = c.columns
+    return (k.b_u * w[..., :1, :] + k.b_v * w[..., 1:, :]) * w
+
+
 def _stacked_reaction(c: Coefficients, w: np.ndarray) -> np.ndarray:
     """l - q of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
-    k = c.columns
-    return k.growth * w - (k.b_u * w[..., :1, :] + k.b_v * w[..., 1:, :]) * w
+    return c.columns.growth * w - _stacked_q(c, w)
 
 
 def _stacked_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +222,14 @@ def _stacked_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (Q11, Q22) and its off-diagonal (Q12, Q21), like :func:`_stacked_P`."""
     k = c.columns
     return k.qd_u * w[..., :1, :] + k.qd_v * w[..., 1:, :], k.q_off * w
+
+
+def _apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J x for the Jacobian J with diagonal ``diag`` and off-diagonal ``off``
+    and the stacked pairs ``x``: reversing the pair axis pairs each species
+    with the off-diagonal entry of its row, (J x)_u = J11 x_u + J12 x_v.
+    The transpose is ``_apply(diag, off[..., ::-1, :], x)``."""
+    return diag * x + off * x[..., ::-1, :]
 
 
 def check_conditions(c: Coefficients) -> ConditionReport:
@@ -267,35 +249,35 @@ def check_conditions(c: Coefficients) -> ConditionReport:
                            margin_1_5c=margin_1_5c, margins_coef_cond=(m_a, m_b))
 
 
-def quad_form_margin(c: Coefficients, s: SpeciesPair, xi) -> float | np.ndarray:
-    """Margin of the quadratic-form lower bound at one (state, direction) sample.
+def quad_form_margin(c: Coefficients, w: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Margin of the quadratic-form lower bound at (state, direction) samples.
 
-    Returns (P(s) xi) . xi - d0 |xi|^2 - alpha (u+v) |xi|^2; a nonnegative
-    value certifies the bound at this sample.  Requires a physical state
-    (u, v >= 0).
+    ``w`` and ``xi`` are stacked pairs (..., 2, N).  Returns
+    (P(w) xi) . xi - d0 |xi|^2 - alpha (u+v) |xi|^2, shape (..., N); a
+    nonnegative value certifies the bound at its sample.  Requires a
+    physical state (u, v >= 0).
     """
-    _require_finite(s.u, s.v, xi[0], xi[1])
-    if np.any(np.asarray(s.u) < 0.0) or np.any(np.asarray(s.v) < 0.0):
+    _require_finite(w, xi)
+    if np.any(w < 0.0):
         raise ValueError("quad_form_margin requires nonnegative densities")
-    x1, x2 = xi
-    P = jac_P(c, s)
-    quad = (P.m11 * x1 + P.m12 * x2) * x1 + (P.m21 * x1 + P.m22 * x2) * x2
-    nsq = x1 * x1 + x2 * x2
-    return quad - c.d0 * nsq - c.alpha * (s.u + s.v) * nsq
+    p_xi = _apply(*_stacked_P(c, w), xi) * xi
+    xi_sq = xi * xi
+    quad = p_xi[..., 0, :] + p_xi[..., 1, :]
+    nsq = xi_sq[..., 0, :] + xi_sq[..., 1, :]
+    return quad - c.d0 * nsq - c.alpha * (w[..., 0, :] + w[..., 1, :]) * nsq
 
 
 def _state_part_min_eig(c: Coefficients, sigma_u: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetrized state-linear part of P.
 
-    P(s) = diag(d1, d2) + A(s) with A linear in s, so the quadratic form of
-    A on a state ray depends only on the density direction sigma on the
-    simplex {sigma_u + sigma_v = 1}.  Returns lambda_min(sym A(sigma)).
+    P(s) = diag(d1, d2) + A(s) with A linear in s (P at d1 = d2 = 0), so
+    the quadratic form of A on a state ray depends only on the density
+    direction sigma on the simplex {sigma_u + sigma_v = 1}.  Returns
+    lambda_min(sym A(sigma)).
     """
-    x = sigma_u
-    y = 1.0 - x
-    a11 = 2.0 * c.a11 * x + c.a12 * y
-    a22 = c.a21 * x + 2.0 * c.a22 * y
-    off = 0.5 * (c.a12 * x + c.a21 * y)
+    (a11, a22), (a12, a21) = _stacked_P(replace(c, d1=0.0, d2=0.0),
+                                        np.stack((sigma_u, 1.0 - sigma_u)))
+    off = 0.5 * (a12 + a21)
     half_tr = 0.5 * (a11 + a22)
     disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + off ** 2, 0.0))
     return half_tr - disc
@@ -342,60 +324,45 @@ def max_alpha(c: Coefficients) -> float:
     return min(_ray_infimum(c), math.nextafter(min(c.a11, c.a12, c.a21, c.a22), 0.0))
 
 
-def inverse_norm_check(c: Coefficients, s: SpeciesPair) -> tuple[float, float]:
-    """Operator 2-norm of P(s)^-1 next to the margin bound 1/(d0 + alpha(u+v)).
+def inverse_norm_check(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator 2-norm of P(w)^-1 next to the margin bound 1/(d0 + alpha(u+v))
+    at the stacked pairs ``w`` (..., 2, N), each of shape (..., N).
 
     The caller asserts first <= second.  The norm comes from the closed-form
     smallest singular value of the 2x2 matrix (no iteration).  Requires a
     physical state and the coefficient condition.
     """
-    if np.any(np.asarray(s.u) < 0.0) or np.any(np.asarray(s.v) < 0.0):
+    if np.any(w < 0.0):
         raise ValueError("inverse_norm_check requires nonnegative densities")
     if not check_conditions(c).holds_coef_cond:
         raise ValueError("inverse_norm_check requires the strict coefficient condition")
-    P = jac_P(c, s)
+    diag, off = _stacked_P(c, w)
+    p11, p22, p12, p21 = diag[..., 0, :], diag[..., 1, :], off[..., 0, :], off[..., 1, :]
     # Eigenvalues of P^T P give the singular values.
-    g11 = P.m11 ** 2 + P.m21 ** 2
-    g22 = P.m12 ** 2 + P.m22 ** 2
-    g12 = P.m11 * P.m12 + P.m21 * P.m22
+    g11 = p11 ** 2 + p21 ** 2
+    g22 = p12 ** 2 + p22 ** 2
+    g12 = p11 * p12 + p21 * p22
     half_tr = 0.5 * (g11 + g22)
     disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12 ** 2, 0.0))
     smin_sq = half_tr - disc
     if np.any(smin_sq <= 0.0):
         raise ValueError("singular diffusion matrix; conditions must be violated")
-    inv_norm = 1.0 / np.sqrt(smin_sq)
-    bound = 1.0 / (c.d0 + c.alpha * (s.u + s.v))
-    if np.ndim(inv_norm) == 0:
-        return float(inv_norm), float(bound)
-    return inv_norm, bound
+    return 1.0 / np.sqrt(smin_sq), 1.0 / (c.d0 + c.alpha * (w[..., 0, :] + w[..., 1, :]))
 
 
-def _midpoint(s1: SpeciesPair, s2: SpeciesPair) -> SpeciesPair:
-    return SpeciesPair(0.5 * (s1.u + s2.u), 0.5 * (s1.v + s2.v))
+def mean_value_P(c: Coefficients, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the exact midpoint identity p(w1) - p(w2) = P((w1+w2)/2)(w1-w2)
+    at the stacked pairs ``w1`` and ``w2``.
 
-
-def _diff(s1: SpeciesPair, s2: SpeciesPair) -> SpeciesPair:
-    return SpeciesPair(s1.u - s2.u, s1.v - s2.v)
-
-
-def mean_value_P(c: Coefficients, s1: SpeciesPair, s2: SpeciesPair) -> tuple[SpeciesPair, SpeciesPair]:
-    """Both sides of the exact midpoint identity p(s1) - p(s2) = P((s1+s2)/2)(s1-s2).
-
-    The identity is algebraic (p is quadratic), so the two returned pairs
+    The identity is algebraic (p is quadratic), so the two returned sides
     agree to machine precision.
     """
-    p1, p2 = eval_p(c, s1), eval_p(c, s2)
-    lhs = SpeciesPair(p1.u - p2.u, p1.v - p2.v)
-    rhs = jac_P(c, _midpoint(s1, s2)).apply(_diff(s1, s2))
-    return lhs, rhs
+    return eval_p(c, w1) - eval_p(c, w2), _apply(*jac_P(c, 0.5 * (w1 + w2)), w1 - w2)
 
 
-def mean_value_Q(c: Coefficients, s1: SpeciesPair, s2: SpeciesPair) -> tuple[SpeciesPair, SpeciesPair]:
-    """Both sides of the exact midpoint identity q(s1) - q(s2) = Q((s1+s2)/2)(s1-s2)."""
-    q1, q2 = eval_q(c, s1), eval_q(c, s2)
-    lhs = SpeciesPair(q1.u - q2.u, q1.v - q2.v)
-    rhs = jac_Q(c, _midpoint(s1, s2)).apply(_diff(s1, s2))
-    return lhs, rhs
+def mean_value_Q(c: Coefficients, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the exact midpoint identity q(w1) - q(w2) = Q((w1+w2)/2)(w1-w2)."""
+    return eval_q(c, w1) - eval_q(c, w2), _apply(*jac_Q(c, 0.5 * (w1 + w2)), w1 - w2)
 
 
 def dual_exponent(d: int) -> float:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
-from sktsim.algebra import Coefficients, SpeciesPair, _stacked_P, _stacked_Q, dual_exponent, eval_l
+from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q, dual_exponent, eval_l
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
     BoundaryCondition,
@@ -116,16 +116,11 @@ def _linearized_difference_step(c: Coefficients, grid: Grid, u_tilde: np.ndarray
     """Explicit step of the exact linear dynamics of a solution difference,
     on the stacked difference ``u_bar`` with the stacked state ``u_tilde``:
     d/dt u_bar = Lap(P(u~) u_bar) - Q(u~) u_bar + l(u_bar).
-
-    Reversing the pair axis pairs each species with the off-diagonal entry
-    of its row: (P x)_u is P11 x_u + P12 x_v.
     """
     s, x = _flat(u_tilde, grid.dim), _flat(u_bar, grid.dim)
-    diag, off = _stacked_P(c, s)
-    prod = (diag * x + off * x[..., ::-1, :]).reshape(u_bar.shape)
+    prod = _apply(*_stacked_P(c, s), x).reshape(u_bar.shape)
     lap = _flat(laplacian(grid, prod, bc), grid.dim)
-    q_diag, q_off = _stacked_Q(c, s)
-    qx = q_diag * x + q_off * x[..., ::-1, :]
+    qx = _apply(*_stacked_Q(c, s), x)
     return (x + dt * (lap - qx + c.columns.growth * x)).reshape(u_bar.shape)
 
 
@@ -142,10 +137,9 @@ def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
     transpose with the identity right-hand side.
     """
     p = inner(grid, u_bar, phi)
-    lbar = eval_l(c, SpeciesPair(u_bar[:-1, 0], u_bar[:-1, 1]))
-    l_field = np.stack([lbar.u, lbar.v], axis=1)
+    l_bar = eval_l(c, _flat(u_bar[:-1], grid.dim)).reshape(u_bar[:-1].shape)
     return ((p[:, 1:] - p[:, :-1]) / dt + inner(grid, u_bar[:-1], phi[:, 1:])
-            - inner(grid, l_field, phi[:, 1:]))
+            - inner(grid, l_bar, phi[:, 1:]))
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,

@@ -31,12 +31,13 @@ the last (:func:`_stored_steps`).
 A march carries stacked pairs only, arrays of shape (*batch, 2,
 *grid.shape) (see :mod:`sktsim.grid`): every step takes its level as one
 array and returns the next one, and :func:`_march` checks each new level
-for finiteness once and stores it with one assignment.  No
-:class:`FieldPair` is built per step.  The steps therefore call the
-unchecked stacked algebra cores (``_stacked_p``, ``_stacked_P``, ...),
-while the public maps check their inputs.  The explicit step evaluates the
-flux, its Laplacian, the reactions and the stability bound once each, on
-the whole stacked array.
+for finiteness once and stores it with one assignment.  A forcing term is a
+stacked pair too, so no :class:`FieldPair` is built per step.  The steps
+call the unchecked stacked algebra cores (``_stacked_p``, ``_stacked_P``,
+...), the one implementation of the model maps, which the public maps of
+:mod:`sktsim.algebra` wrap in a finiteness check.  The explicit step
+evaluates the flux, its Laplacian, the reactions and the stability bound
+once each, on the whole stacked array.
 """
 
 from __future__ import annotations
@@ -191,9 +192,14 @@ def _march(advance: Callable[[np.ndarray, int], np.ndarray], grid: Grid, w: np.n
 
 def stability_bound(c: Coefficients, grid: Grid, w: np.ndarray) -> float:
     """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux
-    Jacobian P at the stacked pairs ``w``: the rows |P11| + |P12| and
-    |P21| + |P22|, read off the diagonal and the off-diagonal of P."""
-    diag, off = _stacked_P(c, _flat(w, grid.dim))
+    Jacobian P at the stacked pairs ``w`` (see :func:`_row_sum_bound`)."""
+    return _row_sum_bound(grid, *_stacked_P(c, _flat(w, grid.dim)))
+
+
+def _row_sum_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float:
+    """h^2 / (2 d P_max) for the flux Jacobian P with diagonal ``diag`` and
+    off-diagonal ``off``: P_max is the largest of the rows |P11| + |P12| and
+    |P21| + |P22| over the nodes."""
     p_max = float((np.abs(diag) + np.abs(off)).max())
     if p_max == 0.0:
         return math.inf
@@ -264,11 +270,14 @@ def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, b: np.ndarray,
     """Solve the implicit system with values ``data`` on ``pattern`` for the
     stacked right-hand side ``b``: a banded direct solve in 1D, where ``b``
     may hold a batch of pairs with one row of ``data`` each or one for all,
-    and BiCGStab from the stacked ``guess`` in 2D, for one pair.  Both accept a pair's solution only
-    at true relative residual <= 1e-10 (else
-    :class:`~sktsim.linalg.LinearSolveError`).  Returns x stacked like ``b``."""
+    and BiCGStab from the stacked ``guess`` in 2D, for one pair (a batch
+    raises ``ValueError``).  Both accept a pair's solution only at true
+    relative residual <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`).
+    Returns x stacked like ``b``."""
     if pattern.band.size:
         x = linalg.solve_band(pattern, data, b.reshape(-1))
+    elif b.ndim > 3:
+        raise ValueError("batch axes are supported in 1D only")
     else:
         x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1))
     return x.reshape(b.shape)
@@ -303,7 +312,8 @@ _STEPS = {SchemeKind.EXPLICIT: step_explicit, SchemeKind.IMEX_LAGGED: step_imex}
 
 @dataclass
 class ForwardProblem:
-    """Everything one forward run needs."""
+    """Everything one forward run needs; ``forcing(t)``, if given, returns
+    the source term at time t as a stacked pair (2, *grid.shape)."""
 
     coefficients: Coefficients
     grid: Grid
@@ -312,7 +322,7 @@ class ForwardProblem:
     scheme: SchemeKind
     initial: FieldPair
     stride: int = 1
-    forcing: Callable[[float], FieldPair] | None = None
+    forcing: Callable[[float], np.ndarray] | None = None
     require_nonnegative_initial: bool = True
 
 
@@ -382,7 +392,10 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     step = _STEPS[problem.scheme]
 
     def advance(w: np.ndarray, k: int) -> np.ndarray:
-        forcing = problem.forcing((k - 1) * dt).stacked() if problem.forcing is not None else None
+        forcing = problem.forcing((k - 1) * dt) if problem.forcing is not None else None
+        if forcing is not None and not np.isfinite(forcing).all():
+            # Reported as a non-finite level, before an implicit solve sees it.
+            raise NumericalFailure("non-finite field values")
         return step(c, grid, w, bc, dt, forcing)
 
     kept = _stored_steps(tg.steps, problem.stride)

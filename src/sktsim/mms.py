@@ -54,7 +54,8 @@ class ManufacturedSolution:
         (u, *_), (v, *_) = self._jets_on(grid, t)
         return FieldPair(grid, u, v)
 
-    def forcing(self, grid: Grid, t: float) -> FieldPair:
+    def forcing(self, grid: Grid, t: float) -> np.ndarray:
+        """The residual forcing at time t as a stacked pair (2, *grid.shape)."""
         c = self.coefficients
         (u, gu, lu, tu), (v, gv, lv, tv) = self._jets_on(grid, t)
         cross = sum(a * b for a, b in zip(gu, gv))
@@ -62,8 +63,8 @@ class ManufacturedSolution:
                   + 2.0 * c.a11 * sum(g * g for g in gu) + 2.0 * c.a12 * cross)
         lap_p2 = ((c.d2 + c.a21 * u + 2.0 * c.a22 * v) * lv + c.a21 * v * lu
                   + 2.0 * c.a22 * sum(g * g for g in gv) + 2.0 * c.a21 * cross)
-        return FieldPair(grid, tu - lap_p1 + (c.b1 * u + c.c1 * v - c.a1) * u,
-                         tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v)
+        return np.stack((tu - lap_p1 + (c.b1 * u + c.c1 * v - c.a1) * u,
+                         tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v))
 
 
 def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) -> ManufacturedSolution:

@@ -44,7 +44,7 @@ from sktsim.grid import (
     h1_norms,
     laplacian,
 )
-from sktsim.mms import bump_profile, heat_limit_coefficients
+from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -590,6 +590,18 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
 
     (short, _), (long, traj) = forward_pairs(100), forward_pairs(1000)
     assert long == short
+
+    exact = polynomial_neumann_solution(CFG_A, 1)
+
+    def forced_pairs(steps):
+        built.clear()
+        run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
+                                   SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10,
+                                   forcing=lambda t: exact.forcing(grid, t),
+                                   require_nonnegative_initial=False))
+        return len(built)
+
+    assert forced_pairs(1000) == forced_pairs(100)
 
     def adjoint_pairs(steps, mode):
         built.clear()

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import sktsim.adjoint
+import sktsim.algebra
 import sktsim.campaigns
 import sktsim.experiments
 import sktsim.grid
 from sktsim.adjoint import AdjointMode, AdjointRHSKind, run_adjoint
-from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_l, jac_P, jac_Q
-from sktsim.campaigns import CheckResult, _exact_transpose_duality, run_campaign
+from sktsim.algebra import CFG_A, Coefficients, eval_l, jac_P, jac_Q
+from sktsim.campaigns import CheckResult, _exact_transpose_duality, campaign_algebra, run_campaign
 from sktsim.config import parse_config
 from sktsim.experiments import (
     TINY_EPS,
@@ -81,11 +82,11 @@ def _drop_cross_diffusion(monkeypatch):
     # A transpose step that drops the off-diagonal diffusion coupling P12, P21.
     def no_cross_diffusion(c, grid, phi, u_tilde, bc, dt, rhs):
         lap = laplacian(grid, phi, bc)
-        s = SpeciesPair(u_tilde[0], u_tilde[1])
-        P, Q = jac_P(c, s), jac_Q(c, s)
+        (p11, p22), _ = jac_P(c, u_tilde)
+        (q11, q22), (q12, q21) = jac_Q(c, u_tilde)
         u, v, lap_u, lap_v = phi[..., 0, :], phi[..., 1, :], lap[..., 0, :], lap[..., 1, :]
-        return np.stack((u + dt * (P.m11 * lap_u - Q.m11 * u - Q.m21 * v + u),
-                         v + dt * (P.m22 * lap_v - Q.m12 * u - Q.m22 * v + v)), axis=-2)
+        return np.stack((u + dt * (p11 * lap_u - q11 * u - q21 * v + u),
+                         v + dt * (p22 * lap_v - q12 * u - q22 * v + v)), axis=-2)
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
 
@@ -112,6 +113,40 @@ def test_exact_transpose_duality_gate_fails_on_seeded_defect(monkeypatch, seed_d
     result = _exact_transpose_duality(CFG_A)
     assert not result.passed
     assert result.line().startswith("FAIL  exact-transpose-duality")
+
+
+def _scale_u_row(monkeypatch, column):
+    # Every Coefficients built from here on carries the u-row entry of the
+    # coefficient column ``column`` times (1 + 1e-3).
+    of = sktsim.algebra._SpeciesColumns.of.__func__
+
+    def seeded(cls, c):
+        columns = of(cls, c)
+        scaled = getattr(columns, column) * np.array([[1.0 + 1e-3], [1.0]])
+        return columns._replace(**{column: scaled})
+
+    monkeypatch.setattr(sktsim.algebra._SpeciesColumns, "of", classmethod(seeded))
+
+
+@pytest.mark.parametrize("column,gate", [("p_off", "jacobian-consistency"),
+                                         ("a_v", "mean-value-identities")],
+                         ids=["jacobian-P12", "flux-a12"])
+def test_algebra_gates_fail_on_seeded_defect_in_the_stacked_maps(monkeypatch, tmp_path,
+                                                                   column, gate):
+    # P12 = a12 u in the flux Jacobian (column p_off) or the a12 v u term of
+    # the flux map (column a_v), scaled in the coefficient columns that the
+    # marches read: the gate on the public maps must see it.
+    config = Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg"
+
+    def gate_result():
+        results = campaign_algebra(parse_config(config), tmp_path)
+        return next(r for r in results if r.name == gate)
+
+    assert gate_result().passed
+    _scale_u_row(monkeypatch, column)
+    result = gate_result()
+    assert not result.passed
+    assert result.line().startswith(f"FAIL  {gate}")
 
 
 def test_check_result_line_shows_elapsed_time():
@@ -187,9 +222,9 @@ def _reference_uniqueness_level(cfg, k):
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []
         for n in range(len(u_bars) - 1):
-            lbar = eval_l(c, SpeciesPair(u_bars[n][0], u_bars[n][1]))
+            lbar = eval_l(c, u_bars[n].reshape(2, -1)).reshape(u_bars[n].shape)
             residual.append((series[n + 1] - series[n]) / dt + inner(grid, u_bars[n], phis[n + 1])
-                            - inner(grid, np.stack((lbar.u, lbar.v)), phis[n + 1]))
+                            - inner(grid, lbar, phis[n + 1]))
         ref["snapshots"].append(np.array(phis))
         ref["pairings"][label] = float(inner(grid, u_bars[-1], chi))
         ref["series"].append(series)

@@ -15,7 +15,7 @@ from sktsim.adjoint import (
     step_adjoint_backward,
     step_adjoint_transpose,
 )
-from sktsim.algebra import CFG_A, Coefficients, SpeciesPair, eval_p
+from sktsim.algebra import CFG_A, Coefficients, eval_p
 from sktsim.forward import (
     _BLOCK_CELLS,
     DIAGNOSTIC_COLUMNS,
@@ -362,7 +362,7 @@ def test_closed_form_forcing_matches_symbolic_derivation(c, dim, length):
     grid = Grid(dim, length, 13)
     for t in (0.0, 0.05, 0.7):
         field, forcing = exact.field(grid, t), exact.forcing(grid, t)
-        for got, fn in zip((field.u, field.v, forcing.u, forcing.v), reference):
+        for got, fn in zip((field.u, field.v, *forcing), reference):
             want = np.broadcast_to(fn(*grid.meshgrid(), t), grid.shape)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(ValueError):
@@ -432,7 +432,8 @@ def reference_diagnostics(c, traj, bc):
     rows = []
     for j in range(len(traj.stored_steps)):
         state, prev = traj.state(j), traj.state(max(j - 1, 0))
-        p = eval_p(c, SpeciesPair(_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+        ext = np.stack((_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+        p = eval_p(c, ext.reshape(2, -1)).reshape(ext.shape)
         grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
         lap_p = lap_flux(c, state, bc)
         weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
@@ -533,3 +534,30 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
         assert out.shape == batch.shape
         for member, f, got in zip(batch, forcing, out):
             assert np.array_equal(got, step(member, f))
+
+
+def test_implicit_steps_refuse_a_2d_batch_before_the_solve():
+    grid = Grid(2, 1.0, 8)
+    batch = np.full((3, 2, *grid.shape), 0.5)
+    state = np.full((2, *grid.shape), 0.5)
+    with pytest.raises(ValueError, match="batch axes are supported in 1D only"):
+        step_imex(CFG_A, grid, batch, NEU, 1e-3)
+    for rhs in AdjointRHSKind:
+        with pytest.raises(ValueError, match="batch axes are supported in 1D only"):
+            step_adjoint_backward(CFG_A, grid, batch, state, NEU, 1e-3, rhs)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_nonfinite_forcing_fails_at_its_step(scheme):
+    # The forcing of step k is taken at t = (k - 1) dt; from t = 3 dt on it is NaN.
+    grid = Grid(1, 1.0, 16)
+    dt = 1e-4
+
+    def forcing(t):
+        return np.full((2, *grid.shape), math.nan if t > 2.5 * dt else 1.0)
+
+    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(10 * dt, dt), scheme,
+                             FieldPair.constant(grid, 1.0, 1.0), forcing=forcing)
+    with pytest.raises(NumericalFailure, match="non-finite field values") as err:
+        run_forward(problem)
+    assert (err.value.step, err.value.t) == (4, 4 * dt)

@@ -15,7 +15,7 @@ import sktsim.adjoint
 import sktsim.forward
 import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
-from sktsim.algebra import CFG_A, SpeciesPair, jac_P
+from sktsim.algebra import CFG_A, jac_P
 from sktsim.forward import step_imex
 from sktsim.grid import (
     BoundaryCondition,
@@ -42,8 +42,8 @@ def reference_divergence_form(c, state, bc):
     """div(P grad .) on stacked [u; v] from per-face COO triplets."""
     grid = state.grid
     ncell = grid.node_count
-    P = jac_P(c, SpeciesPair(state.u, state.v))
-    entries = ((P.m11.ravel(), P.m12.ravel()), (P.m21.ravel(), P.m22.ravel()))
+    (p11, p22), (p12, p21) = jac_P(c, state.stacked().reshape(2, -1))
+    entries = ((p11, p12), (p21, p22))
     inv_h2 = 1.0 / grid.h ** 2
     idx = np.arange(ncell).reshape(grid.shape)
     if grid.dim == 1:
@@ -74,9 +74,9 @@ def reference_divergence_form(c, state, bc):
 def reference_adjoint(c, state, bc, dt):
     """I - dt P^T Lap on stacked [u; v] from ``sp.diags @ lap`` blocks."""
     lap = laplacian_matrix(state.grid, bc)
-    P = jac_P(c, SpeciesPair(state.u, state.v))
-    blocks = [[sp.diags(P.m11.ravel()) @ lap, sp.diags(P.m21.ravel()) @ lap],
-              [sp.diags(P.m12.ravel()) @ lap, sp.diags(P.m22.ravel()) @ lap]]
+    (p11, p22), (p12, p21) = jac_P(c, state.stacked().reshape(2, -1))
+    blocks = [[sp.diags(p11) @ lap, sp.diags(p21) @ lap],
+              [sp.diags(p12) @ lap, sp.diags(p22) @ lap]]
     return np.eye(2 * state.grid.node_count) - dt * sp.bmat(blocks).toarray()
 
 

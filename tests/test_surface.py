@@ -4,7 +4,8 @@ A public name (no leading underscore) defined at the top level of a module
 in ``src/sktsim`` must be loaded, as a name or as an attribute, by program
 code in ``src/sktsim`` outside its own definition.  Imports do not count,
 and neither do the tests: a name only tests call is library surface that no
-command and no gate reaches.
+command and no gate reaches.  Every name a module's ``__all__`` lists is
+defined or imported by that module.
 """
 
 import ast
@@ -41,3 +42,29 @@ def test_every_public_definition_is_loaded_by_program_code():
         if not any(name in names and (where, owner) != (module, name)
                    for where, owner, names in loads))
     assert not unreached, f"public definitions no program code loads: {unreached}"
+
+
+def _bound_names(tree: ast.Module) -> tuple[set[str], list[str]]:
+    """Names a module's top-level statements define or import, and its ``__all__``."""
+    bound, exported = set(), []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = list(ast.literal_eval(stmt.value))
+    return bound, exported
+
+
+def test_every_name_in_all_is_defined_or_imported():
+    # A stale __all__ entry breaks ``from sktsim.<module> import *``.
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        bound, exported = _bound_names(ast.parse(path.read_text(), filename=str(path)))
+        stale += [f"{path.stem}.{name}" for name in exported if name not in bound]
+    assert not stale, f"__all__ names no top-level statement defines or imports: {stale}"
