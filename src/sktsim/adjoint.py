@@ -18,7 +18,9 @@ Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
 both steps take the adjoint level phi and the coefficient state as arrays
 of shape (..., 2, *grid.shape) and return the next level stacked like phi,
-and the march checks each new level for finiteness once.  ``run_adjoint``
+and the march checks each new level for finiteness once.  The terminal
+data chi are a stacked pair (2, *grid.shape) on the trajectories' grid,
+which ``run_adjoint`` checks where they enter.  ``run_adjoint``
 marches blocks of levels, computes a block's diagnostics with axis
 reductions, in the arithmetic of one level at a time, and returns a forward
 ``Trajectory``.
@@ -43,7 +45,6 @@ from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q
 from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
-    FieldPair,
     Grid,
     _extend,
     _flat,
@@ -200,11 +201,12 @@ class AdjointBoundsReport:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_adjoint(c: Coefficients, bc: BoundaryCondition,
                 u_pair: tuple[Trajectory, Trajectory], eps: float,
-                rhs: AdjointRHSKind, chi: FieldPair,
+                rhs: AdjointRHSKind, chi: np.ndarray,
                 horizon: float | None = None,
                 mode: AdjointMode = AdjointMode.CONTINUOUS,
                 stride: int = 1) -> tuple[Trajectory, AdjointBoundsReport]:
-    """March the adjoint backward from phi(horizon) = chi.  The horizon
+    """March the adjoint backward from phi(horizon) = chi, a stacked pair
+    (2, *grid.shape) on the grid of the trajectories.  The horizon
     (default: the final time) must be a whole number of forward steps.
 
     The coefficient state of each step is :func:`coefficient_state` at the
@@ -220,8 +222,10 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         raise ValueError("forward trajectories live on different grids")
     if traj1.time_grid != traj2.time_grid:
         raise ValueError("forward trajectories have different time grids")
-    if chi.grid != traj1.grid:
-        raise ValueError("terminal data grid does not match the trajectories")
+    grid = traj1.grid
+    if chi.shape != (2, *grid.shape):
+        raise ValueError(f"terminal data shape {chi.shape} does not match the stacked grid "
+                         f"shape {(2, *grid.shape)} of the trajectories")
     dt = traj1.time_grid.dt
     T = traj1.time_grid.t_final
     tau = T if horizon is None else horizon
@@ -229,7 +233,6 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         raise ValueError(f"horizon {tau} outside (0, {T}]")
     time_grid = TimeGrid(tau, dt)
     steps = time_grid.steps
-    grid = chi.grid
     h, dim, vol = grid.h, grid.dim, grid.cell_volume
     step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
     block = max(1, _BLOCK_CELLS // grid.node_count)
@@ -241,7 +244,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
     energy, weighted, rate = np.empty(steps + 1), np.empty(steps), np.empty(steps)
     kept = forward._stored_steps(steps, stride)
     stored = np.empty((len(kept), 2, *grid.shape))
-    stored[-1] = phi = chi.stacked()
+    stored[-1] = phi = chi
     hu, hv = h1_norms(grid, phi, bc).tolist()
     energy[steps] = hu ** 2 + hv ** 2
     key = None
@@ -322,7 +325,7 @@ class EpsCauchyRow:
 
 def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
                      u_pair: tuple[Trajectory, Trajectory],
-                     eps_list: list[float], rhs: AdjointRHSKind, chi: FieldPair
+                     eps_list: list[float], rhs: AdjointRHSKind, chi: np.ndarray
                      ) -> tuple[list[EpsCauchyRow], list[AdjointBoundsReport]]:
     """Differences between adjoint solves, from the final time, at consecutive
     truncation thresholds.
@@ -343,7 +346,7 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
         runs.append((eps, traj.levels))
         reports.append(report)
 
-    grid, dim, dt = chi.grid, chi.grid.dim, u_pair[0].time_grid.dt
+    grid, dim, dt = u_pair[0].grid, u_pair[0].grid.dim, u_pair[0].time_grid.dt
     rows = []
     for (eps_a, levels_a), (eps_b, levels_b) in zip(runs, runs[1:]):
         diff = levels_a - levels_b

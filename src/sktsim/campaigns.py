@@ -40,7 +40,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, manufactured_convergence, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, h1_norms, inner
+from sktsim.grid import BoundaryCondition, Grid, h1_norms, inner
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 from sktsim.output import write_csv
 
@@ -61,17 +61,15 @@ class CheckResult:
                 f"({self.elapsed:.2f} s)")
 
 
-def _desk_initial(grid: Grid) -> FieldPair:
-    return FieldPair(grid,
-                     bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
-                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2)
+def _desk_initial(grid: Grid) -> np.ndarray:
+    return np.stack((bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
+                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2))
 
 
-def _norm_bump(grid: Grid) -> FieldPair:
+def _norm_bump(grid: Grid) -> np.ndarray:
     w = bump_profile(grid, 0.55 * grid.length, 0.2 * grid.length, 1.0)
     f = np.stack((w, 0.5 * w))
-    u, v = (1.0 / math.sqrt(inner(grid, f, f))) * f
-    return FieldPair(grid, u, v)
+    return (1.0 / math.sqrt(inner(grid, f, f))) * f
 
 
 # ---------------------------------------------------------------- algebra
@@ -163,7 +161,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
         T = 0.1
         grid = Grid(1, 1.0, n)
         x = grid.centers()
-        initial = FieldPair(grid, 1.0 + np.cos(np.pi * x), np.zeros(grid.shape))
+        initial = np.stack((1.0 + np.cos(np.pi * x), np.zeros(grid.shape)))
         bound = grid.h ** 2 / 2.0
         dt = T / max(1, int(round(T / (dt_factor * bound))))
         problem = ForwardProblem(heat, grid, NEU, TimeGrid(T, dt), scheme, initial,
@@ -175,7 +173,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     for n in (16, 32, 64):
         traj, grid, T = heat_run(n, 0.4, SchemeKind.EXPLICIT)
         exact = 1.0 + math.exp(-math.pi**2 * T) * np.cos(np.pi * grid.centers())
-        errors.append(float(np.max(np.abs(traj.final_state().u - exact))))
+        errors.append(float(np.max(np.abs(traj.levels[-1, 0] - exact))))
     spatial_orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     ok_spatial = all(1.8 <= o <= 2.2 for o in spatial_orders)
     results.append(CheckResult(
@@ -184,7 +182,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
         elapsed=time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    finals = [heat_run(32, f, SchemeKind.IMEX_LAGGED)[0].final_state().u
+    finals = [heat_run(32, f, SchemeKind.IMEX_LAGGED)[0].levels[-1, 0]
               for f in (16.0, 8.0, 4.0)]
     e1 = float(np.max(np.abs(finals[0] - finals[1])))
     e2 = float(np.max(np.abs(finals[1] - finals[2])))
@@ -198,7 +196,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     exact = polynomial_neumann_solution(cfg.coefficients, 1)
     grid = Grid(1, 1.0, 16)
     problem = ForwardProblem(cfg.coefficients, grid, NEU, TimeGrid(0.05, 0.05),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     table = manufactured_convergence(problem, exact, ns=(16, 32, 64, 128))
     ok_mms = all(o >= 1.8 for o in table.orders)
     results.append(CheckResult(
@@ -270,9 +268,9 @@ def _exact_transpose_duality(c: Coefficients) -> CheckResult:
     t0 = time.perf_counter()
     grid = Grid(1, 1.0, 16)
     x = grid.centers()
-    u_tilde = FieldPair(grid, 1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x))
-    u_bar0 = FieldPair(grid, 0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x))
-    chi = FieldPair(grid, np.cos(np.pi * x), np.ones(grid.shape))
+    u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x)))
+    u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x)))
+    chi = np.stack((np.cos(np.pi * x), np.ones(grid.shape)))
     residual = frozen_duality_check(c, grid, NEU, T=0.02, dt=2e-4,
                                     u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
     return CheckResult(
@@ -344,12 +342,12 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     grid = Grid(1, 1.0, 16)
     T, dt, c_val = 0.5, 0.0125, 2.0
     zero_problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
-                                  SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                                  SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     zero_traj = run_forward(zero_problem)
-    chi0 = FieldPair.constant(grid, c_val, c_val)
+    chi0 = np.full((2, *grid.shape), c_val)
     phi_traj, _ = run_adjoint(heat_limit_coefficients(), NEU, (zero_traj, zero_traj),
                               1.0, AdjointRHSKind.IDENTITY, chi0)
-    osc_err = float(np.max(np.abs(phi_traj.initial_state().u - c_val * math.exp(T))))
+    osc_err = float(np.max(np.abs(phi_traj.levels[0, 0] - c_val * math.exp(T))))
     results.append(CheckResult(
         "exponential-oracle", osc_err <= 3.0 * dt * math.exp(T),
         f"frozen-coefficient error {osc_err:.2e} (bound {3.0 * dt * math.exp(T):.2e})",
@@ -357,16 +355,15 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
 
     t0 = time.perf_counter()
     grid = Grid(1, 1.0, 64)
-    initial = FieldPair(grid, bump_profile(grid, 0.5, 0.3, 2.0) + 0.1,
-                        bump_profile(grid, 0.35, 0.25, 1.2) + 0.1)
+    initial = np.stack((bump_profile(grid, 0.5, 0.3, 2.0) + 0.1,
+                        bump_profile(grid, 0.35, 0.25, 1.2) + 0.1))
     problem = ForwardProblem(c, grid, NEU, TimeGrid(0.5, 1e-3),
                              SchemeKind.IMEX_LAGGED, initial)
     traj = run_forward(problem)
     x = grid.centers()
     profile = np.stack((0.5 + np.cos(np.pi * x), np.cos(2 * np.pi * x)))
     hu, hv = h1_norms(grid, profile, NEU).tolist()
-    u, v = (1.0 / math.sqrt(hu ** 2 + hv ** 2)) * profile
-    chi = FieldPair(grid, u, v)
+    chi = (1.0 / math.sqrt(hu ** 2 + hv ** 2)) * profile
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
     rows, reports = eps_cauchy_study(c, NEU, (traj, traj), eps_list,

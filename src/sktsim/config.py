@@ -17,7 +17,7 @@ import numpy as np
 from sktsim.adjoint import AdjointRHSKind
 from sktsim.algebra import Coefficients
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid
-from sktsim.grid import BoundaryCondition, FieldPair, Grid
+from sktsim.grid import BoundaryCondition, Grid
 from sktsim.mms import bump_profile
 
 __all__ = ["ConfigError", "PresetSpec", "RunConfig", "parse_config", "parse_config_text"]
@@ -123,13 +123,13 @@ class RunConfig:
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.t_final, self.dt)
 
-    def initial_field(self) -> FieldPair:
+    def initial_field(self) -> np.ndarray:
         g = self.grid()
-        return FieldPair(g, self.init_u.evaluate(g), self.init_v.evaluate(g))
+        return np.stack((self.init_u.evaluate(g), self.init_v.evaluate(g)))
 
-    def terminal_field(self) -> FieldPair:
+    def terminal_field(self) -> np.ndarray:
         g = self.grid()
-        return FieldPair(g, self.terminal_u.evaluate(g), self.terminal_v.evaluate(g))
+        return np.stack((self.terminal_u.evaluate(g), self.terminal_v.evaluate(g)))
 
     def forward_problem(self) -> ForwardProblem:
         return ForwardProblem(

@@ -10,9 +10,9 @@ march here, the forward runs, the linearized difference and the batched
 transpose adjoint of the terminal basis, goes through the one stepping loop
 :func:`sktsim.forward._march` on stacked pairs, and the stored levels of a
 forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
-The terminal basis, the solution differences and the adjoint levels are
-stacked pairs, and every pairing and norm of them is one call to the
-reductions of :mod:`sktsim.grid`.
+The initial data, the terminal basis, the solution differences and the
+adjoint levels are stacked pairs, and every pairing and norm of them is one
+call to the reductions of :mod:`sktsim.grid`.
 
 Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
@@ -33,7 +33,6 @@ from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q, dual_ex
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
     BoundaryCondition,
-    FieldPair,
     Grid,
     _flat,
     h1_norms,
@@ -143,21 +142,23 @@ def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
-                         T: float, dt: float, u_tilde: FieldPair, u_bar0: FieldPair,
-                         chi: FieldPair) -> float:
+                         T: float, dt: float, u_tilde: np.ndarray, u_bar0: np.ndarray,
+                         chi: np.ndarray) -> float:
     """Max duality residual on a synthetic frozen-coefficient run.
 
     The difference evolves by the linearized explicit dynamics with constant
-    coefficient state; the adjoint is its exact transpose.  The residual is
-    pure linear algebra and sits at roundoff level.
+    coefficient state; the adjoint is its exact transpose.  The state
+    ``u_tilde``, the initial difference ``u_bar0`` and the terminal data
+    ``chi`` are stacked pairs (2, *grid.shape), and ``dt`` must divide ``T``
+    (else ValueError).  The residual is pure linear algebra and sits at
+    roundoff level.
     """
-    steps = max(1, int(round(T / dt)))
-    state = u_tilde.stacked()
-    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, state, u_bar, bc, dt),
-                   grid, u_bar0.stacked(), 0, steps, dt)
-    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, state, bc, dt,
+    steps = TimeGrid(T, dt).steps
+    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, u_tilde, u_bar, bc, dt),
+                   grid, u_bar0, 0, steps, dt)
+    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, u_tilde, bc, dt,
                                                        AdjointRHSKind.IDENTITY),
-                 grid, chi.stacked()[None], steps, 0, dt)
+                 grid, chi[None], steps, 0, dt)
     res = _duality_residual_series(c, grid, u_bar, phi, dt)
     return float(np.max(np.abs(res)))
 
@@ -198,7 +199,7 @@ class UniquenessConfig:
     base_n: int
     t_final: float
     base_dt: float
-    initial: Callable[[Grid], FieldPair]
+    initial: Callable[[Grid], np.ndarray]  # a stacked pair on the grid
     levels: int = 3
     modes: int = 2
 
@@ -267,8 +268,8 @@ class DependenceConfig:
     n: int
     t_final: float
     dt: float
-    base_initial: Callable[[Grid], FieldPair]
-    perturbation: Callable[[Grid], FieldPair]
+    base_initial: Callable[[Grid], np.ndarray]  # stacked pairs on the grid
+    perturbation: Callable[[Grid], np.ndarray]
 
 
 @dataclass
@@ -310,7 +311,7 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     base = cfg.base_initial(grid)
     w = cfg.perturbation(grid)
 
-    def run(initial: FieldPair) -> Trajectory:
+    def run(initial: np.ndarray) -> Trajectory:
         problem = ForwardProblem(cfg.coefficients, grid, cfg.bc, tg, SchemeKind.IMEX_LAGGED,
                                  initial, stride=stride)
         return run_forward(problem)
@@ -327,8 +328,7 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
     p48 = 2.0 * cfg.dim / (6.0 - cfg.dim)
 
     for delta in deltas:
-        pert = FieldPair(grid, base.u + delta * w.u, base.v + delta * w.v)
-        diff = run(pert).levels - base_traj.levels
+        diff = run(base + delta * w).levels - base_traj.levels
         bar0 = diff[0]
         input_l2.append(math.sqrt(inner(grid, bar0, bar0)))
         input_lq.append(lp_norm(grid, bar0, q))

@@ -31,8 +31,9 @@ the last (:func:`_stored_steps`).
 A march carries stacked pairs only, arrays of shape (*batch, 2,
 *grid.shape) (see :mod:`sktsim.grid`): every step takes its level as one
 array and returns the next one, and :func:`_march` checks each new level
-for finiteness once and stores it with one assignment.  A forcing term is a
-stacked pair too, so no :class:`FieldPair` is built per step.  The steps
+for finiteness once and stores it with one assignment.  The initial data
+and a forcing term are stacked pairs too, so no object is built per step;
+``run_forward`` checks the initial data once, where they enter.  The steps
 call the unchecked stacked algebra cores (``_stacked_p``, ``_stacked_P``,
 ...), the one implementation of the model maps, which the public maps of
 :mod:`sktsim.algebra` wrap in a finiteness check.  The explicit step
@@ -138,15 +139,10 @@ class Trajectory:
     levels: np.ndarray
     diagnostics: dict[str, np.ndarray]
 
-    def state(self, i: int) -> FieldPair:
-        """The ``i``-th stored level, a view of ``levels``."""
-        return FieldPair(self.grid, self.levels[i, 0], self.levels[i, 1])
-
-    def initial_state(self) -> FieldPair:
-        return self.state(0)
-
     def final_state(self) -> FieldPair:
-        return self.state(-1)
+        """The last stored level as a :class:`FieldPair` of views of
+        ``levels``, for callers outside the package that read u and v."""
+        return FieldPair(self.grid, self.levels[-1, 0], self.levels[-1, 1])
 
 
 def _stored_steps(steps: int, stride: int) -> list[int]:
@@ -312,15 +308,17 @@ _STEPS = {SchemeKind.EXPLICIT: step_explicit, SchemeKind.IMEX_LAGGED: step_imex}
 
 @dataclass
 class ForwardProblem:
-    """Everything one forward run needs; ``forcing(t)``, if given, returns
-    the source term at time t as a stacked pair (2, *grid.shape)."""
+    """Everything one forward run needs.  ``initial`` is the stacked pair
+    (2, *grid.shape) at t = 0, or anything ``np.asarray`` turns into one
+    (a :class:`FieldPair`); ``forcing(t)``, if given, returns the source
+    term at time t as a stacked pair."""
 
     coefficients: Coefficients
     grid: Grid
     bc: BoundaryCondition
     time_grid: TimeGrid
     scheme: SchemeKind
-    initial: FieldPair
+    initial: np.ndarray
     stride: int = 1
     forcing: Callable[[float], np.ndarray] | None = None
     require_nonnegative_initial: bool = True
@@ -379,14 +377,19 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     explicit stability bound) raises :class:`NumericalFailure` carrying the
     step index and time, without numpy overflow warnings.  The march runs
     through :func:`_march` a block of levels at a time; each block's
-    diagnostics are computed together and its stored levels kept.
+    diagnostics are computed together and its stored levels kept.  The
+    initial data must be a finite stacked pair, and nonnegative unless the
+    problem says otherwise.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
-    state = problem.initial
-    if state.grid != grid:
-        raise ValueError("initial data grid does not match the problem grid")
-    if problem.require_nonnegative_initial and (np.any(state.u < 0) or np.any(state.v < 0)):
+    initial = np.asarray(problem.initial, dtype=float)
+    if initial.shape != (2, *grid.shape):
+        raise ValueError(f"initial data shape {initial.shape} does not match the stacked "
+                         f"grid shape {(2, *grid.shape)}")
+    if not np.isfinite(initial).all():
+        raise NumericalFailure("non-finite initial data")
+    if problem.require_nonnegative_initial and np.any(initial < 0):
         raise ValueError("initial data must be nonnegative")
     dt = tg.dt
     step = _STEPS[problem.scheme]
@@ -400,7 +403,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
 
     kept = _stored_steps(tg.steps, problem.stride)
     stored = np.empty((len(kept), 2, *grid.shape))
-    stored[0] = w = state.stacked()
+    stored[0] = w = initial
     columns = np.empty((len(DIAGNOSTIC_COLUMNS), tg.steps + 1))
     # Level 0 paired with itself: its time-derivative norm is exactly zero.
     columns[:, :1] = _diagnostics_block(c, grid, bc, stored[[0, 0]], np.zeros(1), dt)
@@ -450,9 +453,6 @@ def manufactured_convergence(problem: ForwardProblem, exact,
             initial=exact.field(grid, 0.0), stride=max(1, steps),
             forcing=lambda t, g=grid: exact.forcing(g, t),
             require_nonnegative_initial=False)
-        traj = run_forward(sub)
-        final = traj.final_state()
-        ref = exact.field(grid, T)
-        errors.append(max(float(np.max(np.abs(final.u - ref.u))),
-                          float(np.max(np.abs(final.v - ref.v)))))
+        final = run_forward(sub).levels[-1]
+        errors.append(float(np.max(np.abs(final - exact.field(grid, T)))))
     return ConvergenceTable(ns=list(ns), errors=errors)

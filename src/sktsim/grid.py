@@ -14,16 +14,21 @@ apply the stencil to p(ext(u)), which under Dirichlet is not ext(p(u)).
 ``laplacian_matrix`` is the same Laplacian in sparse form for the implicit
 solves.
 
-Fields and states come in two layouts.  A :class:`FieldPair` holds the
-arrays u and v of shape (*batch, *grid.shape); it is what configs, snapshot
-files and manufactured solutions produce, and what ``Trajectory.state``
-returns.  A stacked pair is one array of shape (*batch, 2, *grid.shape) with
-u and v along the pair axis, the layout of ``Trajectory.levels``.  A time
-step takes and returns stacked pairs, and a march carries nothing else, so
-no object is built per step.  ``_extend``, the stencils and ``laplacian``
-act on the trailing ``grid.dim`` axes only, so B independent problems cost
-one call; ``_flat`` views the grid axes as one, the (..., 2, N) layout of
-the stacked algebra maps.
+Fields and states have one layout, the stacked pair: one array of shape
+(*batch, 2, *grid.shape) with u and v along the pair axis.  Configs,
+snapshot files, manufactured solutions, the initial and terminal data and
+``Trajectory.levels`` all produce it, with the grid passed beside it.  A
+time step takes and returns stacked pairs, and a march carries nothing
+else, so no object is built per step.  ``_extend``, the stencils and
+``laplacian`` act on the trailing ``grid.dim`` axes only, so B independent
+problems cost one call; ``_flat`` views the grid axes as one, the
+(..., 2, N) layout of the stacked algebra maps.
+
+:class:`FieldPair` is kept only for callers outside the package that still
+hand over, or read back, u and v as two arrays: ``np.asarray`` of it is the
+stacked pair, and ``Trajectory.final_state`` returns one.  The program
+checks data where they enter, not here.  It goes once those callers pass
+stacked arrays too.
 
 Every reduction over levels is written once, here: the L2 pairing
 ``inner``, the per-species H1 norms ``h1_norms``, ``lp_norm`` and
@@ -135,11 +140,8 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class FieldPair:
-    """Two species fields sampled at the cell centers of a shared grid.
-
-    ``u`` and ``v`` have one shape, (*batch, *grid.shape): any leading axes
-    index independent problems on the same grid (none for a single field).
-    """
+    """u and v of stacked pairs as two arrays, for callers outside the
+    package (see the module docstring); it checks nothing."""
 
     grid: Grid
     u: np.ndarray
@@ -148,23 +150,13 @@ class FieldPair:
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape or self.u.shape[-self.grid.dim:] != self.grid.shape:
-            raise ValueError(f"field shape {self.u.shape}/{self.v.shape} does not "
-                             f"match grid shape {self.grid.shape}")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise NumericalFailure("non-finite field values")
 
-    def stacked(self) -> np.ndarray:
-        """u and v as stacked pairs (*batch, 2, *grid.shape), a new array."""
-        return np.stack((self.u, self.v), axis=-self.grid.dim - 1)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.stack((self.u, self.v), axis=-self.grid.dim - 1).astype(dtype, copy=False)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
         return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-
-    @classmethod
-    def constant(cls, grid: Grid, cu: float, cv: float) -> "FieldPair":
-        return cls(grid, np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv)))
 
 
 def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
@@ -345,33 +337,34 @@ def weak_norm(grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> float:
 _FIELD_HEADER = "skt-field v1"
 
 
-def write_field(path: str | Path, f: FieldPair) -> None:
-    """Write a field snapshot: header, then u block, then v block, row-major.
+def write_field(path: str | Path, grid: Grid, w: np.ndarray) -> None:
+    """Write the stacked pair ``w`` (2, *grid.shape) as a field snapshot:
+    header, then u block, then v block, row-major.
 
     Values are printed with 17 significant digits, which round-trips
     float64 exactly.
     """
-    grid = f.grid
     lines = [f"{_FIELD_HEADER}, d={grid.dim}, N={grid.n}, h={grid.h:.17g}"]
-    for block in (f.u, f.v):
+    for block in w:
         rows = block.reshape(grid.n, -1)
         for row in rows:
             lines.append(" ".join(f"{val:.17g}" for val in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_field(path: str | Path, grid: Grid) -> FieldPair:
-    """Read a snapshot written by :func:`write_field` as a field on ``grid``
-    (bit-exact round trip).
+def read_field(path: str | Path, grid: Grid) -> np.ndarray:
+    """Read a snapshot written by :func:`write_field` as a stacked pair
+    (2, *grid.shape) on ``grid`` (bit-exact round trip).
 
     The header must describe ``grid``: d and N exactly, h to 4 ulps, since a
     snapshot stores h rather than the length and h * N need not round back
-    to it.  A mismatch or a malformed file raises ValueError.
+    to it.  A mismatch, a malformed file or a non-finite value raises
+    ValueError naming the file.
     """
     text = Path(path).read_text().strip().split("\n")
     header = text[0]
     if not header.startswith(_FIELD_HEADER):
-        raise ValueError(f"not a field snapshot: header {header!r}")
+        raise ValueError(f"{path}: not a field snapshot: header {header!r}")
     fields = dict(item.strip().partition("=")[::2] for item in header.split(",")[1:])
     for key in ("d", "N", "h"):
         if key not in fields:
@@ -380,9 +373,14 @@ def read_field(path: str | Path, grid: Grid) -> FieldPair:
     if dim != grid.dim or n != grid.n or not abs(h - grid.h) <= 4.0 * np.spacing(grid.h):
         raise ValueError(f"{path}: stored d={dim}, N={n}, h={h:.17g} do not match the configured "
                          f"grid (h {grid.h:.17g}, d {grid.dim}, N {grid.n})")
-    values = np.array(" ".join(text[1:]).split(), dtype=float)
+    try:
+        values = np.array(" ".join(text[1:]).split(), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     count = grid.node_count
     if values.size != 2 * count:
-        raise ValueError(f"expected {2 * count} values, found {values.size}")
-    return FieldPair(grid, values[:count].reshape(grid.shape),
-                     values[count:].reshape(grid.shape))
+        raise ValueError(f"{path}: expected {2 * count} values, found {values.size}")
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value {bad[0]} in the snapshot")
+    return values.reshape((2, *grid.shape))

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim.algebra import Coefficients
-from sktsim.grid import FieldPair, Grid
+from sktsim.grid import Grid
 
 __all__ = ["ManufacturedSolution", "bump_profile", "heat_limit_coefficients",
            "polynomial_neumann_solution"]
@@ -50,9 +50,10 @@ class ManufacturedSolution:
             raise ValueError(f"manufactured solution is {self.dim}D, grid is {grid.dim}D")
         return self.jets(grid.meshgrid(), t)
 
-    def field(self, grid: Grid, t: float) -> FieldPair:
+    def field(self, grid: Grid, t: float) -> np.ndarray:
+        """The exact fields at time t as a stacked pair (2, *grid.shape)."""
         (u, *_), (v, *_) = self._jets_on(grid, t)
-        return FieldPair(grid, u, v)
+        return np.stack((u, v))
 
     def forcing(self, grid: Grid, t: float) -> np.ndarray:
         """The residual forcing at time t as a stacked pair (2, *grid.shape)."""

@@ -52,7 +52,7 @@ def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
     for old in snap_dir.glob("step_*.field"):
         old.unlink()
     for i, step in enumerate(trajectory.stored_steps):
-        write_field(snap_dir / f"step_{step:06d}.field", trajectory.state(i))
+        write_field(snap_dir / f"step_{step:06d}.field", trajectory.grid, trajectory.levels[i])
 
 
 def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
@@ -70,7 +70,7 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
         return None
     steps = [int(f.stem.split("_")[1]) for f in files]
     grid = cfg.grid()
-    levels = np.array([(f.u, f.v) for f in (read_field(path, grid) for path in files)])
+    levels = np.array([read_field(path, grid) for path in files])
     tg = cfg.time_grid()
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")

@@ -56,6 +56,11 @@ def component_h1(arr, grid, bc):
     return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
 
 
+def constant_pair(grid, cu, cv):
+    """The stacked pair (2, *grid.shape) with constant species cu and cv."""
+    return np.stack((np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv))))
+
+
 def pair_h1(grid, w, bc):
     """H1 norm sqrt(hu^2 + hv^2) of a stacked pair (2, *grid.shape)."""
     hu, hv = h1_norms(grid, w, bc).tolist()
@@ -116,7 +121,7 @@ def test_theta_eps_properties(eps, value):
 def zero_trajectory(n=16, T=0.5, dt=0.0125):
     grid = Grid(1, 1.0, n)
     problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     return run_forward(problem)
 
 
@@ -127,7 +132,7 @@ def test_frozen_exponential_oracle(mode):
 
     def run(dt):
         traj = zero_trajectory(T=T, dt=dt)
-        chi = FieldPair.constant(traj.grid, c_val, c_val)
+        chi = constant_pair(traj.grid, c_val, c_val)
         return run_adjoint(heat_limit_coefficients(), NEU, (traj, traj),
                            eps=1.0, rhs=AdjointRHSKind.IDENTITY, chi=chi, mode=mode)
 
@@ -139,27 +144,27 @@ def test_frozen_exponential_oracle(mode):
         dt = 0.00125
     phi_traj, report = run(dt)
     target = c_val * math.exp(T)
-    err = np.max(np.abs(phi_traj.initial_state().u - target))
+    err = np.max(np.abs(phi_traj.levels[0, 0] - target))
     assert err <= 3.0 * dt * math.exp(T)
     assert report.kappa_sup == pytest.approx(math.exp(T), rel=5 * dt)
 
 
 def test_growth_rhs_with_unit_rates_matches_identity_rhs():
     traj = zero_trajectory()
-    chi = FieldPair.constant(traj.grid, 1.0, 1.0)
+    chi = constant_pair(traj.grid, 1.0, 1.0)
     runs = []
     for rhs in (AdjointRHSKind.IDENTITY, AdjointRHSKind.GROWTH):
         phi_traj, _ = run_adjoint(CFG_A, NEU, (traj, traj), eps=1.0, rhs=rhs, chi=chi)
-        runs.append(phi_traj.initial_state())
-    assert np.array_equal(runs[0].u, runs[1].u)
-    assert np.array_equal(runs[0].v, runs[1].v)
+        runs.append(phi_traj.levels[0])
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_zero_terminal_data_gives_zero_adjoint():
     traj = zero_trajectory()
     phi_traj, report = run_adjoint(CFG_A, NEU, (traj, traj), eps=0.5,
                                    rhs=AdjointRHSKind.IDENTITY,
-                                   chi=FieldPair.zeros(traj.grid))
+                                   chi=np.zeros((2, *traj.grid.shape)))
     assert np.all(phi_traj.levels == 0.0)
     assert report.sup_h1 == report.weighted_lap == report.dt_l43 == 0.0
     assert report.kappa_sup == 0.0
@@ -168,21 +173,19 @@ def test_zero_terminal_data_gives_zero_adjoint():
 
 def test_step_adjoint_backward_validates_inputs():
     grid = Grid(1, 1.0, 8)
-    phi = FieldPair.constant(grid, 1.0, 1.0)
-    bad_state = FieldPair(grid, -np.ones(grid.shape), np.zeros(grid.shape))
+    phi = constant_pair(grid, 1.0, 1.0)
+    bad_state = constant_pair(grid, -1.0, 0.0)
     with pytest.raises(ValueError):
-        step_adjoint_backward(CFG_A, grid, phi.stacked(), bad_state.stacked(), NEU, 0.01,
-                              AdjointRHSKind.IDENTITY)
+        step_adjoint_backward(CFG_A, grid, phi, bad_state, NEU, 0.01, AdjointRHSKind.IDENTITY)
     with pytest.raises(ValueError):
-        step_adjoint_backward(CFG_A, grid, phi.stacked(), FieldPair.zeros(grid).stacked(), NEU,
+        step_adjoint_backward(CFG_A, grid, phi, np.zeros((2, *grid.shape)), NEU,
                               -0.01, AdjointRHSKind.IDENTITY)
 
 
 def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
     grid = Grid(1, 1.0, n)
-    initial = FieldPair(grid,
-                        bump_profile(grid, 0.5, 0.3, amplitude) + 0.1,
-                        bump_profile(grid, 0.35, 0.25, 0.6 * amplitude) + 0.1)
+    initial = np.stack((bump_profile(grid, 0.5, 0.3, amplitude) + 0.1,
+                        bump_profile(grid, 0.35, 0.25, 0.6 * amplitude) + 0.1))
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(T, dt),
                              SchemeKind.IMEX_LAGGED, initial)
     traj = run_forward(problem)
@@ -192,8 +195,7 @@ def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
 def unit_h1_cosine(grid):
     x = grid.centers()
     chi = np.stack((np.cos(np.pi * x / grid.length), np.cos(2 * np.pi * x / grid.length)))
-    u, v = (1.0 / pair_h1(grid, chi, NEU)) * chi
-    return FieldPair(grid, u, v)
+    return (1.0 / pair_h1(grid, chi, NEU)) * chi
 
 
 def test_kappa_ratios_stable_across_eps():
@@ -300,11 +302,11 @@ def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
 
     def failure(T, dt):
         problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
-                                 SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                                 SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
         traj = run_forward(problem)
         with pytest.raises(NumericalFailure) as err:
             run_adjoint(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
-                        FieldPair.constant(grid, 1e-60, 1e-60), mode=mode)
+                        constant_pair(grid, 1e-60, 1e-60), mode=mode)
         return err.value
 
     T, dt, prefix = 0.1, 0.01, "step 8 (t=0.08): "
@@ -333,10 +335,10 @@ def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
     bump = np.sin(np.pi * x) * np.sin(np.pi * y)
     u_pair = tuple(run_forward(ForwardProblem(c, grid, bc, TimeGrid(70e-4, 1e-4),
                                               SchemeKind.IMEX_LAGGED,
-                                              FieldPair(grid, 5.0 * bump + 0.5, 5.0 * bump + 0.5),
+                                              np.stack((5.0 * bump + 0.5, 5.0 * bump + 0.5)),
                                               stride=stride))
                    for stride in (7, 11))
-    chi = FieldPair(grid, bump, bump)
+    chi = np.stack((bump, bump))
     _, report = run_adjoint(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi)
     assert report.gronwall_kappa == 0.0
     with pytest.raises(StabilityError) as err:
@@ -351,17 +353,17 @@ def test_gronwall_slack_does_not_overflow_on_a_stable_march():
     c = dataclasses.replace(heat_limit_coefficients(), a1=1000.0, a2=1000.0)
     grid = Grid(1, 1.0, 16)
     traj = run_forward(ForwardProblem(c, grid, NEU, TimeGrid(0.5, 1e-3),
-                                      SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid)))
+                                      SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape))))
     _, report = run_adjoint(c, NEU, (traj, traj), 0.5, AdjointRHSKind.GROWTH,
-                            FieldPair.constant(grid, 1e-100, 1e-100))
+                            constant_pair(grid, 1e-100, 1e-100))
     assert report.gronwall_kappa * 0.5 > 709.8
     assert 0.0 <= report.gronwall_slack <= 1e-8
     # A horizon past 355 overflows the budget's e^{2t} weights alone.
     grid = Grid(1, 1.0, 8)
     traj = run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(400.0, 1.0),
-                                      SchemeKind.IMEX_LAGGED, FieldPair.constant(grid, 0.5, 0.5),
+                                      SchemeKind.IMEX_LAGGED, constant_pair(grid, 0.5, 0.5),
                                       stride=50))
-    chi = FieldPair(grid, np.cos(np.pi * grid.centers()), np.zeros(grid.shape))
+    chi = np.stack((np.cos(np.pi * grid.centers()), np.zeros(grid.shape)))
     _, report = run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi)
     assert report.weighted_lap > 0.0
     assert 0.0 <= report.gronwall_slack <= 1e-8
@@ -394,22 +396,26 @@ def test_run_adjoint_rejects_horizon_off_the_time_grid():
 def test_run_adjoint_rejects_mismatched_grids():
     traj = zero_trajectory(n=16)
     other = zero_trajectory(n=24)
-    chi = FieldPair.zeros(traj.grid)
+    chi = np.zeros((2, *traj.grid.shape))
     with pytest.raises(ValueError):
         run_adjoint(CFG_A, NEU, (traj, other), 0.5, AdjointRHSKind.IDENTITY, chi)
+    # Terminal data that are not one stacked pair on the trajectories' grid.
+    for shape in ((2, 24), (1, 2, 16), (16,)):
+        with pytest.raises(ValueError, match="does not match the stacked grid shape"):
+            run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, np.zeros(shape))
 
 
 def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     """The adjoint march with its diagnostics computed one backward step at a
     time, in the arithmetic of the per-step implementation it replaced."""
     traj1, traj2 = u_pair
-    grid, vol = chi.grid, chi.grid.cell_volume
+    grid, vol = traj1.grid, traj1.grid.cell_volume
     dt = traj1.time_grid.dt
     steps = round(horizon / dt)
     step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
 
     def pair_h1_sq(f):
-        return component_h1(f.u, grid, bc) ** 2 + component_h1(f.v, grid, bc) ** 2
+        return component_h1(f[0], grid, bc) ** 2 + component_h1(f[1], grid, bc) ** 2
 
     def snapshot(traj, t):
         """The last stored level with time <= t (piecewise constant in time)."""
@@ -417,9 +423,9 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
         return traj.levels[np.searchsorted(times, t + 1e-12 * max(1.0, t), side="right") - 1]
 
     def weighted_lap(f, state):
-        lap = FieldPair(grid, *laplacian(grid, f.stacked(), bc))
-        w = 1.0 + state.u + state.v
-        return vol * float(np.sum(w * (lap.u ** 2 + lap.v ** 2)))
+        lap = laplacian(grid, f, bc)
+        w = 1.0 + state[0] + state[1]
+        return vol * float(np.sum(w * (lap[0] ** 2 + lap[1] ** 2)))
 
     phi = chi
     energy = [pair_h1_sq(phi)]
@@ -430,16 +436,16 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     stored = {steps: phi}
     for m in range(steps, 0, -1):
         t = (m - 1) * dt
-        state = FieldPair(grid, *theta_eps(eps, 0.5 * (snapshot(traj1, t) + snapshot(traj2, t))))
-        new = FieldPair(grid, *step(c, grid, phi.stacked(), state.stacked(), bc, dt, rhs))
+        state = theta_eps(eps, 0.5 * (snapshot(traj1, t) + snapshot(traj2, t)))
+        new = step(c, grid, phi, state, bc, dt, rhs)
         e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
         kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
                       if e_old > 0.0 else 0.0)
         energy.append(e_new)
         weighted.append(w_new)
         wlap_sum += dt * w_new
-        dt43_sum += dt * vol * float(np.sum(np.abs((phi.u - new.u) / dt) ** (4.0 / 3.0))
-                                     + np.sum(np.abs((phi.v - new.v) / dt) ** (4.0 / 3.0)))
+        dt43_sum += dt * vol * float(np.sum(np.abs((phi[0] - new[0]) / dt) ** (4.0 / 3.0))
+                                     + np.sum(np.abs((phi[1] - new[1]) / dt) ** (4.0 / 3.0)))
         phi = new
         rows[m - 1] = [m - 1, t, math.sqrt(e_new), wlap_sum, dt43_sum ** 0.75]
         if (m - 1) % stride == 0:
@@ -479,10 +485,10 @@ def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode
     u_pair = tuple(
         run_forward(ForwardProblem(c, grid, bc, TimeGrid((steps + 20) * dt, dt),
                                    SchemeKind.IMEX_LAGGED,
-                                   FieldPair(grid, 0.5 + amp * bump, 0.4 + 0.2 * bump),
+                                   np.stack((0.5 + amp * bump, 0.4 + 0.2 * bump)),
                                    stride=stride))
         for amp, stride in ((1.5, 7), (1.2, 11)))
-    chi = FieldPair(grid, bump + 0.3 * wave, 0.5 * bump - 0.2 * wave)
+    chi = np.stack((bump + 0.3 * wave, 0.5 * bump - 0.2 * wave))
     horizon = steps * dt  # shorter than the forward final time
     traj, report = run_adjoint(c, bc, u_pair, 0.5, rhs, chi, horizon=horizon, mode=mode,
                                stride=3)
@@ -504,8 +510,7 @@ def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode
     assert traj.stored_steps == list(ref_stored)
     assert traj.levels.shape == (len(ref_stored), 2, *grid.shape)
     for i, ref in enumerate(ref_stored.values()):
-        snap = traj.state(i)
-        assert np.array_equal(snap.u, ref.u) and np.array_equal(snap.v, ref.v)
+        assert np.array_equal(traj.levels[i], ref)
 
 
 def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
@@ -532,7 +537,7 @@ def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
 
     def initial(g):
         x = g.centers()
-        return FieldPair(g, 0.5 + 0.3 * np.cos(np.pi * x), 0.4 + 0.2 * np.cos(2 * np.pi * x))
+        return np.stack((0.5 + 0.3 * np.cos(np.pi * x), 0.4 + 0.2 * np.cos(2 * np.pi * x)))
 
     cfg = UniquenessConfig(coefficients=CFG_A, bc=NEU, dim=1, length=1.0, base_n=8,
                            t_final=0.01, base_dt=0.01 / 16, initial=initial, levels=2)
@@ -547,8 +552,8 @@ def test_run_adjoint_memory_does_not_grow_with_steps():
     dt = 5e-5
     traj = run_forward(ForwardProblem(heat_limit_coefficients(), grid, NEU,
                                       TimeGrid(4000 * dt, dt), SchemeKind.EXPLICIT,
-                                      FieldPair(grid, 1.0 + 0.5 * np.cos(np.pi * grid.centers()),
-                                                np.ones(grid.shape)), stride=10**9))
+                                      np.stack((1.0 + 0.5 * np.cos(np.pi * grid.centers()),
+                                                np.ones(grid.shape))), stride=10**9))
     chi = unit_h1_cosine(grid)
 
     def peak(steps):
@@ -567,12 +572,12 @@ def test_run_adjoint_memory_does_not_grow_with_steps():
 
 
 def test_marches_build_no_field_pair_per_step(monkeypatch):
-    # A march carries stacked arrays: the FieldPairs that run_forward and
-    # run_adjoint build do not grow with the step count.
+    # A march carries stacked arrays: run_forward and run_adjoint build no
+    # FieldPair, whatever the step count.
     grid = Grid(1, 1.0, 64)
-    initial = FieldPair(grid, bump_profile(grid, 0.5, 0.3, 1.0) + 0.2,
-                        bump_profile(grid, 0.4, 0.25, 0.6) + 0.2)
-    chi = FieldPair(grid, np.cos(np.pi * grid.centers()), np.ones(grid.shape))
+    initial = np.stack((bump_profile(grid, 0.5, 0.3, 1.0) + 0.2,
+                        bump_profile(grid, 0.4, 0.25, 0.6) + 0.2))
+    chi = np.stack((np.cos(np.pi * grid.centers()), np.ones(grid.shape)))
     built = []
     post_init = FieldPair.__post_init__
 
@@ -589,7 +594,7 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
         return len(built), traj
 
     (short, _), (long, traj) = forward_pairs(100), forward_pairs(1000)
-    assert long == short
+    assert long == short == 0
 
     exact = polynomial_neumann_solution(CFG_A, 1)
 
@@ -601,7 +606,7 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
                                    require_nonnegative_initial=False))
         return len(built)
 
-    assert forced_pairs(1000) == forced_pairs(100)
+    assert forced_pairs(1000) == forced_pairs(100) == 0
 
     def adjoint_pairs(steps, mode):
         built.clear()
@@ -610,4 +615,4 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
         return len(built)
 
     for mode in AdjointMode:
-        assert adjoint_pairs(200, mode) == adjoint_pairs(20, mode)
+        assert adjoint_pairs(200, mode) == adjoint_pairs(20, mode) == 0

@@ -11,7 +11,7 @@ from sktsim.adjoint import AdjointRHSKind, run_adjoint
 from sktsim.cli import main
 from sktsim.config import ConfigError, PresetSpec, parse_config, parse_config_text
 from sktsim.forward import SchemeKind, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, read_field
+from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, read_field
 
 MINIMAL = """\
 dim = 1
@@ -57,8 +57,9 @@ def test_parse_minimal_config():
     assert cfg.stride == 1 and cfg.seed == 0
     assert cfg.terminal_u.kind == "zero"
     initial = cfg.initial_field()
-    assert float(np.min(initial.u)) >= 0.0
-    assert np.allclose(initial.v, 0.5)
+    assert initial.shape == (2, 16)
+    assert float(np.min(initial[0])) >= 0.0
+    assert np.allclose(initial[1], 0.5)
 
 
 def test_parse_rejects_negative_coefficient():
@@ -191,7 +192,7 @@ def test_cli_simulate_writes_outputs_and_is_deterministic(tmp_path):
     grid = parse_config(path).grid()
     snap = read_field(snaps_a[0], grid)
     again = read_field(snaps_a[0], grid)
-    assert np.array_equal(snap.u, again.u)
+    assert snap.shape == (2, *grid.shape) and np.array_equal(snap, again)
 
 
 def test_cli_simulate_again_replaces_the_stored_snapshots(tmp_path, capsys):
@@ -267,7 +268,7 @@ def test_continuous_adjoint_with_overflowing_rhs_fails_with_step(dim):
     growth = dataclasses.replace(cfg.coefficients, a1=1e200)
     with pytest.raises(NumericalFailure) as err:
         run_adjoint(growth, cfg.bc, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
-                    FieldPair.constant(traj.grid, 1.0, 1.0))
+                    np.ones((2, *traj.grid.shape)))
     assert err.value.step is not None and err.value.step < traj.time_grid.steps
     assert err.value.t == pytest.approx(err.value.step * cfg.dt)
 
@@ -335,6 +336,23 @@ def test_cli_adjoint_on_snapshot_header_missing_a_key_is_config_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("SKT-ERR:2:")
     assert str(first) in err and f"no {key}=" in err
+
+
+def test_cli_adjoint_on_a_corrupt_snapshot_names_the_file(tmp_path, capsys):
+    # A nan in a stored snapshot is bad input, not a numerical failure of
+    # the march: exit 2, naming the file and the value.
+    config = str(CONFIGS / "heat_1d.cfg")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    first = out / "forward" / "step_000000.field"
+    lines = first.read_text().split("\n")
+    lines[3] = "nan"
+    first.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:")
+    assert f"{first}: non-finite value nan" in err
 
 
 def test_cli_adjoint_runs_forward_when_missing(tmp_path, capsys):

@@ -25,7 +25,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
-from sktsim.grid import BoundaryCondition, FieldPair, Grid, NumericalFailure, h1_norms, inner, laplacian
+from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner, laplacian
 from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
@@ -33,16 +33,14 @@ DIR = BoundaryCondition.DIRICHLET
 
 
 def smooth_initial(grid):
-    return FieldPair(grid,
-                     bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
-                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2)
+    return np.stack((bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
+                     bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2))
 
 
 def normalized_bump(grid):
     w = bump_profile(grid, 0.55 * grid.length, 0.2 * grid.length, 1.0)
     f = np.stack((w, 0.5 * w))
-    u, v = (1.0 / math.sqrt(inner(grid, f, f))) * f
-    return FieldPair(grid, u, v)
+    return (1.0 / math.sqrt(inner(grid, f, f))) * f
 
 
 def test_chi_basis_normalized_and_bc_exact():
@@ -68,14 +66,21 @@ def test_scalar_reduction_check_on_manufactured_series():
 def test_frozen_duality_residual_is_machine_zero():
     grid = Grid(1, 1.0, 16)
     x = grid.centers()
-    u_tilde = FieldPair(grid, 1.0 + 0.5 * np.cos(np.pi * x),
-                        0.8 + 0.3 * np.cos(2 * np.pi * x))
-    u_bar0 = FieldPair(grid, 0.1 * np.sin(2 * np.pi * x) + 0.2,
-                       0.05 * np.cos(np.pi * x))
-    chi = FieldPair(grid, np.cos(np.pi * x), np.ones(grid.shape))
+    u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x)))
+    u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x)))
+    chi = np.stack((np.cos(np.pi * x), np.ones(grid.shape)))
     res = frozen_duality_check(CFG_A, grid, NEU, T=0.02, dt=2e-4,
                                u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
     assert res <= 1e-10
+
+
+def test_frozen_duality_check_rejects_a_step_that_does_not_divide_the_horizon():
+    # 0.02 / 3e-4 = 66.7 steps: rounding to 67 would march to t = 0.0201.
+    grid = Grid(1, 1.0, 8)
+    ones = np.ones((2, *grid.shape))
+    with pytest.raises(ValueError, match="does not divide"):
+        frozen_duality_check(CFG_A, grid, NEU, T=0.02, dt=3e-4, u_tilde=ones, u_bar0=ones,
+                             chi=ones)
 
 
 def _drop_cross_diffusion(monkeypatch):
@@ -216,7 +221,7 @@ def _reference_uniqueness_level(cfg, k):
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
     for label, chi in zip(*chi_basis(grid, cfg.bc, cfg.modes)):
         phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY,
-                                  FieldPair(grid, chi[0], chi[1]), mode=AdjointMode.TRANSPOSE,
+                                  chi, mode=AdjointMode.TRANSPOSE,
                                   stride=1)
         phis = [phi_traj.levels[i] for i in range(len(phi_traj.stored_steps))]
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])

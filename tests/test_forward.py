@@ -66,21 +66,19 @@ def component_h1(arr, grid, bc):
     return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
 
 
-def as_pair(grid, w):
-    """A stacked pair (2, *grid.shape) as a FieldPair."""
-    return FieldPair(grid, w[0], w[1])
+def constant_pair(grid, cu, cv):
+    """The stacked pair (2, *grid.shape) with constant species cu and cv."""
+    return np.stack((np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv))))
 
 
-def lap_flux(c, state, bc):
+def lap_flux(c, grid, state, bc):
     """Discrete Laplacian of p(ext state), the flux term of the explicit step."""
-    grid = state.grid
-    return as_pair(grid, _lap_stencil(sktsim.forward._extended_flux(c, grid, state.stacked(), bc),
-                                      grid.h, grid.dim))
+    return _lap_stencil(sktsim.forward._extended_flux(c, grid, state, bc), grid.h, grid.dim)
 
 
 def bump_pair(grid, amplitude=1.0):
     b = bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, amplitude)
-    return FieldPair(grid, b + 0.2, 0.5 * b + 0.1)
+    return np.stack((b + 0.2, 0.5 * b + 0.1))
 
 
 def test_time_grid_validation():
@@ -97,21 +95,21 @@ def test_time_grid_validation():
 
 def test_explicit_step_zero_and_constant_states():
     grid = Grid(1, 1.0, 32)
-    zero = FieldPair.zeros(grid)
-    out = as_pair(grid, step_explicit(REACTION_FREE, grid, zero.stacked(), NEU, 1e-5))
-    assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
+    zero = np.zeros((2, *grid.shape))
+    out = step_explicit(REACTION_FREE, grid, zero, NEU, 1e-5)
+    assert np.all(out[0] == 0.0) and np.all(out[1] == 0.0)
 
-    const = FieldPair.constant(grid, 2.0, 1.0)
-    out = as_pair(grid, step_explicit(REACTION_FREE, grid, const.stacked(), NEU, 1e-5))
-    assert np.allclose(out.u, 2.0, atol=1e-14) and np.allclose(out.v, 1.0, atol=1e-14)
+    const = constant_pair(grid, 2.0, 1.0)
+    out = step_explicit(REACTION_FREE, grid, const, NEU, 1e-5)
+    assert np.allclose(out[0], 2.0, atol=1e-14) and np.allclose(out[1], 1.0, atol=1e-14)
 
 
 def test_explicit_step_guards_stability():
     grid = Grid(1, 1.0, 32)
-    state = FieldPair.constant(grid, 1.0, 1.0)
-    bound = stability_bound(CFG_A, grid, state.stacked())
+    state = constant_pair(grid, 1.0, 1.0)
+    bound = stability_bound(CFG_A, grid, state)
     with pytest.raises(StabilityError) as err:
-        step_explicit(CFG_A, grid, state.stacked(), NEU, 2.0 * bound)
+        step_explicit(CFG_A, grid, state, NEU, 2.0 * bound)
     assert err.value.bound == bound
 
 
@@ -122,13 +120,11 @@ def test_divergence_form_matches_laplacian_of_flux(dim, n, bc):
     # face-averaged Jacobians reproduce flux differences of the quadratic map.
     grid = Grid(dim, 1.0, n)
     rng = np.random.default_rng(42 + dim)
-    state = FieldPair(grid, rng.uniform(0.0, 3.0, grid.shape), rng.uniform(0.0, 3.0, grid.shape))
+    state = np.stack((rng.uniform(0.0, 3.0, grid.shape), rng.uniform(0.0, 3.0, grid.shape)))
     pattern = block_pattern(grid, bc)
-    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, grid, state.stacked(), pattern))
-    stacked = np.concatenate([state.u.ravel(), state.v.ravel()])
-    via_div = L @ stacked
-    direct = lap_flux(CFG_A, state, bc)
-    expected = np.concatenate([direct.u.ravel(), direct.v.ravel()])
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, grid, state, pattern))
+    via_div = L @ state.ravel()
+    expected = lap_flux(CFG_A, grid, state, bc).ravel()
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(via_div - expected)) <= 1e-11 * scale
 
@@ -136,7 +132,7 @@ def test_divergence_form_matches_laplacian_of_flux(dim, n, bc):
 def heat_problem(n, dt_factor, scheme, T=0.1):
     grid = Grid(1, 1.0, n)
     x = grid.centers()
-    initial = FieldPair(grid, 1.0 + np.cos(np.pi * x), np.zeros(grid.shape))
+    initial = np.stack((1.0 + np.cos(np.pi * x), np.zeros(grid.shape)))
     bound = grid.h ** 2 / 2.0
     dt = T / max(1, int(round(T / (dt_factor * bound))))
     return ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
@@ -152,7 +148,7 @@ def test_heat_limit_explicit_tracks_analytic_solution():
     for n in (16, 32, 64):
         problem = heat_problem(n, 0.4, SchemeKind.EXPLICIT)
         traj = run_forward(problem)
-        err = np.max(np.abs(traj.final_state().u - heat_exact(problem.grid, 0.1)))
+        err = np.max(np.abs(traj.levels[-1, 0] - heat_exact(problem.grid, 0.1)))
         errors.append(err)
     for a, b in zip(errors, errors[1:]):
         assert 2.5 < a / b < 5.5  # dt ~ h^2 so the total error is O(h^2)
@@ -162,7 +158,7 @@ def test_heat_limit_imex_stable_beyond_explicit_bound():
     # 10x the explicit bound: still stable and O(dt) accurate.
     problem = heat_problem(32, 10.0, SchemeKind.IMEX_LAGGED)
     traj = run_forward(problem)
-    err = np.max(np.abs(traj.final_state().u - heat_exact(problem.grid, 0.1)))
+    err = np.max(np.abs(traj.levels[-1, 0] - heat_exact(problem.grid, 0.1)))
     assert err < 5e-2
     assert np.all(np.isfinite(traj.diagnostics["l2_u"]))
 
@@ -171,7 +167,7 @@ def test_imex_temporal_order_via_richardson():
     finals = []
     for factor in (16.0, 8.0, 4.0):
         traj = run_forward(heat_problem(32, factor, SchemeKind.IMEX_LAGGED))
-        finals.append(traj.final_state().u)
+        finals.append(traj.levels[-1, 0])
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
     order = math.log2(e1 / e2)
@@ -181,12 +177,12 @@ def test_imex_temporal_order_via_richardson():
 def test_one_step_scheme_difference_second_order_in_dt():
     grid = Grid(1, 1.0, 32)
     state = bump_pair(grid)
-    dt0 = 0.5 * stability_bound(CFG_A, grid, state.stacked())
+    dt0 = 0.5 * stability_bound(CFG_A, grid, state)
     diffs = []
     for dt in (dt0, dt0 / 2):
-        a = as_pair(grid, step_explicit(CFG_A, grid, state.stacked(), NEU, dt))
-        b = as_pair(grid, step_imex(CFG_A, grid, state.stacked(), NEU, dt))
-        diffs.append(np.max(np.abs(a.u - b.u)) + np.max(np.abs(a.v - b.v)))
+        a = step_explicit(CFG_A, grid, state, NEU, dt)
+        b = step_imex(CFG_A, grid, state, NEU, dt)
+        diffs.append(np.max(np.abs(a[0] - b[0])) + np.max(np.abs(a[1] - b[1])))
     ratio = diffs[0] / diffs[1]
     assert 3.0 < ratio < 5.0
 
@@ -213,20 +209,45 @@ def test_mass_conservation_neumann_without_reactions():
 def test_run_forward_zero_initial_stays_zero():
     grid = Grid(1, 1.0, 16)
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.01, 1e-3),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     traj = run_forward(problem)
-    assert np.all(traj.final_state().u == 0.0)
+    assert np.all(traj.levels[-1, 0] == 0.0)
     for key in ("mass_u", "l2_u", "h1_v", "l4_pair", "gradp_l2", "lapp_l2", "wtd_dtu_l2"):
         assert np.all(traj.diagnostics[key] == 0.0)
 
 
 def test_run_forward_rejects_negative_initial():
     grid = Grid(1, 1.0, 16)
-    bad = FieldPair(grid, -np.ones(grid.shape), np.zeros(grid.shape))
+    bad = np.stack((-np.ones(grid.shape), np.zeros(grid.shape)))
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.01, 1e-3),
                              SchemeKind.IMEX_LAGGED, bad)
     with pytest.raises(ValueError):
         run_forward(problem)
+
+
+def test_run_forward_checks_the_initial_data():
+    # The initial data enter as one stacked pair (2, *grid.shape), checked
+    # once: the shape, then finiteness, then the sign.  A FieldPair, which
+    # outside callers still pass, is read through np.asarray.
+    grid = Grid(2, 1.0, 4)
+    tg = TimeGrid(1e-3, 1e-3)
+
+    def run(initial):
+        return run_forward(ForwardProblem(CFG_A, grid, NEU, tg, SchemeKind.IMEX_LAGGED, initial))
+
+    for shape in ((3, 2, 4, 4), (2, 4, 5), (2, 4), (2, 16), (4, 4), (1, 4, 4)):
+        with pytest.raises(ValueError, match="does not match the stacked grid shape"):
+            run(np.zeros(shape))
+    bad = np.ones((2, *grid.shape))
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(NumericalFailure, match="non-finite initial data"):
+        run(bad)
+    bad[1, 2, 3] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(bad)
+    initial = np.stack((np.full(grid.shape, 0.5), np.full(grid.shape, 0.25)))
+    as_pair = FieldPair(grid, initial[0], initial[1])
+    assert np.array_equal(run(as_pair).levels, run(initial).levels)
 
 
 def test_run_forward_aborts_on_blowup():
@@ -234,7 +255,7 @@ def test_run_forward_aborts_on_blowup():
     # explicit stability bound trips with the step index in the message.
     grid = Grid(1, 1.0, 16)
     c = Coefficients(1, 1, 1, 1, b1=200.0, b2=200.0, d1=1, d2=1)
-    initial = FieldPair.constant(grid, 5.0, 5.0)
+    initial = constant_pair(grid, 5.0, 5.0)
     problem = ForwardProblem(c, grid, NEU, TimeGrid(1.0, 1e-4),
                              SchemeKind.EXPLICIT, initial)
     with pytest.raises(StabilityError) as err:
@@ -249,7 +270,7 @@ def test_run_forward_reports_non_finite_level_with_step():
     grid = Grid(1, 1.0, 16)
     c = Coefficients(1, 1, 1, 1, b1=1e308, d1=1, d2=1)
     problem = ForwardProblem(c, grid, NEU, TimeGrid(1e-3, 1e-5), SchemeKind.EXPLICIT,
-                             FieldPair.constant(grid, 10.0, 1.0))
+                             constant_pair(grid, 10.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalFailure) as err:
@@ -262,8 +283,8 @@ def test_run_forward_reports_non_finite_level_with_step():
 def test_positivity_monitoring_bump_run():
     grid = Grid(1, 1.0, 128)
     amp = 1.0
-    initial = FieldPair(grid, bump_profile(grid, 0.5, 0.25, amp),
-                        bump_profile(grid, 0.4, 0.3, 0.5 * amp))
+    initial = np.stack((bump_profile(grid, 0.5, 0.25, amp),
+                        bump_profile(grid, 0.4, 0.3, 0.5 * amp)))
     dt = 2e-5
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.02, dt),
                              SchemeKind.IMEX_LAGGED, initial, stride=10**9)
@@ -282,8 +303,8 @@ def test_scheme_agreement_first_order_in_dt():
         for scheme in (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED):
             problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(T, dt), scheme,
                                      initial, stride=10**9)
-            finals.append(run_forward(problem).final_state())
-        du, dv = finals[0].u - finals[1].u, finals[0].v - finals[1].v
+            finals.append(run_forward(problem).levels[-1])
+        du, dv = finals[0] - finals[1]
         gaps.append(math.sqrt(grid.h * (np.sum(du**2) + np.sum(dv**2))))
     assert 1.6 < gaps[0] / gaps[1] < 2.6
 
@@ -295,7 +316,7 @@ def test_snapshot_stride_and_lookup():
     traj = run_forward(problem)
     assert traj.stored_steps == [0, 4, 8, 10]
     assert traj.levels.shape == (4, 2, *grid.shape)
-    assert np.array_equal(traj.state(1).u, traj.levels[1, 0])
+    assert np.array_equal(traj.final_state().u, traj.levels[-1, 0])
     assert np.array_equal(traj.final_state().v, traj.levels[-1, 1])
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
     # The adjoint's coefficient lookup agrees with a search of the stored
@@ -303,9 +324,9 @@ def test_snapshot_stride_and_lookup():
     # clamp inactive, the average of a trajectory with itself is its level.
     for k in range(traj.time_grid.steps + 1):
         idx = int(np.searchsorted(traj.stored_steps, k, side="right")) - 1
-        state = as_pair(grid, coefficient_state((traj, traj), 1e-9, k))
-        assert np.array_equal(state.u, traj.levels[idx, 0])
-        assert np.array_equal(state.v, traj.levels[idx, 1])
+        state = coefficient_state((traj, traj), 1e-9, k)
+        assert np.array_equal(state[0], traj.levels[idx, 0])
+        assert np.array_equal(state[1], traj.levels[idx, 1])
 
 
 def test_manufactured_constant_is_exact():
@@ -316,7 +337,7 @@ def test_manufactured_constant_is_exact():
 
     exact = ManufacturedSolution(CFG_A, 1, constant_jets)
     problem = ForwardProblem(CFG_A, Grid(1, 1.0, 16), NEU, TimeGrid(0.01, 1e-3),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(Grid(1, 1.0, 16)))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, 16)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
     assert all(err < 1e-9 for err in table.errors)
 
@@ -325,7 +346,7 @@ def test_manufactured_full_coupling_spatial_order():
     exact = polynomial_neumann_solution(CFG_A, 1)
     base_grid = Grid(1, 1.0, 16)
     problem = ForwardProblem(CFG_A, base_grid, NEU, TimeGrid(0.05, 0.05),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(base_grid))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *base_grid.shape)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
     assert all(order >= 1.6 for order in table.orders)
 
@@ -362,7 +383,7 @@ def test_closed_form_forcing_matches_symbolic_derivation(c, dim, length):
     grid = Grid(dim, length, 13)
     for t in (0.0, 0.05, 0.7):
         field, forcing = exact.field(grid, t), exact.forcing(grid, t)
-        for got, fn in zip((field.u, field.v, *forcing), reference):
+        for got, fn in zip((*field, *forcing), reference):
             want = np.broadcast_to(fn(*grid.meshgrid(), t), grid.shape)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(ValueError):
@@ -389,12 +410,12 @@ def test_energy_diagnostics_stabilize_under_dt_refinement():
 def test_two_dimensional_imex_run_and_mass_conservation():
     grid = Grid(2, 1.0, 12)
     X, Y = grid.meshgrid()
-    initial = FieldPair(grid, 0.5 + 0.25 * np.cos(np.pi * X) * np.cos(np.pi * Y),
-                        0.4 + 0.2 * np.cos(np.pi * X))
+    initial = np.stack((0.5 + 0.25 * np.cos(np.pi * X) * np.cos(np.pi * Y),
+                        0.4 + 0.2 * np.cos(np.pi * X)))
     problem = ForwardProblem(REACTION_FREE, grid, NEU, TimeGrid(0.01, 5e-4),
                              SchemeKind.IMEX_LAGGED, initial, stride=10**9)
     traj = run_forward(problem)
-    assert np.all(np.isfinite(traj.final_state().u))
+    assert np.all(np.isfinite(traj.levels[-1, 0]))
     for key in ("mass_u", "mass_v"):
         drift = np.max(np.abs(traj.diagnostics[key] - traj.diagnostics[key][0]))
         assert drift <= 1e-8
@@ -404,7 +425,7 @@ def test_two_dimensional_mms_convergence():
     exact = polynomial_neumann_solution(CFG_A, 2)
     grid = Grid(2, 1.0, 8)
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.02, 0.02),
-                             SchemeKind.IMEX_LAGGED, FieldPair.zeros(grid))
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
     assert all(order >= 1.5 for order in table.orders)
 
@@ -413,8 +434,8 @@ def test_positivity_undershoot_shrinks_under_refinement():
     undershoots = []
     for n in (48, 96):
         grid = Grid(1, 1.0, n)
-        initial = FieldPair(grid, bump_profile(grid, 0.5, 0.18, 1.0),
-                            bump_profile(grid, 0.45, 0.22, 0.7))
+        initial = np.stack((bump_profile(grid, 0.5, 0.18, 1.0),
+                            bump_profile(grid, 0.45, 0.22, 0.7)))
         problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(0.02, 1e-5),
                                  SchemeKind.EXPLICIT, initial, stride=10**9)
         d = run_forward(problem).diagnostics
@@ -431,21 +452,22 @@ def reference_diagnostics(c, traj, bc):
     dt = traj.time_grid.dt
     rows = []
     for j in range(len(traj.stored_steps)):
-        state, prev = traj.state(j), traj.state(max(j - 1, 0))
-        ext = np.stack((_extend(state.u, bc, dim), _extend(state.v, bc, dim)))
+        state, prev = traj.levels[j], traj.levels[max(j - 1, 0)]
+        (u, v), (u_prev, v_prev) = state, prev
+        ext = np.stack((_extend(u, bc, dim), _extend(v, bc, dim)))
         p = eval_p(c, ext.reshape(2, -1)).reshape(ext.shape)
         grad_p_sq = sum(float(np.sum(g ** 2)) for e in p for g in _grad_stencil(e, h, dim))
-        lap_p = lap_flux(c, state, bc)
-        weight = 1.0 + np.abs(prev.u) + np.abs(prev.v)
-        rate = (np.abs(state.u - prev.u) + np.abs(state.v - prev.v)) / dt
+        lap_p = lap_flux(c, grid, state, bc)
+        weight = 1.0 + np.abs(u_prev) + np.abs(v_prev)
+        rate = (np.abs(u - u_prev) + np.abs(v - v_prev)) / dt
         rows.append([
-            j, j * dt, vol * np.sum(state.u), vol * np.sum(state.v),
-            np.min(state.u), np.min(state.v),
-            component_l2(state.u, grid), component_l2(state.v, grid),
-            component_h1(state.u, grid, bc), component_h1(state.v, grid, bc),
-            (vol * (np.sum(state.u ** 4) + np.sum(state.v ** 4))) ** 0.25,
+            j, j * dt, vol * np.sum(u), vol * np.sum(v),
+            np.min(u), np.min(v),
+            component_l2(u, grid), component_l2(v, grid),
+            component_h1(u, grid, bc), component_h1(v, grid, bc),
+            (vol * (np.sum(u ** 4) + np.sum(v ** 4))) ** 0.25,
             math.sqrt(vol * grad_p_sq),
-            math.sqrt(vol * (np.sum(lap_p.u ** 2) + np.sum(lap_p.v ** 2))),
+            math.sqrt(vol * (np.sum(lap_p[0] ** 2) + np.sum(lap_p[1] ** 2))),
             math.sqrt(vol * np.sum(weight * rate ** 2))])
     return np.array(rows)
 
@@ -464,8 +486,8 @@ def test_diagnostics_across_block_boundaries(dim, n, steps, dt, scheme, c, bc):
         initial = bump_pair(grid, amplitude=0.8)
     else:
         X, Y = grid.meshgrid()
-        initial = FieldPair(grid, 0.5 + 0.25 * np.cos(np.pi * X) * np.cos(np.pi * Y),
-                            0.4 + 0.2 * np.sin(np.pi * X))
+        initial = np.stack((0.5 + 0.25 * np.cos(np.pi * X) * np.cos(np.pi * Y),
+                            0.4 + 0.2 * np.sin(np.pi * X)))
     traj = run_forward(ForwardProblem(c, grid, bc, TimeGrid(steps * dt, dt), scheme, initial))
     assert traj.stored_steps == list(range(steps + 1))
     ref = reference_diagnostics(c, traj, bc)
@@ -482,8 +504,8 @@ def test_diagnostics_across_block_boundaries(dim, n, steps, dt, scheme, c, bc):
 
 
 def test_explicit_march_checks_each_level_once(monkeypatch):
-    # No more FieldPair scans than new levels (plus the stored copies and the
-    # initial copy), and no per-step finiteness check inside the algebra.
+    # The march builds no FieldPair at all, and makes no per-step finiteness
+    # check inside the algebra: _march checks each new level once.
     grid = Grid(1, 1.0, 64)
     steps = 50
     problem = ForwardProblem(REACTION_FREE, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
@@ -503,7 +525,7 @@ def test_explicit_march_checks_each_level_once(monkeypatch):
     monkeypatch.setattr(sktsim.algebra, "_require_finite", counted_require_finite)
     traj = run_forward(problem)
     blocks = 1 + math.ceil(steps / max(1, _BLOCK_CELLS // grid.node_count))
-    assert counts["scan"] <= steps + len(traj.stored_steps) + 2
+    assert counts["scan"] == 0
     assert counts["finite"] <= blocks
 
 
@@ -557,7 +579,7 @@ def test_nonfinite_forcing_fails_at_its_step(scheme):
         return np.full((2, *grid.shape), math.nan if t > 2.5 * dt else 1.0)
 
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(10 * dt, dt), scheme,
-                             FieldPair.constant(grid, 1.0, 1.0), forcing=forcing)
+                             constant_pair(grid, 1.0, 1.0), forcing=forcing)
     with pytest.raises(NumericalFailure, match="non-finite field values") as err:
         run_forward(problem)
     assert (err.value.step, err.value.t) == (4, 4 * dt)

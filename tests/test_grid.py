@@ -9,7 +9,6 @@ from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
     Grid,
-    NumericalFailure,
     _extend,
     _grad_stencil,
     h1_norms,
@@ -27,23 +26,13 @@ DIR = BoundaryCondition.DIRICHLET
 
 
 def u_field(grid, values):
-    return FieldPair(grid, values, np.zeros(grid.shape))
+    """The stacked pair (values, 0)."""
+    return np.stack((values, np.zeros(grid.shape)))
 
 
 def random_pair(grid, seed):
-    rng = np.random.default_rng(seed)
-    return FieldPair(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
-
-
-def stacked(f):
-    """A FieldPair as the stacked pair (2, *grid.shape) the reductions take."""
-    return np.stack((f.u, f.v))
-
-
-def lap_pair(f, bc):
-    """``laplacian`` of the stacked pairs of a FieldPair, as a FieldPair."""
-    lap = laplacian(f.grid, f.stacked(), bc)
-    return FieldPair(f.grid, *np.moveaxis(lap, -f.grid.dim - 1, 0))
+    """A stacked pair (2, *grid.shape) of standard normal values, u drawn first."""
+    return np.random.default_rng(seed).standard_normal((2, *grid.shape))
 
 
 def l2(grid, w):
@@ -73,16 +62,16 @@ def test_grid_validation():
 
 def test_laplacian_constant_neumann_is_zero():
     grid = Grid(1, 1.0, 32)
-    f = FieldPair.constant(grid, 3.0, -1.5)
-    lap = lap_pair(f, NEU)
-    assert np.all(lap.u == 0.0) and np.all(lap.v == 0.0)
+    f = np.stack((np.full(grid.shape, 3.0), np.full(grid.shape, -1.5)))
+    lap = laplacian(grid, f, NEU)
+    assert np.all(lap[0] == 0.0) and np.all(lap[1] == 0.0)
 
 
 def test_laplacian_exact_on_quadratics_interior():
     grid = Grid(1, 1.0, 16)
     x = grid.centers()
-    lap = lap_pair(u_field(grid, x**2), NEU)
-    assert np.allclose(lap.u[1:-1], 2.0, atol=1e-10)
+    lap = laplacian(grid, u_field(grid, x**2), NEU)
+    assert np.allclose(lap[0, 1:-1], 2.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -97,8 +86,8 @@ def test_laplacian_second_order_convergence(dim):
             X, Y = grid.meshgrid()
             vals = np.cos(np.pi * X) * np.cos(np.pi * Y)
             exact = -2.0 * np.pi**2 * vals
-        lap = lap_pair(u_field(grid, vals), NEU)
-        errors.append(np.max(np.abs(lap.u - exact)))
+        lap = laplacian(grid, u_field(grid, vals), NEU)
+        errors.append(np.max(np.abs(lap[0] - exact)))
     for e_coarse, e_fine in zip(errors, errors[1:]):
         assert 3.0 < e_coarse / e_fine < 5.0
 
@@ -163,7 +152,7 @@ def test_quadrature_second_order_on_smooth_data():
 def test_norms_h1_dominates_l2():
     grid = Grid(1, 1.0, 24)
     for seed in range(5):
-        w = stacked(random_pair(grid, seed))
+        w = random_pair(grid, seed)
         assert np.all(h1_norms(grid, w, NEU) >= np.sqrt(grid.cell_volume * np.sum(w**2, axis=-1)))
         assert pair_h1(grid, w, NEU) >= l2(grid, w)
 
@@ -172,7 +161,7 @@ def test_weak_norm_bounded_by_l2():
     for dim, n in ((1, 64), (2, 16)):
         grid = Grid(dim, 1.0, n)
         for seed in range(8):
-            w = stacked(random_pair(grid, seed))
+            w = random_pair(grid, seed)
             for bc in (NEU, DIR):
                 assert weak_norm(grid, w, bc) <= l2(grid, w) * (1 + 1e-8)
 
@@ -183,9 +172,10 @@ def test_weak_norm_matches_dense_solve(dim, n, bc):
     grid = Grid(dim, 1.0, n)
     f = random_pair(grid, 7)
     shifted = np.eye(grid.node_count) - laplacian_matrix(grid, bc).toarray()
-    z = np.linalg.solve(shifted, np.stack((f.u.ravel(), f.v.ravel()), axis=1))
-    ref = math.sqrt(grid.cell_volume * (f.u.ravel() @ z[:, 0] + f.v.ravel() @ z[:, 1]))
-    assert weak_norm(grid, stacked(f), bc) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    u, v = f.reshape(2, -1)
+    z = np.linalg.solve(shifted, np.stack((u, v), axis=1))
+    ref = math.sqrt(grid.cell_volume * (u @ z[:, 0] + v @ z[:, 1]))
+    assert weak_norm(grid, f, bc) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 12)])
@@ -193,8 +183,7 @@ def test_weak_norm_matches_dense_solve(dim, n, bc):
 def test_laplacian_self_adjoint(dim, n, bc):
     grid = Grid(dim, 1.0, n)
     f, g = random_pair(grid, 1), random_pair(grid, 2)
-    lf, lg = laplacian(grid, stacked(f), bc), laplacian(grid, stacked(g), bc)
-    f, g = stacked(f), stacked(g)
+    lf, lg = laplacian(grid, f, bc), laplacian(grid, g, bc)
     lhs, rhs = inner(grid, lf, g), inner(grid, f, lg)
     scale = l2(grid, lf) * l2(grid, g) + l2(grid, f) * l2(grid, lg)
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
@@ -204,8 +193,8 @@ def test_laplacian_matrix_matches_stencil():
     for dim, n, bc in ((1, 16, NEU), (1, 16, DIR), (2, 8, NEU), (2, 8, DIR)):
         grid = Grid(dim, 1.0, n)
         f = random_pair(grid, dim * 10 + n)
-        direct = lap_pair(f, bc).u.ravel()
-        via_matrix = laplacian_matrix(grid, bc) @ f.u.ravel()
+        direct = laplacian(grid, f, bc)[0].ravel()
+        via_matrix = laplacian_matrix(grid, bc) @ f[0].ravel()
         assert np.allclose(direct, via_matrix, rtol=1e-13, atol=1e-10)
 
 
@@ -213,7 +202,7 @@ def test_divergence_theorem_neumann():
     grid = Grid(1, 1.0, 64)
     ones = np.ones((2, *grid.shape))
     for seed in range(5):
-        lap = laplacian(grid, stacked(random_pair(grid, seed + 20)), NEU)
+        lap = laplacian(grid, random_pair(grid, seed + 20), NEU)
         scale = max(l2(grid, lap), 1.0)
         assert abs(inner(grid, lap, ones)) <= 1e-12 * scale
 
@@ -223,11 +212,11 @@ def test_inner_examples_and_bilinearity():
     ones = np.ones((2, *grid.shape))
     assert inner(grid, ones, ones) == pytest.approx(2.0, abs=1e-13)
 
-    f = stacked(random_pair(grid, 3))
+    f = random_pair(grid, 3)
     rotated = np.stack((-f[1], f[0]))
     assert inner(grid, f, rotated) == pytest.approx(0.0, abs=1e-13)
 
-    g = stacked(random_pair(grid, 4))
+    g = random_pair(grid, 4)
     fg = inner(grid, f, g)
     assert abs(inner(grid, 2.0 * f, g) - 2.0 * fg) <= 1e-14 * max(abs(fg), 1.0)
 
@@ -236,7 +225,7 @@ def test_inner_examples_and_bilinearity():
 @given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4))
 def test_inner_linear_in_first_argument(a, b):
     grid = Grid(1, 1.0, 8)
-    f, g, w = (stacked(random_pair(grid, seed)) for seed in (5, 6, 7))
+    f, g, w = (random_pair(grid, seed) for seed in (5, 6, 7))
     expected = a * inner(grid, f, w) + b * inner(grid, g, w)
     assert inner(grid, a * f + b * g, w) == pytest.approx(expected, abs=1e-12)
 
@@ -246,10 +235,9 @@ def test_field_snapshot_roundtrip_bit_exact(tmp_path):
         grid = Grid(dim, 1.0, n)
         f = random_pair(grid, 100 + dim)
         path = tmp_path / f"snap{dim}.field"
-        write_field(path, f)
+        write_field(path, grid, f)
         g = read_field(path, grid)
-        assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
-        assert g.grid.dim == dim and g.grid.n == n and g.grid.h == grid.h
+        assert g.shape == (2, *grid.shape) and np.array_equal(f, g)
 
 
 def test_read_field_rejects_malformed(tmp_path):
@@ -257,6 +245,18 @@ def test_read_field_rejects_malformed(tmp_path):
     path.write_text("not a snapshot\n1 2 3\n")
     with pytest.raises(ValueError):
         read_field(path, Grid(1, 1.0, 3))
+    # A non-finite value is named with its file.
+    grid = Grid(1, 1.0, 3)
+    write_field(path, grid, np.ones((2, 3)))
+    header, *values = path.read_text().splitlines()
+    values[4] = "nan"
+    path.write_text("\n".join([header, *values]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: non-finite value nan"):
+        read_field(path, grid)
+    # So is a token that is not a number.
+    path.write_text(path.read_text().replace("nan", "1.0x"))
+    with pytest.raises(ValueError, match=f"{path}: could not convert"):
+        read_field(path, grid)
 
 
 def test_read_field_round_trips_a_grid_whose_h_times_n_misses_the_length(tmp_path):
@@ -265,10 +265,8 @@ def test_read_field_round_trips_a_grid_whose_h_times_n_misses_the_length(tmp_pat
     assert grid.h * grid.n != grid.length
     f = random_pair(grid, 49)
     path = tmp_path / "snap49.field"
-    write_field(path, f)
-    g = read_field(path, grid)
-    assert g.grid == grid
-    assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
+    write_field(path, grid, f)
+    assert np.array_equal(read_field(path, grid), f)
     for other in (Grid(1, 1.5, 49), Grid(1, 1.0, 48), Grid(2, 1.0, 49)):
         with pytest.raises(ValueError, match="do not match the configured grid"):
             read_field(path, other)
@@ -277,48 +275,43 @@ def test_read_field_round_trips_a_grid_whose_h_times_n_misses_the_length(tmp_pat
 def test_lp_norm_matches_manual():
     grid = Grid(1, 1.0, 16)
     f = random_pair(grid, 9)
-    manual = (grid.h * (np.sum(np.abs(f.u) ** 3) + np.sum(np.abs(f.v) ** 3))) ** (1 / 3)
-    assert lp_norm(grid, stacked(f), 3.0) == pytest.approx(manual, rel=1e-13)
+    manual = (grid.h * (np.sum(np.abs(f[0]) ** 3) + np.sum(np.abs(f[1]) ** 3))) ** (1 / 3)
+    assert lp_norm(grid, f, 3.0) == pytest.approx(manual, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_batched_stencils_equal_per_member_results(dim, n, bc):
-    # A FieldPair of shape (B, *grid.shape) holds B independent problems, and
-    # stacked pairs of shape (B, 2, *grid.shape) hold B pairs.  Batched
+    # A stack of shape (B, 2, *grid.shape) holds B independent pairs, and an
+    # array of shape (B, *grid.shape) B single fields.  Batched
     # results must match per-problem results to <= 1e-14 relative; the
     # stencils and the grid sums act on the trailing grid axes only, so they
     # match exactly.  A stencil or a sum that reads along a batch axis mixes
     # members and fails here.
     grid = Grid(dim, 1.0, n)
     members = [random_pair(grid, 30 + b) for b in range(6)]
-    batch = FieldPair(grid, np.array([f.u for f in members]), np.array([f.v for f in members]))
-    lap, gsq = lap_pair(batch, bc), grad_sq(grid, batch.u, bc)
-    assert lap.u.shape == lap.v.shape == gsq.shape == (6,) + grid.shape
-    pairs = np.stack((batch.u, batch.v), axis=1)
-    h1, pairing = h1_norms(grid, pairs, bc), inner(grid, pairs, pairs[::-1])
+    batch = np.array(members)
+    lap, gsq = laplacian(grid, batch, bc), grad_sq(grid, batch[:, 0], bc)
+    assert lap.shape == (6, 2) + grid.shape and gsq.shape == (6,) + grid.shape
+    h1, pairing = h1_norms(grid, batch, bc), inner(grid, batch, batch[::-1])
     assert h1.shape == (6, 2) and pairing.shape == (6,)
     for b, f in enumerate(members):
-        single = lap_pair(f, bc)
-        assert np.array_equal(lap.u[b], single.u) and np.array_equal(lap.v[b], single.v)
-        assert np.array_equal(gsq[b], grad_sq(grid, f.u, bc))
-        assert np.array_equal(h1[b], h1_norms(grid, stacked(f), bc))
-        assert pairing[b] == inner(grid, stacked(f), stacked(members[5 - b]))
+        assert np.array_equal(lap[b], laplacian(grid, f, bc))
+        assert np.array_equal(gsq[b], grad_sq(grid, f[0], bc))
+        assert np.array_equal(h1[b], h1_norms(grid, f, bc))
+        assert pairing[b] == inner(grid, f, members[5 - b])
 
 
 def test_field_pair_batch_shapes():
+    # A FieldPair holds u and v of stacked pairs as two arrays; np.asarray
+    # of a batch of them is the stack (B, 2, *grid.shape).  It checks
+    # nothing itself: the program checks the stacked array where it enters
+    # (test_forward.py::test_run_forward_checks_the_initial_data).
     grid = Grid(2, 1.0, 4)
     pair = FieldPair(grid, np.zeros((3, 4, 4)), np.ones((3, 4, 4)))
     assert pair.u.shape == (3, 4, 4)
-    bad = [((3, 4, 4), (2, 4, 4)),   # u/v mismatch
-           ((4, 4), (3, 4, 4)),      # u/v mismatch
-           ((3, 4, 5), (3, 4, 5)),   # wrong trailing shape
-           ((3, 4), (3, 4)),         # too few grid axes
-           ((16,), (16,))]
-    for u_shape, v_shape in bad:
+    w = np.asarray(pair, dtype=float)
+    assert w.shape == (3, 2, 4, 4) and np.all(w[:, 0] == 0.0) and np.all(w[:, 1] == 1.0)
+    for u_shape, v_shape in (((3, 4, 4), (2, 4, 4)), ((4, 4), (3, 4, 4))):  # u/v mismatch
         with pytest.raises(ValueError):
-            FieldPair(grid, np.zeros(u_shape), np.zeros(v_shape))
-    u = np.zeros((3, 4, 4))
-    u[2, 1, 1] = np.nan
-    with pytest.raises(NumericalFailure):
-        FieldPair(grid, u, np.zeros((3, 4, 4)))
+            np.asarray(FieldPair(grid, np.zeros(u_shape), np.zeros(v_shape)))

@@ -19,7 +19,6 @@ from sktsim.algebra import CFG_A, jac_P
 from sktsim.forward import step_imex
 from sktsim.grid import (
     BoundaryCondition,
-    FieldPair,
     Grid,
     NumericalFailure,
     block_pattern,
@@ -35,14 +34,13 @@ DT = 1e-3
 
 def bump_state(grid):
     b = bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0)
-    return FieldPair(grid, b + 0.2, 0.5 * b + 0.1)
+    return np.stack((b + 0.2, 0.5 * b + 0.1))
 
 
-def reference_divergence_form(c, state, bc):
+def reference_divergence_form(c, grid, state, bc):
     """div(P grad .) on stacked [u; v] from per-face COO triplets."""
-    grid = state.grid
     ncell = grid.node_count
-    (p11, p22), (p12, p21) = jac_P(c, state.stacked().reshape(2, -1))
+    (p11, p22), (p12, p21) = jac_P(c, state.reshape(2, -1))
     entries = ((p11, p12), (p21, p22))
     inv_h2 = 1.0 / grid.h ** 2
     idx = np.arange(ncell).reshape(grid.shape)
@@ -71,13 +69,13 @@ def reference_divergence_form(c, state, bc):
                          shape=(2 * ncell, 2 * ncell)).toarray()
 
 
-def reference_adjoint(c, state, bc, dt):
+def reference_adjoint(c, grid, state, bc, dt):
     """I - dt P^T Lap on stacked [u; v] from ``sp.diags @ lap`` blocks."""
-    lap = laplacian_matrix(state.grid, bc)
-    (p11, p22), (p12, p21) = jac_P(c, state.stacked().reshape(2, -1))
+    lap = laplacian_matrix(grid, bc)
+    (p11, p22), (p12, p21) = jac_P(c, state.reshape(2, -1))
     blocks = [[sp.diags(p11) @ lap, sp.diags(p21) @ lap],
               [sp.diags(p12) @ lap, sp.diags(p22) @ lap]]
-    return np.eye(2 * state.grid.node_count) - dt * sp.bmat(blocks).toarray()
+    return np.eye(2 * grid.node_count) - dt * sp.bmat(blocks).toarray()
 
 
 @pytest.fixture
@@ -102,20 +100,21 @@ def rel_diff(a, b):
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_divergence_form_matrix_matches_reference(dim, n, bc):
-    state = bump_state(Grid(dim, 1.0, n))
-    pattern = block_pattern(state.grid, bc)
-    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, state.grid, state.stacked(),
-                                                            pattern))
-    assert rel_diff(L.toarray(), reference_divergence_form(CFG_A, state, bc)) <= 1e-13
+    grid = Grid(dim, 1.0, n)
+    state = bump_state(grid)
+    pattern = block_pattern(grid, bc)
+    L = pattern.matrix(sktsim.forward._divergence_form_data(CFG_A, grid, state, pattern))
+    assert rel_diff(L.toarray(), reference_divergence_form(CFG_A, grid, state, bc)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_imex_operator_matches_reference(captured, dim, n, bc):
-    state = bump_state(Grid(dim, 1.0, n))
-    step_imex(CFG_A, state.grid, state.stacked(), bc, DT)
+    grid = Grid(dim, 1.0, n)
+    state = bump_state(grid)
+    step_imex(CFG_A, grid, state, bc, DT)
     (A, _, _), = captured
-    expected = np.eye(A.shape[0]) - DT * reference_divergence_form(CFG_A, state, bc)
+    expected = np.eye(A.shape[0]) - DT * reference_divergence_form(CFG_A, grid, state, bc)
     assert rel_diff(A, expected) <= 1e-13
 
 
@@ -124,21 +123,21 @@ def test_imex_operator_matches_reference(captured, dim, n, bc):
 def test_adjoint_operator_matches_reference(captured, dim, n, bc):
     grid = Grid(dim, 1.0, n)
     state = bump_state(grid)
-    phi = FieldPair(grid, np.cos(state.u), state.v ** 2)
-    step_adjoint_backward(CFG_A, grid, phi.stacked(), state.stacked(), bc, DT,
-                          AdjointRHSKind.GROWTH)
+    phi = np.stack((np.cos(state[0]), state[1] ** 2))
+    step_adjoint_backward(CFG_A, grid, phi, state, bc, DT, AdjointRHSKind.GROWTH)
     (A, _, _), = captured
-    assert rel_diff(A, reference_adjoint(CFG_A, state, bc, DT)) <= 1e-13
+    assert rel_diff(A, reference_adjoint(CFG_A, grid, state, bc, DT)) <= 1e-13
 
 
-def steps_solve_reference_operators(calls, state, bc):
-    """Both 1D steps' solutions meet the residual bound on the reference operators."""
-    step_imex(CFG_A, state.grid, state.stacked(), bc, DT)
-    step_adjoint_backward(CFG_A, state.grid, state.stacked(), state.stacked(), bc, DT,
-                          AdjointRHSKind.GROWTH)
-    size = 2 * state.grid.node_count
-    references = (np.eye(size) - DT * reference_divergence_form(CFG_A, state, bc),
-                  reference_adjoint(CFG_A, state, bc, DT))
+def steps_solve_reference_operators(calls, grid, bc):
+    """Both 1D steps' solutions, from the bump state of ``grid``, meet the
+    residual bound on the reference operators."""
+    state = bump_state(grid)
+    step_imex(CFG_A, grid, state, bc, DT)
+    step_adjoint_backward(CFG_A, grid, state, state, bc, DT, AdjointRHSKind.GROWTH)
+    size = 2 * grid.node_count
+    references = (np.eye(size) - DT * reference_divergence_form(CFG_A, grid, state, bc),
+                  reference_adjoint(CFG_A, grid, state, bc, DT))
     assert len(calls) == 2
     for (_, b, x), A in zip(calls, references):
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
@@ -148,13 +147,13 @@ def steps_solve_reference_operators(calls, state, bc):
 def test_1d_steps_solve_reference_operators(captured, bc):
     # The captured operator is the CSR matrix of the values; only the solution
     # shows whether the band scatter put every value in its place.
-    steps_solve_reference_operators(captured, bump_state(Grid(1, 1.0, 32)), bc)
+    steps_solve_reference_operators(captured, Grid(1, 1.0, 32), bc)
 
 
 def test_fine_1d_steps_solve_to_residual(captured):
     # n = 1024 with dt = 1e-3 (dt/h^2 ~ 1e3) defeated the unpreconditioned
     # Krylov solver; the banded direct solve must meet the residual bound.
-    steps_solve_reference_operators(captured, bump_state(Grid(1, 1.0, 1024)), NEU)
+    steps_solve_reference_operators(captured, Grid(1, 1.0, 1024), NEU)
 
 
 def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
