@@ -2,24 +2,26 @@
 
 The adjoint system is marched in reversed time with the diffusion term
 treated implicitly (nodewise transposed Jacobian frozen at the target
-level) and the zeroth-order terms explicitly.  Coefficients come from the
-average of two forward trajectories, clamped by the smooth truncation so
-the frozen diffusion matrices stay bounded; the truncation threshold eps
-is a runtime parameter, and sweeps over it quantify how little the
-solution depends on it once the threshold clears the data.
+level) and the zeroth-order terms explicitly.  Coefficients come from a
+forward trajectory, clamped by the smooth truncation so the frozen
+diffusion matrices stay bounded; the truncation threshold eps is a runtime
+parameter, and sweeps over it quantify how little the solution depends on
+it once the threshold clears the data.
 
-Two discretizations are available: the default discretizes the continuous
-adjoint PDE; the transpose mode applies the exact transpose of the
+``run_adjoint`` marches this discretization of the continuous adjoint PDE
+from the final time of one forward trajectory down to t = 0.  The explicit
+step :func:`step_adjoint_transpose` applies the exact transpose of the
 explicit linearized forward difference operator, which makes the discrete
-duality pairing hold to machine precision and isolates discretization
-error from the duality bookkeeping.
+duality pairing hold to machine precision; the uniqueness campaign marches
+it directly, with coefficients averaged over two trajectories by
+:func:`coefficient_state`.
 
 Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
 both steps take the adjoint level phi and the coefficient state as arrays
 of shape (..., 2, *grid.shape) and return the next level stacked like phi,
 and the march checks each new level for finiteness once.  The terminal
-data chi are a stacked pair (2, *grid.shape) on the trajectories' grid,
+data chi are a stacked pair (2, *grid.shape) on the trajectory's grid,
 which ``run_adjoint`` checks where they enter.  ``run_adjoint``
 marches blocks of levels, computes a block's diagnostics with axis
 reductions, in the arithmetic of one level at a time, and returns a forward
@@ -42,7 +44,7 @@ import numpy as np
 
 from sktsim import forward
 from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q
-from sktsim.forward import _BLOCK_CELLS, StabilityError, TimeGrid, Trajectory
+from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     Grid,
@@ -58,7 +60,6 @@ from sktsim.grid import (
 __all__ = [
     "ADJOINT_DIAGNOSTIC_COLUMNS",
     "AdjointBoundsReport",
-    "AdjointMode",
     "AdjointRHSKind",
     "EpsCauchyRow",
     "coefficient_state",
@@ -75,11 +76,6 @@ class AdjointRHSKind(enum.Enum):
 
     IDENTITY = "identity"
     GROWTH = "l"
-
-
-class AdjointMode(enum.Enum):
-    CONTINUOUS = "continuous"
-    TRANSPOSE = "transpose"
 
 
 def theta_eps(eps: float, s):
@@ -104,7 +100,9 @@ def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: i
     """Frozen adjoint coefficient state at time level ``step``, stacked
     (2, *grid.shape): the average of the two forward trajectories at their
     last stored levels at or before it (piecewise constant between stored
-    levels), truncated at ``eps``."""
+    levels), truncated at ``eps``.  The uniqueness campaign averages two
+    schemes; ``run_adjoint`` passes one trajectory twice, for which the
+    average is that trajectory's level exactly."""
     s1, s2 = (traj.levels[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
     return theta_eps(eps, 0.5 * (s1 + s2))
 
@@ -195,46 +193,31 @@ class AdjointBoundsReport:
     gronwall_slack: float
     eps: float
     rhs: str
-    mode: str
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def run_adjoint(c: Coefficients, bc: BoundaryCondition,
-                u_pair: tuple[Trajectory, Trajectory], eps: float,
+def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: float,
                 rhs: AdjointRHSKind, chi: np.ndarray,
-                horizon: float | None = None,
-                mode: AdjointMode = AdjointMode.CONTINUOUS,
                 stride: int = 1) -> tuple[Trajectory, AdjointBoundsReport]:
-    """March the adjoint backward from phi(horizon) = chi, a stacked pair
-    (2, *grid.shape) on the grid of the trajectories.  The horizon
-    (default: the final time) must be a whole number of forward steps.
+    """March the adjoint with :func:`step_adjoint_backward` from phi(T) = chi
+    at the final time T of ``traj`` down to t = 0; chi is a stacked pair
+    (2, *grid.shape) on the trajectory's grid.
 
     The coefficient state of each step is :func:`coefficient_state` at the
-    target level, built once per distinct pair of stored forward levels.
-    Records the three estimate functionals (block by block through
-    ``forward._march``, partial sums in march order), their ratios against
-    ||chi||_H1, and the energy-inequality tracker; the trajectory lives on
-    ``TimeGrid(horizon, dt)``.  A blow-up raises :class:`NumericalFailure`
-    carrying the step index and time of the level being computed.
+    target level, built once per stored forward level.  Records the three
+    estimate functionals (block by block through ``forward._march``,
+    partial sums in march order), their ratios against ||chi||_H1, and the
+    energy-inequality tracker; the trajectory lives on the time grid of
+    ``traj``.  A blow-up raises :class:`NumericalFailure` carrying the step
+    index and time of the level being computed.
     """
-    traj1, traj2 = u_pair
-    if traj1.grid != traj2.grid:
-        raise ValueError("forward trajectories live on different grids")
-    if traj1.time_grid != traj2.time_grid:
-        raise ValueError("forward trajectories have different time grids")
-    grid = traj1.grid
+    grid = traj.grid
     if chi.shape != (2, *grid.shape):
         raise ValueError(f"terminal data shape {chi.shape} does not match the stacked grid "
-                         f"shape {(2, *grid.shape)} of the trajectories")
-    dt = traj1.time_grid.dt
-    T = traj1.time_grid.t_final
-    tau = T if horizon is None else horizon
-    if not 0.0 < tau <= T * (1 + 1e-12):
-        raise ValueError(f"horizon {tau} outside (0, {T}]")
-    time_grid = TimeGrid(tau, dt)
-    steps = time_grid.steps
+                         f"shape {(2, *grid.shape)} of the trajectory")
+    time_grid = traj.time_grid
+    dt, tau, steps = time_grid.dt, time_grid.t_final, time_grid.steps
     h, dim, vol = grid.h, grid.dim, grid.cell_volume
-    step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
     block = max(1, _BLOCK_CELLS // grid.node_count)
 
     # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
@@ -252,12 +235,12 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         bottom = max(top - block, 0)
         states = []
         for s in range(top - 1, bottom - 1, -1):
-            now = tuple(bisect.bisect_right(traj.stored_steps, s) for traj in u_pair)
+            now = bisect.bisect_right(traj.stored_steps, s)
             if now != key:
-                key, state = now, coefficient_state(u_pair, eps, s)
+                key, state = now, coefficient_state((traj, traj), eps, s)
             states.append(state)
         levels = forward._march(
-            lambda phi, k: step(c, grid, phi, states[top - 1 - k], bc, dt, rhs),
+            lambda phi, k: step_adjoint_backward(c, grid, phi, states[top - 1 - k], bc, dt, rhs),
             grid, phi, top, bottom, dt)
         new, coef = levels[:-1], np.array(states[::-1])
         energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
@@ -308,7 +291,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition,
         sup_h1=sup_h1, weighted_lap=weighted_lap, dt_l43=dt_l43, chi_h1=chi_h1,
         kappa_sup=ratio(sup_h1), kappa_weighted_lap=ratio(weighted_lap),
         kappa_dt=ratio(dt_l43), gronwall_kappa=kappa_run, gronwall_slack=slack,
-        eps=eps, rhs=rhs.value, mode=mode.value)
+        eps=eps, rhs=rhs.value)
     trajectory = Trajectory(grid=grid, time_grid=time_grid, stored_steps=kept, levels=stored,
                             diagnostics=diagnostics)
     return trajectory, report
@@ -323,11 +306,10 @@ class EpsCauchyRow:
     truncation_inactive: bool
 
 
-def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
-                     u_pair: tuple[Trajectory, Trajectory],
+def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition, traj: Trajectory,
                      eps_list: list[float], rhs: AdjointRHSKind, chi: np.ndarray
                      ) -> tuple[list[EpsCauchyRow], list[AdjointBoundsReport]]:
-    """Differences between adjoint solves, from the final time, at consecutive
+    """Differences between adjoint solves on ``traj`` at consecutive
     truncation thresholds.
 
     Reports sup-in-time H1 and space-time L2-of-Laplacian distances; once
@@ -335,18 +317,16 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition,
     and the difference vanishes exactly.  Also returns the bounds report of
     each solve, in ``eps_list`` order, so callers need not march again.
     """
-    if u_pair[0].stored_steps != u_pair[1].stored_steps:
-        raise ValueError("forward trajectories store different levels")
     runs = []
     reports = []
-    u_max = max(0.0, float(np.max(0.5 * (u_pair[0].levels + u_pair[1].levels))))
+    u_max = max(0.0, float(np.max(traj.levels)))
 
     for eps in eps_list:
-        traj, report = run_adjoint(c, bc, u_pair, eps, rhs, chi, stride=1)
-        runs.append((eps, traj.levels))
+        phi_traj, report = run_adjoint(c, bc, traj, eps, rhs, chi, stride=1)
+        runs.append((eps, phi_traj.levels))
         reports.append(report)
 
-    grid, dim, dt = u_pair[0].grid, u_pair[0].grid.dim, u_pair[0].time_grid.dt
+    grid, dim, dt = traj.grid, traj.grid.dim, traj.time_grid.dt
     rows = []
     for (eps_a, levels_a), (eps_b, levels_b) in zip(runs, runs[1:]):
         diff = levels_a - levels_b

@@ -1,7 +1,7 @@
 """Named verification campaigns behind `skt verify --campaign <name>`.
 
 Each campaign runs a fixed desk-scale configuration (coefficients and seed
-come from the user's config; grids and horizons are pinned here so the
+come from the user's config; grids and final times are pinned here so the
 quantitative gates below are meaningful), writes its raw numbers as CSV,
 and returns one pass/fail result per gate.
 """
@@ -345,8 +345,8 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
                                   SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
     zero_traj = run_forward(zero_problem)
     chi0 = np.full((2, *grid.shape), c_val)
-    phi_traj, _ = run_adjoint(heat_limit_coefficients(), NEU, (zero_traj, zero_traj),
-                              1.0, AdjointRHSKind.IDENTITY, chi0)
+    phi_traj, _ = run_adjoint(heat_limit_coefficients(), NEU, zero_traj, 1.0,
+                              AdjointRHSKind.IDENTITY, chi0)
     osc_err = float(np.max(np.abs(phi_traj.levels[0, 0] - c_val * math.exp(T))))
     results.append(CheckResult(
         "exponential-oracle", osc_err <= 3.0 * dt * math.exp(T),
@@ -366,8 +366,7 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     chi = (1.0 / math.sqrt(hu ** 2 + hv ** 2)) * profile
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
-    rows, reports = eps_cauchy_study(c, NEU, (traj, traj), eps_list,
-                                     AdjointRHSKind.IDENTITY, chi)
+    rows, reports = eps_cauchy_study(c, NEU, traj, eps_list, AdjointRHSKind.IDENTITY, chi)
     kappa_cols = {"sup": [r.kappa_sup for r in reports],
                   "wlap": [r.kappa_weighted_lap for r in reports],
                   "dt": [r.kappa_dt for r in reports]}

@@ -77,8 +77,8 @@ def cmd_adjoint(cfg: RunConfig, out_dir: Path) -> int:
         write_forward_outputs(out_dir, trajectory)
         print(f"no stored trajectory under {out_dir}; ran the forward solve first")
     chi = cfg.terminal_field()
-    phi_traj, report = run_adjoint(cfg.coefficients, cfg.bc, (trajectory, trajectory),
-                                   cfg.eps, cfg.rhs, chi, stride=cfg.stride)
+    phi_traj, report = run_adjoint(cfg.coefficients, cfg.bc, trajectory, cfg.eps, cfg.rhs,
+                                   chi, stride=cfg.stride)
     write_adjoint_outputs(out_dir, phi_traj, report)
     print(f"adjoint march complete: sup H1 {report.sup_h1:.6g}, "
           f"kappa_sup {report.kappa_sup:.6g} (report in {out_dir})")

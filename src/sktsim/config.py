@@ -203,9 +203,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if values[key] <= 0:
             raise ConfigError(f"{source}: {key} must be positive (line {entries[key][1]})")
     t_final, dt = values["time.t_final"], values["time.dt"]
-    if abs(round(t_final / dt) * dt - t_final) > 1e-12 * max(1.0, t_final):
-        raise ConfigError(f"{source}: time.dt = {dt} does not divide time.t_final = {t_final} "
-                          f"(line {entries['time.dt'][1]})")
+    try:
+        TimeGrid(t_final, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: invalid time.dt: {exc} (line {entries['time.dt'][1]})")
 
     try:
         scheme = SchemeKind(values["scheme"])

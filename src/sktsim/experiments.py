@@ -208,8 +208,9 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
     """Difference of two discretizations paired against terminal data.
 
     Per refinement level (N, dt) -> (2N, dt/2): run the explicit and the
-    IMEX scheme from the same initial data, march the transpose-mode adjoint
-    of the whole terminal basis as one batch, and record the endpoint
+    IMEX scheme from the same initial data, march the transpose adjoint step
+    on their averaged :func:`~sktsim.adjoint.coefficient_state` for the
+    whole terminal basis as one batch, and record the endpoint
     pairings |<u_bar(T), chi>|, the per-step duality residuals, the
     summation-by-parts telescoping gap, and the scalar-reduction deviation of
     the summed pairing.

@@ -321,7 +321,6 @@ class ForwardProblem:
     initial: np.ndarray
     stride: int = 1
     forcing: Callable[[float], np.ndarray] | None = None
-    require_nonnegative_initial: bool = True
 
 
 #: Cells per species held by the block of levels whose diagnostics are
@@ -378,8 +377,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     step index and time, without numpy overflow warnings.  The march runs
     through :func:`_march` a block of levels at a time; each block's
     diagnostics are computed together and its stored levels kept.  The
-    initial data must be a finite stacked pair, and nonnegative unless the
-    problem says otherwise.
+    initial data must be a finite, nonnegative stacked pair.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
@@ -389,7 +387,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
                          f"grid shape {(2, *grid.shape)}")
     if not np.isfinite(initial).all():
         raise NumericalFailure("non-finite initial data")
-    if problem.require_nonnegative_initial and np.any(initial < 0):
+    if np.any(initial < 0):
         raise ValueError("initial data must be nonnegative")
     dt = tg.dt
     step = _STEPS[problem.scheme]
@@ -436,8 +434,9 @@ def manufactured_convergence(problem: ForwardProblem, exact,
 
     ``exact`` supplies exact fields and the residual forcing (see
     :mod:`sktsim.mms`).  For each resolution the forcing is injected on the
-    right-hand side, the problem is integrated to T, and the max-norm error
-    against the exact final state is recorded.  The step is
+    right-hand side, the problem is integrated to T from the exact fields
+    at t = 0 (which :func:`run_forward` requires to be nonnegative), and
+    the max-norm error against the exact final state is recorded.  The step is
     dt = T / round(T / (0.5 h^2)): dt proportional to h^2 balances the
     first-order-in-time schemes to a clean second-order total.
     """
@@ -451,8 +450,7 @@ def manufactured_convergence(problem: ForwardProblem, exact,
             coefficients=problem.coefficients, grid=grid, bc=problem.bc,
             time_grid=TimeGrid(T, dt), scheme=problem.scheme,
             initial=exact.field(grid, 0.0), stride=max(1, steps),
-            forcing=lambda t, g=grid: exact.forcing(g, t),
-            require_nonnegative_initial=False)
+            forcing=lambda t, g=grid: exact.forcing(g, t))
         final = run_forward(sub).levels[-1]
         errors.append(float(np.max(np.abs(final - exact.field(grid, T)))))
     return ConvergenceTable(ns=list(ns), errors=errors)

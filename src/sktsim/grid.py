@@ -369,7 +369,10 @@ def read_field(path: str | Path, grid: Grid) -> np.ndarray:
     for key in ("d", "N", "h"):
         if key not in fields:
             raise ValueError(f"{path}: snapshot header has no {key}=: {header!r}")
-    dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
+    try:
+        dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if dim != grid.dim or n != grid.n or not abs(h - grid.h) <= 4.0 * np.spacing(grid.h):
         raise ValueError(f"{path}: stored d={dim}, N={n}, h={h:.17g} do not match the configured "
                          f"grid (h {grid.h:.17g}, d {grid.dim}, N {grid.n})")

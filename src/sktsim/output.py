@@ -68,7 +68,12 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     files = sorted(snap_dir.glob("step_*.field"))
     if not files:
         return None
-    steps = [int(f.stem.split("_")[1]) for f in files]
+    steps = []
+    for path in files:
+        try:
+            steps.append(int(path.stem.split("_")[1]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     grid = cfg.grid()
     levels = np.array([read_field(path, grid) for path in files])
     tg = cfg.time_grid()
@@ -80,9 +85,11 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
 
 def write_adjoint_outputs(out_dir: Path, trajectory: Trajectory,
                           report: AdjointBoundsReport) -> None:
-    """Adjoint diagnostics CSV with the bounds report appended as key = value lines."""
+    """Adjoint diagnostics CSV with the bounds report appended as key = value
+    lines, then ``mode = continuous``, the one discretization
+    :func:`~sktsim.adjoint.run_adjoint` marches."""
     trailer = [f"{key} = {_fmt(val) if isinstance(val, float) else val}"
-               for key, val in vars(report).items()]
+               for key, val in vars(report).items()] + ["mode = continuous"]
     write_csv(out_dir / "adjoint_diagnostics.csv", trajectory.diagnostics, trailer=trailer)
 
 

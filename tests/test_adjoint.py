@@ -14,8 +14,8 @@ import sktsim.experiments
 from sktsim.adjoint import (
     ADJOINT_DIAGNOSTIC_COLUMNS,
     AdjointBoundsReport,
-    AdjointMode,
     AdjointRHSKind,
+    coefficient_state,
     eps_cauchy_study,
     run_adjoint,
     step_adjoint_backward,
@@ -32,6 +32,7 @@ from sktsim.forward import (
     SchemeKind,
     StabilityError,
     TimeGrid,
+    _march,
     run_forward,
 )
 from sktsim.grid import (
@@ -118,6 +119,16 @@ def test_theta_eps_properties(eps, value):
     assert out <= (1.0 + 4.0 / 27.0) / eps + 1e-12
 
 
+def transpose_march(c, bc, u_pair, eps, rhs, chi):
+    """The transpose adjoint as the uniqueness campaign marches it:
+    step_adjoint_transpose through forward._march from phi(T) = chi, on the
+    coefficient state of the pair; the levels in ascending time."""
+    grid, tg = u_pair[0].grid, u_pair[0].time_grid
+    return _march(lambda phi, k: step_adjoint_transpose(
+        c, grid, phi, coefficient_state(u_pair, eps, k), bc, tg.dt, rhs),
+        grid, chi, tg.steps, 0, tg.dt)
+
+
 def zero_trajectory(n=16, T=0.5, dt=0.0125):
     grid = Grid(1, 1.0, n)
     problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
@@ -125,28 +136,35 @@ def zero_trajectory(n=16, T=0.5, dt=0.0125):
     return run_forward(problem)
 
 
-@pytest.mark.parametrize("mode", [AdjointMode.CONTINUOUS, AdjointMode.TRANSPOSE])
-def test_frozen_exponential_oracle(mode):
+@pytest.mark.parametrize("march", ["continuous", "transpose"])
+def test_frozen_exponential_oracle(march):
     # With zero coefficient data the system is a pure ODE: phi(0) = c e^T.
     T, dt, c_val = 0.5, 0.0125, 2.0
 
     def run(dt):
+        """The adjoint levels and kappa_sup = sup_t ||phi||_H1 / ||chi||_H1."""
         traj = zero_trajectory(T=T, dt=dt)
         chi = constant_pair(traj.grid, c_val, c_val)
-        return run_adjoint(heat_limit_coefficients(), NEU, (traj, traj),
-                           eps=1.0, rhs=AdjointRHSKind.IDENTITY, chi=chi, mode=mode)
+        if march == "continuous":
+            phi_traj, report = run_adjoint(heat_limit_coefficients(), NEU, traj,
+                                           eps=1.0, rhs=AdjointRHSKind.IDENTITY, chi=chi)
+            return phi_traj.levels, report.kappa_sup
+        levels = transpose_march(heat_limit_coefficients(), NEU, (traj, traj), 1.0,
+                                 AdjointRHSKind.IDENTITY, chi)
+        sup = max(pair_h1(traj.grid, level, NEU) for level in levels)
+        return levels, sup / pair_h1(traj.grid, chi, NEU)
 
-    if mode is AdjointMode.TRANSPOSE:
+    if march == "transpose":
         # The explicit transpose step's bound is h^2 / 2 = 1/512 at n = 16:
         # dt = 0.0125 exceeds it 6.4-fold, whatever the terminal data.
         with pytest.raises(StabilityError):
             run(dt)
         dt = 0.00125
-    phi_traj, report = run(dt)
+    levels, kappa_sup = run(dt)
     target = c_val * math.exp(T)
-    err = np.max(np.abs(phi_traj.levels[0, 0] - target))
+    err = np.max(np.abs(levels[0, 0] - target))
     assert err <= 3.0 * dt * math.exp(T)
-    assert report.kappa_sup == pytest.approx(math.exp(T), rel=5 * dt)
+    assert kappa_sup == pytest.approx(math.exp(T), rel=5 * dt)
 
 
 def test_growth_rhs_with_unit_rates_matches_identity_rhs():
@@ -154,7 +172,7 @@ def test_growth_rhs_with_unit_rates_matches_identity_rhs():
     chi = constant_pair(traj.grid, 1.0, 1.0)
     runs = []
     for rhs in (AdjointRHSKind.IDENTITY, AdjointRHSKind.GROWTH):
-        phi_traj, _ = run_adjoint(CFG_A, NEU, (traj, traj), eps=1.0, rhs=rhs, chi=chi)
+        phi_traj, _ = run_adjoint(CFG_A, NEU, traj, eps=1.0, rhs=rhs, chi=chi)
         runs.append(phi_traj.levels[0])
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -162,7 +180,7 @@ def test_growth_rhs_with_unit_rates_matches_identity_rhs():
 
 def test_zero_terminal_data_gives_zero_adjoint():
     traj = zero_trajectory()
-    phi_traj, report = run_adjoint(CFG_A, NEU, (traj, traj), eps=0.5,
+    phi_traj, report = run_adjoint(CFG_A, NEU, traj, eps=0.5,
                                    rhs=AdjointRHSKind.IDENTITY,
                                    chi=np.zeros((2, *traj.grid.shape)))
     assert np.all(phi_traj.levels == 0.0)
@@ -182,14 +200,13 @@ def test_step_adjoint_backward_validates_inputs():
                               -0.01, AdjointRHSKind.IDENTITY)
 
 
-def forward_desk_pair(n=32, T=0.25, dt=1e-3, amplitude=2.0):
+def forward_desk_trajectory(n=32, T=0.25, dt=1e-3, amplitude=2.0):
     grid = Grid(1, 1.0, n)
     initial = np.stack((bump_profile(grid, 0.5, 0.3, amplitude) + 0.1,
                         bump_profile(grid, 0.35, 0.25, 0.6 * amplitude) + 0.1))
     problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(T, dt),
                              SchemeKind.IMEX_LAGGED, initial)
-    traj = run_forward(problem)
-    return traj, traj
+    return run_forward(problem)
 
 
 def unit_h1_cosine(grid):
@@ -199,11 +216,11 @@ def unit_h1_cosine(grid):
 
 
 def test_kappa_ratios_stable_across_eps():
-    u_pair = forward_desk_pair()
-    chi = unit_h1_cosine(u_pair[0].grid)
+    traj = forward_desk_trajectory()
+    chi = unit_h1_cosine(traj.grid)
     kappas = {"sup": [], "wlap": [], "dt": []}
     for eps in (1.0, 0.5, 0.25, 0.125):
-        _, report = run_adjoint(CFG_A, NEU, u_pair, eps, AdjointRHSKind.IDENTITY, chi)
+        _, report = run_adjoint(CFG_A, NEU, traj, eps, AdjointRHSKind.IDENTITY, chi)
         kappas["sup"].append(report.kappa_sup)
         kappas["wlap"].append(report.kappa_weighted_lap)
         kappas["dt"].append(report.kappa_dt)
@@ -212,9 +229,9 @@ def test_kappa_ratios_stable_across_eps():
 
 
 def test_gronwall_telescoped_consequences_hold():
-    u_pair = forward_desk_pair()
-    chi = unit_h1_cosine(u_pair[0].grid)
-    _, report = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi)
+    traj = forward_desk_trajectory()
+    chi = unit_h1_cosine(traj.grid)
+    _, report = run_adjoint(CFG_A, NEU, traj, 0.5, AdjointRHSKind.IDENTITY, chi)
     assert report.gronwall_kappa >= 0.0
     assert report.gronwall_slack <= 1e-8
 
@@ -248,9 +265,9 @@ def test_truncation_bound_check_cases():
 
 
 def test_eps_cauchy_zero_differences_once_threshold_clears_data():
-    u_pair = forward_desk_pair(amplitude=2.0)
-    chi = unit_h1_cosine(u_pair[0].grid)
-    rows, _ = eps_cauchy_study(CFG_A, NEU, u_pair, [1.0, 0.5, 0.25, 0.125],
+    traj = forward_desk_trajectory(amplitude=2.0)
+    chi = unit_h1_cosine(traj.grid)
+    rows, _ = eps_cauchy_study(CFG_A, NEU, traj, [1.0, 0.5, 0.25, 0.125],
                                AdjointRHSKind.IDENTITY, chi)
     assert len(rows) == 3
     saw_inactive = False
@@ -262,17 +279,6 @@ def test_eps_cauchy_zero_differences_once_threshold_clears_data():
     assert saw_inactive
     # active rows actually differ
     assert rows[0].diff_sup_h1 > 0.0
-
-
-def test_eps_cauchy_rejects_trajectories_storing_different_levels():
-    # The truncation test averages the pair level by level, so both must
-    # store the same steps.
-    traj, _ = forward_desk_pair(n=16, T=0.01)
-    other = dataclasses.replace(traj, stored_steps=traj.stored_steps[::2],
-                                levels=traj.levels[::2])
-    with pytest.raises(ValueError, match="store different levels"):
-        eps_cauchy_study(CFG_A, NEU, (traj, other), [1.0, 0.5], AdjointRHSKind.IDENTITY,
-                         unit_h1_cosine(traj.grid))
 
 
 def test_eps_cauchy_campaign_marches_each_adjoint_once(tmp_path, monkeypatch):
@@ -293,8 +299,8 @@ def test_eps_cauchy_campaign_marches_each_adjoint_once(tmp_path, monkeypatch):
     assert calls == [1.0, 1.0, 0.5, 0.25, 0.125]
 
 
-@pytest.mark.parametrize("mode", [AdjointMode.CONTINUOUS, AdjointMode.TRANSPOSE])
-def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
+@pytest.mark.parametrize("march", ["continuous", "transpose"])
+def test_adjoint_blowup_raises_numerical_failure_with_step(march):
     # Growth rate 1e200 takes phi from 1e-60 to 1e138 on the first backward
     # step and past the float range on the second.
     grid = Grid(1, 1.0, 8)
@@ -304,13 +310,16 @@ def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
         problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(T, dt),
                                  SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
         traj = run_forward(problem)
+        chi = constant_pair(grid, 1e-60, 1e-60)
         with pytest.raises(NumericalFailure) as err:
-            run_adjoint(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
-                        constant_pair(grid, 1e-60, 1e-60), mode=mode)
+            if march == "continuous":
+                run_adjoint(growth, NEU, traj, 1.0, AdjointRHSKind.GROWTH, chi)
+            else:
+                transpose_march(growth, NEU, (traj, traj), 1.0, AdjointRHSKind.GROWTH, chi)
         return err.value
 
     T, dt, prefix = 0.1, 0.01, "step 8 (t=0.08): "
-    if mode is AdjointMode.TRANSPOSE:
+    if march == "transpose":
         # dt = 0.01 exceeds the explicit transpose step's bound h^2 / 2 = 1/128,
         # so the first backward step refuses.
         exc = failure(T, dt)
@@ -324,10 +333,11 @@ def test_adjoint_blowup_raises_numerical_failure_with_step(mode):
 
 
 def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
-    # Strong growth drives the IMEX forward data up until the averaged
-    # coefficient state's explicit bound is 2.35 times below dt.  The
-    # continuous adjoint is implicit and marches; the transpose step must
-    # refuse with the bound and the step instead of overflowing.
+    # Strong growth drives the IMEX forward data up until the explicit bound
+    # of the coefficient state averaged over two stored strides is 2.35 times
+    # below dt.  The continuous adjoint is implicit and marches on either
+    # trajectory; the transpose step must refuse with the bound and the step
+    # instead of overflowing.
     bc = BoundaryCondition.DIRICHLET
     c = dataclasses.replace(CFG_A, a1=40.0, a2=40.0)
     grid = Grid(2, 1.0, 24)
@@ -339,10 +349,11 @@ def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
                                               stride=stride))
                    for stride in (7, 11))
     chi = np.stack((bump, bump))
-    _, report = run_adjoint(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi)
-    assert report.gronwall_kappa == 0.0
+    for traj in u_pair:
+        _, report = run_adjoint(c, bc, traj, 0.5, AdjointRHSKind.GROWTH, chi)
+        assert report.gronwall_kappa == 0.0
     with pytest.raises(StabilityError) as err:
-        run_adjoint(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi, mode=AdjointMode.TRANSPOSE)
+        transpose_march(c, bc, u_pair, 0.5, AdjointRHSKind.GROWTH, chi)
     assert 1e-4 / err.value.bound == pytest.approx(2.35, abs=0.01)
     assert str(err.value).startswith("step 69 (t=0.0069): ")
 
@@ -354,70 +365,39 @@ def test_gronwall_slack_does_not_overflow_on_a_stable_march():
     grid = Grid(1, 1.0, 16)
     traj = run_forward(ForwardProblem(c, grid, NEU, TimeGrid(0.5, 1e-3),
                                       SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape))))
-    _, report = run_adjoint(c, NEU, (traj, traj), 0.5, AdjointRHSKind.GROWTH,
+    _, report = run_adjoint(c, NEU, traj, 0.5, AdjointRHSKind.GROWTH,
                             constant_pair(grid, 1e-100, 1e-100))
     assert report.gronwall_kappa * 0.5 > 709.8
     assert 0.0 <= report.gronwall_slack <= 1e-8
-    # A horizon past 355 overflows the budget's e^{2t} weights alone.
+    # A final time past 355 overflows the budget's e^{2t} weights alone.
     grid = Grid(1, 1.0, 8)
     traj = run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(400.0, 1.0),
                                       SchemeKind.IMEX_LAGGED, constant_pair(grid, 0.5, 0.5),
                                       stride=50))
     chi = np.stack((np.cos(np.pi * grid.centers()), np.zeros(grid.shape)))
-    _, report = run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi)
+    _, report = run_adjoint(CFG_A, NEU, traj, 0.5, AdjointRHSKind.IDENTITY, chi)
     assert report.weighted_lap > 0.0
     assert 0.0 <= report.gronwall_slack <= 1e-8
 
 
-def test_run_adjoint_horizon_shorter_than_final_time():
-    u_pair = forward_desk_pair(T=0.25, dt=1e-3)
-    chi = unit_h1_cosine(u_pair[0].grid)
-    traj, report = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.GROWTH, chi,
-                               horizon=0.125)
-    assert traj.time_grid.t_final == 0.125
-    assert traj.stored_steps[0] == 0 and traj.stored_steps[-1] == 125
-    assert report.kappa_sup > 0.0 and math.isfinite(report.kappa_weighted_lap)
-    assert report.rhs == "l"
-    assert report.gronwall_slack <= 1e-8
-
-
-def test_run_adjoint_rejects_horizon_off_the_time_grid():
-    # 0.1234 / 1e-3 is not a whole number of steps; rounding it would march
-    # to t = 0.123 while reporting the horizon as 0.1234.
-    u_pair = forward_desk_pair(n=16, T=0.25, dt=1e-3)
-    chi = unit_h1_cosine(u_pair[0].grid)
-    with pytest.raises(ValueError, match="0.1234"):
-        run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi, horizon=0.1234)
-    traj, _ = run_adjoint(CFG_A, NEU, u_pair, 0.5, AdjointRHSKind.IDENTITY, chi,
-                          horizon=123 * 1e-3)
-    assert traj.stored_steps[-1] == 123
-
-
 def test_run_adjoint_rejects_mismatched_grids():
+    # Terminal data that are not one stacked pair on the trajectory's grid.
     traj = zero_trajectory(n=16)
-    other = zero_trajectory(n=24)
-    chi = np.zeros((2, *traj.grid.shape))
-    with pytest.raises(ValueError):
-        run_adjoint(CFG_A, NEU, (traj, other), 0.5, AdjointRHSKind.IDENTITY, chi)
-    # Terminal data that are not one stacked pair on the trajectories' grid.
     for shape in ((2, 24), (1, 2, 16), (16,)):
         with pytest.raises(ValueError, match="does not match the stacked grid shape"):
-            run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, np.zeros(shape))
+            run_adjoint(CFG_A, NEU, traj, 0.5, AdjointRHSKind.IDENTITY, np.zeros(shape))
 
 
-def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
+def reference_adjoint(c, bc, traj, eps, rhs, chi, stride):
     """The adjoint march with its diagnostics computed one backward step at a
     time, in the arithmetic of the per-step implementation it replaced."""
-    traj1, traj2 = u_pair
-    grid, vol = traj1.grid, traj1.grid.cell_volume
-    dt = traj1.time_grid.dt
-    steps = round(horizon / dt)
-    step = step_adjoint_backward if mode is AdjointMode.CONTINUOUS else step_adjoint_transpose
+    grid, vol = traj.grid, traj.grid.cell_volume
+    dt, T, steps = traj.time_grid.dt, traj.time_grid.t_final, traj.time_grid.steps
 
     def pair_h1_sq(f):
         return component_h1(f[0], grid, bc) ** 2 + component_h1(f[1], grid, bc) ** 2
 
-    def snapshot(traj, t):
+    def snapshot(t):
         """The last stored level with time <= t (piecewise constant in time)."""
         times = np.asarray(traj.stored_steps) * dt
         return traj.levels[np.searchsorted(times, t + 1e-12 * max(1.0, t), side="right") - 1]
@@ -436,8 +416,8 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     stored = {steps: phi}
     for m in range(steps, 0, -1):
         t = (m - 1) * dt
-        state = theta_eps(eps, 0.5 * (snapshot(traj1, t) + snapshot(traj2, t)))
-        new = step(c, grid, phi, state, bc, dt, rhs)
+        state = theta_eps(eps, snapshot(t))
+        new = step_adjoint_backward(c, grid, phi, state, bc, dt, rhs)
         e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
         kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
                       if e_old > 0.0 else 0.0)
@@ -455,23 +435,22 @@ def reference_adjoint(c, bc, u_pair, eps, rhs, chi, horizon, mode, stride):
     slack = max(e / (math.exp(kappa * i * dt) * energy[0]) - 1.0 for i, e in enumerate(energy))
     weighted_e2t = dt * alpha_eff * sum(
         w * math.exp(2.0 * (steps - 1 - i) * dt) for i, w in enumerate(weighted))
-    budget = (1.0 + kappa * (horizon + dt)) * math.exp((kappa + 2.0) * horizon) * energy[0]
+    budget = (1.0 + kappa * (T + dt)) * math.exp((kappa + 2.0) * T) * energy[0]
     slack = max(slack, weighted_e2t / budget - 1.0)
     chi_h1, sup_h1 = math.sqrt(energy[0]), math.sqrt(max(energy))
     wlap, dt_l43 = dt * float(np.sum(weighted)), dt43_sum ** 0.75
     report = AdjointBoundsReport(
         sup_h1=sup_h1, weighted_lap=wlap, dt_l43=dt_l43, chi_h1=chi_h1,
         kappa_sup=sup_h1 / chi_h1, kappa_weighted_lap=wlap / chi_h1, kappa_dt=dt_l43 / chi_h1,
-        gronwall_kappa=kappa, gronwall_slack=slack, eps=eps, rhs=rhs.value, mode=mode.value)
+        gronwall_kappa=kappa, gronwall_slack=slack, eps=eps, rhs=rhs.value)
     return np.array([rows[n] for n in range(steps + 1)]), dict(sorted(stored.items())), report
 
 
-@pytest.mark.parametrize("mode", [AdjointMode.CONTINUOUS, AdjointMode.TRANSPOSE])
 @pytest.mark.parametrize("dim,n,steps,dt,bc", [
     (1, 64, 600, 1e-5, NEU),
     (2, 24, 70, 2e-5, BoundaryCondition.DIRICHLET),
 ], ids=["1d-neumann", "2d-dirichlet"])
-def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode):
+def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc):
     # run_adjoint computes its diagnostics per block of levels and carries the
     # partial sums across blocks; the per-step computation is the reference.
     # Strong growth rates make the energy rise, so the kappas are not all zero.
@@ -482,18 +461,13 @@ def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc, mode
     coords = grid.meshgrid() if dim == 2 else (grid.centers(),)
     bump = np.prod([np.sin(np.pi * x) for x in coords], axis=0)
     wave = np.prod([np.cos(np.pi * x) for x in coords], axis=0)
-    u_pair = tuple(
-        run_forward(ForwardProblem(c, grid, bc, TimeGrid((steps + 20) * dt, dt),
-                                   SchemeKind.IMEX_LAGGED,
-                                   np.stack((0.5 + amp * bump, 0.4 + 0.2 * bump)),
-                                   stride=stride))
-        for amp, stride in ((1.5, 7), (1.2, 11)))
+    forward = run_forward(ForwardProblem(c, grid, bc, TimeGrid(steps * dt, dt),
+                                         SchemeKind.IMEX_LAGGED,
+                                         np.stack((0.5 + 1.5 * bump, 0.4 + 0.2 * bump)),
+                                         stride=7))
     chi = np.stack((bump + 0.3 * wave, 0.5 * bump - 0.2 * wave))
-    horizon = steps * dt  # shorter than the forward final time
-    traj, report = run_adjoint(c, bc, u_pair, 0.5, rhs, chi, horizon=horizon, mode=mode,
-                               stride=3)
-    ref_rows, ref_stored, ref_report = reference_adjoint(c, bc, u_pair, 0.5, rhs, chi, horizon,
-                                                         mode, stride=3)
+    traj, report = run_adjoint(c, bc, forward, 0.5, rhs, chi, stride=3)
+    ref_rows, ref_stored, ref_report = reference_adjoint(c, bc, forward, 0.5, rhs, chi, stride=3)
 
     got = np.column_stack([traj.diagnostics[key] for key in ADJOINT_DIAGNOSTIC_COLUMNS])
     assert got.shape == ref_rows.shape == (steps + 1, len(ADJOINT_DIAGNOSTIC_COLUMNS))
@@ -526,7 +500,7 @@ def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "heat_1d.cfg")
     traj = run_forward(cfg.forward_problem())
     assert traj.time_grid.steps == 2000 and traj.stored_steps == list(range(0, 2001, 100))
-    run_adjoint(cfg.coefficients, cfg.bc, (traj, traj), cfg.eps, cfg.rhs,
+    run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs,
                 unit_h1_cosine(traj.grid), stride=cfg.stride)
     assert len(calls) == 20
     assert sorted(calls) == [100 * k + 99 for k in range(20)]  # the top step of each level
@@ -550,19 +524,18 @@ def test_run_adjoint_memory_does_not_grow_with_steps():
     # levels at a time: its peak memory must not grow with the step count.
     grid = Grid(1, 1.0, 64)
     dt = 5e-5
-    traj = run_forward(ForwardProblem(heat_limit_coefficients(), grid, NEU,
-                                      TimeGrid(4000 * dt, dt), SchemeKind.EXPLICIT,
-                                      np.stack((1.0 + 0.5 * np.cos(np.pi * grid.centers()),
-                                                np.ones(grid.shape))), stride=10**9))
     chi = unit_h1_cosine(grid)
 
     def peak(steps):
+        traj = run_forward(ForwardProblem(heat_limit_coefficients(), grid, NEU,
+                                          TimeGrid(steps * dt, dt), SchemeKind.EXPLICIT,
+                                          np.stack((1.0 + 0.5 * np.cos(np.pi * grid.centers()),
+                                                    np.ones(grid.shape))), stride=10**9))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run_adjoint(heat_limit_coefficients(), NEU, (traj, traj), 0.5,
-                        AdjointRHSKind.IDENTITY, chi, horizon=steps * dt,
-                        mode=AdjointMode.TRANSPOSE, stride=10**9)
+            run_adjoint(heat_limit_coefficients(), NEU, traj, 0.5, AdjointRHSKind.IDENTITY,
+                        chi, stride=10**9)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -572,8 +545,8 @@ def test_run_adjoint_memory_does_not_grow_with_steps():
 
 
 def test_marches_build_no_field_pair_per_step(monkeypatch):
-    # A march carries stacked arrays: run_forward and run_adjoint build no
-    # FieldPair, whatever the step count.
+    # A march carries stacked arrays: run_forward, run_adjoint and the
+    # transpose march build no FieldPair, whatever the step count.
     grid = Grid(1, 1.0, 64)
     initial = np.stack((bump_profile(grid, 0.5, 0.3, 1.0) + 0.2,
                         bump_profile(grid, 0.4, 0.25, 0.6) + 0.2))
@@ -593,8 +566,7 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
                                           SchemeKind.EXPLICIT, initial, stride=10))
         return len(built), traj
 
-    (short, _), (long, traj) = forward_pairs(100), forward_pairs(1000)
-    assert long == short == 0
+    assert forward_pairs(1000)[0] == forward_pairs(100)[0] == 0
 
     exact = polynomial_neumann_solution(CFG_A, 1)
 
@@ -602,17 +574,19 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
         built.clear()
         run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
                                    SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10,
-                                   forcing=lambda t: exact.forcing(grid, t),
-                                   require_nonnegative_initial=False))
+                                   forcing=lambda t: exact.forcing(grid, t)))
         return len(built)
 
     assert forced_pairs(1000) == forced_pairs(100) == 0
 
-    def adjoint_pairs(steps, mode):
+    def adjoint_pairs(steps, march):
+        traj = forward_pairs(steps)[1]
         built.clear()
-        run_adjoint(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi,
-                    horizon=steps * 1e-5, mode=mode, stride=10)
+        if march == "continuous":
+            run_adjoint(CFG_A, NEU, traj, 0.5, AdjointRHSKind.IDENTITY, chi, stride=10)
+        else:
+            transpose_march(CFG_A, NEU, (traj, traj), 0.5, AdjointRHSKind.IDENTITY, chi)
         return len(built)
 
-    for mode in AdjointMode:
-        assert adjoint_pairs(200, mode) == adjoint_pairs(20, mode) == 0
+    for march in ("continuous", "transpose"):
+        assert adjoint_pairs(200, march) == adjoint_pairs(20, march) == 0

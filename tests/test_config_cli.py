@@ -267,7 +267,7 @@ def test_continuous_adjoint_with_overflowing_rhs_fails_with_step(dim):
     traj = run_forward(cfg.forward_problem())
     growth = dataclasses.replace(cfg.coefficients, a1=1e200)
     with pytest.raises(NumericalFailure) as err:
-        run_adjoint(growth, cfg.bc, (traj, traj), 1.0, AdjointRHSKind.GROWTH,
+        run_adjoint(growth, cfg.bc, traj, 1.0, AdjointRHSKind.GROWTH,
                     np.ones((2, *traj.grid.shape)))
     assert err.value.step is not None and err.value.step < traj.time_grid.steps
     assert err.value.t == pytest.approx(err.value.step * cfg.dt)
@@ -336,6 +336,39 @@ def test_cli_adjoint_on_snapshot_header_missing_a_key_is_config_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("SKT-ERR:2:")
     assert str(first) in err and f"no {key}=" in err
+
+
+@pytest.mark.parametrize("key, bad", [("d", "x"), ("N", "16.5"), ("h", "wide")])
+def test_cli_adjoint_on_an_unparsable_snapshot_header_names_the_file(tmp_path, capsys,
+                                                                     key, bad):
+    config = str(CONFIGS / "heat_1d.cfg")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    first = out / "forward" / "step_000000.field"
+    lines = first.read_text().split("\n")
+    items = [f"{key}={bad}" if item.startswith(f"{key}=") else item
+             for item in lines[0].split(", ")]
+    assert f"{key}={bad}" in items
+    lines[0] = ", ".join(items)
+    first.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SKT-ERR:2: {first}: ")
+    assert repr(bad) in err
+
+
+def test_cli_adjoint_on_a_stray_snapshot_name_names_the_file(tmp_path, capsys):
+    config = str(CONFIGS / "heat_1d.cfg")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    stray = out / "forward" / "step_abc.field"
+    stray.write_text((out / "forward" / "step_000000.field").read_text())
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SKT-ERR:2: {stray}: ")
+    assert "'abc'" in err
 
 
 def test_cli_adjoint_on_a_corrupt_snapshot_names_the_file(tmp_path, capsys):

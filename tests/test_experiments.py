@@ -10,7 +10,12 @@ import sktsim.algebra
 import sktsim.campaigns
 import sktsim.experiments
 import sktsim.grid
-from sktsim.adjoint import AdjointMode, AdjointRHSKind, run_adjoint
+from sktsim.adjoint import (
+    AdjointRHSKind,
+    coefficient_state,
+    run_adjoint,
+    step_adjoint_transpose,
+)
 from sktsim.algebra import CFG_A, Coefficients, eval_l, jac_P, jac_Q
 from sktsim.campaigns import CheckResult, _exact_transpose_duality, campaign_algebra, run_campaign
 from sktsim.config import parse_config
@@ -24,7 +29,7 @@ from sktsim.experiments import (
     scalar_reduction_check,
     uniqueness_experiment,
 )
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, run_forward
+from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, _march, run_forward
 from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner, laplacian
 from sktsim.mms import bump_profile
 
@@ -208,8 +213,10 @@ def test_dependence_slope_and_kappa_stability():
 
 
 def _reference_uniqueness_level(cfg, k):
-    # The per-element computation: one transpose-mode run_adjoint per basis
-    # element, every pairing one inner() of two single pairs.
+    # The per-element computation: one transpose march per basis element,
+    # on the path of uniqueness_experiment (step_adjoint_transpose through
+    # forward._march on coefficient_state), every pairing one inner() of two
+    # single pairs.
     c = cfg.coefficients
     grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
     dt = cfg.base_dt / 2 ** k
@@ -220,10 +227,9 @@ def _reference_uniqueness_level(cfg, k):
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
     for label, chi in zip(*chi_basis(grid, cfg.bc, cfg.modes)):
-        phi_traj, _ = run_adjoint(c, cfg.bc, (t1, t2), TINY_EPS, AdjointRHSKind.IDENTITY,
-                                  chi, mode=AdjointMode.TRANSPOSE,
-                                  stride=1)
-        phis = [phi_traj.levels[i] for i in range(len(phi_traj.stored_steps))]
+        phis = list(_march(lambda phi, n: step_adjoint_transpose(
+            c, grid, phi, coefficient_state((t1, t2), TINY_EPS, n), cfg.bc, dt,
+            AdjointRHSKind.IDENTITY), grid, chi, tg.steps, 0, dt))
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []
         for n in range(len(u_bars) - 1):

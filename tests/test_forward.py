@@ -88,7 +88,7 @@ def test_time_grid_validation():
         TimeGrid(1.0, 0.3)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 0.1)
-    # A horizon within the 1e-12 slack of zero would round to zero steps.
+    # A final time within the 1e-12 slack of zero would round to zero steps.
     with pytest.raises(ValueError):
         TimeGrid(1e-13, 1.0)
 

@@ -2,12 +2,12 @@
 
 For each config in ``configs/``, and for variants of ``cfg_a_1d`` and
 ``cfg_a_2d``, the forward march runs as ``skt simulate`` does and the
-adjoint march as ``skt adjoint`` does (both forward slots hold the same
-trajectory), in process.  A ``_dirichlet`` name sets ``bc = dirichlet`` (the
+adjoint march as ``skt adjoint`` does, on that forward trajectory, in
+process.  A ``_dirichlet`` name sets ``bc = dirichlet`` (the
 shipped configs are all Neumann).  An ``_explicit`` name runs the explicit
 scheme, which the shipped ``cfg_a`` configs (IMEX) do not: cross-diffusion,
 reactions and, with ``_dirichlet``, walls, at a dt under the explicit bound
-and a horizon cut to about a second of run time.  Every 20th row plus the
+and a final time cut to about a second of run time.  Every 20th row plus the
 last row of ``forward_diagnostics`` and ``adjoint_diagnostics`` is compared
 with a frozen copy in ``tests/golden/``, written at commit 25ca1dc (the
 Dirichlet rows at 71535cd, the explicit rows at 5a925ff).  Each column may
@@ -60,7 +60,7 @@ def _config_text(name: str) -> str:
 def _diagnostics(name: str) -> dict[str, dict[str, np.ndarray]]:
     cfg = parse_config_text(_config_text(name), source=name)
     traj = run_forward(cfg.forward_problem())
-    phi_traj, _ = run_adjoint(cfg.coefficients, cfg.bc, (traj, traj), cfg.eps, cfg.rhs,
+    phi_traj, _ = run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs,
                               cfg.terminal_field(), stride=cfg.stride)
     return {"forward": traj.diagnostics, "adjoint": phi_traj.diagnostics}
 

@@ -5,7 +5,8 @@ in ``src/sktsim`` must be loaded, as a name or as an attribute, by program
 code in ``src/sktsim`` outside its own definition.  Imports do not count,
 and neither do the tests: a name only tests call is library surface that no
 command and no gate reaches.  Every name a module's ``__all__`` lists is
-defined or imported by that module.
+defined or imported by that module, and every name a module imports is
+loaded by it or listed in its ``__all__``.
 """
 
 import ast
@@ -68,3 +69,22 @@ def test_every_name_in_all_is_defined_or_imported():
         bound, exported = _bound_names(ast.parse(path.read_text(), filename=str(path)))
         stale += [f"{path.stem}.{name}" for name in exported if name not in bound]
     assert not stale, f"__all__ names no top-level statement defines or imports: {stale}"
+
+
+def test_every_import_is_loaded_or_exported():
+    # An import nothing reads is dead code that hides which modules depend
+    # on which; imports inside functions count too.
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        _, exported = _bound_names(tree)
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                dead += [f"{path.stem}.{name}" for name in
+                         ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                         if name not in loaded and name not in exported]
+    assert not dead, f"imported names their module never loads or exports: {dead}"
