@@ -13,14 +13,15 @@ from the final time of one forward trajectory down to t = 0.  The explicit
 step :func:`step_adjoint_transpose` applies the exact transpose of the
 explicit linearized forward difference operator, which makes the discrete
 duality pairing hold to machine precision; the uniqueness campaign marches
-it directly, with coefficients averaged over two trajectories by
-:func:`coefficient_state`.
+it directly, with coefficients averaged over two trajectories.
 
 Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
-both steps take the adjoint level phi and the coefficient state as arrays
-of shape (..., 2, *grid.shape) and return the next level stacked like phi,
-and the march checks each new level for finiteness once.  The terminal
+both steps take the adjoint level phi and the coefficient state as stacked
+pairs and return the next level stacked like phi, and the march checks each
+new level for finiteness once.  The implicit step solves for one pair
+through :func:`sktsim.linalg.solve`; the explicit one also takes a batch
+of pairs (..., 2, *grid.shape) against one coefficient state.  The terminal
 data chi are a stacked pair (2, *grid.shape) on the trajectory's grid,
 which ``run_adjoint`` checks where they enter.  ``run_adjoint``
 marches blocks of levels, computes a block's diagnostics with axis
@@ -35,14 +36,13 @@ bounds on the adjoint.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sktsim import forward
+from sktsim import forward, linalg
 from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q
 from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory
 from sktsim.grid import (
@@ -52,7 +52,6 @@ from sktsim.grid import (
     _flat,
     _grid_sums,
     _lap_stencil,
-    block_pattern,
     h1_norms,
     laplacian,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "AdjointBoundsReport",
     "AdjointRHSKind",
     "EpsCauchyRow",
-    "coefficient_state",
     "eps_cauchy_study",
     "run_adjoint",
     "step_adjoint_backward",
@@ -96,17 +94,6 @@ def theta_eps(eps: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def coefficient_state(u_pair: tuple[Trajectory, Trajectory], eps: float, step: int) -> np.ndarray:
-    """Frozen adjoint coefficient state at time level ``step``, stacked
-    (2, *grid.shape): the average of the two forward trajectories at their
-    last stored levels at or before it (piecewise constant between stored
-    levels), truncated at ``eps``.  The uniqueness campaign averages two
-    schemes; ``run_adjoint`` passes one trajectory twice, for which the
-    average is that trajectory's level exactly."""
-    s1, s2 = (traj.levels[bisect.bisect_right(traj.stored_steps, step) - 1] for traj in u_pair)
-    return theta_eps(eps, 0.5 * (s1 + s2))
-
-
 def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
                   rhs: AdjointRHSKind) -> tuple[np.ndarray, np.ndarray]:
     """Q(s)^T x and rhs(x) for the flattened coefficient state ``s`` (2, N)
@@ -120,14 +107,12 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_
                           bc: BoundaryCondition, dt: float,
                           rhs: AdjointRHSKind) -> np.ndarray:
     """One semi-implicit backward step (reversed time marches forward) of the
-    stacked level ``phi`` (batch axes in 1D only, as for
-    :func:`~sktsim.forward.step_imex`).
+    stacked pair ``phi``.
 
     Solves (I - dt P(u~)^T Lap) phi_new = phi + dt (-Q(u~)^T phi + rhs(phi))
     with the nodewise transposed Jacobian frozen at the supplied truncated
-    state ``u_tilde_eps`` (stacked), on the cached
-    :func:`~sktsim.grid.block_pattern` (see
-    :func:`~sktsim.forward._solve_on_pattern`).
+    state ``u_tilde_eps`` (stacked), through :func:`sktsim.linalg.solve`,
+    which takes one pair only.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -139,10 +124,10 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_
     diag, off = _stacked_P(c, s)
     # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
     nodal_t = np.concatenate((diag[:1], off[::-1], diag[1:])).ravel()
-    pattern = block_pattern(grid, bc)
+    pattern = linalg.block_pattern(grid, bc)
     data = -dt * nodal_t[pattern.row] * pattern.lap
     data[pattern.ident] += 1.0
-    return forward._solve_on_pattern(pattern, data, b, phi)
+    return linalg.solve(pattern, data, b, phi)
 
 
 def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
@@ -203,8 +188,10 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
     at the final time T of ``traj`` down to t = 0; chi is a stacked pair
     (2, *grid.shape) on the trajectory's grid.
 
-    The coefficient state of each step is :func:`coefficient_state` at the
-    target level, built once per stored forward level.  Records the three
+    The coefficient state of each step is the last stored level of ``traj``
+    at or before the target level (piecewise constant between stored
+    levels), truncated by :func:`theta_eps`; the states of a block of steps
+    are built together.  Records the three
     estimate functionals (block by block through ``forward._march``,
     partial sums in march order), their ratios against ||chi||_H1, and the
     energy-inequality tracker; the trajectory lives on the time grid of
@@ -230,19 +217,15 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
     stored[-1] = phi = chi
     hu, hv = h1_norms(grid, phi, bc).tolist()
     energy[steps] = hu ** 2 + hv ** 2
-    key = None
+    # The stored level at or before each step; step k's state is frozen there.
+    below = np.searchsorted(traj.stored_steps, np.arange(steps), side="right") - 1
     for top in range(steps, 0, -block):
         bottom = max(top - block, 0)
-        states = []
-        for s in range(top - 1, bottom - 1, -1):
-            now = bisect.bisect_right(traj.stored_steps, s)
-            if now != key:
-                key, state = now, coefficient_state((traj, traj), eps, s)
-            states.append(state)
+        coef = theta_eps(eps, traj.levels[below[bottom:top]])
         levels = forward._march(
-            lambda phi, k: step_adjoint_backward(c, grid, phi, states[top - 1 - k], bc, dt, rhs),
+            lambda phi, k: step_adjoint_backward(c, grid, phi, coef[k - bottom], bc, dt, rhs),
             grid, phi, top, bottom, dt)
-        new, coef = levels[:-1], np.array(states[::-1])
+        new = levels[:-1]
         energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
         lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
         w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])

@@ -7,7 +7,8 @@ joint refinement.  The duality bookkeeping itself is validated to machine
 precision on a synthetic run where the difference follows the linearized
 explicit dynamics exactly and the adjoint is its exact transpose.  Every
 march here, the forward runs, the linearized difference and the batched
-transpose adjoint of the terminal basis, goes through the one stepping loop
+transpose adjoint of the terminal basis (on the truncated average of the two
+forward trajectories), goes through the one stepping loop
 :func:`sktsim.forward._march` on stacked pairs, and the stored levels of a
 forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
 The initial data, the terminal basis, the solution differences and the
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import AdjointRHSKind, coefficient_state, step_adjoint_transpose
+from sktsim.adjoint import AdjointRHSKind, step_adjoint_transpose, theta_eps
 from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q, dual_exponent, eval_l
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
@@ -209,7 +210,7 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
 
     Per refinement level (N, dt) -> (2N, dt/2): run the explicit and the
     IMEX scheme from the same initial data, march the transpose adjoint step
-    on their averaged :func:`~sktsim.adjoint.coefficient_state` for the
+    on the average of their levels, truncated at ``TINY_EPS``, for the
     whole terminal basis as one batch, and record the endpoint
     pairings |<u_bar(T), chi>|, the per-step duality residuals, the
     summation-by-parts telescoping gap, and the scalar-reduction deviation of
@@ -230,10 +231,11 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         u_bar = t1.levels - t2.levels
 
         labels, basis = chi_basis(grid, cfg.bc, cfg.modes)
+        states = theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels))
 
         def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
-            state = coefficient_state((t1, t2), TINY_EPS, k)
-            return step_adjoint_transpose(c, grid, phi, state, cfg.bc, dt, AdjointRHSKind.IDENTITY)
+            return step_adjoint_transpose(c, grid, phi, states[k], cfg.bc, dt,
+                                          AdjointRHSKind.IDENTITY)
 
         phi = _march(adjoint_step, grid, basis, tg.steps, 0, dt)
 

@@ -12,9 +12,9 @@ the uniqueness experiments lean on.
 
 Both implicit operators, the IMEX one here and the continuous-adjoint one
 of :mod:`sktsim.adjoint`, are computed as CSR values on the cached
-:func:`~sktsim.grid.block_pattern` of (grid, bc), in 1D and 2D alike, and
-solved through :func:`_solve_on_pattern`: a banded direct solve in 1D,
-BiCGStab in 2D.
+:func:`~sktsim.linalg.block_pattern` of (grid, bc), in 1D and 2D alike,
+and solved for one stacked pair by :func:`~sktsim.linalg.solve`; the
+explicit steps also take a batch of pairs.
 
 Per-step diagnostics track the quantities whose boundedness characterizes
 solution regularity: masses, extrema, L2/H1/L4 norms, the L2 norms of
@@ -54,7 +54,6 @@ import numpy as np
 from sktsim import linalg
 from sktsim.algebra import Coefficients, _stacked_p, _stacked_P, _stacked_reaction
 from sktsim.grid import (
-    BlockPattern,
     BoundaryCondition,
     FieldPair,
     Grid,
@@ -64,10 +63,8 @@ from sktsim.grid import (
     _grad_stencil,
     _grid_sums,
     _lap_stencil,
-    block_pattern,
     h1_norms,
 )
-from sktsim.linalg import krylov_solve
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
@@ -232,11 +229,11 @@ def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondit
 
 
 def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
-                          pattern: BlockPattern) -> np.ndarray:
-    """Values on ``pattern`` (the :func:`block_pattern` of ``grid`` and the
-    bc) of the 2N x 2N operator x -> div(P(w) grad x) with face-averaged P,
-    on stacked unknowns [x_u; x_v]; one row of values per pair of the
-    stacked pairs ``w``.
+                          pattern: linalg.BlockPattern) -> np.ndarray:
+    """Values on ``pattern`` (the :func:`~sktsim.linalg.block_pattern` of
+    ``grid`` and the bc) of the 2N x 2N operator x -> div(P(w) grad x) with
+    face-averaged P, on stacked unknowns [x_u; x_v], for the stacked pair
+    ``w``.
 
     Because the Jacobian entries are affine in the state, the arithmetic face
     average equals the midpoint evaluation and flux differences of the
@@ -244,58 +241,36 @@ def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
     """
     diag, off = _stacked_P(c, _flat(w, grid.dim))
     # P11, P12, P21, P22 over the nodes: the 4N values pattern.row indexes.
-    nodal = _flat(np.concatenate((diag[..., :1, :], off, diag[..., 1:, :]), axis=-2), 2)
+    nodal = np.concatenate((diag[:1], off, diag[1:])).ravel()
     inv_h2 = 1.0 / grid.h ** 2
-    data = 0.5 * inv_h2 * (nodal[..., pattern.row] + nodal[..., pattern.col])
-    # Each diagonal entry balances its row of the block (zero row sums; the
-    # rows of each pair of a batch offset by the pair's position) ...
-    data[..., pattern.node_diag] = 0.0
-    rows = pattern.row + nodal.shape[-1] * np.arange(nodal.size // nodal.shape[-1])[:, None]
-    row_sums = np.bincount(rows.ravel(), weights=data.ravel(),
-                           minlength=nodal.size).reshape(nodal.shape)
-    data[..., pattern.node_diag] = -row_sums[..., pattern.row[pattern.node_diag]]
+    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
+    # Each diagonal entry balances its row of the block (zero row sums) ...
+    data[pattern.node_diag] = 0.0
+    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
+    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
     # ... except at a Dirichlet wall: the ghost state is the negated interior
     # state, so the face coefficient averages to diag(d1, d2) and the
     # across-face jump is 2 x_wall.
-    data[..., pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
+    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
     return data
-
-
-def _solve_on_pattern(pattern: BlockPattern, data: np.ndarray, b: np.ndarray,
-                      guess: np.ndarray) -> np.ndarray:
-    """Solve the implicit system with values ``data`` on ``pattern`` for the
-    stacked right-hand side ``b``: a banded direct solve in 1D, where ``b``
-    may hold a batch of pairs with one row of ``data`` each or one for all,
-    and BiCGStab from the stacked ``guess`` in 2D, for one pair (a batch
-    raises ``ValueError``).  Both accept a pair's solution only at true
-    relative residual <= 1e-10 (else :class:`~sktsim.linalg.LinearSolveError`).
-    Returns x stacked like ``b``."""
-    if pattern.band.size:
-        x = linalg.solve_band(pattern, data, b.reshape(-1))
-    elif b.ndim > 3:
-        raise ValueError("batch axes are supported in 1D only")
-    else:
-        x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1))
-    return x.reshape(b.shape)
 
 
 def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition, dt: float,
               forcing: np.ndarray | None = None) -> np.ndarray:
-    """One semi-implicit step on the stacked pairs ``w``: implicit
+    """One semi-implicit step on the stacked pair ``w``: implicit
     lagged-coefficient diffusion, explicit reactions.
 
-    Solves (I - dt L_n) x = w + dt (l - q + forcing) on the cached
-    :func:`block_pattern` (see :func:`_solve_on_pattern`; batch axes in 1D
-    only); accuracy O(dt).
+    Solves (I - dt L_n) x = w + dt (l - q + forcing) with
+    :func:`~sktsim.linalg.solve`, which takes one pair only; accuracy O(dt).
     """
     b = w + dt * _stacked_reaction(c, _flat(w, grid.dim)).reshape(w.shape)
     if forcing is not None:
         b = b + dt * forcing
-    pattern = block_pattern(grid, bc)
+    pattern = linalg.block_pattern(grid, bc)
     data = _divergence_form_data(c, grid, w, pattern)
     data *= -dt
-    data[..., pattern.ident] += 1.0
-    return _solve_on_pattern(pattern, data, b, w)
+    data[pattern.ident] += 1.0
+    return linalg.solve(pattern, data, b, w)
 
 
 #: The step of each scheme.  ``run_forward`` calls the steps through this

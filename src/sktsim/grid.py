@@ -11,8 +11,9 @@ writes the ghost layer into a new array, and ``_lap_stencil`` /
 ``_grad_stencil`` return the Laplacian / the centered-gradient components of
 an extended array.  The split matters: the explicit step and the diagnostics
 apply the stencil to p(ext(u)), which under Dirichlet is not ext(p(u)).
-``laplacian_matrix`` is the same Laplacian in sparse form for the implicit
-solves.
+``laplacian_matrix`` is the same Laplacian in sparse form; the implicit
+operators share its sparsity, and :mod:`sktsim.linalg` alone decides how
+they are stored and solved.
 
 Fields and states have one layout, the stacked pair: one array of shape
 (*batch, 2, *grid.shape) with u and v along the pair axis.  Configs,
@@ -57,12 +58,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
-    "BlockPattern",
     "BoundaryCondition",
     "FieldPair",
     "Grid",
     "NumericalFailure",
-    "block_pattern",
     "h1_norms",
     "inner",
     "laplacian",
@@ -231,64 +230,6 @@ def laplacian_matrix(grid: Grid, bc: BoundaryCondition) -> sp.csr_matrix:
         return lap1.tocsr()
     eye = sp.identity(n, format="csr")
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
-
-
-@dataclass(frozen=True)
-class BlockPattern:
-    """Fixed CSR sparsity of a 2N x 2N operator on stacked unknowns [u; v]
-    whose four N x N blocks share the pattern of :func:`laplacian_matrix`.
-
-    Per stored entry of block (r, c) at nodes (i, j): ``row`` and ``col`` are
-    (2r + c) N + i and (2r + c) N + j, and ``lap`` is Lap[i, j].  ``ident``
-    indexes the main-diagonal entries in row order, ``node_diag`` the entries
-    with i == j.  ``walls`` counts each node's Dirichlet wall faces (zero under
-    Neumann).  In 1D, ``band`` is the entry's flat position
-    (3 + 2 (i - j) + r - c) 2N + 2j + c in LAPACK (3, 3) band storage, shape
-    (7, 2N), of the interleaved unknowns [u0, v0, u1, v1, ...]; it is empty
-    in 2D, where the operator has no such band.  The arrays are read-only and
-    shared by every matrix built.
-    """
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    lap: np.ndarray
-    ident: np.ndarray
-    node_diag: np.ndarray
-    walls: np.ndarray
-    band: np.ndarray
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        size = self.indptr.size - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
-
-
-@functools.lru_cache(maxsize=32)
-def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
-    """Sparsity of the implicit two-species operators on (grid, bc), built once."""
-    lap = laplacian_matrix(grid, bc)
-    ncell, nnz = grid.node_count, lap.nnz
-    # Tag every Laplacian entry of every block, let bmat lay the blocks out,
-    # and read back where each tagged entry landed.
-    tags = [[sp.csr_matrix((np.arange(nnz) + (2 * r + c) * nnz + 1.0, lap.indices, lap.indptr),
-                           shape=lap.shape) for c in range(2)] for r in range(2)]
-    stacked = sp.bmat(tags, format="csr")
-    block, slot = np.divmod(stacked.data.astype(np.int64) - 1, nnz)
-    degree = np.diff(lap.indptr) - 1
-    i = np.repeat(np.arange(ncell), degree + 1)[slot]
-    j = lap.indices[slot]
-    walls = 2 * grid.dim - degree if bc is BoundaryCondition.DIRICHLET else np.zeros_like(degree)
-    band = ((3 + 2 * (i - j) + block // 2 - block % 2) * 2 * ncell + 2 * j + block % 2
-            if grid.dim == 1 else np.empty(0, int))
-    arrays = dict(indices=stacked.indices.astype(np.int32), indptr=stacked.indptr.astype(np.int32),
-                  row=(block * ncell + i).astype(np.int32), col=(block * ncell + j).astype(np.int32),
-                  lap=lap.data[slot],
-                  ident=np.flatnonzero((i == j) & (block % 3 == 0)),
-                  node_diag=np.flatnonzero(i == j), walls=walls.astype(float), band=band)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return BlockPattern(**arrays)
 
 
 def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:

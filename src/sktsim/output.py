@@ -58,24 +58,26 @@ def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
 def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     """Rebuild a trajectory from stored snapshots, or None when absent.
 
-    The snapshots must match the configuration's grid (see
-    :func:`~sktsim.grid.read_field`) and cover the full time range;
-    mismatches raise rather than silently recompute.
+    The snapshots, ordered by the step number in their names, must match
+    the configuration's grid (see :func:`~sktsim.grid.read_field`) and cover
+    the full time range; mismatches raise rather than silently recompute.
     """
     snap_dir = out_dir / "forward"
     if not snap_dir.is_dir():
         return None
-    files = sorted(snap_dir.glob("step_*.field"))
-    if not files:
-        return None
-    steps = []
-    for path in files:
+    snapshots = []
+    for path in sorted(snap_dir.glob("step_*.field")):
         try:
-            steps.append(int(path.stem.split("_")[1]))
+            snapshots.append((int(path.stem.split("_")[1]), path))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    if not snapshots:
+        return None
+    # By step number: names outgrow their zero padding past 999999 steps.
+    snapshots.sort()
+    steps = [step for step, _ in snapshots]
     grid = cfg.grid()
-    levels = np.array([read_field(path, grid) for path in files])
+    levels = np.array([read_field(path, grid) for _, path in snapshots])
     tg = cfg.time_grid()
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import sktsim.adjoint
 import sktsim.campaigns
-import sktsim.experiments
 from sktsim.adjoint import (
     ADJOINT_DIAGNOSTIC_COLUMNS,
     AdjointBoundsReport,
     AdjointRHSKind,
-    coefficient_state,
     eps_cauchy_study,
     run_adjoint,
     step_adjoint_backward,
@@ -25,7 +23,6 @@ from sktsim.adjoint import (
 from sktsim.algebra import CFG_A, Coefficients
 from sktsim.campaigns import run_campaign
 from sktsim.config import parse_config
-from sktsim.experiments import UniquenessConfig, uniqueness_experiment
 from sktsim.forward import (
     _BLOCK_CELLS,
     ForwardProblem,
@@ -119,13 +116,21 @@ def test_theta_eps_properties(eps, value):
     assert out <= (1.0 + 4.0 / 27.0) / eps + 1e-12
 
 
+def averaged_state(u_pair, eps, step):
+    """The average of the two trajectories at their last stored levels at or
+    before ``step``, truncated at ``eps``."""
+    s1, s2 = (traj.levels[np.searchsorted(traj.stored_steps, step, side="right") - 1]
+              for traj in u_pair)
+    return theta_eps(eps, 0.5 * (s1 + s2))
+
+
 def transpose_march(c, bc, u_pair, eps, rhs, chi):
     """The transpose adjoint as the uniqueness campaign marches it:
     step_adjoint_transpose through forward._march from phi(T) = chi, on the
-    coefficient state of the pair; the levels in ascending time."""
+    averaged state of the pair; the levels in ascending time."""
     grid, tg = u_pair[0].grid, u_pair[0].time_grid
     return _march(lambda phi, k: step_adjoint_transpose(
-        c, grid, phi, coefficient_state(u_pair, eps, k), bc, tg.dt, rhs),
+        c, grid, phi, averaged_state(u_pair, eps, k), bc, tg.dt, rhs),
         grid, chi, tg.steps, 0, tg.dt)
 
 
@@ -485,38 +490,6 @@ def test_adjoint_diagnostics_across_block_boundaries(dim, n, steps, dt, bc):
     assert traj.levels.shape == (len(ref_stored), 2, *grid.shape)
     for i, ref in enumerate(ref_stored.values()):
         assert np.array_equal(traj.levels[i], ref)
-
-
-def test_coefficient_state_built_once_per_distinct_stored_levels(monkeypatch):
-    calls = []
-    original = sktsim.adjoint.coefficient_state
-
-    def counting(u_pair, eps, step):
-        calls.append(step)
-        return original(u_pair, eps, step)
-
-    # As in `skt adjoint` on heat_1d: 2000 steps over a stride-100 trajectory.
-    monkeypatch.setattr(sktsim.adjoint, "coefficient_state", counting)
-    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "heat_1d.cfg")
-    traj = run_forward(cfg.forward_problem())
-    assert traj.time_grid.steps == 2000 and traj.stored_steps == list(range(0, 2001, 100))
-    run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs,
-                unit_h1_cosine(traj.grid), stride=cfg.stride)
-    assert len(calls) == 20
-    assert sorted(calls) == [100 * k + 99 for k in range(20)]  # the top step of each level
-
-    # Stride-1 trajectories: one state per step at each refinement level.
-    calls.clear()
-    monkeypatch.setattr(sktsim.experiments, "coefficient_state", counting)
-
-    def initial(g):
-        x = g.centers()
-        return np.stack((0.5 + 0.3 * np.cos(np.pi * x), 0.4 + 0.2 * np.cos(2 * np.pi * x)))
-
-    cfg = UniquenessConfig(coefficients=CFG_A, bc=NEU, dim=1, length=1.0, base_n=8,
-                           t_final=0.01, base_dt=0.01 / 16, initial=initial, levels=2)
-    uniqueness_experiment(cfg)
-    assert sorted(calls) == sorted(list(range(16)) + list(range(32)))
 
 
 def test_run_adjoint_memory_does_not_grow_with_steps():

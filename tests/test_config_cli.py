@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from sktsim.adjoint import AdjointRHSKind, run_adjoint
 from sktsim.cli import main
 from sktsim.config import ConfigError, PresetSpec, parse_config, parse_config_text
-from sktsim.forward import SchemeKind, run_forward
+from sktsim.forward import SchemeKind, Trajectory, run_forward
 from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, read_field
+from sktsim.output import load_forward_trajectory, write_forward_outputs
 
 MINIMAL = """\
 dim = 1
@@ -386,6 +387,25 @@ def test_cli_adjoint_on_a_corrupt_snapshot_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("SKT-ERR:2:")
     assert f"{first}: non-finite value nan" in err
+
+
+@pytest.mark.parametrize("steps", [9_500_000, 1_000_000])
+def test_stored_snapshots_load_in_step_order_past_a_million_steps(tmp_path, steps):
+    # Snapshot names outgrow their 6-digit padding at 10^6 steps, where
+    # step_1000000 sorts before step_500000 by name.  Each level holds its
+    # own step number, so no march runs.
+    text = (MINIMAL.replace("grid.n = 16", "grid.n = 8")
+            .replace("time.t_final = 0.01", f"time.t_final = {steps // 1000}"))
+    cfg = parse_config(write_cfg(tmp_path, text))
+    grid, time_grid = cfg.grid(), cfg.time_grid()
+    assert time_grid.steps == steps
+    stored = [*range(0, steps, 500_000), steps]
+    levels = np.array([np.full((2, *grid.shape), float(step)) for step in stored])
+    write_forward_outputs(tmp_path, Trajectory(grid, time_grid, stored, levels,
+                                               {"step": np.zeros(1)}))
+    traj = load_forward_trajectory(tmp_path, cfg)
+    assert traj.stored_steps == stored
+    assert np.array_equal(traj.levels, levels)
 
 
 def test_cli_adjoint_runs_forward_when_missing(tmp_path, capsys):

@@ -12,9 +12,9 @@ import sktsim.experiments
 import sktsim.grid
 from sktsim.adjoint import (
     AdjointRHSKind,
-    coefficient_state,
     run_adjoint,
     step_adjoint_transpose,
+    theta_eps,
 )
 from sktsim.algebra import CFG_A, Coefficients, eval_l, jac_P, jac_Q
 from sktsim.campaigns import CheckResult, _exact_transpose_duality, campaign_algebra, run_campaign
@@ -215,8 +215,8 @@ def test_dependence_slope_and_kappa_stability():
 def _reference_uniqueness_level(cfg, k):
     # The per-element computation: one transpose march per basis element,
     # on the path of uniqueness_experiment (step_adjoint_transpose through
-    # forward._march on coefficient_state), every pairing one inner() of two
-    # single pairs.
+    # forward._march on the truncated average of the two stride-1
+    # trajectories), every pairing one inner() of two single pairs.
     c = cfg.coefficients
     grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
     dt = cfg.base_dt / 2 ** k
@@ -228,7 +228,7 @@ def _reference_uniqueness_level(cfg, k):
     ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
     for label, chi in zip(*chi_basis(grid, cfg.bc, cfg.modes)):
         phis = list(_march(lambda phi, n: step_adjoint_transpose(
-            c, grid, phi, coefficient_state((t1, t2), TINY_EPS, n), cfg.bc, dt,
+            c, grid, phi, theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n])), cfg.bc, dt,
             AdjointRHSKind.IDENTITY), grid, chi, tg.steps, 0, dt))
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []

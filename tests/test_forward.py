@@ -11,9 +11,9 @@ import sktsim.algebra
 import sktsim.forward
 from sktsim.adjoint import (
     AdjointRHSKind,
-    coefficient_state,
     step_adjoint_backward,
     step_adjoint_transpose,
+    theta_eps,
 )
 from sktsim.algebra import CFG_A, Coefficients, eval_p
 from sktsim.forward import (
@@ -38,8 +38,8 @@ from sktsim.grid import (
     _extend,
     _grad_stencil,
     _lap_stencil,
-    block_pattern,
 )
+from sktsim.linalg import block_pattern
 from sktsim.mms import (
     ManufacturedSolution,
     bump_profile,
@@ -319,14 +319,9 @@ def test_snapshot_stride_and_lookup():
     assert np.array_equal(traj.final_state().u, traj.levels[-1, 0])
     assert np.array_equal(traj.final_state().v, traj.levels[-1, 1])
     assert len(traj.diagnostics["t"]) == traj.time_grid.steps + 1
-    # The adjoint's coefficient lookup agrees with a search of the stored
-    # steps at every step: the last stored level at or before it.  With the
-    # clamp inactive, the average of a trajectory with itself is its level.
-    for k in range(traj.time_grid.steps + 1):
-        idx = int(np.searchsorted(traj.stored_steps, k, side="right")) - 1
-        state = coefficient_state((traj, traj), 1e-9, k)
-        assert np.array_equal(state[0], traj.levels[idx, 0])
-        assert np.array_equal(state[1], traj.levels[idx, 1])
+    # With the clamp inactive, the coefficient states the adjoint freezes
+    # are the stored levels exactly.
+    assert np.array_equal(theta_eps(1e-9, traj.levels), traj.levels)
 
 
 def test_manufactured_constant_is_exact():
@@ -532,11 +527,11 @@ def test_explicit_march_checks_each_level_once(monkeypatch):
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
 @pytest.mark.parametrize("bc", [NEU, DIR])
 def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
-    # A stack (B, 2, *grid.shape) holds B independent problems.  Each step's
-    # batched result equals its B unbatched calls bit for bit: the explicit
-    # and transpose steps in 1D and 2D, the implicit ones in 1D, where the
-    # banded solve takes the members as one block-diagonal band.  The
-    # reactions and cross-diffusion are all nonzero and asymmetric.
+    # A stack (B, 2, *grid.shape) holds B independent problems.  The explicit
+    # and transpose steps' batched results equal their B unbatched calls bit
+    # for bit, in 1D and 2D; the implicit steps take one pair only (see the
+    # test below).  The reactions and cross-diffusion are all nonzero and
+    # asymmetric.
     grid = Grid(dim, 1.0, n)
     rng = np.random.default_rng(7 + dim)
     batch = rng.uniform(0.1, 1.5, (4, 2, *grid.shape))
@@ -546,11 +541,6 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
     steps = [lambda w, f: step_explicit(ASYMMETRIC, grid, w, bc, dt, f)]
     steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, state, bc, dt, rhs)
               for rhs in AdjointRHSKind]
-    if dim == 1:
-        steps += [lambda w, f: step_imex(ASYMMETRIC, grid, w, bc, dt, f)]
-        steps += [lambda w, f, rhs=rhs: step_adjoint_backward(ASYMMETRIC, grid, w, state, bc, dt,
-                                                              rhs)
-                  for rhs in AdjointRHSKind]
     for step in steps:
         out = step(batch, forcing)
         assert out.shape == batch.shape
@@ -558,14 +548,16 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
             assert np.array_equal(got, step(member, f))
 
 
-def test_implicit_steps_refuse_a_2d_batch_before_the_solve():
-    grid = Grid(2, 1.0, 8)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_implicit_steps_refuse_a_batch_before_the_solve(dim):
+    grid = Grid(dim, 1.0, 8)
     batch = np.full((3, 2, *grid.shape), 0.5)
     state = np.full((2, *grid.shape), 0.5)
-    with pytest.raises(ValueError, match="batch axes are supported in 1D only"):
+    message = r"an implicit solve takes one stacked pair of shape \(2, 8"
+    with pytest.raises(ValueError, match=message):
         step_imex(CFG_A, grid, batch, NEU, 1e-3)
     for rhs in AdjointRHSKind:
-        with pytest.raises(ValueError, match="batch axes are supported in 1D only"):
+        with pytest.raises(ValueError, match=message):
             step_adjoint_backward(CFG_A, grid, batch, state, NEU, 1e-3, rhs)
 
 

@@ -4,7 +4,7 @@ Each implicit step is compared against reference matrices built here the
 slow, obvious way: the IMEX operator from per-face COO triplets, the
 continuous adjoint operator from ``sp.diags @ lap`` blocks and ``sp.bmat``.
 The operator a step hands to its solver is captured by wrapping the one
-solve path both steps share, ``forward._solve_on_pattern``.
+solve entry point both steps share, ``linalg.solve``.
 """
 
 import numpy as np
@@ -17,14 +17,8 @@ import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
 from sktsim.algebra import CFG_A, jac_P
 from sktsim.forward import step_imex
-from sktsim.grid import (
-    BoundaryCondition,
-    Grid,
-    NumericalFailure,
-    block_pattern,
-    laplacian_matrix,
-)
-from sktsim.linalg import LinearSolveError, krylov_solve, solve_band
+from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, laplacian_matrix
+from sktsim.linalg import LinearSolveError, block_pattern, krylov_solve, solve_band
 from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
@@ -82,14 +76,14 @@ def reference_adjoint(c, grid, state, bc, dt):
 def captured(monkeypatch):
     """Record (operator, b, x), all in stacked [u; v] order, of every implicit solve."""
     calls = []
-    solve = sktsim.forward._solve_on_pattern
+    solve = sktsim.linalg.solve
 
     def recording(pattern, data, b, guess):
         x = solve(pattern, data, b, guess)
         calls.append((pattern.matrix(data).toarray(), b.ravel(), x.ravel()))
         return x
 
-    monkeypatch.setattr(sktsim.forward, "_solve_on_pattern", recording)
+    monkeypatch.setattr(sktsim.linalg, "solve", recording)
     return calls
 
 

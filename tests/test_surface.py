@@ -88,3 +88,26 @@ def test_every_import_is_loaded_or_exported():
                          ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                          if name not in loaded and name not in exported]
     assert not dead, f"imported names their module never loads or exports: {dead}"
+
+
+def test_only_linalg_knows_how_implicit_operators_are_stored_and_solved():
+    # The CSR and band layouts of the implicit operators and the solvers that
+    # take them stay behind sktsim.linalg; grid.weak_norm's solveh_banded is a
+    # different, symmetric solve.
+    private = {"band", "indices", "indptr", "solve_banded", "bicgstab"}
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = (node.asname or node.name).split(".")[-1]
+            else:
+                continue
+            if name in private:
+                leaks.append(f"{path.stem}:{node.lineno}: {name}")
+    assert not leaks, f"solver internals read outside sktsim.linalg: {leaks}"
