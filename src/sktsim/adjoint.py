@@ -21,7 +21,13 @@ both steps take the adjoint level phi and the coefficient state as stacked
 pairs and return the next level stacked like phi, and the march checks each
 new level for finiteness once.  The implicit step solves for one pair
 through :func:`sktsim.linalg.solve`; the explicit one also takes a batch
-of pairs (..., 2, *grid.shape) against one coefficient state.  The terminal
+of pairs (..., 2, *grid.shape) against one coefficient state and refuses
+a step past :func:`sktsim.forward.stability_bound`, the bound of the
+explicit forward step.  Both steps read P, Q and l through the maps of
+:mod:`sktsim.algebra` that the forward steps and the gates call.  A
+coefficient state with a negative density (an IMEX undershoot, which the
+forward march does not clip) raises :class:`NumericalFailure`, so the
+march reports its step and time.  The terminal
 data chi are a stacked pair (2, *grid.shape) on the trajectory's grid,
 which ``run_adjoint`` checks where they enter.  ``run_adjoint``
 marches blocks of levels, computes a block's diagnostics with axis
@@ -43,15 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from sktsim import forward, linalg
-from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q
+from sktsim.algebra import Coefficients, _apply, eval_l, jac_P, jac_Q
 from sktsim.forward import _BLOCK_CELLS, StabilityError, Trajectory
 from sktsim.grid import (
     BoundaryCondition,
     Grid,
-    _extend,
+    NumericalFailure,
     _flat,
     _grid_sums,
-    _lap_stencil,
     h1_norms,
     laplacian,
 )
@@ -98,8 +103,8 @@ def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
                   rhs: AdjointRHSKind) -> tuple[np.ndarray, np.ndarray]:
     """Q(s)^T x and rhs(x) for the flattened coefficient state ``s`` (2, N)
     and adjoint levels ``x`` (..., 2, N)."""
-    q_diag, q_off = _stacked_Q(c, s)
-    src = x if rhs is AdjointRHSKind.IDENTITY else c.columns.growth * x
+    q_diag, q_off = jac_Q(c, s)
+    src = x if rhs is AdjointRHSKind.IDENTITY else eval_l(c, x)
     return _apply(q_diag, q_off[..., ::-1, :], x), src
 
 
@@ -116,12 +121,14 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if np.any(u_tilde_eps < 0.0):
-        raise ValueError("truncated coefficient state must be nonnegative")
+    low = float(np.min(u_tilde_eps))
+    if low < 0.0:
+        # A forward undershoot (IMEX does not clip): the march adds step and time.
+        raise NumericalFailure(f"truncated coefficient state has a negative density {low:.3g}")
     s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
     qt, src = _zeroth_order(c, s, x, rhs)
     b = (x + dt * (src - qt)).reshape(phi.shape)
-    diag, off = _stacked_P(c, s)
+    diag, off = jac_P(c, s)
     # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
     nodal_t = np.concatenate((diag[:1], off[::-1], diag[1:])).ravel()
     pattern = linalg.block_pattern(grid, bc)
@@ -142,8 +149,8 @@ def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde
     the stability bound of the coefficient state.
     """
     s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
-    diag, off = _stacked_P(c, s)
-    bound = forward._row_sum_bound(grid, diag, off)
+    diag, off = jac_P(c, s)
+    bound = forward.stability_bound(grid, diag, off)
     if dt > bound:
         raise StabilityError(dt, bound)
     lap = _flat(laplacian(grid, phi, bc), grid.dim)
@@ -204,7 +211,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
                          f"shape {(2, *grid.shape)} of the trajectory")
     time_grid = traj.time_grid
     dt, tau, steps = time_grid.dt, time_grid.t_final, time_grid.steps
-    h, dim, vol = grid.h, grid.dim, grid.cell_volume
+    dim, vol = grid.dim, grid.cell_volume
     block = max(1, _BLOCK_CELLS // grid.node_count)
 
     # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
@@ -227,7 +234,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
             grid, phi, top, bottom, dt)
         new = levels[:-1]
         energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
-        lap_sq = _lap_stencil(_extend(new, bc, dim), h, dim) ** 2
+        lap_sq = laplacian(grid, new, bc) ** 2
         w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
         weighted[bottom:top] = vol * _grid_sums(w, dim)
         r = _grid_sums(np.abs((levels[1:] - new) / dt) ** (4.0 / 3.0), dim)
@@ -316,7 +323,7 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition, traj: Trajectory,
         sup_h1 = max([0.0] + [math.sqrt(hu ** 2 + hv ** 2)
                               for hu, hv in h1_norms(grid, diff, bc).tolist()])
         # Every level but the top one carries a Laplacian term, summed in step order.
-        lap_sq = _grid_sums(_lap_stencil(_extend(diff[:-1], bc, dim), grid.h, dim) ** 2, dim)
+        lap_sq = _grid_sums(laplacian(grid, diff[:-1], bc) ** 2, dim)
         lap_l2 = math.sqrt(np.cumsum(dt * grid.cell_volume * (lap_sq[:, 0] + lap_sq[:, 1]))[-1])
         inactive = (1.0 / max(eps_a, eps_b)) >= u_max
         rows.append(EpsCauchyRow(eps_coarse=eps_a, eps_fine=eps_b, diff_sup_h1=sup_h1,

@@ -7,13 +7,13 @@ maps.  Everything here is a pure function of its inputs.
 
 Each map is written once, on stacked pairs: arrays of shape (..., 2, N)
 with u and v along the species axis (one pair is an array of shape
-(2, 1)).  The unchecked cores ``_stacked_p``, ``_stacked_P``,
-``_stacked_q``, ``_stacked_reaction`` and ``_stacked_Q`` read
-per-species coefficient columns that each :class:`Coefficients` builds
-once, and compute every element in the order of its scalar formula.  The
-time steps, whose levels the march checks for finiteness, call the cores;
-the public maps (``eval_p``, ``jac_P``, ...) check their input and call
-the same cores, so the gates on them check the formulas the marches run.
+(2, 1)).  The maps ``eval_p``, ``eval_q``, ``eval_l``, ``jac_P`` and
+``jac_Q`` read per-species coefficient columns that each
+:class:`Coefficients` builds once, and compute every element in the order
+of its scalar formula.  The time steps and the gates call the same maps,
+so the gates check the formulas the marches run.  The maps do not scan
+their input: finiteness is checked where data enter the program, by the
+linear solver on its right-hand side, and by the march on each new level.
 A Jacobian is its diagonal (J11, J22) and its off-diagonal (J12, J21),
 each stacked like the state, and :func:`_apply` multiplies it into
 stacked pairs.
@@ -131,9 +131,6 @@ class Coefficients:
         if m > 0.0 and alpha >= m:
             raise ValueError(f"alpha must satisfy 0 < alpha < min(a11, a12, a21, a22) = {m}, got {alpha}")
 
-    def with_alpha(self, alpha: float) -> "Coefficients":
-        return replace(self, alpha=alpha)
-
 
 #: All twelve constants equal to one; the standard desk configuration.
 CFG_A = Coefficients(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -154,72 +151,35 @@ class ConditionReport:
     margins_coef_cond: tuple[float, float]
 
 
-def _require_finite(*values) -> None:
-    for val in values:
-        arr = np.asarray(val, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite input")
-
-
 def eval_p(c: Coefficients, w: np.ndarray) -> np.ndarray:
     """Nonlinear diffusion flux map ((d1 + a11*u + a12*v)*u, (d2 + a21*u + a22*v)*v)
     of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
-    _require_finite(w)
-    return _stacked_p(c, w)
-
-
-def eval_q(c: Coefficients, w: np.ndarray) -> np.ndarray:
-    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v) of the stacked pairs ``w``."""
-    _require_finite(w)
-    return _stacked_q(c, w)
-
-
-def eval_l(c: Coefficients, w: np.ndarray) -> np.ndarray:
-    """Linear growth map (a1*u, a2*v) of the stacked pairs ``w``."""
-    _require_finite(w)
-    return c.columns.growth * w
-
-
-def jac_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian of the diffusion flux map at the stacked pairs ``w``, as its
-    diagonal and off-diagonal (see :func:`_stacked_P`); entries are affine in the state."""
-    _require_finite(w)
-    return _stacked_P(c, w)
-
-
-def jac_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian of the competition map at the stacked pairs ``w``, like :func:`jac_P`."""
-    _require_finite(w)
-    return _stacked_Q(c, w)
-
-
-def _stacked_p(c: Coefficients, w: np.ndarray) -> np.ndarray:
-    """p of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
     k = c.columns
     return (k.d + k.a_u * w[..., :1, :] + k.a_v * w[..., 1:, :]) * w
 
 
-def _stacked_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flux Jacobian P at the stacked pairs ``w`` (..., 2, N) as its
-    diagonal (P11, P22) and its off-diagonal (P12, P21), each stacked like ``w``."""
-    k = c.columns
-    return k.d + k.pd_u * w[..., :1, :] + k.pd_v * w[..., 1:, :], k.p_off * w
-
-
-def _stacked_q(c: Coefficients, w: np.ndarray) -> np.ndarray:
-    """q of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
+def eval_q(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """Competition map ((b1*u + c1*v)*u, (b2*u + c2*v)*v) of the stacked pairs ``w``."""
     k = c.columns
     return (k.b_u * w[..., :1, :] + k.b_v * w[..., 1:, :]) * w
 
 
-def _stacked_reaction(c: Coefficients, w: np.ndarray) -> np.ndarray:
-    """l - q of the stacked pairs ``w`` (..., 2, N), stacked like ``w``."""
-    return c.columns.growth * w - _stacked_q(c, w)
+def eval_l(c: Coefficients, w: np.ndarray) -> np.ndarray:
+    """Linear growth map (a1*u, a2*v) of the stacked pairs ``w``."""
+    return c.columns.growth * w
 
 
-def _stacked_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jac_P(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flux Jacobian P at the stacked pairs ``w`` (..., 2, N) as its
+    diagonal (P11, P22) and its off-diagonal (P12, P21), each stacked like
+    ``w``; entries are affine in the state."""
+    k = c.columns
+    return k.d + k.pd_u * w[..., :1, :] + k.pd_v * w[..., 1:, :], k.p_off * w
+
+
+def jac_Q(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The competition Jacobian Q at the stacked pairs ``w`` as its diagonal
-    (Q11, Q22) and its off-diagonal (Q12, Q21), like :func:`_stacked_P`."""
+    (Q11, Q22) and its off-diagonal (Q12, Q21), like :func:`jac_P`."""
     k = c.columns
     return k.qd_u * w[..., :1, :] + k.qd_v * w[..., 1:, :], k.q_off * w
 
@@ -257,10 +217,9 @@ def quad_form_margin(c: Coefficients, w: np.ndarray, xi: np.ndarray) -> np.ndarr
     nonnegative value certifies the bound at its sample.  Requires a
     physical state (u, v >= 0).
     """
-    _require_finite(w, xi)
     if np.any(w < 0.0):
         raise ValueError("quad_form_margin requires nonnegative densities")
-    p_xi = _apply(*_stacked_P(c, w), xi) * xi
+    p_xi = _apply(*jac_P(c, w), xi) * xi
     xi_sq = xi * xi
     quad = p_xi[..., 0, :] + p_xi[..., 1, :]
     nsq = xi_sq[..., 0, :] + xi_sq[..., 1, :]
@@ -275,8 +234,8 @@ def _state_part_min_eig(c: Coefficients, sigma_u: np.ndarray) -> np.ndarray:
     direction sigma on the simplex {sigma_u + sigma_v = 1}.  Returns
     lambda_min(sym A(sigma)).
     """
-    (a11, a22), (a12, a21) = _stacked_P(replace(c, d1=0.0, d2=0.0),
-                                        np.stack((sigma_u, 1.0 - sigma_u)))
+    (a11, a22), (a12, a21) = jac_P(replace(c, d1=0.0, d2=0.0),
+                                   np.stack((sigma_u, 1.0 - sigma_u)))
     off = 0.5 * (a12 + a21)
     half_tr = 0.5 * (a11 + a22)
     disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + off ** 2, 0.0))
@@ -336,7 +295,7 @@ def inverse_norm_check(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError("inverse_norm_check requires nonnegative densities")
     if not check_conditions(c).holds_coef_cond:
         raise ValueError("inverse_norm_check requires the strict coefficient condition")
-    diag, off = _stacked_P(c, w)
+    diag, off = jac_P(c, w)
     p11, p22, p12, p21 = diag[..., 0, :], diag[..., 1, :], off[..., 0, :], off[..., 1, :]
     # Eigenvalues of P^T P give the singular values.
     g11 = p11 ** 2 + p21 ** 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,7 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
 
     t0 = time.perf_counter()
     alpha = max_alpha(c)
-    ca = c.with_alpha(alpha) if alpha > 0 else c
+    ca = replace(c, alpha=alpha) if alpha > 0 else c
     n_fresh = 1_000_000
     w = rng.uniform(0, 100, (2, n_fresh))
     theta = rng.uniform(0, 2 * np.pi, n_fresh)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_transpose, theta_eps
-from sktsim.algebra import Coefficients, _apply, _stacked_P, _stacked_Q, dual_exponent, eval_l
+from sktsim.algebra import Coefficients, _apply, dual_exponent, eval_l, jac_P, jac_Q
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
 from sktsim.grid import (
     BoundaryCondition,
@@ -118,10 +118,10 @@ def _linearized_difference_step(c: Coefficients, grid: Grid, u_tilde: np.ndarray
     d/dt u_bar = Lap(P(u~) u_bar) - Q(u~) u_bar + l(u_bar).
     """
     s, x = _flat(u_tilde, grid.dim), _flat(u_bar, grid.dim)
-    prod = _apply(*_stacked_P(c, s), x).reshape(u_bar.shape)
+    prod = _apply(*jac_P(c, s), x).reshape(u_bar.shape)
     lap = _flat(laplacian(grid, prod, bc), grid.dim)
-    qx = _apply(*_stacked_Q(c, s), x)
-    return (x + dt * (lap - qx + c.columns.growth * x)).reshape(u_bar.shape)
+    qx = _apply(*jac_Q(c, s), x)
+    return (x + dt * (lap - qx + eval_l(c, x))).reshape(u_bar.shape)
 
 
 def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,

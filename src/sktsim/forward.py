@@ -34,11 +34,11 @@ array and returns the next one, and :func:`_march` checks each new level
 for finiteness once and stores it with one assignment.  The initial data
 and a forcing term are stacked pairs too, so no object is built per step;
 ``run_forward`` checks the initial data once, where they enter.  The steps
-call the unchecked stacked algebra cores (``_stacked_p``, ``_stacked_P``,
-...), the one implementation of the model maps, which the public maps of
-:mod:`sktsim.algebra` wrap in a finiteness check.  The explicit step
-evaluates the flux, its Laplacian, the reactions and the stability bound
-once each, on the whole stacked array.
+call the maps of :mod:`sktsim.algebra` (``eval_p``, ``jac_P``, ...), the
+one implementation of the model maps, which the algebra gates call too.
+The explicit step evaluates the flux, its Laplacian, the reactions l - q
+and the stability bound once each, on the whole stacked array;
+:func:`stability_bound` also serves the transpose adjoint step.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim import linalg
-from sktsim.algebra import Coefficients, _stacked_p, _stacked_P, _stacked_reaction
+from sktsim.algebra import Coefficients, eval_l, eval_p, eval_q, jac_P
 from sktsim.grid import (
     BoundaryCondition,
     FieldPair,
@@ -183,16 +183,10 @@ def _march(advance: Callable[[np.ndarray, int], np.ndarray], grid: Grid, w: np.n
     return levels
 
 
-def stability_bound(c: Coefficients, grid: Grid, w: np.ndarray) -> float:
-    """h^2 / (2 d P_max) with P_max the max nodal row-sum norm of the flux
-    Jacobian P at the stacked pairs ``w`` (see :func:`_row_sum_bound`)."""
-    return _row_sum_bound(grid, *_stacked_P(c, _flat(w, grid.dim)))
-
-
-def _row_sum_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float:
+def stability_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float:
     """h^2 / (2 d P_max) for the flux Jacobian P with diagonal ``diag`` and
-    off-diagonal ``off``: P_max is the largest of the rows |P11| + |P12| and
-    |P21| + |P22| over the nodes."""
+    off-diagonal ``off`` (see :func:`~sktsim.algebra.jac_P`): P_max is the
+    largest of the rows |P11| + |P12| and |P21| + |P22| over the nodes."""
     p_max = float((np.abs(diag) + np.abs(off)).max())
     if p_max == 0.0:
         return math.inf
@@ -207,7 +201,7 @@ def _extended_flux(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondi
     flux identical to the divergence-form operator under both boundary rules.
     """
     ext = _extend(w, bc, grid.dim)
-    return _stacked_p(c, _flat(ext, grid.dim)).reshape(ext.shape)
+    return eval_p(c, _flat(ext, grid.dim)).reshape(ext.shape)
 
 
 def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition, dt: float,
@@ -218,11 +212,12 @@ def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondit
     Refuses with the computed bound when dt exceeds h^2/(2 d P_max) for the
     current state.
     """
-    bound = stability_bound(c, grid, w)
+    s = _flat(w, grid.dim)
+    bound = stability_bound(grid, *jac_P(c, s))
     if dt > bound:
         raise StabilityError(dt, bound)
     lap = _lap_stencil(_extended_flux(c, grid, w, bc), grid.h, grid.dim)
-    new = w + dt * (lap + _stacked_reaction(c, _flat(w, grid.dim)).reshape(w.shape))
+    new = w + dt * (lap + (eval_l(c, s) - eval_q(c, s)).reshape(w.shape))
     if forcing is not None:
         new = new + dt * forcing
     return new
@@ -239,7 +234,7 @@ def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
     average equals the midpoint evaluation and flux differences of the
     quadratic map are reproduced exactly.
     """
-    diag, off = _stacked_P(c, _flat(w, grid.dim))
+    diag, off = jac_P(c, _flat(w, grid.dim))
     # P11, P12, P21, P22 over the nodes: the 4N values pattern.row indexes.
     nodal = np.concatenate((diag[:1], off, diag[1:])).ravel()
     inv_h2 = 1.0 / grid.h ** 2
@@ -263,7 +258,8 @@ def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition,
     Solves (I - dt L_n) x = w + dt (l - q + forcing) with
     :func:`~sktsim.linalg.solve`, which takes one pair only; accuracy O(dt).
     """
-    b = w + dt * _stacked_reaction(c, _flat(w, grid.dim)).reshape(w.shape)
+    s = _flat(w, grid.dim)
+    b = w + dt * (eval_l(c, s) - eval_q(c, s)).reshape(w.shape)
     if forcing is not None:
         b = b + dt * forcing
     pattern = linalg.block_pattern(grid, bc)

@@ -22,7 +22,7 @@ from sktsim.adjoint import (
 )
 from sktsim.algebra import CFG_A, Coefficients
 from sktsim.campaigns import run_campaign
-from sktsim.config import parse_config
+from sktsim.config import parse_config, parse_config_text
 from sktsim.forward import (
     _BLOCK_CELLS,
     ForwardProblem,
@@ -198,7 +198,7 @@ def test_step_adjoint_backward_validates_inputs():
     grid = Grid(1, 1.0, 8)
     phi = constant_pair(grid, 1.0, 1.0)
     bad_state = constant_pair(grid, -1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalFailure, match="negative density -1"):
         step_adjoint_backward(CFG_A, grid, phi, bad_state, NEU, 0.01, AdjointRHSKind.IDENTITY)
     with pytest.raises(ValueError):
         step_adjoint_backward(CFG_A, grid, phi, np.zeros((2, *grid.shape)), NEU,
@@ -335,6 +335,27 @@ def test_adjoint_blowup_raises_numerical_failure_with_step(march):
     assert exc.step == 8
     assert exc.t == pytest.approx(8 * dt)
     assert str(exc).startswith(prefix)
+
+
+def test_forward_undershoot_fails_the_adjoint_naming_the_step():
+    # IMEX does not clip negative densities: with a12 = 10 two offset bumps
+    # drive u below zero at level 1.  The backward step frozen at that level
+    # reports the negative density as a numerical failure of its step.
+    text = (Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg").read_text()
+    for old, new in (("coeff.a12 = 1.0", "coeff.a12 = 10.0"),
+                     ("time.t_final = 0.5", "time.t_final = 0.005"),
+                     ("storage.stride = 10", "storage.stride = 1"),
+                     ("init.u = bump 0.5 0.3 2.0", "init.u = bump 0.3 0.15 2.0"),
+                     ("init.v = bump 0.35 0.25 1.2", "init.v = bump 0.6 0.2 3.0")):
+        text = text.replace(old, new)
+    cfg = parse_config_text(text)
+    traj = run_forward(cfg.forward_problem())
+    assert traj.levels[1].min() < 0.0 <= traj.levels[2:].min()
+    with pytest.raises(NumericalFailure) as err:
+        run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs, cfg.terminal_field())
+    assert err.value.step == 1
+    assert str(err.value).startswith(
+        "step 1 (t=0.001): truncated coefficient state has a negative density -0.0")
 
 
 def test_transpose_adjoint_refuses_an_unstable_coefficient_state():

@@ -259,6 +259,23 @@ def test_cli_failed_linear_solve_exits_three_naming_the_step(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_cli_adjoint_on_a_forward_undershoot_exits_three_naming_the_step(tmp_path, capsys):
+    # Strong cross-diffusion a12 = 10 makes the unclipped IMEX run undershoot
+    # at level 1; the adjoint step frozen there is a numerical failure.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text()
+    for old, new in (("coeff.a12 = 1.0", "coeff.a12 = 10.0"),
+                     ("time.t_final = 0.5", "time.t_final = 0.005"),
+                     ("storage.stride = 10", "storage.stride = 1"),
+                     ("init.u = bump 0.5 0.3 2.0", "init.u = bump 0.3 0.15 2.0"),
+                     ("init.v = bump 0.35 0.25 1.2", "init.v = bump 0.6 0.2 3.0")):
+        text = text.replace(old, new)
+    path = write_cfg(tmp_path, text)
+    assert main(["adjoint", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:3: step 1 (t=0.001): truncated coefficient state has a "
+                          "negative density -0.0")
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_continuous_adjoint_with_overflowing_rhs_fails_with_step(dim):
     # With a1 = 1e200 the right-hand side of the first backward solve is

@@ -15,7 +15,7 @@ from sktsim.adjoint import (
     step_adjoint_transpose,
     theta_eps,
 )
-from sktsim.algebra import CFG_A, Coefficients, eval_p
+from sktsim.algebra import CFG_A, Coefficients, eval_p, jac_P
 from sktsim.forward import (
     _BLOCK_CELLS,
     DIAGNOSTIC_COLUMNS,
@@ -107,7 +107,7 @@ def test_explicit_step_zero_and_constant_states():
 def test_explicit_step_guards_stability():
     grid = Grid(1, 1.0, 32)
     state = constant_pair(grid, 1.0, 1.0)
-    bound = stability_bound(CFG_A, grid, state)
+    bound = stability_bound(grid, *jac_P(CFG_A, state.reshape(2, -1)))
     with pytest.raises(StabilityError) as err:
         step_explicit(CFG_A, grid, state, NEU, 2.0 * bound)
     assert err.value.bound == bound
@@ -177,7 +177,7 @@ def test_imex_temporal_order_via_richardson():
 def test_one_step_scheme_difference_second_order_in_dt():
     grid = Grid(1, 1.0, 32)
     state = bump_pair(grid)
-    dt0 = 0.5 * stability_bound(CFG_A, grid, state)
+    dt0 = 0.5 * stability_bound(grid, *jac_P(CFG_A, state.reshape(2, -1)))
     diffs = []
     for dt in (dt0, dt0 / 2):
         a = step_explicit(CFG_A, grid, state, NEU, dt)
@@ -499,29 +499,22 @@ def test_diagnostics_across_block_boundaries(dim, n, steps, dt, scheme, c, bc):
 
 
 def test_explicit_march_checks_each_level_once(monkeypatch):
-    # The march builds no FieldPair at all, and makes no per-step finiteness
-    # check inside the algebra: _march checks each new level once.
+    # The march builds no FieldPair at all: _march checks each new level
+    # once, as a stacked array.
     grid = Grid(1, 1.0, 64)
     steps = 50
     problem = ForwardProblem(REACTION_FREE, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
                              SchemeKind.EXPLICIT, bump_pair(grid), stride=10)
-    counts = {"scan": 0, "finite": 0}
-    post_init, require_finite = FieldPair.__post_init__, sktsim.algebra._require_finite
+    counts = {"scan": 0}
+    post_init = FieldPair.__post_init__
 
     def counted_post_init(pair):
         counts["scan"] += 1
         post_init(pair)
 
-    def counted_require_finite(*values):
-        counts["finite"] += 1
-        require_finite(*values)
-
     monkeypatch.setattr(FieldPair, "__post_init__", counted_post_init)
-    monkeypatch.setattr(sktsim.algebra, "_require_finite", counted_require_finite)
-    traj = run_forward(problem)
-    blocks = 1 + math.ceil(steps / max(1, _BLOCK_CELLS // grid.node_count))
+    run_forward(problem)
     assert counts["scan"] == 0
-    assert counts["finite"] <= blocks
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
@@ -537,7 +530,8 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
     batch = rng.uniform(0.1, 1.5, (4, 2, *grid.shape))
     forcing = rng.standard_normal(batch.shape)
     state = rng.uniform(0.1, 1.5, (2, *grid.shape))
-    dt = 0.5 * min(stability_bound(ASYMMETRIC, grid, w) for w in (*batch, state))
+    dt = 0.5 * min(stability_bound(grid, *jac_P(ASYMMETRIC, w.reshape(2, -1)))
+                   for w in (*batch, state))
     steps = [lambda w, f: step_explicit(ASYMMETRIC, grid, w, bc, dt, f)]
     steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, state, bc, dt, rhs)
               for rhs in AdjointRHSKind]

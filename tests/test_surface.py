@@ -111,3 +111,16 @@ def test_only_linalg_knows_how_implicit_operators_are_stored_and_solved():
             if name in private:
                 leaks.append(f"{path.stem}:{node.lineno}: {name}")
     assert not leaks, f"solver internals read outside sktsim.linalg: {leaks}"
+
+
+def test_only_algebra_knows_the_coefficient_columns():
+    # Every caller evaluates a model map through sktsim.algebra (eval_l,
+    # jac_P, ...) instead of reading the per-species coefficient columns.
+    leaks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        leaks += [f"{path.stem}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Attribute) and node.attr == "columns"]
+    assert not leaks, f"coefficient columns read outside sktsim.algebra: {leaks}"
