@@ -12,13 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sktsim.campaigns import (
-    campaign_algebra,
-    campaign_dependence,
-    campaign_eps_cauchy,
-    campaign_mms,
-    campaign_uniqueness,
-)
+from sktsim.campaigns import run_campaign
 from sktsim.cli import main
 from sktsim.config import ConfigError, parse_config, parse_config_text
 from sktsim.grid import Grid, read_field, write_field
@@ -31,16 +25,16 @@ def cfg():
     return parse_config(CONFIG_PATH)
 
 
-def _run(campaign, cfg, tmp_path_factory, label):
+def _run(name, cfg, tmp_path_factory, label):
     out = tmp_path_factory.mktemp(label)
     t0 = time.perf_counter()
-    results = campaign(cfg, out)
+    results = run_campaign(name, cfg, out)
     return results, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def algebra_results(cfg, tmp_path_factory):
-    return _run(campaign_algebra, cfg, tmp_path_factory, "algebra")
+    return _run("algebra", cfg, tmp_path_factory, "algebra")
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -74,28 +68,28 @@ def test_criterion_3_positivity_certificate(algebra_results):
 
 
 def test_criterion_4_forward_solver(cfg, tmp_path_factory):
-    results, elapsed = _run(campaign_mms, cfg, tmp_path_factory, "mms")
+    results, elapsed = _run("mms", cfg, tmp_path_factory, "mms")
     ok = all(r.passed for r in results) and elapsed < 120.0
     detail = "; ".join(r.line() for r in results)
     _report(4, ok, f"{detail} [{elapsed:.1f}s, budget 120s]")
 
 
 def test_criterion_5_adjoint_solver(cfg, tmp_path_factory):
-    results, elapsed = _run(campaign_eps_cauchy, cfg, tmp_path_factory, "eps")
+    results, elapsed = _run("eps-cauchy", cfg, tmp_path_factory, "eps")
     ok = all(r.passed for r in results) and elapsed < 120.0
     detail = "; ".join(r.line() for r in results)
     _report(5, ok, f"{detail} [{elapsed:.1f}s, budget 120s]")
 
 
 def test_criterion_6_uniqueness(cfg, tmp_path_factory):
-    results, elapsed = _run(campaign_uniqueness, cfg, tmp_path_factory, "uniq")
+    results, elapsed = _run("uniqueness", cfg, tmp_path_factory, "uniq")
     ok = all(r.passed for r in results) and elapsed < 180.0
     detail = "; ".join(r.line() for r in results)
     _report(6, ok, f"{detail} [{elapsed:.1f}s, budget 180s]")
 
 
 def test_criterion_7_continuous_dependence(cfg, tmp_path_factory):
-    results, elapsed = _run(campaign_dependence, cfg, tmp_path_factory, "dep")
+    results, elapsed = _run("dependence", cfg, tmp_path_factory, "dep")
     ok = all(r.passed for r in results) and elapsed < 120.0
     detail = "; ".join(r.line() for r in results)
     _report(7, ok, f"{detail} [{elapsed:.1f}s, budget 120s]")

@@ -449,6 +449,35 @@ def test_cli_verify_algebra_campaign(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_cli_verify_algebra_passes_on_constants_other_than_one(tmp_path, capsys):
+    # The worked mean-value example is pinned to all-ones constants, so an
+    # admissible config with a12 = 2 passes all four gates.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text().replace("coeff.a12 = 1.0", "coeff.a12 = 2.0")
+    path = write_cfg(tmp_path, text)
+    assert main(["verify", "--config", str(path), "--campaign", "algebra",
+                 "--out", str(tmp_path / "v")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS  ") == 4 and "FAIL" not in out
+
+
+def test_cli_verify_algebra_fails_only_the_certificate_without_coefficient_condition(
+        tmp_path, capsys):
+    # heat_1d has a12 = a21 = 0: no positivity margin to certify, but the
+    # other three gates still run and the campaign exits 4, not 2.
+    out_dir = tmp_path / "v"
+    assert main(["verify", "--config", str(CONFIGS / "heat_1d.cfg"), "--campaign", "algebra",
+                 "--out", str(out_dir)]) == 4
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert [ln.split(":")[0] for ln in lines] == [
+        "PASS  mean-value-identities", "PASS  condition-implication",
+        "FAIL  positivity-certificate", "PASS  jacobian-consistency"]
+    assert "coefficient condition fails: margins" in lines[2]
+    assert "SKT-ERR:4:" in captured.err
+    assert (out_dir / "algebra_checks.csv").read_text().splitlines()[1:] == [
+        "0,1", "1,1", "2,0", "3,1"]
+
+
 def test_cli_report_renders_plot_data(tmp_path):
     path = write_cfg(tmp_path, MINIMAL + "storage.stride = 5\n")
     out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -162,6 +163,20 @@ def test_algebra_gates_fail_on_seeded_defect_in_the_stacked_maps(monkeypatch, tm
 def test_check_result_line_shows_elapsed_time():
     result = CheckResult("mass-conservation", True, "drift 1e-15", elapsed=0.1234)
     assert result.line() == "PASS  mass-conservation: drift 1e-15 (0.12 s)"
+
+
+def test_run_campaign_times_every_gate(tmp_path):
+    # Campaigns yield their verdicts and read no clock; run_campaign gives
+    # each one the time since the previous verdict, so every gate has a
+    # measured time and together they fit inside the call.
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
+    t0 = time.perf_counter()
+    results = run_campaign("dependence", cfg, tmp_path)
+    wall = time.perf_counter() - t0
+    assert [r.name for r in results] == ["weak-norm-slope", "kappa-stability",
+                                         "dual-exponent-table", "product-term-linearity"]
+    assert all(r.elapsed > 0.0 for r in results), [r.line() for r in results]
+    assert sum(r.elapsed for r in results) <= wall
 
 
 def uniq_config(levels=2, base_n=16, T=0.05):

@@ -124,3 +124,18 @@ def test_only_algebra_knows_the_coefficient_columns():
                   for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                   if isinstance(node, ast.Attribute) and node.attr == "columns"]
     assert not leaks, f"coefficient columns read outside sktsim.algebra: {leaks}"
+
+
+def test_only_run_campaign_reads_the_gate_clock():
+    # Campaigns yield their verdicts; run_campaign alone times them, so no
+    # gate prints a default 0.00 s or a time measured from its own start.
+    path = PACKAGE / "campaigns.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    timer = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "run_campaign")
+    allowed = {id(node) for node in ast.walk(timer)}
+    reads = [node.lineno for node in ast.walk(tree)
+             if id(node) not in allowed and "perf_counter" in (
+                 getattr(node, "attr", None), getattr(node, "id", None),
+                 getattr(node, "name", None), getattr(node, "asname", None))]
+    assert not reads, f"campaigns.py reads perf_counter outside run_campaign at lines {reads}"
