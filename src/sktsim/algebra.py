@@ -1,7 +1,7 @@
 """Pointwise algebra of the two-species cross-diffusion model.
 
 Nonlinear maps, their Jacobians, admissibility conditions on the
-coefficients, positivity-margin certificates for the diffusion matrix,
+coefficients, the closed-form positivity margin of the diffusion matrix,
 and the exact midpoint factorizations of differences of the quadratic
 maps.  Everything here is a pure function of its inputs.
 
@@ -22,7 +22,7 @@ stacked pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -226,53 +226,32 @@ def quad_form_margin(c: Coefficients, w: np.ndarray, xi: np.ndarray) -> np.ndarr
     return quad - c.d0 * nsq - c.alpha * (w[..., 0, :] + w[..., 1, :]) * nsq
 
 
-def _state_part_min_eig(c: Coefficients, sigma_u: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetrized state-linear part of P.
-
-    P(s) = diag(d1, d2) + A(s) with A linear in s (P at d1 = d2 = 0), so
-    the quadratic form of A on a state ray depends only on the density
-    direction sigma on the simplex {sigma_u + sigma_v = 1}.  Returns
-    lambda_min(sym A(sigma)).
-    """
-    (a11, a22), (a12, a21) = jac_P(replace(c, d1=0.0, d2=0.0),
-                                   np.stack((sigma_u, 1.0 - sigma_u)))
-    off = 0.5 * (a12 + a21)
-    half_tr = 0.5 * (a11 + a22)
-    disc = np.sqrt(np.maximum(0.25 * (a11 - a22) ** 2 + off ** 2, 0.0))
-    return half_tr - disc
-
-
-def _ray_infimum(c: Coefficients) -> float:
-    """Infimum over density rays and directions of the normalized form of A.
-
-    Dense scan of the closed-form eigenvalue over the density simplex,
-    shaved by the exact Lipschitz bound of the eigenvalue in the scan
-    variable so the returned value never exceeds the true infimum.
-    """
-    n_scan = 65537
-    x = np.linspace(0.0, 1.0, n_scan)
-    lam = _state_part_min_eig(c, x)
-    # lambda_min is 1-Lipschitz in the matrix (Frobenius), and sym A is
-    # affine in x, so |dlam/dx| <= ||S1||_F with S1 the slope matrix.
-    s11 = 2.0 * c.a11 - c.a12
-    s22 = c.a21 - 2.0 * c.a22
-    soff = 0.5 * (c.a12 - c.a21)
-    lip = math.sqrt(s11 ** 2 + s22 ** 2 + 2.0 * soff ** 2)
-    gap = 1.0 / (n_scan - 1)
-    return float(lam.min()) - 0.5 * lip * gap
+def _sym_eig(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half trace and half gap of [[g11, g12], [g12, g22]], whose eigenvalues are half_tr -+ disc."""
+    half_tr = 0.5 * (g11 + g22)
+    disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12 ** 2, 0.0))
+    return half_tr, disc
 
 
 def max_alpha(c: Coefficients) -> float:
-    """Largest positivity margin alpha that the ray infimum certifies.
+    """Largest positivity margin alpha that the coefficients certify.
 
-    P = diag(d1, d2) + A(s) with A linear in s, so (P(s) xi) . xi >=
+    P(s) = diag(d1, d2) + A(s) with A linear in s, so (P(s) xi) . xi >=
     d0 |xi|^2 + alpha (u + v) |xi|^2 holds for every physical state and
     direction exactly when alpha <= lambda_min(sym A(sigma)) for every
-    density direction sigma on the simplex.  Returns the Lipschitz-shaved
-    scan of that infimum (:func:`_ray_infimum`), which never exceeds it,
-    capped just below min(a11, a12, a21, a22) because :class:`Coefficients`
-    requires alpha < min a_ij.  Deterministic; requires the strict
-    coefficient condition.
+    density direction sigma = (t, 1 - t), t in [0, 1].  sym A(sigma) is
+    affine in t and lambda_min is concave on symmetric matrices, so the
+    infimum is attained at t = 1 or t = 0, where sym A is
+    [[2 a11, a12/2], [a12/2, a21]] and [[a12, a21/2], [a21/2, 2 a22]].
+    Their determinants are positive exactly when a12^2 < 8 a11 a21 and
+    a21^2 < 8 a22 a12: the strict coefficient condition, required here,
+    states that both endpoint matrices are positive definite.
+
+    Returns the smaller endpoint eigenvalue, lowered by a bound on its
+    rounding error to first order in the unit roundoff u (one relative error
+    u per operation on exact entries: u half_tr for the sum, 3u disc for the
+    root, u |lambda| for each of two subtractions), and capped just below
+    min a_ij, which :class:`Coefficients` requires of alpha.
     """
     report = check_conditions(c)
     if not report.holds_coef_cond:
@@ -280,7 +259,11 @@ def max_alpha(c: Coefficients) -> float:
             "max_alpha requires the strict coefficient condition "
             "0 < a12^2 < 8 a11 a21 and 0 < a21^2 < 8 a22 a12; "
             f"margins were {report.margins_coef_cond}")
-    return min(_ray_infimum(c), math.nextafter(min(c.a11, c.a12, c.a21, c.a22), 0.0))
+    half_tr, disc = _sym_eig(np.array([2.0 * c.a11, c.a12]), np.array([c.a21, 2.0 * c.a22]),
+                             np.array([0.5 * c.a12, 0.5 * c.a21]))
+    lam = half_tr - disc
+    lam -= 2.0 ** -53 * (half_tr + 3.0 * disc + 2.0 * np.abs(lam))
+    return min(float(lam.min()), math.nextafter(min(c.a11, c.a12, c.a21, c.a22), 0.0))
 
 
 def inverse_norm_check(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,11 +281,7 @@ def inverse_norm_check(c: Coefficients, w: np.ndarray) -> tuple[np.ndarray, np.n
     diag, off = jac_P(c, w)
     p11, p22, p12, p21 = diag[..., 0, :], diag[..., 1, :], off[..., 0, :], off[..., 1, :]
     # Eigenvalues of P^T P give the singular values.
-    g11 = p11 ** 2 + p21 ** 2
-    g22 = p12 ** 2 + p22 ** 2
-    g12 = p11 * p12 + p21 * p22
-    half_tr = 0.5 * (g11 + g22)
-    disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12 ** 2, 0.0))
+    half_tr, disc = _sym_eig(p11 ** 2 + p21 ** 2, p12 ** 2 + p22 ** 2, p11 * p12 + p21 * p22)
     smin_sq = half_tr - disc
     if np.any(smin_sq <= 0.0):
         raise ValueError("singular diffusion matrix; conditions must be violated")

@@ -43,7 +43,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, manufactured_convergence, run_forward
-from sktsim.grid import BoundaryCondition, Grid, h1_norms, inner
+from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 from sktsim.output import write_csv
 
@@ -399,14 +399,22 @@ CAMPAIGNS = {
 
 
 def run_campaign(name: str, cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
-    """Run a campaign, timing each verdict from the previous one (or the start)."""
+    """Run a campaign, timing each verdict from the previous one (or the start).
+
+    A :class:`NumericalFailure` raised by a gate propagates with the verdicts
+    reached before it attached as its ``results``.
+    """
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign '{name}'; available: {sorted(CAMPAIGNS)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     start = time.perf_counter()
-    for verdict in CAMPAIGNS[name](cfg, out_dir):
-        now = time.perf_counter()
-        results.append(replace(verdict, elapsed=now - start))
-        start = now
+    try:
+        for verdict in CAMPAIGNS[name](cfg, out_dir):
+            now = time.perf_counter()
+            results.append(replace(verdict, elapsed=now - start))
+            start = now
+    except NumericalFailure as exc:
+        exc.results = results
+        raise
     return results

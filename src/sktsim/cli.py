@@ -5,7 +5,8 @@
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 invariant
 violation (verify only).  Errors go to stderr with the machine-parsable
-prefix ``SKT-ERR:<code>:``.
+prefix ``SKT-ERR:<code>:``.  A campaign that fails numerically prints the
+gate lines it reached before it exits 3.
 """
 
 from __future__ import annotations
@@ -89,7 +90,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, campaign: str | None) -> int:
     if campaign is None:
         return _fail(ExitStatus.CONFIG_ERROR,
                      f"verify requires --campaign (one of {sorted(CAMPAIGNS)})")
-    results = run_campaign(campaign, cfg, out_dir)
+    try:
+        results = run_campaign(campaign, cfg, out_dir)
+    except NumericalFailure as exc:
+        for result in exc.results:
+            print(result.line())
+        return _fail(ExitStatus.NUMERICAL_FAILURE,
+                     f"campaign '{campaign}' stopped after {len(exc.results)} checks: {exc}")
     for result in results:
         print(result.line())
     if all(r.passed for r in results):

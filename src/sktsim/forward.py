@@ -113,9 +113,6 @@ class TimeGrid:
     def steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 DIAGNOSTIC_COLUMNS = ("step", "t", "mass_u", "mass_v", "min_u", "min_v",
                       "l2_u", "l2_v", "h1_u", "h1_v", "l4_pair",

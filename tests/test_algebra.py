@@ -188,6 +188,32 @@ def test_max_alpha_below_state_part_eigenvalue_on_simplex(c):
     assert max_alpha(c) <= _simplex_min_eig(c, 1_000_000)
 
 
+def test_max_alpha_is_the_cfg_a_infimum_from_below():
+    # On CFG_A the smaller endpoint matrix is [[2, 1/2], [1/2, 1]], whose
+    # smallest eigenvalue 3/2 - 1/sqrt(2) is the infimum.
+    assert 0.0 <= (1.5 - 1.0 / math.sqrt(2.0)) - max_alpha(CFG_A) <= 1e-15
+
+
+@pytest.mark.parametrize("c", [CFG_A, Coefficients(1.0, 7.5, 7.5, 1.0),
+                               Coefficients(2.0, 0.5, 1.5, 0.7, d1=0.3, d2=2.0),
+                               Coefficients(0.4, 1.5, 5.0, 3.0)])
+def test_max_alpha_is_tight_at_the_minimising_endpoint_ray(c):
+    # A margin 1e-9 above max_alpha fails the bound along the endpoint ray
+    # where lambda_min(sym A) is smaller, in its eigenvector, once the ray is
+    # long enough (1e12) that |d1 - d2| cannot mask the deficit.
+    ends = []
+    for x in (0.0, 1.0):
+        diag, off = jac_P(c, pair(x, 1.0 - x))
+        a11, a22 = diag.ravel() - [c.d1, c.d2]
+        sym = 0.5 * off.sum()
+        lam, vec = np.linalg.eigh([[a11, sym], [sym, a22]])
+        ends.append((lam[0], x, vec[:, 0]))
+    _, x, xi = min(ends, key=lambda end: end[0])
+    scale = 1e12
+    tight = replace(c, alpha=max_alpha(c) + 1e-9)
+    assert quad_form_margin(tight, pair(scale * x, scale * (1.0 - x)), pair(*xi)).item() < 0.0
+
+
 def test_max_alpha_capped_below_min_diffusion_coefficient():
     # sym A(sigma) = [[2, 1], [1, 2]] on every ray, so the ray infimum is
     # exactly 1 = min a_ij, which Coefficients does not accept as alpha.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sktsim.adjoint import AdjointRHSKind, run_adjoint
+from sktsim.algebra import max_alpha
 from sktsim.cli import main
 from sktsim.config import ConfigError, PresetSpec, parse_config, parse_config_text
 from sktsim.forward import SchemeKind, Trajectory, run_forward
@@ -138,7 +139,7 @@ def test_cli_check_exits_zero(tmp_path, capsys):
     assert main(["check", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "holds_coef_cond = true" in out
-    assert "max_alpha" in out
+    assert f"max_alpha = {max_alpha(parse_config(path).coefficients):.17g}" in out.splitlines()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -458,6 +459,20 @@ def test_cli_verify_algebra_passes_on_constants_other_than_one(tmp_path, capsys)
                  "--out", str(tmp_path / "v")]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS  ") == 4 and "FAIL" not in out
+
+
+def test_cli_verify_keeps_the_gate_lines_reached_before_a_numerical_failure(tmp_path, capsys):
+    # With a11 = 1000 (admissible) the pinned mass-conservation step exceeds
+    # the explicit stability bound after three gates have passed.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text().replace("coeff.a11 = 1.0", "coeff.a11 = 1000.0")
+    path = write_cfg(tmp_path, text)
+    assert main(["verify", "--config", str(path), "--campaign", "mms",
+                 "--out", str(tmp_path / "v")]) == 3
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert [ln.split(":")[0] for ln in lines] == [
+        "PASS  heat-spatial-order", "PASS  imex-temporal-order", "PASS  mms-full-coupling-order"]
+    assert captured.err.startswith("SKT-ERR:3:") and "'mms'" in captured.err
 
 
 def test_cli_verify_algebra_fails_only_the_certificate_without_coefficient_condition(

@@ -4,9 +4,11 @@ A public name (no leading underscore) defined at the top level of a module
 in ``src/sktsim`` must be loaded, as a name or as an attribute, by program
 code in ``src/sktsim`` outside its own definition.  Imports do not count,
 and neither do the tests: a name only tests call is library surface that no
-command and no gate reaches.  Every name a module's ``__all__`` lists is
-defined or imported by that module, and every name a module imports is
-loaded by it or listed in its ``__all__``.
+command and no gate reaches.  A public method or property of a public
+class must likewise be loaded as an attribute outside its own body.
+Every name a module's ``__all__`` lists is defined or imported by that
+module, and every name a module imports is loaded by it or listed in its
+``__all__``.
 """
 
 import ast
@@ -139,3 +141,31 @@ def test_only_run_campaign_reads_the_gate_clock():
                  getattr(node, "attr", None), getattr(node, "id", None),
                  getattr(node, "name", None), getattr(node, "asname", None))]
     assert not reads, f"campaigns.py reads perf_counter outside run_campaign at lines {reads}"
+
+
+# Reached only from perfbench/workloads.py until the benchmark moves to
+# stacked arrays (ROADMAP item 1), which then deletes it.
+_BENCHMARK_ONLY_METHODS = {"Trajectory.final_state"}
+
+
+def test_every_public_method_is_loaded_by_program_code():
+    # A public method or property of a public class must be loaded as an
+    # attribute by program code in src/sktsim outside its own body; the
+    # module-level check above cannot see a dead method.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    methods = [(cls.name, item) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for item in cls.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not item.name.startswith("_")]
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unreached = set()
+    for cls, method in methods:
+        own = {id(node) for node in ast.walk(method)}
+        if not any(node.attr == method.name and id(node) not in own for node in loads):
+            unreached.add(f"{cls}.{method.name}")
+    assert unreached == _BENCHMARK_ONLY_METHODS, (
+        f"public methods no program code loads: {sorted(unreached - _BENCHMARK_ONLY_METHODS)}; "
+        f"allow-listed but now loaded or gone: {sorted(_BENCHMARK_ONLY_METHODS - unreached)}")
