@@ -132,7 +132,7 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_
     # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
     nodal_t = np.concatenate((diag[:1], off[::-1], diag[1:])).ravel()
     pattern = linalg.block_pattern(grid, bc)
-    data = -dt * nodal_t[pattern.row] * pattern.lap
+    data = -dt * nodal_t.take(pattern.row) * pattern.lap
     data[pattern.ident] += 1.0
     return linalg.solve(pattern, data, b, phi)
 

@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "CFG_A",
+    "CoefficientError",
     "Coefficients",
     "ConditionReport",
     "check_conditions",
@@ -86,6 +87,27 @@ class _SpeciesColumns(NamedTuple):
         return cls(*columns)
 
 
+class CoefficientError(ValueError):
+    """Invalid model constants; ``coefficient`` names the one at fault."""
+
+    def __init__(self, coefficient: str, message: str) -> None:
+        super().__init__(message)
+        self.coefficient = coefficient
+
+
+#: Products of the a_ij in :func:`check_conditions` and :func:`max_alpha`,
+#: each as (label, factor, x, y) for factor * x * y.  Once they are finite,
+#: so is all the arithmetic of both: a12 a21 lies below the larger square,
+#: and (2 a_ii)^2 bounds the squared entry gap of an endpoint matrix in
+#: :func:`max_alpha`.
+_ADMISSIBILITY_PRODUCTS = (
+    ("(2 a11)^2", 4.0, "a11", "a11"), ("(2 a22)^2", 4.0, "a22", "a22"),
+    ("a12^2", 1.0, "a12", "a12"), ("a21^2", 1.0, "a21", "a21"),
+    ("8 a11 a21", 8.0, "a11", "a21"), ("8 a22 a12", 8.0, "a22", "a12"),
+    ("64 a11 a22", 64.0, "a11", "a22"),
+)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Model constants: diffusion a_ij/d_i, competition b_i/c_i, growth a_i.
@@ -95,6 +117,11 @@ class Coefficients:
     smallest cross/self-diffusion entry.  When any a_ij vanishes no positive
     margin can certify the bound, and the stored placeholder value is only
     there to keep downstream trackers well-defined.
+
+    Invalid constants raise :class:`CoefficientError`, naming the one at
+    fault: a negative or non-finite constant, an a_ij whose admissibility
+    products overflow (the larger factor of the product), or alpha (the
+    smallest a_ij when alpha is defaulted).
     """
 
     a11: float
@@ -119,17 +146,26 @@ class Coefficients:
         for name, val in zip(("a11", "a12", "a21", "a22", "b1", "b2", "c1",
                               "c2", "a1", "a2", "d1", "d2"), stored):
             if not math.isfinite(val) or val < 0.0:
-                raise ValueError(f"coefficient {name} must be finite and >= 0, got {val}")
+                raise CoefficientError(name,
+                                       f"coefficient {name} must be finite and >= 0, got {val}")
+        for label, factor, x, y in _ADMISSIBILITY_PRODUCTS:
+            if not math.isfinite(factor * getattr(self, x) * getattr(self, y)):
+                culprit = max(x, y, key=lambda name: getattr(self, name))
+                raise CoefficientError(culprit, f"coefficient product {label} overflows")
         object.__setattr__(self, "d0", min(self.d1, self.d2))
         object.__setattr__(self, "columns", _SpeciesColumns.of(self))
-        m = min(self.a11, self.a12, self.a21, self.a22)
+        entries = {"a11": self.a11, "a12": self.a12, "a21": self.a21, "a22": self.a22}
+        m = min(entries.values())
+        culprit = "alpha"
         if self.alpha is None:
+            culprit = min(entries, key=entries.get)
             object.__setattr__(self, "alpha", 0.5 * m if m > 0.0 else 0.5)
         alpha = self.alpha
         if not math.isfinite(alpha) or alpha <= 0.0:
-            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+            raise CoefficientError(culprit, f"alpha must be finite and > 0, got {alpha}")
         if m > 0.0 and alpha >= m:
-            raise ValueError(f"alpha must satisfy 0 < alpha < min(a11, a12, a21, a22) = {m}, got {alpha}")
+            raise CoefficientError(
+                culprit, f"alpha must satisfy 0 < alpha < min(a11, a12, a21, a22) = {m}, got {alpha}")
 
 
 #: All twelve constants equal to one; the standard desk configuration.

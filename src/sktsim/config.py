@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from sktsim.adjoint import AdjointRHSKind
-from sktsim.algebra import Coefficients
+from sktsim.algebra import CoefficientError, Coefficients
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid
 from sktsim.grid import BoundaryCondition, Grid
 from sktsim.mms import bump_profile
@@ -224,11 +224,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         coeff_kwargs["alpha"] = values["coeff.alpha"]
     try:
         coefficients = Coefficients(**coeff_kwargs)
-    except ValueError as exc:
-        # The values are finite here, so a negative constant is at fault or,
-        # when there is none, the given alpha.
-        key = next((f"coeff.{name}" for name in _COEFF_NAMES if coeff_kwargs[name] < 0),
-                   "coeff.alpha")
+    except CoefficientError as exc:
+        key = f"coeff.{exc.coefficient}"
         raise ConfigError(f"{source}: invalid {key}: {exc} (line {entries[key][1]})")
 
     eps = values.get("adjoint.eps", 1.0)

@@ -235,15 +235,16 @@ def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
     # P11, P12, P21, P22 over the nodes: the 4N values pattern.row indexes.
     nodal = np.concatenate((diag[:1], off, diag[1:])).ravel()
     inv_h2 = 1.0 / grid.h ** 2
-    data = 0.5 * inv_h2 * (nodal[pattern.row] + nodal[pattern.col])
+    data = 0.5 * inv_h2 * (nodal.take(pattern.row) + nodal.take(pattern.col))
     # Each diagonal entry balances its row of the block (zero row sums) ...
     data[pattern.node_diag] = 0.0
     row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
     data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
     # ... except at a Dirichlet wall: the ghost state is the negated interior
     # state, so the face coefficient averages to diag(d1, d2) and the
-    # across-face jump is 2 x_wall.
-    data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
+    # across-face jump is 2 x_wall.  Neumann has no wall faces.
+    if pattern.walls.size:
+        data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
     return data
 
 

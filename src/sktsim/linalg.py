@@ -6,11 +6,18 @@ operators on stacked unknowns [u; v] whose four N x N blocks share the
 sparsity of :func:`~sktsim.grid.laplacian_matrix`.  A step computes its
 operator as CSR values on the cached :func:`block_pattern` of its grid and
 boundary rule and hands them, with one stacked pair (2, *grid.shape) as
-right-hand side, to :func:`solve`.  In 1D the values are scattered into
-LAPACK band storage for a banded direct solve; in 2D the CSR matrix goes to
-scipy's BiCGStab.  The band layout, the band storage and the choice of
-solver live here and nowhere else.  A solution is accepted only at true
-residual ||b - A x|| <= RTOL ||b||, with norms that do not overflow.
+right-hand side, to :func:`solve`.  In 1D the values are scattered straight
+into the band storage of LAPACK ``gbsv`` and solved directly; in 2D the CSR
+matrix goes to scipy's BiCGStab.  The band layout, the band storage and the
+choice of solver live here and nowhere else.  A solution is accepted only at
+true residual ||b - A x|| <= RTOL ||b||, with BLAS ``nrm2`` norms, which
+scale and do not overflow.
+
+A 1D system has bandwidth 3, so its solve costs less in arithmetic than in
+per-call overhead; the LAPACK and BLAS routines are resolved once, here
+at import, and called directly: the same ``dgbsv`` and ``dnrm2`` that
+``scipy.linalg.solve_banded`` and ``scipy.linalg.norm`` call, on the same
+values, without their per-call validation.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dgbmv
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, laplacian_matrix
 
@@ -39,7 +45,9 @@ __all__ = [
 
 RTOL = 1e-10
 
-_norm = functools.partial(scipy.linalg.norm, check_finite=False)  # BLAS nrm2 scales: no overflow
+_gbsv, = get_lapack_funcs(("gbsv",), dtype=np.float64)
+_gbmv, = get_blas_funcs(("gbmv",), dtype=np.float64)
+_norm = get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")  # scales: no overflow
 
 
 class LinearSolveError(NumericalFailure):
@@ -56,12 +64,14 @@ class BlockPattern:
     Per stored entry of block (r, c) at nodes (i, j): ``row`` and ``col`` are
     (2r + c) N + i and (2r + c) N + j, and ``lap`` is Lap[i, j].  ``ident``
     indexes the main-diagonal entries in row order, ``node_diag`` the entries
-    with i == j.  ``walls`` counts each node's Dirichlet wall faces (zero under
-    Neumann).  In 1D, ``band`` is the entry's flat position
-    (3 + 2 (i - j) + r - c) 2N + 2j + c in LAPACK (3, 3) band storage, shape
-    (7, 2N), of the interleaved unknowns [u0, v0, u1, v1, ...]; it is empty
-    in 2D, where the operator has no such band.  The arrays are read-only and
-    shared by every matrix built.
+    with i == j.  ``walls`` counts each node's Dirichlet wall faces; it is
+    empty under Neumann, which has none.  In 1D, with the unknowns interleaved
+    as [u0, v0, u1, v1, ...] (entry (I, J) = (2i + r, 2j + c)), the operator
+    has bandwidth 3, and ``band`` is the entry's flat position 6 + I + 9 J in
+    the column-major (10, 2N) work array of LAPACK ``gbsv`` with kl = ku = 3:
+    row 6 + I - J of column J, below the three rows ``gbsv`` fills in while
+    it factors.  ``band`` is empty in 2D, where the operator has no such band.
+    The arrays are read-only and shared by every matrix built.
     """
 
     shape: tuple[int, ...]
@@ -94,9 +104,8 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
     degree = np.diff(lap.indptr) - 1
     i = np.repeat(np.arange(ncell), degree + 1)[slot]
     j = lap.indices[slot]
-    walls = 2 * grid.dim - degree if bc is BoundaryCondition.DIRICHLET else np.zeros_like(degree)
-    band = ((3 + 2 * (i - j) + block // 2 - block % 2) * 2 * ncell + 2 * j + block % 2
-            if grid.dim == 1 else np.empty(0, int))
+    walls = 2 * grid.dim - degree if bc is BoundaryCondition.DIRICHLET else np.empty(0, int)
+    band = 6 + 2 * i + block // 2 + 9 * (2 * j + block % 2) if grid.dim == 1 else np.empty(0, int)
     arrays = dict(indices=stacked.indices.astype(np.int32), indptr=stacked.indptr.astype(np.int32),
                   row=(block * ncell + i).astype(np.int32), col=(block * ncell + j).astype(np.int32),
                   lap=lap.data[slot],
@@ -143,20 +152,25 @@ def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.nda
     ``data`` on ``pattern``, for the flat stacked pair ``b`` = [u; v].
 
     Interleaving the unknowns as [u0, v0, u1, v1, ...] makes the operator
-    banded with bandwidth 3; ``pattern.band`` scatters ``data`` into that
-    band.  A zero ``b`` returns zeros without a solve.
+    banded with bandwidth 3; ``pattern.band`` scatters ``data`` straight into
+    the work array of LAPACK ``gbsv``, whose seven band rows are kept aside
+    for the residual check (BLAS ``gbmv``).  A zero ``b`` returns zeros
+    without a solve.
     """
     rhs = b.reshape(2, -1).T.ravel()
     b_norm = _rhs_norm(rhs, "banded solve")
     if b_norm == 0.0:
         return np.zeros_like(b)
-    ab = np.zeros((7, rhs.size))
-    ab.reshape(-1)[pattern.band] = data
-    try:
-        x = scipy.linalg.solve_banded((3, 3), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"banded solve: {exc}") from None
-    _check_residual(rhs - dgbmv(rhs.size, rhs.size, 3, 3, 1.0, ab, x), b_norm, "banded solve")
+    work = np.zeros(10 * rhs.size)
+    work[pattern.band] = data
+    ab = work.reshape(rhs.size, 10).T  # column-major (10, 2N), factored in place
+    band = ab[3:].copy(order="F")
+    _, _, x, info = _gbsv(3, 3, ab, rhs, overwrite_ab=True)
+    if info > 0:
+        raise LinearSolveError("banded solve: singular matrix")
+    if info < 0:
+        raise LinearSolveError(f"banded solve: gbsv rejected its argument {-info}")
+    _check_residual(rhs - _gbmv(rhs.size, rhs.size, 3, 3, 1.0, band, x), b_norm, "banded solve")
     return x.reshape(-1, 2).T.ravel()
 
 

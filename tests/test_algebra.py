@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sktsim.algebra import (
     CFG_A,
+    CoefficientError,
     Coefficients,
     check_conditions,
     dual_exponent,
@@ -57,6 +59,19 @@ def test_coefficients_reject_negative_and_nonfinite():
         Coefficients(1, 1, 1, 1, alpha=1.5)
     with pytest.raises(ValueError):
         Coefficients(1, 1, 1, 1, alpha=0.0)
+
+
+@pytest.mark.parametrize("entries,product", [
+    (dict(a11=1e160), "(2 a11)^2"), (dict(a12=1e200), "a12^2"),
+    (dict(a11=5e153, a21=1e154), "8 a11 a21"), (dict(a11=5e153, a22=5e153), "64 a11 a22"),
+])
+def test_coefficients_refuse_overflowing_admissibility_products(entries, product):
+    with pytest.raises(CoefficientError, match=re.escape(f"product {product} overflows")) as info:
+        Coefficients(**{**dict(a11=1.0, a12=1.0, a21=1.0, a22=1.0), **entries})
+    assert info.value.coefficient == max(entries, key=entries.get)
+    # Just inside the guard the admissibility arithmetic stays finite
+    # (a RuntimeWarning fails the test).
+    assert math.isfinite(max_alpha(Coefficients(5e153, 1.0, 1.0, 1.0)))
 
 
 def test_eval_p_worked_examples():

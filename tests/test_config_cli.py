@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sktsim
 from sktsim.adjoint import AdjointRHSKind, run_adjoint
 from sktsim.algebra import max_alpha
 from sktsim.cli import main
@@ -170,6 +174,21 @@ def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("SKT-ERR:2:")
     assert key in err and f"line {lineno})" in err
+
+
+@pytest.mark.parametrize("key,value", [("coeff.a12", "1e200"), ("coeff.a11", "1e308")])
+def test_cli_check_refuses_coefficients_whose_admissibility_products_overflow(
+        tmp_path, key, value):
+    # a12^2 overflowed a Python float (a traceback), and 2 a11 made max_alpha nan.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text().replace(f"{key} = 1.0", f"{key} = {value}")
+    path = write_cfg(tmp_path, text)
+    src = str(Path(sktsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "sktsim.cli", "check", "--config", str(path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("SKT-ERR:2:") and f"invalid {key}: " in out.stderr
+    assert "Traceback" not in out.stderr and "nan" not in out.stdout
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -9,6 +9,7 @@ solve entry point both steps share, ``linalg.solve``.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import sktsim.adjoint
@@ -148,6 +149,41 @@ def test_fine_1d_steps_solve_to_residual(captured):
     # n = 1024 with dt = 1e-3 (dt/h^2 ~ 1e3) defeated the unpreconditioned
     # Krylov solver; the banded direct solve must meet the residual bound.
     steps_solve_reference_operators(captured, Grid(1, 1.0, 1024), NEU)
+
+
+def reference_band_solve(A, b):
+    """``scipy.linalg.solve_banded`` on the dense operator ``A`` and the
+    right-hand side ``b``, both in stacked [u; v] order, with the unknowns
+    interleaved as [u0, v0, u1, v1, ...], where the bandwidth is 3."""
+    order = np.arange(b.size).reshape(2, -1).T.ravel()
+    A, b = A[np.ix_(order, order)], b[order]
+    rows, cols = np.nonzero(A)
+    assert np.all(np.abs(rows - cols) <= 3)
+    ab = np.zeros((7, b.size))
+    ab[3 + rows - cols, cols] = A[rows, cols]
+    x = scipy.linalg.solve_banded((3, 3), ab, b)
+    return x.reshape(-1, 2).T.ravel()
+
+
+@pytest.mark.parametrize("n", [6, 64])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_1d_solves_equal_scipy_solve_banded_bitwise(captured, n, bc):
+    # solve_band calls the gbsv that solve_banded wraps, on the same band.
+    grid = Grid(1, 1.0, n)
+    state = bump_state(grid)
+    step_imex(CFG_A, grid, state, bc, DT)
+    step_adjoint_backward(CFG_A, grid, np.stack((np.cos(state[0]), state[1] ** 2)), state, bc,
+                          DT, AdjointRHSKind.GROWTH)
+    assert len(captured) == 2
+    for A, b, x in captured:
+        assert np.array_equal(x, reference_band_solve(A, b))
+
+
+def test_solver_norm_equals_scipy_norm_bitwise():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(128)
+    for w in (v, 1e-200 * v, 1e200 * v, np.zeros(128), v[:1]):
+        assert sktsim.linalg._norm(w) == scipy.linalg.norm(w)
 
 
 def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
