@@ -283,11 +283,20 @@ def max_alpha(c: Coefficients) -> float:
     a21^2 < 8 a22 a12: the strict coefficient condition, required here,
     states that both endpoint matrices are positive definite.
 
-    Returns the smaller endpoint eigenvalue, lowered by a bound on its
-    rounding error to first order in the unit roundoff u (one relative error
-    u per operation on exact entries: u half_tr for the sum, 3u disc for the
-    root, u |lambda| for each of two subtractions), and capped just below
-    min a_ij, which :class:`Coefficients` requires of alpha.
+    The smaller eigenvalue of [[g11, g12], [g12, g22]] is taken as
+    det / lambda_max, det = g11 g22 - g12^2 and lambda_max = half_tr + disc,
+    since half_tr - disc cancels when one entry dwarfs the others.  Each
+    endpoint matrix is first scaled by a power of two (exactly) to a largest
+    entry in [1/2, 1), so that det neither underflows nor overflows.  The
+    result is lowered by a bound on its rounding error to first order in the
+    unit roundoff u, with one relative error u per operation on exact
+    entries: u (g11 g22 + g12^2 + |det|) for det; u (half_tr + 3 disc +
+    lambda_max) for lambda_max (the sum, the root, their sum), whose
+    relative error carries over to the quotient; u |lambda| for the division
+    and u |lambda| for the final subtraction.  In all, u ((g11 g22 + g12^2 +
+    |lambda| (half_tr + 3 disc)) / lambda_max + 4 |lambda|).  The result is
+    capped just below min a_ij, which :class:`Coefficients` requires of
+    alpha.
     """
     report = check_conditions(c)
     if not report.holds_coef_cond:
@@ -295,10 +304,16 @@ def max_alpha(c: Coefficients) -> float:
             "max_alpha requires the strict coefficient condition "
             "0 < a12^2 < 8 a11 a21 and 0 < a21^2 < 8 a22 a12; "
             f"margins were {report.margins_coef_cond}")
-    half_tr, disc = _sym_eig(np.array([2.0 * c.a11, c.a12]), np.array([c.a21, 2.0 * c.a22]),
-                             np.array([0.5 * c.a12, 0.5 * c.a21]))
-    lam = half_tr - disc
-    lam -= 2.0 ** -53 * (half_tr + 3.0 * disc + 2.0 * np.abs(lam))
+    ends = np.array([[2.0 * c.a11, c.a21, 0.5 * c.a12], [c.a12, 2.0 * c.a22, 0.5 * c.a21]])
+    _, exponent = np.frexp(ends.max(axis=1))
+    g11, g22, g12 = np.ldexp(ends, -exponent[:, None]).T
+    half_tr, disc = _sym_eig(g11, g22, g12)
+    lam_max = half_tr + disc
+    g11g22, g12g12 = g11 * g22, g12 * g12
+    lam = (g11g22 - g12g12) / lam_max
+    lam -= 2.0 ** -53 * ((g11g22 + g12g12 + np.abs(lam) * (half_tr + 3.0 * disc)) / lam_max
+                         + 4.0 * np.abs(lam))
+    lam = np.ldexp(lam, exponent)
     return min(float(lam.min()), math.nextafter(min(c.a11, c.a12, c.a21, c.a22), 0.0))
 
 

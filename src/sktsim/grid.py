@@ -286,10 +286,8 @@ def write_field(path: str | Path, grid: Grid, w: np.ndarray) -> None:
     float64 exactly.
     """
     lines = [f"{_FIELD_HEADER}, d={grid.dim}, N={grid.n}, h={grid.h:.17g}"]
-    for block in w:
-        rows = block.reshape(grid.n, -1)
-        for row in rows:
-            lines.append(" ".join(f"{val:.17g}" for val in row))
+    fmt = "{:.17g}".format
+    lines += [" ".join(map(fmt, row)) for row in w.reshape(2 * grid.n, -1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

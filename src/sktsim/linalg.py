@@ -8,10 +8,12 @@ operator as CSR values on the cached :func:`block_pattern` of its grid and
 boundary rule and hands them, with one stacked pair (2, *grid.shape) as
 right-hand side, to :func:`solve`.  In 1D the values are scattered straight
 into the band storage of LAPACK ``gbsv`` and solved directly; in 2D the CSR
-matrix goes to scipy's BiCGStab.  The band layout, the band storage and the
-choice of solver live here and nowhere else.  A solution is accepted only at
-true residual ||b - A x|| <= RTOL ||b||, with BLAS ``nrm2`` norms, which
-scale and do not overflow.
+matrix goes to scipy's BiCGStab, preconditioned by the mean-coefficient
+operator (I - dt pbar_r Lap)^-1 of each species r, which the Laplacian's
+eigenbasis inverts exactly (Concus & Golub 1973).  The band layout, the band
+storage, the eigenbasis and the choice of solver live here and nowhere else.
+A solution is accepted only at true residual ||b - A x|| <= RTOL ||b||, with
+BLAS ``nrm2`` norms, which scale and do not overflow.
 
 A 1D system has bandwidth 3, so its solve costs less in arithmetic than in
 per-call overhead; the LAPACK and BLAS routines are resolved once, here
@@ -23,7 +25,9 @@ values, without their per-call validation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +75,12 @@ class BlockPattern:
     the column-major (10, 2N) work array of LAPACK ``gbsv`` with kl = ku = 3:
     row 6 + I - J of column J, below the three rows ``gbsv`` fills in while
     it factors.  ``band`` is empty in 2D, where the operator has no such band.
-    The arrays are read-only and shared by every matrix built.
+    In 2D, ``lap_eigvecs`` holds the orthonormal eigenvectors V (columns) of
+    the 1D Laplacian on (grid.length, grid.n, bc) and ``lap_eigvals`` the
+    eigenvalues mu[k, l] = sigma_k + sigma_l of -Lap on the modes V[:, k] x
+    V[:, l], so that -Lap R = V ((V^T R V) * mu) V^T for a field R (n, n);
+    both are empty in 1D.  The arrays are read-only and shared by every matrix
+    built.
     """
 
     shape: tuple[int, ...]
@@ -84,6 +93,8 @@ class BlockPattern:
     node_diag: np.ndarray
     walls: np.ndarray
     band: np.ndarray
+    lap_eigvecs: np.ndarray
+    lap_eigvals: np.ndarray
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         size = self.indptr.size - 1
@@ -105,12 +116,20 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
     i = np.repeat(np.arange(ncell), degree + 1)[slot]
     j = lap.indices[slot]
     walls = 2 * grid.dim - degree if bc is BoundaryCondition.DIRICHLET else np.empty(0, int)
-    band = 6 + 2 * i + block // 2 + 9 * (2 * j + block % 2) if grid.dim == 1 else np.empty(0, int)
+    if grid.dim == 1:
+        band = 6 + 2 * i + block // 2 + 9 * (2 * j + block % 2)
+        eigvecs = eigvals = np.empty((0, 0))
+    else:
+        band = np.empty(0, int)
+        lap1 = laplacian_matrix(Grid(1, grid.length, grid.n), bc)
+        sigma, eigvecs = np.linalg.eigh(-lap1.toarray())
+        eigvals = sigma[:, None] + sigma[None, :]
     arrays = dict(indices=stacked.indices.astype(np.int32), indptr=stacked.indptr.astype(np.int32),
                   row=(block * ncell + i).astype(np.int32), col=(block * ncell + j).astype(np.int32),
                   lap=lap.data[slot],
                   ident=np.flatnonzero((i == j) & (block % 3 == 0)),
-                  node_diag=np.flatnonzero(i == j), walls=walls.astype(float), band=band)
+                  node_diag=np.flatnonzero(i == j), walls=walls.astype(float), band=band,
+                  lap_eigvecs=eigvecs, lap_eigvals=eigvals)
     for arr in arrays.values():
         arr.flags.writeable = False
     return BlockPattern(shape=(2, *grid.shape), **arrays)
@@ -120,17 +139,41 @@ def solve(pattern: BlockPattern, data: np.ndarray, b: np.ndarray,
           guess: np.ndarray) -> np.ndarray:
     """Solve the implicit system with values ``data`` on ``pattern`` for one
     stacked pair ``b`` (2, *grid.shape): :func:`solve_band` in 1D, and
-    :func:`krylov_solve` from the stacked ``guess`` in 2D.  Anything but one
-    pair, a batch included, raises ``ValueError``.  Returns x stacked like
-    ``b``."""
+    :func:`krylov_solve` from the stacked ``guess``, preconditioned by
+    :func:`_mean_preconditioner`, in 2D.  Anything but one pair, a batch
+    included, raises ``ValueError``.  Returns x stacked like ``b``."""
     if b.shape != pattern.shape:
         raise ValueError(f"an implicit solve takes one stacked pair of shape {pattern.shape}, "
                          f"got {b.shape}")
     if pattern.band.size:
         x = solve_band(pattern, data, b.reshape(-1))
     else:
-        x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1))
+        x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1),
+                         _mean_preconditioner(pattern, data))
     return x.reshape(b.shape)
+
+
+def _mean_preconditioner(pattern: BlockPattern,
+                         data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> M y for a 2D operator with values ``data`` on ``pattern``, where
+    M = (I - dt pbar_r Lap)^-1 on species r.
+
+    Both implicit operators have main diagonal 1 - dt P_rr(i) Lap[i, i] (the
+    IMEX one with face-averaged P_rr), so dt pbar_r, the Lap-weighted mean of
+    dt P_rr, is read off that diagonal and floored at 0, where M exists.  M is
+    applied exactly in the Laplacian's eigenbasis: four n x n matmuls per
+    species.
+    """
+    ncell = pattern.ident.size // 2
+    excess = (data[pattern.ident] - 1.0).reshape(2, ncell).sum(axis=1)
+    dt_pbar = np.maximum(excess / -pattern.lap[pattern.ident[:ncell]].sum(), 0.0)
+    gain = 1.0 / (1.0 + dt_pbar[:, None, None] * pattern.lap_eigvals)
+    vecs = pattern.lap_eigvecs
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        modes = vecs.T @ y.reshape(pattern.shape) @ vecs
+        return (vecs @ (modes * gain) @ vecs.T).ravel()
+    return apply
 
 
 def _rhs_norm(b: np.ndarray, method: str) -> float:
@@ -174,17 +217,30 @@ def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.nda
     return x.reshape(-1, 2).T.ravel()
 
 
-def krylov_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """scipy BiCGStab to RTOL, at most max(20, 10 sqrt(n)) iterations.
+def krylov_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
+                 precondition: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """scipy BiCGStab to RTOL, at most max(20, 10 sqrt(n)) iterations in all,
+    preconditioned by ``precondition`` (y -> M y).
 
     The system is scaled to ||b|| = 1 so that scipy's absolute breakdown
     thresholds and its own norm of b cannot misfire on tiny or huge data.
+    BiCGStab's recurrence residual can drift from the true one; when it
+    reports a convergence that the true residual misses, it restarts from
+    its iterate while iterations are left.
     """
     b_norm = _rhs_norm(b, "BiCGStab")
     if b_norm == 0.0:
         return np.zeros_like(b)
-    y, _ = spla.bicgstab(A, b / b_norm, x0=x0 / b_norm, rtol=RTOL, atol=0.0,
-                         maxiter=max(20, math.ceil(10.0 * math.sqrt(b.size))))
-    x = y * b_norm
-    _check_residual(b - A @ x, b_norm, "BiCGStab")
+    M = spla.LinearOperator(A.shape, matvec=precondition)
+    y, budget = x0 / b_norm, max(20, math.ceil(10.0 * math.sqrt(b.size)))
+    while True:
+        iterations = itertools.count(1)
+        y, info = spla.bicgstab(A, b / b_norm, x0=y, rtol=RTOL, atol=0.0, maxiter=budget, M=M,
+                                callback=lambda _: next(iterations))
+        x = y * b_norm
+        residual = b - A @ x
+        budget -= next(iterations)
+        if info != 0 or budget <= 0 or _norm(residual) <= RTOL * b_norm:
+            break
+    _check_residual(residual, b_norm, "BiCGStab")
     return x

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 from dataclasses import replace
@@ -227,6 +228,32 @@ def test_max_alpha_is_tight_at_the_minimising_endpoint_ray(c):
     scale = 1e12
     tight = replace(c, alpha=max_alpha(c) + 1e-9)
     assert quad_form_margin(tight, pair(scale * x, scale * (1.0 - x)), pair(*xi)).item() < 0.0
+
+
+def _endpoint_min_eig_exact(c):
+    """The smaller endpoint eigenvalue in 60-digit decimal arithmetic, as
+    2 det / (tr + sqrt(tr^2 - 4 det)), which does not cancel."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        lams = []
+        for g11, g22, g12 in ((2 * c.a11, c.a21, c.a12 / 2), (c.a12, 2 * c.a22, c.a21 / 2)):
+            g11, g22, g12 = (decimal.Decimal(x) for x in (g11, g22, g12))
+            tr, det = g11 + g22, g11 * g22 - g12 * g12
+            lams.append(2 * det / (tr + (tr * tr - 4 * det).sqrt()))
+        return min(lams)
+
+
+@pytest.mark.parametrize("c", [Coefficients(1e17, 1.0, 1.0, 1.0), Coefficients(1e153, 1.0, 1.0, 1.0),
+                               Coefficients(1e17, 1.0, 0.5, 1.0), Coefficients(1e153, 1.0, 0.5, 1.0),
+                               Coefficients(1e-160, 1e-160, 1e-160, 1e-160)])
+def test_max_alpha_is_accurate_on_badly_scaled_coefficients(c):
+    # half_tr - disc cancelled on the first four: a11 = 1e17 gave -44.4 and
+    # a11 = 1e153 gave -4.4e137.  With a21 = 1 the infimum lies at the
+    # well-scaled endpoint (0.79289...), with a21 = 0.5 at the badly scaled
+    # one (just below 1/2).  On the last, det ~ 1e-320 would lose its digits
+    # to underflow without the power-of-two scaling.
+    exact = _endpoint_min_eig_exact(c)
+    alpha = decimal.Decimal(max_alpha(c))
+    assert 0 <= exact - alpha <= decimal.Decimal(1e-15) * exact
 
 
 def test_max_alpha_capped_below_min_diffusion_coefficient():

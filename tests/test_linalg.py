@@ -7,6 +7,9 @@ The operator a step hands to its solver is captured by wrapping the one
 solve entry point both steps share, ``linalg.solve``.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,10 +20,11 @@ import sktsim.forward
 import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
 from sktsim.algebra import CFG_A, jac_P
+from sktsim.config import parse_config_text
 from sktsim.forward import step_imex
 from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, laplacian_matrix
 from sktsim.linalg import LinearSolveError, block_pattern, krylov_solve, solve_band
-from sktsim.mms import bump_profile
+from sktsim.mms import bump_profile, heat_limit_coefficients
 
 NEU = BoundaryCondition.NEUMANN
 DIR = BoundaryCondition.DIRICHLET
@@ -186,6 +190,73 @@ def test_solver_norm_equals_scipy_norm_bitwise():
         assert sktsim.linalg._norm(w) == scipy.linalg.norm(w)
 
 
+@pytest.fixture
+def captured_sparse(monkeypatch):
+    """Record (pattern, data, b, x) of every implicit solve, keeping the
+    operator as its values on the pattern (a fine 2D operator is too large to
+    densify)."""
+    calls = []
+    solve = sktsim.linalg.solve
+
+    def recording(pattern, data, b, guess):
+        x = solve(pattern, data, b, guess)
+        calls.append((pattern, data, b, x))
+        return x
+
+    monkeypatch.setattr(sktsim.linalg, "solve", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 96, 128])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_2d_steps_solve_at_unit_dt(captured_sparse, n, bc):
+    # Plain BiCGStab missed the residual bound in one step or both in each
+    # of these cases; dt = 1 puts dt/h^2 at 4e3 to 1.6e4.  The state is the
+    # campaigns' desk data plus 0.1.
+    coefficients = parse_config_text(
+        (Path(__file__).resolve().parent.parent / "configs" / "cfg_a_2d.cfg").read_text(),
+        source="cfg_a_2d").coefficients
+    grid = Grid(2, 1.0, n)
+    state = 0.3 + np.stack((bump_profile(grid, 0.5, 0.3, 1.0), bump_profile(grid, 0.4, 0.25, 0.6)))
+    step_imex(coefficients, grid, state, bc, 1.0)
+    step_adjoint_backward(coefficients, grid, state, state, bc, 1.0, AdjointRHSKind.GROWTH)
+    assert len(captured_sparse) == 2
+    for pattern, data, b, x in captured_sparse:
+        residual = b.ravel() - pattern.matrix(data) @ x.ravel()
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+
+
+def preconditioned_heat_operator(monkeypatch, bc, pattern_of=None):
+    """(x, M A x) for a seeded stacked pair x, where A is the 2D IMEX operator
+    of the heat limit on ``bc`` and M the preconditioner the solve builds,
+    on ``pattern_of(pattern)`` when given."""
+    solves = []
+    monkeypatch.setattr(sktsim.linalg, "solve", lambda *args: solves.append(args) or args[2])
+    grid = Grid(2, 1.0, 16)
+    step_imex(heat_limit_coefficients(), grid, bump_state(grid), bc, 0.01)
+    (pattern, data, _, _), = solves
+    x = np.random.default_rng(11).standard_normal(pattern.shape).ravel()
+    precondition = sktsim.linalg._mean_preconditioner(
+        pattern if pattern_of is None else pattern_of(pattern), data)
+    return x, precondition(pattern.matrix(data) @ x)
+
+
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_preconditioner_inverts_the_heat_limit_operator(monkeypatch, bc):
+    # P = I is constant, so the IMEX operator is I - dt Lap, the mean-coefficient
+    # operator itself, and the preconditioner is its exact inverse.
+    x, y = preconditioned_heat_operator(monkeypatch, bc)
+    assert float(np.max(np.abs(y - x))) <= 1e-12 * float(np.max(np.abs(x)))
+
+
+def test_preconditioner_check_fails_on_the_wrong_wall_basis(monkeypatch):
+    neumann = block_pattern(Grid(2, 1.0, 16), NEU)
+    x, y = preconditioned_heat_operator(
+        monkeypatch, DIR, lambda pattern: dataclasses.replace(
+            pattern, lap_eigvecs=neumann.lap_eigvecs, lap_eigvals=neumann.lap_eigvals))
+    assert float(np.max(np.abs(y - x))) > 1e-3 * float(np.max(np.abs(x)))
+
+
 def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
     n = 6
     pattern = block_pattern(Grid(1, 1.0, n), NEU)
@@ -211,12 +282,13 @@ def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
 def test_krylov_solve_is_scale_invariant_and_rejects_overflow():
     A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(50, 50), format="csr")
     b = np.linspace(1.0, 2.0, 50)
-    x = krylov_solve(A, b, np.zeros(50))
+    identity = np.copy
+    x = krylov_solve(A, b, np.zeros(50), identity)
     for scale in (1e-200, 1e200):  # the norm of b alone overflows or underflows
-        assert np.allclose(krylov_solve(A, scale * b, np.zeros(50)) / scale, x, rtol=1e-9)
-    assert np.array_equal(krylov_solve(A, np.zeros(50), np.ones(50)), np.zeros(50))
+        assert np.allclose(krylov_solve(A, scale * b, np.zeros(50), identity) / scale, x, rtol=1e-9)
+    assert np.array_equal(krylov_solve(A, np.zeros(50), np.ones(50), identity), np.zeros(50))
     with pytest.raises(LinearSolveError, match="non-finite"):
-        krylov_solve(A, np.full(50, np.inf), np.zeros(50))
+        krylov_solve(A, np.full(50, np.inf), np.zeros(50), identity)
 
 
 def test_linear_solve_error_is_a_numerical_failure():

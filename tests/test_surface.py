@@ -93,12 +93,13 @@ def test_every_import_is_loaded_or_exported():
 
 
 def test_only_linalg_knows_how_implicit_operators_are_stored_and_solved():
-    # The CSR and band layouts of the implicit operators, the solvers that
-    # take them and the LAPACK and BLAS handles they call stay behind
+    # The CSR and band layouts of the implicit operators, the Laplacian
+    # eigenbasis that preconditions them, the solvers that take them and the
+    # LAPACK and BLAS handles they call stay behind
     # sktsim.linalg; grid.weak_norm's solveh_banded is a different, symmetric
     # solve.
     private = {"band", "indices", "indptr", "solve_banded", "bicgstab", "gbsv", "gbmv", "dgbmv",
-               "nrm2", "get_lapack_funcs", "get_blas_funcs"}
+               "nrm2", "get_lapack_funcs", "get_blas_funcs", "lap_eigvecs", "lap_eigvals"}
     leaks = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "linalg.py":
