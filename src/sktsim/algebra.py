@@ -112,11 +112,16 @@ _ADMISSIBILITY_PRODUCTS = (
 class Coefficients:
     """Model constants: diffusion a_ij/d_i, competition b_i/c_i, growth a_i.
 
-    ``d0 = min(d1, d2)`` and the species columns ``columns`` are derived.  ``alpha`` is the positivity margin used
-    in the quadratic-form lower bound; if not given it defaults to half the
-    smallest cross/self-diffusion entry.  When any a_ij vanishes no positive
-    margin can certify the bound, and the stored placeholder value is only
-    there to keep downstream trackers well-defined.
+    ``d0 = min(d1, d2)``, the species columns ``columns`` and
+    ``has_reactions`` are derived; no caller sets them.  ``has_reactions``
+    is False exactly when the six reaction constants a1, a2, b1, b2, c1 and
+    c2 are all +0.0.  Then l - q is a signed zero at every node, adding it
+    to the flux Laplacian changes no bit of a level, and the forward steps
+    skip it.  ``alpha`` is the positivity margin used in the quadratic-form
+    lower bound; if not given it defaults to half the smallest
+    cross/self-diffusion entry.  When any a_ij vanishes no positive margin
+    can certify the bound, and the stored placeholder value is only there
+    to keep downstream trackers well-defined.
 
     Invalid constants raise :class:`CoefficientError`, naming the one at
     fault: a negative or non-finite constant, an a_ij whose admissibility
@@ -139,6 +144,7 @@ class Coefficients:
     alpha: float | None = None
     d0: float = field(init=False)
     columns: _SpeciesColumns = field(init=False, repr=False, compare=False)
+    has_reactions: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         stored = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2,
@@ -154,6 +160,11 @@ class Coefficients:
                 raise CoefficientError(culprit, f"coefficient product {label} overflows")
         object.__setattr__(self, "d0", min(self.d1, self.d2))
         object.__setattr__(self, "columns", _SpeciesColumns.of(self))
+        # -0.0 counts as a reaction: its signed-zero products could flip
+        # the sign of a zero in a level.
+        object.__setattr__(self, "has_reactions", any(
+            val != 0.0 or math.copysign(1.0, val) < 0.0
+            for val in (self.a1, self.a2, self.b1, self.b2, self.c1, self.c2)))
         entries = {"a11": self.a11, "a12": self.a12, "a21": self.a21, "a22": self.a22}
         m = min(entries.values())
         culprit = "alpha"

@@ -47,7 +47,7 @@ from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inn
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 from sktsim.output import write_csv
 
-__all__ = ["CAMPAIGNS", "CheckResult", "run_campaign"]
+__all__ = ["CAMPAIGNS", "GATES", "CheckResult", "run_campaign"]
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -397,12 +397,29 @@ CAMPAIGNS = {
     "eps-cauchy": campaign_eps_cauchy,
 }
 
+#: The gates of each campaign in the order it yields their verdicts.  A
+#: verdict comes only when its gate ends, so this names the gate that was
+#: running when a campaign raises.
+GATES = {
+    "algebra": ("mean-value-identities", "condition-implication", "positivity-certificate",
+                "jacobian-consistency"),
+    "mms": ("heat-spatial-order", "imex-temporal-order", "mms-full-coupling-order",
+            "mass-conservation"),
+    "uniqueness": ("pairing-refinement", "summation-by-parts", "scalar-reduction",
+                   "exact-transpose-duality"),
+    "dependence": ("weak-norm-slope", "kappa-stability", "dual-exponent-table",
+                   "product-term-linearity"),
+    "eps-cauchy": ("exponential-oracle", "kappa-eps-independence", "gronwall-telescoping",
+                   "eps-cauchy-exact-zero", "truncation-blend"),
+}
+
 
 def run_campaign(name: str, cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
     """Run a campaign, timing each verdict from the previous one (or the start).
 
     A :class:`NumericalFailure` raised by a gate propagates with the verdicts
-    reached before it attached as its ``results``.
+    reached before it attached as its ``results`` and the name of the gate
+    that raised it as its ``gate``.
     """
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign '{name}'; available: {sorted(CAMPAIGNS)}")
@@ -415,6 +432,6 @@ def run_campaign(name: str, cfg: RunConfig, out_dir: Path) -> list[CheckResult]:
             results.append(replace(verdict, elapsed=now - start))
             start = now
     except NumericalFailure as exc:
-        exc.results = results
+        exc.results, exc.gate = results, GATES[name][len(results)]
         raise
     return results

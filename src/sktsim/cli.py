@@ -6,7 +6,8 @@
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 invariant
 violation (verify only).  Errors go to stderr with the machine-parsable
 prefix ``SKT-ERR:<code>:``.  A campaign that fails numerically prints the
-gate lines it reached before it exits 3.
+gate lines it reached before it exits 3 with a message that names the gate
+that failed.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, campaign: str | None) -> int:
         for result in exc.results:
             print(result.line())
         return _fail(ExitStatus.NUMERICAL_FAILURE,
-                     f"campaign '{campaign}' stopped after {len(exc.results)} checks: {exc}")
+                     f"campaign '{campaign}' stopped after {len(exc.results)} checks, "
+                     f"in gate '{exc.gate}': {exc}")
     for result in results:
         print(result.line())
     if all(r.passed for r in results):

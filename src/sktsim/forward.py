@@ -36,9 +36,14 @@ and a forcing term are stacked pairs too, so no object is built per step;
 ``run_forward`` checks the initial data once, where they enter.  The steps
 call the maps of :mod:`sktsim.algebra` (``eval_p``, ``jac_P``, ...), the
 one implementation of the model maps, which the algebra gates call too.
-The explicit step evaluates the flux, its Laplacian, the reactions l - q
-and the stability bound once each, on the whole stacked array;
-:func:`stability_bound` also serves the transpose adjoint step.
+The explicit step evaluates the flux, its Laplacian and the stability
+bound once each, on the whole stacked array, and sums the update into the
+Laplacian's array in place; :func:`stability_bound` also serves the
+transpose adjoint step.  Both forward steps evaluate the reactions l - q
+only when ``Coefficients.has_reactions`` is set.  Otherwise l - q is a
+signed zero at every node: the explicit level is then bit for bit the one
+the pass would give, and the IMEX right-hand side could differ from it
+only in the sign of a zero, where the level holds -0.0.
 """
 
 from __future__ import annotations
@@ -184,7 +189,9 @@ def stability_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float:
     """h^2 / (2 d P_max) for the flux Jacobian P with diagonal ``diag`` and
     off-diagonal ``off`` (see :func:`~sktsim.algebra.jac_P`): P_max is the
     largest of the rows |P11| + |P12| and |P21| + |P22| over the nodes."""
-    p_max = float((np.abs(diag) + np.abs(off)).max())
+    rows = np.abs(diag)
+    rows += np.abs(off)
+    p_max = float(rows.max())
     if p_max == 0.0:
         return math.inf
     return grid.h ** 2 / (2.0 * grid.dim * p_max)
@@ -213,10 +220,14 @@ def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondit
     bound = stability_bound(grid, *jac_P(c, s))
     if dt > bound:
         raise StabilityError(dt, bound)
-    lap = _lap_stencil(_extended_flux(c, grid, w, bc), grid.h, grid.dim)
-    new = w + dt * (lap + (eval_l(c, s) - eval_q(c, s)).reshape(w.shape))
+    # w + dt (Lap p(ext w) + l - q), built in the stencil's new array.
+    new = _lap_stencil(_extended_flux(c, grid, w, bc), grid.h, grid.dim)
+    if c.has_reactions:
+        new += (eval_l(c, s) - eval_q(c, s)).reshape(w.shape)
+    new *= dt
+    new += w
     if forcing is not None:
-        new = new + dt * forcing
+        new += dt * forcing
     return new
 
 
@@ -256,8 +267,10 @@ def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition,
     Solves (I - dt L_n) x = w + dt (l - q + forcing) with
     :func:`~sktsim.linalg.solve`, which takes one pair only; accuracy O(dt).
     """
-    s = _flat(w, grid.dim)
-    b = w + dt * (eval_l(c, s) - eval_q(c, s)).reshape(w.shape)
+    b = w
+    if c.has_reactions:
+        s = _flat(w, grid.dim)
+        b = w + dt * (eval_l(c, s) - eval_q(c, s)).reshape(w.shape)
     if forcing is not None:
         b = b + dt * forcing
     pattern = linalg.block_pattern(grid, bc)

@@ -161,18 +161,29 @@ class FieldPair:
 def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
     """Copy into a new array with one ghost layer per side of each of the
     trailing ``dim`` axes, following the boundary rule; leading axes are a
-    batch.  The 2D corner ghosts are zero; no stencil reads them."""
-    sign = -1.0 if bc is BoundaryCondition.DIRICHLET else 1.0
+    batch.  The 2D corner ghosts are zero; no stencil reads them.
+
+    The ghosts of an axis are the copied wall cells under Neumann and their
+    negation under Dirichlet.  A step of n - 1 along an axis of n >= 2 cells
+    picks its first and last cell, and a step of n + 1 the two ghosts of the
+    extended axis.
+    """
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    n = arr.shape[-1]
     if dim == 1:
-        ext = np.empty(arr.shape[:-1] + (arr.shape[-1] + 2,))
+        ext = np.empty(arr.shape[:-1] + (n + 2,))
         ext[..., 1:-1] = arr
-        ext[..., 0] = sign * arr[..., 0]
-        ext[..., -1] = sign * arr[..., -1]
+        walls = arr[..., ::n - 1]
+        ext[..., ::n + 1] = -walls if dirichlet else walls
         return ext
-    ext = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1] + 2))
+    m = arr.shape[-2]
+    ext = np.zeros(arr.shape[:-2] + (m + 2, n + 2))
     ext[..., 1:-1, 1:-1] = arr
-    ext[..., 0, 1:-1], ext[..., -1, 1:-1] = sign * arr[..., 0, :], sign * arr[..., -1, :]
-    ext[..., 1:-1, 0], ext[..., 1:-1, -1] = sign * arr[..., 0], sign * arr[..., -1]
+    rows, cols = arr[..., ::m - 1, :], arr[..., ::n - 1]
+    if dirichlet:
+        rows, cols = -rows, -cols
+    ext[..., ::m + 1, 1:-1] = rows
+    ext[..., 1:-1, ::n + 1] = cols
     return ext
 
 

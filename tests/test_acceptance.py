@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sktsim.campaigns import run_campaign
+from sktsim.campaigns import GATES, run_campaign
 from sktsim.cli import main
 from sktsim.config import ConfigError, parse_config, parse_config_text
 from sktsim.grid import Grid, read_field, write_field
@@ -29,7 +29,10 @@ def _run(name, cfg, tmp_path_factory, label):
     out = tmp_path_factory.mktemp(label)
     t0 = time.perf_counter()
     results = run_campaign(name, cfg, out)
-    return results, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    # GATES names the gate that raises; it must list the verdicts in order.
+    assert [r.name for r in results] == list(GATES[name])
+    return results, elapsed
 
 
 @pytest.fixture(scope="module")

@@ -482,7 +482,8 @@ def test_cli_verify_algebra_passes_on_constants_other_than_one(tmp_path, capsys)
 
 def test_cli_verify_keeps_the_gate_lines_reached_before_a_numerical_failure(tmp_path, capsys):
     # With a11 = 1000 (admissible) the pinned mass-conservation step exceeds
-    # the explicit stability bound after three gates have passed.
+    # the explicit stability bound after three gates have passed; the error
+    # names the gate that was running.
     text = (CONFIGS / "cfg_a_1d.cfg").read_text().replace("coeff.a11 = 1.0", "coeff.a11 = 1000.0")
     path = write_cfg(tmp_path, text)
     assert main(["verify", "--config", str(path), "--campaign", "mms",
@@ -491,7 +492,9 @@ def test_cli_verify_keeps_the_gate_lines_reached_before_a_numerical_failure(tmp_
     lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert [ln.split(":")[0] for ln in lines] == [
         "PASS  heat-spatial-order", "PASS  imex-temporal-order", "PASS  mms-full-coupling-order"]
-    assert captured.err.startswith("SKT-ERR:3:") and "'mms'" in captured.err
+    assert captured.err.startswith(
+        "SKT-ERR:3: campaign 'mms' stopped after 3 checks, in gate 'mass-conservation': "
+        "step 1 (t=1e-05): explicit step dt=1e-05 exceeds the stability bound 5.08297e-08 ")
 
 
 def test_cli_verify_algebra_fails_only_the_certificate_without_coefficient_condition(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,13 +10,14 @@ import pytest
 
 import sktsim.algebra
 import sktsim.forward
+import sktsim.linalg
 from sktsim.adjoint import (
     AdjointRHSKind,
     step_adjoint_backward,
     step_adjoint_transpose,
     theta_eps,
 )
-from sktsim.algebra import CFG_A, Coefficients, eval_p, jac_P
+from sktsim.algebra import CFG_A, Coefficients, eval_l, eval_p, eval_q, jac_P
 from sktsim.forward import (
     _BLOCK_CELLS,
     DIAGNOSTIC_COLUMNS,
@@ -569,3 +571,165 @@ def test_nonfinite_forcing_fails_at_its_step(scheme):
     with pytest.raises(NumericalFailure, match="non-finite field values") as err:
         run_forward(problem)
     assert (err.value.step, err.value.t) == (4, 4 * dt)
+
+
+# ---------------------------------------------------------------- the step, bit for bit
+
+def reference_extend(arr, bc, dim):
+    """The ghost layer with each wall cell multiplied by its sign: +1 under
+    Neumann, -1 under Dirichlet (corner ghosts zero)."""
+    sign = -1.0 if bc is DIR else 1.0
+    if dim == 1:
+        ext = np.empty(arr.shape[:-1] + (arr.shape[-1] + 2,))
+        ext[..., 1:-1] = arr
+        ext[..., 0] = sign * arr[..., 0]
+        ext[..., -1] = sign * arr[..., -1]
+        return ext
+    ext = np.zeros(arr.shape[:-2] + (arr.shape[-2] + 2, arr.shape[-1] + 2))
+    ext[..., 1:-1, 1:-1] = arr
+    ext[..., 0, 1:-1], ext[..., -1, 1:-1] = sign * arr[..., 0, :], sign * arr[..., -1, :]
+    ext[..., 1:-1, 0], ext[..., 1:-1, -1] = sign * arr[..., 0], sign * arr[..., -1]
+    return ext
+
+
+def flat(arr, dim):
+    return arr.reshape(arr.shape[:arr.ndim - dim] + (-1,))
+
+
+def reference_bound(c, grid, w):
+    diag, off = jac_P(c, flat(w, grid.dim))
+    return grid.h ** 2 / (2.0 * grid.dim * float((np.abs(diag) + np.abs(off)).max()))
+
+
+def reference_explicit(c, grid, w, bc, dt, forcing=None):
+    """w + dt (Lap p(ext w) + l - q) (+ dt forcing), the algebra maps composed
+    in one expression, reactions included whatever the coefficients."""
+    s = flat(w, grid.dim)
+    ext = reference_extend(w, bc, grid.dim)
+    lap = _lap_stencil(eval_p(c, flat(ext, grid.dim)).reshape(ext.shape), grid.h, grid.dim)
+    new = w + dt * (lap + (eval_l(c, s) - eval_q(c, s)).reshape(w.shape))
+    return new if forcing is None else new + dt * forcing
+
+
+def reference_imex(c, grid, w, bc, dt, forcing=None):
+    s = flat(w, grid.dim)
+    b = w + dt * (eval_l(c, s) - eval_q(c, s)).reshape(w.shape)
+    if forcing is not None:
+        b = b + dt * forcing
+    pattern = block_pattern(grid, bc)
+    data = sktsim.forward._divergence_form_data(c, grid, w, pattern)
+    data *= -dt
+    data[pattern.ident] += 1.0
+    return sktsim.linalg.solve(pattern, data, b, w)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rough_state(grid, batch=()):
+    """Desk-like data with a block of exact zeros in each species (-0.0 in
+    v) and one negative entry."""
+    rng = np.random.default_rng(grid.n + grid.dim)
+    w = np.broadcast_to(bump_pair(grid), batch + (2, *grid.shape)).copy()
+    w += 0.05 * rng.standard_normal(w.shape)
+    nodes = flat(w, grid.dim)  # a view: u and v along row-major nodes
+    quarter = grid.node_count // 4
+    nodes[..., 0, :quarter] = 0.0
+    nodes[..., 1, -quarter:] = -0.0
+    nodes[..., 1, grid.node_count // 2] = -0.01
+    return w
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+@pytest.mark.parametrize("c", [CFG_A, heat_limit_coefficients()], ids=["cfg_a", "heat"])
+def test_steps_equal_the_reference_composition_bit_for_bit(dim, n, bc, c):
+    # Sign bits included: the reaction-free skip, the copied Neumann ghosts
+    # and the in-place sums must reproduce the one-expression step exactly.
+    grid = Grid(dim, 1.0, n)
+    rng = np.random.default_rng(3)
+    w = rough_state(grid)
+    batch = rough_state(grid, (3,))
+    dt = 0.5 * min(reference_bound(c, grid, w), reference_bound(c, grid, batch))
+    forcing = rng.standard_normal(batch.shape)
+    for state, f in ((w, None), (batch, None), (batch, forcing)):
+        got = step_explicit(c, grid, state, bc, dt, f)
+        assert same_bits(got, reference_explicit(c, grid, state, bc, dt, f))
+    # The zero block stays exactly zero without reactions, so sign bits count.
+    assert c.has_reactions or np.any(step_explicit(c, grid, w, bc, dt) == 0.0)
+    for f in (None, forcing[0]):
+        assert same_bits(step_imex(c, grid, w, bc, dt, f), reference_imex(c, grid, w, bc, dt, f))
+    over = 1.5 * reference_bound(c, grid, w)
+    with pytest.raises(StabilityError) as err:
+        step_explicit(c, grid, w, bc, over)
+    assert same_bits(np.float64(err.value.bound), np.float64(reference_bound(c, grid, w)))
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2", "c1", "c2"])
+@pytest.mark.parametrize("value", [0.5, -0.0])
+def test_each_reaction_constant_sets_the_derived_flag(name, value):
+    # A flag that missed one constant would skip a nonzero l - q; -0.0 counts
+    # too, since its signed-zero products could flip the sign of a zero.
+    c = Coefficients(1, 1, 1, 1, d1=1.0, d2=1.0, **{name: value})
+    assert c.has_reactions and not REACTION_FREE.has_reactions
+    grid = Grid(1, 1.0, 64)
+    w = rough_state(grid)
+    dt = 0.5 * reference_bound(c, grid, w)
+    for bc in (NEU, DIR):
+        assert same_bits(step_explicit(c, grid, w, bc, dt), reference_explicit(c, grid, w, bc, dt))
+        assert same_bits(step_imex(c, grid, w, bc, dt), reference_imex(c, grid, w, bc, dt))
+    with pytest.raises(TypeError):
+        Coefficients(1, 1, 1, 1, has_reactions=False)
+    with pytest.raises(ValueError):
+        dataclasses.replace(c, has_reactions=False)
+
+
+# ---------------------------------------------------------------- per-step mass balance
+
+def wall_flux(c, grid, w, bc):
+    """Net flux of p through the walls, per species: h^(d-2) times the sum
+    over boundary faces of p(ghost) - p(wall cell), the ghost state being
+    the wall cell under Neumann and its negation under Dirichlet."""
+    sign = -1.0 if bc is DIR else 1.0
+    walls = [w[..., 0], w[..., -1]]
+    if grid.dim == 2:
+        walls += [w[..., 0, :], w[..., -1, :]]
+    total = 0.0
+    for cells in walls:  # (2, n) stacked pairs of wall cells, or (2,) in 1D
+        cells = cells.reshape(2, -1)
+        total = total + np.sum(eval_p(c, sign * cells) - eval_p(c, cells), axis=-1)
+    return grid.h ** (grid.dim - 2) * total
+
+
+def mass_balance_residual(c, grid, bc, steps=200):
+    """Largest per-step relative residual of mass(n+1) - mass(n) =
+    dt (wall flux + integral of l - q) over ``steps`` explicit steps at
+    half the stability bound of the desk data."""
+    w = bump_pair(grid)
+    dt = 0.5 * reference_bound(c, grid, w)
+    vol = grid.cell_volume
+    worst = 0.0
+    for _ in range(steps):
+        new = step_explicit(c, grid, w, bc, dt)
+        mass, mass_new = vol * flat(w, grid.dim).sum(-1), vol * flat(new, grid.dim).sum(-1)
+        source = vol * (eval_l(c, flat(w, grid.dim)) - eval_q(c, flat(w, grid.dim))).sum(-1)
+        gap = (mass_new - mass) - dt * (wall_flux(c, grid, w, bc) + source)
+        worst = max(worst, float(np.max(np.abs(gap) / np.maximum(abs(mass), abs(mass_new)))))
+        w = new
+    return worst
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 24)])
+@pytest.mark.parametrize("bc", [NEU, DIR])
+def test_explicit_step_balances_mass_with_wall_flux_and_reactions(dim, n, bc, monkeypatch):
+    grid = Grid(dim, 1.0, n)
+    assert mass_balance_residual(CFG_A, grid, bc) <= 1e-13
+
+    def seeded_extend(arr, bc, dim):
+        ext = _extend(arr, bc, dim)
+        ext[..., 0] *= 1.0 + 1e-3  # the first ghost (column) along the last axis
+        return ext
+
+    monkeypatch.setattr(sktsim.forward, "_extend", seeded_extend)
+    assert mass_balance_residual(CFG_A, grid, bc) > 1e-13
