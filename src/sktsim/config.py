@@ -3,7 +3,8 @@
 The format is deliberately trivial: one assignment per line, full-line
 comments starting with '#', blank lines ignored.  Unknown keys, duplicate
 keys, type mismatches, non-finite numbers, and invariant violations are all
-hard errors that name the key and line; nothing is silently ignored.
+hard errors that name the file, the key and the line; nothing is silently
+ignored.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ class ConfigError(ValueError):
     """Invalid configuration; rendered by the CLI with exit code 2."""
 
 
+def _key_error(source: str, key: str, line: int, problem: str) -> ConfigError:
+    """The one form of an error in the value of one key."""
+    return ConfigError(f"{source}: {problem} (key '{key}' on line {line})")
+
+
 @dataclass(frozen=True)
 class PresetSpec:
     """Named field preset: zero | constant c | bump(center, width, amplitude)
@@ -38,29 +44,28 @@ class PresetSpec:
     _ARITY = {"zero": 0, "constant": 1, "bump": 3, "cosine": 3}
 
     @classmethod
-    def parse(cls, text: str, key: str, line: int) -> "PresetSpec":
+    def parse(cls, text: str, key: str, line: int, source: str = "<config>") -> "PresetSpec":
         tokens = text.replace("(", " ").replace(")", " ").replace(",", " ").split()
         if not tokens:
-            raise ConfigError(f"empty preset for key '{key}' on line {line}")
+            raise _key_error(source, key, line, "empty preset")
         kind = tokens[0]
         if kind not in cls._ARITY:
-            raise ConfigError(f"unknown preset '{kind}' for key '{key}' on line {line}; "
-                              f"expected one of {sorted(cls._ARITY)}")
+            raise _key_error(source, key, line, f"unknown preset '{kind}'; "
+                             f"expected one of {sorted(cls._ARITY)}")
         want = cls._ARITY[kind]
         if len(tokens) - 1 != want:
-            raise ConfigError(f"preset '{kind}' for key '{key}' on line {line} takes "
-                              f"{want} parameters, got {len(tokens) - 1}")
+            raise _key_error(source, key, line, f"preset '{kind}' takes {want} parameters, "
+                             f"got {len(tokens) - 1}")
         try:
             params = tuple(float(tok) for tok in tokens[1:])
         except ValueError as exc:
-            raise ConfigError(f"non-numeric preset parameter for key '{key}' on line {line}: {exc}")
+            raise _key_error(source, key, line, f"non-numeric preset parameter: {exc}")
         if not all(math.isfinite(p) for p in params):
-            raise ConfigError(f"non-finite preset parameter for key '{key}' on line {line}")
+            raise _key_error(source, key, line, "non-finite preset parameter")
         if kind == "cosine" and params[0] != int(params[0]):
-            raise ConfigError(f"cosine mode number must be an integer for key '{key}' on line {line}")
+            raise _key_error(source, key, line, "cosine mode number must be an integer")
         if kind == "bump" and not params[1] > 0.0:
-            raise ConfigError(f"bump width must be positive for key '{key}', got {params[1]:g} "
-                              f"(line {line})")
+            raise _key_error(source, key, line, f"bump width must be positive, got {params[1]:g}")
         return cls(kind, params)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported by parse
@@ -80,19 +85,46 @@ class PresetSpec:
         return offset + amplitude * out
 
 
+def _scalar(convert, words: str, rule=None):
+    """Reader of a scalar value: ``convert`` makes it from the text and
+    ``rule``, where given, accepts it; ``words`` state what it must be."""
+    def read(raw: str, key: str, line: int, source: str):
+        try:
+            value = convert(raw)
+            if rule is None or rule(value):
+                return value
+        except ValueError:
+            pass
+        raise _key_error(source, key, line, f"expects {words}, got '{raw}'")
+    return read
+
+
+_REQUIRED = object()
 _COEFF_NAMES = ("a11", "a12", "a21", "a22", "b1", "b2", "c1", "c2", "a1", "a2", "d1", "d2")
+_finite = _scalar(float, "a finite number", math.isfinite)
+_positive = _scalar(float, "a finite number > 0", lambda x: 0.0 < x < math.inf)
 
-_REQUIRED_KEYS = (("dim", int), ("domain.length", float), ("grid.n", int),
-                  ("time.t_final", float), ("time.dt", float),
-                  ("scheme", str), ("bc", str),
-                  *((f"coeff.{name}", float) for name in _COEFF_NAMES),
-                  ("init.u", "preset"), ("init.v", "preset"))
-
-_OPTIONAL_KEYS = {"coeff.alpha": float, "adjoint.eps": float, "adjoint.rhs": str,
-                  "terminal.u": "preset", "terminal.v": "preset",
-                  "storage.stride": int, "output.dir": str, "seed": int}
-
-_ALL_KEYS = {key for key, _ in _REQUIRED_KEYS} | set(_OPTIONAL_KEYS)
+# Every accepted key: its reader and its default (_REQUIRED if it has none).
+_ALL_KEYS = {
+    "dim": (_scalar(int, "1 or 2", lambda d: d in (1, 2)), _REQUIRED),
+    "domain.length": (_positive, _REQUIRED),
+    "grid.n": (_scalar(int, "an integer >= 3", lambda n: n >= 3), _REQUIRED),
+    "time.t_final": (_positive, _REQUIRED),
+    "time.dt": (_positive, _REQUIRED),
+    "scheme": (_scalar(SchemeKind, "'explicit' or 'imex'"), _REQUIRED),
+    "bc": (_scalar(BoundaryCondition, "'neumann' or 'dirichlet'"), _REQUIRED),
+    **{f"coeff.{name}": (_finite, _REQUIRED) for name in _COEFF_NAMES},
+    "coeff.alpha": (_finite, None),
+    "init.u": (PresetSpec.parse, _REQUIRED),
+    "init.v": (PresetSpec.parse, _REQUIRED),
+    "terminal.u": (PresetSpec.parse, PresetSpec("zero", ())),
+    "terminal.v": (PresetSpec.parse, PresetSpec("zero", ())),
+    "adjoint.eps": (_positive, 1.0),
+    "adjoint.rhs": (_scalar(AdjointRHSKind, "'identity' or 'l'"), AdjointRHSKind.IDENTITY),
+    "storage.stride": (_scalar(int, "an integer >= 1", lambda k: k >= 1), 1),
+    "output.dir": (_scalar(str, "a path"), "out"),
+    "seed": (_scalar(int, "an integer >= 0", lambda s: s >= 0), 0),
+}
 
 
 @dataclass
@@ -138,23 +170,6 @@ class RunConfig:
             initial=self.initial_field(), stride=self.stride)
 
 
-def _parse_scalar(raw: str, want, key: str, line: int):
-    if want is str:
-        return raw
-    if want is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}' on line {line} expects an integer, got '{raw}'")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}' on line {line} expects a number, got '{raw}'")
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}' on line {line} expects a finite number, got '{raw}'")
-    return value
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -174,83 +189,30 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}: empty value for key '{key}' on line {lineno}")
         entries[key] = (value, lineno)
 
-    values: dict[str, object] = {}
-    for key, want in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ConfigError(f"{source}: missing required key '{key}'")
-        raw, lineno = entries[key]
-        values[key] = (PresetSpec.parse(raw, key, lineno) if want == "preset"
-                       else _parse_scalar(raw, want, key, lineno))
-    for key, want in _OPTIONAL_KEYS.items():
+    values = {}
+    for key, (read, default) in _ALL_KEYS.items():
         if key in entries:
             raw, lineno = entries[key]
-            values[key] = (PresetSpec.parse(raw, key, lineno) if want == "preset"
-                           else _parse_scalar(raw, want, key, lineno))
+            values[key] = read(raw, key, lineno, source)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{source}: missing required key '{key}'")
+        else:
+            values[key] = default
 
-    dim = values["dim"]
-    if dim not in (1, 2):
-        raise ConfigError(f"{source}: dim must be 1 or 2, got {dim} "
-                          f"(line {entries['dim'][1]})")
-    length = values["domain.length"]
-    if length <= 0:
-        raise ConfigError(f"{source}: domain.length must be positive "
-                          f"(line {entries['domain.length'][1]})")
-    n = values["grid.n"]
-    if n < 3:
-        raise ConfigError(f"{source}: grid.n must be at least 3 (line {entries['grid.n'][1]})")
-
-    for key in ("time.t_final", "time.dt"):
-        if values[key] <= 0:
-            raise ConfigError(f"{source}: {key} must be positive (line {entries[key][1]})")
-    t_final, dt = values["time.t_final"], values["time.dt"]
     try:
-        TimeGrid(t_final, dt)
+        TimeGrid(values["time.t_final"], values["time.dt"])
     except ValueError as exc:
         raise ConfigError(f"{source}: invalid time.dt: {exc} (line {entries['time.dt'][1]})")
 
     try:
-        scheme = SchemeKind(values["scheme"])
-    except ValueError:
-        raise ConfigError(f"{source}: scheme must be 'explicit' or 'imex' "
-                          f"(line {entries['scheme'][1]})")
-    try:
-        bc = BoundaryCondition(values["bc"])
-    except ValueError:
-        raise ConfigError(f"{source}: bc must be 'neumann' or 'dirichlet' "
-                          f"(line {entries['bc'][1]})")
-
-    coeff_kwargs = {name: values[f"coeff.{name}"] for name in _COEFF_NAMES}
-    if "coeff.alpha" in values:
-        coeff_kwargs["alpha"] = values["coeff.alpha"]
-    try:
-        coefficients = Coefficients(**coeff_kwargs)
+        coefficients = Coefficients(**{name: values[f"coeff.{name}"]
+                                       for name in (*_COEFF_NAMES, "alpha")})
     except CoefficientError as exc:
         key = f"coeff.{exc.coefficient}"
         raise ConfigError(f"{source}: invalid {key}: {exc} (line {entries[key][1]})")
 
-    eps = values.get("adjoint.eps", 1.0)
-    if eps <= 0:
-        raise ConfigError(f"{source}: adjoint.eps must be positive "
-                          f"(line {entries['adjoint.eps'][1]})")
-    try:
-        rhs = AdjointRHSKind(values.get("adjoint.rhs", "identity"))
-    except ValueError:
-        raise ConfigError(f"{source}: adjoint.rhs must be 'identity' or 'l' "
-                          f"(line {entries['adjoint.rhs'][1]})")
-
-    stride = values.get("storage.stride", 1)
-    if stride < 1:
-        raise ConfigError(f"{source}: storage.stride must be >= 1 "
-                          f"(line {entries['storage.stride'][1]})")
-
-    seed = values.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"{source}: seed must be nonnegative (line {entries['seed'][1]})")
-
-    grid = Grid(dim, length, n)
+    grid = Grid(values["dim"], values["domain.length"], values["grid.n"])
     for key in ("init.u", "init.v", "terminal.u", "terminal.v"):
-        if key not in values:
-            continue
         field = values[key].evaluate(grid)
         if not np.all(np.isfinite(field)):
             raise ConfigError(f"{source}: non-finite values from preset '{key}' "
@@ -260,12 +222,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                               f"(line {entries[key][1]}); initial data must be nonnegative")
 
     return RunConfig(
-        dim=dim, length=length, n=n, t_final=t_final, dt=dt, scheme=scheme, bc=bc,
-        coefficients=coefficients, eps=eps, rhs=rhs,
-        init_u=values["init.u"], init_v=values["init.v"],
-        terminal_u=values.get("terminal.u", PresetSpec("zero", ())),
-        terminal_v=values.get("terminal.v", PresetSpec("zero", ())),
-        stride=stride, out_dir=values.get("output.dir", "out"), seed=seed)
+        dim=values["dim"], length=values["domain.length"], n=values["grid.n"],
+        t_final=values["time.t_final"], dt=values["time.dt"], scheme=values["scheme"],
+        bc=values["bc"], coefficients=coefficients, eps=values["adjoint.eps"],
+        rhs=values["adjoint.rhs"], init_u=values["init.u"], init_v=values["init.v"],
+        terminal_u=values["terminal.u"], terminal_v=values["terminal.v"],
+        stride=values["storage.stride"], out_dir=values["output.dir"], seed=values["seed"])
 
 
 def parse_config(path: str | Path) -> RunConfig:

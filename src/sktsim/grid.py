@@ -190,21 +190,29 @@ def _extend(arr: np.ndarray, bc: BoundaryCondition, dim: int) -> np.ndarray:
 def _lap_stencil(ext: np.ndarray, h: float, dim: int) -> np.ndarray:
     """2d+1-point Laplacian at the interior nodes of an array already
     extended by :func:`_extend` over its trailing ``dim`` axes."""
-    inv_h2 = 1.0 / h ** 2
     if dim == 1:
-        return (ext[..., :-2] - 2.0 * ext[..., 1:-1] + ext[..., 2:]) * inv_h2
-    return (ext[..., :-2, 1:-1] + ext[..., 2:, 1:-1] + ext[..., 1:-1, :-2] + ext[..., 1:-1, 2:]
-            - 4.0 * ext[..., 1:-1, 1:-1]) * inv_h2
+        lap = 2.0 * ext[..., 1:-1]
+        np.subtract(ext[..., :-2], lap, out=lap)
+        lap += ext[..., 2:]
+    else:
+        lap = ext[..., :-2, 1:-1] + ext[..., 2:, 1:-1]
+        lap += ext[..., 1:-1, :-2]
+        lap += ext[..., 1:-1, 2:]
+        lap -= 4.0 * ext[..., 1:-1, 1:-1]
+    lap *= 1.0 / h ** 2
+    return lap
 
 
 def _grad_stencil(ext: np.ndarray, h: float, dim: int) -> list[np.ndarray]:
     """Centered-gradient components (one per axis) at the interior nodes of
     an array already extended by :func:`_extend` over its trailing ``dim`` axes."""
-    inv_2h = 0.5 / h
     if dim == 1:
-        return [(ext[..., 2:] - ext[..., :-2]) * inv_2h]
-    return [(ext[..., 2:, 1:-1] - ext[..., :-2, 1:-1]) * inv_2h,
-            (ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]) * inv_2h]
+        grads = [ext[..., 2:] - ext[..., :-2]]
+    else:
+        grads = [ext[..., 2:, 1:-1] - ext[..., :-2, 1:-1], ext[..., 1:-1, 2:] - ext[..., 1:-1, :-2]]
+    for g in grads:
+        g *= 0.5 / h
+    return grads
 
 
 def _flat(arr: np.ndarray, dim: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -61,7 +62,9 @@ def test_parse_minimal_config():
     assert cfg.coefficients.d0 == 1.0  # derived
     assert cfg.rhs is AdjointRHSKind.IDENTITY  # default
     assert cfg.stride == 1 and cfg.seed == 0
-    assert cfg.terminal_u.kind == "zero"
+    assert cfg.terminal_u.kind == "zero" and cfg.terminal_v.kind == "zero"
+    assert cfg.eps == 1.0 and cfg.out_dir == "out"
+    assert cfg.coefficients.alpha == 0.5  # half the smallest a_ij
     initial = cfg.initial_field()
     assert initial.shape == (2, 16)
     assert float(np.min(initial[0])) >= 0.0
@@ -138,6 +141,19 @@ def test_fuzzed_unknown_keys_always_rejected(key, value):
         parse_config_text(MINIMAL + f"{key} = {value}\n")
 
 
+def test_readme_configuration_table_lists_every_key():
+    from sktsim.config import _ALL_KEYS, _COEFF_NAMES
+    readme = (CONFIGS.parent / "README.md").read_text()
+    table = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            listed.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    if "coeff.a11 ... coeff.d2" in listed:
+        listed.update(f"coeff.{name}" for name in _COEFF_NAMES)
+    assert sorted(set(_ALL_KEYS) - listed) == []
+
+
 def test_cli_check_exits_zero(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL)
     assert main(["check", "--config", str(path)]) == 0
@@ -158,7 +174,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("scheme", "rk4"), ("bc", "periodic"), ("adjoint.eps", "0"), ("adjoint.rhs", "q"),
     ("storage.stride", "0"), ("coeff.alpha", "5"), ("coeff.a12", "-1"),
     ("terminal.u", "cosine 1 1e308 1e308"), ("init.v", "cosine 1 1e308 1e308"),
-    ("seed", "-5"), ("init.u", "bump 0.5 0 1.0"),
+    ("seed", "-5"), ("init.u", "bump 0.5 0 1.0"), ("grid.n", "16.5"),
+    ("domain.length", "inf"), ("coeff.a11", "1e400"), ("adjoint.eps", "nan"),
+    ("time.t_final", "0"),
 ])
 def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
     lines = MINIMAL.splitlines()
@@ -174,6 +192,7 @@ def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("SKT-ERR:2:")
     assert key in err and f"line {lineno})" in err
+    assert err.startswith(f"SKT-ERR:2: {path}: ")
 
 
 @pytest.mark.parametrize("key,value", [("coeff.a12", "1e200"), ("coeff.a11", "1e308")])
