@@ -65,7 +65,6 @@ __all__ = [
     "ADJOINT_DIAGNOSTIC_COLUMNS",
     "AdjointBoundsReport",
     "AdjointRHSKind",
-    "EpsCauchyRow",
     "eps_cauchy_study",
     "run_adjoint",
     "step_adjoint_backward",
@@ -287,25 +286,19 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
     return trajectory, report
 
 
-@dataclass(frozen=True)
-class EpsCauchyRow:
-    eps_coarse: float
-    eps_fine: float
-    diff_sup_h1: float
-    diff_lap_l2: float
-    truncation_inactive: bool
-
-
 def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition, traj: Trajectory,
                      eps_list: list[float], rhs: AdjointRHSKind, chi: np.ndarray
-                     ) -> tuple[list[EpsCauchyRow], list[AdjointBoundsReport]]:
+                     ) -> tuple[dict[str, np.ndarray], list[AdjointBoundsReport]]:
     """Differences between adjoint solves on ``traj`` at consecutive
     truncation thresholds.
 
-    Reports sup-in-time H1 and space-time L2-of-Laplacian distances; once
-    both thresholds clear the coefficient data the clamp is the identity
-    and the difference vanishes exactly.  Also returns the bounds report of
-    each solve, in ``eps_list`` order, so callers need not march again.
+    Returns the columns of ``eps_cauchy.csv``, one row per consecutive pair
+    of thresholds: eps_coarse, eps_fine, the sup-in-time H1 and space-time
+    L2-of-Laplacian distances diff_sup_h1 and diff_lap_l2, and
+    truncation_inactive (1.0 once both thresholds clear the coefficient
+    data: the clamp is then the identity and the difference vanishes
+    exactly).  Also returns the bounds report of each solve, in
+    ``eps_list`` order, so callers need not march again.
     """
     runs = []
     reports = []
@@ -326,6 +319,6 @@ def eps_cauchy_study(c: Coefficients, bc: BoundaryCondition, traj: Trajectory,
         lap_sq = _grid_sums(laplacian(grid, diff[:-1], bc) ** 2, dim)
         lap_l2 = math.sqrt(np.cumsum(dt * grid.cell_volume * (lap_sq[:, 0] + lap_sq[:, 1]))[-1])
         inactive = (1.0 / max(eps_a, eps_b)) >= u_max
-        rows.append(EpsCauchyRow(eps_coarse=eps_a, eps_fine=eps_b, diff_sup_h1=sup_h1,
-                                 diff_lap_l2=lap_l2, truncation_inactive=inactive))
-    return rows, reports
+        rows.append((eps_a, eps_b, sup_h1, lap_l2, inactive))
+    names = ("eps_coarse", "eps_fine", "diff_sup_h1", "diff_lap_l2", "truncation_inactive")
+    return dict(zip(names, np.array(rows, dtype=float).reshape(-1, 5).T)), reports

@@ -4,7 +4,9 @@ Each campaign runs a fixed desk-scale configuration (coefficients and seed
 come from the user's config; grids and final times are pinned here so the
 quantitative gates below are meaningful), writes its raw numbers as CSV,
 and yields one pass/fail verdict per gate, in gate order, reading no
-clock.  :func:`run_campaign` times the gates: each verdict's ``elapsed``
+clock.  The uniqueness, dependence and eps-cauchy studies return their
+CSV tables as columns; the campaign writes each table as it comes and
+reads its gate values from the columns.  :func:`run_campaign` times the gates: each verdict's ``elapsed``
 is the time since the previous one, CSV writes included.
 """
 
@@ -230,32 +232,32 @@ def campaign_uniqueness(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         coefficients=cfg.coefficients, bc=NEU, dim=1, length=1.0,
         base_n=8, t_final=0.05, base_dt=0.05 / 256,
         initial=_desk_initial, levels=3, modes=2)
-    report = uniqueness_experiment(ucfg)
-    write_csv(out_dir / "uniqueness_levels.csv",
-              {"n": np.array([lv.n for lv in report.levels], dtype=float),
-               "dt": np.array([lv.dt for lv in report.levels]),
-               "max_pairing": np.array([lv.max_pairing for lv in report.levels]),
-               "max_residual": np.array([lv.max_residual for lv in report.levels]),
-               "sbp_gap": np.array([lv.sbp_gap for lv in report.levels]),
-               "reduction_deviation": np.array([lv.reduction_deviation for lv in report.levels])})
+    table = uniqueness_experiment(ucfg)
+    write_csv(out_dir / "uniqueness_levels.csv", table)
 
-    ratios = report.pairing_ratios
+    pairings, ratios = table["max_pairing"], _ratios(table["max_pairing"])
     yield CheckResult(
         "pairing-refinement", all(r >= 2.0 for r in ratios),
-        f"max pairings {[f'{lv.max_pairing:.2e}' for lv in report.levels]}, ratios "
+        f"max pairings {[f'{p:.2e}' for p in pairings]}, ratios "
         f"{[f'{r:.2f}' for r in ratios]} (want >= 2 per level)")
 
-    sbp = max(lv.sbp_gap for lv in report.levels)
+    sbp = float(np.max(table["sbp_gap"]))
     yield CheckResult(
         "summation-by-parts", sbp <= 1e-10,
         f"max telescoping gap {sbp:.2e} (want <= 1e-10)")
 
-    red = report.reduction_ratios
+    deviations, red = table["reduction_deviation"], _ratios(table["reduction_deviation"])
     yield CheckResult(
         "scalar-reduction", all(r >= 1.8 for r in red),
-        f"deviations {[f'{lv.reduction_deviation:.2e}' for lv in report.levels]}, "
+        f"deviations {[f'{d:.2e}' for d in deviations]}, "
         f"ratios {[f'{r:.2f}' for r in red]} (want >= 1.8 per level)")
     yield _exact_transpose_duality(cfg.coefficients)
+
+
+def _ratios(column: np.ndarray) -> list[float]:
+    """Each level's value over the next level's; inf where the next is not positive."""
+    vals = column.tolist()
+    return [a / b if b > 0 else math.inf for a, b in zip(vals, vals[1:])]
 
 
 def _exact_transpose_duality(c: Coefficients) -> CheckResult:
@@ -278,30 +280,13 @@ def campaign_dependence(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         coefficients=cfg.coefficients, bc=NEU, dim=1, length=1.0, n=48,
         t_final=0.2, dt=0.2 / 400, base_initial=_desk_initial,
         perturbation=_norm_bump)
-    report = continuous_dependence_experiment(dcfg)
+    table, slopes, kappas = continuous_dependence_experiment(dcfg)
+    write_csv(out_dir / "dependence.csv", table)
 
-    rows = {"tau": [], "delta": [], "weak_norm": [], "basis_sup": [],
-            "input_l2": [], "input_lq": [], "ing47": [], "ing48": [], "ing49": []}
-    for tau in report.taus:
-        for j, delta in enumerate(report.deltas):
-            rows["tau"].append(tau)
-            rows["delta"].append(delta)
-            rows["weak_norm"].append(report.weak_norms[tau][j])
-            rows["basis_sup"].append(report.basis_sup[tau][j])
-            rows["input_l2"].append(report.input_l2[j])
-            rows["input_lq"].append(report.input_lq[j])
-            rows["ing47"].append(report.ingredient_47[j])
-            rows["ing48"].append(report.ingredient_48[j])
-            rows["ing49"].append(report.ingredient_49[j])
-    write_csv(out_dir / "dependence.csv",
-              {k: np.array(v) for k, v in rows.items()})
-
-    slopes = [report.slopes[tau] for tau in report.taus]
     yield CheckResult(
         "weak-norm-slope", all(abs(s - 1.0) <= 0.15 for s in slopes),
         f"fitted slopes {[f'{s:.3f}' for s in slopes]} (want 1.0 +/- 0.15)")
 
-    kappas = [report.kappa_fit[tau] for tau in report.taus]
     yield CheckResult(
         "kappa-stability", max(kappas) / min(kappas) < 2.0,
         f"fitted kappas {[f'{k:.4f}' for k in kappas]} across tau sweep "
@@ -313,8 +298,7 @@ def campaign_dependence(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         "dual-exponent-table", q_ok,
         f"q(1) = {dual_exponent(1)}, q(2) = {dual_exponent(2)}, q(4) = {dual_exponent(4)}")
 
-    lin_gap = max(abs(report.ingredient_49[j] - math.sqrt(dcfg.t_final) * report.input_l2[j])
-                  for j in range(len(report.deltas)))
+    lin_gap = float(np.max(np.abs(table["ing49"] - math.sqrt(dcfg.t_final) * table["input_l2"])))
     yield CheckResult(
         "product-term-linearity", lin_gap <= 1e-12,
         f"max gap {lin_gap:.2e} between the product term and sqrt(T)|u_bar(0)|_L2")
@@ -350,7 +334,7 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
     chi = (1.0 / math.sqrt(hu ** 2 + hv ** 2)) * profile
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
-    rows, reports = eps_cauchy_study(c, NEU, traj, eps_list, AdjointRHSKind.IDENTITY, chi)
+    table, reports = eps_cauchy_study(c, NEU, traj, eps_list, AdjointRHSKind.IDENTITY, chi)
     kappa_cols = {"sup": [r.kappa_sup for r in reports],
                   "wlap": [r.kappa_weighted_lap for r in reports],
                   "dt": [r.kappa_dt for r in reports]}
@@ -367,17 +351,13 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         "gronwall-telescoping", max(slacks) <= 1e-8,
         f"max telescoped-inequality slack {max(slacks):.2e} (want <= 1e-8)")
 
-    write_csv(out_dir / "eps_cauchy.csv",
-              {"eps_coarse": np.array([r.eps_coarse for r in rows]),
-               "eps_fine": np.array([r.eps_fine for r in rows]),
-               "diff_sup_h1": np.array([r.diff_sup_h1 for r in rows]),
-               "diff_lap_l2": np.array([r.diff_lap_l2 for r in rows]),
-               "truncation_inactive": np.array([float(r.truncation_inactive) for r in rows])})
-    inactive_zero = all(r.diff_sup_h1 == 0.0 and r.diff_lap_l2 == 0.0
-                        for r in rows if r.truncation_inactive)
-    saw_inactive = any(r.truncation_inactive for r in rows)
-    diffs = [r.diff_sup_h1 for r in rows]
-    monotone = all(a >= b for a, b in zip(diffs, diffs[1:]))
+    write_csv(out_dir / "eps_cauchy.csv", table)
+    inactive = table["truncation_inactive"] == 1.0
+    diffs = table["diff_sup_h1"]
+    inactive_zero = bool(np.all(diffs[inactive] == 0.0)
+                         and np.all(table["diff_lap_l2"][inactive] == 0.0))
+    saw_inactive = bool(np.any(inactive))
+    monotone = bool(np.all(diffs[:-1] >= diffs[1:]))
     yield CheckResult(
         "eps-cauchy-exact-zero", inactive_zero and saw_inactive and monotone,
         f"sup-H1 differences {[f'{d:.2e}' for d in diffs]}, inactive rows exactly zero: "

@@ -10,6 +10,7 @@ ignored.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,11 @@ class ConfigError(ValueError):
 def _key_error(source: str, key: str, line: int, problem: str) -> ConfigError:
     """The one form of an error in the value of one key."""
     return ConfigError(f"{source}: {problem} (key '{key}' on line {line})")
+
+
+# What int() and float() may read: ASCII digits only, no digit-group underscores.
+_GRAMMAR = {int: re.compile(r"[+-]?[0-9]+"),
+            float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,10 @@ class PresetSpec:
         if len(tokens) - 1 != want:
             raise _key_error(source, key, line, f"preset '{kind}' takes {want} parameters, "
                              f"got {len(tokens) - 1}")
-        try:
-            params = tuple(float(tok) for tok in tokens[1:])
-        except ValueError as exc:
-            raise _key_error(source, key, line, f"non-numeric preset parameter: {exc}")
+        for tok in tokens[1:]:
+            if not _GRAMMAR[float].fullmatch(tok):
+                raise _key_error(source, key, line, f"non-numeric preset parameter '{tok}'")
+        params = tuple(float(tok) for tok in tokens[1:])
         if not all(math.isfinite(p) for p in params):
             raise _key_error(source, key, line, "non-finite preset parameter")
         if kind == "cosine" and params[0] != int(params[0]):
@@ -87,9 +93,14 @@ class PresetSpec:
 
 def _scalar(convert, words: str, rule=None):
     """Reader of a scalar value: ``convert`` makes it from the text and
-    ``rule``, where given, accepts it; ``words`` state what it must be."""
+    ``rule``, where given, accepts it; ``words`` state what it must be.  An
+    int or float ``convert`` reads only text of its ``_GRAMMAR``."""
+    grammar = _GRAMMAR.get(convert)
+
     def read(raw: str, key: str, line: int, source: str):
         try:
+            if grammar is not None and not grammar.fullmatch(raw):
+                raise ValueError(raw)
             value = convert(raw)
             if rule is None or rule(value):
                 return value

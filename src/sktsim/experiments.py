@@ -19,6 +19,10 @@ Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
 perturbation size, alongside the ingredient terms of the initial-data
 bound.
+
+Each study returns the table its campaign writes, as a dict of equal-length
+columns in CSV order (``uniqueness_levels.csv``, ``dependence.csv``), and the
+campaign reads its gate values from those columns.
 """
 
 from __future__ import annotations
@@ -45,9 +49,6 @@ from sktsim.grid import (
 
 __all__ = [
     "DependenceConfig",
-    "DependenceReport",
-    "DualityLevel",
-    "DualityReport",
     "UniquenessConfig",
     "chi_basis",
     "continuous_dependence_experiment",
@@ -62,43 +63,40 @@ TINY_EPS = 1e-9  # truncation threshold far above any desk-scale data
 _SCHEMES = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 
 
-def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> tuple[list[str], np.ndarray]:
+def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> np.ndarray:
     """Low-frequency terminal-data basis, one component at a time, H1-normalized.
 
-    Returns the labels and the basis as stacked pairs, shape
-    (B, 2, *grid.shape).  Neumann uses {1, cos(k pi x / L)}, Dirichlet uses
-    {sin(k pi x / L)}, so every element satisfies the homogeneous boundary
-    condition exactly.
+    Returns the basis as stacked pairs, shape (B, 2, *grid.shape): each
+    profile first in u, then in v.  Neumann uses {1, cos(k pi x / L)},
+    Dirichlet uses {sin(k pi x / L)}, so every element satisfies the
+    homogeneous boundary condition exactly.
     """
-    profiles: list[tuple[str, np.ndarray]] = []
+    profiles: list[np.ndarray] = []
     L = grid.length
     if grid.dim == 1:
         x = grid.centers()
         if bc is BoundaryCondition.NEUMANN:
-            profiles.append(("const", np.ones(grid.shape)))
+            profiles.append(np.ones(grid.shape))
             for k in range(1, modes + 1):
-                profiles.append((f"cos{k}", np.cos(k * np.pi * x / L)))
+                profiles.append(np.cos(k * np.pi * x / L))
         else:
             for k in range(1, modes + 2):
-                profiles.append((f"sin{k}", np.sin(k * np.pi * x / L)))
+                profiles.append(np.sin(k * np.pi * x / L))
     else:
         X, Y = grid.meshgrid()
         if bc is BoundaryCondition.NEUMANN:
             pairs = [(0, 0), (1, 0), (0, 1), (1, 1)][: modes + 1]
             for i, j in pairs:
-                profiles.append((f"cos{i}{j}",
-                                 np.cos(i * np.pi * X / L) * np.cos(j * np.pi * Y / L)))
+                profiles.append(np.cos(i * np.pi * X / L) * np.cos(j * np.pi * Y / L))
         else:
             pairs = [(1, 1), (2, 1), (1, 2)][: modes + 1]
             for i, j in pairs:
-                profiles.append((f"sin{i}{j}",
-                                 np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L)))
+                profiles.append(np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L))
     zero = np.zeros(grid.shape)
-    labels = [f"{comp}:{label}" for label, _ in profiles for comp in ("u", "v")]
-    basis = np.array([pair for _, prof in profiles for pair in ((prof, zero), (zero, prof))])
+    basis = np.array([pair for prof in profiles for pair in ((prof, zero), (zero, prof))])
     h1 = h1_norms(grid, basis, bc)
     scale = np.sqrt(h1[:, 0] ** 2 + h1[:, 1] ** 2)
-    return labels, (1.0 / scale).reshape((-1,) + (1,) * (grid.dim + 1)) * basis
+    return (1.0 / scale).reshape((-1,) + (1,) * (grid.dim + 1)) * basis
 
 
 def scalar_reduction_check(times: np.ndarray, pairing: np.ndarray, a1: float) -> float:
@@ -165,33 +163,6 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
 
 
 @dataclass
-class DualityLevel:
-    n: int
-    dt: float
-    pairings: dict[str, float]
-    max_pairing: float
-    residual_series: np.ndarray  # per-step, max over the terminal basis
-    max_residual: float
-    sbp_gap: float
-    reduction_deviation: float
-
-
-@dataclass
-class DualityReport:
-    levels: list[DualityLevel]
-
-    @property
-    def pairing_ratios(self) -> list[float]:
-        vals = [lv.max_pairing for lv in self.levels]
-        return [a / b if b > 0 else math.inf for a, b in zip(vals, vals[1:])]
-
-    @property
-    def reduction_ratios(self) -> list[float]:
-        vals = [lv.reduction_deviation for lv in self.levels]
-        return [a / b if b > 0 else math.inf for a, b in zip(vals, vals[1:])]
-
-
-@dataclass
 class UniquenessConfig:
     coefficients: Coefficients
     bc: BoundaryCondition
@@ -205,20 +176,22 @@ class UniquenessConfig:
     modes: int = 2
 
 
-def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
+def uniqueness_experiment(cfg: UniquenessConfig) -> dict[str, np.ndarray]:
     """Difference of two discretizations paired against terminal data.
 
     Per refinement level (N, dt) -> (2N, dt/2): run the explicit and the
     IMEX scheme from the same initial data, march the transpose adjoint step
     on the average of their levels, truncated at ``TINY_EPS``, for the
-    whole terminal basis as one batch, and record the endpoint
-    pairings |<u_bar(T), chi>|, the per-step duality residuals, the
-    summation-by-parts telescoping gap, and the scalar-reduction deviation of
-    the summed pairing.
+    whole terminal basis as one batch.  Returns the columns of
+    ``uniqueness_levels.csv``, one row per level: n, dt, and over the basis
+    the largest endpoint pairing |<u_bar(T), chi>| (max_pairing), the
+    largest per-step duality residual (max_residual), the largest
+    summation-by-parts telescoping gap (sbp_gap) and the largest
+    scalar-reduction deviation of a pairing series (reduction_deviation).
     """
     c = cfg.coefficients
 
-    def run_level(k: int) -> DualityLevel:
+    def run_level(k: int) -> tuple[float, ...]:
         grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
         dt = cfg.base_dt / 2 ** k
         tg = TimeGrid(cfg.t_final, dt)
@@ -230,7 +203,7 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         t1, t2 = trajs
         u_bar = t1.levels - t2.levels
 
-        labels, basis = chi_basis(grid, cfg.bc, cfg.modes)
+        basis = chi_basis(grid, cfg.bc, cfg.modes)
         states = theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels))
 
         def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
@@ -240,26 +213,20 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> DualityReport:
         phi = _march(adjoint_step, grid, basis, tg.steps, 0, dt)
 
         series = inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
-        residual_series = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)),
-                                 axis=0)
+        residual = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)))
         # Summation by parts, term by term and summed in step order (cumsum):
         # its roundoff is what the gate reads.
         terms = (inner(grid, u_bar[1:] - u_bar[:-1], phi[:, 1:])
                  + inner(grid, u_bar[:-1], phi[:, 1:] - phi[:, :-1]))
         telescoped = np.cumsum(terms, axis=1)[:, -1]
-        sbp_gap = float(np.max(np.abs(telescoped - (series[:, -1] - series[:, 0]))))
+        sbp_gap = np.max(np.abs(telescoped - (series[:, -1] - series[:, 0])))
         times = np.asarray(t1.stored_steps, dtype=float) * dt
         reduction_dev = max(scalar_reduction_check(times, row, c.a1) for row in series)
-        pairings = {label: float(p) for label, p in zip(labels, series[:, -1])}
+        return grid.n, dt, np.max(np.abs(series[:, -1])), residual, sbp_gap, reduction_dev
 
-        return DualityLevel(
-            n=grid.n, dt=dt, pairings=pairings,
-            max_pairing=max(abs(v) for v in pairings.values()),
-            residual_series=residual_series,
-            max_residual=float(np.max(residual_series)), sbp_gap=sbp_gap,
-            reduction_deviation=reduction_dev)
-
-    return DualityReport(levels=[run_level(k) for k in range(cfg.levels)])
+    rows = np.array([run_level(k) for k in range(cfg.levels)]).reshape(-1, 6)
+    names = ("n", "dt", "max_pairing", "max_residual", "sbp_gap", "reduction_deviation")
+    return dict(zip(names, rows.T))
 
 
 @dataclass
@@ -275,30 +242,19 @@ class DependenceConfig:
     perturbation: Callable[[Grid], np.ndarray]
 
 
-@dataclass
-class DependenceReport:
-    deltas: list[float]
-    taus: list[float]
-    q_exponent: float
-    weak_norms: dict[float, list[float]]          # tau -> per delta
-    basis_sup: dict[float, list[float]]           # tau -> per delta
-    input_l2: list[float]                         # |u_bar(0)|_L2 per delta
-    input_lq: list[float]                         # |u_bar(0)|_Lq per delta
-    ingredient_47: list[float]
-    ingredient_48: list[float]
-    ingredient_49: list[float]
-    slopes: dict[float, float]
-    kappa_fit: dict[float, float]
-
-
-def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
+def continuous_dependence_experiment(
+        cfg: DependenceConfig) -> tuple[dict[str, np.ndarray], list[float], list[float]]:
     """Scaling of the weak norm of the solution difference with the data offset.
 
     For each delta in (1e-3, 1e-2, 1e-1) the IMEX run starts from
     base + delta * w; the weak norm of the difference at tau = T/4, T/2, T
     is recorded next to the basis sup (two modes), the initial-data norms
-    with exponent q = dual_exponent(d), the three ingredient terms of the
-    initial-data bound, and the fitted log-log slope.
+    with exponent q = dual_exponent(d) and the three ingredient terms of the
+    initial-data bound.  Returns the columns of ``dependence.csv`` (tau,
+    delta, weak_norm, basis_sup, input_l2, input_lq, ing47, ing48, ing49;
+    one row per (tau, delta), tau-major) and, per tau, the fitted log-log
+    slope of the weak norm against delta and the fitted constant kappa, the
+    largest ratio of the weak norm to the L^q size of the initial offset.
     """
     deltas = [1e-3, 1e-2, 1e-1]
     grid = Grid(cfg.dim, cfg.length, cfg.n)
@@ -320,38 +276,31 @@ def continuous_dependence_experiment(cfg: DependenceConfig) -> DependenceReport:
         return run_forward(problem)
 
     base_traj = run(base)
-    _, basis = chi_basis(grid, cfg.bc, modes=2)
+    basis = chi_basis(grid, cfg.bc, modes=2)
 
-    weak_norms: dict[float, list[float]] = {tau: [] for tau in taus}
-    basis_sup: dict[float, list[float]] = {tau: [] for tau in taus}
-    input_l2, input_lq = [], []
-    ing47, ing48, ing49 = [], [], []
+    weak_norms = np.empty((len(taus), len(deltas)))
+    basis_sup = np.empty((len(taus), len(deltas)))
+    inputs = []  # per delta: input_l2, input_lq, ing47, ing48, ing49
     sqrt_t = math.sqrt(cfg.t_final)
     p47 = 4.0 * cfg.dim / (cfg.dim + 2.0)
     p48 = 2.0 * cfg.dim / (6.0 - cfg.dim)
 
-    for delta in deltas:
+    for j, delta in enumerate(deltas):
         diff = run(base + delta * w).levels - base_traj.levels
         bar0 = diff[0]
-        input_l2.append(math.sqrt(inner(grid, bar0, bar0)))
-        input_lq.append(lp_norm(grid, bar0, q))
-        ing47.append(sqrt_t * lp_norm(grid, bar0, p47))
-        ing48.append(cfg.t_final * lp_norm(grid, bar0, p48))
-        ing49.append(sqrt_t * input_l2[-1])
-        for tau, k in zip(taus, quarters):
-            weak_norms[tau].append(weak_norm(grid, diff[k], cfg.bc))
-            basis_sup[tau].append(float(np.max(np.abs(inner(grid, diff[k], basis)))))
+        l2 = math.sqrt(inner(grid, bar0, bar0))
+        inputs.append((l2, lp_norm(grid, bar0, q), sqrt_t * lp_norm(grid, bar0, p47),
+                       cfg.t_final * lp_norm(grid, bar0, p48), sqrt_t * l2))
+        for i, k in enumerate(quarters):
+            weak_norms[i, j] = weak_norm(grid, diff[k], cfg.bc)
+            basis_sup[i, j] = np.max(np.abs(inner(grid, diff[k], basis)))
 
+    inputs = np.array(inputs).T
     log_d = np.log(np.asarray(deltas))
-    slopes = {}
-    kappa_fit = {}
-    for tau in taus:
-        vals = np.asarray(weak_norms[tau])
-        slopes[tau] = float(np.polyfit(log_d, np.log(vals), 1)[0])
-        kappa_fit[tau] = max(v / lq for v, lq in zip(weak_norms[tau], input_lq))
-
-    return DependenceReport(
-        deltas=deltas, taus=taus, q_exponent=q, weak_norms=weak_norms,
-        basis_sup=basis_sup, input_l2=input_l2, input_lq=input_lq,
-        ingredient_47=ing47, ingredient_48=ing48, ingredient_49=ing49,
-        slopes=slopes, kappa_fit=kappa_fit)
+    slopes = [float(np.polyfit(log_d, np.log(row), 1)[0]) for row in weak_norms]
+    kappas = np.max(weak_norms / inputs[1], axis=1).tolist()
+    columns = {"tau": np.repeat(taus, len(deltas)), "delta": np.tile(deltas, len(taus)),
+               "weak_norm": weak_norms.ravel(), "basis_sup": basis_sup.ravel(),
+               **{name: np.tile(col, len(taus)) for name, col in
+                  zip(("input_l2", "input_lq", "ing47", "ing48", "ing49"), inputs)}}
+    return columns, slopes, kappas

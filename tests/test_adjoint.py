@@ -272,18 +272,17 @@ def test_truncation_bound_check_cases():
 def test_eps_cauchy_zero_differences_once_threshold_clears_data():
     traj = forward_desk_trajectory(amplitude=2.0)
     chi = unit_h1_cosine(traj.grid)
-    rows, _ = eps_cauchy_study(CFG_A, NEU, traj, [1.0, 0.5, 0.25, 0.125],
-                               AdjointRHSKind.IDENTITY, chi)
-    assert len(rows) == 3
-    saw_inactive = False
-    for row in rows:
-        if row.truncation_inactive:
-            saw_inactive = True
-            assert row.diff_sup_h1 == 0.0
-            assert row.diff_lap_l2 == 0.0
-    assert saw_inactive
+    table, _ = eps_cauchy_study(CFG_A, NEU, traj, [1.0, 0.5, 0.25, 0.125],
+                                AdjointRHSKind.IDENTITY, chi)
+    assert table["eps_coarse"].tolist() == [1.0, 0.5, 0.25]
+    assert table["eps_fine"].tolist() == [0.5, 0.25, 0.125]
+    inactive = table["truncation_inactive"] == 1.0
+    assert set(table["truncation_inactive"].tolist()) <= {0.0, 1.0}
+    assert np.any(inactive)
+    assert np.all(table["diff_sup_h1"][inactive] == 0.0)
+    assert np.all(table["diff_lap_l2"][inactive] == 0.0)
     # active rows actually differ
-    assert rows[0].diff_sup_h1 > 0.0
+    assert table["diff_sup_h1"][0] > 0.0
 
 
 def test_eps_cauchy_campaign_marches_each_adjoint_once(tmp_path, monkeypatch):

@@ -29,7 +29,8 @@ OPS = ("explicit-march/march@0",
        "implicit-solves/simulate:cfg_a_1d", "implicit-solves/adjoint:cfg_a_1d",
        "implicit-solves/simulate:heat_1d", "implicit-solves/adjoint:heat_1d",
        "implicit-solves/mms-convergence",
-       "duality-campaigns/campaign:algebra")
+       "duality-campaigns/campaign:algebra", "duality-campaigns/campaign:uniqueness",
+       "duality-campaigns/campaign:dependence", "duality-campaigns/campaign:eps-cauchy")
 
 TRACED_OPS = ("explicit-march/march@0",
               "implicit-solves/simulate:cfg_a_1d", "implicit-solves/adjoint:cfg_a_1d",

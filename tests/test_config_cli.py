@@ -176,7 +176,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ("terminal.u", "cosine 1 1e308 1e308"), ("init.v", "cosine 1 1e308 1e308"),
     ("seed", "-5"), ("init.u", "bump 0.5 0 1.0"), ("grid.n", "16.5"),
     ("domain.length", "inf"), ("coeff.a11", "1e400"), ("adjoint.eps", "nan"),
-    ("time.t_final", "0"),
+    ("time.t_final", "0"), ("grid.n", "1_6"), ("grid.n", "\u0661\u0666"),
+    ("time.dt", "1e-3_0"), ("init.u", "bump 0.5 0_3 2.0"),
 ])
 def test_cli_invalid_value_names_key_and_line(tmp_path, capsys, key, value):
     lines = MINIMAL.splitlines()

@@ -18,7 +18,13 @@ from sktsim.adjoint import (
     theta_eps,
 )
 from sktsim.algebra import CFG_A, Coefficients, eval_l, jac_P, jac_Q
-from sktsim.campaigns import CheckResult, _exact_transpose_duality, campaign_algebra, run_campaign
+from sktsim.campaigns import (
+    CheckResult,
+    _exact_transpose_duality,
+    _ratios,
+    campaign_algebra,
+    run_campaign,
+)
 from sktsim.config import parse_config
 from sktsim.experiments import (
     TINY_EPS,
@@ -52,8 +58,8 @@ def normalized_bump(grid):
 def test_chi_basis_normalized_and_bc_exact():
     grid = Grid(1, 1.0, 32)
     for bc in (NEU, DIR):
-        labels, basis = chi_basis(grid, bc, modes=2)
-        assert len(labels) == 6 and basis.shape == (6, 2, *grid.shape)
+        basis = chi_basis(grid, bc, modes=2)
+        assert basis.shape == (6, 2, *grid.shape)
         for hu, hv in h1_norms(grid, basis, bc).tolist():
             assert math.sqrt(hu ** 2 + hv ** 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -190,19 +196,18 @@ def test_uniqueness_identical_schemes_give_exact_zero(monkeypatch):
     cfg = uniq_config(levels=1)
     monkeypatch.setattr(sktsim.experiments, "_SCHEMES",
                         (SchemeKind.IMEX_LAGGED, SchemeKind.IMEX_LAGGED))
-    report = uniqueness_experiment(cfg)
-    level = report.levels[0]
-    assert level.max_pairing == 0.0
-    assert level.max_residual == 0.0
-    assert level.reduction_deviation == 0.0
+    table = uniqueness_experiment(cfg)
+    assert table["max_pairing"].tolist() == [0.0]
+    assert table["max_residual"].tolist() == [0.0]
+    assert table["reduction_deviation"].tolist() == [0.0]
 
 
 def test_uniqueness_pairings_shrink_under_refinement():
-    report = uniqueness_experiment(uniq_config(levels=2))
-    assert all(lv.sbp_gap <= 1e-10 for lv in report.levels)
-    assert report.levels[0].max_pairing > 0.0
-    assert report.pairing_ratios[0] >= 2.0
-    assert report.reduction_ratios[0] >= 1.8
+    table = uniqueness_experiment(uniq_config(levels=2))
+    assert np.all(table["sbp_gap"] <= 1e-10)
+    assert table["max_pairing"][0] > 0.0
+    assert _ratios(table["max_pairing"])[0] >= 2.0
+    assert _ratios(table["reduction_deviation"])[0] >= 1.8
 
 
 def test_dependence_slope_and_kappa_stability():
@@ -210,21 +215,18 @@ def test_dependence_slope_and_kappa_stability():
         coefficients=CFG_A, bc=NEU, dim=1, length=1.0, n=48,
         t_final=0.2, dt=0.2 / 400,
         base_initial=smooth_initial, perturbation=normalized_bump)
-    report = continuous_dependence_experiment(cfg)
-    assert report.q_exponent == pytest.approx(4.0 / 3.0)
-    for tau in report.taus:
-        assert report.slopes[tau] == pytest.approx(1.0, abs=0.15)
-    kappas = [report.kappa_fit[tau] for tau in report.taus]
+    table, slopes, kappas = continuous_dependence_experiment(cfg)
+    # one row per (tau, delta), tau-major
+    assert table["tau"].tolist() == [tau for tau in (0.05, 0.1, 0.2) for _ in range(3)]
+    assert table["delta"].tolist() == [1e-3, 1e-2, 1e-1] * 3
+    for slope in slopes:
+        assert slope == pytest.approx(1.0, abs=0.15)
     assert max(kappas) / min(kappas) < 2.0
-    # the initial-data bound holds with the fitted constant
-    for tau in report.taus:
-        for j, delta in enumerate(report.deltas):
-            bound = report.input_l2[j] + report.kappa_fit[tau] * report.input_lq[j]
-            assert report.weak_norms[tau][j] <= bound * (1 + 1e-12)
+    # the initial-data bound holds with the fitted constant of each tau
+    bound = table["input_l2"] + np.repeat(kappas, 3) * table["input_lq"]
+    assert np.all(table["weak_norm"] <= bound * (1 + 1e-12))
     # product-form ingredient is exactly linear in the initial L2 size
-    for j in range(len(report.deltas)):
-        assert report.ingredient_49[j] == pytest.approx(
-            math.sqrt(cfg.t_final) * report.input_l2[j], rel=1e-12)
+    assert table["ing49"] == pytest.approx(math.sqrt(cfg.t_final) * table["input_l2"], rel=1e-12)
 
 
 def _reference_uniqueness_level(cfg, k):
@@ -240,8 +242,8 @@ def _reference_uniqueness_level(cfg, k):
               for scheme in sktsim.experiments._SCHEMES)
     u_bars = [t1.levels[i] - t2.levels[i] for i in range(len(t1.stored_steps))]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
-    ref = {"snapshots": [], "pairings": {}, "series": [], "residuals": [], "deviations": []}
-    for label, chi in zip(*chi_basis(grid, cfg.bc, cfg.modes)):
+    ref = {"snapshots": [], "pairings": [], "series": [], "residuals": [], "deviations": []}
+    for chi in chi_basis(grid, cfg.bc, cfg.modes):
         phis = list(_march(lambda phi, n: step_adjoint_transpose(
             c, grid, phi, theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n])), cfg.bc, dt,
             AdjointRHSKind.IDENTITY), grid, chi, tg.steps, 0, dt))
@@ -252,7 +254,7 @@ def _reference_uniqueness_level(cfg, k):
             residual.append((series[n + 1] - series[n]) / dt + inner(grid, u_bars[n], phis[n + 1])
                             - inner(grid, lbar, phis[n + 1]))
         ref["snapshots"].append(np.array(phis))
-        ref["pairings"][label] = float(inner(grid, u_bars[-1], chi))
+        ref["pairings"].append(float(inner(grid, u_bars[-1], chi)))
         ref["series"].append(series)
         ref["residuals"].append(np.abs(residual))
         ref["deviations"].append(scalar_reduction_check(times, series, c.a1))
@@ -266,9 +268,10 @@ def _close(batched, reference, scale):
 @pytest.mark.parametrize("case", ["1d-neumann", "2d-dirichlet"])
 def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
     # The terminal basis marches as one batch. Batched results must match
-    # the per-problem results to <= 1e-14 relative: adjoint snapshots,
-    # pairings and reduction deviations relative to their largest value; the
-    # residual, a difference quotient over dt, relative to max|p_n| / dt.
+    # the per-problem results to <= 1e-14 relative: adjoint snapshots, the
+    # largest endpoint pairing and the largest reduction deviation relative
+    # to their largest value; the largest residual, a difference quotient
+    # over dt, relative to max|p_n| / dt.
     if case == "1d-neumann":
         cfg = uniq_config(levels=2, base_n=8, T=0.01)
         cfg.base_dt, cfg.modes = 0.01 / 64, 2
@@ -284,21 +287,22 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
         return marches[-1]
 
     monkeypatch.setattr(sktsim.experiments, "_march", recording)
-    report = uniqueness_experiment(cfg)
-    assert len(marches) == len(report.levels) == cfg.levels
-    for k, (level, levels) in enumerate(zip(report.levels, marches)):
+    table = uniqueness_experiment(cfg)
+    assert len(marches) == len(table["n"]) == cfg.levels
+    for k, levels in enumerate(marches):
         ref = _reference_uniqueness_level(cfg, k)
         assert levels.shape[0] == len(ref["pairings"]) == 6
         snapshots = np.array(ref["snapshots"])
         assert _close(levels, snapshots, np.max(np.abs(snapshots)))
-        assert list(level.pairings) == list(ref["pairings"])
-        pairings = np.array(list(ref["pairings"].values()))
-        assert np.max(np.abs(pairings)) > 0.0
-        assert _close(list(level.pairings.values()), pairings, np.max(np.abs(pairings)))
-        assert _close(level.reduction_deviation, max(ref["deviations"]), max(ref["deviations"]))
+        pairing = np.max(np.abs(ref["pairings"]))
+        assert pairing > 0.0
+        assert _close(table["max_pairing"][k], pairing, pairing)
+        assert _close(table["reduction_deviation"][k], max(ref["deviations"]),
+                      max(ref["deviations"]))
         p_max = np.max(np.abs(ref["series"]))
-        assert _close(level.residual_series, np.max(ref["residuals"], axis=0), p_max / level.dt)
-        assert level.sbp_gap <= 1e-10
+        assert _close(table["max_residual"][k], np.max(ref["residuals"]),
+                      p_max / table["dt"][k])
+        assert table["sbp_gap"][k] <= 1e-10
 
 
 def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatch):

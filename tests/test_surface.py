@@ -5,7 +5,8 @@ in ``src/sktsim`` must be loaded, as a name or as an attribute, by program
 code in ``src/sktsim`` outside its own definition.  Imports do not count,
 and neither do the tests: a name only tests call is library surface that no
 command and no gate reaches.  A public method or property of a public
-class must likewise be loaded as an attribute outside its own body.
+class must likewise be loaded as an attribute outside its own body, and
+every annotated field of a public class must be read as an attribute.
 Every name a module's ``__all__`` lists is defined or imported by that
 module, and every name a module imports is loaded by it or listed in its
 ``__all__``.
@@ -172,3 +173,27 @@ def test_every_public_method_is_loaded_by_program_code():
     assert unreached == _BENCHMARK_ONLY_METHODS, (
         f"public methods no program code loads: {sorted(unreached - _BENCHMARK_ONLY_METHODS)}; "
         f"allow-listed but now loaded or gone: {sorted(_BENCHMARK_ONLY_METHODS - unreached)}")
+
+
+# output.write_adjoint_outputs writes every field of the report through
+# vars(report), so a field need not be read by name.
+_FIELDS_READ_THROUGH_VARS = {"AdjointBoundsReport"}
+
+
+def test_every_public_field_is_read_by_program_code():
+    # An annotated field of a public class (a dataclass field) must be read
+    # as an attribute by program code in src/sktsim; a field that only tests
+    # read is computed for nothing.
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    classes = [cls for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")]
+    assert _FIELDS_READ_THROUGH_VARS <= {cls.name for cls in classes}
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls.name}.{item.target.id}" for cls in classes
+                    if cls.name not in _FIELDS_READ_THROUGH_VARS
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and item.target.id not in reads)
+    assert not unread, f"public fields no program code reads: {unread}"
