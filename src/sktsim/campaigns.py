@@ -1,13 +1,16 @@
 """Named verification campaigns behind `skt verify --campaign <name>`.
 
-Each campaign runs a fixed desk-scale configuration (coefficients and seed
-come from the user's config; grids and final times are pinned here so the
-quantitative gates below are meaningful), writes its raw numbers as CSV,
-and yields one pass/fail verdict per gate, in gate order, reading no
-clock.  The uniqueness, dependence and eps-cauchy studies return their
-CSV tables as columns; the campaign writes each table as it comes and
-reads its gate values from the columns.  :func:`run_campaign` times the gates: each verdict's ``elapsed``
-is the time since the previous one, CSV writes included.
+Each campaign runs a fixed desk-scale configuration: coefficients and seed
+come from the user's config, while grids and final times are pinned here so
+that the quantitative gates below are meaningful.  It writes its raw numbers
+as CSV and yields one pass/fail verdict per gate, in gate order, reading no
+clock.  The uniqueness and dependence studies march on the ``Grid`` and
+``TimeGrid`` that their campaign pins and passes in.  They and the
+eps-cauchy study return their CSV tables as columns; the campaign writes
+each table as it comes and reads its gate values from the columns.
+
+:func:`run_campaign` times the gates: each verdict's ``elapsed`` is the
+time since the previous one, CSV writes included.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from sktsim.algebra import (
 )
 from sktsim.config import RunConfig
 from sktsim.experiments import (
-    DependenceConfig,
-    UniquenessConfig,
     continuous_dependence_experiment,
     frozen_duality_check,
     uniqueness_experiment,
@@ -228,11 +229,8 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
 # ---------------------------------------------------------------- uniqueness
 
 def campaign_uniqueness(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
-    ucfg = UniquenessConfig(
-        coefficients=cfg.coefficients, bc=NEU, dim=1, length=1.0,
-        base_n=8, t_final=0.05, base_dt=0.05 / 256,
-        initial=_desk_initial, levels=3, modes=2)
-    table = uniqueness_experiment(ucfg)
+    levels = [(Grid(1, 1.0, 8 * 2 ** k), TimeGrid(0.05, 0.05 / 256 / 2 ** k)) for k in range(3)]
+    table = uniqueness_experiment(cfg.coefficients, NEU, levels, _desk_initial)
     write_csv(out_dir / "uniqueness_levels.csv", table)
 
     pairings, ratios = table["max_pairing"], _ratios(table["max_pairing"])
@@ -266,8 +264,7 @@ def _exact_transpose_duality(c: Coefficients) -> CheckResult:
     u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x)))
     u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x)))
     chi = np.stack((np.cos(np.pi * x), np.ones(grid.shape)))
-    residual = frozen_duality_check(c, grid, NEU, T=0.02, dt=2e-4,
-                                    u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
+    residual = frozen_duality_check(c, grid, NEU, TimeGrid(0.02, 2e-4), u_tilde, u_bar0, chi)
     return CheckResult(
         "exact-transpose-duality", residual <= 1e-10,
         f"max frozen-coefficient residual {residual:.2e} (want <= 1e-10)")
@@ -276,11 +273,9 @@ def _exact_transpose_duality(c: Coefficients) -> CheckResult:
 # ---------------------------------------------------------------- dependence
 
 def campaign_dependence(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
-    dcfg = DependenceConfig(
-        coefficients=cfg.coefficients, bc=NEU, dim=1, length=1.0, n=48,
-        t_final=0.2, dt=0.2 / 400, base_initial=_desk_initial,
-        perturbation=_norm_bump)
-    table, slopes, kappas = continuous_dependence_experiment(dcfg)
+    grid, tg = Grid(1, 1.0, 48), TimeGrid(0.2, 0.2 / 400)
+    table, slopes, kappas = continuous_dependence_experiment(
+        cfg.coefficients, NEU, grid, tg, _desk_initial(grid), _norm_bump(grid))
     write_csv(out_dir / "dependence.csv", table)
 
     yield CheckResult(
@@ -298,7 +293,7 @@ def campaign_dependence(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         "dual-exponent-table", q_ok,
         f"q(1) = {dual_exponent(1)}, q(2) = {dual_exponent(2)}, q(4) = {dual_exponent(4)}")
 
-    lin_gap = float(np.max(np.abs(table["ing49"] - math.sqrt(dcfg.t_final) * table["input_l2"])))
+    lin_gap = float(np.max(np.abs(table["ing49"] - math.sqrt(tg.t_final) * table["input_l2"])))
     yield CheckResult(
         "product-term-linearity", lin_gap <= 1e-12,
         f"max gap {lin_gap:.2e} between the product term and sqrt(T)|u_bar(0)|_L2")
@@ -335,15 +330,12 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
     table, reports = eps_cauchy_study(c, NEU, traj, eps_list, AdjointRHSKind.IDENTITY, chi)
-    kappa_cols = {"sup": [r.kappa_sup for r in reports],
-                  "wlap": [r.kappa_weighted_lap for r in reports],
-                  "dt": [r.kappa_dt for r in reports]}
+    kappas = {"kappa_sup": [r.kappa_sup for r in reports],
+              "kappa_weighted_lap": [r.kappa_weighted_lap for r in reports],
+              "kappa_dt": [r.kappa_dt for r in reports]}
     slacks = [r.gronwall_slack for r in reports]
-    write_csv(out_dir / "eps_sweep_kappas.csv",
-              {"eps": np.array(eps_list), "kappa_sup": np.array(kappa_cols["sup"]),
-               "kappa_weighted_lap": np.array(kappa_cols["wlap"]),
-               "kappa_dt": np.array(kappa_cols["dt"])})
-    variations = [max(col) / min(col) for col in kappa_cols.values()]
+    write_csv(out_dir / "eps_sweep_kappas.csv", {"eps": eps_list, **kappas})
+    variations = [max(col) / min(col) for col in kappas.values()]
     yield CheckResult(
         "kappa-eps-independence", all(v < 1.10 for v in variations),
         f"kappa variations across eps {[f'{v:.4f}' for v in variations]} (want < 10%)")

@@ -3,11 +3,12 @@
     skt <check|simulate|adjoint|verify|report> --config <path>
         [--campaign <name>] [--out <dir>]
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 invariant
-violation (verify only).  Errors go to stderr with the machine-parsable
-prefix ``SKT-ERR:<code>:``.  A campaign that fails numerically prints the
-gate lines it reached before it exits 3 with a message that names the gate
-that failed.
+Exit codes: 0 ok, 2 configuration error (``--campaign`` with any command
+but ``verify`` is one), 3 numerical failure, 4 invariant violation (verify
+only).  Errors go to stderr with the machine-parsable prefix
+``SKT-ERR:<code>:``.  A campaign that fails numerically prints the gate
+lines it reached before it exits 3 with a message that names the gate that
+failed.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.campaign is not None and args.command != "verify":
+        return _fail(ExitStatus.CONFIG_ERROR,
+                     f"--campaign applies to verify only, not {args.command}")
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:

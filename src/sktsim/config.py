@@ -10,7 +10,6 @@ ignored.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from sktsim.adjoint import AdjointRHSKind
 from sktsim.algebra import CoefficientError, Coefficients
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid
-from sktsim.grid import BoundaryCondition, Grid
+from sktsim.grid import _GRAMMAR, BoundaryCondition, Grid
 from sktsim.mms import bump_profile
 
 __all__ = ["ConfigError", "PresetSpec", "RunConfig", "parse_config", "parse_config_text"]
@@ -32,11 +31,6 @@ class ConfigError(ValueError):
 def _key_error(source: str, key: str, line: int, problem: str) -> ConfigError:
     """The one form of an error in the value of one key."""
     return ConfigError(f"{source}: {problem} (key '{key}' on line {line})")
-
-
-# What int() and float() may read: ASCII digits only, no digit-group underscores.
-_GRAMMAR = {int: re.compile(r"[+-]?[0-9]+"),
-            float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,17 @@ and fits how the weak norm of the solution difference scales with the
 perturbation size, alongside the ingredient terms of the initial-data
 bound.
 
-Each study returns the table its campaign writes, as a dict of equal-length
-columns in CSV order (``uniqueness_levels.csv``, ``dependence.csv``), and the
-campaign reads its gate values from those columns.
+Each study takes the grids it marches on, a :class:`~sktsim.grid.Grid` and
+a :class:`~sktsim.forward.TimeGrid` per level, and the stacked pairs it
+starts from, as its caller pins them; it builds no grid of its own.  It
+returns the table its campaign writes, as a dict of equal-length columns in
+CSV order (``uniqueness_levels.csv``, ``dependence.csv``), and the campaign
+reads its gate values from those columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,8 +50,6 @@ from sktsim.grid import (
 )
 
 __all__ = [
-    "DependenceConfig",
-    "UniquenessConfig",
     "chi_basis",
     "continuous_dependence_experiment",
     "frozen_duality_check",
@@ -66,32 +66,21 @@ _SCHEMES = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> np.ndarray:
     """Low-frequency terminal-data basis, one component at a time, H1-normalized.
 
-    Returns the basis as stacked pairs, shape (B, 2, *grid.shape): each
-    profile first in u, then in v.  Neumann uses {1, cos(k pi x / L)},
-    Dirichlet uses {sin(k pi x / L)}, so every element satisfies the
-    homogeneous boundary condition exactly.
+    Returns the basis as stacked pairs, shape (2 (modes + 1), 2, *grid.shape):
+    each profile first in u, then in v.  A profile is the product over the
+    axes of cos(m pi x / L) from mode 0 under Neumann or sin(m pi x / L) from
+    mode 1 under Dirichlet, so every element satisfies the homogeneous
+    boundary condition exactly.  The modes run k, k+1, ... in 1D and
+    (k, k), (k+1, k), (k, k+1), (k+1, k+1) in 2D, for k = 0 or 1.
     """
-    profiles: list[np.ndarray] = []
-    L = grid.length
+    k, wave = (0, np.cos) if bc is BoundaryCondition.NEUMANN else (1, np.sin)
     if grid.dim == 1:
-        x = grid.centers()
-        if bc is BoundaryCondition.NEUMANN:
-            profiles.append(np.ones(grid.shape))
-            for k in range(1, modes + 1):
-                profiles.append(np.cos(k * np.pi * x / L))
-        else:
-            for k in range(1, modes + 2):
-                profiles.append(np.sin(k * np.pi * x / L))
+        mode_list = [(k + m,) for m in range(modes + 1)]
     else:
-        X, Y = grid.meshgrid()
-        if bc is BoundaryCondition.NEUMANN:
-            pairs = [(0, 0), (1, 0), (0, 1), (1, 1)][: modes + 1]
-            for i, j in pairs:
-                profiles.append(np.cos(i * np.pi * X / L) * np.cos(j * np.pi * Y / L))
-        else:
-            pairs = [(1, 1), (2, 1), (1, 2)][: modes + 1]
-            for i, j in pairs:
-                profiles.append(np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L))
+        mode_list = [(k, k), (k + 1, k), (k, k + 1), (k + 1, k + 1)][:modes + 1]
+    axes = grid.meshgrid()
+    profiles = [math.prod(wave(m * np.pi * X / grid.length) for m, X in zip(mode, axes))
+                for mode in mode_list]
     zero = np.zeros(grid.shape)
     basis = np.array([pair for prof in profiles for pair in ((prof, zero), (zero, prof))])
     h1 = h1_norms(grid, basis, bc)
@@ -141,18 +130,17 @@ def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
-                         T: float, dt: float, u_tilde: np.ndarray, u_bar0: np.ndarray,
+                         time_grid: TimeGrid, u_tilde: np.ndarray, u_bar0: np.ndarray,
                          chi: np.ndarray) -> float:
     """Max duality residual on a synthetic frozen-coefficient run.
 
     The difference evolves by the linearized explicit dynamics with constant
     coefficient state; the adjoint is its exact transpose.  The state
     ``u_tilde``, the initial difference ``u_bar0`` and the terminal data
-    ``chi`` are stacked pairs (2, *grid.shape), and ``dt`` must divide ``T``
-    (else ValueError).  The residual is pure linear algebra and sits at
-    roundoff level.
+    ``chi`` are stacked pairs (2, *grid.shape).  The residual is pure linear
+    algebra and sits at roundoff level.
     """
-    steps = TimeGrid(T, dt).steps
+    steps, dt = time_grid.steps, time_grid.dt
     u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, u_tilde, u_bar, bc, dt),
                    grid, u_bar0, 0, steps, dt)
     phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, u_tilde, bc, dt,
@@ -162,52 +150,33 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     return float(np.max(np.abs(res)))
 
 
-@dataclass
-class UniquenessConfig:
-    coefficients: Coefficients
-    bc: BoundaryCondition
-    dim: int
-    length: float
-    base_n: int
-    t_final: float
-    base_dt: float
-    initial: Callable[[Grid], np.ndarray]  # a stacked pair on the grid
-    levels: int = 3
-    modes: int = 2
-
-
-def uniqueness_experiment(cfg: UniquenessConfig) -> dict[str, np.ndarray]:
+def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
+                          levels: list[tuple[Grid, TimeGrid]],
+                          initial: Callable[[Grid], np.ndarray],
+                          modes: int = 2) -> dict[str, np.ndarray]:
     """Difference of two discretizations paired against terminal data.
 
-    Per refinement level (N, dt) -> (2N, dt/2): run the explicit and the
-    IMEX scheme from the same initial data, march the transpose adjoint step
-    on the average of their levels, truncated at ``TINY_EPS``, for the
-    whole terminal basis as one batch.  Returns the columns of
-    ``uniqueness_levels.csv``, one row per level: n, dt, and over the basis
-    the largest endpoint pairing |<u_bar(T), chi>| (max_pairing), the
-    largest per-step duality residual (max_residual), the largest
+    On each ``(grid, time_grid)`` of ``levels``: run the explicit and the
+    IMEX scheme from the stacked pair ``initial(grid)``, march the transpose
+    adjoint step on the average of their levels, truncated at ``TINY_EPS``,
+    for the whole terminal basis of ``modes`` as one batch.  Returns the
+    columns of ``uniqueness_levels.csv``, one row per level: n, dt, and over
+    the basis the largest endpoint pairing |<u_bar(T), chi>| (max_pairing),
+    the largest per-step duality residual (max_residual), the largest
     summation-by-parts telescoping gap (sbp_gap) and the largest
     scalar-reduction deviation of a pairing series (reduction_deviation).
     """
-    c = cfg.coefficients
-
-    def run_level(k: int) -> tuple[float, ...]:
-        grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
-        dt = cfg.base_dt / 2 ** k
-        tg = TimeGrid(cfg.t_final, dt)
-        initial = cfg.initial(grid)
-        trajs = []
-        for scheme in _SCHEMES:
-            problem = ForwardProblem(c, grid, cfg.bc, tg, scheme, initial, stride=1)
-            trajs.append(run_forward(problem))
-        t1, t2 = trajs
+    def run_level(grid: Grid, tg: TimeGrid) -> tuple[float, ...]:
+        dt, w0 = tg.dt, initial(grid)
+        t1, t2 = (run_forward(ForwardProblem(c, grid, bc, tg, scheme, w0, stride=1))
+                  for scheme in _SCHEMES)
         u_bar = t1.levels - t2.levels
 
-        basis = chi_basis(grid, cfg.bc, cfg.modes)
+        basis = chi_basis(grid, bc, modes)
         states = theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels))
 
         def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
-            return step_adjoint_transpose(c, grid, phi, states[k], cfg.bc, dt,
+            return step_adjoint_transpose(c, grid, phi, states[k], bc, dt,
                                           AdjointRHSKind.IDENTITY)
 
         phi = _march(adjoint_step, grid, basis, tg.steps, 0, dt)
@@ -224,75 +193,60 @@ def uniqueness_experiment(cfg: UniquenessConfig) -> dict[str, np.ndarray]:
         reduction_dev = max(scalar_reduction_check(times, row, c.a1) for row in series)
         return grid.n, dt, np.max(np.abs(series[:, -1])), residual, sbp_gap, reduction_dev
 
-    rows = np.array([run_level(k) for k in range(cfg.levels)]).reshape(-1, 6)
+    rows = np.array([run_level(grid, tg) for grid, tg in levels]).reshape(-1, 6)
     names = ("n", "dt", "max_pairing", "max_residual", "sbp_gap", "reduction_deviation")
     return dict(zip(names, rows.T))
 
 
-@dataclass
-class DependenceConfig:
-    coefficients: Coefficients
-    bc: BoundaryCondition
-    dim: int
-    length: float
-    n: int
-    t_final: float
-    dt: float
-    base_initial: Callable[[Grid], np.ndarray]  # stacked pairs on the grid
-    perturbation: Callable[[Grid], np.ndarray]
-
-
 def continuous_dependence_experiment(
-        cfg: DependenceConfig) -> tuple[dict[str, np.ndarray], list[float], list[float]]:
+        c: Coefficients, bc: BoundaryCondition, grid: Grid, time_grid: TimeGrid,
+        base: np.ndarray, direction: np.ndarray
+) -> tuple[dict[str, np.ndarray], list[float], list[float]]:
     """Scaling of the weak norm of the solution difference with the data offset.
 
-    For each delta in (1e-3, 1e-2, 1e-1) the IMEX run starts from
-    base + delta * w; the weak norm of the difference at tau = T/4, T/2, T
-    is recorded next to the basis sup (two modes), the initial-data norms
-    with exponent q = dual_exponent(d) and the three ingredient terms of the
-    initial-data bound.  Returns the columns of ``dependence.csv`` (tau,
+    For each delta in (1e-3, 1e-2, 1e-1) the IMEX run on ``grid`` and
+    ``time_grid`` starts from the stacked pair base + delta * direction; the
+    weak norm of the difference at tau = T/4, T/2, T is recorded next to the
+    basis sup (two modes), the initial-data norms with exponent
+    q = dual_exponent(d) and the three ingredient terms of the initial-data
+    bound.  Returns the columns of ``dependence.csv`` (tau,
     delta, weak_norm, basis_sup, input_l2, input_lq, ing47, ing48, ing49;
     one row per (tau, delta), tau-major) and, per tau, the fitted log-log
     slope of the weak norm against delta and the fitted constant kappa, the
     largest ratio of the weak norm to the L^q size of the initial offset.
     """
     deltas = [1e-3, 1e-2, 1e-1]
-    grid = Grid(cfg.dim, cfg.length, cfg.n)
-    tg = TimeGrid(cfg.t_final, cfg.dt)
-    if tg.steps % 4 != 0:
+    T, dim = time_grid.t_final, grid.dim
+    if time_grid.steps % 4 != 0:
         raise ValueError("step count must be divisible by 4 so tau levels are stored")
-    stride = tg.steps // 4
-    q = dual_exponent(cfg.dim)
+    stride = time_grid.steps // 4
+    q = dual_exponent(dim)
     # tau = T/4, T/2 and T are the stored levels 1, 2 and 4.
     quarters = (1, 2, 4)
-    taus = [k / 4 * cfg.t_final for k in quarters]
-
-    base = cfg.base_initial(grid)
-    w = cfg.perturbation(grid)
+    taus = [k / 4 * T for k in quarters]
 
     def run(initial: np.ndarray) -> Trajectory:
-        problem = ForwardProblem(cfg.coefficients, grid, cfg.bc, tg, SchemeKind.IMEX_LAGGED,
-                                 initial, stride=stride)
-        return run_forward(problem)
+        return run_forward(ForwardProblem(c, grid, bc, time_grid, SchemeKind.IMEX_LAGGED,
+                                          initial, stride=stride))
 
     base_traj = run(base)
-    basis = chi_basis(grid, cfg.bc, modes=2)
+    basis = chi_basis(grid, bc, modes=2)
 
     weak_norms = np.empty((len(taus), len(deltas)))
     basis_sup = np.empty((len(taus), len(deltas)))
     inputs = []  # per delta: input_l2, input_lq, ing47, ing48, ing49
-    sqrt_t = math.sqrt(cfg.t_final)
-    p47 = 4.0 * cfg.dim / (cfg.dim + 2.0)
-    p48 = 2.0 * cfg.dim / (6.0 - cfg.dim)
+    sqrt_t = math.sqrt(T)
+    p47 = 4.0 * dim / (dim + 2.0)
+    p48 = 2.0 * dim / (6.0 - dim)
 
     for j, delta in enumerate(deltas):
-        diff = run(base + delta * w).levels - base_traj.levels
+        diff = run(base + delta * direction).levels - base_traj.levels
         bar0 = diff[0]
         l2 = math.sqrt(inner(grid, bar0, bar0))
         inputs.append((l2, lp_norm(grid, bar0, q), sqrt_t * lp_norm(grid, bar0, p47),
-                       cfg.t_final * lp_norm(grid, bar0, p48), sqrt_t * l2))
+                       T * lp_norm(grid, bar0, p48), sqrt_t * l2))
         for i, k in enumerate(quarters):
-            weak_norms[i, j] = weak_norm(grid, diff[k], cfg.bc)
+            weak_norms[i, j] = weak_norm(grid, diff[k], bc)
             basis_sup[i, j] = np.max(np.abs(inner(grid, diff[k], basis)))
 
     inputs = np.array(inputs).T

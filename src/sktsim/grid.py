@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,6 +295,11 @@ def weak_norm(grid: Grid, w: np.ndarray, bc: BoundaryCondition) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+# What int() and float() may read, in configs and snapshot headers alike:
+# ASCII digits only, no digit-group underscores.
+_GRAMMAR = {int: re.compile(r"[+-]?[0-9]+"),
+            float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
+
 _FIELD_HEADER = "skt-field v1"
 
 
@@ -316,26 +322,28 @@ def read_field(path: str | Path, grid: Grid) -> np.ndarray:
 
     The header must describe ``grid``: d and N exactly, h to 4 ulps, since a
     snapshot stores h rather than the length and h * N need not round back
-    to it.  A mismatch, a malformed file or a non-finite value raises
-    ValueError naming the file.
+    to it.  Header numbers follow ``_GRAMMAR``; the values must be ASCII
+    without ``_``, checked once over the whole body.  A mismatch, a
+    malformed file or a non-finite value raises ValueError naming the file.
     """
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0]
+    header, _, body = Path(path).read_text().strip().partition("\n")
     if not header.startswith(_FIELD_HEADER):
         raise ValueError(f"{path}: not a field snapshot: header {header!r}")
     fields = dict(item.strip().partition("=")[::2] for item in header.split(",")[1:])
-    for key in ("d", "N", "h"):
+    for key, kind in (("d", int), ("N", int), ("h", float)):
         if key not in fields:
             raise ValueError(f"{path}: snapshot header has no {key}=: {header!r}")
-    try:
-        dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        if not _GRAMMAR[kind].fullmatch(fields[key]):
+            raise ValueError(f"{path}: snapshot header {key}={fields[key]!r} is not "
+                             f"an ASCII {kind.__name__}")
+    dim, n, h = int(fields["d"]), int(fields["N"]), float(fields["h"])
     if dim != grid.dim or n != grid.n or not abs(h - grid.h) <= 4.0 * np.spacing(grid.h):
         raise ValueError(f"{path}: stored d={dim}, N={n}, h={h:.17g} do not match the configured "
                          f"grid (h {grid.h:.17g}, d {grid.dim}, N {grid.n})")
+    if not body.isascii() or "_" in body:
+        raise ValueError(f"{path}: snapshot values must be ASCII numbers without '_'")
     try:
-        values = np.array(" ".join(text[1:]).split(), dtype=float)
+        values = np.array(body.split(), dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     count = grid.node_count

@@ -16,6 +16,7 @@ from sktsim.campaigns import GATES, run_campaign
 from sktsim.cli import main
 from sktsim.config import ConfigError, parse_config, parse_config_text
 from sktsim.grid import Grid, read_field, write_field
+from test_golden import assert_campaign_csvs
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg"
 
@@ -32,6 +33,7 @@ def _run(name, cfg, tmp_path_factory, label):
     elapsed = time.perf_counter() - t0
     # GATES names the gate that raises; it must list the verdicts in order.
     assert [r.name for r in results] == list(GATES[name])
+    assert_campaign_csvs(name, out)
     return results, elapsed
 
 

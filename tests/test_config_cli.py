@@ -416,6 +416,32 @@ def test_cli_adjoint_on_an_unparsable_snapshot_header_names_the_file(tmp_path, c
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize("old,new", [("N=64", "N=6_4"), ("\n1.", "\n\u0661.")],
+                         ids=["header-underscore", "value-non-ascii"])
+def test_cli_adjoint_on_a_snapshot_number_outside_the_grammar_names_the_file(
+        tmp_path, capsys, old, new):
+    # Python and numpy would read N=6_4 as 64 and an Arabic-Indic one as 1.
+    config = str(CONFIGS / "heat_1d.cfg")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    first = out / "forward" / "step_000000.field"
+    text = first.read_text()
+    assert old in text
+    first.write_text(text.replace(old, new, 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"SKT-ERR:2: {first}: ")
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "adjoint", "report"])
+def test_cli_campaign_outside_verify_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(CONFIGS / "heat_1d.cfg"), "--campaign", "mms",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("SKT-ERR:2: --campaign applies to verify only")
+    assert not out.exists()
+
+
 def test_cli_adjoint_on_a_stray_snapshot_name_names_the_file(tmp_path, capsys):
     config = str(CONFIGS / "heat_1d.cfg")
     out = tmp_path / "o"

@@ -28,8 +28,6 @@ from sktsim.campaigns import (
 from sktsim.config import parse_config
 from sktsim.experiments import (
     TINY_EPS,
-    DependenceConfig,
-    UniquenessConfig,
     chi_basis,
     continuous_dependence_experiment,
     frozen_duality_check,
@@ -55,13 +53,41 @@ def normalized_bump(grid):
     return (1.0 / math.sqrt(inner(grid, f, f))) * f
 
 
-def test_chi_basis_normalized_and_bc_exact():
-    grid = Grid(1, 1.0, 32)
-    for bc in (NEU, DIR):
-        basis = chi_basis(grid, bc, modes=2)
-        assert basis.shape == (6, 2, *grid.shape)
-        for hu, hv in h1_norms(grid, basis, bc).tolist():
-            assert math.sqrt(hu ** 2 + hv ** 2) == pytest.approx(1.0, rel=1e-12)
+def _branch_chi_basis(grid, bc, modes):
+    # The terminal basis written out per dimension and wall.
+    L = grid.length
+    if grid.dim == 1:
+        x = grid.centers()
+        if bc is NEU:
+            profiles = [np.ones(grid.shape)] + [np.cos(k * np.pi * x / L)
+                                                for k in range(1, modes + 1)]
+        else:
+            profiles = [np.sin(k * np.pi * x / L) for k in range(1, modes + 2)]
+    else:
+        X, Y = grid.meshgrid()
+        if bc is NEU:
+            profiles = [np.cos(i * np.pi * X / L) * np.cos(j * np.pi * Y / L)
+                        for i, j in [(0, 0), (1, 0), (0, 1), (1, 1)][:modes + 1]]
+        else:
+            profiles = [np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L)
+                        for i, j in [(1, 1), (2, 1), (1, 2)][:modes + 1]]
+    zero = np.zeros(grid.shape)
+    basis = np.array([pair for prof in profiles for pair in ((prof, zero), (zero, prof))])
+    h1 = h1_norms(grid, basis, bc)
+    scale = np.sqrt(h1[:, 0] ** 2 + h1[:, 1] ** 2)
+    return (1.0 / scale).reshape((-1,) + (1,) * (grid.dim + 1)) * basis
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [NEU, DIR], ids=["neumann", "dirichlet"])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_chi_basis_normalized_and_bc_exact(dim, n, bc, modes):
+    grid = Grid(dim, 1.0, n)
+    basis = chi_basis(grid, bc, modes=modes)
+    assert basis.shape == (2 * (modes + 1), 2, *grid.shape)
+    for hu, hv in h1_norms(grid, basis, bc).tolist():
+        assert math.sqrt(hu ** 2 + hv ** 2) == pytest.approx(1.0, rel=1e-12)
+    assert basis.tobytes() == _branch_chi_basis(grid, bc, modes).tobytes()
 
 
 def test_scalar_reduction_check_on_manufactured_series():
@@ -81,18 +107,17 @@ def test_frozen_duality_residual_is_machine_zero():
     u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x)))
     u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x)))
     chi = np.stack((np.cos(np.pi * x), np.ones(grid.shape)))
-    res = frozen_duality_check(CFG_A, grid, NEU, T=0.02, dt=2e-4,
-                               u_tilde=u_tilde, u_bar0=u_bar0, chi=chi)
+    res = frozen_duality_check(CFG_A, grid, NEU, TimeGrid(0.02, 2e-4), u_tilde, u_bar0, chi)
     assert res <= 1e-10
 
 
 def test_frozen_duality_check_rejects_a_step_that_does_not_divide_the_horizon():
     # 0.02 / 3e-4 = 66.7 steps: rounding to 67 would march to t = 0.0201.
+    # The check takes a validated TimeGrid, and TimeGrid refuses this step.
     grid = Grid(1, 1.0, 8)
     ones = np.ones((2, *grid.shape))
     with pytest.raises(ValueError, match="does not divide"):
-        frozen_duality_check(CFG_A, grid, NEU, T=0.02, dt=3e-4, u_tilde=ones, u_bar0=ones,
-                             chi=ones)
+        frozen_duality_check(CFG_A, grid, NEU, TimeGrid(0.02, 3e-4), ones, ones, ones)
 
 
 def _drop_cross_diffusion(monkeypatch):
@@ -185,25 +210,23 @@ def test_run_campaign_times_every_gate(tmp_path):
     assert sum(r.elapsed for r in results) <= wall
 
 
-def uniq_config(levels=2, base_n=16, T=0.05):
-    steps = 512
-    return UniquenessConfig(
-        coefficients=CFG_A, bc=NEU, dim=1, length=1.0, base_n=base_n,
-        t_final=T, base_dt=T / steps, initial=smooth_initial, levels=levels, modes=1)
+def uniq_levels(count=2, base_n=16, T=0.05, steps=512, dim=1):
+    # (N, dt) -> (2N, dt/2) per level, from base_n cells and T / steps.
+    return [(Grid(dim, 1.0, base_n * 2 ** k), TimeGrid(T, T / steps / 2 ** k))
+            for k in range(count)]
 
 
 def test_uniqueness_identical_schemes_give_exact_zero(monkeypatch):
-    cfg = uniq_config(levels=1)
     monkeypatch.setattr(sktsim.experiments, "_SCHEMES",
                         (SchemeKind.IMEX_LAGGED, SchemeKind.IMEX_LAGGED))
-    table = uniqueness_experiment(cfg)
+    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(1), smooth_initial, modes=1)
     assert table["max_pairing"].tolist() == [0.0]
     assert table["max_residual"].tolist() == [0.0]
     assert table["reduction_deviation"].tolist() == [0.0]
 
 
 def test_uniqueness_pairings_shrink_under_refinement():
-    table = uniqueness_experiment(uniq_config(levels=2))
+    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(2), smooth_initial, modes=1)
     assert np.all(table["sbp_gap"] <= 1e-10)
     assert table["max_pairing"][0] > 0.0
     assert _ratios(table["max_pairing"])[0] >= 2.0
@@ -211,11 +234,9 @@ def test_uniqueness_pairings_shrink_under_refinement():
 
 
 def test_dependence_slope_and_kappa_stability():
-    cfg = DependenceConfig(
-        coefficients=CFG_A, bc=NEU, dim=1, length=1.0, n=48,
-        t_final=0.2, dt=0.2 / 400,
-        base_initial=smooth_initial, perturbation=normalized_bump)
-    table, slopes, kappas = continuous_dependence_experiment(cfg)
+    grid, tg = Grid(1, 1.0, 48), TimeGrid(0.2, 0.2 / 400)
+    table, slopes, kappas = continuous_dependence_experiment(
+        CFG_A, NEU, grid, tg, smooth_initial(grid), normalized_bump(grid))
     # one row per (tau, delta), tau-major
     assert table["tau"].tolist() == [tau for tau in (0.05, 0.1, 0.2) for _ in range(3)]
     assert table["delta"].tolist() == [1e-3, 1e-2, 1e-1] * 3
@@ -226,26 +247,23 @@ def test_dependence_slope_and_kappa_stability():
     bound = table["input_l2"] + np.repeat(kappas, 3) * table["input_lq"]
     assert np.all(table["weak_norm"] <= bound * (1 + 1e-12))
     # product-form ingredient is exactly linear in the initial L2 size
-    assert table["ing49"] == pytest.approx(math.sqrt(cfg.t_final) * table["input_l2"], rel=1e-12)
+    assert table["ing49"] == pytest.approx(math.sqrt(tg.t_final) * table["input_l2"], rel=1e-12)
 
 
-def _reference_uniqueness_level(cfg, k):
+def _reference_uniqueness_level(c, bc, grid, tg, modes):
     # The per-element computation: one transpose march per basis element,
     # on the path of uniqueness_experiment (step_adjoint_transpose through
     # forward._march on the truncated average of the two stride-1
     # trajectories), every pairing one inner() of two single pairs.
-    c = cfg.coefficients
-    grid = Grid(cfg.dim, cfg.length, cfg.base_n * 2 ** k)
-    dt = cfg.base_dt / 2 ** k
-    tg = TimeGrid(cfg.t_final, dt)
-    t1, t2 = (run_forward(ForwardProblem(c, grid, cfg.bc, tg, scheme, cfg.initial(grid), stride=1))
+    dt = tg.dt
+    t1, t2 = (run_forward(ForwardProblem(c, grid, bc, tg, scheme, smooth_initial(grid), stride=1))
               for scheme in sktsim.experiments._SCHEMES)
     u_bars = [t1.levels[i] - t2.levels[i] for i in range(len(t1.stored_steps))]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": [], "series": [], "residuals": [], "deviations": []}
-    for chi in chi_basis(grid, cfg.bc, cfg.modes):
+    for chi in chi_basis(grid, bc, modes):
         phis = list(_march(lambda phi, n: step_adjoint_transpose(
-            c, grid, phi, theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n])), cfg.bc, dt,
+            c, grid, phi, theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n])), bc, dt,
             AdjointRHSKind.IDENTITY), grid, chi, tg.steps, 0, dt))
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []
@@ -273,12 +291,9 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
     # to their largest value; the largest residual, a difference quotient
     # over dt, relative to max|p_n| / dt.
     if case == "1d-neumann":
-        cfg = uniq_config(levels=2, base_n=8, T=0.01)
-        cfg.base_dt, cfg.modes = 0.01 / 64, 2
+        bc, levels = NEU, uniq_levels(2, base_n=8, T=0.01, steps=64)
     else:
-        cfg = UniquenessConfig(
-            coefficients=CFG_A, bc=DIR, dim=2, length=1.0, base_n=8, t_final=0.004,
-            base_dt=0.004 / 32, initial=smooth_initial, levels=1, modes=2)
+        bc, levels = DIR, uniq_levels(1, base_n=8, T=0.004, steps=32, dim=2)
     marches = []
     march = sktsim.experiments._march
 
@@ -287,13 +302,13 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
         return marches[-1]
 
     monkeypatch.setattr(sktsim.experiments, "_march", recording)
-    table = uniqueness_experiment(cfg)
-    assert len(marches) == len(table["n"]) == cfg.levels
-    for k, levels in enumerate(marches):
-        ref = _reference_uniqueness_level(cfg, k)
-        assert levels.shape[0] == len(ref["pairings"]) == 6
+    table = uniqueness_experiment(CFG_A, bc, levels, smooth_initial, modes=2)
+    assert len(marches) == len(table["n"]) == len(levels)
+    for k, (phi, (grid, tg)) in enumerate(zip(marches, levels)):
+        ref = _reference_uniqueness_level(CFG_A, bc, grid, tg, modes=2)
+        assert phi.shape[0] == len(ref["pairings"]) == 6
         snapshots = np.array(ref["snapshots"])
-        assert _close(levels, snapshots, np.max(np.abs(snapshots)))
+        assert _close(phi, snapshots, np.max(np.abs(snapshots)))
         pairing = np.max(np.abs(ref["pairings"]))
         assert pairing > 0.0
         assert _close(table["max_pairing"][k], pairing, pairing)
@@ -333,8 +348,8 @@ def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatc
 
 def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
     # The third backward step (level S - 3) overflows to a non-finite field.
-    cfg = uniq_config(levels=1)
-    steps = round(cfg.t_final / cfg.base_dt)
+    levels = uniq_levels(1)
+    steps, dt = levels[0][1].steps, levels[0][1].dt
     calls = []
     step = sktsim.experiments.step_adjoint_transpose
 
@@ -349,7 +364,7 @@ def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure) as err:
-            uniqueness_experiment(cfg)
+            uniqueness_experiment(CFG_A, NEU, levels, smooth_initial, modes=1)
     assert err.value.step == steps - 3
-    assert err.value.t == pytest.approx((steps - 3) * cfg.base_dt)
+    assert err.value.t == pytest.approx((steps - 3) * dt)
     assert str(err.value).startswith(f"step {steps - 3} (t=")

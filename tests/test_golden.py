@@ -16,20 +16,29 @@ preconditioned, which moved them within the solver tolerance, closer to a
 direct solve.  Each column may move by at most 1e-13 of its largest golden
 |value|; a column that is all zero in the golden copy must stay exactly zero.
 
+The CSV tables that the five ``skt verify`` campaigns write on
+``cfg_a_1d`` are frozen the same way, in full, under
+``tests/golden/verify_cfg_a_1d/<campaign>/`` (written at b0b4f19).
+``tests/test_acceptance.py`` compares each campaign run it makes with
+:func:`assert_campaign_csvs`, so they cost no extra run.
+
 A refactor that keeps the numbers passes unchanged.  To re-freeze after a
 deliberate change of the numerics, run ``python tests/test_golden.py NAME
-...`` for the configs concerned (no names: all of them) and say why in the
-change description.
+...`` for the configs concerned, ``verify_cfg_a_1d`` for the campaign
+tables (no names: all of them), and say why in the change description.
 """
 
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sktsim.adjoint import ADJOINT_DIAGNOSTIC_COLUMNS, run_adjoint
-from sktsim.config import parse_config_text
+from sktsim.campaigns import CAMPAIGNS, run_campaign
+from sktsim.config import parse_config, parse_config_text
 from sktsim.forward import DIAGNOSTIC_COLUMNS, run_forward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -42,6 +51,7 @@ _DIRICHLET, _EXPLICIT = "_dirichlet", "_explicit"
 # and 1.0e-4 at 2D n = 24 for the initial data.
 _EXPLICIT_LINES = {"cfg_a_1d": {"scheme": "explicit", "time.dt": "1e-05", "time.t_final": "0.03"},
                    "cfg_a_2d": {"scheme": "explicit", "time.dt": "2.5e-05", "time.t_final": "0.025"}}
+CAMPAIGN_GOLDEN = "verify_cfg_a_1d"
 EVERY = 20
 RTOL = 1e-13
 
@@ -87,31 +97,69 @@ def test_diagnostics_match_golden(name):
         path = _golden_path(name, kind)
         header = path.read_text().splitlines()[0].split(",")
         assert tuple(header) == order
-        golden = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        table = _sampled(current[kind], order)
-        assert table.shape == golden.shape, f"{path.name}: row count changed"
-        for j, key in enumerate(order):
-            scale = float(np.max(np.abs(golden[:, j])))
-            if scale == 0.0:
-                assert np.all(table[:, j] == 0.0), f"{path.name}:{key} is no longer exactly zero"
-                continue
-            err = float(np.max(np.abs(table[:, j] - golden[:, j]))) / scale
-            assert err <= RTOL, f"{path.name}:{key} moved by {err:.2e} of its scale"
+        _assert_columns_match(path, order, _sampled(current[kind], order))
+
+
+def _assert_columns_match(path: Path, order, table: np.ndarray) -> None:
+    """Each column of ``table`` within RTOL of the largest |value| of that
+    column in the golden CSV at ``path``; an all-zero golden column exactly."""
+    golden = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == golden.shape, f"{path.name}: row count changed"
+    for j, key in enumerate(order):
+        scale = float(np.max(np.abs(golden[:, j])))
+        if scale == 0.0:
+            assert np.all(table[:, j] == 0.0), f"{path.name}:{key} is no longer exactly zero"
+            continue
+        err = float(np.max(np.abs(table[:, j] - golden[:, j]))) / scale
+        assert err <= RTOL, f"{path.name}:{key} moved by {err:.2e} of its scale"
+
+
+def assert_campaign_csvs(campaign: str, out_dir: Path) -> None:
+    """The CSVs that ``campaign`` wrote into ``out_dir`` on ``cfg_a_1d``: the
+    same files, headers and row counts as the frozen copies, each column
+    within the rule above."""
+    golden_dir = GOLDEN / CAMPAIGN_GOLDEN / campaign
+    names = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert names == sorted(p.name for p in golden_dir.glob("*.csv")), f"{campaign}: CSV files"
+    for name in names:
+        header = (golden_dir / name).read_text().splitlines()[0]
+        lines = (out_dir / name).read_text().splitlines()
+        assert lines[0] == header, f"{campaign}/{name}: header changed"
+        table = np.loadtxt(out_dir / name, delimiter=",", skiprows=1, ndmin=2)
+        _assert_columns_match(golden_dir / name, header.split(","), table)
 
 
 def _write_golden(names: list[str]) -> None:
-    """Re-freeze the golden copies of ``names``, or of every config when empty."""
-    unknown = sorted(set(names) - set(NAMES))
+    """Re-freeze the golden copies of ``names``, or of every config and the
+    campaign tables when empty."""
+    known = (*NAMES, CAMPAIGN_GOLDEN)
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        raise SystemExit(f"unknown golden configs {unknown}; known: {', '.join(NAMES)}")
+        raise SystemExit(f"unknown golden configs {unknown}; known: {', '.join(known)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name in names or NAMES:
+    for name in names or known:
+        if name == CAMPAIGN_GOLDEN:
+            _write_campaign_golden()
+            continue
         current = _diagnostics(name)
         for kind, order in _ORDERS.items():
             lines = [",".join(order)]
             lines += [",".join(f"{x:.17g}" for x in row)
                       for row in _sampled(current[kind], order)]
             _golden_path(name, kind).write_text("\n".join(lines) + "\n")
+
+
+def _write_campaign_golden() -> None:
+    """Run every campaign on ``cfg_a_1d`` and keep the CSVs it writes."""
+    cfg = parse_config(CONFIGS / "cfg_a_1d.cfg")
+    for campaign in CAMPAIGNS:
+        golden_dir = GOLDEN / CAMPAIGN_GOLDEN / campaign
+        shutil.rmtree(golden_dir, ignore_errors=True)
+        golden_dir.mkdir(parents=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_campaign(campaign, cfg, Path(tmp))
+            for path in Path(tmp).glob("*.csv"):
+                shutil.copyfile(path, golden_dir / path.name)
 
 
 if __name__ == "__main__":

@@ -259,6 +259,24 @@ def test_read_field_rejects_malformed(tmp_path):
         read_field(path, grid)
 
 
+# int, float and numpy's string conversion read "1_6" as 16, "0_5" as 5.0
+# and "\u0660.5" (an Arabic-Indic zero) as 0.5; a snapshot holds ASCII
+# numbers without digit-group underscores.
+@pytest.mark.parametrize("old,new", [("N=16", "N=1_6"), ("\n0.5\n", "\n0_5\n"),
+                                     ("\n0.5\n", "\n\u0660.5\n")],
+                         ids=["header-underscore", "value-underscore", "value-non-ascii"])
+def test_read_field_refuses_underscores_and_non_ascii_digits(tmp_path, old, new):
+    grid = Grid(1, 1.0, 16)
+    path = tmp_path / "snap.field"
+    write_field(path, grid, np.full((2, 16), 0.5))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_field(path, grid)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_read_field_round_trips_a_grid_whose_h_times_n_misses_the_length(tmp_path):
     # 49 * fl(1/49) != 1.0: a grid rebuilt from the stored h would differ.
     grid = Grid(1, 1.0, 49)
