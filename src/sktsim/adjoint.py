@@ -32,7 +32,12 @@ data chi are a stacked pair (2, *grid.shape) on the trajectory's grid,
 which ``run_adjoint`` checks where they enter.  ``run_adjoint``
 marches blocks of levels, computes a block's diagnostics with axis
 reductions, in the arithmetic of one level at a time, and returns a forward
-``Trajectory``.
+``Trajectory``.  Before it marches a block it computes, once for the
+block's distinct frozen states, everything the implicit step takes from a
+state (:class:`_FrozenState`: the negativity check, Q^T and the values of
+I - dt P^T Lap), so that a step only forms its right-hand side and solves;
+:func:`step_adjoint_backward` called on a stacked state is the block of
+one.
 
 A per-run tracker measures the differential-inequality constant of the
 backward energy (H1) balance and asserts its exponentially weighted
@@ -107,33 +112,68 @@ def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
     return _apply(q_diag, q_off[..., ::-1, :], x), src
 
 
-def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
-                          bc: BoundaryCondition, dt: float,
-                          rhs: AdjointRHSKind) -> np.ndarray:
+@dataclass(frozen=True)
+class _FrozenState:
+    """Everything the implicit backward step takes from one frozen truncated
+    state apart from phi: its smallest value (the negativity check), the
+    diagonal and transposed off-diagonal of Q, and the values ``data`` of
+    I - dt P^T Lap on ``pattern``.  The arrays are rows of those
+    :func:`_freeze` builds for a block of states."""
+
+    low: float
+    q_diag: np.ndarray
+    q_off_t: np.ndarray
+    data: np.ndarray
+    pattern: linalg.BlockPattern
+
+
+def _freeze(c: Coefficients, grid: Grid, states: np.ndarray, bc: BoundaryCondition,
+            dt: float) -> list[_FrozenState]:
+    """The :class:`_FrozenState` of each of the truncated states ``states``
+    (k, 2, *grid.shape), computed for all k together in the arithmetic of one
+    state at a time."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    k = len(states)
+    s = _flat(states, grid.dim)
+    q_diag, q_off = jac_Q(c, s)
+    diag, off = jac_P(c, s)
+    # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
+    nodal_t = np.concatenate((diag[:, :1], off[:, ::-1], diag[:, 1:]), axis=1).reshape(k, -1)
+    pattern = linalg.block_pattern(grid, bc)
+    # -dt P^T Lap + I, in place: the block's values are the one array of their size.
+    data = nodal_t[:, pattern.row]
+    data *= -dt
+    data *= pattern.lap
+    data[:, pattern.ident] += 1.0
+    low = np.min(states.reshape(k, -1), axis=1).tolist()
+    return [_FrozenState(*row, pattern) for row in zip(low, q_diag, q_off[..., ::-1, :], data)]
+
+
+def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray,
+                          u_tilde_eps: np.ndarray | _FrozenState, bc: BoundaryCondition,
+                          dt: float, rhs: AdjointRHSKind) -> np.ndarray:
     """One semi-implicit backward step (reversed time marches forward) of the
     stacked pair ``phi``.
 
     Solves (I - dt P(u~)^T Lap) phi_new = phi + dt (-Q(u~)^T phi + rhs(phi))
     with the nodewise transposed Jacobian frozen at the supplied truncated
     state ``u_tilde_eps`` (stacked), through :func:`sktsim.linalg.solve`,
-    which takes one pair only.
+    which takes one pair only.  ``u_tilde_eps`` may also be a state that
+    :func:`_freeze` built, with the same c, grid, bc and dt, for a block of
+    states, which is how :func:`run_adjoint` calls the step; a stacked pair
+    is frozen here as a block of one.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    low = float(np.min(u_tilde_eps))
-    if low < 0.0:
+    frozen = (u_tilde_eps if isinstance(u_tilde_eps, _FrozenState)
+              else _freeze(c, grid, u_tilde_eps[None], bc, dt)[0])
+    if frozen.low < 0.0:
         # A forward undershoot (IMEX does not clip): the march adds step and time.
-        raise NumericalFailure(f"truncated coefficient state has a negative density {low:.3g}")
-    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
-    qt, src = _zeroth_order(c, s, x, rhs)
-    b = (x + dt * (src - qt)).reshape(phi.shape)
-    diag, off = jac_P(c, s)
-    # P^T over the nodes, (P11, P21, P12, P22): block (r, c) of the operator is P_cr Lap.
-    nodal_t = np.concatenate((diag[:1], off[::-1], diag[1:])).ravel()
-    pattern = linalg.block_pattern(grid, bc)
-    data = -dt * nodal_t.take(pattern.row) * pattern.lap
-    data[pattern.ident] += 1.0
-    return linalg.solve(pattern, data, b, phi)
+        raise NumericalFailure(f"truncated coefficient state has a negative density "
+                               f"{frozen.low:.3g}")
+    x = _flat(phi, grid.dim)
+    src = x if rhs is AdjointRHSKind.IDENTITY else eval_l(c, x)
+    b = (x + dt * (src - _apply(frozen.q_diag, frozen.q_off_t, x))).reshape(phi.shape)
+    return linalg.solve(frozen.pattern, frozen.data, b, phi)
 
 
 def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
@@ -196,8 +236,11 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
 
     The coefficient state of each step is the last stored level of ``traj``
     at or before the target level (piecewise constant between stored
-    levels), truncated by :func:`theta_eps`; the states of a block of steps
-    are built together.  Records the three
+    levels), truncated by :func:`theta_eps`.  The distinct states of a
+    block of steps (at most an eighth of the forward block size) are
+    truncated and frozen (:func:`_freeze`) together before the block is
+    marched, and freed before the next block; a negative state fails at the
+    first step that takes it.  Records the three
     estimate functionals (block by block through ``forward._march``,
     partial sums in march order), their ratios against ||chi||_H1, and the
     energy-inequality tracker; the trajectory lives on the time grid of
@@ -212,6 +255,10 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
     dt, tau, steps = time_grid.dt, time_grid.t_final, time_grid.steps
     dim, vol = grid.dim, grid.cell_volume
     block = max(1, _BLOCK_CELLS // grid.node_count)
+    # A block freezes at most ``cap`` distinct states.  One state's operators
+    # hold about as many values as 8 (1D) to 12 (2D) levels, so a block's
+    # frozen operators take about the memory of its levels.
+    cap = max(1, block // 8)
 
     # Per-level values indexed by step: E_n = ||phi_n||_H1^2, the weighted
     # Laplacian term and the L^{4/3} rate term of the step that computed level n.
@@ -225,21 +272,29 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
     energy[steps] = hu ** 2 + hv ** 2
     # The stored level at or before each step; step k's state is frozen there.
     below = np.searchsorted(traj.stored_steps, np.arange(steps), side="right") - 1
-    for top in range(steps, 0, -block):
-        bottom = max(top - block, 0)
-        coef = theta_eps(eps, traj.levels[below[bottom:top]])
+    top = steps
+    while top > 0:
+        # ``below`` grows by 0 or 1 per step, so the states of steps
+        # bottom..top - 1 are the stored levels below[bottom]..below[top - 1].
+        bottom = max(top - block, int(np.searchsorted(below, below[top - 1] - cap + 1)))
+        which = below[bottom:top] - below[bottom]
+        coef = theta_eps(eps, traj.levels[below[bottom]:below[top - 1] + 1])
+        frozen = _freeze(c, grid, coef, bc, dt)
         levels = forward._march(
-            lambda phi, k: step_adjoint_backward(c, grid, phi, coef[k - bottom], bc, dt, rhs),
+            lambda phi, k: step_adjoint_backward(c, grid, phi, frozen[which[k - bottom]],
+                                                 bc, dt, rhs),
             grid, phi, top, bottom, dt)
+        # Free the block's operators before the next block builds its own.
+        del frozen
         new = levels[:-1]
         energy[bottom:top] = [hu ** 2 + hv ** 2 for hu, hv in h1_norms(grid, new, bc).tolist()]
         lap_sq = laplacian(grid, new, bc) ** 2
-        w = (1.0 + coef[:, 0] + coef[:, 1]) * (lap_sq[:, 0] + lap_sq[:, 1])
+        w = (1.0 + coef[:, 0] + coef[:, 1])[which] * (lap_sq[:, 0] + lap_sq[:, 1])
         weighted[bottom:top] = vol * _grid_sums(w, dim)
         r = _grid_sums(np.abs((levels[1:] - new) / dt) ** (4.0 / 3.0), dim)
         rate[bottom:top] = dt * vol * (r[:, 0] + r[:, 1])
         forward._keep(stored, kept, levels, bottom)
-        phi = new[0]
+        phi, top = new[0], bottom
 
     # Running sums accumulate in march order, from tau down to 0.
     wlap_partial = np.cumsum(dt * weighted[::-1])[::-1]

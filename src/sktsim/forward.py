@@ -32,8 +32,10 @@ A march carries stacked pairs only, arrays of shape (*batch, 2,
 *grid.shape) (see :mod:`sktsim.grid`): every step takes its level as one
 array and returns the next one, and :func:`_march` checks each new level
 for finiteness once and stores it with one assignment.  The initial data
-and a forcing term are stacked pairs too, so no object is built per step;
-``run_forward`` checks the initial data once, where they enter.  The steps
+are a stacked pair too, so no object is built per step; ``run_forward``
+checks them once, where they enter.  A forcing term is evaluated once per
+block of levels, at all the block's times in one call, and each step
+takes its row.  The steps
 call the maps of :mod:`sktsim.algebra` (``eval_p``, ``jac_P``, ...), the
 one implementation of the model maps, which the algebra gates call too.
 The explicit step evaluates the flux, its Laplacian and the stability
@@ -292,8 +294,11 @@ _STEPS = {SchemeKind.EXPLICIT: step_explicit, SchemeKind.IMEX_LAGGED: step_imex}
 class ForwardProblem:
     """Everything one forward run needs.  ``initial`` is the stacked pair
     (2, *grid.shape) at t = 0, or anything ``np.asarray`` turns into one
-    (a :class:`FieldPair`); ``forcing(t)``, if given, returns the source
-    term at time t as a stacked pair."""
+    (a :class:`FieldPair`).  ``forcing(times)``, if given, takes a 1-D
+    array of times and returns the source term at each of them, one stacked
+    pair per time, shape (len(times), 2, *grid.shape); :func:`run_forward`
+    calls it once per block of steps (see
+    :meth:`sktsim.mms.ManufacturedSolution.forcing`)."""
 
     coefficients: Coefficients
     grid: Grid
@@ -302,7 +307,7 @@ class ForwardProblem:
     scheme: SchemeKind
     initial: np.ndarray
     stride: int = 1
-    forcing: Callable[[float], np.ndarray] | None = None
+    forcing: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 #: Cells per species held by the block of levels whose diagnostics are
@@ -357,9 +362,11 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     record any undershoot.  A step that fails (non-finite values or the
     explicit stability bound) raises :class:`NumericalFailure` carrying the
     step index and time, without numpy overflow warnings.  The march runs
-    through :func:`_march` a block of levels at a time; each block's
-    diagnostics are computed together and its stored levels kept.  The
-    initial data must be a finite, nonnegative stacked pair.
+    through :func:`_march` a block of levels at a time; the forcing of a
+    block is evaluated in one call before the block is marched, each
+    block's diagnostics are computed together and its stored levels kept.
+    A non-finite forcing fails at the step that takes it.  The initial data
+    must be a finite, nonnegative stacked pair.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
@@ -374,12 +381,23 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     dt = tg.dt
     step = _STEPS[problem.scheme]
 
-    def advance(w: np.ndarray, k: int) -> np.ndarray:
-        forcing = problem.forcing((k - 1) * dt) if problem.forcing is not None else None
-        if forcing is not None and not np.isfinite(forcing).all():
-            # Reported as a non-finite level, before an implicit solve sees it.
-            raise NumericalFailure("non-finite field values")
-        return step(c, grid, w, bc, dt, forcing)
+    def block_advance(lo: int, hi: int) -> Callable[[np.ndarray, int], np.ndarray]:
+        """The step to each level lo + 1, ..., hi, with the forcing of the
+        block (step k takes it at t = (k - 1) dt) evaluated in one call."""
+        if problem.forcing is None:
+            return lambda w, k: step(c, grid, w, bc, dt)
+        forcing = np.asarray(problem.forcing(np.arange(lo, hi) * dt), dtype=float)
+        if forcing.shape != (hi - lo, 2, *grid.shape):
+            raise ValueError(f"forcing at {hi - lo} times has shape {forcing.shape}, not "
+                             f"{(hi - lo, 2, *grid.shape)}")
+        finite = np.isfinite(forcing.reshape(hi - lo, -1)).all(axis=1)
+
+        def advance(w: np.ndarray, k: int) -> np.ndarray:
+            if not finite[k - 1 - lo]:
+                # Reported as a non-finite level of its step, before an implicit solve sees it.
+                raise NumericalFailure("non-finite field values")
+            return step(c, grid, w, bc, dt, forcing[k - 1 - lo])
+        return advance
 
     kept = _stored_steps(tg.steps, problem.stride)
     stored = np.empty((len(kept), 2, *grid.shape))
@@ -390,7 +408,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     block = max(1, _BLOCK_CELLS // grid.node_count)
     for lo in range(0, tg.steps, block):
         hi = min(lo + block, tg.steps)
-        levels = _march(advance, grid, w, lo, hi, dt)
+        levels = _march(block_advance(lo, hi), grid, w, lo, hi, dt)
         columns[:, lo + 1:hi + 1] = _diagnostics_block(
             c, grid, bc, levels, np.arange(lo + 1, hi + 1, dtype=float), dt)
         _keep(stored, kept, levels, lo)
@@ -432,7 +450,7 @@ def manufactured_convergence(problem: ForwardProblem, exact,
             coefficients=problem.coefficients, grid=grid, bc=problem.bc,
             time_grid=TimeGrid(T, dt), scheme=problem.scheme,
             initial=exact.field(grid, 0.0), stride=max(1, steps),
-            forcing=lambda t, g=grid: exact.forcing(g, t))
+            forcing=lambda times, g=grid: exact.forcing(g, times))
         final = run_forward(sub).levels[-1]
         errors.append(float(np.max(np.abs(final - exact.field(grid, T)))))
     return ConvergenceTable(ns=list(ns), errors=errors)

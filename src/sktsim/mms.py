@@ -14,6 +14,13 @@ value, gradient and Laplacian:
 and Lap p2 is the same with the species swapped.  Target fields should be
 compatible with the boundary condition of the run (zero normal derivative
 for Neumann, zero trace for Dirichlet).
+
+The fields and the forcing are evaluated for a 1-D array of times at once,
+which is how :func:`sktsim.forward.run_forward` asks for the forcing of a
+block of steps: the grid coordinates and the parts of the jets that do not
+depend on time are built once per call, ``math.exp`` is applied per time,
+and the rest broadcasts, so each time's values are bit for bit those of a
+call at that time alone.
 """
 
 from __future__ import annotations
@@ -35,37 +42,54 @@ __all__ = ["ManufacturedSolution", "bump_profile", "heat_limit_coefficients",
 class ManufacturedSolution:
     """Exact fields and residual forcing on cell centers.
 
-    ``jets(coords, t)`` returns, for u and then v, the tuple (value, gradient
-    components, Laplacian, time derivative) at the cell-center coordinates
-    ``coords`` (one array per axis); :meth:`forcing` applies the Lap p
-    identity of the module docstring to them.
+    ``jets(coords, times)`` returns, for u and then v, the tuple (value,
+    gradient components, Laplacian, time derivative) at the cell-center
+    coordinates ``coords`` (one array per axis) and at each time of the 1-D
+    array ``times``; every entry broadcasts to (len(times), *grid.shape).
+    :meth:`field` and :meth:`forcing` evaluate the jets once for all the
+    times they are given, and :meth:`forcing` applies the Lap p identity of
+    the module docstring to them.  Both take a scalar t, giving one stacked
+    pair (2, *grid.shape), or a 1-D array of times, giving one stacked pair
+    per time (len(t), 2, *grid.shape); the values at a time do not depend on
+    the other times asked for.
     """
 
     coefficients: Coefficients
     dim: int
-    jets: Callable[[tuple[np.ndarray, ...], float], tuple]
+    jets: Callable[[tuple[np.ndarray, ...], np.ndarray], tuple]
 
-    def _jets_on(self, grid: Grid, t: float) -> tuple:
+    def _jets_on(self, grid: Grid, t) -> tuple[np.ndarray, tuple]:
         if grid.dim != self.dim:
             raise ValueError(f"manufactured solution is {self.dim}D, grid is {grid.dim}D")
-        return self.jets(grid.meshgrid(), t)
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
+        return times, self.jets(grid.meshgrid(), times.reshape(-1))
 
-    def field(self, grid: Grid, t: float) -> np.ndarray:
-        """The exact fields at time t as a stacked pair (2, *grid.shape)."""
-        (u, *_), (v, *_) = self._jets_on(grid, t)
-        return np.stack((u, v))
+    @staticmethod
+    def _stacked(grid: Grid, times: np.ndarray, u, v) -> np.ndarray:
+        """u and v, each broadcast to (len(times), *grid.shape), as stacked
+        pairs; one pair for a scalar time."""
+        out = np.empty((times.size, 2, *grid.shape))
+        out[:, 0], out[:, 1] = u, v
+        return out[0] if times.ndim == 0 else out
 
-    def forcing(self, grid: Grid, t: float) -> np.ndarray:
-        """The residual forcing at time t as a stacked pair (2, *grid.shape)."""
+    def field(self, grid: Grid, t) -> np.ndarray:
+        """The exact fields at time t (a scalar or a 1-D array) as stacked pairs."""
+        times, ((u, *_), (v, *_)) = self._jets_on(grid, t)
+        return self._stacked(grid, times, u, v)
+
+    def forcing(self, grid: Grid, t) -> np.ndarray:
+        """The residual forcing at time t (a scalar or a 1-D array) as stacked pairs."""
         c = self.coefficients
-        (u, gu, lu, tu), (v, gv, lv, tv) = self._jets_on(grid, t)
+        times, ((u, gu, lu, tu), (v, gv, lv, tv)) = self._jets_on(grid, t)
         cross = sum(a * b for a, b in zip(gu, gv))
         lap_p1 = ((c.d1 + 2.0 * c.a11 * u + c.a12 * v) * lu + c.a12 * u * lv
                   + 2.0 * c.a11 * sum(g * g for g in gu) + 2.0 * c.a12 * cross)
         lap_p2 = ((c.d2 + c.a21 * u + 2.0 * c.a22 * v) * lv + c.a21 * v * lu
                   + 2.0 * c.a22 * sum(g * g for g in gv) + 2.0 * c.a21 * cross)
-        return np.stack((tu - lap_p1 + (c.b1 * u + c.c1 * v - c.a1) * u,
-                         tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v))
+        return self._stacked(grid, times, tu - lap_p1 + (c.b1 * u + c.c1 * v - c.a1) * u,
+                             tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v)
 
 
 def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) -> ManufacturedSolution:
@@ -77,14 +101,17 @@ def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) 
     different rates so the cross terms are exercised.
     """
 
-    def jets(coords: tuple[np.ndarray, ...], t: float) -> tuple:
+    def jets(coords: tuple[np.ndarray, ...], times: np.ndarray) -> tuple:
         s = [x / length for x in coords]
         w = [si * si * (3.0 - 2.0 * si) for si in s]
         W = math.prod(w)
         rest = [math.prod(w[:i] + w[i + 1:]) for i in range(len(w))]  # W without axis i
         grad = [6.0 * si * (1.0 - si) / length * r for si, r in zip(s, rest)]
         lap = sum((6.0 - 12.0 * si) / length ** 2 * r for si, r in zip(s, rest))
-        a, b = 0.5 * math.exp(-t), 0.5 * math.exp(-2.0 * t)
+        # The time factors, one per time, broadcast along the grid axes.
+        per_time = (-1,) + (1,) * len(coords)
+        a = np.array([0.5 * math.exp(-t) for t in times.tolist()]).reshape(per_time)
+        b = np.array([0.5 * math.exp(-2.0 * t) for t in times.tolist()]).reshape(per_time)
         return ((1.0 + a * W, [a * g for g in grad], a * lap, -a * W),
                 (1.0 + b * (1.0 - W), [-b * g for g in grad], -b * lap, -2.0 * b * (1.0 - W)))
 

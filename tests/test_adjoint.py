@@ -29,6 +29,7 @@ from sktsim.forward import (
     SchemeKind,
     StabilityError,
     TimeGrid,
+    Trajectory,
     _march,
     run_forward,
 )
@@ -203,6 +204,25 @@ def test_step_adjoint_backward_validates_inputs():
     with pytest.raises(ValueError):
         step_adjoint_backward(CFG_A, grid, phi, np.zeros((2, *grid.shape)), NEU,
                               -0.01, AdjointRHSKind.IDENTITY)
+
+
+@pytest.mark.parametrize("stride, bad, first_step", [(1, 472, 472), (10, 470, 479)])
+def test_negative_frozen_state_fails_at_its_step_mid_block(stride, bad, first_step):
+    # run_adjoint freezes the states of a block of steps together, but a
+    # negative state fails at the first step that takes it (the march runs
+    # downward; step k takes the stored level at or before k), with that
+    # step's index and time, not when its block starts.
+    grid = Grid(1, 1.0, 64)
+    steps, dt = 600, 1e-4
+    block = _BLOCK_CELLS // grid.node_count
+    assert steps - block < first_step < steps - 1  # inside the first block marched
+    stored = list(range(0, steps + 1, stride))
+    levels = np.full((len(stored), 2, *grid.shape), 0.5)
+    levels[stored.index(bad), 0, 7] = -0.25
+    traj = Trajectory(grid, TimeGrid(steps * dt, dt), stored, levels, {})
+    with pytest.raises(NumericalFailure, match="negative density -0.25") as err:
+        run_adjoint(CFG_A, NEU, traj, 0.5, AdjointRHSKind.IDENTITY, unit_h1_cosine(grid))
+    assert (err.value.step, err.value.t) == (first_step, first_step * dt)
 
 
 def forward_desk_trajectory(n=32, T=0.25, dt=1e-3, amplitude=2.0):
@@ -567,7 +587,7 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
         built.clear()
         run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
                                    SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10,
-                                   forcing=lambda t: exact.forcing(grid, t)))
+                                   forcing=lambda times: exact.forcing(grid, times)))
         return len(built)
 
     assert forced_pairs(1000) == forced_pairs(100) == 0
