@@ -13,17 +13,22 @@ from the final time of one forward trajectory down to t = 0.  The explicit
 step :func:`step_adjoint_transpose` applies the exact transpose of the
 explicit linearized forward difference operator, which makes the discrete
 duality pairing hold to machine precision; the uniqueness campaign marches
-it directly, with coefficients averaged over two trajectories.
+it directly, with coefficients averaged over two trajectories.  Like the
+implicit step it takes a frozen state: :func:`_freeze_transpose` computes
+P^T, Q^T and the stability bound for a whole stack of states in one call
+(:class:`_FrozenTranspose`), and a stacked pair passed to the step is the
+stack of one.
 
 Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
 both steps take the adjoint level phi and the coefficient state as stacked
 pairs and return the next level stacked like phi, and the march checks each
 new level for finiteness once.  The implicit step solves for one pair
-through :func:`sktsim.linalg.solve`; the explicit one also takes a batch
-of pairs (..., 2, *grid.shape) against one coefficient state and refuses
-a step past :func:`sktsim.forward.stability_bound`, the bound of the
-explicit forward step.  Both steps read P, Q and l through the maps of
+through :func:`sktsim.linalg.solve` and refuses a batch; the explicit one
+also takes a batch of pairs (..., 2, *grid.shape) against one coefficient
+state and refuses a step past :func:`sktsim.forward.stability_bound`, the
+bound of the explicit forward step, which its frozen state holds.  Both
+steps read P, Q and l through the maps of
 :mod:`sktsim.algebra` that the forward steps and the gates call.  A
 coefficient state with a negative density (an IMEX undershoot, which the
 forward march does not clip) raises :class:`NumericalFailure`, so the
@@ -50,6 +55,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,15 +107,6 @@ def theta_eps(eps: float, s):
     blend = a * (1.0 + t * (1.0 - t) ** 2)
     out = np.where(arr <= a, arr, np.where(arr >= 2.0 * a, a, blend))
     return float(out) if np.ndim(s) == 0 else out
-
-
-def _zeroth_order(c: Coefficients, s: np.ndarray, x: np.ndarray,
-                  rhs: AdjointRHSKind) -> tuple[np.ndarray, np.ndarray]:
-    """Q(s)^T x and rhs(x) for the flattened coefficient state ``s`` (2, N)
-    and adjoint levels ``x`` (..., 2, N)."""
-    q_diag, q_off = jac_Q(c, s)
-    src = x if rhs is AdjointRHSKind.IDENTITY else eval_l(c, x)
-    return _apply(q_diag, q_off[..., ::-1, :], x), src
 
 
 @dataclass(frozen=True)
@@ -176,25 +173,56 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray,
     return linalg.solve(frozen.pattern, frozen.data, b, phi)
 
 
-def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray, u_tilde_eps: np.ndarray,
-                           bc: BoundaryCondition, dt: float,
-                           rhs: AdjointRHSKind) -> np.ndarray:
+class _FrozenTranspose(NamedTuple):
+    """Everything the explicit transpose step takes from one coefficient
+    state apart from phi: the stability bound of the explicit forward step
+    on it, and the diagonals and transposed off-diagonals of P and Q.  The
+    arrays are rows of those :func:`_freeze_transpose` builds for a stack of
+    states; a march makes one record per step, so it is a tuple, cheap to
+    build."""
+
+    bound: float
+    p_diag: np.ndarray
+    p_off_t: np.ndarray
+    q_diag: np.ndarray
+    q_off_t: np.ndarray
+
+
+def _freeze_transpose(c: Coefficients, grid: Grid, states: np.ndarray) -> list[_FrozenTranspose]:
+    """The :class:`_FrozenTranspose` of each of the coefficient states
+    ``states`` (k, 2, *grid.shape), computed for all k together in the
+    arithmetic of one state at a time."""
+    s = _flat(states, grid.dim)
+    diag, off = jac_P(c, s)
+    q_diag, q_off = jac_Q(c, s)
+    bounds = forward.stability_bound(grid, diag, off).tolist()
+    return [_FrozenTranspose(*row) for row in
+            zip(bounds, diag, off[..., ::-1, :], q_diag, q_off[..., ::-1, :])]
+
+
+def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray,
+                           u_tilde_eps: np.ndarray | _FrozenTranspose, bc: BoundaryCondition,
+                           dt: float, rhs: AdjointRHSKind) -> np.ndarray:
     """One explicit backward step, the exact transpose of the linearized
     explicit forward difference update (diffusion, reaction, and source all
     taken at the known level).  ``phi`` is stacked and may carry batch axes;
-    the coefficient state is one stacked pair and broadcasts over them.
+    the coefficient state is one stacked pair and broadcasts over them.  It
+    may also be a state that :func:`_freeze_transpose` built, with the same
+    c and grid, for a stack of states, which is how a march over known
+    states calls the step; a stacked pair is frozen here as a stack of one.
 
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
     """
-    s, x = _flat(u_tilde_eps, grid.dim), _flat(phi, grid.dim)
-    diag, off = jac_P(c, s)
-    bound = forward.stability_bound(grid, diag, off)
-    if dt > bound:
-        raise StabilityError(dt, bound)
+    frozen = (u_tilde_eps if isinstance(u_tilde_eps, _FrozenTranspose)
+              else _freeze_transpose(c, grid, u_tilde_eps[None])[0])
+    if dt > frozen.bound:
+        raise StabilityError(dt, frozen.bound)
+    x = _flat(phi, grid.dim)
     lap = _flat(laplacian(grid, phi, bc), grid.dim)
-    pt_lap = _apply(diag, off[..., ::-1, :], lap)
-    qt, src = _zeroth_order(c, s, x, rhs)
+    pt_lap = _apply(frozen.p_diag, frozen.p_off_t, lap)
+    qt = _apply(frozen.q_diag, frozen.q_off_t, x)
+    src = x if rhs is AdjointRHSKind.IDENTITY else eval_l(c, x)
     return (x + dt * (pt_lap - qt + src)).reshape(phi.shape)
 
 

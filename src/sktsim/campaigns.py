@@ -15,6 +15,7 @@ time since the previous one, CSV writes included.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from collections.abc import Iterator
@@ -82,6 +83,32 @@ def _norm_bump(grid: Grid) -> np.ndarray:
 
 _CHUNK = 2 ** 16  # samples per margin evaluation of the positivity certificate
 
+
+def _uniform_chunks(rng: np.random.Generator, count: int,
+                    bounds: tuple[tuple[float, float], ...]) -> Iterator[list[np.ndarray]]:
+    """The draws ``rng.uniform(low, high, count)`` for each (low, high) of
+    ``bounds``, one after the other, yielded ``_CHUNK`` samples at a time:
+    one array per draw, holding the same numbers as its slice of the
+    one-shot draws.  ``rng`` is advanced past all the draws at once, as the
+    one-shot draws leave it.
+
+    PCG64 spends one 64-bit output per uniform double, so the sample at
+    position p of the stream is the first draw of a copy of the generator
+    advanced by p.
+    """
+    start = copy.deepcopy(rng.bit_generator)
+    rng.bit_generator.advance(len(bounds) * count)
+
+    def draw(offset: int, low: float, high: float, size: int) -> np.ndarray:
+        bit_generator = copy.deepcopy(start)
+        bit_generator.advance(offset)
+        return np.random.Generator(bit_generator).uniform(low, high, size)
+
+    for i in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - i)
+        yield [draw(j * count + i, low, high, size) for j, (low, high) in enumerate(bounds)]
+
+
 def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
     c = cfg.coefficients
     rng = np.random.default_rng(cfg.seed + 1)
@@ -121,14 +148,14 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         alpha = max_alpha(c)
         ca = replace(c, alpha=alpha) if alpha > 0 else c
         n_fresh = 1_000_000
-        w = rng.uniform(0, 100, (2, n_fresh))
-        theta = rng.uniform(0, 2 * np.pi, n_fresh)
-        # Each margin is elementwise, so chunks bound the memory and leave the minimum as it is.
+        # u, v and theta: the samples of three draws of n_fresh each, in
+        # chunks.  Each margin is elementwise, so chunks bound the memory and
+        # leave the minimum as it is.
         min_margin = min(
-            float(np.min(quad_form_margin(ca, w[:, i:i + _CHUNK],
-                                          np.stack((np.cos(theta[i:i + _CHUNK]),
-                                                    np.sin(theta[i:i + _CHUNK]))))))
-            for i in range(0, n_fresh, _CHUNK))
+            float(np.min(quad_form_margin(ca, np.stack((u, v)),
+                                          np.stack((np.cos(theta), np.sin(theta))))))
+            for u, v, theta in _uniform_chunks(rng, n_fresh,
+                                               ((0, 100), (0, 100), (0, 2 * np.pi))))
         inv_norms, bounds = inverse_norm_check(ca, rng.uniform(0, 200, (2, 10_000)))
         inv_ok = bool(np.all(inv_norms <= bounds * (1 + 1e-12)))
         verdicts.append(CheckResult(
@@ -141,17 +168,18 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
             f"a12^2, 8 a22 a12 - a21^2) = {conditions.margins_coef_cond} (want both > 0)"))
     yield verdicts[-1]
 
+    # 100 states drawn as one stack (100, 2, 1): the numbers of 100 draws of
+    # one state each, in their order.
+    w0 = rng.uniform(-5.0, 5.0, (100, 2, 1))
     worst_fd = 0.0
-    for _ in range(100):
-        w0 = rng.uniform(-5.0, 5.0, (2, 1))
-        for fn, jac in ((eval_p, jac_P), (eval_q, jac_Q)):
-            J = jac(c, w0)
-            # Along each species direction e, the central difference of the
-            # map against the column J e of its Jacobian.
-            for h in (1e-4, 5e-5):
-                for e in np.eye(2)[:, :, None]:
-                    fd = (fn(c, w0 + h * e) - fn(c, w0 - h * e)) / (2 * h)
-                    worst_fd = max(worst_fd, float(np.max(np.abs(fd - _apply(*J, e)))))
+    for fn, jac in ((eval_p, jac_P), (eval_q, jac_Q)):
+        J = jac(c, w0)
+        # Along each species direction e, the central difference of the
+        # map against the column J e of its Jacobian.
+        for h in (1e-4, 5e-5):
+            for e in np.eye(2)[:, :, None]:
+                fd = (fn(c, w0 + h * e) - fn(c, w0 - h * e)) / (2 * h)
+                worst_fd = max(worst_fd, float(np.max(np.abs(fd - _apply(*J, e)))))
     verdicts.append(CheckResult(
         "jacobian-consistency", worst_fd <= 1e-8,
         f"max central-difference gap {worst_fd:.2e} (quadratic maps: differences are exact)"))

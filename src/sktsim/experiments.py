@@ -11,6 +11,10 @@ transpose adjoint of the terminal basis (on the truncated average of the two
 forward trajectories), goes through the one stepping loop
 :func:`sktsim.forward._march` on stacked pairs, and the stored levels of a
 forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
+The transpose adjoint's coefficient states are all known before it
+marches, so each study freezes them once
+(:func:`sktsim.adjoint._freeze_transpose`) and every step reads its frozen
+state.
 The initial data, the terminal basis, the solution differences and the
 adjoint levels are stacked pairs, and every pairing and norm of them is one
 call to the reductions of :mod:`sktsim.grid`.
@@ -18,7 +22,9 @@ call to the reductions of :mod:`sktsim.grid`.
 Continuous dependence perturbs the initial data along a fixed direction
 and fits how the weak norm of the solution difference scales with the
 perturbation size, alongside the ingredient terms of the initial-data
-bound.
+bound.  Its base run and three perturbed runs march as one 1D batch of
+IMEX runs, one band solve per step, calling the step the way
+:func:`~sktsim.forward.run_forward` does, through ``forward._STEPS``.
 
 Each study takes the grids it marches on, a :class:`~sktsim.grid.Grid` and
 a :class:`~sktsim.forward.TimeGrid` per level, and the stacked pairs it
@@ -35,9 +41,17 @@ from typing import Callable
 
 import numpy as np
 
-from sktsim.adjoint import AdjointRHSKind, step_adjoint_transpose, theta_eps
+from sktsim.adjoint import AdjointRHSKind, _freeze_transpose, step_adjoint_transpose, theta_eps
 from sktsim.algebra import Coefficients, _apply, dual_exponent, eval_l, jac_P, jac_Q
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, Trajectory, _march, run_forward
+from sktsim.forward import (
+    _STEPS,
+    ForwardProblem,
+    SchemeKind,
+    TimeGrid,
+    _initial_levels,
+    _march,
+    run_forward,
+)
 from sktsim.grid import (
     BoundaryCondition,
     Grid,
@@ -143,7 +157,8 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     steps, dt = time_grid.steps, time_grid.dt
     u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, u_tilde, u_bar, bc, dt),
                    grid, u_bar0, 0, steps, dt)
-    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, u_tilde, bc, dt,
+    frozen = _freeze_transpose(c, grid, u_tilde[None])[0]
+    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, frozen, bc, dt,
                                                        AdjointRHSKind.IDENTITY),
                  grid, chi[None], steps, 0, dt)
     res = _duality_residual_series(c, grid, u_bar, phi, dt)
@@ -173,7 +188,8 @@ def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
         u_bar = t1.levels - t2.levels
 
         basis = chi_basis(grid, bc, modes)
-        states = theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels))
+        # Every state is known before the march, so all are frozen at once.
+        states = _freeze_transpose(c, grid, theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels)))
 
         def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
             return step_adjoint_transpose(c, grid, phi, states[k], bc, dt,
@@ -205,8 +221,11 @@ def continuous_dependence_experiment(
     """Scaling of the weak norm of the solution difference with the data offset.
 
     For each delta in (1e-3, 1e-2, 1e-1) the IMEX run on ``grid`` and
-    ``time_grid`` starts from the stacked pair base + delta * direction; the
-    weak norm of the difference at tau = T/4, T/2, T is recorded next to the
+    ``time_grid`` starts from the stacked pair base + delta * direction.  It
+    marches with the run from ``base`` as one batch of four, its initial
+    data checked as :func:`~sktsim.forward.run_forward` checks them, and
+    only the quarter levels are kept.  The weak norm of the difference at
+    tau = T/4, T/2, T is recorded next to the
     basis sup (two modes), the initial-data norms with exponent
     q = dual_exponent(d) and the three ingredient terms of the initial-data
     bound.  Returns the columns of ``dependence.csv`` (tau,
@@ -216,20 +235,25 @@ def continuous_dependence_experiment(
     largest ratio of the weak norm to the L^q size of the initial offset.
     """
     deltas = [1e-3, 1e-2, 1e-1]
-    T, dim = time_grid.t_final, grid.dim
+    T, dt, dim = time_grid.t_final, time_grid.dt, grid.dim
     if time_grid.steps % 4 != 0:
         raise ValueError("step count must be divisible by 4 so tau levels are stored")
-    stride = time_grid.steps // 4
+    quarter = time_grid.steps // 4
     q = dual_exponent(dim)
-    # tau = T/4, T/2 and T are the stored levels 1, 2 and 4.
+    # tau = T/4, T/2 and T are the quarter levels 1, 2 and 4.
     quarters = (1, 2, 4)
     taus = [k / 4 * T for k in quarters]
 
-    def run(initial: np.ndarray) -> Trajectory:
-        return run_forward(ForwardProblem(c, grid, bc, time_grid, SchemeKind.IMEX_LAGGED,
-                                          initial, stride=stride))
-
-    base_traj = run(base)
+    # The step of ``run_forward``, looked up where it does (see forward._STEPS).
+    step = _STEPS[SchemeKind.IMEX_LAGGED]
+    w = _initial_levels(np.stack([base] + [base + delta * direction for delta in deltas]),
+                        grid, (len(deltas) + 1,))
+    levels = np.empty((len(deltas) + 1, 5, 2, *grid.shape))
+    levels[:, 0] = w
+    for k in range(1, 5):
+        w = _march(lambda w, _: step(c, grid, w, bc, dt), grid, w,
+                   (k - 1) * quarter, k * quarter, dt)[:, -1]
+        levels[:, k] = w
     basis = chi_basis(grid, bc, modes=2)
 
     weak_norms = np.empty((len(taus), len(deltas)))
@@ -239,8 +263,7 @@ def continuous_dependence_experiment(
     p47 = 4.0 * dim / (dim + 2.0)
     p48 = 2.0 * dim / (6.0 - dim)
 
-    for j, delta in enumerate(deltas):
-        diff = run(base + delta * direction).levels - base_traj.levels
+    for j, diff in enumerate(levels[1:] - levels[0]):
         bar0 = diff[0]
         l2 = math.sqrt(inner(grid, bar0, bar0))
         inputs.append((l2, lp_norm(grid, bar0, q), sqrt_t * lp_norm(grid, bar0, p47),

@@ -13,8 +13,11 @@ the uniqueness experiments lean on.
 Both implicit operators, the IMEX one here and the continuous-adjoint one
 of :mod:`sktsim.adjoint`, are computed as CSR values on the cached
 :func:`~sktsim.linalg.block_pattern` of (grid, bc), in 1D and 2D alike,
-and solved for one stacked pair by :func:`~sktsim.linalg.solve`; the
-explicit steps also take a batch of pairs.
+and solved by :func:`~sktsim.linalg.solve`.  The explicit step takes a
+batch of pairs (*batch, 2, *grid.shape); so does the IMEX step in 1D,
+whose operators, one per pair, are solved in one band, bit for bit as one
+pair at a time.  A 2D IMEX step takes one pair.  The initial data of a
+march, batched or not, are checked by one helper, :func:`_initial_levels`.
 
 Per-step diagnostics track the quantities whose boundedness characterizes
 solution regularity: masses, extrema, L2/H1/L4 norms, the L2 norms of
@@ -187,12 +190,19 @@ def _march(advance: Callable[[np.ndarray, int], np.ndarray], grid: Grid, w: np.n
     return levels
 
 
-def stability_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float:
+def stability_bound(grid: Grid, diag: np.ndarray, off: np.ndarray) -> float | np.ndarray:
     """h^2 / (2 d P_max) for the flux Jacobian P with diagonal ``diag`` and
     off-diagonal ``off`` (see :func:`~sktsim.algebra.jac_P`): P_max is the
-    largest of the rows |P11| + |P12| and |P21| + |P22| over the nodes."""
+    largest of the rows |P11| + |P12| and |P21| + |P22| over the nodes.
+
+    One state (2, N) gives a float; a stack (*batch, 2, N) of states gives
+    the bound of each, an array of shape ``batch`` (inf where P = 0).
+    """
     rows = np.abs(diag)
     rows += np.abs(off)
+    if rows.ndim > 2:
+        with np.errstate(divide="ignore"):
+            return grid.h ** 2 / (2.0 * grid.dim * rows.max(axis=(-2, -1)))
     p_max = float(rows.max())
     if p_max == 0.0:
         return math.inf
@@ -220,6 +230,8 @@ def step_explicit(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondit
     """
     s = _flat(w, grid.dim)
     bound = stability_bound(grid, *jac_P(c, s))
+    if w.ndim > grid.dim + 1:  # the pairs of a batch share dt, so the smallest bound holds
+        bound = float(bound.min())
     if dt > bound:
         raise StabilityError(dt, bound)
     # w + dt (Lap p(ext w) + l - q), built in the stencil's new array.
@@ -237,37 +249,48 @@ def _divergence_form_data(c: Coefficients, grid: Grid, w: np.ndarray,
                           pattern: linalg.BlockPattern) -> np.ndarray:
     """Values on ``pattern`` (the :func:`~sktsim.linalg.block_pattern` of
     ``grid`` and the bc) of the 2N x 2N operator x -> div(P(w) grad x) with
-    face-averaged P, on stacked unknowns [x_u; x_v], for the stacked pair
-    ``w``.
+    face-averaged P, on stacked unknowns [x_u; x_v], for each stacked pair of
+    ``w`` (*batch, 2, *grid.shape): shape (*batch, nnz).
 
     Because the Jacobian entries are affine in the state, the arithmetic face
     average equals the midpoint evaluation and flux differences of the
     quadratic map are reproduced exactly.
     """
+    batch = w.shape[:w.ndim - 1 - grid.dim]
     diag, off = jac_P(c, _flat(w, grid.dim))
-    # P11, P12, P21, P22 over the nodes: the 4N values pattern.row indexes.
-    nodal = np.concatenate((diag[:1], off, diag[1:])).ravel()
+    # P11, P12, P21, P22 over the nodes: the 4N values per pair that pattern.row indexes.
+    nodal = np.concatenate((diag[..., :1, :], off, diag[..., 1:, :]), axis=-2).ravel()
+    row, col, node_diag, ident = pattern.row, pattern.col, pattern.node_diag, pattern.ident
+    if batch:  # the pairs side by side: pair m's values and entries offset by m 4N and m nnz
+        pair = np.arange(math.prod(batch))[:, None]
+        row, col = ((index + 4 * grid.node_count * pair).ravel() for index in (row, col))
+        node_diag, ident = ((index + pattern.row.size * pair).ravel() for index in (node_diag, ident))
     inv_h2 = 1.0 / grid.h ** 2
-    data = 0.5 * inv_h2 * (nodal.take(pattern.row) + nodal.take(pattern.col))
+    data = nodal.take(row)
+    data += nodal.take(col)
+    data *= 0.5 * inv_h2
     # Each diagonal entry balances its row of the block (zero row sums) ...
-    data[pattern.node_diag] = 0.0
-    row_sums = np.bincount(pattern.row, weights=data, minlength=nodal.size)
-    data[pattern.node_diag] = -row_sums[pattern.row[pattern.node_diag]]
+    data[node_diag] = 0.0
+    row_sums = np.bincount(row, weights=data, minlength=nodal.size)
+    data[node_diag] = -row_sums[row[node_diag]]
     # ... except at a Dirichlet wall: the ghost state is the negated interior
     # state, so the face coefficient averages to diag(d1, d2) and the
     # across-face jump is 2 x_wall.  Neumann has no wall faces.
     if pattern.walls.size:
-        data[pattern.ident] -= 2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls).ravel()
-    return data
+        wall = (2.0 * inv_h2 * np.outer((c.d1, c.d2), pattern.walls)).ravel()
+        data[ident] -= np.tile(wall, len(pair)) if batch else wall
+    return data.reshape(*batch, -1) if batch else data
 
 
 def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition, dt: float,
               forcing: np.ndarray | None = None) -> np.ndarray:
-    """One semi-implicit step on the stacked pair ``w``: implicit
+    """One semi-implicit step on the stacked pairs ``w``: implicit
     lagged-coefficient diffusion, explicit reactions.
 
     Solves (I - dt L_n) x = w + dt (l - q + forcing) with
-    :func:`~sktsim.linalg.solve`, which takes one pair only; accuracy O(dt).
+    :func:`~sktsim.linalg.solve`; accuracy O(dt).  In 1D, ``w`` may be a
+    batch (*batch, 2, n), each pair with its own operator, solved in one
+    band, and ``forcing`` is stacked like ``w``; in 2D it is one pair.
     """
     b = w
     if c.has_reactions:
@@ -278,7 +301,7 @@ def step_imex(c: Coefficients, grid: Grid, w: np.ndarray, bc: BoundaryCondition,
     pattern = linalg.block_pattern(grid, bc)
     data = _divergence_form_data(c, grid, w, pattern)
     data *= -dt
-    data[pattern.ident] += 1.0
+    data.T[pattern.ident] += 1.0  # data.T[k]: entry k of every pair
     return linalg.solve(pattern, data, b, w)
 
 
@@ -354,6 +377,23 @@ def _diagnostics_block(c: Coefficients, grid: Grid, bc: BoundaryCondition,
         wtd])
 
 
+def _initial_levels(initial, grid: Grid, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """``initial`` as stacked pairs of floats, shape (*batch, 2, *grid.shape),
+    checked as every forward march checks its initial data: a wrong shape or
+    a negative value raises ``ValueError``, a non-finite value
+    :class:`NumericalFailure`."""
+    initial = np.asarray(initial, dtype=float)
+    shape = (*batch, 2, *grid.shape)
+    if initial.shape != shape:
+        raise ValueError(f"initial data shape {initial.shape} does not match the stacked "
+                         f"grid shape {shape}")
+    if not np.isfinite(initial).all():
+        raise NumericalFailure("non-finite initial data")
+    if np.any(initial < 0):
+        raise ValueError("initial data must be nonnegative")
+    return initial
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_forward(problem: ForwardProblem) -> Trajectory:
     """Integrate 0 -> T recording per-step diagnostics and strided snapshots.
@@ -370,14 +410,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
-    initial = np.asarray(problem.initial, dtype=float)
-    if initial.shape != (2, *grid.shape):
-        raise ValueError(f"initial data shape {initial.shape} does not match the stacked "
-                         f"grid shape {(2, *grid.shape)}")
-    if not np.isfinite(initial).all():
-        raise NumericalFailure("non-finite initial data")
-    if np.any(initial < 0):
-        raise ValueError("initial data must be nonnegative")
+    initial = _initial_levels(problem.initial, grid)
     dt = tg.dt
     step = _STEPS[problem.scheme]
 

@@ -6,20 +6,25 @@ operators on stacked unknowns [u; v] whose four N x N blocks share the
 sparsity of :func:`~sktsim.grid.laplacian_matrix`.  A step computes its
 operator as CSR values on the cached :func:`block_pattern` of its grid and
 boundary rule and hands them, with one stacked pair (2, *grid.shape) as
-right-hand side, to :func:`solve`.  In 1D the values are scattered straight
-into the band storage of LAPACK ``gbsv`` and solved directly; in 2D the CSR
+right-hand side, to :func:`solve`; in 1D also a batch of pairs
+(*batch, 2, n), with one operator's values per pair.  In 1D the values are
+scattered straight into the band storage of LAPACK ``gbsv`` and solved
+directly, a batch's operators on the diagonal of one band; in 2D the CSR
 matrix goes to scipy's BiCGStab, preconditioned by the mean-coefficient
 operator (I - dt pbar_r Lap)^-1 of each species r, which the Laplacian's
 eigenbasis inverts exactly (Concus & Golub 1973).  The band layout, the band
 storage, the eigenbasis and the choice of solver live here and nowhere else.
 A solution is accepted only at true residual ||b - A x|| <= RTOL ||b||, with
-BLAS ``nrm2`` norms, which scale and do not overflow.
+BLAS ``nrm2`` norms, which scale and do not overflow; each member of a
+batch is held to the bound of its own b.
 
 A 1D system has bandwidth 3, so its solve costs less in arithmetic than in
 per-call overhead; the LAPACK and BLAS routines are resolved once, here
 at import, and called directly: the same ``dgbsv`` and ``dnrm2`` that
 ``scipy.linalg.solve_banded`` and ``scipy.linalg.norm`` call, on the same
-values, without their per-call validation.
+values, without their per-call validation.  A batch of B operators in one
+band pays that overhead once instead of B times; the arithmetic grows
+linearly with B either way.
 """
 
 from __future__ import annotations
@@ -137,19 +142,24 @@ def block_pattern(grid: Grid, bc: BoundaryCondition) -> BlockPattern:
 
 def solve(pattern: BlockPattern, data: np.ndarray, b: np.ndarray,
           guess: np.ndarray) -> np.ndarray:
-    """Solve the implicit system with values ``data`` on ``pattern`` for one
-    stacked pair ``b`` (2, *grid.shape): :func:`solve_band` in 1D, and
+    """Solve the implicit systems with values ``data`` on ``pattern``, one
+    per stacked pair of ``b``: :func:`solve_band` in 1D, and
     :func:`krylov_solve` from the stacked ``guess``, preconditioned by
-    :func:`_mean_preconditioner`, in 2D.  Anything but one pair, a batch
-    included, raises ``ValueError``.  Returns x stacked like ``b``."""
-    if b.shape != pattern.shape:
-        raise ValueError(f"an implicit solve takes one stacked pair of shape {pattern.shape}, "
-                         f"got {b.shape}")
+    :func:`_mean_preconditioner`, in 2D.
+
+    In 1D, ``b`` may be a batch (*batch, 2, n) of pairs with one operator
+    each, ``data`` of shape (*batch, nnz), solved together; a 2D solve takes
+    one pair (2, n, n) and one operator.  Any other shape raises
+    ``ValueError``.  Returns x stacked like ``b``.
+    """
+    if b.shape != data.shape[:-1] + pattern.shape or data.ndim > 1 and not pattern.band.size:
+        raise ValueError(f"an implicit solve takes one stacked pair of shape {pattern.shape} per "
+                         f"operator{'' if pattern.band.size else ', and one operator in 2D'}, "
+                         f"got {b.shape} for values of shape {data.shape}")
     if pattern.band.size:
-        x = solve_band(pattern, data, b.reshape(-1))
-    else:
-        x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1),
-                         _mean_preconditioner(pattern, data))
+        return solve_band(pattern, data, b)
+    x = krylov_solve(pattern.matrix(data), b.reshape(-1), guess.reshape(-1),
+                     _mean_preconditioner(pattern, data))
     return x.reshape(b.shape)
 
 
@@ -176,45 +186,75 @@ def _mean_preconditioner(pattern: BlockPattern,
     return apply
 
 
-def _rhs_norm(b: np.ndarray, method: str) -> float:
-    b_norm = _norm(b)
-    if not math.isfinite(b_norm):
-        raise LinearSolveError(f"{method}: non-finite right-hand side")
-    return b_norm
+def _parts_norms(v: np.ndarray, members: int) -> list[float]:
+    """BLAS nrm2 of each of ``members`` equal consecutive parts of ``v``
+    (one pair skips ``np.split``, which costs more than its solve's norms)."""
+    return [_norm(v)] if members == 1 else list(map(_norm, np.split(v, members)))
 
 
-def _check_residual(residual: np.ndarray, b_norm: float, method: str) -> None:
-    r_norm = _norm(residual)
-    if not r_norm <= RTOL * b_norm:  # also rejects nan
-        raise LinearSolveError(f"{method}: residual {r_norm:.3e} exceeds "
-                               f"{RTOL:g} * ||b|| = {RTOL * b_norm:.3e}")
+def _rhs_norms(b: np.ndarray, members: int, label: str) -> list[float]:
+    """||b_m|| of each member's right-hand side, refused when one is not
+    finite.  ``label.format(m)`` names the solve of member m."""
+    b_norms = _parts_norms(b, members)
+    if not all(map(math.isfinite, b_norms)):
+        m = next(m for m, b_norm in enumerate(b_norms) if not math.isfinite(b_norm))
+        raise LinearSolveError(f"{label.format(m)}: non-finite right-hand side")
+    return b_norms
+
+
+def _check_residuals(residual: np.ndarray, b_norms: list[float], label: str) -> None:
+    """Refuse the solution unless each member's residual is at most RTOL times
+    its ||b_m|| (nan fails), naming the solve as :func:`_rhs_norms` does."""
+    for m, (r_norm, b_norm) in enumerate(zip(_parts_norms(residual, len(b_norms)), b_norms)):
+        if not r_norm <= RTOL * b_norm:
+            raise LinearSolveError(f"{label.format(m)}: residual {r_norm:.3e} exceeds "
+                                   f"{RTOL:g} * ||b|| = {RTOL * b_norm:.3e}")
 
 
 def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a 1D two-species operator given by its values
-    ``data`` on ``pattern``, for the flat stacked pair ``b`` = [u; v].
+    """Direct solve of 1D two-species operators given by their values
+    ``data`` (*batch, nnz) on ``pattern``, one per stacked pair [u; v] of
+    ``b``, flat (*batch, 2N) or not (*batch, 2, N).  Returns x shaped like
+    ``b``.
 
-    Interleaving the unknowns as [u0, v0, u1, v1, ...] makes the operator
+    Interleaving the unknowns as [u0, v0, u1, v1, ...] makes an operator
     banded with bandwidth 3; ``pattern.band`` scatters ``data`` straight into
     the work array of LAPACK ``gbsv``, whose seven band rows are kept aside
-    for the residual check (BLAS ``gbmv``).  A zero ``b`` returns zeros
-    without a solve.
+    for the residual check (BLAS ``gbmv``).  The operators of a batch sit on
+    the diagonal of one band, which still has bandwidth 3, so one ``gbsv``
+    call solves them all; each member is held to its own residual bound
+    RTOL ||b_m||.  A member with zero b gets zeros, and an identity takes
+    the place of its operator, which is not factored.  In a batch, an error
+    names the member by its flat index.
     """
-    rhs = b.reshape(2, -1).T.ravel()
-    b_norm = _rhs_norm(rhs, "banded solve")
-    if b_norm == 0.0:
+    members = data.size // data.shape[-1]
+    size = b.size // members
+    rhs = b.reshape(members, 2, -1).swapaxes(1, 2).ravel()
+    label = "banded solve" if data.ndim == 1 else "banded solve of member {}"
+    b_norms = _rhs_norms(rhs, members, label)
+    zero = [m for m, b_norm in enumerate(b_norms) if b_norm == 0.0] if 0.0 in b_norms else []
+    if len(zero) == members:
         return np.zeros_like(b)
+    values = data
+    if zero:
+        values = data.reshape(members, -1).copy()
+        values[zero] = 0.0
+        values[np.ix_(zero, pattern.ident)] = 1.0
     work = np.zeros(10 * rhs.size)
-    work[pattern.band] = data
-    ab = work.reshape(rhs.size, 10).T  # column-major (10, 2N), factored in place
+    work[pattern.band if members == 1 else
+         (pattern.band + 10 * size * np.arange(members)[:, None]).ravel()] = values.ravel()
+    ab = work.reshape(rhs.size, 10).T  # column-major (10, 2N members), factored in place
     band = ab[3:].copy(order="F")
     _, _, x, info = _gbsv(3, 3, ab, rhs, overwrite_ab=True)
     if info > 0:
-        raise LinearSolveError("banded solve: singular matrix")
+        raise LinearSolveError(f"{label.format((info - 1) // size)}: singular matrix")
     if info < 0:
         raise LinearSolveError(f"banded solve: gbsv rejected its argument {-info}")
-    _check_residual(rhs - _gbmv(rhs.size, rhs.size, 3, 3, 1.0, band, x), b_norm, "banded solve")
-    return x.reshape(-1, 2).T.ravel()
+    _check_residuals(rhs - _gbmv(rhs.size, rhs.size, 3, 3, 1.0, band, x), b_norms, label)
+    x = x.reshape(members, -1, 2)
+    if zero:
+        x[zero] = 0.0
+    return x.swapaxes(1, 2).ravel().reshape(b.shape)  # ravel: a contiguous copy
 
 
 def krylov_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
@@ -228,7 +268,7 @@ def krylov_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     reports a convergence that the true residual misses, it restarts from
     its iterate while iterations are left.
     """
-    b_norm = _rhs_norm(b, "BiCGStab")
+    b_norm, = _rhs_norms(b, 1, "BiCGStab")
     if b_norm == 0.0:
         return np.zeros_like(b)
     M = spla.LinearOperator(A.shape, matvec=precondition)
@@ -242,5 +282,5 @@ def krylov_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
         budget -= next(iterations)
         if info != 0 or budget <= 0 or _norm(residual) <= RTOL * b_norm:
             break
-    _check_residual(residual, b_norm, "BiCGStab")
+    _check_residuals(residual, [b_norm], "BiCGStab")
     return x

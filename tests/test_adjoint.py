@@ -403,6 +403,50 @@ def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
     assert str(err.value).startswith("step 69 (t=0.0069): ")
 
 
+@pytest.mark.parametrize("batch", [1, 6])
+@pytest.mark.parametrize("bc", [NEU, BoundaryCondition.DIRICHLET])
+@pytest.mark.parametrize("rhs", list(AdjointRHSKind))
+def test_frozen_transpose_state_gives_the_stacked_pair_step(batch, bc, rhs):
+    # The transpose step on a stacked pair freezes it as a stack of one; a
+    # state frozen with others in one stack gives the same level bit for bit.
+    grid = Grid(1, 1.0, 16)
+    rng = np.random.default_rng(batch)
+    states = rng.uniform(0.1, 1.5, (5, 2, *grid.shape))
+    phi = rng.standard_normal((batch, 2, *grid.shape))
+    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
+    dt = 0.5 * min(record.bound for record in frozen)
+    for state, record in zip(states, frozen):
+        expected = step_adjoint_transpose(CFG_A, grid, phi, state, bc, dt, rhs)
+        assert np.array_equal(step_adjoint_transpose(CFG_A, grid, phi, record, bc, dt, rhs),
+                              expected)
+
+
+def test_frozen_transpose_march_refuses_a_state_past_its_bound_at_its_step():
+    # The march freezes all its states before the first step; the state of
+    # step 5 (0-based, of 12) is scaled past the bound and is refused only
+    # when the march reaches it, with the bound and message of the unfrozen step.
+    grid, bc, dt, steps = Grid(1, 1.0, 16), NEU, 1e-4, 12
+    states = np.stack([constant_pair(grid, 0.5, 0.4)] * steps)
+    states[5] *= 40.0
+    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
+    assert frozen[4].bound > dt > frozen[5].bound
+    with pytest.raises(StabilityError) as unfrozen:
+        step_adjoint_transpose(CFG_A, grid, constant_pair(grid, 1.0, 1.0), states[5], bc, dt,
+                               AdjointRHSKind.IDENTITY)
+    reached = []
+
+    def step(phi, k):
+        reached.append(k)
+        return step_adjoint_transpose(CFG_A, grid, phi, frozen[k], bc, dt,
+                                      AdjointRHSKind.IDENTITY)
+
+    with pytest.raises(StabilityError) as err:
+        _march(step, grid, constant_pair(grid, 1.0, 1.0), steps, 0, dt)
+    assert reached == list(range(steps - 1, 4, -1))
+    assert err.value.step == 5 and err.value.bound == unfrozen.value.bound
+    assert str(err.value) == f"step 5 (t={5 * dt:g}): {unfrozen.value}"
+
+
 def test_gronwall_slack_does_not_overflow_on_a_stable_march():
     # Growth rate 1000 over T = 0.5 gives kappa T > 709, past exp's range,
     # while phi itself grows from 1e-100 to about 1e117 and stays finite.

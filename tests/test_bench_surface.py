@@ -34,7 +34,8 @@ OPS = ("explicit-march/march@0",
 
 TRACED_OPS = ("explicit-march/march@0",
               "implicit-solves/simulate:cfg_a_1d", "implicit-solves/adjoint:cfg_a_1d",
-              "duality-campaigns/campaign:algebra")
+              "duality-campaigns/campaign:algebra", "duality-campaigns/campaign:dependence",
+              "duality-campaigns/campaign:uniqueness")
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 import warnings
@@ -17,7 +18,7 @@ from sktsim.adjoint import (
     step_adjoint_transpose,
     theta_eps,
 )
-from sktsim.algebra import CFG_A, Coefficients, eval_l, jac_P, jac_Q
+from sktsim.algebra import CFG_A, Coefficients, eval_l
 from sktsim.campaigns import (
     CheckResult,
     _exact_transpose_duality,
@@ -35,7 +36,7 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, _march, run_forward
-from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner, laplacian
+from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner
 from sktsim.mms import bump_profile
 
 NEU = BoundaryCondition.NEUMANN
@@ -121,14 +122,14 @@ def test_frozen_duality_check_rejects_a_step_that_does_not_divide_the_horizon():
 
 
 def _drop_cross_diffusion(monkeypatch):
-    # A transpose step that drops the off-diagonal diffusion coupling P12, P21.
-    def no_cross_diffusion(c, grid, phi, u_tilde, bc, dt, rhs):
-        lap = laplacian(grid, phi, bc)
-        (p11, p22), _ = jac_P(c, u_tilde)
-        (q11, q22), (q12, q21) = jac_Q(c, u_tilde)
-        u, v, lap_u, lap_v = phi[..., 0, :], phi[..., 1, :], lap[..., 0, :], lap[..., 1, :]
-        return np.stack((u + dt * (p11 * lap_u - q11 * u - q21 * v + u),
-                         v + dt * (p22 * lap_v - q12 * u - q22 * v + v)), axis=-2)
+    # A transpose step that drops the off-diagonal diffusion coupling P12, P21:
+    # the real step on the frozen state it is handed, with that state's
+    # transposed off-diagonal of P set to zero.
+    step = sktsim.experiments.step_adjoint_transpose
+
+    def no_cross_diffusion(c, grid, phi, frozen, bc, dt, rhs):
+        uncoupled = frozen._replace(p_off_t=np.zeros_like(frozen.p_off_t))
+        return step(c, grid, phi, uncoupled, bc, dt, rhs)
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
 
@@ -189,6 +190,23 @@ def test_algebra_gates_fail_on_seeded_defect_in_the_stacked_maps(monkeypatch, tm
     result = gate_result()
     assert not result.passed
     assert result.line().startswith(f"FAIL  {gate}")
+
+
+def test_certificate_chunks_hold_the_one_shot_draws():
+    # The positivity certificate draws u, v and theta in chunks; together the
+    # chunks hold the numbers of the three one-shot draws, and the generator
+    # ends where those draws leave it.
+    rng = np.random.default_rng(11)
+    rng.uniform(size=5)  # a generator part way along its stream, as the campaign's is
+    one_shot = copy.deepcopy(rng)
+    chunk = sktsim.campaigns._CHUNK
+    count, bounds = 2 * chunk + 1000, ((0.0, 100.0), (0.0, 100.0), (0.0, 2 * np.pi))
+    expected = [one_shot.uniform(low, high, count) for low, high in bounds]
+    chunks = list(sktsim.campaigns._uniform_chunks(rng, count, bounds))
+    assert [len(draws[0]) for draws in chunks] == [chunk, chunk, 1000]
+    for drawn, whole in zip(zip(*chunks), expected):
+        assert np.array_equal(np.concatenate(drawn), whole)
+    assert rng.bit_generator.state == one_shot.bit_generator.state
 
 
 def test_check_result_line_shows_elapsed_time():

@@ -279,6 +279,63 @@ def test_block_tridiagonal_solve_rejects_singular_or_nonfinite_systems():
         solve_band(pattern, identity, b)
 
 
+def imex_batch(n=8, members=4, bc=NEU):
+    """(pattern, values, b) of ``members`` seeded 1D IMEX systems on n nodes:
+    values (members, nnz) and right-hand sides (members, 2, n)."""
+    grid = Grid(1, 1.0, n)
+    pattern = block_pattern(grid, bc)
+    rng = np.random.default_rng(members)
+    states = rng.uniform(0.1, 1.5, (members, 2, n))
+    values = sktsim.forward._divergence_form_data(CFG_A, grid, states, pattern)
+    values *= -DT
+    values.T[pattern.ident] += 1.0
+    return pattern, values, rng.standard_normal((members, 2, n))
+
+
+def test_batched_band_solve_holds_each_member_to_its_own_residual(monkeypatch):
+    # Member 1 has ||b|| 1e-8 times the others'.  Its solution, perturbed so
+    # that its residual is about 1e-4 ||b_1||, must be refused, although the
+    # residual is below RTOL times the norm of the pooled right-hand sides.
+    pattern, values, b = imex_batch()
+    b[1] *= 1e-8
+    gbsv = sktsim.linalg._gbsv
+
+    def perturbed(*args, **kwargs):
+        lu, piv, x, info = gbsv(*args, **kwargs)
+        member = x.reshape(4, -1)[1]  # member 1 of the interleaved solution, a view
+        member += 1e-4 * np.abs(member).max()
+        return lu, piv, x, info
+
+    monkeypatch.setattr(sktsim.linalg, "_gbsv", perturbed)
+    with pytest.raises(LinearSolveError, match="banded solve of member 1: residual") as err:
+        sktsim.linalg.solve(pattern, values, b, b)
+    r_norm = float(str(err.value).split("residual ")[1].split(" ")[0])
+    assert r_norm > 1e-5 * np.linalg.norm(b[1])
+    assert r_norm < sktsim.linalg.RTOL * np.linalg.norm(b)
+
+
+def test_batched_band_solve_names_a_singular_member():
+    # Member 2 is the identity with one diagonal entry zeroed.
+    pattern, values, b = imex_batch()
+    values[2] = 0.0
+    values[2, pattern.ident] = 1.0
+    values[2, pattern.ident[5]] = 0.0
+    with pytest.raises(LinearSolveError, match="banded solve of member 2: singular matrix"):
+        sktsim.linalg.solve(pattern, values, b, b)
+
+
+def test_batched_band_solve_gives_a_zero_member_exact_zeros():
+    # Member 1's operator is all zeros, which no solve could take; with b = 0
+    # it is not factored, and the other members are solved as on their own.
+    pattern, values, b = imex_batch()
+    values[1] = 0.0
+    b[1] = 0.0
+    x = sktsim.linalg.solve(pattern, values, b, b)
+    assert np.array_equal(x[1], np.zeros_like(x[1])) and not np.signbit(x[1]).any()
+    for m in (0, 2, 3):
+        assert np.array_equal(x[m], sktsim.linalg.solve(pattern, values[m], b[m], b[m]))
+
+
 def test_krylov_solve_is_scale_invariant_and_rejects_overflow():
     A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(50, 50), format="csr")
     b = np.linspace(1.0, 2.0, 50)
