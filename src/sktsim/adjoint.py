@@ -14,20 +14,20 @@ step :func:`step_adjoint_transpose` applies the exact transpose of the
 explicit linearized forward difference operator, which makes the discrete
 duality pairing hold to machine precision; the uniqueness campaign marches
 it directly, with coefficients averaged over two trajectories.  Like the
-implicit step it takes a frozen state: :func:`_freeze_transpose` computes
-P^T, Q^T and the stability bound for a whole stack of states in one call
-(:class:`_FrozenTranspose`), and a stacked pair passed to the step is the
-stack of one.
+implicit step it takes only a frozen state: :func:`_freeze_transpose`
+computes P^T, Q^T and the stability bound for a whole stack of states in
+one call (:class:`_FrozenTranspose`).
 
 Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
-both steps take the adjoint level phi and the coefficient state as stacked
-pairs and return the next level stacked like phi, and the march checks each
-new level for finiteness once.  The implicit step solves for one pair
-through :func:`sktsim.linalg.solve` and refuses a batch; the explicit one
-also takes a batch of pairs (..., 2, *grid.shape) against one coefficient
-state and refuses a step past :func:`sktsim.forward.stability_bound`, the
-bound of the explicit forward step, which its frozen state holds.  Both
+both steps take the adjoint level phi as stacked pairs and return the next
+level stacked like phi, and the march checks each new level for finiteness
+once.  The implicit step solves for one pair through
+:func:`sktsim.linalg.solve` and refuses a batch; the explicit one also
+takes a batch of pairs (..., 2, *grid.shape) against one frozen
+coefficient state and refuses a step past
+:func:`sktsim.forward.stability_bound`, the bound of the explicit forward
+step, which its frozen state holds.  Both
 steps read P, Q and l through the maps of
 :mod:`sktsim.algebra` that the forward steps and the gates call.  A
 coefficient state with a negative density (an IMEX undershoot, which the
@@ -40,9 +40,8 @@ reductions, in the arithmetic of one level at a time, and returns a forward
 ``Trajectory``.  Before it marches a block it computes, once for the
 block's distinct frozen states, everything the implicit step takes from a
 state (:class:`_FrozenState`: the negativity check, Q^T and the values of
-I - dt P^T Lap), so that a step only forms its right-hand side and solves;
-:func:`step_adjoint_backward` called on a stacked state is the block of
-one.
+I - dt P^T Lap on the pattern of its wall), so that a step only forms its
+right-hand side and solves.
 
 A per-run tracker measures the differential-inequality constant of the
 backward energy (H1) balance and asserts its exponentially weighted
@@ -109,13 +108,12 @@ def theta_eps(eps: float, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-@dataclass(frozen=True)
-class _FrozenState:
+class _FrozenState(NamedTuple):
     """Everything the implicit backward step takes from one frozen truncated
     state apart from phi: its smallest value (the negativity check), the
     diagonal and transposed off-diagonal of Q, and the values ``data`` of
-    I - dt P^T Lap on ``pattern``.  The arrays are rows of those
-    :func:`_freeze` builds for a block of states."""
+    I - dt P^T Lap on ``pattern``, which carries the wall.  The arrays are
+    rows of those :func:`_freeze` builds for a block of states."""
 
     low: float
     q_diag: np.ndarray
@@ -148,21 +146,16 @@ def _freeze(c: Coefficients, grid: Grid, states: np.ndarray, bc: BoundaryConditi
 
 
 def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray,
-                          u_tilde_eps: np.ndarray | _FrozenState, bc: BoundaryCondition,
-                          dt: float, rhs: AdjointRHSKind) -> np.ndarray:
+                          frozen: _FrozenState, dt: float, rhs: AdjointRHSKind) -> np.ndarray:
     """One semi-implicit backward step (reversed time marches forward) of the
     stacked pair ``phi``.
 
     Solves (I - dt P(u~)^T Lap) phi_new = phi + dt (-Q(u~)^T phi + rhs(phi))
-    with the nodewise transposed Jacobian frozen at the supplied truncated
-    state ``u_tilde_eps`` (stacked), through :func:`sktsim.linalg.solve`,
-    which takes one pair only.  ``u_tilde_eps`` may also be a state that
-    :func:`_freeze` built, with the same c, grid, bc and dt, for a block of
-    states, which is how :func:`run_adjoint` calls the step; a stacked pair
-    is frozen here as a block of one.
+    with the nodewise transposed Jacobian frozen at a truncated state u~,
+    through :func:`sktsim.linalg.solve`, which takes one pair only.
+    ``frozen`` is that state as :func:`_freeze` built it, with the same c,
+    grid and dt, for a block of states; its pattern carries the wall.
     """
-    frozen = (u_tilde_eps if isinstance(u_tilde_eps, _FrozenState)
-              else _freeze(c, grid, u_tilde_eps[None], bc, dt)[0])
     if frozen.low < 0.0:
         # A forward undershoot (IMEX does not clip): the march adds step and time.
         raise NumericalFailure(f"truncated coefficient state has a negative density "
@@ -201,21 +194,18 @@ def _freeze_transpose(c: Coefficients, grid: Grid, states: np.ndarray) -> list[_
 
 
 def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray,
-                           u_tilde_eps: np.ndarray | _FrozenTranspose, bc: BoundaryCondition,
+                           frozen: _FrozenTranspose, bc: BoundaryCondition,
                            dt: float, rhs: AdjointRHSKind) -> np.ndarray:
     """One explicit backward step, the exact transpose of the linearized
     explicit forward difference update (diffusion, reaction, and source all
     taken at the known level).  ``phi`` is stacked and may carry batch axes;
-    the coefficient state is one stacked pair and broadcasts over them.  It
-    may also be a state that :func:`_freeze_transpose` built, with the same
-    c and grid, for a stack of states, which is how a march over known
-    states calls the step; a stacked pair is frozen here as a stack of one.
+    the coefficient state ``frozen``, as :func:`_freeze_transpose` built it
+    with the same c and grid for a stack of states, is one state and
+    broadcasts over them.
 
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
     """
-    frozen = (u_tilde_eps if isinstance(u_tilde_eps, _FrozenTranspose)
-              else _freeze_transpose(c, grid, u_tilde_eps[None])[0])
     if dt > frozen.bound:
         raise StabilityError(dt, frozen.bound)
     x = _flat(phi, grid.dim)
@@ -309,8 +299,7 @@ def run_adjoint(c: Coefficients, bc: BoundaryCondition, traj: Trajectory, eps: f
         coef = theta_eps(eps, traj.levels[below[bottom]:below[top - 1] + 1])
         frozen = _freeze(c, grid, coef, bc, dt)
         levels = forward._march(
-            lambda phi, k: step_adjoint_backward(c, grid, phi, frozen[which[k - bottom]],
-                                                 bc, dt, rhs),
+            lambda phi, k: step_adjoint_backward(c, grid, phi, frozen[which[k - bottom]], dt, rhs),
             grid, phi, top, bottom, dt)
         # Free the block's operators before the next block builds its own.
         del frozen

@@ -92,21 +92,15 @@ def _uniform_chunks(rng: np.random.Generator, count: int,
     one-shot draws.  ``rng`` is advanced past all the draws at once, as the
     one-shot draws leave it.
 
-    PCG64 spends one 64-bit output per uniform double, so the sample at
-    position p of the stream is the first draw of a copy of the generator
-    advanced by p.
+    PCG64 spends one 64-bit output per uniform double, so draw j is drawn,
+    chunk after chunk, from a copy of the generator advanced by j * count.
     """
-    start = copy.deepcopy(rng.bit_generator)
+    draws = [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(j * count))
+             for j in range(len(bounds))]
     rng.bit_generator.advance(len(bounds) * count)
-
-    def draw(offset: int, low: float, high: float, size: int) -> np.ndarray:
-        bit_generator = copy.deepcopy(start)
-        bit_generator.advance(offset)
-        return np.random.Generator(bit_generator).uniform(low, high, size)
-
     for i in range(0, count, _CHUNK):
         size = min(_CHUNK, count - i)
-        yield [draw(j * count + i, low, high, size) for j, (low, high) in enumerate(bounds)]
+        yield [gen.uniform(low, high, size) for gen, (low, high) in zip(draws, bounds)]
 
 
 def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:

@@ -4,11 +4,12 @@
         [--campaign <name>] [--out <dir>]
 
 Exit codes: 0 ok, 2 configuration error (``--campaign`` with any command
-but ``verify`` is one), 3 numerical failure, 4 invariant violation (verify
-only).  Errors go to stderr with the machine-parsable prefix
-``SKT-ERR:<code>:``.  A campaign that fails numerically prints the gate
-lines it reached before it exits 3 with a message that names the gate that
-failed.
+but ``verify`` is one, and so is a stored forward run that ``adjoint``
+finds made from another forward problem than its config's), 3 numerical
+failure, 4 invariant violation (verify only).  Errors go to stderr with
+the machine-parsable prefix ``SKT-ERR:<code>:``.  A campaign that fails
+numerically prints the gate lines it reached before it exits 3 with a
+message that names the gate that failed.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     trajectory = run_forward(cfg.forward_problem())
-    write_forward_outputs(out_dir, trajectory)
+    write_forward_outputs(out_dir, trajectory, cfg)
     print(f"simulated {trajectory.time_grid.steps} steps "
           f"({len(trajectory.stored_steps)} snapshots) into {out_dir}")
     return int(ExitStatus.OK)
@@ -77,11 +78,10 @@ def cmd_adjoint(cfg: RunConfig, out_dir: Path) -> int:
     trajectory = load_forward_trajectory(out_dir, cfg)
     if trajectory is None:
         trajectory = run_forward(cfg.forward_problem())
-        write_forward_outputs(out_dir, trajectory)
+        write_forward_outputs(out_dir, trajectory, cfg)
         print(f"no stored trajectory under {out_dir}; ran the forward solve first")
-    chi = cfg.terminal_field()
     phi_traj, report = run_adjoint(cfg.coefficients, cfg.bc, trajectory, cfg.eps, cfg.rhs,
-                                   chi, stride=cfg.stride)
+                                   cfg.terminal, stride=cfg.stride)
     write_adjoint_outputs(out_dir, phi_traj, report)
     print(f"adjoint march complete: sup H1 {report.sup_h1:.6g}, "
           f"kappa_sup {report.kappa_sup:.6g} (report in {out_dir})")

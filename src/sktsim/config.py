@@ -4,7 +4,9 @@ The format is deliberately trivial: one assignment per line, full-line
 comments starting with '#', blank lines ignored.  Unknown keys, duplicate
 keys, type mismatches, non-finite numbers, and invariant violations are all
 hard errors that name the file, the key and the line; nothing is silently
-ignored.
+ignored.  The field presets are evaluated once, on the configured grid, and
+checked; :class:`RunConfig` keeps the checked stacked pairs, read-only, as
+``initial`` and ``terminal``, and every run reads those.
 """
 
 from __future__ import annotations
@@ -132,9 +134,12 @@ _ALL_KEYS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
-    """Validated experiment description."""
+    """Validated experiment description.  ``initial`` and ``terminal`` are
+    the read-only stacked pairs (2, *grid.shape) of the init.* and
+    terminal.* presets, as checked on the configured grid.  Configs compare
+    by identity: arrays have no single truth value to compare fields by."""
 
     dim: int
     length: float
@@ -146,10 +151,8 @@ class RunConfig:
     coefficients: Coefficients
     eps: float
     rhs: AdjointRHSKind
-    init_u: PresetSpec
-    init_v: PresetSpec
-    terminal_u: PresetSpec
-    terminal_v: PresetSpec
+    initial: np.ndarray
+    terminal: np.ndarray
     stride: int
     out_dir: str
     seed: int
@@ -160,19 +163,11 @@ class RunConfig:
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.t_final, self.dt)
 
-    def initial_field(self) -> np.ndarray:
-        g = self.grid()
-        return np.stack((self.init_u.evaluate(g), self.init_v.evaluate(g)))
-
-    def terminal_field(self) -> np.ndarray:
-        g = self.grid()
-        return np.stack((self.terminal_u.evaluate(g), self.terminal_v.evaluate(g)))
-
     def forward_problem(self) -> ForwardProblem:
         return ForwardProblem(
             coefficients=self.coefficients, grid=self.grid(), bc=self.bc,
             time_grid=self.time_grid(), scheme=self.scheme,
-            initial=self.initial_field(), stride=self.stride)
+            initial=self.initial, stride=self.stride)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -217,21 +212,24 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: invalid {key}: {exc} (line {entries[key][1]})")
 
     grid = Grid(values["dim"], values["domain.length"], values["grid.n"])
+    fields = {}
     for key in ("init.u", "init.v", "terminal.u", "terminal.v"):
-        field = values[key].evaluate(grid)
+        fields[key] = field = values[key].evaluate(grid)
         if not np.all(np.isfinite(field)):
             raise ConfigError(f"{source}: non-finite values from preset '{key}' "
                               f"(line {entries[key][1]})")
         if key.startswith("init.") and float(np.min(field)) < 0.0:
             raise ConfigError(f"{source}: negative values from initial preset '{key}' "
                               f"(line {entries[key][1]}); initial data must be nonnegative")
+    initial = np.stack((fields["init.u"], fields["init.v"]))
+    terminal = np.stack((fields["terminal.u"], fields["terminal.v"]))
+    initial.flags.writeable = terminal.flags.writeable = False
 
     return RunConfig(
         dim=values["dim"], length=values["domain.length"], n=values["grid.n"],
         t_final=values["time.t_final"], dt=values["time.dt"], scheme=values["scheme"],
         bc=values["bc"], coefficients=coefficients, eps=values["adjoint.eps"],
-        rhs=values["adjoint.rhs"], init_u=values["init.u"], init_v=values["init.v"],
-        terminal_u=values["terminal.u"], terminal_v=values["terminal.v"],
+        rhs=values["adjoint.rhs"], initial=initial, terminal=terminal,
         stride=values["storage.stride"], out_dir=values["output.dir"], seed=values["seed"])
 
 

@@ -14,7 +14,8 @@ forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
 The transpose adjoint's coefficient states are all known before it
 marches, so each study freezes them once
 (:func:`sktsim.adjoint._freeze_transpose`) and every step reads its frozen
-state.
+state, the only state the step takes.  The terminal basis is fixed: three
+low modes in each species (:func:`chi_basis`).
 The initial data, the terminal basis, the solution differences and the
 adjoint levels are stacked pairs, and every pairing and norm of them is one
 call to the reductions of :mod:`sktsim.grid`.
@@ -77,21 +78,21 @@ TINY_EPS = 1e-9  # truncation threshold far above any desk-scale data
 _SCHEMES = (SchemeKind.EXPLICIT, SchemeKind.IMEX_LAGGED)
 
 
-def chi_basis(grid: Grid, bc: BoundaryCondition, modes: int = 2) -> np.ndarray:
+def chi_basis(grid: Grid, bc: BoundaryCondition) -> np.ndarray:
     """Low-frequency terminal-data basis, one component at a time, H1-normalized.
 
-    Returns the basis as stacked pairs, shape (2 (modes + 1), 2, *grid.shape):
-    each profile first in u, then in v.  A profile is the product over the
+    Returns the basis as stacked pairs, shape (6, 2, *grid.shape): each of
+    three profiles first in u, then in v.  A profile is the product over the
     axes of cos(m pi x / L) from mode 0 under Neumann or sin(m pi x / L) from
     mode 1 under Dirichlet, so every element satisfies the homogeneous
-    boundary condition exactly.  The modes run k, k+1, ... in 1D and
-    (k, k), (k+1, k), (k, k+1), (k+1, k+1) in 2D, for k = 0 or 1.
+    boundary condition exactly.  The modes are k, k+1, k+2 in 1D and
+    (k, k), (k+1, k), (k, k+1) in 2D, for k = 0 or 1.
     """
     k, wave = (0, np.cos) if bc is BoundaryCondition.NEUMANN else (1, np.sin)
     if grid.dim == 1:
-        mode_list = [(k + m,) for m in range(modes + 1)]
+        mode_list = [(k,), (k + 1,), (k + 2,)]
     else:
-        mode_list = [(k, k), (k + 1, k), (k, k + 1), (k + 1, k + 1)][:modes + 1]
+        mode_list = [(k, k), (k + 1, k), (k, k + 1)]
     axes = grid.meshgrid()
     profiles = [math.prod(wave(m * np.pi * X / grid.length) for m, X in zip(mode, axes))
                 for mode in mode_list]
@@ -167,14 +168,13 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
 
 def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
                           levels: list[tuple[Grid, TimeGrid]],
-                          initial: Callable[[Grid], np.ndarray],
-                          modes: int = 2) -> dict[str, np.ndarray]:
+                          initial: Callable[[Grid], np.ndarray]) -> dict[str, np.ndarray]:
     """Difference of two discretizations paired against terminal data.
 
     On each ``(grid, time_grid)`` of ``levels``: run the explicit and the
     IMEX scheme from the stacked pair ``initial(grid)``, march the transpose
     adjoint step on the average of their levels, truncated at ``TINY_EPS``,
-    for the whole terminal basis of ``modes`` as one batch.  Returns the
+    for the whole terminal basis (:func:`chi_basis`) as one batch.  Returns the
     columns of ``uniqueness_levels.csv``, one row per level: n, dt, and over
     the basis the largest endpoint pairing |<u_bar(T), chi>| (max_pairing),
     the largest per-step duality residual (max_residual), the largest
@@ -187,7 +187,7 @@ def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
                   for scheme in _SCHEMES)
         u_bar = t1.levels - t2.levels
 
-        basis = chi_basis(grid, bc, modes)
+        basis = chi_basis(grid, bc)
         # Every state is known before the march, so all are frozen at once.
         states = _freeze_transpose(c, grid, theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels)))
 
@@ -226,7 +226,7 @@ def continuous_dependence_experiment(
     data checked as :func:`~sktsim.forward.run_forward` checks them, and
     only the quarter levels are kept.  The weak norm of the difference at
     tau = T/4, T/2, T is recorded next to the
-    basis sup (two modes), the initial-data norms with exponent
+    basis sup (over :func:`chi_basis`), the initial-data norms with exponent
     q = dual_exponent(d) and the three ingredient terms of the initial-data
     bound.  Returns the columns of ``dependence.csv`` (tau,
     delta, weak_norm, basis_sup, input_l2, input_lq, ing47, ing48, ing49;
@@ -254,7 +254,7 @@ def continuous_dependence_experiment(
         w = _march(lambda w, _: step(c, grid, w, bc, dt), grid, w,
                    (k - 1) * quarter, k * quarter, dt)[:, -1]
         levels[:, k] = w
-    basis = chi_basis(grid, bc, modes=2)
+    basis = chi_basis(grid, bc)
 
     weak_norms = np.empty((len(taus), len(deltas)))
     basis_sup = np.empty((len(taus), len(deltas)))

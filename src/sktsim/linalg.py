@@ -16,7 +16,9 @@ eigenbasis inverts exactly (Concus & Golub 1973).  The band layout, the band
 storage, the eigenbasis and the choice of solver live here and nowhere else.
 A solution is accepted only at true residual ||b - A x|| <= RTOL ||b||, with
 BLAS ``nrm2`` norms, which scale and do not overflow; each member of a
-batch is held to the bound of its own b.
+batch is held to the bound of its own b.  A solve whose right-hand sides
+are all zero returns zeros without factoring; otherwise every member is
+factored, one with zero b included.
 
 A 1D system has bandwidth 3, so its solve costs less in arithmetic than in
 per-call overhead; the LAPACK and BLAS routines are resolved once, here
@@ -223,26 +225,20 @@ def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.nda
     for the residual check (BLAS ``gbmv``).  The operators of a batch sit on
     the diagonal of one band, which still has bandwidth 3, so one ``gbsv``
     call solves them all; each member is held to its own residual bound
-    RTOL ||b_m||.  A member with zero b gets zeros, and an identity takes
-    the place of its operator, which is not factored.  In a batch, an error
-    names the member by its flat index.
+    RTOL ||b_m||.  When every member has zero b, the result is zeros and no
+    operator is factored; a zero member of a batch is solved like the
+    others.  In a batch, an error names the member by its flat index.
     """
     members = data.size // data.shape[-1]
     size = b.size // members
     rhs = b.reshape(members, 2, -1).swapaxes(1, 2).ravel()
     label = "banded solve" if data.ndim == 1 else "banded solve of member {}"
     b_norms = _rhs_norms(rhs, members, label)
-    zero = [m for m, b_norm in enumerate(b_norms) if b_norm == 0.0] if 0.0 in b_norms else []
-    if len(zero) == members:
+    if not any(b_norms):
         return np.zeros_like(b)
-    values = data
-    if zero:
-        values = data.reshape(members, -1).copy()
-        values[zero] = 0.0
-        values[np.ix_(zero, pattern.ident)] = 1.0
     work = np.zeros(10 * rhs.size)
     work[pattern.band if members == 1 else
-         (pattern.band + 10 * size * np.arange(members)[:, None]).ravel()] = values.ravel()
+         (pattern.band + 10 * size * np.arange(members)[:, None]).ravel()] = data.ravel()
     ab = work.reshape(rhs.size, 10).T  # column-major (10, 2N members), factored in place
     band = ab[3:].copy(order="F")
     _, _, x, info = _gbsv(3, 3, ab, rhs, overwrite_ab=True)
@@ -252,8 +248,6 @@ def solve_band(pattern: BlockPattern, data: np.ndarray, b: np.ndarray) -> np.nda
         raise LinearSolveError(f"banded solve: gbsv rejected its argument {-info}")
     _check_residuals(rhs - _gbmv(rhs.size, rhs.size, 3, 3, 1.0, band, x), b_norms, label)
     x = x.reshape(members, -1, 2)
-    if zero:
-        x[zero] = 0.0
     return x.swapaxes(1, 2).ravel().reshape(b.shape)  # ravel: a contiguous copy
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from sktsim.adjoint import AdjointBoundsReport
-from sktsim.config import RunConfig
+from sktsim.config import _COEFF_NAMES, RunConfig
 from sktsim.forward import Trajectory
 from sktsim.grid import read_field, write_field
 
@@ -26,6 +26,9 @@ __all__ = [
 
 
 _fmt = "{:.17g}".format
+
+# The forward problem of the stored snapshots, beside them in ``forward/``.
+_RECORD = "problem.cfg"
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray],
@@ -43,9 +46,22 @@ def write_csv(path: Path, columns: dict[str, np.ndarray],
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
+def _forward_record(cfg: RunConfig) -> dict[str, str]:
+    """The config keys a forward run depends on besides its initial data,
+    with their values as the record of a stored run writes them."""
+    c = cfg.coefficients
+    values = {"dim": cfg.dim, "domain.length": cfg.length, "grid.n": cfg.n,
+              "time.t_final": cfg.t_final, "time.dt": cfg.dt, "scheme": cfg.scheme.value,
+              "bc": cfg.bc.value,
+              **{f"coeff.{name}": getattr(c, name) for name in (*_COEFF_NAMES, "alpha")},
+              "storage.stride": cfg.stride}
+    return {key: _fmt(v) if isinstance(v, float) else str(v) for key, v in values.items()}
+
+
+def write_forward_outputs(out_dir: Path, trajectory: Trajectory, cfg: RunConfig) -> None:
     """Diagnostics CSV plus one snapshot file per stored level, replacing the
-    snapshots of any earlier run in ``out_dir``."""
+    snapshots of any earlier run in ``out_dir``, and beside them the record
+    ``forward/problem.cfg`` of the forward problem of ``cfg`` they solve."""
     write_csv(out_dir / "forward_diagnostics.csv", trajectory.diagnostics)
     snap_dir = out_dir / "forward"
     snap_dir.mkdir(parents=True, exist_ok=True)
@@ -53,6 +69,8 @@ def write_forward_outputs(out_dir: Path, trajectory: Trajectory) -> None:
         old.unlink()
     for i, step in enumerate(trajectory.stored_steps):
         write_field(snap_dir / f"step_{step:06d}.field", trajectory.grid, trajectory.levels[i])
+    (snap_dir / _RECORD).write_text(
+        "".join(f"{key} = {value}\n" for key, value in _forward_record(cfg).items()))
 
 
 def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
@@ -60,7 +78,11 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
 
     The snapshots, ordered by the step number in their names, must match
     the configuration's grid (see :func:`~sktsim.grid.read_field`) and cover
-    the full time range; mismatches raise rather than silently recompute.
+    the full time range.  The run must also have been made from the forward
+    problem of ``cfg``: its record ``forward/problem.cfg`` must hold the
+    values of ``cfg`` and its level 0 must equal ``cfg.initial``.
+    Mismatches, and snapshots without a record, raise ``ValueError`` naming
+    what differs rather than silently recompute.
     """
     snap_dir = out_dir / "forward"
     if not snap_dir.is_dir():
@@ -81,6 +103,19 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     tg = cfg.time_grid()
     if steps[0] != 0 or steps[-1] != tg.steps:
         raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")
+    record_path = snap_dir / _RECORD
+    if not record_path.is_file():
+        raise ValueError(f"stored snapshots in {snap_dir} have no forward-problem record "
+                         f"{_RECORD}; run simulate again")
+    stored = {key: value for key, _, value in
+              (line.partition(" = ") for line in record_path.read_text().splitlines())}
+    differ = [f"{key} = {stored.get(key, '(missing)')} there, {value} in the config"
+              for key, value in _forward_record(cfg).items() if stored.get(key) != value]
+    if not np.array_equal(levels[0], cfg.initial):
+        differ.append("level 0 is not the initial data of init.u and init.v")
+    if differ:
+        raise ValueError(f"stored forward run in {snap_dir} differs from the forward problem "
+                         f"of the config: {'; '.join(differ)}")
     return Trajectory(grid=grid, time_grid=tg, stored_steps=steps, levels=levels,
                       diagnostics={})
 

@@ -117,6 +117,15 @@ def test_theta_eps_properties(eps, value):
     assert out <= (1.0 + 4.0 / 27.0) / eps + 1e-12
 
 
+def frozen_alone(c, grid, state, bc=None, dt=None):
+    """The stacked ``state`` frozen on its own, as the marches freeze their
+    states: for step_adjoint_backward given bc and dt, else for
+    step_adjoint_transpose."""
+    if dt is None:
+        return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
+    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
+
+
 def averaged_state(u_pair, eps, step):
     """The average of the two trajectories at their last stored levels at or
     before ``step``, truncated at ``eps``."""
@@ -131,7 +140,7 @@ def transpose_march(c, bc, u_pair, eps, rhs, chi):
     averaged state of the pair; the levels in ascending time."""
     grid, tg = u_pair[0].grid, u_pair[0].time_grid
     return _march(lambda phi, k: step_adjoint_transpose(
-        c, grid, phi, averaged_state(u_pair, eps, k), bc, tg.dt, rhs),
+        c, grid, phi, frozen_alone(c, grid, averaged_state(u_pair, eps, k)), bc, tg.dt, rhs),
         grid, chi, tg.steps, 0, tg.dt)
 
 
@@ -200,10 +209,10 @@ def test_step_adjoint_backward_validates_inputs():
     phi = constant_pair(grid, 1.0, 1.0)
     bad_state = constant_pair(grid, -1.0, 0.0)
     with pytest.raises(NumericalFailure, match="negative density -1"):
-        step_adjoint_backward(CFG_A, grid, phi, bad_state, NEU, 0.01, AdjointRHSKind.IDENTITY)
-    with pytest.raises(ValueError):
-        step_adjoint_backward(CFG_A, grid, phi, np.zeros((2, *grid.shape)), NEU,
-                              -0.01, AdjointRHSKind.IDENTITY)
+        step_adjoint_backward(CFG_A, grid, phi, frozen_alone(CFG_A, grid, bad_state, NEU, 0.01),
+                              0.01, AdjointRHSKind.IDENTITY)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        frozen_alone(CFG_A, grid, np.zeros((2, *grid.shape)), NEU, -0.01)
 
 
 @pytest.mark.parametrize("stride, bad, first_step", [(1, 472, 472), (10, 470, 479)])
@@ -371,7 +380,7 @@ def test_forward_undershoot_fails_the_adjoint_naming_the_step():
     traj = run_forward(cfg.forward_problem())
     assert traj.levels[1].min() < 0.0 <= traj.levels[2:].min()
     with pytest.raises(NumericalFailure) as err:
-        run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs, cfg.terminal_field())
+        run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs, cfg.terminal)
     assert err.value.step == 1
     assert str(err.value).startswith(
         "step 1 (t=0.001): truncated coefficient state has a negative density -0.0")
@@ -406,9 +415,9 @@ def test_transpose_adjoint_refuses_an_unstable_coefficient_state():
 @pytest.mark.parametrize("batch", [1, 6])
 @pytest.mark.parametrize("bc", [NEU, BoundaryCondition.DIRICHLET])
 @pytest.mark.parametrize("rhs", list(AdjointRHSKind))
-def test_frozen_transpose_state_gives_the_stacked_pair_step(batch, bc, rhs):
-    # The transpose step on a stacked pair freezes it as a stack of one; a
-    # state frozen with others in one stack gives the same level bit for bit.
+def test_transpose_state_frozen_in_a_stack_gives_the_state_frozen_alone(batch, bc, rhs):
+    # A state frozen inside a stack of five gives the same level, bit for
+    # bit, as the same state frozen alone.
     grid = Grid(1, 1.0, 16)
     rng = np.random.default_rng(batch)
     states = rng.uniform(0.1, 1.5, (5, 2, *grid.shape))
@@ -416,22 +425,24 @@ def test_frozen_transpose_state_gives_the_stacked_pair_step(batch, bc, rhs):
     frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
     dt = 0.5 * min(record.bound for record in frozen)
     for state, record in zip(states, frozen):
-        expected = step_adjoint_transpose(CFG_A, grid, phi, state, bc, dt, rhs)
+        alone = frozen_alone(CFG_A, grid, state)
         assert np.array_equal(step_adjoint_transpose(CFG_A, grid, phi, record, bc, dt, rhs),
-                              expected)
+                              step_adjoint_transpose(CFG_A, grid, phi, alone, bc, dt, rhs))
 
 
 def test_frozen_transpose_march_refuses_a_state_past_its_bound_at_its_step():
     # The march freezes all its states before the first step; the state of
     # step 5 (0-based, of 12) is scaled past the bound and is refused only
-    # when the march reaches it, with the bound and message of the unfrozen step.
+    # when the march reaches it, with the bound and message of the state frozen
+    # alone.
     grid, bc, dt, steps = Grid(1, 1.0, 16), NEU, 1e-4, 12
     states = np.stack([constant_pair(grid, 0.5, 0.4)] * steps)
     states[5] *= 40.0
     frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
     assert frozen[4].bound > dt > frozen[5].bound
-    with pytest.raises(StabilityError) as unfrozen:
-        step_adjoint_transpose(CFG_A, grid, constant_pair(grid, 1.0, 1.0), states[5], bc, dt,
+    with pytest.raises(StabilityError) as alone:
+        step_adjoint_transpose(CFG_A, grid, constant_pair(grid, 1.0, 1.0),
+                               frozen_alone(CFG_A, grid, states[5]), bc, dt,
                                AdjointRHSKind.IDENTITY)
     reached = []
 
@@ -443,8 +454,8 @@ def test_frozen_transpose_march_refuses_a_state_past_its_bound_at_its_step():
     with pytest.raises(StabilityError) as err:
         _march(step, grid, constant_pair(grid, 1.0, 1.0), steps, 0, dt)
     assert reached == list(range(steps - 1, 4, -1))
-    assert err.value.step == 5 and err.value.bound == unfrozen.value.bound
-    assert str(err.value) == f"step 5 (t={5 * dt:g}): {unfrozen.value}"
+    assert err.value.step == 5 and err.value.bound == alone.value.bound
+    assert str(err.value) == f"step 5 (t={5 * dt:g}): {alone.value}"
 
 
 def test_gronwall_slack_does_not_overflow_on_a_stable_march():
@@ -506,7 +517,7 @@ def reference_adjoint(c, bc, traj, eps, rhs, chi, stride):
     for m in range(steps, 0, -1):
         t = (m - 1) * dt
         state = theta_eps(eps, snapshot(t))
-        new = step_adjoint_backward(c, grid, phi, state, bc, dt, rhs)
+        new = step_adjoint_backward(c, grid, phi, frozen_alone(c, grid, state, bc, dt), dt, rhs)
         e_new, w_new, e_old = pair_h1_sq(new), weighted_lap(new, state), energy[-1]
         kappas.append(max(0.0, (-(e_old - e_new) / dt + alpha_eff * w_new) / e_old)
                       if e_old > 0.0 else 0.0)

@@ -62,13 +62,29 @@ def test_parse_minimal_config():
     assert cfg.coefficients.d0 == 1.0  # derived
     assert cfg.rhs is AdjointRHSKind.IDENTITY  # default
     assert cfg.stride == 1 and cfg.seed == 0
-    assert cfg.terminal_u.kind == "zero" and cfg.terminal_v.kind == "zero"
+    assert np.array_equal(cfg.terminal, np.zeros((2, 16)))  # zero presets by default
     assert cfg.eps == 1.0 and cfg.out_dir == "out"
     assert cfg.coefficients.alpha == 0.5  # half the smallest a_ij
-    initial = cfg.initial_field()
+    initial = cfg.initial
     assert initial.shape == (2, 16)
     assert float(np.min(initial[0])) >= 0.0
     assert np.allclose(initial[1], 0.5)
+
+
+def test_parsed_config_holds_the_checked_preset_fields():
+    cfg = parse_config(CONFIGS / "cfg_a_1d.cfg")
+    grid = cfg.grid()
+    presets = {key: PresetSpec.parse(text, key, 1) for key, text in (
+        ("init.u", "bump 0.5 0.3 2.0"), ("init.v", "bump 0.35 0.25 1.2"),
+        ("terminal.u", "cosine 1 1.0 0.5"), ("terminal.v", "cosine 2 1.0 0.0"))}
+    fields = {key: spec.evaluate(grid) for key, spec in presets.items()}
+    assert np.array_equal(cfg.initial, np.stack((fields["init.u"], fields["init.v"])))
+    assert np.array_equal(cfg.terminal, np.stack((fields["terminal.u"], fields["terminal.v"])))
+    for field in (cfg.initial, cfg.terminal):
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[0, 0] = 1.0
+    assert cfg.forward_problem().initial is cfg.initial
 
 
 def test_parse_rejects_negative_coefficient():
@@ -357,6 +373,61 @@ def test_cli_adjoint_uses_stored_trajectory(tmp_path, capsys):
     assert "kappa_sup = " in adj
 
 
+def test_cli_adjoint_reuses_only_a_stored_run_of_its_own_forward_problem(tmp_path, capsys):
+    # Config B makes the same 500 steps on the same grid as cfg_a_1d (A), but
+    # with another a11, dt and horizon.  A's stored run serves A, byte for
+    # byte as a fresh run, and is refused for B.
+    a = str(CONFIGS / "cfg_a_1d.cfg")
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text()
+    for old in ("coeff.a11 = 1.0", "time.dt = 0.001", "time.t_final = 0.5"):
+        assert text.count(old) == 1
+    b = str(write_cfg(tmp_path, text.replace("coeff.a11 = 1.0", "coeff.a11 = 2.0")
+                      .replace("time.dt = 0.001", "time.dt = 0.002")
+                      .replace("time.t_final = 0.5", "time.t_final = 1.0")))
+    stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+    assert main(["simulate", "--config", a, "--out", str(stored)]) == 0
+    capsys.readouterr()
+    assert main(["adjoint", "--config", a, "--out", str(stored)]) == 0
+    assert "ran the forward solve first" not in capsys.readouterr().out
+    assert main(["adjoint", "--config", a, "--out", str(fresh)]) == 0
+    assert "ran the forward solve first" in capsys.readouterr().out
+    assert ((stored / "adjoint_diagnostics.csv").read_bytes()
+            == (fresh / "adjoint_diagnostics.csv").read_bytes())
+
+    assert main(["adjoint", "--config", b, "--out", str(stored)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:") and "differs from the forward problem" in err
+    for key in ("coeff.a11 = 1 there, 2 in the config", "time.dt = 0.001 there, 0.002 in",
+                "time.t_final = 0.5 there, 1 in"):
+        assert key in err
+    assert "coeff.a12" not in err and "level 0" not in err
+
+
+def test_cli_adjoint_refuses_a_stored_run_from_other_initial_data(tmp_path, capsys):
+    # Same record, other init.v: only level 0 tells the runs apart.
+    text = (CONFIGS / "cfg_a_1d.cfg").read_text()
+    other = write_cfg(tmp_path, text.replace("init.v = bump 0.35 0.25 1.2",
+                                             "init.v = bump 0.35 0.25 1.3"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "cfg_a_1d.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["adjoint", "--config", str(other), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:")
+    assert err.rstrip().endswith("level 0 is not the initial data of init.u and init.v")
+
+
+def test_cli_adjoint_refuses_stored_snapshots_without_a_record(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = str(CONFIGS / "heat_1d.cfg")
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    (out / "forward" / "problem.cfg").unlink()
+    capsys.readouterr()
+    assert main(["adjoint", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:") and "no forward-problem record problem.cfg" in err
+
+
 def test_cli_adjoint_on_stored_trajectory_whose_h_does_not_round_trip(tmp_path, capsys):
     # 49 * fl(1/49) != 1.0, so a snapshot's printed h times n misses the length.
     text = (CONFIGS / "cfg_a_1d.cfg").read_text()
@@ -476,16 +547,19 @@ def test_cli_adjoint_on_a_corrupt_snapshot_names_the_file(tmp_path, capsys):
 def test_stored_snapshots_load_in_step_order_past_a_million_steps(tmp_path, steps):
     # Snapshot names outgrow their 6-digit padding at 10^6 steps, where
     # step_1000000 sorts before step_500000 by name.  Each level holds its
-    # own step number, so no march runs.
+    # own step number, so no march runs; level 0 holds 0.0, the config's
+    # zero initial data.
     text = (MINIMAL.replace("grid.n = 16", "grid.n = 8")
-            .replace("time.t_final = 0.01", f"time.t_final = {steps // 1000}"))
+            .replace("time.t_final = 0.01", f"time.t_final = {steps // 1000}")
+            .replace("init.u = bump 0.5 0.3 1.0", "init.u = zero")
+            .replace("init.v = constant 0.5", "init.v = zero"))
     cfg = parse_config(write_cfg(tmp_path, text))
     grid, time_grid = cfg.grid(), cfg.time_grid()
     assert time_grid.steps == steps
     stored = [*range(0, steps, 500_000), steps]
     levels = np.array([np.full((2, *grid.shape), float(step)) for step in stored])
     write_forward_outputs(tmp_path, Trajectory(grid, time_grid, stored, levels,
-                                               {"step": np.zeros(1)}))
+                                               {"step": np.zeros(1)}), cfg)
     traj = load_forward_trajectory(tmp_path, cfg)
     assert traj.stored_steps == stored
     assert np.array_equal(traj.levels, levels)

@@ -48,30 +48,35 @@ def smooth_initial(grid):
                      bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2))
 
 
+def frozen_alone(c, grid, state):
+    """The stacked ``state`` frozen on its own for step_adjoint_transpose, as
+    the marches freeze their states."""
+    return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
+
+
 def normalized_bump(grid):
     w = bump_profile(grid, 0.55 * grid.length, 0.2 * grid.length, 1.0)
     f = np.stack((w, 0.5 * w))
     return (1.0 / math.sqrt(inner(grid, f, f))) * f
 
 
-def _branch_chi_basis(grid, bc, modes):
+def _branch_chi_basis(grid, bc):
     # The terminal basis written out per dimension and wall.
     L = grid.length
     if grid.dim == 1:
         x = grid.centers()
         if bc is NEU:
-            profiles = [np.ones(grid.shape)] + [np.cos(k * np.pi * x / L)
-                                                for k in range(1, modes + 1)]
+            profiles = [np.ones(grid.shape)] + [np.cos(k * np.pi * x / L) for k in (1, 2)]
         else:
-            profiles = [np.sin(k * np.pi * x / L) for k in range(1, modes + 2)]
+            profiles = [np.sin(k * np.pi * x / L) for k in (1, 2, 3)]
     else:
         X, Y = grid.meshgrid()
         if bc is NEU:
             profiles = [np.cos(i * np.pi * X / L) * np.cos(j * np.pi * Y / L)
-                        for i, j in [(0, 0), (1, 0), (0, 1), (1, 1)][:modes + 1]]
+                        for i, j in [(0, 0), (1, 0), (0, 1)]]
         else:
             profiles = [np.sin(i * np.pi * X / L) * np.sin(j * np.pi * Y / L)
-                        for i, j in [(1, 1), (2, 1), (1, 2)][:modes + 1]]
+                        for i, j in [(1, 1), (2, 1), (1, 2)]]
     zero = np.zeros(grid.shape)
     basis = np.array([pair for prof in profiles for pair in ((prof, zero), (zero, prof))])
     h1 = h1_norms(grid, basis, bc)
@@ -81,14 +86,13 @@ def _branch_chi_basis(grid, bc, modes):
 
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 12)], ids=["1d", "2d"])
 @pytest.mark.parametrize("bc", [NEU, DIR], ids=["neumann", "dirichlet"])
-@pytest.mark.parametrize("modes", [1, 2])
-def test_chi_basis_normalized_and_bc_exact(dim, n, bc, modes):
+def test_chi_basis_normalized_and_bc_exact(dim, n, bc):
     grid = Grid(dim, 1.0, n)
-    basis = chi_basis(grid, bc, modes=modes)
-    assert basis.shape == (2 * (modes + 1), 2, *grid.shape)
+    basis = chi_basis(grid, bc)
+    assert basis.shape == (6, 2, *grid.shape)
     for hu, hv in h1_norms(grid, basis, bc).tolist():
         assert math.sqrt(hu ** 2 + hv ** 2) == pytest.approx(1.0, rel=1e-12)
-    assert basis.tobytes() == _branch_chi_basis(grid, bc, modes).tobytes()
+    assert basis.tobytes() == _branch_chi_basis(grid, bc).tobytes()
 
 
 def test_scalar_reduction_check_on_manufactured_series():
@@ -237,14 +241,14 @@ def uniq_levels(count=2, base_n=16, T=0.05, steps=512, dim=1):
 def test_uniqueness_identical_schemes_give_exact_zero(monkeypatch):
     monkeypatch.setattr(sktsim.experiments, "_SCHEMES",
                         (SchemeKind.IMEX_LAGGED, SchemeKind.IMEX_LAGGED))
-    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(1), smooth_initial, modes=1)
+    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(1), smooth_initial)
     assert table["max_pairing"].tolist() == [0.0]
     assert table["max_residual"].tolist() == [0.0]
     assert table["reduction_deviation"].tolist() == [0.0]
 
 
 def test_uniqueness_pairings_shrink_under_refinement():
-    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(2), smooth_initial, modes=1)
+    table = uniqueness_experiment(CFG_A, NEU, uniq_levels(2), smooth_initial)
     assert np.all(table["sbp_gap"] <= 1e-10)
     assert table["max_pairing"][0] > 0.0
     assert _ratios(table["max_pairing"])[0] >= 2.0
@@ -268,7 +272,7 @@ def test_dependence_slope_and_kappa_stability():
     assert table["ing49"] == pytest.approx(math.sqrt(tg.t_final) * table["input_l2"], rel=1e-12)
 
 
-def _reference_uniqueness_level(c, bc, grid, tg, modes):
+def _reference_uniqueness_level(c, bc, grid, tg):
     # The per-element computation: one transpose march per basis element,
     # on the path of uniqueness_experiment (step_adjoint_transpose through
     # forward._march on the truncated average of the two stride-1
@@ -279,10 +283,14 @@ def _reference_uniqueness_level(c, bc, grid, tg, modes):
     u_bars = [t1.levels[i] - t2.levels[i] for i in range(len(t1.stored_steps))]
     times = np.asarray(t1.stored_steps, dtype=float) * dt
     ref = {"snapshots": [], "pairings": [], "series": [], "residuals": [], "deviations": []}
-    for chi in chi_basis(grid, bc, modes):
-        phis = list(_march(lambda phi, n: step_adjoint_transpose(
-            c, grid, phi, theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n])), bc, dt,
-            AdjointRHSKind.IDENTITY), grid, chi, tg.steps, 0, dt))
+
+    def step(phi, n):
+        state = theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n]))
+        return step_adjoint_transpose(c, grid, phi, frozen_alone(c, grid, state), bc, dt,
+                                      AdjointRHSKind.IDENTITY)
+
+    for chi in chi_basis(grid, bc):
+        phis = list(_march(step, grid, chi, tg.steps, 0, dt))
         series = np.array([float(inner(grid, ub, ph)) for ub, ph in zip(u_bars, phis)])
         residual = []
         for n in range(len(u_bars) - 1):
@@ -320,10 +328,10 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
         return marches[-1]
 
     monkeypatch.setattr(sktsim.experiments, "_march", recording)
-    table = uniqueness_experiment(CFG_A, bc, levels, smooth_initial, modes=2)
+    table = uniqueness_experiment(CFG_A, bc, levels, smooth_initial)
     assert len(marches) == len(table["n"]) == len(levels)
     for k, (phi, (grid, tg)) in enumerate(zip(marches, levels)):
-        ref = _reference_uniqueness_level(CFG_A, bc, grid, tg, modes=2)
+        ref = _reference_uniqueness_level(CFG_A, bc, grid, tg)
         assert phi.shape[0] == len(ref["pairings"]) == 6
         snapshots = np.array(ref["snapshots"])
         assert _close(phi, snapshots, np.max(np.abs(snapshots)))
@@ -382,7 +390,7 @@ def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure) as err:
-            uniqueness_experiment(CFG_A, NEU, levels, smooth_initial, modes=1)
+            uniqueness_experiment(CFG_A, NEU, levels, smooth_initial)
     assert err.value.step == steps - 3
     assert err.value.t == pytest.approx((steps - 3) * dt)
     assert str(err.value).startswith(f"step {steps - 3} (t=")

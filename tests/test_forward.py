@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sktsim.adjoint
 import sktsim.algebra
 import sktsim.forward
 import sktsim.linalg
@@ -72,6 +73,15 @@ def component_h1(arr, grid, bc):
 def constant_pair(grid, cu, cv):
     """The stacked pair (2, *grid.shape) with constant species cu and cv."""
     return np.stack((np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv))))
+
+
+def frozen_alone(c, grid, state, bc=None, dt=None):
+    """The stacked ``state`` frozen on its own, as the marches freeze their
+    states: for step_adjoint_backward given bc and dt, else for
+    step_adjoint_transpose."""
+    if dt is None:
+        return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
+    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
 
 
 def lap_flux(c, grid, state, bc):
@@ -612,7 +622,8 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
     dt = 0.5 * min(stability_bound(grid, *jac_P(ASYMMETRIC, w.reshape(2, -1)))
                    for w in (*batch, state))
     steps = [lambda w, f: step_explicit(ASYMMETRIC, grid, w, bc, dt, f)]
-    steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, state, bc, dt, rhs)
+    frozen = frozen_alone(ASYMMETRIC, grid, state)
+    steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, frozen, bc, dt, rhs)
               for rhs in AdjointRHSKind]
     if dim == 1:
         steps.append(lambda w, f: step_imex(ASYMMETRIC, grid, w, bc, dt, f))
@@ -634,9 +645,10 @@ def test_implicit_steps_refuse_a_batch_before_the_solve(dim):
     if dim == 2:
         with pytest.raises(ValueError, match=message):
             step_imex(CFG_A, grid, batch, NEU, 1e-3)
+    frozen = frozen_alone(CFG_A, grid, state, NEU, 1e-3)
     for rhs in AdjointRHSKind:
         with pytest.raises(ValueError, match=message):
-            step_adjoint_backward(CFG_A, grid, batch, state, NEU, 1e-3, rhs)
+            step_adjoint_backward(CFG_A, grid, batch, frozen, 1e-3, rhs)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))

@@ -73,7 +73,7 @@ def _diagnostics(name: str) -> dict[str, dict[str, np.ndarray]]:
     cfg = parse_config_text(_config_text(name), source=name)
     traj = run_forward(cfg.forward_problem())
     phi_traj, _ = run_adjoint(cfg.coefficients, cfg.bc, traj, cfg.eps, cfg.rhs,
-                              cfg.terminal_field(), stride=cfg.stride)
+                              cfg.terminal, stride=cfg.stride)
     return {"forward": traj.diagnostics, "adjoint": phi_traj.diagnostics}
 
 

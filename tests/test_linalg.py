@@ -31,6 +31,12 @@ DIR = BoundaryCondition.DIRICHLET
 DT = 1e-3
 
 
+def frozen_alone(c, grid, state, bc, dt):
+    """The stacked ``state`` frozen on its own for step_adjoint_backward, as
+    run_adjoint freezes its states."""
+    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
+
+
 def bump_state(grid):
     b = bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0)
     return np.stack((b + 0.2, 0.5 * b + 0.1))
@@ -123,7 +129,8 @@ def test_adjoint_operator_matches_reference(captured, dim, n, bc):
     grid = Grid(dim, 1.0, n)
     state = bump_state(grid)
     phi = np.stack((np.cos(state[0]), state[1] ** 2))
-    step_adjoint_backward(CFG_A, grid, phi, state, bc, DT, AdjointRHSKind.GROWTH)
+    step_adjoint_backward(CFG_A, grid, phi, frozen_alone(CFG_A, grid, state, bc, DT), DT,
+                          AdjointRHSKind.GROWTH)
     (A, _, _), = captured
     assert rel_diff(A, reference_adjoint(CFG_A, grid, state, bc, DT)) <= 1e-13
 
@@ -133,7 +140,8 @@ def steps_solve_reference_operators(calls, grid, bc):
     residual bound on the reference operators."""
     state = bump_state(grid)
     step_imex(CFG_A, grid, state, bc, DT)
-    step_adjoint_backward(CFG_A, grid, state, state, bc, DT, AdjointRHSKind.GROWTH)
+    step_adjoint_backward(CFG_A, grid, state, frozen_alone(CFG_A, grid, state, bc, DT), DT,
+                          AdjointRHSKind.GROWTH)
     size = 2 * grid.node_count
     references = (np.eye(size) - DT * reference_divergence_form(CFG_A, grid, state, bc),
                   reference_adjoint(CFG_A, grid, state, bc, DT))
@@ -176,8 +184,8 @@ def test_1d_solves_equal_scipy_solve_banded_bitwise(captured, n, bc):
     grid = Grid(1, 1.0, n)
     state = bump_state(grid)
     step_imex(CFG_A, grid, state, bc, DT)
-    step_adjoint_backward(CFG_A, grid, np.stack((np.cos(state[0]), state[1] ** 2)), state, bc,
-                          DT, AdjointRHSKind.GROWTH)
+    step_adjoint_backward(CFG_A, grid, np.stack((np.cos(state[0]), state[1] ** 2)),
+                          frozen_alone(CFG_A, grid, state, bc, DT), DT, AdjointRHSKind.GROWTH)
     assert len(captured) == 2
     for A, b, x in captured:
         assert np.array_equal(x, reference_band_solve(A, b))
@@ -219,7 +227,8 @@ def test_2d_steps_solve_at_unit_dt(captured_sparse, n, bc):
     grid = Grid(2, 1.0, n)
     state = 0.3 + np.stack((bump_profile(grid, 0.5, 0.3, 1.0), bump_profile(grid, 0.4, 0.25, 0.6)))
     step_imex(coefficients, grid, state, bc, 1.0)
-    step_adjoint_backward(coefficients, grid, state, state, bc, 1.0, AdjointRHSKind.GROWTH)
+    frozen = frozen_alone(coefficients, grid, state, bc, 1.0)
+    step_adjoint_backward(coefficients, grid, state, frozen, 1.0, AdjointRHSKind.GROWTH)
     assert len(captured_sparse) == 2
     for pattern, data, b, x in captured_sparse:
         residual = b.ravel() - pattern.matrix(data) @ x.ravel()
@@ -324,16 +333,25 @@ def test_batched_band_solve_names_a_singular_member():
         sktsim.linalg.solve(pattern, values, b, b)
 
 
-def test_batched_band_solve_gives_a_zero_member_exact_zeros():
-    # Member 1's operator is all zeros, which no solve could take; with b = 0
-    # it is not factored, and the other members are solved as on their own.
+def test_batched_band_solve_gives_a_zero_member_zeros():
+    # Member 1 has b = 0 and a nonsingular operator: it is solved like the
+    # others and gives zeros, and the other members are solved as on their own.
+    pattern, values, b = imex_batch()
+    b[1] = 0.0
+    x = sktsim.linalg.solve(pattern, values, b, b)
+    assert np.array_equal(x[1], np.zeros_like(x[1]))
+    for m in (0, 2, 3):
+        assert np.array_equal(x[m], sktsim.linalg.solve(pattern, values[m], b[m], b[m]))
+
+
+def test_batched_band_solve_factors_a_zero_member():
+    # A zero b does not exempt its member from the factorization: an all-zero
+    # operator with b = 0 beside nonzero members is singular, named as such.
     pattern, values, b = imex_batch()
     values[1] = 0.0
     b[1] = 0.0
-    x = sktsim.linalg.solve(pattern, values, b, b)
-    assert np.array_equal(x[1], np.zeros_like(x[1])) and not np.signbit(x[1]).any()
-    for m in (0, 2, 3):
-        assert np.array_equal(x[m], sktsim.linalg.solve(pattern, values[m], b[m], b[m]))
+    with pytest.raises(LinearSolveError, match="banded solve of member 1: singular matrix"):
+        sktsim.linalg.solve(pattern, values, b, b)
 
 
 def test_krylov_solve_is_scale_invariant_and_rejects_overflow():
