@@ -32,6 +32,7 @@ __all__ = [
     "CoefficientError",
     "Coefficients",
     "ConditionReport",
+    "admissible",
     "check_conditions",
     "dual_exponent",
     "eval_l",
@@ -239,19 +240,28 @@ def _apply(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
     return diag * x + off * x[..., ::-1, :]
 
 
+def admissible(a11: float | np.ndarray, a12: float | np.ndarray, a21: float | np.ndarray,
+               a22: float | np.ndarray) -> tuple:
+    """The two strict admissibility conditions, elementwise over floats or
+    arrays of the a_ij: condition (1.5c), 0 < a12 a21 < 64 a11 a22, and the
+    coefficient condition, 0 < a12^2 < 8 a11 a21 and 0 < a21^2 < 8 a22 a12.
+    """
+    prod = a12 * a21
+    return ((0.0 < prod) & (prod < 64.0 * a11 * a22),
+            (0.0 < a12 ** 2) & (a12 ** 2 < 8.0 * a11 * a21)
+            & (0.0 < a21 ** 2) & (a21 ** 2 < 8.0 * a22 * a12))
+
+
 def check_conditions(c: Coefficients) -> ConditionReport:
-    """Evaluate both admissibility predicates with strict inequalities.
+    """Evaluate both admissibility predicates (:func:`admissible`) and their margins.
 
     No epsilon slack: boundary cases (equality) fail, and a12 = 0 or
     a21 = 0 fails the strict lower bounds.
     """
-    prod = c.a12 * c.a21
-    margin_1_5c = 64.0 * c.a11 * c.a22 - prod
-    holds_1 = 0.0 < prod and prod < 64.0 * c.a11 * c.a22
+    holds_1, holds_cc = admissible(c.a11, c.a12, c.a21, c.a22)
+    margin_1_5c = 64.0 * c.a11 * c.a22 - c.a12 * c.a21
     m_a = 8.0 * c.a11 * c.a21 - c.a12 ** 2
     m_b = 8.0 * c.a22 * c.a12 - c.a21 ** 2
-    holds_cc = (0.0 < c.a12 ** 2 and c.a12 ** 2 < 8.0 * c.a11 * c.a21
-                and 0.0 < c.a21 ** 2 and c.a21 ** 2 < 8.0 * c.a22 * c.a12)
     return ConditionReport(holds_1_5c=holds_1, holds_coef_cond=holds_cc,
                            margin_1_5c=margin_1_5c, margins_coef_cond=(m_a, m_b))
 

@@ -15,7 +15,6 @@ time since the previous one, CSV writes included.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from collections.abc import Iterator
@@ -28,6 +27,7 @@ from sktsim.adjoint import AdjointRHSKind, eps_cauchy_study, run_adjoint, theta_
 from sktsim.algebra import (
     Coefficients,
     _apply,
+    admissible,
     check_conditions,
     dual_exponent,
     eval_p,
@@ -46,7 +46,14 @@ from sktsim.experiments import (
     frozen_duality_check,
     uniqueness_experiment,
 )
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, manufactured_convergence, run_forward
+from sktsim.forward import (
+    ForwardProblem,
+    SchemeKind,
+    TimeGrid,
+    manufactured_convergence,
+    run_forward,
+    stability_bound,
+)
 from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 from sktsim.output import write_csv
@@ -84,25 +91,6 @@ def _norm_bump(grid: Grid) -> np.ndarray:
 _CHUNK = 2 ** 16  # samples per margin evaluation of the positivity certificate
 
 
-def _uniform_chunks(rng: np.random.Generator, count: int,
-                    bounds: tuple[tuple[float, float], ...]) -> Iterator[list[np.ndarray]]:
-    """The draws ``rng.uniform(low, high, count)`` for each (low, high) of
-    ``bounds``, one after the other, yielded ``_CHUNK`` samples at a time:
-    one array per draw, holding the same numbers as its slice of the
-    one-shot draws.  ``rng`` is advanced past all the draws at once, as the
-    one-shot draws leave it.
-
-    PCG64 spends one 64-bit output per uniform double, so draw j is drawn,
-    chunk after chunk, from a copy of the generator advanced by j * count.
-    """
-    draws = [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(j * count))
-             for j in range(len(bounds))]
-    rng.bit_generator.advance(len(bounds) * count)
-    for i in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - i)
-        yield [gen.uniform(low, high, size) for gen, (low, high) in zip(draws, bounds)]
-
-
 def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
     c = cfg.coefficients
     rng = np.random.default_rng(cfg.seed + 1)
@@ -126,9 +114,7 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
     yield verdicts[-1]
 
     draws = rng.uniform(0.0, 20.0, size=(100_000, 4))
-    a11, a12, a21, a22 = draws.T
-    coef = (a12**2 > 0) & (a12**2 < 8 * a11 * a21) & (a21**2 > 0) & (a21**2 < 8 * a22 * a12)
-    one5c = (a12 * a21 > 0) & (a12 * a21 < 64 * a11 * a22)
+    one5c, coef = admissible(*draws.T)
     violations = int(np.sum(coef & ~one5c))
     boundary = check_conditions(Coefficients(1.0, 8.0, 8.0, 1.0))
     verdicts.append(CheckResult(
@@ -142,14 +128,16 @@ def campaign_algebra(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         alpha = max_alpha(c)
         ca = replace(c, alpha=alpha) if alpha > 0 else c
         n_fresh = 1_000_000
-        # u, v and theta: the samples of three draws of n_fresh each, in
-        # chunks.  Each margin is elementwise, so chunks bound the memory and
-        # leave the minimum as it is.
-        min_margin = min(
-            float(np.min(quad_form_margin(ca, np.stack((u, v)),
-                                          np.stack((np.cos(theta), np.sin(theta))))))
-            for u, v, theta in _uniform_chunks(rng, n_fresh,
-                                               ((0, 100), (0, 100), (0, 2 * np.pi))))
+        # u, v and theta, drawn one chunk at a time: each margin is
+        # elementwise, so chunks bound the memory and leave the minimum a
+        # minimum over all n_fresh samples.
+        min_margin = math.inf
+        for i in range(0, n_fresh, _CHUNK):
+            size = min(_CHUNK, n_fresh - i)
+            u, v = rng.uniform(0, 100, size), rng.uniform(0, 100, size)
+            theta = rng.uniform(0, 2 * np.pi, size)
+            xi = np.stack((np.cos(theta), np.sin(theta)))
+            min_margin = min(min_margin, float(np.min(quad_form_margin(ca, np.stack((u, v)), xi))))
         inv_norms, bounds = inverse_norm_check(ca, rng.uniform(0, 200, (2, 10_000)))
         inv_ok = bool(np.all(inv_norms <= bounds * (1 + 1e-12)))
         verdicts.append(CheckResult(
@@ -194,7 +182,7 @@ def campaign_mms(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
         grid = Grid(1, 1.0, n)
         x = grid.centers()
         initial = np.stack((1.0 + np.cos(np.pi * x), np.zeros(grid.shape)))
-        bound = grid.h ** 2 / 2.0
+        bound = stability_bound(grid, *jac_P(heat, initial))
         dt = T / max(1, int(round(T / (dt_factor * bound))))
         problem = ForwardProblem(heat, grid, NEU, TimeGrid(T, dt), scheme, initial,
                                  stride=10**9)

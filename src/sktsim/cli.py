@@ -45,11 +45,7 @@ def _fail(code: ExitStatus, message: str) -> int:
     return int(code)
 
 
-def _out_dir(cfg: RunConfig, override: str | None) -> Path:
-    return Path(override) if override else Path(cfg.out_dir)
-
-
-def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_check(cfg: RunConfig) -> int:
     report = check_conditions(cfg.coefficients)
     print(f"holds_1_5c = {str(report.holds_1_5c).lower()}")
     print(f"holds_coef_cond = {str(report.holds_coef_cond).lower()}")
@@ -139,10 +135,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
     except ConfigError as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-    out_dir = _out_dir(cfg, args.out)
+    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     try:
         if args.command == "check":
-            return cmd_check(cfg, out_dir)
+            return cmd_check(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "adjoint":

@@ -126,22 +126,29 @@ def _linearized_difference_step(c: Coefficients, grid: Grid, u_tilde: np.ndarray
     return (x + dt * (lap - qx + eval_l(c, x))).reshape(u_bar.shape)
 
 
-def _duality_residual_series(c: Coefficients, grid: Grid, u_bar: np.ndarray,
-                             phi: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete residual of the collapsed pairing identity, one row per batch
-    member and one value per step.
+def _transpose_pairing(c: Coefficients, grid: Grid, bc: BoundaryCondition, dt: float, states: list,
+                       u_bar: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transpose adjoint of the terminal data ``chi`` (B, 2, *grid.shape),
+    marched back over the difference levels ``u_bar`` (S+1, 2, *grid.shape),
+    and the discrete residual of the collapsed pairing identity.
 
-    ``u_bar`` holds the difference levels, shape (S+1, 2, *grid.shape);
-    ``phi`` the adjoint levels of B terminal data, shape (B, S+1, 2, *grid.shape).
+    The step to level k reads the frozen state ``states[k]``
+    (:func:`~sktsim.adjoint._freeze_transpose`).  Returns the adjoint
+    levels, shape (B, S+1, 2, *grid.shape), and the residual, one row per
+    basis member and one value per step:
     r_n = (p_{n+1} - p_n)/dt + <u_bar^n, phi^{n+1}> - <l(u_bar^n), phi^{n+1}>
     with p_n the pairing at level n; identically zero (to roundoff) when the
     difference follows the linearized dynamics and the adjoint is its exact
     transpose with the identity right-hand side.
     """
+    phi = _march(lambda phi, k: step_adjoint_transpose(c, grid, phi, states[k], bc, dt,
+                                                       AdjointRHSKind.IDENTITY),
+                 grid, chi, len(u_bar) - 1, 0, dt)
     p = inner(grid, u_bar, phi)
     l_bar = eval_l(c, _flat(u_bar[:-1], grid.dim)).reshape(u_bar[:-1].shape)
-    return ((p[:, 1:] - p[:, :-1]) / dt + inner(grid, u_bar[:-1], phi[:, 1:])
-            - inner(grid, l_bar, phi[:, 1:]))
+    residual = ((p[:, 1:] - p[:, :-1]) / dt + inner(grid, u_bar[:-1], phi[:, 1:])
+                - inner(grid, l_bar, phi[:, 1:]))
+    return phi, residual
 
 
 def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
@@ -158,11 +165,9 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
     steps, dt = time_grid.steps, time_grid.dt
     u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, u_tilde, u_bar, bc, dt),
                    grid, u_bar0, 0, steps, dt)
-    frozen = _freeze_transpose(c, grid, u_tilde[None])[0]
-    phi = _march(lambda phi, _: step_adjoint_transpose(c, grid, phi, frozen, bc, dt,
-                                                       AdjointRHSKind.IDENTITY),
-                 grid, chi[None], steps, 0, dt)
-    res = _duality_residual_series(c, grid, u_bar, phi, dt)
+    # One coefficient state for every step, frozen once.
+    states = _freeze_transpose(c, grid, u_tilde[None]) * steps
+    _, res = _transpose_pairing(c, grid, bc, dt, states, u_bar, chi[None])
     return float(np.max(np.abs(res)))
 
 
@@ -187,18 +192,11 @@ def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
                   for scheme in _SCHEMES)
         u_bar = t1.levels - t2.levels
 
-        basis = chi_basis(grid, bc)
         # Every state is known before the march, so all are frozen at once.
         states = _freeze_transpose(c, grid, theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels)))
-
-        def adjoint_step(phi: np.ndarray, k: int) -> np.ndarray:
-            return step_adjoint_transpose(c, grid, phi, states[k], bc, dt,
-                                          AdjointRHSKind.IDENTITY)
-
-        phi = _march(adjoint_step, grid, basis, tg.steps, 0, dt)
-
+        phi, res = _transpose_pairing(c, grid, bc, dt, states, u_bar, chi_basis(grid, bc))
+        residual = np.max(np.abs(res))
         series = inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
-        residual = np.max(np.abs(_duality_residual_series(c, grid, u_bar, phi, dt)))
         # Summation by parts, term by term and summed in step order (cumsum):
         # its roundoff is what the gate reads.
         terms = (inner(grid, u_bar[1:] - u_bar[:-1], phi[:, 1:])

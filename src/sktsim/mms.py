@@ -11,14 +11,15 @@ value, gradient and Laplacian:
     Lap p1 = (d1 + 2 a11 u + a12 v) Lap u + a12 u Lap v
              + 2 a11 |grad u|^2 + 2 a12 grad u . grad v,
 
-and Lap p2 is the same with the species swapped.  Target fields should be
-compatible with the boundary condition of the run (zero normal derivative
-for Neumann, zero trace for Dirichlet).
+and Lap p2 is the same with the species swapped.  The one target here,
+:class:`ManufacturedSolution`, has zero normal derivative on the walls of
+the box of the grid it is evaluated on, so it suits Neumann runs on any
+box length.
 
 The fields and the forcing are evaluated for a 1-D array of times at once,
 which is how :func:`sktsim.forward.run_forward` asks for the forcing of a
-block of steps: the grid coordinates and the parts of the jets that do not
-depend on time are built once per call, ``math.exp`` is applied per time,
+block of steps: the grid coordinates and the parts of the targets that do
+not depend on time are built once per call, ``math.exp`` is applied per time,
 and the rest broadcasts, so each time's values are bit for bit those of a
 call at that time alone.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,31 +40,49 @@ __all__ = ["ManufacturedSolution", "bump_profile", "heat_limit_coefficients",
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Exact fields and residual forcing on cell centers.
+    """Positive cubic-profile targets with zero normal derivative on the
+    walls of the box they are evaluated on, and their residual forcing.
 
-    ``jets(coords, times)`` returns, for u and then v, the tuple (value,
-    gradient components, Laplacian, time derivative) at the cell-center
-    coordinates ``coords`` (one array per axis) and at each time of the 1-D
-    array ``times``; every entry broadcasts to (len(times), *grid.shape).
-    :meth:`field` and :meth:`forcing` evaluate the jets once for all the
-    times they are given, and :meth:`forcing` applies the Lap p identity of
-    the module docstring to them.  Both take a scalar t, giving one stacked
-    pair (2, *grid.shape), or a 1-D array of times, giving one stacked pair
-    per time (len(t), 2, *grid.shape); the values at a time do not depend on
+    On a grid of box length L the spatial profile W is the product over
+    axes of w(s) = s^2 (3 - 2s), s = x / L, which has vanishing derivative
+    at both walls; u = 1 + exp(-t) W / 2 and v = 1 + exp(-2t) (1 - W) / 2
+    decay at different rates so the cross terms are exercised.
+    :meth:`field` and :meth:`forcing` evaluate the targets' values,
+    gradients, Laplacians and time derivatives once for all the times they
+    are given, and :meth:`forcing` applies the Lap p identity of the module
+    docstring to them.  Both take a scalar t, giving one stacked pair
+    (2, *grid.shape), or a 1-D array of times, giving one stacked pair per
+    time (len(t), 2, *grid.shape); the values at a time do not depend on
     the other times asked for.
     """
 
     coefficients: Coefficients
     dim: int
-    jets: Callable[[tuple[np.ndarray, ...], np.ndarray], tuple]
 
-    def _jets_on(self, grid: Grid, t) -> tuple[np.ndarray, tuple]:
+    def _targets(self, grid: Grid, t) -> tuple[np.ndarray, tuple]:
+        """The times as an array and, for u and then v, the tuple (value,
+        gradient components, Laplacian, time derivative), each broadcasting
+        to (len(times), *grid.shape)."""
         if grid.dim != self.dim:
             raise ValueError(f"manufactured solution is {self.dim}D, grid is {grid.dim}D")
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
-        return times, self.jets(grid.meshgrid(), times.reshape(-1))
+        L = grid.length
+        s = [x / L for x in grid.meshgrid()]
+        w = [si * si * (3.0 - 2.0 * si) for si in s]
+        W = math.prod(w)
+        rest = [math.prod(w[:i] + w[i + 1:]) for i in range(len(w))]  # W without axis i
+        grad = [6.0 * si * (1.0 - si) / L * r for si, r in zip(s, rest)]
+        lap = sum((6.0 - 12.0 * si) / L ** 2 * r for si, r in zip(s, rest))
+        # The time factors, one per time, broadcast along the grid axes.
+        per_time = (-1,) + (1,) * grid.dim
+        flat = times.reshape(-1).tolist()
+        a = np.array([0.5 * math.exp(-t) for t in flat]).reshape(per_time)
+        b = np.array([0.5 * math.exp(-2.0 * t) for t in flat]).reshape(per_time)
+        return times, ((1.0 + a * W, [a * g for g in grad], a * lap, -a * W),
+                       (1.0 + b * (1.0 - W), [-b * g for g in grad], -b * lap,
+                        -2.0 * b * (1.0 - W)))
 
     @staticmethod
     def _stacked(grid: Grid, times: np.ndarray, u, v) -> np.ndarray:
@@ -76,13 +94,13 @@ class ManufacturedSolution:
 
     def field(self, grid: Grid, t) -> np.ndarray:
         """The exact fields at time t (a scalar or a 1-D array) as stacked pairs."""
-        times, ((u, *_), (v, *_)) = self._jets_on(grid, t)
+        times, ((u, *_), (v, *_)) = self._targets(grid, t)
         return self._stacked(grid, times, u, v)
 
     def forcing(self, grid: Grid, t) -> np.ndarray:
         """The residual forcing at time t (a scalar or a 1-D array) as stacked pairs."""
         c = self.coefficients
-        times, ((u, gu, lu, tu), (v, gv, lv, tv)) = self._jets_on(grid, t)
+        times, ((u, gu, lu, tu), (v, gv, lv, tv)) = self._targets(grid, t)
         cross = sum(a * b for a, b in zip(gu, gv))
         lap_p1 = ((c.d1 + 2.0 * c.a11 * u + c.a12 * v) * lu + c.a12 * u * lv
                   + 2.0 * c.a11 * sum(g * g for g in gu) + 2.0 * c.a12 * cross)
@@ -92,30 +110,10 @@ class ManufacturedSolution:
                              tv - lap_p2 + (c.b2 * u + c.c2 * v - c.a2) * v)
 
 
-def polynomial_neumann_solution(c: Coefficients, dim: int, length: float = 1.0) -> ManufacturedSolution:
-    """Positive cubic-profile targets with zero normal derivative on the walls.
-
-    The spatial profile W is the product over axes of w(s) = s^2 (3 - 2s),
-    s = x / length, which has vanishing derivative at both walls;
-    u = 1 + exp(-t) W / 2 and v = 1 + exp(-2t) (1 - W) / 2 decay at
-    different rates so the cross terms are exercised.
-    """
-
-    def jets(coords: tuple[np.ndarray, ...], times: np.ndarray) -> tuple:
-        s = [x / length for x in coords]
-        w = [si * si * (3.0 - 2.0 * si) for si in s]
-        W = math.prod(w)
-        rest = [math.prod(w[:i] + w[i + 1:]) for i in range(len(w))]  # W without axis i
-        grad = [6.0 * si * (1.0 - si) / length * r for si, r in zip(s, rest)]
-        lap = sum((6.0 - 12.0 * si) / length ** 2 * r for si, r in zip(s, rest))
-        # The time factors, one per time, broadcast along the grid axes.
-        per_time = (-1,) + (1,) * len(coords)
-        a = np.array([0.5 * math.exp(-t) for t in times.tolist()]).reshape(per_time)
-        b = np.array([0.5 * math.exp(-2.0 * t) for t in times.tolist()]).reshape(per_time)
-        return ((1.0 + a * W, [a * g for g in grad], a * lap, -a * W),
-                (1.0 + b * (1.0 - W), [-b * g for g in grad], -b * lap, -2.0 * b * (1.0 - W)))
-
-    return ManufacturedSolution(c, dim, jets)
+def polynomial_neumann_solution(c: Coefficients, dim: int) -> ManufacturedSolution:
+    """The cubic-profile targets (:class:`ManufacturedSolution`) for the
+    coefficients ``c`` in ``dim`` dimensions."""
+    return ManufacturedSolution(c, dim)
 
 
 def heat_limit_coefficients() -> Coefficients:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import NEU, component_h1, constant_pair, frozen_alone, pair_h1
 
 import sktsim.adjoint
 import sktsim.campaigns
@@ -38,32 +39,9 @@ from sktsim.grid import (
     FieldPair,
     Grid,
     NumericalFailure,
-    _extend,
-    _grad_stencil,
-    h1_norms,
     laplacian,
 )
 from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
-
-NEU = BoundaryCondition.NEUMANN
-
-
-def component_h1(arr, grid, bc):
-    """Discrete H1 norm of one unbatched component, summed over the whole grid."""
-    vol, h, dim = grid.cell_volume, grid.h, grid.dim
-    grad_sq = sum(g * g for g in _grad_stencil(_extend(arr, bc, dim), h, dim))
-    return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
-
-
-def constant_pair(grid, cu, cv):
-    """The stacked pair (2, *grid.shape) with constant species cu and cv."""
-    return np.stack((np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv))))
-
-
-def pair_h1(grid, w, bc):
-    """H1 norm sqrt(hu^2 + hv^2) of a stacked pair (2, *grid.shape)."""
-    hu, hv = h1_norms(grid, w, bc).tolist()
-    return math.sqrt(hu ** 2 + hv ** 2)
 
 
 def theta_slope(eps, s, delta):
@@ -115,15 +93,6 @@ def test_theta_eps_properties(eps, value):
     else:
         assert out <= value
     assert out <= (1.0 + 4.0 / 27.0) / eps + 1e-12
-
-
-def frozen_alone(c, grid, state, bc=None, dt=None):
-    """The stacked ``state`` frozen on its own, as the marches freeze their
-    states: for step_adjoint_backward given bc and dt, else for
-    step_adjoint_transpose."""
-    if dt is None:
-        return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
-    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
 
 
 def averaged_state(u_pair, eps, step):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import DIR, NEU, frozen_alone
 
 import sktsim.adjoint
 import sktsim.algebra
@@ -36,22 +37,13 @@ from sktsim.experiments import (
     uniqueness_experiment,
 )
 from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, _march, run_forward
-from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, h1_norms, inner
+from sktsim.grid import Grid, NumericalFailure, h1_norms, inner
 from sktsim.mms import bump_profile
-
-NEU = BoundaryCondition.NEUMANN
-DIR = BoundaryCondition.DIRICHLET
 
 
 def smooth_initial(grid):
     return np.stack((bump_profile(grid, 0.5 * grid.length, 0.3 * grid.length, 1.0) + 0.2,
                      bump_profile(grid, 0.4 * grid.length, 0.25 * grid.length, 0.6) + 0.2))
-
-
-def frozen_alone(c, grid, state):
-    """The stacked ``state`` frozen on its own for step_adjoint_transpose, as
-    the marches freeze their states."""
-    return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
 
 
 def normalized_bump(grid):
@@ -196,21 +188,78 @@ def test_algebra_gates_fail_on_seeded_defect_in_the_stacked_maps(monkeypatch, tm
     assert result.line().startswith(f"FAIL  {gate}")
 
 
-def test_certificate_chunks_hold_the_one_shot_draws():
-    # The positivity certificate draws u, v and theta in chunks; together the
-    # chunks hold the numbers of the three one-shot draws, and the generator
-    # ends where those draws leave it.
-    rng = np.random.default_rng(11)
-    rng.uniform(size=5)  # a generator part way along its stream, as the campaign's is
-    one_shot = copy.deepcopy(rng)
-    chunk = sktsim.campaigns._CHUNK
-    count, bounds = 2 * chunk + 1000, ((0.0, 100.0), (0.0, 100.0), (0.0, 2 * np.pi))
-    expected = [one_shot.uniform(low, high, count) for low, high in bounds]
-    chunks = list(sktsim.campaigns._uniform_chunks(rng, count, bounds))
-    assert [len(draws[0]) for draws in chunks] == [chunk, chunk, 1000]
-    for drawn, whole in zip(zip(*chunks), expected):
-        assert np.array_equal(np.concatenate(drawn), whole)
-    assert rng.bit_generator.state == one_shot.bit_generator.state
+def _loosen_coefficient_condition(monkeypatch):
+    # The shared predicate with the coefficient condition loosened from 8 to
+    # 80: a12^2 < 80 a11 a21 is a12^2 < 8 (10 a11) a21, and likewise for
+    # a21^2 with 10 a22.  Condition (1.5c) is left as it is.
+    admissible = sktsim.algebra.admissible
+
+    def loosened(a11, a12, a21, a22):
+        return admissible(a11, a12, a21, a22)[0], admissible(10 * a11, a12, a21, 10 * a22)[1]
+
+    monkeypatch.setattr(sktsim.algebra, "admissible", loosened)
+    monkeypatch.setattr(sktsim.campaigns, "admissible", loosened)
+
+
+def _inflate_max_alpha(monkeypatch):
+    # A positivity margin 1 % above the largest one the coefficients certify.
+    max_alpha = sktsim.algebra.max_alpha
+    monkeypatch.setattr(sktsim.campaigns, "max_alpha", lambda c: 1.01 * max_alpha(c))
+
+
+@pytest.mark.parametrize("seed_defect,gate", [
+    (_loosen_coefficient_condition, "condition-implication"),
+    (_inflate_max_alpha, "positivity-certificate")], ids=["loosened-8-to-80", "alpha-1.01"])
+def test_algebra_gates_fail_on_seeded_defect_in_the_conditions(monkeypatch, tmp_path,
+                                                                seed_defect, gate):
+    # condition-implication evaluates the predicate that check_conditions
+    # evaluates, so loosening that one predicate must show as
+    # counterexamples; the certificate must see a margin it cannot certify.
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
+
+    def gate_result():
+        return next(r for r in campaign_algebra(cfg, tmp_path) if r.name == gate)
+
+    assert gate_result().passed
+    seed_defect(monkeypatch)
+    result = gate_result()
+    assert not result.passed
+    assert result.line().startswith(f"FAIL  {gate}")
+    if gate == "condition-implication":
+        assert not result.detail.startswith("0 counterexamples"), result.detail
+    else:
+        assert "min margin -" in result.detail, result.detail
+
+
+def test_certificate_consumes_exactly_its_three_million_draws(monkeypatch, tmp_path):
+    # The certificate draws u, v and theta, 10^6 each, one chunk at a time
+    # from the campaign's generator.  It consumes exactly 3 * 10^6 uniform
+    # draws, so the inverse-bound samples and, after them, the
+    # jacobian-consistency states are the draws that follow those.
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg")
+    generators, samples = [], []
+    default_rng, inverse_norm_check = np.random.default_rng, sktsim.campaigns.inverse_norm_check
+
+    def recording_rng(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    def recording_check(c, w):
+        samples.append(w.copy())
+        return inverse_norm_check(c, w)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(sktsim.campaigns, "inverse_norm_check", recording_check)
+    verdicts = campaign_algebra(cfg, tmp_path)
+    assert [next(verdicts).name for _ in range(2)] == ["mean-value-identities",
+                                                         "condition-implication"]
+    (rng,) = generators
+    after = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(3 * 10 ** 6))
+    expected = after.uniform(0, 200, (2, 10_000))
+    after.uniform(-5.0, 5.0, (100, 2, 1))
+    assert all(r.passed for r in verdicts)
+    assert len(samples) == 1 and np.array_equal(samples[0], expected)
+    assert rng.bit_generator.state == after.bit_generator.state
 
 
 def test_check_result_line_shows_elapsed_time():

@@ -8,8 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import DIR, NEU, component_h1, constant_pair, frozen_alone
 
-import sktsim.adjoint
 import sktsim.algebra
 import sktsim.forward
 import sktsim.linalg
@@ -36,7 +36,6 @@ from sktsim.forward import (
     step_imex,
 )
 from sktsim.grid import (
-    BoundaryCondition,
     FieldPair,
     Grid,
     _extend,
@@ -44,15 +43,8 @@ from sktsim.grid import (
     _lap_stencil,
 )
 from sktsim.linalg import block_pattern
-from sktsim.mms import (
-    ManufacturedSolution,
-    bump_profile,
-    heat_limit_coefficients,
-    polynomial_neumann_solution,
-)
+from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
 
-NEU = BoundaryCondition.NEUMANN
-DIR = BoundaryCondition.DIRICHLET
 
 REACTION_FREE = Coefficients(1, 1, 1, 1, d1=1.0, d2=1.0)  # b = c = growth = 0
 ASYMMETRIC = Coefficients(0.3, 0.7, 1.9, 0.45, b1=0.4, b2=1.3, c1=0.25, c2=0.6,
@@ -61,27 +53,6 @@ ASYMMETRIC = Coefficients(0.3, 0.7, 1.9, 0.45, b1=0.4, b2=1.3, c1=0.25, c2=0.6,
 
 def component_l2(arr, grid):
     return float(np.sqrt(grid.cell_volume * np.sum(arr ** 2)))
-
-
-def component_h1(arr, grid, bc):
-    """Discrete H1 norm of one unbatched component, summed over the whole grid."""
-    vol, h, dim = grid.cell_volume, grid.h, grid.dim
-    grad_sq = sum(g * g for g in _grad_stencil(_extend(arr, bc, dim), h, dim))
-    return float(np.sqrt(vol * np.sum(arr ** 2) + vol * np.sum(grad_sq)))
-
-
-def constant_pair(grid, cu, cv):
-    """The stacked pair (2, *grid.shape) with constant species cu and cv."""
-    return np.stack((np.full(grid.shape, float(cu)), np.full(grid.shape, float(cv))))
-
-
-def frozen_alone(c, grid, state, bc=None, dt=None):
-    """The stacked ``state`` frozen on its own, as the marches freeze their
-    states: for step_adjoint_backward given bc and dt, else for
-    step_adjoint_transpose."""
-    if dt is None:
-        return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
-    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
 
 
 def lap_flux(c, grid, state, bc):
@@ -337,13 +308,21 @@ def test_snapshot_stride_and_lookup():
     assert np.array_equal(theta_eps(1e-9, traj.levels), traj.levels)
 
 
-def test_manufactured_constant_is_exact():
-    def constant_jets(coords, times):
-        zero = np.zeros((len(times), *coords[0].shape))
-        return ((zero + 1.0, [zero] * len(coords), zero, zero),
-                (zero + 0.5, [zero] * len(coords), zero, zero))
+class ConstantTarget:
+    """The 1D target u = 1, v = 0.5 at every time; its residual forcing is
+    the reaction residual q - l of that constant state."""
 
-    exact = ManufacturedSolution(CFG_A, 1, constant_jets)
+    def field(self, grid, t):
+        pair = constant_pair(grid, 1.0, 0.5)
+        return pair if np.ndim(t) == 0 else np.stack([pair] * len(t))
+
+    def forcing(self, grid, t):
+        w = self.field(grid, t)
+        return eval_q(CFG_A, w) - eval_l(CFG_A, w)
+
+
+def test_manufactured_constant_is_exact():
+    exact = ConstantTarget()
     problem = ForwardProblem(CFG_A, Grid(1, 1.0, 16), NEU, TimeGrid(0.01, 1e-3),
                              SchemeKind.IMEX_LAGGED, np.zeros((2, 16)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
@@ -357,6 +336,18 @@ def test_manufactured_full_coupling_spatial_order():
                              SchemeKind.IMEX_LAGGED, np.zeros((2, *base_grid.shape)))
     table = manufactured_convergence(problem, exact, ns=(8, 16, 32))
     assert all(order >= 1.6 for order in table.orders)
+
+
+def test_manufactured_target_follows_the_box_of_its_grid():
+    # The target reads its walls from the grid it is evaluated on, so on a
+    # box of length 1.5 its normal derivative vanishes there and the study
+    # converges at second order.
+    exact = polynomial_neumann_solution(CFG_A, 1)
+    base_grid = Grid(1, 1.5, 16)
+    problem = ForwardProblem(CFG_A, base_grid, NEU, TimeGrid(0.05, 0.05),
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *base_grid.shape)))
+    table = manufactured_convergence(problem, exact, ns=(16, 32, 64))
+    assert all(order >= 1.8 for order in table.orders), table.orders
 
 
 def test_cli_import_leaves_sympy_unloaded():
@@ -386,7 +377,7 @@ def _sympy_manufactured(c, dim, length):
 @pytest.mark.parametrize("c, dim, length", [(CFG_A, 1, 1.0), (CFG_A, 2, 2.5),
                                             (ASYMMETRIC, 1, 2.5), (ASYMMETRIC, 2, 1.0)])
 def test_closed_form_forcing_matches_symbolic_derivation(c, dim, length):
-    exact = polynomial_neumann_solution(c, dim, length)
+    exact = polynomial_neumann_solution(c, dim)
     reference = _sympy_manufactured(c, dim, length)
     grid = Grid(dim, length, 13)
     for t in (0.0, 0.05, 0.7):
@@ -402,7 +393,7 @@ def test_closed_form_forcing_matches_symbolic_derivation(c, dim, length):
 def test_manufactured_values_at_a_vector_of_times_stack_the_single_time_calls(dim):
     # A 1-D array of times gives one stacked pair per time, bit for bit the
     # call at that time alone, whatever the other times asked for.
-    exact = polynomial_neumann_solution(ASYMMETRIC, dim, 2.5)
+    exact = polynomial_neumann_solution(ASYMMETRIC, dim)
     grid = Grid(dim, 2.5, 13)
     times = np.array([0.0, 1e-5, 0.05, 0.7, 3.0])
     for method in (exact.field, exact.forcing):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import DIR, NEU, pair_h1
 
 from sktsim.grid import (
-    BoundaryCondition,
     FieldPair,
     Grid,
     _extend,
@@ -21,9 +21,6 @@ from sktsim.grid import (
     write_field,
 )
 
-NEU = BoundaryCondition.NEUMANN
-DIR = BoundaryCondition.DIRICHLET
-
 
 def u_field(grid, values):
     """The stacked pair (values, 0)."""
@@ -37,11 +34,6 @@ def random_pair(grid, seed):
 
 def l2(grid, w):
     return math.sqrt(inner(grid, w, w))
-
-
-def pair_h1(grid, w, bc):
-    hu, hv = h1_norms(grid, w, bc).tolist()
-    return math.sqrt(hu ** 2 + hv ** 2)
 
 
 def grad_sq(grid, arr, bc):

@@ -14,27 +14,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from helpers import DIR, NEU, frozen_alone
 
-import sktsim.adjoint
 import sktsim.forward
 import sktsim.linalg
 from sktsim.adjoint import AdjointRHSKind, step_adjoint_backward
 from sktsim.algebra import CFG_A, jac_P
 from sktsim.config import parse_config_text
 from sktsim.forward import step_imex
-from sktsim.grid import BoundaryCondition, Grid, NumericalFailure, laplacian_matrix
+from sktsim.grid import Grid, NumericalFailure, laplacian_matrix
 from sktsim.linalg import LinearSolveError, block_pattern, krylov_solve, solve_band
 from sktsim.mms import bump_profile, heat_limit_coefficients
 
-NEU = BoundaryCondition.NEUMANN
-DIR = BoundaryCondition.DIRICHLET
 DT = 1e-3
-
-
-def frozen_alone(c, grid, state, bc, dt):
-    """The stacked ``state`` frozen on its own for step_adjoint_backward, as
-    run_adjoint freezes its states."""
-    return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]
 
 
 def bump_state(grid):
