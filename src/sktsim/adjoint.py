@@ -11,12 +11,17 @@ it once the threshold clears the data.
 ``run_adjoint`` marches this discretization of the continuous adjoint PDE
 from the final time of one forward trajectory down to t = 0.  The explicit
 step :func:`step_adjoint_transpose` applies the exact transpose of the
-explicit linearized forward difference operator, which makes the discrete
-duality pairing hold to machine precision; the uniqueness campaign marches
-it directly, with coefficients averaged over two trajectories.  Like the
-implicit step it takes only a frozen state: :func:`_freeze_transpose`
-computes P^T, Q^T and the stability bound for a whole stack of states in
-one call (:class:`_FrozenTranspose`).
+linearization of the program's explicit forward step,
+:func:`sktsim.forward.step_explicit`, at either wall, which makes the
+discrete duality pairing hold to machine precision; the uniqueness campaign
+marches it directly, with coefficients averaged over two trajectories.
+Like the implicit step it takes only a frozen state, which carries its
+wall: :func:`_freeze_transpose` computes P^T, Q^T and the stability bound
+for a whole stack of states in one call (:class:`_FrozenTranspose`).  At a
+Dirichlet wall ``step_explicit`` evaluates the flux on the ghost state, the
+negated wall state, so its linearization has a zeroth-order wall term; the
+freeze subtracts its transpose from Q^T, and a Neumann freeze computes
+nothing more.
 
 Every backward march, batched or not, runs through the stepping loop of
 the forward marches, ``forward._march``, and carries stacked pairs only:
@@ -168,40 +173,51 @@ def step_adjoint_backward(c: Coefficients, grid: Grid, phi: np.ndarray,
 
 class _FrozenTranspose(NamedTuple):
     """Everything the explicit transpose step takes from one coefficient
-    state apart from phi: the stability bound of the explicit forward step
-    on it, and the diagonals and transposed off-diagonals of P and Q.  The
-    arrays are rows of those :func:`_freeze_transpose` builds for a stack of
-    states; a march makes one record per step, so it is a tuple, cheap to
-    build."""
+    state m apart from phi: the stability bound of the explicit forward step
+    on it, the diagonal and transposed off-diagonal of P, those of Q^T less
+    the Dirichlet wall term 2 walls / h^2 (P(m) - diag(d1, d2))^T (see
+    :func:`_freeze_transpose`; nothing is subtracted under Neumann), and the
+    wall.  The arrays are rows of those :func:`_freeze_transpose` builds for
+    a stack of states; a march makes one record per step, so it is a tuple,
+    cheap to build."""
 
     bound: float
     p_diag: np.ndarray
     p_off_t: np.ndarray
     q_diag: np.ndarray
     q_off_t: np.ndarray
+    bc: BoundaryCondition
 
 
-def _freeze_transpose(c: Coefficients, grid: Grid, states: np.ndarray) -> list[_FrozenTranspose]:
+def _freeze_transpose(c: Coefficients, grid: Grid, states: np.ndarray,
+                      bc: BoundaryCondition) -> list[_FrozenTranspose]:
     """The :class:`_FrozenTranspose` of each of the coefficient states
-    ``states`` (k, 2, *grid.shape), computed for all k together in the
-    arithmetic of one state at a time."""
+    ``states`` (k, 2, *grid.shape) under the wall ``bc``, computed for all k
+    together in the arithmetic of one state at a time."""
     s = _flat(states, grid.dim)
     diag, off = jac_P(c, s)
     q_diag, q_off = jac_Q(c, s)
     bounds = forward.stability_bound(grid, diag, off).tolist()
-    return [_FrozenTranspose(*row) for row in
+    if bc is BoundaryCondition.DIRICHLET:
+        # step_explicit reads P at the ghost state -m, and P(-m) = 2 D - P(m)
+        # with D = diag(d1, d2), so each wall face of a node adds
+        # 2 / h^2 (P(m) - D) to its row of the step's linearization.
+        walls = 2.0 / grid.h ** 2 * linalg.block_pattern(grid, bc).walls
+        q_diag = q_diag - walls * (diag - np.array([[c.d1], [c.d2]]))
+        q_off = q_off - walls * off
+    return [_FrozenTranspose(*row, bc) for row in
             zip(bounds, diag, off[..., ::-1, :], q_diag, q_off[..., ::-1, :])]
 
 
 def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray,
-                           frozen: _FrozenTranspose, bc: BoundaryCondition,
-                           dt: float, rhs: AdjointRHSKind) -> np.ndarray:
-    """One explicit backward step, the exact transpose of the linearized
-    explicit forward difference update (diffusion, reaction, and source all
-    taken at the known level).  ``phi`` is stacked and may carry batch axes;
-    the coefficient state ``frozen``, as :func:`_freeze_transpose` built it
-    with the same c and grid for a stack of states, is one state and
-    broadcasts over them.
+                           frozen: _FrozenTranspose, dt: float, rhs: AdjointRHSKind) -> np.ndarray:
+    """One explicit backward step, the exact transpose of the linearization
+    of :func:`~sktsim.forward.step_explicit` at the coefficient state
+    (diffusion, reaction, and source all taken at the known level), at
+    either wall.  ``phi`` is stacked and may carry batch axes; the
+    coefficient state ``frozen``, as :func:`_freeze_transpose` built it with
+    the same c and grid for a stack of states, is one state and broadcasts
+    over them, and carries the wall.
 
     Refuses, as :func:`~sktsim.forward.step_explicit` does, when dt exceeds
     the stability bound of the coefficient state.
@@ -209,7 +225,7 @@ def step_adjoint_transpose(c: Coefficients, grid: Grid, phi: np.ndarray,
     if dt > frozen.bound:
         raise StabilityError(dt, frozen.bound)
     x = _flat(phi, grid.dim)
-    lap = _flat(laplacian(grid, phi, bc), grid.dim)
+    lap = _flat(laplacian(grid, phi, frozen.bc), grid.dim)
     pt_lap = _apply(frozen.p_diag, frozen.p_off_t, lap)
     qt = _apply(frozen.q_diag, frozen.q_off_t, x)
     src = x if rhs is AdjointRHSKind.IDENTITY else eval_l(c, x)

@@ -211,7 +211,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key = f"coeff.{exc.coefficient}"
         raise ConfigError(f"{source}: invalid {key}: {exc} (line {entries[key][1]})")
 
-    grid = Grid(values["dim"], values["domain.length"], values["grid.n"])
+    try:
+        grid = Grid(values["dim"], values["domain.length"], values["grid.n"])
+    except ValueError as exc:
+        raise ConfigError(f"{source}: invalid domain.length: {exc} "
+                          f"(line {entries['domain.length'][1]})")
     fields = {}
     for key in ("init.u", "init.v", "terminal.u", "terminal.v"):
         fields[key] = field = values[key].evaluate(grid)

@@ -4,13 +4,17 @@ Uniqueness is rendered at desk scale as convergence: two different
 discretizations of one problem must agree in the limit, so the terminal
 pairings of their difference against a basis of terminal data shrink under
 joint refinement.  The duality bookkeeping itself is validated to machine
-precision on a synthetic run where the difference follows the linearized
-explicit dynamics exactly and the adjoint is its exact transpose.  Every
-march here, the forward runs, the linearized difference and the batched
-transpose adjoint of the terminal basis (on the truncated average of the two
-forward trajectories), goes through the one stepping loop
-:func:`sktsim.forward._march` on stacked pairs, and the stored levels of a
-forward :class:`~sktsim.forward.Trajectory` are read as one stacked array.
+precision on a synthetic run where the difference follows the exact
+linearization of the program's explicit step, the secant of
+:func:`~sktsim.forward.step_explicit` about a fixed state, and the adjoint
+is its exact transpose.  The studies compose the program's steps and
+restate none of their physics: no flux Jacobian, Laplacian or ghost
+extension is evaluated here.  Every march here, the forward runs, the
+linearized difference and the batched transpose adjoint of the terminal
+basis (on the truncated average of the two forward trajectories), goes
+through the one stepping loop :func:`sktsim.forward._march` on stacked
+pairs, and the stored levels of a forward
+:class:`~sktsim.forward.Trajectory` are read as one stacked array.
 The transpose adjoint's coefficient states are all known before it
 marches, so each study freezes them once
 (:func:`sktsim.adjoint._freeze_transpose`) and every step reads its frozen
@@ -25,7 +29,8 @@ and fits how the weak norm of the solution difference scales with the
 perturbation size, alongside the ingredient terms of the initial-data
 bound.  Its base run and three perturbed runs march as one 1D batch of
 IMEX runs, one band solve per step, calling the step the way
-:func:`~sktsim.forward.run_forward` does, through ``forward._STEPS``.
+:func:`~sktsim.forward.run_forward` does, through ``forward._STEPS``; so
+does the duality check with the explicit step.
 
 Each study takes the grids it marches on, a :class:`~sktsim.grid.Grid` and
 a :class:`~sktsim.forward.TimeGrid` per level, and the stacked pairs it
@@ -43,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from sktsim.adjoint import AdjointRHSKind, _freeze_transpose, step_adjoint_transpose, theta_eps
-from sktsim.algebra import Coefficients, _apply, dual_exponent, eval_l, jac_P, jac_Q
+from sktsim.algebra import Coefficients, dual_exponent, eval_l
 from sktsim.forward import (
     _STEPS,
     ForwardProblem,
@@ -59,7 +64,6 @@ from sktsim.grid import (
     _flat,
     h1_norms,
     inner,
-    laplacian,
     lp_norm,
     weak_norm,
 )
@@ -113,21 +117,8 @@ def scalar_reduction_check(times: np.ndarray, pairing: np.ndarray, a1: float) ->
     return float(np.max(np.abs(weighted - weighted[0])))
 
 
-def _linearized_difference_step(c: Coefficients, grid: Grid, u_tilde: np.ndarray,
-                                u_bar: np.ndarray, bc: BoundaryCondition, dt: float) -> np.ndarray:
-    """Explicit step of the exact linear dynamics of a solution difference,
-    on the stacked difference ``u_bar`` with the stacked state ``u_tilde``:
-    d/dt u_bar = Lap(P(u~) u_bar) - Q(u~) u_bar + l(u_bar).
-    """
-    s, x = _flat(u_tilde, grid.dim), _flat(u_bar, grid.dim)
-    prod = _apply(*jac_P(c, s), x).reshape(u_bar.shape)
-    lap = _flat(laplacian(grid, prod, bc), grid.dim)
-    qx = _apply(*jac_Q(c, s), x)
-    return (x + dt * (lap - qx + eval_l(c, x))).reshape(u_bar.shape)
-
-
-def _transpose_pairing(c: Coefficients, grid: Grid, bc: BoundaryCondition, dt: float, states: list,
-                       u_bar: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transpose_pairing(c: Coefficients, grid: Grid, dt: float, states: list, u_bar: np.ndarray,
+                       chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transpose adjoint of the terminal data ``chi`` (B, 2, *grid.shape),
     marched back over the difference levels ``u_bar`` (S+1, 2, *grid.shape),
     and the discrete residual of the collapsed pairing identity.
@@ -141,7 +132,7 @@ def _transpose_pairing(c: Coefficients, grid: Grid, bc: BoundaryCondition, dt: f
     difference follows the linearized dynamics and the adjoint is its exact
     transpose with the identity right-hand side.
     """
-    phi = _march(lambda phi, k: step_adjoint_transpose(c, grid, phi, states[k], bc, dt,
+    phi = _march(lambda phi, k: step_adjoint_transpose(c, grid, phi, states[k], dt,
                                                        AdjointRHSKind.IDENTITY),
                  grid, chi, len(u_bar) - 1, 0, dt)
     p = inner(grid, u_bar, phi)
@@ -156,18 +147,23 @@ def frozen_duality_check(c: Coefficients, grid: Grid, bc: BoundaryCondition,
                          chi: np.ndarray) -> float:
     """Max duality residual on a synthetic frozen-coefficient run.
 
-    The difference evolves by the linearized explicit dynamics with constant
-    coefficient state; the adjoint is its exact transpose.  The state
-    ``u_tilde``, the initial difference ``u_bar0`` and the terminal data
-    ``chi`` are stacked pairs (2, *grid.shape).  The residual is pure linear
-    algebra and sits at roundoff level.
+    The difference u_bar marches by the secant of the program's explicit
+    step about the fixed state u~, step(u~ + u_bar/2) - step(u~ - u_bar/2),
+    both members one batch of two pairs; the step is quadratic in its
+    state, so the secant is its exact linearization at u~.  The step is
+    looked up where :func:`~sktsim.forward.run_forward` looks it up
+    (``forward._STEPS``).  The adjoint is the exact transpose of that
+    linearization at either wall.  The state ``u_tilde``, the initial
+    difference ``u_bar0`` and the terminal data ``chi`` are stacked pairs
+    (2, *grid.shape).  The residual is pure linear algebra and sits at
+    roundoff level.
     """
-    steps, dt = time_grid.steps, time_grid.dt
-    u_bar = _march(lambda u_bar, _: _linearized_difference_step(c, grid, u_tilde, u_bar, bc, dt),
+    steps, dt, step = time_grid.steps, time_grid.dt, _STEPS[SchemeKind.EXPLICIT]
+    u_bar = _march(lambda x, _: np.subtract(*step(c, grid, u_tilde + np.stack((x, -x)) / 2, bc, dt)),
                    grid, u_bar0, 0, steps, dt)
     # One coefficient state for every step, frozen once.
-    states = _freeze_transpose(c, grid, u_tilde[None]) * steps
-    _, res = _transpose_pairing(c, grid, bc, dt, states, u_bar, chi[None])
+    states = _freeze_transpose(c, grid, u_tilde[None], bc) * steps
+    _, res = _transpose_pairing(c, grid, dt, states, u_bar, chi[None])
     return float(np.max(np.abs(res)))
 
 
@@ -193,8 +189,8 @@ def uniqueness_experiment(c: Coefficients, bc: BoundaryCondition,
         u_bar = t1.levels - t2.levels
 
         # Every state is known before the march, so all are frozen at once.
-        states = _freeze_transpose(c, grid, theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels)))
-        phi, res = _transpose_pairing(c, grid, bc, dt, states, u_bar, chi_basis(grid, bc))
+        states = _freeze_transpose(c, grid, theta_eps(TINY_EPS, 0.5 * (t1.levels + t2.levels)), bc)
+        phi, res = _transpose_pairing(c, grid, dt, states, u_bar, chi_basis(grid, bc))
         residual = np.max(np.abs(res))
         series = inner(grid, u_bar, phi)       # (B, S+1); phi(T) = chi
         # Summation by parts, term by term and summed in step order (cumsum):

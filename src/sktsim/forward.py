@@ -107,7 +107,8 @@ class SchemeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on (0, t_final] with M = round(t_final/dt) >= 1 steps."""
+    """Uniform time grid on (0, t_final] with M = round(t_final/dt) >= 1 steps;
+    t_final / dt must be finite."""
 
     t_final: float
     dt: float
@@ -115,6 +116,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.t_final > 0.0 and self.dt > 0.0):
             raise ValueError("t_final and dt must be positive")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final / dt = {self.t_final:g} / {self.dt:g} is not finite")
         steps = self.steps
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-12 * max(1.0, self.t_final):
             raise ValueError(f"dt={self.dt} does not divide t_final={self.t_final}")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +83,8 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on a d-cube (0, length)^d with n cells per axis."""
+    """Uniform cell-centered grid on a d-cube (0, length)^d with n cells per
+    axis; h^2 and 1/h^2 of the cell width h must be positive and finite."""
 
     dim: int
     length: float
@@ -95,6 +97,10 @@ class Grid:
             raise ValueError("domain length must be positive")
         if self.n < 3:
             raise ValueError("need at least 3 cells per axis")
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValueError(f"cell width h = {self.h:g} has h^2 or 1/h^2 outside the "
+                             f"positive finite floats")
 
     @property
     def h(self) -> float:

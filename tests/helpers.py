@@ -29,10 +29,10 @@ def pair_h1(grid, w, bc):
     return math.sqrt(hu ** 2 + hv ** 2)
 
 
-def frozen_alone(c, grid, state, bc=None, dt=None):
-    """The stacked ``state`` frozen on its own, as the marches freeze their
-    states: for step_adjoint_backward given bc and dt, else for
-    step_adjoint_transpose."""
+def frozen_alone(c, grid, state, bc, dt=None):
+    """The stacked ``state`` frozen on its own under the wall ``bc``, as the
+    marches freeze their states: for step_adjoint_backward given dt, else
+    for step_adjoint_transpose."""
     if dt is None:
-        return sktsim.adjoint._freeze_transpose(c, grid, state[None])[0]
+        return sktsim.adjoint._freeze_transpose(c, grid, state[None], bc)[0]
     return sktsim.adjoint._freeze(c, grid, state[None], bc, dt)[0]

@@ -109,7 +109,7 @@ def transpose_march(c, bc, u_pair, eps, rhs, chi):
     averaged state of the pair; the levels in ascending time."""
     grid, tg = u_pair[0].grid, u_pair[0].time_grid
     return _march(lambda phi, k: step_adjoint_transpose(
-        c, grid, phi, frozen_alone(c, grid, averaged_state(u_pair, eps, k)), bc, tg.dt, rhs),
+        c, grid, phi, frozen_alone(c, grid, averaged_state(u_pair, eps, k), bc), tg.dt, rhs),
         grid, chi, tg.steps, 0, tg.dt)
 
 
@@ -391,12 +391,12 @@ def test_transpose_state_frozen_in_a_stack_gives_the_state_frozen_alone(batch, b
     rng = np.random.default_rng(batch)
     states = rng.uniform(0.1, 1.5, (5, 2, *grid.shape))
     phi = rng.standard_normal((batch, 2, *grid.shape))
-    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
+    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states, bc)
     dt = 0.5 * min(record.bound for record in frozen)
     for state, record in zip(states, frozen):
-        alone = frozen_alone(CFG_A, grid, state)
-        assert np.array_equal(step_adjoint_transpose(CFG_A, grid, phi, record, bc, dt, rhs),
-                              step_adjoint_transpose(CFG_A, grid, phi, alone, bc, dt, rhs))
+        alone = frozen_alone(CFG_A, grid, state, bc)
+        assert np.array_equal(step_adjoint_transpose(CFG_A, grid, phi, record, dt, rhs),
+                              step_adjoint_transpose(CFG_A, grid, phi, alone, dt, rhs))
 
 
 def test_frozen_transpose_march_refuses_a_state_past_its_bound_at_its_step():
@@ -407,18 +407,17 @@ def test_frozen_transpose_march_refuses_a_state_past_its_bound_at_its_step():
     grid, bc, dt, steps = Grid(1, 1.0, 16), NEU, 1e-4, 12
     states = np.stack([constant_pair(grid, 0.5, 0.4)] * steps)
     states[5] *= 40.0
-    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states)
+    frozen = sktsim.adjoint._freeze_transpose(CFG_A, grid, states, bc)
     assert frozen[4].bound > dt > frozen[5].bound
     with pytest.raises(StabilityError) as alone:
         step_adjoint_transpose(CFG_A, grid, constant_pair(grid, 1.0, 1.0),
-                               frozen_alone(CFG_A, grid, states[5]), bc, dt,
+                               frozen_alone(CFG_A, grid, states[5], bc), dt,
                                AdjointRHSKind.IDENTITY)
     reached = []
 
     def step(phi, k):
         reached.append(k)
-        return step_adjoint_transpose(CFG_A, grid, phi, frozen[k], bc, dt,
-                                      AdjointRHSKind.IDENTITY)
+        return step_adjoint_transpose(CFG_A, grid, phi, frozen[k], dt, AdjointRHSKind.IDENTITY)
 
     with pytest.raises(StabilityError) as err:
         _march(step, grid, constant_pair(grid, 1.0, 1.0), steps, 0, dt)

@@ -227,6 +227,31 @@ def test_cli_check_refuses_coefficients_whose_admissibility_products_overflow(
     assert "Traceback" not in out.stderr and "nan" not in out.stdout
 
 
+@pytest.mark.parametrize("command,edits,key", [
+    ("check", {"time.t_final": "1e10", "time.dt": "1e-310"}, "time.dt"),
+    ("simulate", {"domain.length": "1e-200"}, "domain.length"),
+    ("simulate", {"domain.length": "1e200"}, "domain.length"),
+], ids=["steps-overflow", "h-squared-underflow", "h-squared-overflow"])
+def test_cli_refuses_values_whose_derived_numbers_overflow(tmp_path, command, edits, key):
+    # t_final / dt overflowed to inf, and TimeGrid.steps raised OverflowError
+    # (a traceback); h^2 = (1e-200 / 64)^2 rounded to 0, and the first step
+    # divided by it (ZeroDivisionError); (1e200 / 64)^2 raised OverflowError.
+    lines = (CONFIGS / "cfg_a_1d.cfg").read_text().splitlines()
+    for i, line in enumerate(lines):
+        name = line.partition(" = ")[0]
+        if name in edits:
+            lines[i] = f"{name} = {edits[name]}"
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+    src = str(Path(sktsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "sktsim.cli", command, "--config", str(path),
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"SKT-ERR:2: {path}: invalid {key}: ")
+    assert f"(line {lineno})" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "SKT-ERR:2:" in capsys.readouterr().err

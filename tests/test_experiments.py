@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import time
 import warnings
@@ -13,6 +14,7 @@ import sktsim.algebra
 import sktsim.campaigns
 import sktsim.experiments
 import sktsim.grid
+import sktsim.linalg
 from sktsim.adjoint import (
     AdjointRHSKind,
     run_adjoint,
@@ -36,7 +38,14 @@ from sktsim.experiments import (
     scalar_reduction_check,
     uniqueness_experiment,
 )
-from sktsim.forward import ForwardProblem, SchemeKind, TimeGrid, _march, run_forward
+from sktsim.forward import (
+    ForwardProblem,
+    SchemeKind,
+    TimeGrid,
+    _march,
+    run_forward,
+    step_explicit,
+)
 from sktsim.grid import Grid, NumericalFailure, h1_norms, inner
 from sktsim.mms import bump_profile
 
@@ -98,14 +107,81 @@ def test_scalar_reduction_check_on_manufactured_series():
     assert scalar_reduction_check(times, broken, a1) > 1e-3
 
 
-def test_frozen_duality_residual_is_machine_zero():
-    grid = Grid(1, 1.0, 16)
-    x = grid.centers()
-    u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x), 0.8 + 0.3 * np.cos(2 * np.pi * x)))
-    u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) + 0.2, 0.05 * np.cos(np.pi * x)))
-    chi = np.stack((np.cos(np.pi * x), np.ones(grid.shape)))
-    res = frozen_duality_check(CFG_A, grid, NEU, TimeGrid(0.02, 2e-4), u_tilde, u_bar0, chi)
+def _frozen_duality_data(grid):
+    # The state u~, initial difference and terminal data of the
+    # exact-transpose-duality gate in 1D; in 2D the x-profiles of u, of its
+    # difference and of its terminal data times cos(pi y).
+    x = grid.meshgrid()[0]
+    y_wave = np.cos(np.pi * grid.meshgrid()[1]) if grid.dim == 2 else 1.0
+    u_tilde = np.stack((1.0 + 0.5 * np.cos(np.pi * x) * y_wave, 0.8 + 0.3 * np.cos(2 * np.pi * x)))
+    u_bar0 = np.stack((0.1 * np.sin(2 * np.pi * x) * y_wave + 0.2, 0.05 * np.cos(np.pi * x)))
+    chi = np.stack((np.cos(np.pi * x) * y_wave, np.ones(grid.shape)))
+    return u_tilde, u_bar0, chi
+
+
+DUALITY_GRIDS = pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)], ids=["1d", "2d"])
+
+
+@DUALITY_GRIDS
+@pytest.mark.parametrize("bc", [NEU, DIR], ids=["neumann", "dirichlet"])
+def test_frozen_duality_residual_is_machine_zero(monkeypatch, dim, n, bc):
+    # The difference marches by the secant of the program's own explicit
+    # step about u~, its two members stepped one at a time here, and the
+    # transpose step pairs with it to roundoff at either wall.  A transpose
+    # step that negates P(u~) u_bar into the Dirichlet ghost, instead of
+    # reading P at the ghost state -u~ as step_explicit does, gives 6.43 (1D)
+    # and 3.88 (2D) here.
+    grid, tg = Grid(dim, 1.0, n), TimeGrid(0.02, 2e-4)
+    u_tilde, u_bar0, chi = _frozen_duality_data(grid)
+    marches = []
+    march = sktsim.experiments._march
+
+    def recording(*args):
+        marches.append(march(*args))
+        return marches[-1]
+
+    monkeypatch.setattr(sktsim.experiments, "_march", recording)
+    res = frozen_duality_check(CFG_A, grid, bc, tg, u_tilde, u_bar0, chi)
+    u_bar = marches[0]
+    assert len(u_bar) == tg.steps + 1
+    for old, new in zip(u_bar, u_bar[1:]):
+        assert np.array_equal(new, step_explicit(CFG_A, grid, u_tilde + old / 2, bc, tg.dt)
+                              - step_explicit(CFG_A, grid, u_tilde - old / 2, bc, tg.dt))
     assert res <= 1e-10
+
+
+def _scale_wall_term(monkeypatch):
+    # The Dirichlet wall term 2 walls / h^2 (P - D)^T of the transpose step
+    # times (1 + 1e-3), through the wall counts it is built from.
+    pattern = sktsim.linalg.block_pattern
+
+    def scaled(grid, bc):
+        real = pattern(grid, bc)
+        return dataclasses.replace(real, walls=real.walls * (1.0 + 1e-3))
+
+    monkeypatch.setattr(sktsim.linalg, "block_pattern", scaled)
+
+
+def _scale_transpose_dt(monkeypatch):
+    # The transpose step marching with dt (1 + 1e-3) against the difference's dt.
+    step = sktsim.experiments.step_adjoint_transpose
+
+    def longer(c, grid, phi, frozen, dt, rhs):
+        return step(c, grid, phi, frozen, dt * (1.0 + 1e-3), rhs)
+
+    monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", longer)
+
+
+@DUALITY_GRIDS
+@pytest.mark.parametrize("seed_defect", [_scale_wall_term, _scale_transpose_dt],
+                         ids=["wall-term-1.001", "transpose-dt-1.001"])
+def test_frozen_duality_check_fails_on_seeded_defect_at_a_dirichlet_wall(monkeypatch, dim, n,
+                                                                         seed_defect):
+    grid, tg = Grid(dim, 1.0, n), TimeGrid(0.02, 2e-4)
+    data = _frozen_duality_data(grid)
+    assert frozen_duality_check(CFG_A, grid, DIR, tg, *data) <= 1e-10
+    seed_defect(monkeypatch)
+    assert frozen_duality_check(CFG_A, grid, DIR, tg, *data) > 1e-10
 
 
 def test_frozen_duality_check_rejects_a_step_that_does_not_divide_the_horizon():
@@ -123,18 +199,19 @@ def _drop_cross_diffusion(monkeypatch):
     # transposed off-diagonal of P set to zero.
     step = sktsim.experiments.step_adjoint_transpose
 
-    def no_cross_diffusion(c, grid, phi, frozen, bc, dt, rhs):
+    def no_cross_diffusion(c, grid, phi, frozen, dt, rhs):
         uncoupled = frozen._replace(p_off_t=np.zeros_like(frozen.p_off_t))
-        return step(c, grid, phi, uncoupled, bc, dt, rhs)
+        return step(c, grid, phi, uncoupled, dt, rhs)
 
     monkeypatch.setattr(sktsim.experiments, "step_adjoint_transpose", no_cross_diffusion)
 
 
 def _perturb_stencil_weight(monkeypatch):
-    # The shared 1D Laplacian stencil with its right-neighbour weight scaled by (1 + 1e-3).
-    # The difference step and the transpose step both use it, but the
-    # Laplacian is no longer symmetric, so the one is no longer the
-    # transpose of the other.
+    # The 1D Laplacian stencil of sktsim.grid with its right-neighbour weight
+    # scaled by (1 + 1e-3).  Only the transpose step sees it, through
+    # grid.laplacian: step_explicit bound forward._lap_stencil at import and
+    # keeps the symmetric stencil, so the one is no longer the transpose of
+    # the other.
     stencil = sktsim.grid._lap_stencil
 
     def lopsided(ext, h, dim):
@@ -335,7 +412,7 @@ def _reference_uniqueness_level(c, bc, grid, tg):
 
     def step(phi, n):
         state = theta_eps(TINY_EPS, 0.5 * (t1.levels[n] + t2.levels[n]))
-        return step_adjoint_transpose(c, grid, phi, frozen_alone(c, grid, state), bc, dt,
+        return step_adjoint_transpose(c, grid, phi, frozen_alone(c, grid, state, bc), dt,
                                       AdjointRHSKind.IDENTITY)
 
     for chi in chi_basis(grid, bc):
@@ -428,9 +505,9 @@ def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):
     calls = []
     step = sktsim.experiments.step_adjoint_transpose
 
-    def overflowing(c, grid, phi, state, bc, dt, rhs):
+    def overflowing(c, grid, phi, frozen, dt, rhs):
         calls.append(dt)
-        out = step(c, grid, phi, state, bc, dt, rhs)
+        out = step(c, grid, phi, frozen, dt, rhs)
         if len(calls) == 3:
             return np.stack((out[..., 0, :] * 1e308 * 1e308, out[..., 1, :]), axis=-2)
         return out

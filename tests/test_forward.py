@@ -613,8 +613,8 @@ def test_steps_on_a_batch_equal_the_unbatched_steps(dim, n, bc):
     dt = 0.5 * min(stability_bound(grid, *jac_P(ASYMMETRIC, w.reshape(2, -1)))
                    for w in (*batch, state))
     steps = [lambda w, f: step_explicit(ASYMMETRIC, grid, w, bc, dt, f)]
-    frozen = frozen_alone(ASYMMETRIC, grid, state)
-    steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, frozen, bc, dt, rhs)
+    frozen = frozen_alone(ASYMMETRIC, grid, state, bc)
+    steps += [lambda w, f, rhs=rhs: step_adjoint_transpose(ASYMMETRIC, grid, w, frozen, dt, rhs)
               for rhs in AdjointRHSKind]
     if dim == 1:
         steps.append(lambda w, f: step_imex(ASYMMETRIC, grid, w, bc, dt, f))

@@ -132,6 +132,17 @@ def test_only_algebra_knows_the_coefficient_columns():
     assert not leaks, f"coefficient columns read outside sktsim.algebra: {leaks}"
 
 
+def test_experiments_compose_the_program_steps_without_restating_their_physics():
+    # The studies march the program's own steps (through forward._STEPS and
+    # the adjoint steps); a flux Jacobian, a Laplacian or a ghost extension
+    # loaded in experiments.py is a second copy of a step's physics.
+    physics = {"jac_P", "jac_Q", "_apply", "laplacian", "_lap_stencil", "_extend"}
+    path = PACKAGE / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    copies = sorted(physics & _loaded_names(tree))
+    assert not copies, f"experiments.py loads the step physics {copies}"
+
+
 def test_only_run_campaign_reads_the_gate_clock():
     # Campaigns yield their verdicts; run_campaign alone times them, so no
     # gate prints a default 0.00 s or a time measured from its own start.
