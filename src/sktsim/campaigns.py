@@ -340,9 +340,8 @@ def campaign_eps_cauchy(cfg: RunConfig, out_dir: Path) -> Iterator[CheckResult]:
 
     eps_list = [1.0, 0.5, 0.25, 0.125]
     table, reports = eps_cauchy_study(c, NEU, traj, eps_list, AdjointRHSKind.IDENTITY, chi)
-    kappas = {"kappa_sup": [r.kappa_sup for r in reports],
-              "kappa_weighted_lap": [r.kappa_weighted_lap for r in reports],
-              "kappa_dt": [r.kappa_dt for r in reports]}
+    kappas = {name: [getattr(r, name) for r in reports]
+              for name in ("kappa_sup", "kappa_weighted_lap", "kappa_dt")}
     slacks = [r.gronwall_slack for r in reports]
     write_csv(out_dir / "eps_sweep_kappas.csv", {"eps": eps_list, **kappas})
     variations = [max(col) / min(col) for col in kappas.values()]

@@ -7,13 +7,14 @@ round-trip exactly.  Nothing here writes timestamps.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from sktsim.adjoint import AdjointBoundsReport
 from sktsim.config import _COEFF_NAMES, RunConfig
-from sktsim.forward import Trajectory
+from sktsim.forward import Trajectory, _stored_steps
 from sktsim.grid import read_field, write_field
 
 __all__ = [
@@ -77,12 +78,13 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     """Rebuild a trajectory from stored snapshots, or None when absent.
 
     The snapshots, ordered by the step number in their names, must match
-    the configuration's grid (see :func:`~sktsim.grid.read_field`) and cover
-    the full time range.  The run must also have been made from the forward
-    problem of ``cfg``: its record ``forward/problem.cfg`` must hold the
-    values of ``cfg`` and its level 0 must equal ``cfg.initial``.
-    Mismatches, and snapshots without a record, raise ``ValueError`` naming
-    what differs rather than silently recompute.
+    the configuration's grid (see :func:`~sktsim.grid.read_field`).  The run
+    must also have been made from the forward problem of ``cfg``: its record
+    ``forward/problem.cfg`` must hold the values of ``cfg``, the snapshots
+    must be exactly those of the steps a run of ``cfg`` stores (the rule of
+    :func:`~sktsim.forward.run_forward`), and its level 0 must equal
+    ``cfg.initial``.  Mismatches, and snapshots without a record, raise
+    ``ValueError`` naming what differs rather than silently recompute.
     """
     snap_dir = out_dir / "forward"
     if not snap_dir.is_dir():
@@ -101,8 +103,6 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
     grid = cfg.grid()
     levels = np.array([read_field(path, grid) for _, path in snapshots])
     tg = cfg.time_grid()
-    if steps[0] != 0 or steps[-1] != tg.steps:
-        raise ValueError(f"stored snapshots in {snap_dir} do not span steps 0..{tg.steps}")
     record_path = snap_dir / _RECORD
     if not record_path.is_file():
         raise ValueError(f"stored snapshots in {snap_dir} have no forward-problem record "
@@ -111,6 +111,10 @@ def load_forward_trajectory(out_dir: Path, cfg: RunConfig) -> Trajectory | None:
               (line.partition(" = ") for line in record_path.read_text().splitlines())}
     differ = [f"{key} = {stored.get(key, '(missing)')} there, {value} in the config"
               for key, value in _forward_record(cfg).items() if stored.get(key) != value]
+    # As multisets, so that step_250.field beside step_000250.field is an extra snapshot.
+    kept, found = Counter(_stored_steps(tg.steps, cfg.stride)), Counter(steps)
+    differ += [f"{kind} snapshots of steps {sorted(odd.elements())}"
+               for kind, odd in (("missing", kept - found), ("extra", found - kept)) if odd]
     if not np.array_equal(levels[0], cfg.initial):
         differ.append("level 0 is not the initial data of init.u and init.v")
     if differ:

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -568,16 +569,50 @@ def test_cli_adjoint_on_a_corrupt_snapshot_names_the_file(tmp_path, capsys):
     assert f"{first}: non-finite value nan" in err
 
 
+def _drop_snapshot(snaps):
+    (snaps / "step_000005.field").unlink()
+
+
+def _add_snapshot_between(snaps):
+    shutil.copy(snaps / "step_000010.field", snaps / "step_000007.field")
+
+
+def _add_snapshot_under_a_short_name(snaps):
+    shutil.copy(snaps / "step_000005.field", snaps / "step_5.field")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_snapshot, "missing snapshots of steps [5]"),
+    (_add_snapshot_between, "extra snapshots of steps [7]"),
+    (_add_snapshot_under_a_short_name, "extra snapshots of steps [5]")],
+    ids=["missing", "extra", "extra-same-step"])
+def test_cli_adjoint_refuses_a_stored_run_without_exactly_its_snapshots(tmp_path, capsys,
+                                                                        edit, message):
+    # Steps 0, 5 and 10 are stored.  Without step 5, adjoint steps 5-9 would
+    # read level 0; with a snapshot named 7, steps 7-9 would read the level
+    # it holds.  Either way the stored run is refused.
+    path = write_cfg(tmp_path, MINIMAL + "storage.stride = 5\nterminal.u = constant 1.0\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    edit(out / "forward")
+    capsys.readouterr()
+    assert main(["adjoint", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SKT-ERR:2:") and "differs from the forward problem" in err
+    assert err.rstrip().endswith(message)
+    assert not (out / "adjoint_diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("steps", [9_500_000, 1_000_000])
 def test_stored_snapshots_load_in_step_order_past_a_million_steps(tmp_path, steps):
     # Snapshot names outgrow their 6-digit padding at 10^6 steps, where
     # step_1000000 sorts before step_500000 by name.  Each level holds its
     # own step number, so no march runs; level 0 holds 0.0, the config's
-    # zero initial data.
+    # zero initial data, and the config stores every 500 000th step.
     text = (MINIMAL.replace("grid.n = 16", "grid.n = 8")
             .replace("time.t_final = 0.01", f"time.t_final = {steps // 1000}")
             .replace("init.u = bump 0.5 0.3 1.0", "init.u = zero")
-            .replace("init.v = constant 0.5", "init.v = zero"))
+            .replace("init.v = constant 0.5", "init.v = zero")) + "storage.stride = 500000\n"
     cfg = parse_config(write_cfg(tmp_path, text))
     grid, time_grid = cfg.grid(), cfg.time_grid()
     assert time_grid.steps == steps

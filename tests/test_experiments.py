@@ -398,6 +398,31 @@ def test_dependence_slope_and_kappa_stability():
     assert table["ing49"] == pytest.approx(math.sqrt(tg.t_final) * table["input_l2"], rel=1e-12)
 
 
+def test_dependence_study_marches_its_four_runs_once(monkeypatch):
+    # One march of the base run and the three perturbed runs over all S
+    # steps; its levels at every S/4 are those of four separate runs that
+    # store every S/4-th step, bit for bit.
+    grid, tg = Grid(1, 1.0, 48), TimeGrid(0.2, 0.2 / 400)
+    base, direction = smooth_initial(grid), normalized_bump(grid)
+    marches = []
+    march = sktsim.experiments._march
+
+    def recording(advance, grid, w, *args):
+        marches.append((w.shape[:w.ndim - 1 - grid.dim], march(advance, grid, w, *args)))
+        return marches[-1][1]
+
+    monkeypatch.setattr(sktsim.experiments, "_march", recording)
+    continuous_dependence_experiment(CFG_A, NEU, grid, tg, base, direction)
+    ((batch, levels),) = marches
+    assert batch == (4,) and levels.shape == (4, tg.steps + 1, 2, *grid.shape)
+    quarter = tg.steps // 4
+    for member, delta in zip(levels, [0.0, 1e-3, 1e-2, 1e-1]):
+        run = run_forward(ForwardProblem(CFG_A, grid, NEU, tg, SchemeKind.IMEX_LAGGED,
+                                         base + delta * direction, stride=quarter))
+        assert run.stored_steps == [0, quarter, 2 * quarter, 3 * quarter, tg.steps]
+        assert np.array_equal(member[::quarter], run.levels)
+
+
 def _reference_uniqueness_level(c, bc, grid, tg):
     # The per-element computation: one transpose march per basis element,
     # on the path of uniqueness_experiment (step_adjoint_transpose through
@@ -455,8 +480,12 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
 
     monkeypatch.setattr(sktsim.experiments, "_march", recording)
     table = uniqueness_experiment(CFG_A, bc, levels, smooth_initial)
-    assert len(marches) == len(table["n"]) == len(levels)
-    for k, (phi, (grid, tg)) in enumerate(zip(marches, levels)):
+    # Per level: the explicit and the IMEX forward march, then the batched adjoint.
+    assert len(marches) == 3 * len(table["n"]) == 3 * len(levels)
+    for k, (phi, (grid, tg)) in enumerate(zip(marches[2::3], levels)):
+        for forward, scheme in zip(marches[3 * k:3 * k + 2], sktsim.experiments._SCHEMES):
+            problem = ForwardProblem(CFG_A, grid, bc, tg, scheme, smooth_initial(grid), stride=1)
+            assert np.array_equal(forward, run_forward(problem).levels)
         ref = _reference_uniqueness_level(CFG_A, bc, grid, tg)
         assert phi.shape[0] == len(ref["pairings"]) == 6
         snapshots = np.array(ref["snapshots"])
@@ -473,9 +502,10 @@ def test_batched_uniqueness_matches_per_element_marches(monkeypatch, case):
 
 
 def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatch):
-    # Three levels, one batched march of the 6-element basis each, and for
-    # the exact-transpose-duality gate one unbatched march of the difference
-    # and one march of a single terminal field; no per-element run_adjoint.
+    # Three levels, each one unbatched march per forward scheme and one
+    # batched march of the 6-element basis, and for the
+    # exact-transpose-duality gate one unbatched march of the difference and
+    # one march of a single terminal field; no per-element run_adjoint.
     adjoint_calls = []
     batch_shapes = []
     march = sktsim.experiments._march
@@ -495,7 +525,7 @@ def test_uniqueness_campaign_marches_the_basis_as_one_batch(tmp_path, monkeypatc
     results = run_campaign("uniqueness", cfg, tmp_path)
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
     assert adjoint_calls == []
-    assert batch_shapes == [(6,), (6,), (6,), (), (1,)]
+    assert batch_shapes == [(), (), (6,)] * 3 + [(), (1,)]
 
 
 def test_uniqueness_blowup_raises_numerical_failure_with_step(monkeypatch):

@@ -143,6 +143,16 @@ def test_experiments_compose_the_program_steps_without_restating_their_physics()
     assert not copies, f"experiments.py loads the step physics {copies}"
 
 
+def test_experiments_march_their_forward_runs_without_run_forward():
+    # Each forward run of a study is one _march over the step it looks up in
+    # forward._STEPS; run_forward would compute per-step diagnostics that no
+    # study reads.
+    path = PACKAGE / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = sorted({"run_forward", "ForwardProblem"} & _loaded_names(tree))
+    assert not loaded, f"experiments.py loads {loaded}"
+
+
 def test_only_run_campaign_reads_the_gate_clock():
     # Campaigns yield their verdicts; run_campaign alone times them, so no
     # gate prints a default 0.00 s or a time measured from its own start.
