@@ -6,7 +6,8 @@
 Exit codes: 0 ok, 2 configuration error (``--campaign`` with any command
 but ``verify`` is one, and so is a stored forward run that ``adjoint``
 finds made from another forward problem than its config's, or missing a
-snapshot of a step its config stores or holding one it does not), 3 numerical
+snapshot of a step its config stores or holding one it does not, or a grid
+or step count too large to allocate), 3 numerical
 failure, 4 invariant violation (verify only).  Errors go to stderr with
 the machine-parsable prefix ``SKT-ERR:<code>:``.  A campaign that fails
 numerically prints the gate lines it reached before it exits 3 with a
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from sktsim.algebra import check_conditions, max_alpha
 from sktsim.campaigns import CAMPAIGNS, run_campaign
-from sktsim.config import ConfigError, RunConfig, parse_config
+from sktsim.config import RunConfig, parse_config
 from sktsim.forward import NumericalFailure, run_forward
 # Out of order on purpose: campaigns and config load sktsim.adjoint already, and
 # naming it first reorders the package's imports, which costs ~0.4 MB of peak RSS.
@@ -135,10 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                      f"--campaign applies to verify only, not {args.command}")
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        return _fail(ExitStatus.CONFIG_ERROR, str(exc))
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-    try:
+        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "check":
             return cmd_check(cfg)
         if args.command == "simulate":
@@ -150,6 +148,12 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_report(out_dir)
     except NumericalFailure as exc:
         return _fail(ExitStatus.NUMERICAL_FAILURE, str(exc))
+    except MemoryError as exc:
+        # Raised at once by an allocation larger than the machine can map.
+        return _fail(ExitStatus.CONFIG_ERROR,
+                     f"{args.config}: the grid (dim, grid.n) or the step count "
+                     f"(time.t_final / time.dt) is too large to allocate"
+                     + (f": {exc}" if str(exc) else ""))
     except (OSError, ValueError) as exc:
         return _fail(ExitStatus.CONFIG_ERROR, str(exc))
 

@@ -36,9 +36,11 @@ A march carries stacked pairs only, arrays of shape (*batch, 2,
 array and returns the next one, and :func:`_march` checks each new level
 for finiteness once and stores it with one assignment.  The initial data
 are a stacked pair too, so no object is built per step; ``run_forward``
-checks them once, where they enter.  A forcing term is evaluated once per
-block of levels, at all the block's times in one call, and each step
-takes its row.  The steps
+checks them once, where they enter.  The steps take an optional forcing
+term, which only :func:`manufactured_convergence` passes: it marches its
+forced runs through :func:`_march` itself, evaluates the forcing once per
+block of levels, at all the block's times in one call, and hands each
+step its row; ``run_forward`` marches without one.  The steps
 call the maps of :mod:`sktsim.algebra` (``eval_p``, ``jac_P``, ...), the
 one implementation of the model maps, which the algebra gates call too.
 The explicit step evaluates the flux, its Laplacian and the stability
@@ -320,11 +322,9 @@ _STEPS = {SchemeKind.EXPLICIT: step_explicit, SchemeKind.IMEX_LAGGED: step_imex}
 class ForwardProblem:
     """Everything one forward run needs.  ``initial`` is the stacked pair
     (2, *grid.shape) at t = 0, or anything ``np.asarray`` turns into one
-    (a :class:`FieldPair`).  ``forcing(times)``, if given, takes a 1-D
-    array of times and returns the source term at each of them, one stacked
-    pair per time, shape (len(times), 2, *grid.shape); :func:`run_forward`
-    calls it once per block of steps (see
-    :meth:`sktsim.mms.ManufacturedSolution.forcing`)."""
+    (a :class:`FieldPair`).  A run has no source term; the one forced
+    march, :func:`manufactured_convergence`, passes its forcing to the
+    step itself."""
 
     coefficients: Coefficients
     grid: Grid
@@ -333,11 +333,11 @@ class ForwardProblem:
     scheme: SchemeKind
     initial: np.ndarray
     stride: int = 1
-    forcing: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 #: Cells per species held by the block of levels whose diagnostics are
-#: computed together: 256 levels at 1D n = 64, one level at 2D n = 128.
+#: computed together, or whose forcing is evaluated in one call: 256 levels
+#: at 1D n = 64, one level at 2D n = 128.
 _BLOCK_CELLS = 2 ** 14
 
 
@@ -405,35 +405,15 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     record any undershoot.  A step that fails (non-finite values or the
     explicit stability bound) raises :class:`NumericalFailure` carrying the
     step index and time, without numpy overflow warnings.  The march runs
-    through :func:`_march` a block of levels at a time; the forcing of a
-    block is evaluated in one call before the block is marched, each
-    block's diagnostics are computed together and its stored levels kept.
-    A non-finite forcing fails at the step that takes it.  The initial data
-    must be a finite, nonnegative stacked pair.
+    through :func:`_march` a block of levels at a time; each block's
+    diagnostics are computed together and its stored levels kept.  The
+    initial data must be a finite, nonnegative stacked pair.
     """
     c, grid, bc = problem.coefficients, problem.grid, problem.bc
     tg = problem.time_grid
     initial = _initial_levels(problem.initial, grid)
     dt = tg.dt
     step = _STEPS[problem.scheme]
-
-    def block_advance(lo: int, hi: int) -> Callable[[np.ndarray, int], np.ndarray]:
-        """The step to each level lo + 1, ..., hi, with the forcing of the
-        block (step k takes it at t = (k - 1) dt) evaluated in one call."""
-        if problem.forcing is None:
-            return lambda w, k: step(c, grid, w, bc, dt)
-        forcing = np.asarray(problem.forcing(np.arange(lo, hi) * dt), dtype=float)
-        if forcing.shape != (hi - lo, 2, *grid.shape):
-            raise ValueError(f"forcing at {hi - lo} times has shape {forcing.shape}, not "
-                             f"{(hi - lo, 2, *grid.shape)}")
-        finite = np.isfinite(forcing.reshape(hi - lo, -1)).all(axis=1)
-
-        def advance(w: np.ndarray, k: int) -> np.ndarray:
-            if not finite[k - 1 - lo]:
-                # Reported as a non-finite level of its step, before an implicit solve sees it.
-                raise NumericalFailure("non-finite field values")
-            return step(c, grid, w, bc, dt, forcing[k - 1 - lo])
-        return advance
 
     kept = _stored_steps(tg.steps, problem.stride)
     stored = np.empty((len(kept), 2, *grid.shape))
@@ -444,7 +424,7 @@ def run_forward(problem: ForwardProblem) -> Trajectory:
     block = max(1, _BLOCK_CELLS // grid.node_count)
     for lo in range(0, tg.steps, block):
         hi = min(lo + block, tg.steps)
-        levels = _march(block_advance(lo, hi), grid, w, lo, hi, dt)
+        levels = _march(lambda w, _: step(c, grid, w, bc, dt), grid, w, lo, hi, dt)
         columns[:, lo + 1:hi + 1] = _diagnostics_block(
             c, grid, bc, levels, np.arange(lo + 1, hi + 1, dtype=float), dt)
         _keep(stored, kept, levels, lo)
@@ -469,24 +449,30 @@ def manufactured_convergence(problem: ForwardProblem, exact,
     """Refinement study against a manufactured solution.
 
     ``exact`` supplies exact fields and the residual forcing (see
-    :mod:`sktsim.mms`).  For each resolution the forcing is injected on the
-    right-hand side, the problem is integrated to T from the exact fields
-    at t = 0 (which :func:`run_forward` requires to be nonnegative), and
-    the max-norm error against the exact final state is recorded.  The step is
+    :mod:`sktsim.mms`).  For each resolution the step of ``problem.scheme``
+    (``_STEPS``) marches the exact fields at t = 0, checked by
+    :func:`_initial_levels`, to T through :func:`_march`, a block of levels
+    (``_BLOCK_CELLS``) at a time, and the max-norm error against the exact
+    final state is recorded.  Step k takes the forcing at t = (k - 1) dt,
+    evaluated for all the steps of its block in one ``exact.forcing``
+    call; a non-finite forcing fails at the step that takes it.  Only the
+    last level is kept and no diagnostics are computed.  The step is
     dt = T / round(T / (0.5 h^2)): dt proportional to h^2 balances the
     first-order-in-time schemes to a clean second-order total.
     """
+    c, bc, step = problem.coefficients, problem.bc, _STEPS[problem.scheme]
     T = problem.time_grid.t_final
     errors = []
     for n in ns:
         grid = Grid(problem.grid.dim, problem.grid.length, n)
         steps = max(1, int(round(T / (0.5 * grid.h * grid.h))))
         dt = T / steps
-        sub = ForwardProblem(
-            coefficients=problem.coefficients, grid=grid, bc=problem.bc,
-            time_grid=TimeGrid(T, dt), scheme=problem.scheme,
-            initial=exact.field(grid, 0.0), stride=max(1, steps),
-            forcing=lambda times, g=grid: exact.forcing(g, times))
-        final = run_forward(sub).levels[-1]
-        errors.append(float(np.max(np.abs(final - exact.field(grid, T)))))
+        w = _initial_levels(exact.field(grid, 0.0), grid)
+        block = max(1, _BLOCK_CELLS // grid.node_count)
+        for lo in range(0, steps, block):
+            hi = min(lo + block, steps)
+            forcing = exact.forcing(grid, np.arange(lo, hi) * dt)
+            w = _march(lambda w, k: step(c, grid, w, bc, dt, forcing[k - 1 - lo]),
+                       grid, w, lo, hi, dt)[-1]
+        errors.append(float(np.max(np.abs(w - exact.field(grid, T)))))
     return ConvergenceTable(ns=list(ns), errors=errors)

@@ -17,11 +17,11 @@ the box of the grid it is evaluated on, so it suits Neumann runs on any
 box length.
 
 The fields and the forcing are evaluated for a 1-D array of times at once,
-which is how :func:`sktsim.forward.run_forward` asks for the forcing of a
-block of steps: the grid coordinates and the parts of the targets that do
-not depend on time are built once per call, ``math.exp`` is applied per time,
-and the rest broadcasts, so each time's values are bit for bit those of a
-call at that time alone.
+which is how :func:`sktsim.forward.manufactured_convergence` asks for the
+forcing of a block of steps: the grid coordinates and the parts of the
+targets that do not depend on time are built once per call, ``math.exp`` is
+applied per time, and the rest broadcasts, so each time's values are bit for
+bit those of a call at that time alone.
 """
 
 from __future__ import annotations

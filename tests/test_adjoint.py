@@ -41,7 +41,7 @@ from sktsim.grid import (
     NumericalFailure,
     laplacian,
 )
-from sktsim.mms import bump_profile, heat_limit_coefficients, polynomial_neumann_solution
+from sktsim.mms import bump_profile, heat_limit_coefficients
 
 
 def theta_slope(eps, s, delta):
@@ -603,17 +603,6 @@ def test_marches_build_no_field_pair_per_step(monkeypatch):
         return len(built), traj
 
     assert forward_pairs(1000)[0] == forward_pairs(100)[0] == 0
-
-    exact = polynomial_neumann_solution(CFG_A, 1)
-
-    def forced_pairs(steps):
-        built.clear()
-        run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * 1e-5, 1e-5),
-                                   SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10,
-                                   forcing=lambda times: exact.forcing(grid, times)))
-        return len(built)
-
-    assert forced_pairs(1000) == forced_pairs(100) == 0
 
     def adjoint_pairs(steps, march):
         traj = forward_pairs(steps)[1]

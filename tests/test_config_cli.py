@@ -253,6 +253,28 @@ def test_cli_refuses_values_whose_derived_numbers_overflow(tmp_path, command, ed
     assert f"(line {lineno})" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command, edits, detail", [
+    ("simulate", {"time.dt": "1e-15"}, ""),
+    ("check", {"dim": "2", "grid.n": "10000000"}, ": Unable to allocate 728. TiB"),
+], ids=["steps", "grid"])
+def test_cli_refuses_a_run_too_large_to_allocate(tmp_path, capsys, command, edits, detail):
+    # 5e14 steps of stride 10 need 364 TiB of stored-step indices, and a 2D
+    # grid of n = 1e7 needs 728 TiB per preset array: more than a process can
+    # map, so the allocation fails at once and nothing is allocated.  Each
+    # raised MemoryError (a traceback, exit 1).
+    lines = (CONFIGS / "cfg_a_1d.cfg").read_text().splitlines()
+    for i, line in enumerate(lines):
+        name = line.partition(" = ")[0]
+        if name in edits:
+            lines[i] = f"{name} = {edits[name]}"
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"SKT-ERR:2: {path}: the grid (dim, grid.n) or the step count "
+                          f"(time.t_final / time.dt) is too large to allocate{detail}")
+    assert err.count("\n") == 1
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "SKT-ERR:2:" in capsys.readouterr().err

@@ -27,9 +27,11 @@ from sktsim.campaigns import (
     _exact_transpose_duality,
     _ratios,
     campaign_algebra,
+    campaign_mms,
     run_campaign,
 )
 from sktsim.config import parse_config
+from sktsim.mms import ManufacturedSolution
 from sktsim.experiments import (
     TINY_EPS,
     chi_basis,
@@ -229,6 +231,25 @@ def test_exact_transpose_duality_gate_fails_on_seeded_defect(monkeypatch, seed_d
     result = _exact_transpose_duality(CFG_A)
     assert not result.passed
     assert result.line().startswith("FAIL  exact-transpose-duality")
+
+
+def test_mms_gate_fails_on_a_scaled_forcing(monkeypatch, tmp_path):
+    # The manufactured forcing scaled by (1 + 1e-3): the study then converges
+    # to another solution, and its orders (1.31, 0.70, 0.17 against 1.95,
+    # 1.99, 1.99) fail the gate.
+    config = Path(__file__).resolve().parent.parent / "configs" / "cfg_a_1d.cfg"
+
+    def gate_result():
+        results = campaign_mms(parse_config(config), tmp_path)
+        return next(r for r in results if r.name == "mms-full-coupling-order")
+
+    assert gate_result().passed
+    forcing = ManufacturedSolution.forcing
+    monkeypatch.setattr(ManufacturedSolution, "forcing",
+                        lambda self, grid, t: (1.0 + 1e-3) * forcing(self, grid, t))
+    result = gate_result()
+    assert not result.passed
+    assert result.line().startswith("FAIL  mms-full-coupling-order")
 
 
 def _scale_u_row(monkeypatch, column):

@@ -406,62 +406,70 @@ def test_manufactured_values_at_a_vector_of_times_stack_the_single_time_calls(di
             method(grid, times.reshape(1, -1))
 
 
-def test_run_forward_evaluates_the_forcing_once_per_block():
+class RecordedSolution:
+    """``exact`` with the times of each forcing call recorded in ``calls``."""
+
+    def __init__(self, exact):
+        self.exact, self.calls = exact, []
+
+    def field(self, grid, t):
+        return self.exact.field(grid, t)
+
+    def forcing(self, grid, t):
+        self.calls.append(np.array(t))
+        return self.exact.forcing(grid, t)
+
+
+def test_manufactured_convergence_evaluates_the_forcing_once_per_block(monkeypatch):
     # Three blocks, the last one partial: three calls, at the times
-    # (k - 1) dt of the steps k of each block, and the march is bit for bit
-    # the one that takes the forcing one step at a time.
+    # (k - 1) dt of the steps k of each block, and the last level is bit for
+    # bit the one that takes the forcing one step at a time.  At n = 64,
+    # 0.5 h^2 = 2^-13, so T = steps 2^-13 gives dt = 2^-13 exactly.
     grid = Grid(1, 1.0, 64)
     block = _BLOCK_CELLS // grid.node_count
-    steps, dt = 2 * block + 10, 1e-5
-    exact = polynomial_neumann_solution(CFG_A, 1)
-    calls = []
+    steps, dt = 2 * block + 10, 2.0 ** -13
+    exact = RecordedSolution(polynomial_neumann_solution(CFG_A, 1))
+    last = []
 
-    def forcing(times):
-        calls.append(times.copy())
-        return exact.forcing(grid, times)
+    def recorded_step(*args):
+        last[:] = [step_imex(*args)]
+        return last[0]
 
-    traj = run_forward(ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * dt, dt),
-                                      SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10,
-                                      forcing=forcing))
-    assert [len(times) for times in calls] == [block, block, 10]
-    assert np.array_equal(np.concatenate(calls), np.arange(steps) * dt)
+    monkeypatch.setitem(sktsim.forward._STEPS, SchemeKind.IMEX_LAGGED, recorded_step)
+    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * dt, steps * dt),
+                             SchemeKind.IMEX_LAGGED, np.zeros((2, *grid.shape)))
+    manufactured_convergence(problem, exact, ns=(64,))
+    assert [len(times) for times in exact.calls] == [block, block, 10]
+    assert np.array_equal(np.concatenate(exact.calls), np.arange(steps) * dt)
     w = exact.field(grid, 0.0)
     for k in range(1, steps + 1):
-        w = step_explicit(CFG_A, grid, w, NEU, dt, exact.forcing(grid, (k - 1) * dt))
-    assert np.array_equal(traj.levels[-1], w)
+        w = step_imex(CFG_A, grid, w, NEU, dt, exact.exact.forcing(grid, (k - 1) * dt))
+    assert np.array_equal(last[0], w)
 
 
-def test_run_forward_refuses_a_forcing_of_the_wrong_shape():
-    grid = Grid(1, 1.0, 16)
-    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(1e-3, 1e-4), SchemeKind.EXPLICIT,
-                             constant_pair(grid, 1.0, 1.0),
-                             forcing=lambda times: np.ones((2, *grid.shape)))
-    with pytest.raises(ValueError, match=r"forcing at 10 times has shape \(2, 16\)"):
-        run_forward(problem)
-
-
-def test_run_forward_memory_with_forcing_does_not_grow_with_steps():
-    # The forcing is evaluated one block of steps at a time: with no stored
-    # levels but the endpoints, the peak grows only by the diagnostic columns
-    # (14 floats per step, 0.4 MB from 400 to 4000 steps).
+def test_manufactured_convergence_memory_does_not_grow_with_steps():
+    # The forcing is evaluated and the levels marched one block of steps at a
+    # time, and only the last level is kept: from 600 to 4000 steps (2.3 and
+    # 15.6 blocks of 256 at n = 64, both past the first two full blocks) the
+    # peak does not grow.  The forcing of all the steps at once would add
+    # 3.5 MB.
     grid = Grid(1, 1.0, 64)
-    dt = 1e-5
     exact = polynomial_neumann_solution(CFG_A, 1)
 
     def peak(steps):
-        problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(steps * dt, dt),
-                                 SchemeKind.EXPLICIT, exact.field(grid, 0.0), stride=10**9,
-                                 forcing=lambda times: exact.forcing(grid, times))
+        T = steps * 2.0 ** -13  # dt = 0.5 h^2 = 2^-13
+        problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(T, T), SchemeKind.IMEX_LAGGED,
+                                 np.zeros((2, *grid.shape)))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run_forward(problem)
+            manufactured_convergence(problem, exact, ns=(64,))
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    short, long = peak(400), peak(4000)
-    assert long - short < 2 ** 20, (short, long)
+    short, long = peak(600), peak(4000)
+    assert long - short < 2 ** 18, (short, long)
 
 
 def test_energy_diagnostics_stabilize_under_dt_refinement():
@@ -642,20 +650,35 @@ def test_implicit_steps_refuse_a_batch_before_the_solve(dim):
             step_adjoint_backward(CFG_A, grid, batch, frozen, 1e-3, rhs)
 
 
+class BrokenForcing:
+    """The constant fields u = v = 1 of the heat limit, whose forcing is 0
+    up to t = 2.5 dt and NaN from there on."""
+
+    def __init__(self, dt):
+        self.dt = dt
+
+    def field(self, grid, t):
+        return constant_pair(grid, 1.0, 1.0)
+
+    def forcing(self, grid, t):
+        return np.stack([np.full((2, *grid.shape), math.nan if time > 2.5 * self.dt else 0.0)
+                         for time in t])
+
+
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_nonfinite_forcing_fails_at_its_step(scheme):
-    # The forcing of step k is taken at t = (k - 1) dt; from t = 3 dt on it is NaN.
-    grid = Grid(1, 1.0, 16)
-    dt = 1e-4
-
-    def forcing(times):
-        return np.stack([np.full((2, *grid.shape), math.nan if t > 2.5 * dt else 1.0)
-                         for t in times])
-
-    problem = ForwardProblem(CFG_A, grid, NEU, TimeGrid(10 * dt, dt), scheme,
-                             constant_pair(grid, 1.0, 1.0), forcing=forcing)
-    with pytest.raises(NumericalFailure, match="non-finite field values") as err:
-        run_forward(problem)
+    # Step k takes the forcing at t = (k - 1) dt, so step 4 is the first to
+    # take a NaN: its explicit level is not finite, and its IMEX solve
+    # refuses the right-hand side.  At n = 16, dt = 0.5 h^2 = 2^-9 exactly,
+    # which is the explicit stability bound of the heat limit, so that step
+    # is taken.
+    message = {SchemeKind.EXPLICIT: "non-finite field values",
+               SchemeKind.IMEX_LAGGED: "non-finite right-hand side"}[scheme]
+    grid, dt = Grid(1, 1.0, 16), 2.0 ** -9
+    problem = ForwardProblem(heat_limit_coefficients(), grid, NEU, TimeGrid(10 * dt, 10 * dt),
+                             scheme, np.zeros((2, *grid.shape)))
+    with pytest.raises(NumericalFailure, match=message) as err:
+        manufactured_convergence(problem, BrokenForcing(dt), ns=(16,))
     assert (err.value.step, err.value.t) == (4, 4 * dt)
 
 

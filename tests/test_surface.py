@@ -153,6 +153,22 @@ def test_experiments_march_their_forward_runs_without_run_forward():
     assert not loaded, f"experiments.py loads {loaded}"
 
 
+def test_manufactured_convergence_marches_its_forced_runs_without_run_forward():
+    # The manufactured study passes its forcing to the step itself, through
+    # _march, and keeps only the last level: run_forward takes no forcing,
+    # and its per-step diagnostics are read by no study.
+    path = PACKAGE / "forward.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    loaded = sorted({"run_forward", "_diagnostics_block"}
+                    & _loaded_names(defs["manufactured_convergence"]))
+    assert not loaded, f"manufactured_convergence loads {loaded}"
+    fields = {item.target.id for item in defs["ForwardProblem"].body
+              if isinstance(item, ast.AnnAssign)}
+    assert "forcing" not in fields, "ForwardProblem has a forcing field"
+
+
 def test_only_run_campaign_reads_the_gate_clock():
     # Campaigns yield their verdicts; run_campaign alone times them, so no
     # gate prints a default 0.00 s or a time measured from its own start.
